@@ -56,16 +56,11 @@ func main() {
 		if *timeout > 0 {
 			deadline = time.Now().Add(*timeout)
 		}
-		var plane *metrics.Plane
-		if *listen != "" {
-			plane = metrics.NewPlane("")
-			srv, err := metrics.Serve(*listen, plane)
-			if err != nil {
-				fatal(err)
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "# observability: http://%s\n", srv.Addr())
+		plane, stopObs, err := metrics.StartCLI("rockasm", *listen, "", "")
+		if err != nil {
+			fatal(err)
 		}
+		defer stopObs()
 		m, err := machine.New(machine.Params{Cfg: config.ManycoreDefault(), Prog: prog,
 			Ctx: ctx, WallDeadline: deadline, Obs: plane})
 		if err != nil {

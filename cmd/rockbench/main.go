@@ -54,7 +54,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"rockcress/internal/harness"
@@ -86,7 +85,7 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget per simulation (0 = unlimited); a run exceeding it fails its sweep cell")
 		jrnlPath   = flag.String("journal", "", "record completed sweep cells crash-safely into this file")
 		resume     = flag.Bool("resume", false, "reload -journal and skip its completed cells (final tables are byte-identical to an uninterrupted run)")
-		listenAddr = flag.String("listen", "", "serve live introspection on this address (/metrics, /debug/run, /debug/machine, /debug/flight, /debug/build, /debug/pprof/); cycle counts are unchanged")
+		listenAddr = flag.String("listen", "", metrics.ListenHelp)
 		flightDir  = flag.String("flight", "", "write flight-recorder bundles into this directory when a run dies badly (watchdog, wall budget, crash), on SIGQUIT, or on the first SIGINT")
 		causalOn   = flag.Bool("causal", false, "record causal profiles (critical_path sections in -report files); cycle counts are bit-identical with or without it")
 	)
@@ -97,41 +96,11 @@ func main() {
 	ctx, stop := lifecycle.WithSignals(context.Background())
 	defer stop()
 
-	// The observability plane is opt-in: without -listen/-flight the sweep
-	// carries no registry, no flight recorder, and no retain sampler.
-	var plane *metrics.Plane
-	if *listenAddr != "" || *flightDir != "" {
-		plane = metrics.NewPlane(*flightDir)
-		plane.OnDump(func(path string) {
-			fmt.Fprintln(os.Stderr, "rockbench: flight bundle written:", path)
-		})
-		// SIGQUIT dumps a flight bundle and keeps the sweep running; the
-		// first SIGINT dumps one on the way out (the sweep still cancels).
-		stopQuit := metrics.DumpOnQuit(plane)
-		defer stopQuit()
-		stopInt := metrics.DumpOnInterrupt(plane)
-		defer stopInt()
-		if *listenAddr != "" {
-			srv, err := metrics.Serve(*listenAddr, plane)
-			if err != nil {
-				fatal(err)
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "# observability: http://%s (/metrics /debug/run /debug/machine /debug/flight /debug/build /debug/pprof/)\n", srv.Addr())
-		}
+	plane, stopObs, err := metrics.StartCLI("rockbench", *listenAddr, *flightDir, *pprofOut)
+	if err != nil {
+		fatal(err)
 	}
-
-	if *pprofOut != "" {
-		f, err := os.Create(*pprofOut)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
+	defer stopObs()
 
 	scale, err := kernels.ParseScale(*scaleName)
 	if err != nil {

@@ -37,7 +37,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
 	"strconv"
 
 	"rockcress/internal/analyze"
@@ -73,7 +72,7 @@ func main() {
 		profEng   = flag.Bool("prof", false, "print the engine's per-stage wall-time self-profile")
 		pprofOut  = flag.String("pprof", "", "write a CPU profile to this file")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget for the run (0 = unlimited); exceeded runs fail with a diagnostic snapshot")
-		listen    = flag.String("listen", "", "serve live introspection on this address (/metrics, /debug/run, /debug/machine, /debug/flight, /debug/build, /debug/pprof/); cycle counts are unchanged")
+		listen    = flag.String("listen", "", metrics.ListenHelp)
 		flightDir = flag.String("flight", "", "write flight-recorder bundles into this directory when the run dies badly (watchdog, wall budget, crash), on SIGQUIT, or on the first SIGINT")
 		causalOn  = flag.Bool("causal", false, "record the causal profile (critical-path buckets, slack, what-if projections); cycle counts are bit-identical with or without it")
 	)
@@ -92,30 +91,12 @@ func main() {
 		WallBudget: *timeout,
 		Causal:     *causalOn,
 	}
-	// The observability plane is opt-in: without -listen/-flight the run
-	// carries no registry, no flight recorder, and no retain sampler.
-	var plane *metrics.Plane
-	if *listen != "" || *flightDir != "" {
-		plane = metrics.NewPlane(*flightDir)
-		plane.OnDump(func(path string) {
-			fmt.Fprintln(os.Stderr, "rocksim: flight bundle written:", path)
-		})
-		stopQuit := metrics.DumpOnQuit(plane)
-		defer stopQuit()
-		// The first SIGINT dumps a bundle too: the forensic record of a run
-		// the user aborted, not just of runs that died on their own.
-		stopInt := metrics.DumpOnInterrupt(plane)
-		defer stopInt()
-		if *listen != "" {
-			srv, err := metrics.Serve(*listen, plane)
-			if err != nil {
-				fatal(err)
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "# observability: http://%s (/metrics /debug/run /debug/machine /debug/flight /debug/build /debug/pprof/)\n", srv.Addr())
-		}
-		opts.Obs = plane
+	plane, stopObs, err := metrics.StartCLI("rocksim", *listen, *flightDir, *pprofOut)
+	if err != nil {
+		fatal(err)
 	}
+	defer stopObs()
+	opts.Obs = plane
 	// ROCKTRACE: any non-empty value traces barrier releases; a parseable
 	// numeric value additionally watches that global word address. Parsed
 	// once here — no simulator package reads the environment.
@@ -157,17 +138,6 @@ func main() {
 	if *profEng {
 		prof = &sim.Prof{}
 		opts.Prof = prof
-	}
-	if *pprofOut != "" {
-		f, err := os.Create(*pprofOut)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
 	}
 
 	scale, err := kernels.ParseScale(*scaleName)

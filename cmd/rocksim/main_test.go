@@ -1,0 +1,163 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// rocksimBin is the binary under test, built once by TestMain.
+var rocksimBin string
+
+func TestMain(m *testing.M) {
+	flag.Parse()
+	dir, err := os.MkdirTemp("", "rocksim-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	rocksimBin = filepath.Join(dir, "rocksim")
+	if out, err := exec.Command("go", "build", "-o", rocksimBin, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
+		os.RemoveAll(dir)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// counterGroups are the report.json / telemetry-window sections whose
+// fields are plain counters: window deltas of each must sum to the report.
+var counterGroups = []string{"roles", "frames", "llc", "dram", "noc", "engine"}
+
+// addCounters accumulates every numeric leaf of w into sum, recursing
+// through nested objects (the per-role maps).
+func addCounters(sum, w map[string]any) {
+	for k, v := range w {
+		switch x := v.(type) {
+		case float64:
+			prev, _ := sum[k].(float64)
+			sum[k] = prev + x
+		case map[string]any:
+			sub, _ := sum[k].(map[string]any)
+			if sub == nil {
+				sub = map[string]any{}
+				sum[k] = sub
+			}
+			addCounters(sub, x)
+		}
+	}
+}
+
+// checkSums asserts every summed window counter equals the report's field
+// of the same path. A path the report omits (a role with no tiles) must
+// have summed to zero.
+func checkSums(t *testing.T, path string, sum, report map[string]any) {
+	t.Helper()
+	for k, v := range sum {
+		switch x := v.(type) {
+		case float64:
+			if want, _ := report[k].(float64); x != want {
+				t.Errorf("%s.%s: windows sum to %v, report says %v", path, k, x, want)
+			}
+		case map[string]any:
+			sub, _ := report[k].(map[string]any)
+			checkSums(t, path+"."+k, x, sub)
+		}
+	}
+}
+
+// TestRunReportAndTelemetry drives the built binary end to end on mvt/V4
+// tiny: exit status, the pinned cycle count, report.json against a golden
+// (host-dependent fields dropped), and conservation between the JSONL
+// telemetry windows and the report's totals.
+func TestRunReportAndTelemetry(t *testing.T) {
+	dir := t.TempDir()
+	reportPath := filepath.Join(dir, "r.json")
+	telemPath := filepath.Join(dir, "t.jsonl")
+	cmd := exec.Command(rocksimBin, "-bench", "mvt", "-config", "V4", "-scale", "tiny",
+		"-report", reportPath, "-telemetry", telemPath, "-sample", "256")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	stdout, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("rocksim: %v\nstderr:\n%s", err, stderr.String())
+	}
+	if !strings.Contains(string(stdout), "cycles: 3152\n") {
+		t.Errorf("stdout lacks the pinned \"cycles: 3152\":\n%s", stdout)
+	}
+
+	raw, err := os.ReadFile(reportPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report map[string]any
+	if err := json.Unmarshal(raw, &report); err != nil {
+		t.Fatalf("report.json: %v", err)
+	}
+	for _, k := range []string{"wall_ns", "sim_mips", "build"} {
+		delete(report, k)
+	}
+	got, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	const golden = "testdata/mvt_v4_tiny_report.golden.json"
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with: go test ./cmd/rocksim -update)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("report.json drifted from %s (rerun with -update if intentional); got:\n%s", golden, got)
+	}
+
+	f, err := os.Open(telemPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sum := map[string]any{}
+	windows := 0
+	var lastEnd float64
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		var w map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &w); err != nil {
+			t.Fatalf("telemetry window %d: %v", windows, err)
+		}
+		groups := map[string]any{}
+		for _, g := range counterGroups {
+			groups[g] = w[g]
+		}
+		addCounters(sum, groups)
+		lastEnd, _ = w["end"].(float64)
+		windows++
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if windows < 2 {
+		t.Fatalf("want several telemetry windows at -sample 256, got %d", windows)
+	}
+	if lastEnd != report["cycles"] {
+		t.Errorf("last window ends at %v, report cycles %v", lastEnd, report["cycles"])
+	}
+	checkSums(t, "report", sum, report)
+}

@@ -169,92 +169,33 @@ func New(meta Meta, st *stats.Machine, groups []*config.Group, hw config.Manycor
 		r.SimMips = float64(st.Cycles) * 1e3 / float64(st.WallNs)
 	}
 
-	// Static tile -> role map, mirroring machine.buildRoles: group scalars
-	// and expanders, remaining lanes, everything else MIMD.
-	roleOf := make([]trace.Role, len(st.Cores))
-	for i := range roleOf {
-		roleOf[i] = trace.RoleMimd
-	}
-	for _, g := range groups {
-		if g.Scalar < len(roleOf) {
-			roleOf[g.Scalar] = trace.RoleScalar
-		}
-		for _, t := range g.Lanes {
-			if t < len(roleOf) {
-				roleOf[t] = trace.RoleLane
-			}
-		}
-		if g.Expander < len(roleOf) {
-			roleOf[g.Expander] = trace.RoleExpander
-		}
-	}
-	var sums [trace.NumRoles]trace.RoleCounters
+	// Counter groups come from the same role map and fold the machine's
+	// telemetry windows and metric cells read, so the three cannot disagree.
+	roles := trace.Roles(len(st.Cores), groups)
+	c := trace.Fold(st, roles)
 	var pops [trace.NumRoles]int
-	for t := range st.Cores {
-		c := &st.Cores[t]
-		rc := &sums[roleOf[t]]
-		pops[roleOf[t]]++
-		rc.Issued += c.Issued()
-		rc.Frame += c.Stall(stats.StallFrame)
-		rc.Inet += c.Stall(stats.StallInet)
-		rc.Backpressure += c.Stall(stats.StallBackpressure)
-		rc.Other += c.Stall(stats.StallOther)
-		rc.Instrs += c.Instrs
-
-		r.Frames.Consumed += c.FramesConsumed
-		r.Frames.Poisons += c.FramePoisons
-		r.Frames.Replays += c.FrameReplays
-		r.Frames.Retries += c.ReplayRetries
-		r.Frames.StaleDrops += c.ReplayStaleDrops
+	for _, role := range roles {
+		pops[role]++
 	}
 	for role := trace.Role(0); role < trace.NumRoles; role++ {
 		if pops[role] > 0 {
-			r.Roles[trace.RoleNames[role]] = sums[role]
+			r.Roles[trace.RoleNames[role]] = c.Roles[role]
 			r.RolePop[trace.RoleNames[role]] = pops[role]
 		}
 	}
-
-	for b := range st.LLCs {
-		l := &st.LLCs[b]
-		r.LLC.Accesses += l.Accesses
-		r.LLC.Misses += l.Misses
-		r.LLC.WideReqs += l.WideReqs
-		r.LLC.RespWords += l.RespWords
-		r.LLC.Writebacks += l.Writebacks
-		r.LLC.StoreHits += l.StoreHits
-		r.LLC.StoreMisses += l.StoreMisses
-	}
-	r.LLC.MissRate = st.LLCMissRate()
-
-	r.Dram.Reads = st.DramReads
-	r.Dram.Writes = st.DramWrites
-	r.Dram.Busy = st.DramBusy
-	if st.Cycles > 0 {
-		r.Dram.BusyFrac = float64(st.DramBusy) / float64(st.Cycles)
-	}
-
-	r.Noc.FlitsReq = st.NocReqFlits
-	r.Noc.HopsReq = st.NocReqHops
-	r.Noc.FlitsResp = st.NocRespFlits
-	r.Noc.HopsResp = st.NocRespHops
-	r.Noc.Retrans = st.NocRetrans
-	r.Noc.Dropped = st.NocDropped
-	r.Noc.Corrupt = st.NocCorrupt
-	r.Noc.RemoteStores = st.RemoteStores
+	r.Frames = c.Frames
+	r.LLC = LLCReport{LLCCounters: c.LLC, StoreHits: c.LLCStoreHits,
+		StoreMisses: c.LLCStoreMisses, MissRate: st.LLCMissRate()}
+	r.Dram.DramCounters = c.Dram
+	r.Noc.NocCounters = c.Noc
 	r.Noc.HotReqHops = st.NocReqHotHops
 	r.Noc.HotRespHops = st.NocRespHotHops
 	if st.Cycles > 0 {
+		r.Dram.BusyFrac = float64(st.DramBusy) / float64(st.Cycles)
 		r.Noc.HopsPerCycle = float64(st.NocHops) / float64(st.Cycles)
-		hot := st.NocReqHotHops
-		if st.NocRespHotHops > hot {
-			hot = st.NocRespHotHops
-		}
-		r.Noc.HotLinkBusyFrac = float64(hot) / float64(st.Cycles)
+		r.Noc.HotLinkBusyFrac = float64(max(st.NocReqHotHops, st.NocRespHotHops)) / float64(st.Cycles)
 	}
-
-	r.Engine.FastForwards = st.FastForwards
-	r.Engine.SkippedCycles = st.SkippedCycles
-	r.Engine.Checkpoints = st.Checkpoints
+	r.Engine = c.Engine
 
 	r.Faults.SpadFlipsFrame = st.SpadFlipsFrame
 	r.Faults.SpadFlipsData = st.SpadFlipsData

@@ -46,12 +46,12 @@ type Slack struct {
 
 // Chain is one of the longest barrier intervals.
 type Chain struct {
-	End      int64  `json:"end"`
-	Window   int64  `json:"window"`
-	Tile     int    `json:"tile"`
-	Gap      int64  `json:"gap"`
-	Dominant string `json:"dominant"`
-	DomCycles int64 `json:"dominant_cycles"`
+	End       int64  `json:"end"`
+	Window    int64  `json:"window"`
+	Tile      int    `json:"tile"`
+	Gap       int64  `json:"gap"`
+	Dominant  string `json:"dominant"`
+	DomCycles int64  `json:"dominant_cycles"`
 }
 
 // topChains is how many intervals the report keeps.
@@ -60,10 +60,10 @@ const topChains = 8
 // scaleKeys maps what-if parameter names to the classes they scale.
 // Deterministic order for the slack table is slackParams below.
 var scaleKeys = map[string][]Class{
-	"scalar":       {ClassScalar},
-	"vector":       {ClassVector},
-	"compute":      {ClassScalar, ClassVector},
-	"frame":        {ClassFrame},
+	"scalar":  {ClassScalar},
+	"vector":  {ClassVector},
+	"compute": {ClassScalar, ClassVector},
+	"frame":   {ClassFrame},
 	// Congestion (ClassNocContend) rides on both "llc" and "noc": doubling
 	// banks spreads the same traffic over twice the mesh endpoints, halving
 	// hop latency doubles link bandwidth — either change scales the

@@ -149,13 +149,10 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 		if memBytes < machine.DefaultMemBytes {
 			memBytes = machine.DefaultMemBytes
 		}
-		m, err := machine.New(machine.Params{
-			Cfg: hw, Prog: prog, Groups: groups, MemBytes: memBytes, Faults: cur,
-			NoReplay: opts.NoReplay, Checkpoint: ckptOn,
-			Workers: opts.Workers, TraceBarriers: opts.TraceBarriers,
-			Trace: opts.Trace, WatchAddr: opts.WatchAddr, Prof: opts.Prof, Obs: opts.Obs,
-			Causal: opts.Causal, Ctx: opts.Ctx, WallDeadline: wallDeadline,
-		})
+		mp := opts.machineParams(hw, prog, groups, memBytes)
+		mp.Faults, mp.NoReplay, mp.Checkpoint = cur, opts.NoReplay, ckptOn
+		mp.WallDeadline = wallDeadline // the ladder's shared budget, not a fresh one per attempt
+		m, err := machine.New(mp)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: machine: %w", name, sw.Name, err)
 		}

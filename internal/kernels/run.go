@@ -10,6 +10,7 @@ import (
 	"rockcress/internal/config"
 	"rockcress/internal/energy"
 	"rockcress/internal/gpu"
+	"rockcress/internal/isa"
 	"rockcress/internal/lifecycle"
 	"rockcress/internal/machine"
 	"rockcress/internal/metrics"
@@ -100,6 +101,15 @@ func (o *ExecOpts) wallDeadline() time.Time {
 	return time.Now().Add(o.WallBudget)
 }
 
+// machineParams maps the options onto one machine build. The fault ladder
+// adds its per-attempt plan and recovery switches on top.
+func (o *ExecOpts) machineParams(hw config.Manycore, prog *isa.Program, groups []*config.Group, memBytes int) machine.Params {
+	return machine.Params{Cfg: hw, Prog: prog, Groups: groups, MemBytes: memBytes,
+		Workers: o.Workers, TraceBarriers: o.TraceBarriers,
+		Trace: o.Trace, WatchAddr: o.WatchAddr, Prof: o.Prof, Obs: o.Obs,
+		Causal: o.Causal, Ctx: o.Ctx, WallDeadline: o.wallDeadline()}
+}
+
 // Execute runs benchmark b with parameters p under the given software row
 // and hardware base configuration, checks the results against the serial
 // reference, and returns the statistics.
@@ -148,10 +158,7 @@ func executeOpts(b Benchmark, p Params, sw config.Software, hw config.Manycore, 
 	if memBytes < machine.DefaultMemBytes {
 		memBytes = machine.DefaultMemBytes
 	}
-	m, err := machine.New(machine.Params{Cfg: hw, Prog: prog, Groups: groups, MemBytes: memBytes,
-		Workers: opts.Workers, TraceBarriers: opts.TraceBarriers,
-		Trace: opts.Trace, WatchAddr: opts.WatchAddr, Prof: opts.Prof, Obs: opts.Obs,
-		Causal: opts.Causal, Ctx: opts.Ctx, WallDeadline: opts.wallDeadline()})
+	m, err := machine.New(opts.machineParams(hw, prog, groups, memBytes))
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: machine: %w", name, sw.Name, err)
 	}

@@ -215,7 +215,7 @@ type Machine struct {
 	rec     *trace.Recorder
 	sampler *trace.Sampler
 	prof    *sim.Prof
-	roleOf  []uint8 // tile -> trace.Role
+	roleOf  []trace.Role // tile -> CPI-stack role
 	obs     *obsPub
 	flight  *metrics.Flight
 	causal  *causal.Recorder
@@ -427,7 +427,7 @@ func New(p Params) (*Machine, error) {
 	for t := range m.cores {
 		m.coreWakers[t] = m.engine.WakerFor(m.cores[t])
 	}
-	m.buildRoles()
+	m.roleOf = trace.Roles(cfg.Cores, p.Groups)
 	if p.Causal {
 		// Causal profiler wiring: each core classifies its own cycles into
 		// the per-tile recorder, and the LLC banks stamp response journeys.
@@ -436,7 +436,7 @@ func New(p Params) (*Machine, error) {
 		m.causal = causal.NewRecorder(cfg.Cores)
 		for t, c := range m.cores {
 			class := causal.ClassScalar
-			if r := trace.Role(m.roleOf[t]); r == trace.RoleLane || r == trace.RoleExpander {
+			if r := m.roleOf[t]; r == trace.RoleLane || r == trace.RoleExpander {
 				class = causal.ClassVector
 			}
 			c.SetCausal(m.causal.Tile(t), class)
@@ -490,7 +490,7 @@ func New(p Params) (*Machine, error) {
 		m.engine.SetProfile(p.Prof)
 	}
 	// Observability-plane binding: the roles and link labels the series
-	// need exist only after buildRoles and EnableLinkHops above. Losing the
+	// need exist only after trace.Roles and EnableLinkHops above. Losing the
 	// bind race (another machine of the same sweep is already publishing)
 	// costs nothing — this machine simply has no cells to publish.
 	if p.Obs != nil && p.Obs.TryBindMachine() {
@@ -899,12 +899,9 @@ func (m *Machine) applyFaults(now int64) {
 				}
 				m.flight.Note(now, "fault.flip",
 					fmt.Sprintf("tile %d spad bit %d at offset %d", e.Tile, e.Bit, e.Offset))
-				m.report.FlippedWords++
 				if inFrame {
-					m.report.FlipsFrame++
 					m.Stats.SpadFlipsFrame++
 				} else {
-					m.report.FlipsData++
 					m.Stats.SpadFlipsData++
 				}
 			}
@@ -982,24 +979,32 @@ func (m *Machine) breakGroup(now int64, gid int) {
 }
 
 // FaultReport summarizes the run's fault activity (nil without a plan).
-// Valid on both success and failure paths.
+// Valid on both success and failure paths. Its counters are read off the
+// spine (collect + fold) like every other consumer's; only the topology
+// lists, the stuck-queue and escalation counts, which stats does not hold,
+// accumulate in the report itself as the events land.
 func (m *Machine) FaultReport() *fault.Report {
 	if m.inj == nil {
 		return nil
 	}
-	m.report.Fired = m.inj.Fired()
-	m.report.Retransmits = m.meshReq.Retransmits + m.meshResp.Retransmits
-	m.report.DroppedFlits = m.meshReq.Dropped + m.meshResp.Dropped
-	m.report.CorruptFlits = m.meshReq.Corrupt + m.meshResp.Corrupt
-	m.report.FramePoisons = 0
-	for i := range m.Stats.Cores {
-		m.report.FramePoisons += m.Stats.Cores[i].FramePoisons
-	}
-	m.report.RouteRebuilds = m.meshReq.RouteRebuilds + m.meshResp.RouteRebuilds
-	m.report.ReroutedFlits = m.reroutedFlits
-	m.report.DetourHops = m.meshReq.DetourHops + m.meshResp.DetourHops
-	m.report.BankFailovers = m.bankFailovers.Load()
-	return m.report
+	m.collect()
+	st, c, r := m.Stats, trace.Fold(m.Stats, m.roleOf), m.report
+	r.Fired = m.inj.Fired()
+	r.Retransmits = c.Noc.Retrans
+	r.DroppedFlits = c.Noc.Dropped
+	r.CorruptFlits = c.Noc.Corrupt
+	r.FlipsFrame = int(st.SpadFlipsFrame)
+	r.FlipsData = int(st.SpadFlipsData)
+	r.FlippedWords = r.FlipsFrame + r.FlipsData
+	r.FramePoisons = c.Frames.Poisons
+	r.FrameReplays = c.Frames.Replays
+	r.ReplayRetries = c.Frames.Retries
+	r.Checkpoints = c.Engine.Checkpoints
+	r.RouteRebuilds = st.NocRouteRebuilds
+	r.ReroutedFlits = st.NocReroutedFlits
+	r.DetourHops = st.NocDetourHops
+	r.BankFailovers = st.LLCBankFailovers
+	return r
 }
 
 // step advances the whole machine one cycle through the engine.
@@ -1161,10 +1166,11 @@ func (m *Machine) Run(maxCycles int64) (st *stats.Machine, err error) {
 	// add runs on every exit path, including panics turned into errors.
 	runStart := time.Now()
 	defer func() { m.Stats.WallNs += int64(time.Since(runStart)) }()
-	// The final (partial) telemetry window flushes on every exit path, after
-	// the inline collect() on success so window sums match the aggregates.
-	// Declared before the recover handler so it runs after it (LIFO) and an
-	// interrupted or panicked run flushes truncation-marked outputs.
+	// Every exit path — completion, error return, recovered panic — leaves
+	// fresh totals in m.Stats, then flushes the final (partial) telemetry
+	// window from them, so a failed run's window sums match its aggregates
+	// too. Declared before the recover handler so it runs after it (LIFO)
+	// and an interrupted or panicked run flushes truncation-marked outputs.
 	defer func() {
 		if err != nil {
 			if m.sampler != nil {
@@ -1174,6 +1180,7 @@ func (m *Machine) Run(maxCycles int64) (st *stats.Machine, err error) {
 				m.rec.MarkTruncated()
 			}
 		}
+		m.collect()
 		m.sample(true)
 		// Final counter publish, then free the plane's machine slot for the
 		// next attempt/run; the snapshot provider stays installed so
@@ -1271,7 +1278,6 @@ func (m *Machine) Run(maxCycles int64) (st *stats.Machine, err error) {
 		// recorders, so the final interval's totals are complete.
 		m.causal.Finish(m.now)
 	}
-	m.collect()
 	return m.Stats, nil
 }
 
@@ -1352,15 +1358,22 @@ func (m *Machine) llcsBusy() bool {
 	return false
 }
 
+// collect brings m.Stats — the single live home of every counter — up to
+// date: it settles the stall accounting parked shards defer, then copies
+// the counters components own (mesh planes, DRAM, topology-fault tallies)
+// into it. It is the only reader of those component fields; the sampler,
+// the plane publisher, FaultReport and report.json all read m.Stats (through
+// trace.Fold) after it. Idempotent, serial-phase only, allocation-free.
 func (m *Machine) collect() {
+	m.engine.Sync(m.now)
 	st := m.Stats
 	st.Cycles = m.now
-	st.NocFlits = m.meshReq.Flits + m.meshResp.Flits
-	st.NocHops = m.meshReq.Hops + m.meshResp.Hops
 	st.NocReqFlits = m.meshReq.Flits
 	st.NocReqHops = m.meshReq.Hops
 	st.NocRespFlits = m.meshResp.Flits
 	st.NocRespHops = m.meshResp.Hops
+	st.NocFlits = st.NocReqFlits + st.NocRespFlits
+	st.NocHops = st.NocReqHops + st.NocRespHops
 	st.DramReads = m.dram.Reads
 	st.DramWrites = m.dram.Writes
 	st.DramBusy = m.dram.BusyCycles

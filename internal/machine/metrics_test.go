@@ -9,6 +9,7 @@ package machine_test
 // flight bundle the ladder then recovers from.
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -75,7 +76,7 @@ func promSeries(t *testing.T, text string) (series map[string]int64, fams map[st
 
 // checkScrapeConservation compares a final /metrics scrape against the
 // end-of-run aggregates. Equality must be exact: the publish sweep stores the
-// same live counters collect() folds into stats.Machine.
+// counters collect() brings up to date in stats.Machine.
 func checkScrapeConservation(t *testing.T, text string, st *stats.Machine) {
 	t.Helper()
 	series, fams := promSeries(t, text)
@@ -341,5 +342,52 @@ func TestWatchdogFlightBundle(t *testing.T) {
 	}
 	if kinds["fault.stick"] == 0 || kinds["watchdog"] == 0 {
 		t.Errorf("bundle notes missing the stick/watchdog story: %v", kinds)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestMetricsExpositionGolden pins the shape of the Prometheus exposition —
+// every family's HELP and TYPE line and every series' name and label set,
+// in registration order — for a fixed gemm/V4 tiny run. Values are stripped:
+// the conservation tests own those. A refactor of the publish path must
+// leave this byte-identical.
+func TestMetricsExpositionGolden(t *testing.T) {
+	bench, err := kernels.Get("gemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := config.Preset("V4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane := metrics.NewPlane("")
+	if _, err := kernels.ExecuteOpts(bench, bench.Defaults(kernels.Tiny), sw,
+		config.ManycoreDefault(), kernels.ExecOpts{Obs: plane}); err != nil {
+		t.Fatal(err)
+	}
+	var page strings.Builder
+	if err := plane.Registry().WriteProm(&page); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, line := range strings.Split(strings.TrimSuffix(page.String(), "\n"), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			line = line[:strings.LastIndexByte(line, ' ')]
+		}
+		got.WriteString(line + "\n")
+	}
+	const path = "testdata/metrics_exposition.golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with: go test ./internal/machine -run TestMetricsExpositionGolden -update)", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("exposition shape drifted from %s (rerun with -update if intentional); got:\n%s", path, got.String())
 	}
 }

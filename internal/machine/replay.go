@@ -85,9 +85,6 @@ func (m *Machine) takeCheckpoint(now int64) {
 	}
 	m.flight.Note(now, "checkpoint", fmt.Sprintf("%d words published", len(words)))
 	m.Stats.Checkpoints++
-	if m.report != nil {
-		m.report.Checkpoints++
-	}
 }
 
 // tickReplays is the replay manager's once-per-cycle scan (serial "mem"
@@ -187,9 +184,6 @@ func (m *Machine) driveReplay(now int64, rs *replayState) {
 		m.flight.Note(now, "replay.ok",
 			fmt.Sprintf("tile %d frame verified after %d tries", rs.tile, rs.tries))
 		m.Stats.Cores[rs.tile].FrameReplays++
-		if m.report != nil {
-			m.report.FrameReplays++
-		}
 		m.replays[rs.tile] = nil
 		return
 	}
@@ -219,9 +213,6 @@ func (m *Machine) retryReplay(now int64, rs *replayState) {
 		fmt.Sprintf("tile %d replay try %d", rs.tile, rs.tries))
 	m.spads[rs.tile].BeginReplay()
 	m.Stats.Cores[rs.tile].ReplayRetries++
-	if m.report != nil {
-		m.report.ReplayRetries++
-	}
 }
 
 // escalateReplay hands an unrepairable frame to the degradation ladder: a

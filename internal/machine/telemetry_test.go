@@ -63,7 +63,7 @@ func readWindows(t *testing.T, raw []byte, wantEnd int64) []trace.Window {
 
 // checkConservation sums every window delta and compares against the
 // end-of-run aggregates. Equality must be exact: the sampler snapshots the
-// same live counters collect() folds into stats.Machine.
+// counters collect() brings up to date in stats.Machine.
 func checkConservation(t *testing.T, ws []trace.Window, st *stats.Machine) {
 	t.Helper()
 	var sum trace.Window

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"rockcress/internal/stats"
 	"rockcress/internal/trace"
 )
 
@@ -22,24 +21,6 @@ func (m *Machine) tidMachine() int64 { return int64(m.space.Nodes()) }
 // tids 0..Cores-1 never collide).
 func (m *Machine) tidLLC(bank int) int64 { return int64(m.space.LLCNode(bank)) }
 
-// buildRoles fills the static tile -> CPI-stack role map: each group's
-// scalar and expander tiles, its remaining lanes, and ungrouped MIMD tiles.
-// The map is fixed at build time; a group broken mid-run keeps attributing
-// to the original roles (conservation sums over all roles regardless).
-func (m *Machine) buildRoles() {
-	m.roleOf = make([]uint8, m.Cfg.Cores)
-	for i := range m.roleOf {
-		m.roleOf[i] = uint8(trace.RoleMimd)
-	}
-	for _, g := range m.Groups {
-		m.roleOf[g.Scalar] = uint8(trace.RoleScalar)
-		for _, t := range g.Lanes {
-			m.roleOf[t] = uint8(trace.RoleLane)
-		}
-		m.roleOf[g.Expander] = uint8(trace.RoleExpander)
-	}
-}
-
 // emitTraceMeta names the trace threads (Perfetto track labels).
 func (m *Machine) emitTraceMeta() {
 	for t := range m.cores {
@@ -52,52 +33,16 @@ func (m *Machine) emitTraceMeta() {
 	m.rec.Meta(m.tidMachine(), "machine")
 }
 
-// snapshotCum fills c with the cumulative totals of exactly the counters
-// collect() folds into the end-of-run stats.Machine, read from the same live
-// sources, so windowed deltas sum exactly to the final aggregates.
-func (m *Machine) snapshotCum(c *trace.Cum) {
-	for t := range m.Stats.Cores {
-		sc := &m.Stats.Cores[t]
-		r := &c.Roles[m.roleOf[t]]
-		r.Issued += sc.Issued()
-		r.Frame += sc.Stall(stats.StallFrame)
-		r.Inet += sc.Stall(stats.StallInet)
-		r.Backpressure += sc.Stall(stats.StallBackpressure)
-		r.Other += sc.Stall(stats.StallOther)
-		r.Instrs += sc.Instrs
-
-		c.Frames.Consumed += sc.FramesConsumed
-		c.Frames.Poisons += sc.FramePoisons
-		c.Frames.Replays += sc.FrameReplays
-		c.Frames.Retries += sc.ReplayRetries
-		c.Frames.StaleDrops += sc.ReplayStaleDrops
-	}
-	for b := range m.Stats.LLCs {
-		l := &m.Stats.LLCs[b]
-		c.LLC.Accesses += l.Accesses
-		c.LLC.Misses += l.Misses
-		c.LLC.WideReqs += l.WideReqs
-		c.LLC.RespWords += l.RespWords
-		c.LLC.Writebacks += l.Writebacks
-	}
-	c.Dram.Reads = m.dram.Reads
-	c.Dram.Writes = m.dram.Writes
-	c.Dram.Busy = m.dram.BusyCycles
-	c.Noc.FlitsReq = m.meshReq.Flits
-	c.Noc.HopsReq = m.meshReq.Hops
-	c.Noc.FlitsResp = m.meshResp.Flits
-	c.Noc.HopsResp = m.meshResp.Hops
-	c.Noc.Retrans = m.meshReq.Retransmits + m.meshResp.Retransmits
-	c.Noc.Dropped = m.meshReq.Dropped + m.meshResp.Dropped
-	c.Noc.Corrupt = m.meshReq.Corrupt + m.meshResp.Corrupt
-	c.Noc.RemoteStores = m.Stats.RemoteStores
-	c.Engine.FastForwards = m.Stats.FastForwards
-	c.Engine.SkippedCycles = m.Stats.SkippedCycles
-	c.Engine.Checkpoints = m.Stats.Checkpoints
-	// Fresh copies: the sampler keeps the previous snapshot by value, so the
-	// link slices must not alias the meshes' live counters.
+// snapshotCum is the sampler's view of the counter spine: fresh totals
+// folded into the window groups, plus the per-link hop vectors the meshes
+// own. The sampler keeps the previous snapshot by value, so the link slices
+// are copies, never aliases of the meshes' live counters.
+func (m *Machine) snapshotCum() trace.Cum {
+	m.collect()
+	c := trace.Fold(m.Stats, m.roleOf)
 	c.LinksReq = append([]int64(nil), m.meshReq.LinkHops()...)
 	c.LinksResp = append([]int64(nil), m.meshResp.LinkHops()...)
+	return c
 }
 
 // gauges reads the point-in-time values for the current window's end.
@@ -117,11 +62,7 @@ func (m *Machine) sample(final bool) {
 	if m.sampler == nil {
 		return
 	}
-	// Parked shards defer their stall accounting; settle it so the window's
-	// counters match what strict per-cycle ticking would have recorded.
-	m.engine.Sync(m.now)
-	var c trace.Cum
-	m.snapshotCum(&c)
+	c := m.snapshotCum()
 	if final {
 		m.sampler.Finish(m.now, &c, m.gauges())
 	} else {

@@ -1,12 +1,17 @@
 package machine_test
 
 import (
+	"bytes"
+	"errors"
+	"reflect"
 	"testing"
 
 	"rockcress/internal/config"
 	"rockcress/internal/isa"
 	"rockcress/internal/machine"
 	"rockcress/internal/prog"
+	"rockcress/internal/stats"
+	"rockcress/internal/trace"
 )
 
 // TestExpanderBranchInMicrothread: the expander may execute uniform
@@ -266,7 +271,10 @@ func TestGroupReformation(t *testing.T) {
 }
 
 // TestDeadlockWatchdog: a program whose group never fully forms (one lane
-// halts early) must be caught by the watchdog, not hang.
+// halts early) must be caught by the watchdog, not hang — and the failed run
+// must hand back the same counter spine a completed one does: Cycles at the
+// abort cycle, the NoC/DRAM totals, telemetry windows that sum to them, and
+// all of it independent of whether an observer was attached.
 func TestDeadlockWatchdog(t *testing.T) {
 	cfg := config.ManycoreDefault()
 	groups, err := config.MakeGroups(cfg, 4)
@@ -274,6 +282,9 @@ func TestDeadlockWatchdog(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := prog.New("stuck")
+	addr, word := b.Int(), b.Int()
+	b.Li(addr, 0x1000)
+	b.Lw(word, addr, 0) // memory traffic before the hang, so the totals are nonzero
 	lane, none := b.Int(), b.Int()
 	b.Csrr(lane, isa.CsrLaneID)
 	b.Li(none, 2)
@@ -294,11 +305,38 @@ func TestDeadlockWatchdog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := machine.New(machine.Params{Cfg: cfg, Prog: p, Groups: groups})
-	if err != nil {
+	run := func(sink *trace.Sink) (*machine.Machine, stats.Machine) {
+		m, err := machine.New(machine.Params{Cfg: cfg, Prog: p, Groups: groups, Trace: sink})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := m.Run(2_000_000)
+		if !errors.Is(err, machine.ErrDeadlock) {
+			t.Fatalf("defecting lane surfaced as %v, want a deadlock error", err)
+		}
+		got := *st
+		got.WallNs = 0
+		return m, got
+	}
+	var samples bytes.Buffer
+	sink := trace.NewSink(trace.Config{SampleEvery: 4096, SampleTo: &samples})
+	m, st := run(sink)
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(2_000_000); err == nil {
-		t.Fatal("defecting lane did not surface as an error")
+	if st.Cycles != m.Now() || st.Cycles == 0 {
+		t.Errorf("failed run: Stats.Cycles = %d, machine stopped at %d", st.Cycles, m.Now())
+	}
+	if st.NocFlits == 0 || st.DramReads == 0 {
+		t.Errorf("failed run: NoC flits %d, DRAM reads %d; want the traffic the loads caused",
+			st.NocFlits, st.DramReads)
+	}
+	ws := readWindows(t, samples.Bytes(), st.Cycles)
+	if !ws[len(ws)-1].Truncated {
+		t.Error("final window of a failed run not marked truncated")
+	}
+	checkConservation(t, ws, &st)
+	if _, bare := run(nil); !reflect.DeepEqual(bare, st) {
+		t.Errorf("failed run's stats depend on the sampler:\n with    %+v\n without %+v", st, bare)
 	}
 }

@@ -44,7 +44,7 @@ type Core struct {
 	Cycles      int64 // cycles the core was active (before halt)
 	StallCycles [numStallKinds]int64
 
-	Instrs        int64 // instructions executed (committed)
+	Instrs        int64                  // instructions executed (committed)
 	InstrsByClass [MaxInstrClasses]int64 // indexed by isa.Class
 
 	ICacheAccesses int64

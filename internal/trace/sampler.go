@@ -122,10 +122,10 @@ func (a EngineCounters) sub(b EngineCounters) EngineCounters {
 	}
 }
 
-// Cum is a cumulative counter snapshot the machine fills at each sample
-// point. Every field is a monotone total since cycle 0 of the current run,
-// so per-window deltas sum exactly to the end-of-run aggregates — the
-// conservation property the telemetry tests assert.
+// Cum is a cumulative counter snapshot, built by Fold from a run's
+// stats.Machine. Every field is a monotone total since cycle 0 of the
+// current run, so per-window deltas sum exactly to the end-of-run
+// aggregates — the conservation property the telemetry tests assert.
 type Cum struct {
 	Roles  [NumRoles]RoleCounters
 	Frames FrameCounters
@@ -133,6 +133,11 @@ type Cum struct {
 	Dram   DramCounters
 	Noc    NocCounters
 	Engine EngineCounters
+
+	// LLC store outcomes summed over banks. report.json carries them;
+	// telemetry windows (schema 1) do not.
+	LLCStoreHits   int64
+	LLCStoreMisses int64
 
 	// Per-link mesh hop totals (index: router*4+direction), present only
 	// when the machine enabled per-link accounting for this run.
