@@ -158,9 +158,9 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 		}
 		// Restart from the last checkpoint when one is compatible with this
 		// attempt's build; otherwise from the initial image.
-		restored := snap != nil && snapSites == sites && len(snap.Words)*4 == memBytes
+		restored := snap != nil && snapSites == sites && snap.Image.Size() == memBytes
 		if restored {
-			m.Global.Restore(snap.Words)
+			m.Global.Restore(snap.Image)
 			fr.CheckpointRestarts++
 			if rec := opts.Trace.Recorder(); rec != nil {
 				rec.Instant("checkpoint.restore", "recovery", snap.Cycle, 0,
@@ -192,24 +192,26 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 		if ck := m.Checkpoint(); ck != nil {
 			snap, snapSites = ck, sites
 		}
-		if runErr == nil {
-			if err := img.Check(m.Global); err == nil {
-				m.Global.Recycle()
-				fr.Result = &Result{
-					Bench: name, Config: sw.Name, Params: p, HW: hw,
-					Stats: st, Energy: energy.New(hw).Evaluate(st), Groups: groups,
-				}
-				if prof := m.CausalProfile(); prof != nil {
-					// The surviving attempt's profile only; earlier attempts'
-					// recorders died with their machines.
-					fr.Result.Causal = causal.BuildReport(prof)
-				}
-				fr.MIMDFallback = mimd
-				return fr, nil
+		correct := runErr == nil && img.Check(m.Global) == nil
+		// Every reader of the store is done, and a published checkpoint is a
+		// copy, not a view: park the store for the next attempt or cell.
+		m.Global.Recycle()
+		if correct {
+			fr.Result = &Result{
+				Bench: name, Config: sw.Name, Params: p, HW: hw,
+				Stats: st, Energy: energy.New(hw).Evaluate(st), Groups: groups,
 			}
-			// Completed but wrong: a fault corrupted data or killed a worker
-			// whose partition never ran. Restart on the degraded fabric.
+			if prof := m.CausalProfile(); prof != nil {
+				// The surviving attempt's profile only; earlier attempts'
+				// recorders died with their machines.
+				fr.Result.Causal = causal.BuildReport(prof)
+			}
+			fr.MIMDFallback = mimd
+			return fr, nil
 		}
+		// A run that completed but wrong had a fault corrupt data or kill a
+		// worker whose partition never ran. Restart on the degraded fabric.
+		//
 		// Restart only makes progress when the fabric shrank or the plan did
 		// (fired events — kills, flips, exhausted link windows — are stripped
 		// so the replay cannot hit them again). Permanent topology events are

@@ -1,10 +1,14 @@
 package kernels
 
 import (
+	"io"
+	"runtime"
 	"testing"
 
 	"rockcress/internal/config"
 	"rockcress/internal/fault"
+	"rockcress/internal/machine"
+	"rockcress/internal/trace"
 )
 
 // replayMaxCycles bounds the small Tiny-scale searches below.
@@ -173,4 +177,117 @@ func TestCheckpointRestart(t *testing.T) {
 		return
 	}
 	t.Fatal("no kill cycle produced a checkpoint-resumed restart")
+}
+
+// mvtV4Tiny is the cell the host-cost tests below run.
+func mvtV4Tiny(t *testing.T) (Benchmark, Params, config.Software, config.Manycore) {
+	t.Helper()
+	b, err := Get("mvt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := config.Preset("V4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b, b.Defaults(Tiny), sw, config.ManycoreDefault()
+}
+
+// lateKillPlan forces one checkpoint restart on mvtV4Tiny: tile 9 is the
+// last lane of the first V4 group, and cycle 1970 is 5/8 of the fault-free
+// run, after the first phase boundary published a checkpoint.
+func lateKillPlan() *fault.Plan {
+	return &fault.Plan{Events: []fault.Event{{Kind: fault.KillTile, Cycle: 1970, Tile: 9}}}
+}
+
+// allocatedBy returns the bytes the heap handed out while f ran.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCheckpointCostScalesWithDirtyPages gates the host cost of the
+// checkpoint rung on a deterministic proxy: a warm mvt/V4 Tiny cell whose
+// kill forces one checkpoint restart publishes two checkpoints and builds
+// two machines, and must allocate far less than the one 32 MiB store a
+// dense snapshot would copy — while recovering exactly as the dense ladder
+// did (pinned attempt, restart and cycle counts).
+func TestCheckpointCostScalesWithDirtyPages(t *testing.T) {
+	b, p, sw, hw := mvtV4Tiny(t)
+	plan := lateKillPlan()
+	run := func() *FaultResult {
+		res, err := ExecuteWithFaults(b, p, sw, hw, replayMaxCycles, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	run() // warm: the store pool and every lazily built table
+	var res *FaultResult
+	got := allocatedBy(func() { res = run() })
+	if limit := uint64(16 << 20); got >= limit {
+		t.Errorf("ladder cell allocated %d bytes, want < %d: checkpoints must cost the pages the kernel touched",
+			got, limit)
+	}
+	if res.Attempts != 2 || res.CheckpointRestarts != 1 || res.FullRestarts != 0 {
+		t.Errorf("attempts %d, checkpoint restarts %d, full restarts %d; want 2, 1, 0",
+			res.Attempts, res.CheckpointRestarts, res.FullRestarts)
+	}
+	if res.TotalCycles != 5110 || res.Cycles() != 1889 {
+		t.Errorf("total %d cycles, restored attempt %d; want 5110 and 1889", res.TotalCycles, res.Cycles())
+	}
+	if res.Report == nil || res.Report.Checkpoints != 2 {
+		t.Errorf("report %+v, want 2 published checkpoints", res.Report)
+	}
+	if len(res.Ladder) != 2 || !res.Ladder[1].FromCheckpoint {
+		t.Errorf("ladder %+v, want the second attempt resumed from a checkpoint", res.Ladder)
+	}
+}
+
+// TestCheckpointEventReportsPagesCopied: the trace must show what a
+// checkpoint cost — the pages copied — beside the size of the store it
+// covers.
+func TestCheckpointEventReportsPagesCopied(t *testing.T) {
+	b, p, sw, hw := mvtV4Tiny(t)
+	sink := trace.NewSink(trace.Config{EventsTo: io.Discard})
+	if _, err := ExecuteWithFaultsOpts(b, p, sw, hw, lateKillPlan(),
+		ExecOpts{MaxCycles: replayMaxCycles, Trace: sink}); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, e := range sink.Recorder().Events() {
+		if e.Name != "checkpoint" {
+			continue
+		}
+		seen++
+		words, pages := e.Args["words"], e.Args["pages"]
+		if words != machine.DefaultMemBytes/4 || pages < 1 || pages > 128 {
+			t.Errorf("checkpoint event args %v: want the store's words and a small count of copied pages", e.Args)
+		}
+	}
+	if seen != 2 {
+		t.Errorf("saw %d checkpoint events, want 2", seen)
+	}
+}
+
+// TestFailedRunRecyclesStore: a cell that fails must park its global store
+// like a cell that succeeds, or every failing cell of a sweep allocates and
+// clears a fresh 32 MiB. More failing runs than the pool could ever hold
+// rule out stores parked by earlier tests.
+func TestFailedRunRecyclesStore(t *testing.T) {
+	b, p, sw, hw := mvtV4Tiny(t)
+	fail := func() {
+		if _, err := Execute(b, p, sw, hw, 100); err == nil {
+			t.Fatal("a 100-cycle budget must fail the run")
+		}
+	}
+	fail() // may allocate the one store the rest reuse
+	for i := 0; i < 10; i++ {
+		if got := allocatedBy(fail); got >= machine.DefaultMemBytes {
+			t.Fatalf("failing run %d allocated %d bytes: the previous run's store was dropped, not recycled", i+2, got)
+		}
+	}
 }

@@ -162,6 +162,9 @@ func executeOpts(b Benchmark, p Params, sw config.Software, hw config.Manycore, 
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: machine: %w", name, sw.Name, err)
 	}
+	// Failed cells park the store too, once the flight dump and the result
+	// check below have read it: the next cell of a sweep reuses it.
+	defer m.Global.Recycle()
 	img.Apply(m.Global)
 	st, err := m.Run(maxCycles)
 	opts.Obs.Run().AddSim(m.Now(), st.WallNs)
@@ -172,7 +175,6 @@ func executeOpts(b Benchmark, p Params, sw config.Software, hw config.Manycore, 
 	if err := img.Check(m.Global); err != nil {
 		return nil, fmt.Errorf("%s/%s: wrong result: %w", name, sw.Name, err)
 	}
-	m.Global.Recycle()
 	res := &Result{
 		Bench: name, Config: sw.Name, Params: p, HW: hw,
 		Stats: st, Energy: energy.New(hw).Evaluate(st), Groups: groups,

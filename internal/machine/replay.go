@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rockcress/internal/isa"
+	"rockcress/internal/mem"
 	"rockcress/internal/msg"
 )
 
@@ -45,7 +46,7 @@ type replayState struct {
 // barrier release (all stores drained, dirty LLC lines overlaid).
 type Checkpoint struct {
 	Cycle int64
-	Words []uint32
+	Image *mem.Image
 }
 
 // ArmCheckpoint implements cpu.Env: the csrw ckpt instruction asks for a
@@ -74,16 +75,17 @@ func (m *Machine) snapshotSafe() bool {
 // release, so the mesh and DRAM are drained and only dirty LLC lines differ
 // from the backing store.
 func (m *Machine) takeCheckpoint(now int64) {
-	words := m.Global.Snapshot()
+	im := m.Global.Snapshot()
 	for _, b := range m.llcs {
-		b.OverlayDirty(words)
+		b.OverlayDirty(im)
 	}
-	m.ckpt = &Checkpoint{Cycle: now, Words: words}
+	m.ckpt = &Checkpoint{Cycle: now, Image: im}
 	if m.rec != nil {
 		m.rec.Instant("checkpoint", "recovery", now, m.tidMachine(),
-			map[string]int64{"words": int64(len(words))})
+			map[string]int64{"words": int64(im.Size() / 4), "pages": int64(im.Pages())})
 	}
-	m.flight.Note(now, "checkpoint", fmt.Sprintf("%d words published", len(words)))
+	m.flight.Note(now, "checkpoint", fmt.Sprintf("%d words published, %d dirty pages (%d KiB) copied",
+		im.Size()/4, im.Pages(), im.Bytes()/1024))
 	m.Stats.Checkpoints++
 }
 

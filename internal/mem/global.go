@@ -7,6 +7,7 @@ package mem
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -68,18 +69,7 @@ func NewGlobal(bytes int) (*Global, error) {
 // caller must be completely done with the store: the next NewGlobal of the
 // same size may hand it to an unrelated machine.
 func (g *Global) Recycle() {
-	for wi, bm := range g.dirty {
-		for ; bm != 0; bm &= bm - 1 {
-			page := wi*64 + bits.TrailingZeros64(bm)
-			lo := page * pageWords
-			hi := lo + pageWords
-			if hi > len(g.words) {
-				hi = len(g.words)
-			}
-			clear(g.words[lo:hi])
-		}
-		g.dirty[wi] = 0
-	}
+	g.scrub()
 	g.err = nil
 	globalPool.Lock()
 	if globalPool.bySize == nil {
@@ -89,6 +79,25 @@ func (g *Global) Recycle() {
 		globalPool.bySize[len(g.words)] = append(list, g)
 	}
 	globalPool.Unlock()
+}
+
+// scrub zeroes every dirty page and clears the dirty bitmap, leaving the
+// store all zero: the dirty bits cover every non-zero word.
+func (g *Global) scrub() {
+	for wi, bm := range g.dirty {
+		for ; bm != 0; bm &= bm - 1 {
+			lo, hi := g.pageSpan(wi*64 + bits.TrailingZeros64(bm))
+			clear(g.words[lo:hi])
+		}
+		g.dirty[wi] = 0
+	}
+}
+
+// pageSpan returns the word range [lo, hi) of a page; the last page of a
+// store whose size is not a page multiple is short.
+func (g *Global) pageSpan(page int) (lo, hi int) {
+	lo = page * pageWords
+	return lo, min(lo+pageWords, len(g.words))
 }
 
 // markDirty records that words [lo, hi) were written.
@@ -143,21 +152,94 @@ func (g *Global) WriteWord(addr uint32, v uint32) {
 	g.dirty[int(addr/4)/pageWords/64] |= 1 << (int(addr/4) / pageWords % 64)
 }
 
-// Snapshot returns a copy of the whole store. The machine overlays dirty
-// LLC lines on top of it to publish a consistent checkpoint image.
-func (g *Global) Snapshot() []uint32 {
-	return append([]uint32(nil), g.words...)
+// Image is a sparse copy of a Global: the pages written since the store was
+// handed out, which is every page that can differ from zero. Taking,
+// restoring and later recycling one cost O(dirty pages), not O(store size).
+type Image struct {
+	nwords int         // size of the store the image was taken from
+	pages  []imagePage // ascending by page number
+	data   []uint32    // slot s lives at data[s*pageWords : (s+1)*pageWords]
 }
 
-// Restore replaces the store's contents with a snapshot taken from an
-// identically sized store.
-func (g *Global) Restore(words []uint32) {
-	if len(words) != len(g.words) {
-		g.fail("restore of %d words into %d-word store", len(words), len(g.words))
+// imagePage places one page's data in the image's slab.
+type imagePage struct{ page, slot int32 }
+
+// Size returns the byte size of the store the image was taken from.
+func (im *Image) Size() int { return im.nwords * 4 }
+
+// Pages returns how many pageWords-word pages the image holds.
+func (im *Image) Pages() int { return len(im.pages) }
+
+// Bytes returns the bytes of page data the image holds: what taking or
+// restoring it copies.
+func (im *Image) Bytes() int { return len(im.data) * 4 }
+
+// slot returns the data of slab slot s.
+func (im *Image) slot(s int32) []uint32 {
+	return im.data[int(s)*pageWords : (int(s)+1)*pageWords]
+}
+
+// page returns the data of a page, adding it (all zero, at the end of the
+// slab) when the image does not hold it yet.
+func (im *Image) page(p int32) []uint32 {
+	i, ok := slices.BinarySearchFunc(im.pages, p, func(e imagePage, p int32) int { return int(e.page - p) })
+	if !ok {
+		im.pages = slices.Insert(im.pages, i, imagePage{page: p, slot: int32(len(im.pages))})
+		im.data = append(im.data, make([]uint32, pageWords)...)
+	}
+	return im.slot(im.pages[i].slot)
+}
+
+// overlay writes src at word index lo, adding pages the image lacks. It
+// reports false, writing nothing, when the range leaves the imaged store.
+func (im *Image) overlay(lo int, src []uint32) bool {
+	if lo < 0 || lo+len(src) > im.nwords {
+		return false
+	}
+	for len(src) > 0 {
+		n := copy(im.page(int32(lo / pageWords))[lo%pageWords:], src)
+		lo, src = lo+n, src[n:]
+	}
+	return true
+}
+
+// Snapshot returns a copy of the store's dirty pages. The machine overlays
+// dirty LLC lines on top of it to publish a consistent checkpoint image.
+func (g *Global) Snapshot() *Image {
+	n := 0
+	for _, bm := range g.dirty {
+		n += bits.OnesCount64(bm)
+	}
+	im := &Image{
+		nwords: len(g.words),
+		pages:  make([]imagePage, 0, n),
+		data:   make([]uint32, n*pageWords),
+	}
+	for wi, bm := range g.dirty {
+		for ; bm != 0; bm &= bm - 1 {
+			page, slot := wi*64+bits.TrailingZeros64(bm), int32(len(im.pages))
+			lo, hi := g.pageSpan(page)
+			copy(im.slot(slot), g.words[lo:hi])
+			im.pages = append(im.pages, imagePage{page: int32(page), slot: slot})
+		}
+	}
+	return im
+}
+
+// Restore replaces the store's contents with an image taken from an
+// identically sized store: pages the image lacks become zero, and exactly
+// the image's pages end up dirty.
+func (g *Global) Restore(im *Image) {
+	if im.nwords != len(g.words) {
+		g.fail("restore of %d words into %d-word store", im.nwords, len(g.words))
 		return
 	}
-	copy(g.words, words)
-	g.markDirty(0, len(g.words))
+	g.scrub()
+	for _, e := range im.pages {
+		lo, hi := g.pageSpan(int(e.page))
+		copy(g.words[lo:hi], im.slot(e.slot))
+		g.dirty[e.page/64] |= 1 << (e.page % 64)
+	}
 }
 
 // ReadLine copies the line at lineAddr into dst (len(dst) words).

@@ -745,20 +745,18 @@ func (b *LLCBank) FlushTo(g *Global) {
 	}
 }
 
-// OverlayDirty copies every dirty line into words (a Global.Snapshot image)
+// OverlayDirty copies every dirty line into im (a Global.Snapshot image)
 // without disturbing bank state. The machine uses it to publish a coherent
-// checkpoint while the cache keeps running.
-func (b *LLCBank) OverlayDirty(words []uint32) {
+// checkpoint while the cache keeps running. A line whose page was never
+// written back is not in the image yet; the image grows that page.
+func (b *LLCBank) OverlayDirty(im *Image) {
 	for i := range b.lines {
 		l := &b.lines[i]
 		if !l.valid || !l.dirty {
 			continue
 		}
-		lo := int(l.addr / 4)
-		if lo+len(l.data) > len(words) {
-			b.fail("dirty line %#x outside snapshot of %d words", l.addr, len(words))
-			continue
+		if !im.overlay(int(l.addr/4), l.data) {
+			b.fail("dirty line %#x outside snapshot of %d bytes", l.addr, im.Size())
 		}
-		copy(words[lo:], l.data)
 	}
 }
