@@ -229,7 +229,7 @@ func finish(reportPath string, res *kernels.Result, scaleName string, sink *trac
 		if d := rec.Dropped(); d > 0 {
 			fmt.Fprintf(os.Stderr,
 				"rocksim: warning: event ring overwrote %d events; raise -trace-buf (now %d) to keep the whole run\n",
-				d, rec.Len())
+				d, rec.Cap())
 		}
 	}
 	if err := sink.Close(); err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -160,4 +161,27 @@ func TestRunReportAndTelemetry(t *testing.T) {
 		t.Errorf("last window ends at %v, report cycles %v", lastEnd, report["cycles"])
 	}
 	checkSums(t, "report", sum, report)
+}
+
+// TestTraceBytesPinned holds the event trace of mvt/V4 tiny to the bytes
+// the reflection encoder (encoding/json over map[string]any) wrote for it:
+// a digest, not a 588 KB golden file. The run does not wrap the ring, so the
+// document carries every label and every event.
+func TestTraceBytesPinned(t *testing.T) {
+	const (
+		wantBytes  = 587909
+		wantSHA256 = "382d07de6515d925d7029ea8c3c9e4e4bbf9ddd59c438ccce5a753c54a5098f0"
+	)
+	tracePath := filepath.Join(t.TempDir(), "trace.json")
+	cmd := exec.Command(rocksimBin, "-bench", "mvt", "-config", "V4", "-scale", "tiny", "-trace", tracePath)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("rocksim: %v\n%s", err, out)
+	}
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); len(raw) != wantBytes || got != wantSHA256 {
+		t.Errorf("trace is %d bytes with SHA-256 %s, want %d and %s", len(raw), got, wantBytes, wantSHA256)
+	}
 }

@@ -7,6 +7,8 @@ import (
 	"math"
 	"os"
 	"sort"
+
+	"rockcress/internal/trace"
 )
 
 // TraceEvent is one Chrome trace-event object as the Recorder writes it.
@@ -191,22 +193,28 @@ func AnalyzeTrace(evs []TraceEvent, dropped int64) *TraceStats {
 		if end := e.Ts + e.Dur; end > last {
 			last = end
 		}
-		switch e.Name {
-		case "vload.issue":
+		// Names come from the recorder's vocabulary; anything else in the
+		// file (a foreign or newer trace) is counted but not matched.
+		kind, known := trace.KindOf(e.Name)
+		if !known {
+			continue
+		}
+		switch kind {
+		case trace.EvVloadIssue:
 			k := issueKey{src: e.Tid, addr: e.Args["addr"]}
 			pendingIssue[k] = append(pendingIssue[k], e.Ts)
-		case "llc.fanout":
+		case trace.EvLLCFanout:
 			k := issueKey{src: e.Args["src"], addr: e.Args["addr"]}
 			if q := pendingIssue[k]; len(q) > 0 {
 				i2f = append(i2f, float64(e.Ts-q[0]))
 				pendingIssue[k] = q[1:]
 			}
-		case "frame.fill":
+		case trace.EvFrameFill:
 			fill = append(fill, float64(e.Dur))
 			k := slotKey{tid: e.Tid, slot: e.Args["slot"]}
 			fillEnd[k] = append(fillEnd[k], e.Ts+e.Dur)
 			occ = append(occ, occEdge{t: e.Ts + e.Dur, dv: +1})
-		case "frame.open":
+		case trace.EvFrameOpen:
 			k := slotKey{tid: e.Tid, slot: e.Args["slot"]}
 			openTs[k] = append(openTs[k], e.Ts)
 			if q := fillEnd[k]; len(q) > 0 {
@@ -216,7 +224,7 @@ func AnalyzeTrace(evs []TraceEvent, dropped int64) *TraceStats {
 				}
 				f2o = append(f2o, float64(d))
 			}
-		case "frame.consume":
+		case trace.EvFrameConsume:
 			ts.FramesConsumed++
 			o2c = append(o2c, float64(e.Dur))
 			k := slotKey{tid: e.Tid, slot: e.Args["slot"]}
@@ -231,9 +239,9 @@ func AnalyzeTrace(evs []TraceEvent, dropped int64) *TraceStats {
 			if q := openTs[k]; len(q) > 0 {
 				openTs[k] = q[1:]
 			}
-		case "barrier.release":
+		case trace.EvBarrierRelease:
 			ts.BarrierReleases++
-		case "fastforward":
+		case trace.EvFastForward:
 			ts.FastForwarded += e.Dur
 		}
 	}

@@ -76,9 +76,9 @@ func TestAnalyzeTraceUnmatchedTail(t *testing.T) {
 func TestReadTraceRoundTrip(t *testing.T) {
 	rec := trace.NewRecorder(2)
 	rec.Meta(7, "tile7")
-	rec.Instant("vload.issue", "mem", 10, 7, map[string]int64{"addr": 64})
-	rec.Span("frame.fill", "mem", 20, 15, 7, map[string]int64{"slot": 0})
-	rec.Instant("barrier.release", "sync", 50, 0, nil) // overwrites the Meta
+	rec.Instant(trace.EvVloadIssue, 10, 7, 64, 16)
+	rec.Span(trace.EvFrameFill, 20, 15, 7, 0)
+	rec.Instant(trace.EvBarrierRelease, 50, 0, 1) // overwrites the vload.issue
 	path := filepath.Join(t.TempDir(), "trace.json")
 	f, err := os.Create(path)
 	if err != nil {
@@ -94,13 +94,39 @@ func TestReadTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dropped != 2 {
-		t.Fatalf("dropped %d, want 2 (ring capacity 2, 4 emits)", dropped)
+	if dropped != 1 {
+		t.Fatalf("dropped %d, want 1 (ring capacity 2, 3 events; the label is not in the ring)", dropped)
 	}
 	if len(evs) != 2 {
 		t.Fatalf("got %d events, want 2: %+v", len(evs), evs)
 	}
 	if evs[0].Name != "frame.fill" || evs[0].Dur != 15 || evs[0].Args["slot"] != 0 {
 		t.Fatalf("first surviving event %+v", evs[0])
+	}
+}
+
+// TestAnalyzerReadsVocabulary: every event AnalyzeTrace matches on is a
+// vocabulary row whose name resolves back to it, and every argument key it
+// reads is a key of that row — renaming either in the table without the
+// analyzer following would silently empty the statistics.
+func TestAnalyzerReadsVocabulary(t *testing.T) {
+	reads := map[trace.Kind][]string{
+		trace.EvVloadIssue:     {"addr"},
+		trace.EvLLCFanout:      {"addr", "src"},
+		trace.EvFrameFill:      {"slot"},
+		trace.EvFrameOpen:      {"slot"},
+		trace.EvFrameConsume:   {"slot"},
+		trace.EvBarrierRelease: nil,
+		trace.EvFastForward:    nil,
+	}
+	for k, keys := range reads {
+		if got, ok := trace.KindOf(k.Name()); !ok || got != k {
+			t.Errorf("KindOf(%q) = %d, %v; want %d", k.Name(), got, ok, k)
+		}
+		for _, key := range keys {
+			if k.ArgIndex(key) < 0 {
+				t.Errorf("%s has no argument %q in the vocabulary", k.Name(), key)
+			}
+		}
 	}
 }

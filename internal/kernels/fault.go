@@ -160,12 +160,8 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 		// attempt's build; otherwise from the initial image.
 		restored := snap != nil && snapSites == sites && snap.Image.Size() == memBytes
 		if restored {
-			m.Global.Restore(snap.Image)
+			m.RestoreCheckpoint(snap, attempt)
 			fr.CheckpointRestarts++
-			if rec := opts.Trace.Recorder(); rec != nil {
-				rec.Instant("checkpoint.restore", "recovery", snap.Cycle, 0,
-					map[string]int64{"attempt": int64(attempt)})
-			}
 		} else {
 			img.Apply(m.Global)
 			if attempt > 1 {

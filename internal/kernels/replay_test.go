@@ -257,19 +257,27 @@ func TestCheckpointEventReportsPagesCopied(t *testing.T) {
 		ExecOpts{MaxCycles: replayMaxCycles, Trace: sink}); err != nil {
 		t.Fatal(err)
 	}
-	seen := 0
+	publishes, restores := 0, 0
+	var machineTid int32
 	for _, e := range sink.Recorder().Events() {
-		if e.Name != "checkpoint" {
-			continue
-		}
-		seen++
-		words, pages := e.Args["words"], e.Args["pages"]
-		if words != machine.DefaultMemBytes/4 || pages < 1 || pages > 128 {
-			t.Errorf("checkpoint event args %v: want the store's words and a small count of copied pages", e.Args)
+		switch e.Kind {
+		case trace.EvCheckpoint:
+			publishes++
+			machineTid = e.Tid
+			words, pages := e.Arg("words"), e.Arg("pages")
+			if words != machine.DefaultMemBytes/4 || pages < 1 || pages > 128 {
+				t.Errorf("checkpoint event words %d pages %d: want the store's words and a small count of copied pages", words, pages)
+			}
+		case trace.EvCheckpointRestore:
+			restores++
+			if e.Tid != machineTid || e.Arg("attempt") != 2 {
+				t.Errorf("restore on tid %d attempt %d: want the machine track (tid %d) its publish sits on, attempt 2",
+					e.Tid, e.Arg("attempt"), machineTid)
+			}
 		}
 	}
-	if seen != 2 {
-		t.Errorf("saw %d checkpoint events, want 2", seen)
+	if publishes != 2 || restores != 1 {
+		t.Errorf("saw %d checkpoint and %d restore events, want 2 and 1", publishes, restores)
 	}
 }
 

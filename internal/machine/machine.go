@@ -625,8 +625,7 @@ func (m *Machine) preCores(now int64) {
 			fmt.Printf("[%d] barrier gen %d released\n", m.now, m.barrier.gen)
 		}
 		if m.rec != nil {
-			m.rec.Instant("barrier.release", "barrier", now, m.tidMachine(),
-				map[string]int64{"gen": m.barrier.gen})
+			m.rec.Instant(trace.EvBarrierRelease, now, m.tidMachine(), m.barrier.gen)
 		}
 		// An armed checkpoint fires exactly at the release: every store from
 		// before the barrier has drained and no core is past it, so the
@@ -670,8 +669,7 @@ func (m *Machine) TrySend(f msg.Message) bool {
 	if ok && m.rec != nil && f.Kind == msg.KindVloadReq {
 		// m.now is stable during the parallel core phase (only the serial
 		// step advances it); the recorder's mutex covers concurrent emits.
-		m.rec.Instant("vload.issue", "vload", m.now, int64(f.Src),
-			map[string]int64{"addr": int64(f.Addr), "words": int64(f.Words)})
+		m.rec.Instant(trace.EvVloadIssue, m.now, int64(f.Src), int64(f.Addr), int64(f.Words))
 	}
 	return ok
 }
@@ -807,8 +805,7 @@ func (m *Machine) deliver(node int, f *msg.Message) bool {
 		m.llcs[bank].Accept(f)
 		m.bankWakers[bank].Wake()
 		if m.rec != nil && f.Kind == msg.KindVloadReq {
-			m.rec.Instant("llc.fanout", "vload", m.now, m.tidLLC(bank),
-				map[string]int64{"addr": int64(f.Addr), "words": int64(f.Words), "src": int64(f.Src)})
+			m.rec.Instant(trace.EvLLCFanout, m.now, m.tidLLC(bank), int64(f.Addr), int64(f.Src), int64(f.Words))
 		}
 		return true
 	}
@@ -878,7 +875,7 @@ func (m *Machine) applyFaults(now int64) {
 			if m.cores[e.Tile].StickInet(now + e.Duration) {
 				m.report.StuckQueues++
 				if m.rec != nil {
-					m.rec.Span("fault.stick", "fault", now, e.Duration, int64(e.Tile), nil)
+					m.rec.Span(trace.EvFaultStick, now, e.Duration, int64(e.Tile))
 				}
 				m.flight.Note(now, "fault.stick",
 					fmt.Sprintf("tile %d inet queue stuck for %d cycles", e.Tile, e.Duration))
@@ -894,8 +891,7 @@ func (m *Machine) applyFaults(now int64) {
 		case fault.FlipSpadWord:
 			if landed, inFrame := m.spads[e.Tile].FlipBit(e.Offset, e.Bit); landed {
 				if m.rec != nil {
-					m.rec.Instant("fault.flip", "fault", now, int64(e.Tile),
-						map[string]int64{"offset": int64(e.Offset), "bit": int64(e.Bit)})
+					m.rec.Instant(trace.EvFaultFlip, now, int64(e.Tile), int64(e.Bit), int64(e.Offset))
 				}
 				m.flight.Note(now, "fault.flip",
 					fmt.Sprintf("tile %d spad bit %d at offset %d", e.Tile, e.Bit, e.Offset))
@@ -926,7 +922,7 @@ func (m *Machine) killTile(now int64, t int) {
 	}
 	c.Kill()
 	if m.rec != nil {
-		m.rec.Instant("fault.kill", "fault", now, int64(t), nil)
+		m.rec.Instant(trace.EvFaultKill, now, int64(t))
 	}
 	m.flight.Note(now, "fault.kill", fmt.Sprintf("tile %d powered off", t))
 	m.spads[t].Decommission()
@@ -955,8 +951,7 @@ func (m *Machine) breakGroup(now int64, gid int) {
 	m.brokenGroups[gid] = true
 	m.report.BrokenGroups = append(m.report.BrokenGroups, gid)
 	if m.rec != nil {
-		m.rec.Instant("recover.groupbreak", "recovery", now, int64(m.Groups[gid].Scalar),
-			map[string]int64{"group": int64(gid)})
+		m.rec.Instant(trace.EvRecoverGroupBreak, now, int64(m.Groups[gid].Scalar), int64(gid))
 	}
 	m.flight.Note(now, "recover.groupbreak", fmt.Sprintf("group %d devectorized", gid))
 	rpc := m.Prog.RecoverPC
@@ -1084,7 +1079,7 @@ func (m *Machine) fastForward(limit int64) bool {
 	m.Stats.FastForwards++
 	m.Stats.SkippedCycles += n
 	if m.rec != nil {
-		m.rec.Span("fastforward", "engine", m.now, n, m.tidMachine(), nil)
+		m.rec.Span(trace.EvFastForward, m.now, n, m.tidMachine())
 	}
 	m.now = horizon
 	return true

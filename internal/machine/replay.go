@@ -6,6 +6,7 @@ import (
 	"rockcress/internal/isa"
 	"rockcress/internal/mem"
 	"rockcress/internal/msg"
+	"rockcress/internal/trace"
 )
 
 // Frame replay: when an integrity-checked scratchpad poisons its head frame
@@ -58,6 +59,16 @@ func (m *Machine) ArmCheckpoint() { m.ckptArmed.Store(true) }
 // valid after Run returns, including on failed runs — that is the point.
 func (m *Machine) Checkpoint() *Checkpoint { return m.ckpt }
 
+// RestoreCheckpoint loads ck's image into global memory before Run: the
+// ladder's attempt-th try resumes from it instead of from the initial
+// image. The restore pairs with ck's publish on the machine track.
+func (m *Machine) RestoreCheckpoint(ck *Checkpoint, attempt int) {
+	m.Global.Restore(ck.Image)
+	if m.rec != nil {
+		m.rec.Instant(trace.EvCheckpointRestore, ck.Cycle, m.tidMachine(), int64(attempt))
+	}
+}
+
 // snapshotSafe reports whether a checkpoint may be published: no scratchpad
 // may hold corruption the integrity layer hasn't repaired (or can't see).
 // Without the integrity layer there is no evidence either way; snapshots
@@ -81,8 +92,7 @@ func (m *Machine) takeCheckpoint(now int64) {
 	}
 	m.ckpt = &Checkpoint{Cycle: now, Image: im}
 	if m.rec != nil {
-		m.rec.Instant("checkpoint", "recovery", now, m.tidMachine(),
-			map[string]int64{"words": int64(im.Size() / 4), "pages": int64(im.Pages())})
+		m.rec.Instant(trace.EvCheckpoint, now, m.tidMachine(), int64(im.Pages()), int64(im.Size()/4))
 	}
 	m.flight.Note(now, "checkpoint", fmt.Sprintf("%d words published, %d dirty pages (%d KiB) copied",
 		im.Size()/4, im.Pages(), im.Bytes()/1024))
@@ -138,8 +148,7 @@ func (m *Machine) startReplay(now int64, t int) {
 	}
 	s.BeginReplay()
 	if m.rec != nil {
-		m.rec.Instant("replay.start", "recovery", now, int64(t),
-			map[string]int64{"chunks": int64(len(chunks)), "seq": s.HeadSeq()})
+		m.rec.Instant(trace.EvReplayStart, now, int64(t), int64(len(chunks)), s.HeadSeq())
 	}
 	m.flight.Note(now, "replay.start",
 		fmt.Sprintf("tile %d head frame re-issued in %d chunks", t, len(chunks)))
@@ -180,8 +189,7 @@ func (m *Machine) driveReplay(now int64, rs *replayState) {
 	if !s.Replaying() {
 		// Verification passed: the frame is clean and the consumer unblocks.
 		if m.rec != nil {
-			m.rec.Instant("replay.ok", "recovery", now, int64(rs.tile),
-				map[string]int64{"tries": int64(rs.tries)})
+			m.rec.Instant(trace.EvReplayOK, now, int64(rs.tile), int64(rs.tries))
 		}
 		m.flight.Note(now, "replay.ok",
 			fmt.Sprintf("tile %d frame verified after %d tries", rs.tile, rs.tries))
@@ -208,8 +216,7 @@ func (m *Machine) retryReplay(now int64, rs *replayState) {
 	rs.retryAt = now + replayBackoff<<(rs.tries-2)
 	rs.deadline = rs.retryAt + replayTimeout<<(rs.tries-1)
 	if m.rec != nil {
-		m.rec.Instant("replay.retry", "recovery", now, int64(rs.tile),
-			map[string]int64{"try": int64(rs.tries)})
+		m.rec.Instant(trace.EvReplayRetry, now, int64(rs.tile), int64(rs.tries))
 	}
 	m.flight.Note(now, "replay.retry",
 		fmt.Sprintf("tile %d replay try %d", rs.tile, rs.tries))
@@ -226,7 +233,7 @@ func (m *Machine) escalateReplay(now int64, t int) {
 		m.report.ReplayEscalations++
 	}
 	if m.rec != nil {
-		m.rec.Instant("replay.escalate", "recovery", now, int64(t), nil)
+		m.rec.Instant(trace.EvReplayEscalate, now, int64(t))
 	}
 	m.flight.Note(now, "replay.escalate",
 		fmt.Sprintf("tile %d frame unrepairable, escalating", t))

@@ -15,6 +15,7 @@ import (
 	"rockcress/internal/fault"
 	"rockcress/internal/msg"
 	"rockcress/internal/noc"
+	"rockcress/internal/trace"
 )
 
 // reinjectFlit is one harvested (or bank-drained) message waiting to
@@ -157,8 +158,7 @@ func (m *Machine) cutLink(now int64, e fault.Event) {
 	}
 	m.report.CutLinks = append(m.report.CutLinks, label)
 	if m.rec != nil {
-		m.rec.Instant("fault.cutlink", "fault", now, int64(e.From),
-			map[string]int64{"to": int64(e.To), "plane": int64(e.Plane)})
+		m.rec.Instant(trace.EvFaultCutLink, now, int64(e.From), int64(e.Plane), int64(e.To))
 	}
 	m.flight.Note(now, "fault.cutlink", "link "+label+" cut")
 	m.meshWaker.Wake()
@@ -182,7 +182,7 @@ func (m *Machine) killRouter(now int64, r int) {
 	}
 	m.report.DeadRouters = append(m.report.DeadRouters, r)
 	if m.rec != nil {
-		m.rec.Instant("fault.killrouter", "fault", now, int64(r), nil)
+		m.rec.Instant(trace.EvFaultKillRouter, now, int64(r))
 	}
 	m.flight.Note(now, "fault.killrouter", fmt.Sprintf("router %d powered off", r))
 	m.killTile(now, r)
@@ -219,8 +219,7 @@ func (m *Machine) killBank(now int64, b int) {
 	}
 	m.report.DeadBanks = append(m.report.DeadBanks, b)
 	if m.rec != nil {
-		m.rec.Instant("fault.killbank", "fault", now, m.tidLLC(b),
-			map[string]int64{"owner": int64(owner)})
+		m.rec.Instant(trace.EvFaultKillBank, now, m.tidLLC(b), int64(owner))
 	}
 	m.flight.Note(now, "fault.killbank",
 		fmt.Sprintf("llc bank %d decommissioned, slice fails over to bank %d", b, owner))
@@ -250,8 +249,7 @@ func (m *Machine) nextLiveBank(b int) int {
 func (m *Machine) dramDegrade(now int64, e fault.Event) {
 	m.dram.Degrade(e.Cycle, e.Until, e.Factor)
 	if m.rec != nil {
-		m.rec.Instant("fault.dramdegrade", "fault", now, m.tidMachine(),
-			map[string]int64{"until": e.Until, "factor_x100": int64(e.Factor * 100)})
+		m.rec.Instant(trace.EvFaultDramDegrade, now, m.tidMachine(), int64(e.Factor*100), e.Until)
 	}
 	m.flight.Note(now, "fault.dramdegrade",
 		fmt.Sprintf("dram latency x%.2f until cycle %d", e.Factor, e.Until))

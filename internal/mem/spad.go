@@ -298,8 +298,8 @@ func (s *Scratchpad) ArriveWord(off, gaddr uint32, v uint32) bool {
 			s.fillStart[slot] = s.now()
 		case s.frameWords:
 			t := s.now()
-			s.rec.Span("frame.fill", "frame", s.fillStart[slot], t-s.fillStart[slot],
-				int64(s.tile), map[string]int64{"slot": int64(slot)})
+			s.rec.Span(trace.EvFrameFill, s.fillStart[slot], t-s.fillStart[slot],
+				int64(s.tile), int64(slot))
 		}
 	}
 	if s.integrity {
@@ -363,8 +363,7 @@ func (s *Scratchpad) verifyHead(slot int) bool {
 		s.replaying = false
 		s.st.FramePoisons++
 		if s.rec != nil {
-			s.rec.Instant("frame.poison", "recovery", s.now(), int64(s.tile),
-				map[string]int64{"slot": int64(slot), "seq": s.headSeq})
+			s.rec.Instant(trace.EvFramePoison, s.now(), int64(s.tile), s.headSeq, int64(slot))
 		}
 		return false
 	}
@@ -452,8 +451,7 @@ func (s *Scratchpad) FrameBase() uint32 {
 		slot := int(s.headSeq % int64(s.numFrames))
 		if s.openAt[slot] < 0 {
 			s.openAt[slot] = s.now()
-			s.rec.Instant("frame.open", "frame", s.openAt[slot], int64(s.tile),
-				map[string]int64{"slot": int64(slot), "seq": s.headSeq})
+			s.rec.Instant(trace.EvFrameOpen, s.openAt[slot], int64(s.tile), s.headSeq, int64(slot))
 		}
 	}
 	return uint32(s.headSeq%int64(s.numFrames)) * uint32(s.frameWords*4)
@@ -488,8 +486,7 @@ func (s *Scratchpad) FreeFrame() {
 		if start < 0 {
 			start = t
 		}
-		s.rec.Span("frame.consume", "frame", start, t-start, int64(s.tile),
-			map[string]int64{"slot": int64(slot), "seq": s.headSeq})
+		s.rec.Span(trace.EvFrameConsume, start, t-start, int64(s.tile), s.headSeq, int64(slot))
 		s.openAt[slot] = -1
 	}
 	s.headSeq++

@@ -1,36 +1,59 @@
 package trace
 
 import (
-	"encoding/json"
 	"io"
 	"sync"
 )
 
-// Event is one structured trace event. Ts and Dur are in simulated cycles;
-// the Chrome trace-event writer renders them as microseconds, so one
-// Perfetto microsecond is one machine cycle.
+// Event is one structured trace event: a vocabulary Kind plus numbers, 48
+// bytes flat. Ts and Dur are in simulated cycles; the Chrome trace-event
+// writer renders them as microseconds, so one Perfetto microsecond is one
+// machine cycle. Args holds the values of Vocabulary[Kind].Keys, in order.
 type Event struct {
-	Name  string
-	Cat   string
-	Ph    byte // 'X' span, 'i' instant, 'M' metadata
-	Ts    int64
-	Dur   int64 // spans only
-	Tid   int64
-	Args  map[string]int64
-	Label string // metadata events: the thread name
+	Kind Kind
+	Tid  int32
+	Ts   int64
+	Dur  int64 // spans only
+	Args [MaxArgs]int64
 }
 
-// Recorder is a bounded ring buffer of events. Producers in parallel engine
-// shards emit concurrently (one mutex per emit — tracing runs only); when
-// the ring fills, the oldest events are overwritten and counted so the tail
-// of a long run is always retained.
+// Arg returns the value of argument key, or 0 when the event's kind has no
+// such argument.
+func (e *Event) Arg(key string) int64 {
+	if i := e.Kind.ArgIndex(key); i >= 0 {
+		return e.Args[i]
+	}
+	return 0
+}
+
+// label names one trace thread (a Perfetto track).
+type label struct {
+	Tid  int64
+	Name string
+}
+
+// Ring memory is allocated one chunk at a time as events arrive, so a run
+// pays for the events it holds, up to the capacity, not for the capacity.
+const (
+	chunkShift = 12
+	chunkLen   = 1 << chunkShift // events per chunk: 192 KiB
+	chunkMask  = chunkLen - 1
+)
+
+// Recorder is a bounded ring buffer of events plus the thread labels.
+// Producers in parallel engine shards emit concurrently (one mutex per emit
+// — tracing runs only); when the ring fills, the oldest events are
+// overwritten and counted so the tail of a long run is always retained.
+// Labels live outside the ring: they are never overwritten.
 type Recorder struct {
 	mu        sync.Mutex
-	buf       []Event
-	start     int
+	chunks    [][]Event // chunk i holds ring positions [i*chunkLen, (i+1)*chunkLen)
+	capacity  int
+	start     int // ring position of the oldest event; moves only once full
 	n         int
 	dropped   int64
 	truncated bool
+	labels    []label
 }
 
 // NewRecorder builds a recorder holding at most capacity events.
@@ -38,43 +61,71 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Recorder{buf: make([]Event, capacity)}
+	return &Recorder{capacity: capacity}
 }
 
-// Emit appends one event, overwriting the oldest when full.
-func (r *Recorder) Emit(e Event) {
+// emit appends one event, overwriting the oldest when full. args must match
+// the kind's vocabulary row: a mismatch is a bug at the emit site.
+func (r *Recorder) emit(k Kind, ph byte, ts, dur, tid int64, args []int64) {
+	if info := &Vocabulary[k]; info.Ph != ph || len(info.Keys) != len(args) {
+		panic("trace: " + info.Name + " emitted with the wrong phase or argument count")
+	}
 	r.mu.Lock()
-	if r.n == len(r.buf) {
-		r.buf[r.start] = e
-		r.start = (r.start + 1) % len(r.buf)
+	pos := r.n
+	if r.n == r.capacity {
+		pos = r.start
+		if r.start++; r.start == r.capacity {
+			r.start = 0
+		}
 		r.dropped++
 	} else {
-		r.buf[(r.start+r.n)%len(r.buf)] = e
+		if pos>>chunkShift == len(r.chunks) {
+			r.chunks = append(r.chunks, make([]Event, min(chunkLen, r.capacity-pos)))
+		}
 		r.n++
 	}
+	e := &r.chunks[pos>>chunkShift][pos&chunkMask]
+	e.Kind, e.Tid, e.Ts, e.Dur = k, int32(tid), ts, dur
+	e.Args = [MaxArgs]int64{}
+	copy(e.Args[:], args)
 	r.mu.Unlock()
 }
 
-// Span records a duration event [ts, ts+dur) on thread tid.
-func (r *Recorder) Span(name, cat string, ts, dur, tid int64, args map[string]int64) {
-	r.Emit(Event{Name: name, Cat: cat, Ph: 'X', Ts: ts, Dur: dur, Tid: tid, Args: args})
+// Span records a duration event [ts, ts+dur) on thread tid. args are the
+// values of the kind's argument keys, in vocabulary order.
+func (r *Recorder) Span(k Kind, ts, dur, tid int64, args ...int64) {
+	r.emit(k, PhSpan, ts, dur, tid, args)
 }
 
 // Instant records a point event at ts on thread tid.
-func (r *Recorder) Instant(name, cat string, ts, tid int64, args map[string]int64) {
-	r.Emit(Event{Name: name, Cat: cat, Ph: 'i', Ts: ts, Tid: tid, Args: args})
+func (r *Recorder) Instant(k Kind, ts, tid int64, args ...int64) {
+	r.emit(k, PhInstant, ts, 0, tid, args)
 }
 
-// Meta names thread tid in the trace viewer.
-func (r *Recorder) Meta(tid int64, label string) {
-	r.Emit(Event{Name: "thread_name", Ph: 'M', Tid: tid, Label: label})
+// Meta names thread tid in the trace viewer. Naming a tid again (a later
+// attempt of a recovery ladder re-labels its tiles) replaces the name in
+// place; that is an update, counted as neither a new event nor a drop.
+func (r *Recorder) Meta(tid int64, name string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range r.labels {
+		if r.labels[i].Tid == tid {
+			r.labels[i].Name = name
+			return
+		}
+	}
+	r.labels = append(r.labels, label{Tid: tid, Name: name})
 }
 
-// Len returns the number of buffered events.
+// Cap returns the most events the ring holds.
+func (r *Recorder) Cap() int { return r.capacity }
+
+// Len returns the number of records held: ring events plus labels. Len plus
+// Dropped is the number of records emitted.
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.n
+	return r.n + len(r.labels)
 }
 
 // Dropped returns how many events the ring overwrote.
@@ -101,56 +152,40 @@ func (r *Recorder) Truncated() bool {
 	return r.truncated
 }
 
-// Events returns the buffered events in emission order.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.start+i)%len(r.buf)]
-	}
-	return out
+// snapshot is a consistent copy of everything WriteJSON renders.
+type snapshot struct {
+	labels    []label
+	events    []Event
+	dropped   int64
+	truncated bool
 }
 
-// WriteJSON emits the buffered events as Chrome trace-event JSON (the object
-// form Perfetto and chrome://tracing both load).
+// snapshot copies the recorder's state under one lock acquisition, events
+// in emission order.
+func (r *Recorder) snapshot() snapshot {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := snapshot{
+		labels:    append([]label(nil), r.labels...),
+		events:    make([]Event, 0, r.n),
+		dropped:   r.dropped,
+		truncated: r.truncated,
+	}
+	for i := 0; i < r.n; i++ {
+		pos := r.start + i
+		if pos >= r.capacity {
+			pos -= r.capacity
+		}
+		s.events = append(s.events, r.chunks[pos>>chunkShift][pos&chunkMask])
+	}
+	return s
+}
+
+// Events returns the buffered events in emission order.
+func (r *Recorder) Events() []Event { return r.snapshot().events }
+
+// WriteJSON emits the labels and the buffered events as Chrome trace-event
+// JSON (the object form Perfetto and chrome://tracing both load).
 func (r *Recorder) WriteJSON(w io.Writer) error {
-	evs := r.Events()
-	out := make([]map[string]any, 0, len(evs))
-	for i := range evs {
-		e := &evs[i]
-		obj := map[string]any{
-			"name": e.Name,
-			"ph":   string(rune(e.Ph)),
-			"ts":   e.Ts,
-			"pid":  0,
-			"tid":  e.Tid,
-		}
-		if e.Cat != "" {
-			obj["cat"] = e.Cat
-		}
-		switch e.Ph {
-		case 'X':
-			obj["dur"] = e.Dur
-		case 'i':
-			obj["s"] = "t" // thread-scoped instant
-		case 'M':
-			obj["args"] = map[string]any{"name": e.Label}
-		}
-		if e.Args != nil {
-			obj["args"] = e.Args
-		}
-		out = append(out, obj)
-	}
-	other := map[string]any{"droppedEvents": r.Dropped()}
-	if r.Truncated() {
-		other["truncated"] = true
-	}
-	doc := map[string]any{
-		"traceEvents":     out,
-		"displayTimeUnit": "ms",
-		"otherData":       other,
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	return encode(w, vocabJSON, r.snapshot())
 }

@@ -33,7 +33,8 @@ type Config struct {
 	// EventsTo receives the Chrome trace-event JSON at Close.
 	EventsTo io.Writer
 	// EventCap bounds the event ring buffer; the oldest events are dropped
-	// (and counted) when a run emits more.
+	// (and counted) when a run emits more. Ring memory is allocated as
+	// events arrive, so a large cap costs nothing a short run does not use.
 	EventCap int
 	// Retain receives a copy of every emitted window (the flight recorder's
 	// feed). Setting it enables the sampler even when SampleTo is nil, so a

@@ -3,14 +3,20 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestRecorderRingOverwrite(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 0; i < 10; i++ {
-		r.Instant("e", "test", int64(i), 0, nil)
+		r.Instant(EvFaultKill, int64(i), 0)
 	}
 	if got := r.Len(); got != 4 {
 		t.Fatalf("Len = %d, want 4", got)
@@ -26,11 +32,131 @@ func TestRecorderRingOverwrite(t *testing.T) {
 	}
 }
 
+// TestRingMemoryFollowsEvents: the ring is allocated a chunk at a time as
+// events arrive, up to a capacity that need not be a whole number of chunks,
+// and wrapping such a ring still keeps exactly the newest events in order.
+func TestRingMemoryFollowsEvents(t *testing.T) {
+	r := NewRecorder(DefaultEventCap)
+	for i := 0; i < 10; i++ {
+		r.Instant(EvFaultKill, int64(i), 0)
+	}
+	if len(r.chunks) != 1 {
+		t.Fatalf("10 events hold %d chunks, want 1", len(r.chunks))
+	}
+
+	const capacity = chunkLen + 904
+	r = NewRecorder(capacity)
+	for i := 0; i < chunkLen; i++ {
+		r.Instant(EvFaultKill, int64(i), 0)
+	}
+	if len(r.chunks) != 1 {
+		t.Fatalf("%d events hold %d chunks, want 1", chunkLen, len(r.chunks))
+	}
+	const total = 3*capacity + 17
+	for i := chunkLen; i < total; i++ {
+		r.Span(EvFrameFill, int64(i), 1, 3, int64(i%7))
+	}
+	if held := len(r.chunks[0]) + len(r.chunks[1]); len(r.chunks) != 2 || held != capacity {
+		t.Fatalf("full ring holds %d chunks of %d events, want 2 of %d", len(r.chunks), held, capacity)
+	}
+	evs := r.Events()
+	if len(evs) != capacity || r.Dropped() != total-capacity {
+		t.Fatalf("held %d dropped %d, want %d and %d", len(evs), r.Dropped(), capacity, total-capacity)
+	}
+	for i, e := range evs {
+		if want := int64(total - capacity + i); e.Ts != want || e.Arg("slot") != want%7 {
+			t.Fatalf("event %d = %+v, want ts %d slot %d", i, e, want, want%7)
+		}
+	}
+}
+
+// TestRecorderConcurrentEmit: engine shards emit in parallel while the ring
+// grows chunk by chunk and then wraps; no record may be lost or counted
+// twice (run under -race in CI).
+func TestRecorderConcurrentEmit(t *testing.T) {
+	const shards, each = 4, 3000
+	r := NewRecorder(chunkLen + 904)
+	var wg sync.WaitGroup
+	for g := 0; g < shards; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r.Meta(int64(g), "shard")
+			for i := 0; i < each; i++ {
+				r.Instant(EvVloadIssue, int64(i), int64(g), int64(i), 16)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := int64(r.Len()) + r.Dropped(); got != shards*(each+1) {
+		t.Fatalf("Len+Dropped = %d, want %d", got, shards*(each+1))
+	}
+	last := [shards]int64{-1, -1, -1, -1}
+	for _, e := range r.Events() {
+		if e.Ts <= last[e.Tid] || e.Arg("addr") != e.Ts {
+			t.Fatalf("shard %d: event %+v after ts %d (lost ordering or a torn write)", e.Tid, e, last[e.Tid])
+		}
+		last[e.Tid] = e.Ts
+	}
+}
+
+// TestLabelsSurviveRingWrap: thread labels are the first thing a run emits,
+// so a ring that holds them is a ring that overwrites them first. They live
+// outside it: every label is still in the JSON after a wrap, a re-emitted
+// label replaces the old one, and droppedEvents counts real events only.
+func TestLabelsSurviveRingWrap(t *testing.T) {
+	r := NewRecorder(8)
+	for tid := int64(0); tid < 5; tid++ {
+		r.Meta(tid, "tile "+string(rune('0'+tid)))
+	}
+	const emitted = 50
+	for i := 0; i < emitted; i++ {
+		r.Instant(EvVloadIssue, int64(i), int64(i%5), 64, 16)
+	}
+	if got := int64(r.Len()) + r.Dropped(); got != 5+emitted {
+		t.Fatalf("Len+Dropped = %d, want %d (every record emitted)", got, 5+emitted)
+	}
+	r.Meta(3, "tile 3 (mimd)") // a later ladder attempt re-labels the tile
+	if got := int64(r.Len()) + r.Dropped(); got != 5+emitted {
+		t.Fatalf("Len+Dropped = %d after a re-label, want %d", got, 5+emitted)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Tid  int64          `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+		OtherData struct {
+			DroppedEvents int64 `json:"droppedEvents"`
+		} `json:"otherData"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.OtherData.DroppedEvents != emitted-8 {
+		t.Errorf("droppedEvents = %d, want %d", doc.OtherData.DroppedEvents, emitted-8)
+	}
+	want := []string{"tile 0", "tile 1", "tile 2", "tile 3 (mimd)", "tile 4"}
+	if len(doc.TraceEvents) != len(want)+8 {
+		t.Fatalf("%d records written, want %d labels + 8 events", len(doc.TraceEvents), len(want))
+	}
+	for i, name := range want {
+		e := doc.TraceEvents[i]
+		if e.Name != "thread_name" || e.Tid != int64(i) || e.Args["name"] != name {
+			t.Errorf("record %d = %+v, want the label %q of tid %d", i, e, name, i)
+		}
+	}
+}
+
 func TestRecorderWriteJSONShape(t *testing.T) {
 	r := NewRecorder(16)
 	r.Meta(3, "tile3")
-	r.Span("vload", "mem", 100, 25, 3, map[string]int64{"addr": 64})
-	r.Instant("poison", "fault", 130, 3, nil)
+	r.Span(EvFrameFill, 100, 25, 3, 1)
+	r.Instant(EvFaultKill, 130, 3)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -52,7 +178,7 @@ func TestRecorderWriteJSONShape(t *testing.T) {
 	if span["ph"] != "X" || span["dur"] != float64(25) || span["ts"] != float64(100) {
 		t.Fatalf("bad span event: %v", span)
 	}
-	if span["args"].(map[string]any)["addr"] != float64(64) {
+	if span["args"].(map[string]any)["slot"] != float64(1) {
 		t.Fatalf("span args lost: %v", span)
 	}
 	if inst["ph"] != "i" || inst["s"] != "t" {
@@ -60,6 +186,229 @@ func TestRecorderWriteJSONShape(t *testing.T) {
 	}
 	if doc.OtherData["droppedEvents"] != float64(0) {
 		t.Fatalf("bad droppedEvents: %v", doc.OtherData)
+	}
+}
+
+// refEvent and refWriteJSON are the reflection encoder WriteJSON had before
+// it streamed: the reference for the bytes of a trace document.
+type refEvent struct {
+	Name  string
+	Cat   string
+	Ph    byte
+	Ts    int64
+	Dur   int64
+	Tid   int64
+	Args  map[string]int64
+	Label string
+}
+
+func refWriteJSON(w io.Writer, evs []refEvent, dropped int64, truncated bool) error {
+	out := make([]map[string]any, 0, len(evs))
+	for i := range evs {
+		e := &evs[i]
+		obj := map[string]any{
+			"name": e.Name,
+			"ph":   string(rune(e.Ph)),
+			"ts":   e.Ts,
+			"pid":  0,
+			"tid":  e.Tid,
+		}
+		if e.Cat != "" {
+			obj["cat"] = e.Cat
+		}
+		switch e.Ph {
+		case 'X':
+			obj["dur"] = e.Dur
+		case 'i':
+			obj["s"] = "t" // thread-scoped instant
+		case 'M':
+			obj["args"] = map[string]any{"name": e.Label}
+		}
+		if e.Args != nil {
+			obj["args"] = e.Args
+		}
+		out = append(out, obj)
+	}
+	other := map[string]any{"droppedEvents": dropped}
+	if truncated {
+		other["truncated"] = true
+	}
+	doc := map[string]any{
+		"traceEvents":     out,
+		"displayTimeUnit": "ms",
+		"otherData":       other,
+	}
+	return json.NewEncoder(w).Encode(doc)
+}
+
+// refEvents spells a snapshot the way the emit sites used to: one name,
+// category and argument map per event, labels as 'M' events in front.
+func refEvents(rows []KindInfo, s snapshot) []refEvent {
+	var out []refEvent
+	for _, l := range s.labels {
+		out = append(out, refEvent{Name: "thread_name", Ph: 'M', Tid: l.Tid, Label: l.Name})
+	}
+	for _, e := range s.events {
+		row := rows[e.Kind]
+		re := refEvent{Name: row.Name, Cat: row.Cat, Ph: row.Ph, Ts: e.Ts, Dur: e.Dur, Tid: int64(e.Tid)}
+		for i := len(row.Keys) - 1; i >= 0; i-- { // insertion order is not the sorted order
+			if re.Args == nil {
+				re.Args = map[string]int64{}
+			}
+			re.Args[row.Keys[i]] = e.Args[i]
+		}
+		out = append(out, re)
+	}
+	return out
+}
+
+// TestEncoderMatchesReflection holds the streaming encoder to the bytes
+// encoding/json produced: over a synthetic vocabulary that covers both
+// phases with zero to three arguments, an empty category and strings that
+// need escaping, and over the real vocabulary through a wrapped Recorder.
+func TestEncoderMatchesReflection(t *testing.T) {
+	check := func(t *testing.T, rows []KindInfo, s snapshot) {
+		t.Helper()
+		var got, want bytes.Buffer
+		if err := encode(&got, renderVocabulary(rows), s); err != nil {
+			t.Fatal(err)
+		}
+		if err := refWriteJSON(&want, refEvents(rows, s), s.dropped, s.truncated); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			g, w := got.Bytes(), want.Bytes()
+			i := 0
+			for i < len(g) && i < len(w) && g[i] == w[i] {
+				i++
+			}
+			t.Fatalf("%d bytes, want %d; first difference at byte %d:\n got  %.120q\n want %.120q",
+				len(g), len(w), i, g[max(i-40, 0):], w[max(i-40, 0):])
+		}
+	}
+
+	rows := []KindInfo{
+		{"i0", "cat", PhInstant, nil},
+		{"i1", "cat", PhInstant, []string{"a"}},
+		{"i2", "", PhInstant, []string{"a", "b"}},
+		{"i3", "cat", PhInstant, []string{"a", "b", "c"}},
+		{"x0", "", PhSpan, nil},
+		{"x1", "cat", PhSpan, []string{"a"}},
+		{"x2", "cat", PhSpan, []string{"a_b", "b"}},
+		{"x3", "", PhSpan, []string{"a", "b", "c"}},
+		{`q"uo\te<é>`, "c&t", PhInstant, []string{"k\u2028"}},
+	}
+	labels := []label{
+		{0, "tile 0 (lane)"},
+		{81, `say "hi" \ <b>&é` + "\u2028\x01\xff"},
+		{-1, ""},
+	}
+	rng := rand.New(rand.NewSource(14))
+	pick := func() int64 {
+		switch rng.Intn(4) {
+		case 0:
+			return rng.Int63n(100)
+		case 1:
+			return -rng.Int63n(1 << 40)
+		case 2:
+			return []int64{0, math.MaxInt64, math.MinInt64}[rng.Intn(3)]
+		}
+		return rng.Int63()
+	}
+	// Enough events that the encoder flushes its buffer mid-stream.
+	events := make([]Event, 5000)
+	for i := range events {
+		k := rng.Intn(len(rows))
+		e := Event{Kind: Kind(k), Tid: int32(pick()), Ts: pick()}
+		if rows[k].Ph == PhSpan {
+			e.Dur = pick()
+		}
+		for a := range rows[k].Keys {
+			e.Args[a] = pick()
+		}
+		events[i] = e
+	}
+	for _, s := range []snapshot{
+		{},
+		{labels: labels},
+		{events: events[:1]},
+		{labels: labels, events: events, dropped: 12345},
+		{labels: labels[:1], events: events[:100], truncated: true},
+		{events: events, dropped: 1, truncated: true},
+	} {
+		check(t, rows, s)
+	}
+
+	for _, truncated := range []bool{false, true} {
+		r := NewRecorder(300)
+		for tid := int64(0); tid < 81; tid++ {
+			r.Meta(tid, labels[tid%3].Name)
+		}
+		for i := 0; i < 1000; i++ {
+			k := Kind(rng.Intn(NumKinds))
+			args := make([]int64, len(Vocabulary[k].Keys))
+			for a := range args {
+				args[a] = pick()
+			}
+			if Vocabulary[k].Ph == PhSpan {
+				r.Span(k, pick(), pick(), int64(rng.Intn(81)), args...)
+			} else {
+				r.Instant(k, pick(), int64(rng.Intn(81)), args...)
+			}
+		}
+		if truncated {
+			r.MarkTruncated()
+		}
+		if r.Dropped() != 700 {
+			t.Fatalf("dropped %d, want 700", r.Dropped())
+		}
+		check(t, Vocabulary[:], r.snapshot())
+	}
+}
+
+// TestRecorderEmitZeroAllocs: on a ring that has its memory, an emit is a
+// few words stored under a mutex — no allocation, whatever the arity.
+func TestRecorderEmitZeroAllocs(t *testing.T) {
+	r := NewRecorder(64)
+	for i := 0; i < 64; i++ {
+		r.Instant(EvFaultKill, int64(i), 0)
+	}
+	ts := int64(64)
+	avg := testing.AllocsPerRun(1000, func() {
+		ts++
+		r.Instant(EvFaultKill, ts, 1)
+		r.Instant(EvBarrierRelease, ts, 80, 7)
+		r.Instant(EvVloadIssue, ts, 2, 4096, 16)
+		r.Instant(EvLLCFanout, ts, 64, 4096, 2, 16)
+		r.Span(EvFastForward, ts, 10, 80)
+		r.Span(EvFrameFill, ts, 10, 3, 1)
+		r.Span(EvFrameConsume, ts, 10, 3, 9, 1)
+	})
+	if avg != 0 {
+		t.Fatalf("emit allocates: %.2f allocs per 7 events", avg)
+	}
+}
+
+// TestVocabularyRows: names are unique and resolve back to their kind, and
+// every row fits the flat event — at most MaxArgs keys, sorted, as the JSON
+// carries them.
+func TestVocabularyRows(t *testing.T) {
+	for k, row := range Vocabulary {
+		if row.Name == "" || (row.Ph != PhSpan && row.Ph != PhInstant) {
+			t.Errorf("kind %d: incomplete row %+v", k, row)
+		}
+		if got, ok := KindOf(row.Name); !ok || got != Kind(k) {
+			t.Errorf("KindOf(%q) = %d, %v; want %d (duplicate name?)", row.Name, got, ok, k)
+		}
+		if len(row.Keys) > MaxArgs || !sort.StringsAreSorted(row.Keys) {
+			t.Errorf("%s: keys %v, want at most %d, sorted", row.Name, row.Keys, MaxArgs)
+		}
+	}
+	if _, ok := KindOf("thread_name"); ok {
+		t.Error("thread_name is a label record, not a vocabulary event")
+	}
+	if size := unsafe.Sizeof(Event{}); size > 64 {
+		t.Errorf("Event is %d bytes, want at most 64", size)
 	}
 }
 
@@ -212,7 +561,7 @@ func TestNilSinkAccessors(t *testing.T) {
 func TestSinkCloseFlushesEvents(t *testing.T) {
 	var ev bytes.Buffer
 	s := NewSink(Config{EventsTo: &ev, EventCap: 8})
-	s.Recorder().Instant("x", "c", 1, 0, nil)
+	s.Recorder().Instant(EvFaultKill, 1, 0)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
