@@ -7,16 +7,15 @@
 //	rocksim -bench mvt -config V4 -faults "seed=42;kill@3000:t12"
 //
 // -j spreads one simulation's per-cycle component ticks over a worker pool;
-// cycle counts are bit-identical for any value. Setting ROCKTRACE (any
-// non-empty value) traces barrier releases to stdout; setting it to a
-// numeric address additionally watches accesses to that global word.
+// cycle counts are bit-identical for any value.
 //
 // Observability: -trace out.json writes a Chrome trace-event / Perfetto
 // event trace (ring sized by -trace-buf; a warning reports overwritten
-// events), -telemetry out.jsonl writes cycle-windowed counter deltas
-// (window size -sample N), -report out.json writes the canonical per-run
-// report with a bottleneck verdict (see rockdoctor), -prof prints the
-// engine's per-stage wall-time self-profile, and -pprof file.pb.gz writes
+// events; its barrier.release events are the timestamped barrier trace),
+// -telemetry out.jsonl writes cycle-windowed counter deltas (window size
+// -sample N), -report out.json writes the canonical per-run report with a
+// bottleneck verdict (see rockdoctor), -prof prints the engine's per-stage
+// wall-time self-profile, and -pprof file.pb.gz writes
 // a CPU profile. -listen ADDR serves the live observability plane over HTTP
 // (/metrics, /debug/run, /debug/machine, /debug/flight, /debug/pprof/) and
 // -flight DIR arms automatic flight-recorder dumps on watchdog trips, wall
@@ -37,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 
 	"rockcress/internal/analyze"
 	"rockcress/internal/asm"
@@ -97,15 +95,6 @@ func main() {
 	}
 	defer stopObs()
 	opts.Obs = plane
-	// ROCKTRACE: any non-empty value traces barrier releases; a parseable
-	// numeric value additionally watches that global word address. Parsed
-	// once here — no simulator package reads the environment.
-	if env := os.Getenv("ROCKTRACE"); env != "" {
-		opts.TraceBarriers = true
-		if addr, err := strconv.ParseUint(env, 0, 32); err == nil {
-			opts.WatchAddr = uint32(addr)
-		}
-	}
 	var sink *trace.Sink
 	if *traceOut != "" || *telemOut != "" || plane != nil {
 		cfg := trace.Config{SampleEvery: *sampleN, EventCap: *traceBuf}

@@ -168,13 +168,27 @@ func TestRunReportAndTelemetry(t *testing.T) {
 // a digest, not a 588 KB golden file. The run does not wrap the ring, so the
 // document carries every label and every event.
 func TestTraceBytesPinned(t *testing.T) {
-	const (
-		wantBytes  = 587909
-		wantSHA256 = "382d07de6515d925d7029ea8c3c9e4e4bbf9ddd59c438ccce5a753c54a5098f0"
-	)
+	checkTraceDigest(t, 587909, "382d07de6515d925d7029ea8c3c9e4e4bbf9ddd59c438ccce5a753c54a5098f0")
+}
+
+// TestFaultTraceBytesPinned is the same contract for a fault run: a kill at
+// cycle 1500 breaks a vector group and the ladder restarts from a
+// checkpoint, so the trace carries fault.kill, recover.groupbreak,
+// checkpoint and checkpoint.restore events across three attempts. The digest
+// pins where in each serial site's sequence every event is emitted, not
+// just that it is.
+func TestFaultTraceBytesPinned(t *testing.T) {
+	checkTraceDigest(t, 1122333, "e4fd52abf3ee191d3c5fef66cdffaf5fdb688503270183fd4298d365625145d0",
+		"-faults", "seed=42;kill@1500:t12")
+}
+
+// checkTraceDigest runs mvt/V4 tiny with -trace (plus extra flags) and holds
+// the file to a size and SHA-256.
+func checkTraceDigest(t *testing.T, wantBytes int, wantSHA256 string, extra ...string) {
+	t.Helper()
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
-	cmd := exec.Command(rocksimBin, "-bench", "mvt", "-config", "V4", "-scale", "tiny", "-trace", tracePath)
-	if out, err := cmd.CombinedOutput(); err != nil {
+	args := append([]string{"-bench", "mvt", "-config", "V4", "-scale", "tiny", "-trace", tracePath}, extra...)
+	if out, err := exec.Command(rocksimBin, args...).CombinedOutput(); err != nil {
 		t.Fatalf("rocksim: %v\n%s", err, out)
 	}
 	raw, err := os.ReadFile(tracePath)

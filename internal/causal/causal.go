@@ -26,6 +26,8 @@
 // no counters advance, and fault-free goldens are bit-identical.
 package causal
 
+import "rockcress/internal/msg"
+
 // Class is a resource class on the critical path.
 type Class uint8
 
@@ -136,6 +138,38 @@ type Journey struct {
 	LLC     int64 // bank service proper (lookup + streaming)
 	Gated   int64 // bank cycles gated on response-mesh injection
 	Resp    int64 // response-plane leg (distance + destination funnel)
+}
+
+// JourneyOf decomposes the round trip of response f, delivered at cycle now,
+// from its journey stamps (the C* fields) into request NoC, DRAM queue, DRAM
+// latency, bank residence, and response NoC cycles. floor is the request
+// leg's minimum-hop traversal (manhattan distance x hop latency). The bank
+// residence — the remainder, so clock skew never makes components exceed
+// the total — is split into mesh-gating, queue wait, and service via the
+// CGated/CLlcQ stamps, and the request leg into floor and the queueing
+// excess above it. Floor and service book to traversal/service classes; the
+// excesses book to ClassNocContend/ClassLLCQ — the shares bank count and
+// link bandwidth actually drive. The response leg stays whole: its
+// congestion is the destination-side ejection funnel, which neither knob
+// relieves per-endpoint, only link bandwidth — so it rides ClassNocResp. ok
+// is false for an unstamped response.
+func JourneyOf(f *msg.Message, now, floor int64) (j Journey, ok bool) {
+	if f.CIssue == 0 || f.CInject == 0 {
+		return Journey{}, false
+	}
+	resp := now - f.CInject
+	bank := now - f.CIssue - int64(f.CNocReq) - int64(f.CDramQ) - int64(f.CDramLat) - resp
+	gated := min(max(int64(f.CGated), 0), max(bank, 0))
+	llcq := min(max(int64(f.CLlcQ), 0), max(bank-gated, 0))
+	reqDist, reqCont := int64(f.CNocReq), int64(0)
+	if reqDist > floor {
+		reqDist, reqCont = floor, reqDist-floor
+	}
+	return Journey{
+		ReqDist: reqDist, ReqCont: reqCont,
+		DramQ: int64(f.CDramQ), DramLat: int64(f.CDramLat),
+		LLCQ: llcq, LLC: bank - gated - llcq, Gated: gated, Resp: resp,
+	}, true
 }
 
 // splitOrder maps arrComp slots to classes, walking backward from the

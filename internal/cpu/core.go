@@ -167,10 +167,6 @@ type Core struct {
 	stallKind  stats.StallKind
 	stallWake  int64
 	stallCheck uint8
-
-	// watchAddr, when nonzero, logs global stores to that address (the old
-	// ROCKTRACE=<addr> debugging aid, now per-instance).
-	watchAddr uint32
 }
 
 // stallCheck values: the same-shard condition Park re-verifies before
@@ -323,10 +319,6 @@ func (c *Core) setVPC(pc int) {
 // instructions incrementally, so the machine's progress watchdog reads a
 // running total instead of rescanning every stall histogram.
 func (c *Core) SetIssueSlot(p *int64) { c.issueSlot = p }
-
-// SetWatchAddr arms global-store logging for one address (0 disarms). The
-// per-instance replacement for the old ROCKTRACE=<addr> env hook.
-func (c *Core) SetWatchAddr(addr uint32) { c.watchAddr = addr }
 
 // InetHighWater returns the deepest occupancy the core's inet input queue
 // ever reached (0 when the tile has no queue).
@@ -709,16 +701,6 @@ func (c *Core) DebugState() string {
 	return fmt.Sprintf("core %d mode=%s state=%d pc=%d vpc=%d mt=%v pred=%v lq=%d inq=%d frames(head=%d ready=%v)",
 		c.ID, c.mode, c.state, c.pc, c.vpc, c.mtActive, c.predOn, lq, inq,
 		c.spad.HeadSeq(), c.spad.NumFrames() > 0 && c.spad.FrameReady())
-}
-
-// Quiesced reports whether the core has no in-flight loads (drain check).
-func (c *Core) Quiesced() bool {
-	for i := range c.lq {
-		if c.lq[i].busy {
-			return false
-		}
-	}
-	return true
 }
 
 // IdleUntil reports whether ticking the core is a pure stall until some

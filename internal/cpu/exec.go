@@ -6,7 +6,6 @@ package cpu
 // generated once per program by LowerProgram.
 
 import (
-	"fmt"
 	"math"
 
 	"rockcress/internal/isa"
@@ -65,9 +64,6 @@ func (c *Core) globalLoad(now int64, rs1 isa.Reg, imm uint32, isFp bool, rd, fd 
 
 func (c *Core) globalStore(now int64, rs1 isa.Reg, imm, val uint32) (bool, stats.StallKind) {
 	addr := c.intRegs[rs1] + imm
-	if c.watchAddr != 0 && addr == c.watchAddr {
-		fmt.Printf("[%d] core %d ISSUES store %#x = %d\n", now, c.ID, addr, int32(val))
-	}
 	m := msg.Message{
 		Kind: msg.KindStoreReq, Src: c.ID, Dst: c.env.LLCNodeFor(addr),
 		Addr: addr, Words: 1,

@@ -401,29 +401,6 @@ func Merge(a, b *Plan) *Plan {
 	return out
 }
 
-// FlipPlan builds a plan of n single-bit scratchpad flips on pseudo-randomly
-// chosen tiles (from the victim list) at staggered cycles (start,
-// start+stride, ...). Offsets stay word-aligned below maxOff — point maxOff
-// at the frame region to exercise the parity/replay path — and bits favor
-// the high half of the word so a flipped float is numerically conspicuous.
-func FlipPlan(seed uint64, n int, tiles []int, maxOff uint32, start, stride int64) *Plan {
-	r := rng{state: seed}
-	p := &Plan{Seed: seed}
-	words := maxOff / 4
-	if words == 0 {
-		words = 1
-	}
-	for i := 0; i < n; i++ {
-		t := tiles[int(r.next()%uint64(len(tiles)))]
-		off := uint32(r.next()%uint64(words)) * 4
-		bit := uint8(16 + r.next()%16)
-		p.Events = append(p.Events, Event{
-			Kind: FlipSpadWord, Cycle: start + int64(i)*stride, Tile: t, Offset: off, Bit: bit,
-		})
-	}
-	return p
-}
-
 // rng is splitmix64: tiny, seedable, and self-contained so fault schedules
 // never depend on the Go runtime's RNG (determinism guard).
 type rng struct{ state uint64 }

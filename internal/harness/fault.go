@@ -66,8 +66,7 @@ func (r *Runner) FigFault(w io.Writer) error {
 				plan = fault.KillPlan(faultSeed, k, hw.Cores, start, 101)
 			}
 			fr, err := kernels.ExecuteWithFaultsOpts(bench, bench.Defaults(r.opts.Scale), sw, hw,
-				plan, kernels.ExecOpts{MaxCycles: r.opts.MaxCycles,
-					Ctx: r.opts.Ctx, WallBudget: r.opts.WallBudget})
+				plan, r.execOpts())
 			if err != nil {
 				return fmt.Errorf("fault curve %s k=%d: %w", cfgName, k, err)
 			}

@@ -288,13 +288,21 @@ func (r *Runner) execute(bench kernels.Benchmark, sw config.Software, hw config.
 	return res, nil
 }
 
+// execOpts is the session's share of every execution the runner starts —
+// sweep cells and fault-ladder cells alike: the cycle budget, cancellation,
+// the wall budget and the live plane.
+func (r *Runner) execOpts() kernels.ExecOpts {
+	return kernels.ExecOpts{MaxCycles: r.opts.MaxCycles, Ctx: r.opts.Ctx,
+		WallBudget: r.opts.WallBudget, Obs: r.opts.Obs}
+}
+
 // executeCell runs one simulation with whatever observability the session
 // asked for: a JSONL telemetry file (TelemetryDir), a retain-only sampler
 // feeding the shared flight recorder (Obs), both through one sink, or
 // neither.
 func (r *Runner) executeCell(bench kernels.Benchmark, sw config.Software, hw config.Manycore, key string) (*kernels.Result, error) {
-	opts := kernels.ExecOpts{MaxCycles: r.opts.MaxCycles, Ctx: r.opts.Ctx,
-		WallBudget: r.opts.WallBudget, Obs: r.opts.Obs, Causal: r.opts.Causal}
+	opts := r.execOpts()
+	opts.Causal = r.opts.Causal
 	if sw.Style == config.StyleGPU {
 		return kernels.ExecuteOpts(bench, bench.Defaults(r.opts.Scale), sw, hw, opts)
 	}

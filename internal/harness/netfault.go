@@ -65,8 +65,7 @@ func (r *Runner) FigNetFault(w io.Writer) error {
 						fault.BankPlan(faultSeed, 1, hw.LLCBanks, start+int64(c)*101, 101))
 				}
 				fr, err := kernels.ExecuteWithFaultsOpts(b, b.Defaults(r.opts.Scale), sw, hw,
-					plan, kernels.ExecOpts{MaxCycles: r.opts.MaxCycles,
-						Ctx: r.opts.Ctx, WallBudget: r.opts.WallBudget})
+					plan, r.execOpts())
 				if err != nil {
 					return fmt.Errorf("netfault %s/%s cuts=%d: %w", b.Info().Name, cfgName, c, err)
 				}

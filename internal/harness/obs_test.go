@@ -143,3 +143,29 @@ func TestPlaneRebindDuringSweep(t *testing.T) {
 		t.Error("machine provider gone after sweep; /debug/machine would 404")
 	}
 }
+
+// TestFaultFigureFeedsPlane pins the ladder cells' route to the plane: the
+// fault figures hand the session's plane to every execution they start, so
+// FigFault at Tiny ends with the 3 prewarmed base runs plus its 15 ladder
+// cells (3 configurations x 5 kill counts) done on /debug/run — and prints
+// the same table with or without a plane.
+func TestFaultFigureFeedsPlane(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	var bare, observed bytes.Buffer
+	if err := New(Options{Scale: kernels.Tiny, Out: io.Discard}).FigFault(&bare); err != nil {
+		t.Fatal(err)
+	}
+	p := metrics.NewPlane("")
+	if err := New(Options{Scale: kernels.Tiny, Out: io.Discard, Obs: p}).FigFault(&observed); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bare.Bytes(), observed.Bytes()) {
+		t.Errorf("figure differs with a plane attached:\n%s\nvs\n%s", observed.Bytes(), bare.Bytes())
+	}
+	if snap := p.Run().Snapshot(); snap.Sweep.Done != 18 || snap.Sweep.Failed != 0 {
+		t.Errorf("plane saw %d cells done (%d failed), want 18 (3 base runs + 15 ladder cells)",
+			snap.Sweep.Done, snap.Sweep.Failed)
+	}
+}

@@ -27,8 +27,7 @@ func (r *Runner) FigReplay(w io.Writer) error {
 	}
 	tbl := &table{header: []string{"kernel", "rung", "ladder", "restart", "speedup"}}
 	for _, bench := range r.benches() {
-		pr, err := kernels.ProbeReplayWinOpts(bench, bench.Defaults(r.opts.Scale), sw, hw,
-			kernels.ExecOpts{MaxCycles: r.opts.MaxCycles, Ctx: r.opts.Ctx, WallBudget: r.opts.WallBudget})
+		pr, err := kernels.ProbeReplayWinOpts(bench, bench.Defaults(r.opts.Scale), sw, hw, r.execOpts())
 		if err != nil {
 			return fmt.Errorf("replay figure: %w", err)
 		}

@@ -5,9 +5,7 @@ import (
 	"slices"
 	"time"
 
-	"rockcress/internal/causal"
 	"rockcress/internal/config"
-	"rockcress/internal/energy"
 	"rockcress/internal/fault"
 	"rockcress/internal/lifecycle"
 	"rockcress/internal/machine"
@@ -94,9 +92,7 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 	// One wall budget covers the whole recovery ladder, not each attempt:
 	// a pathological restart loop is exactly what the budget must bound.
 	wallDeadline := opts.wallDeadline()
-	// Latest published checkpoint, carried across attempts. A snapshot is
-	// only restorable into a build with the same recovery-point count (the
-	// MIMD fallback may change the phase structure).
+	// Latest published checkpoint, carried across attempts.
 	var snap *machine.Checkpoint
 	var snapSites int
 	// One attempt per core is a generous upper bound: every restart either
@@ -122,58 +118,25 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 			mimd = true
 			groups, ctxAvoid = nil, avoid
 		}
-		img, err := b.Prepare(p)
-		if err != nil {
-			return nil, fmt.Errorf("%s: prepare: %w", name, err)
-		}
-		if err := img.Err(); err != nil {
-			return nil, fmt.Errorf("%s: prepare: %w", name, err)
-		}
 		buildSW := sw
 		if mimd && sw.Style == config.StyleVector {
 			// Survivors fall back to plain MIMD: same kernel, NV-style build.
 			buildSW = config.Software{Name: sw.Name + "-mimd", Style: config.StyleNV, VLen: 1}
 		}
-		ctx := NewCtx(p, img, buildSW, hw, groups)
-		ctx.Avoid = ctxAvoid
-		ctx.Ckpt = ckptOn
-		if err := b.Build(ctx); err != nil {
-			return nil, fmt.Errorf("%s/%s: build: %w", name, sw.Name, err)
-		}
-		prog, err := ctx.B.Build()
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: assemble: %w", name, sw.Name, err)
-		}
-		sites := ctx.CheckpointSites()
-		memBytes := img.SizeBytes()
-		if memBytes < machine.DefaultMemBytes {
-			memBytes = machine.DefaultMemBytes
-		}
-		mp := opts.machineParams(hw, prog, groups, memBytes)
-		mp.Faults, mp.NoReplay, mp.Checkpoint = cur, opts.NoReplay, ckptOn
-		mp.WallDeadline = wallDeadline // the ladder's shared budget, not a fresh one per attempt
-		m, err := machine.New(mp)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: machine: %w", name, sw.Name, err)
-		}
 		// Restart from the last checkpoint when one is compatible with this
 		// attempt's build; otherwise from the initial image.
-		restored := snap != nil && snapSites == sites && snap.Image.Size() == memBytes
+		a := trial{n: attempt, plan: cur, avoid: ctxAvoid, ckpt: ckptOn,
+			wallDeadline: wallDeadline, snap: snap, snapSites: snapSites}
+		if err := a.run(b, p, sw, buildSW, hw, groups, maxCycles, opts); err != nil {
+			return nil, err
+		}
+		m, runErr, restored := a.m, a.runErr, a.restored
 		if restored {
-			m.RestoreCheckpoint(snap, attempt)
 			fr.CheckpointRestarts++
-		} else {
-			img.Apply(m.Global)
-			if attempt > 1 {
-				fr.FullRestarts++
-			}
+		} else if attempt > 1 {
+			fr.FullRestarts++
 		}
 		prevDead := len(fr.DeadTiles)
-		st, runErr := m.Run(maxCycles)
-		opts.Obs.Run().AddSim(m.Now(), st.WallNs)
-		// Dump per attempt, not only on the final error: a watchdog trip the
-		// ladder then recovers from would otherwise leave no forensic record.
-		maybeFlightDump(opts.Obs, runErr)
 		fr.TotalCycles += m.Now()
 		rep := m.FaultReport()
 		mergeReport(fr, rep)
@@ -186,22 +149,14 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 		}
 		fr.Ladder = append(fr.Ladder, ai)
 		if ck := m.Checkpoint(); ck != nil {
-			snap, snapSites = ck, sites
+			snap, snapSites = ck, a.sites
 		}
-		correct := runErr == nil && img.Check(m.Global) == nil
+		correct := runErr == nil && a.img.Check(m.Global) == nil
 		// Every reader of the store is done, and a published checkpoint is a
 		// copy, not a view: park the store for the next attempt or cell.
 		m.Global.Recycle()
 		if correct {
-			fr.Result = &Result{
-				Bench: name, Config: sw.Name, Params: p, HW: hw,
-				Stats: st, Energy: energy.New(hw).Evaluate(st), Groups: groups,
-			}
-			if prof := m.CausalProfile(); prof != nil {
-				// The surviving attempt's profile only; earlier attempts'
-				// recorders died with their machines.
-				fr.Result.Causal = causal.BuildReport(prof)
-			}
+			fr.Result = a.result(name, p, sw, hw, groups)
 			fr.MIMDFallback = mimd
 			return fr, nil
 		}

@@ -9,8 +9,8 @@ import (
 	"rockcress/internal/causal"
 	"rockcress/internal/config"
 	"rockcress/internal/energy"
+	"rockcress/internal/fault"
 	"rockcress/internal/gpu"
-	"rockcress/internal/isa"
 	"rockcress/internal/lifecycle"
 	"rockcress/internal/machine"
 	"rockcress/internal/metrics"
@@ -50,8 +50,6 @@ type ExecOpts struct {
 	// Workers sizes the machine's two-phase engine tick pool. Results are
 	// bit-identical for every value; 0 or 1 runs the serial engine.
 	Workers int
-	// TraceBarriers logs global barrier releases (per-instance debug aid).
-	TraceBarriers bool
 
 	// NoReplay disables the frame-integrity layer (per-frame parity +
 	// poisoned-frame replay) on fault runs; NoCheckpoint disables
@@ -67,8 +65,6 @@ type ExecOpts struct {
 	// reuse it across attempts and the telemetry windows restart per
 	// attempt. The caller owns Close.
 	Trace *trace.Sink
-	// WatchAddr arms the per-instance global-address debug watch.
-	WatchAddr uint32
 	// Prof attaches an engine self-profile (cumulative across attempts).
 	Prof *sim.Prof
 	// Obs attaches the live observability plane: sweep progress and ladder
@@ -101,15 +97,6 @@ func (o *ExecOpts) wallDeadline() time.Time {
 	return time.Now().Add(o.WallBudget)
 }
 
-// machineParams maps the options onto one machine build. The fault ladder
-// adds its per-attempt plan and recovery switches on top.
-func (o *ExecOpts) machineParams(hw config.Manycore, prog *isa.Program, groups []*config.Group, memBytes int) machine.Params {
-	return machine.Params{Cfg: hw, Prog: prog, Groups: groups, MemBytes: memBytes,
-		Workers: o.Workers, TraceBarriers: o.TraceBarriers,
-		Trace: o.Trace, WatchAddr: o.WatchAddr, Prof: o.Prof, Obs: o.Obs,
-		Causal: o.Causal, Ctx: o.Ctx, WallDeadline: o.wallDeadline()}
-}
-
 // Execute runs benchmark b with parameters p under the given software row
 // and hardware base configuration, checks the results against the serial
 // reference, and returns the statistics.
@@ -139,50 +126,106 @@ func executeOpts(b Benchmark, p Params, sw config.Software, hw config.Manycore, 
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", name, sw.Name, err)
 	}
-	img, err := b.Prepare(p)
-	if err != nil {
-		return nil, fmt.Errorf("%s: prepare: %w", name, err)
-	}
-	if err := img.Err(); err != nil {
-		return nil, fmt.Errorf("%s: prepare: %w", name, err)
-	}
-	ctx := NewCtx(p, img, sw, hw, groups)
-	if err := b.Build(ctx); err != nil {
-		return nil, fmt.Errorf("%s/%s: build: %w", name, sw.Name, err)
-	}
-	prog, err := ctx.B.Build()
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s: assemble: %w", name, sw.Name, err)
-	}
-	memBytes := img.SizeBytes()
-	if memBytes < machine.DefaultMemBytes {
-		memBytes = machine.DefaultMemBytes
-	}
-	m, err := machine.New(opts.machineParams(hw, prog, groups, memBytes))
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s: machine: %w", name, sw.Name, err)
+	var a trial
+	if err := a.run(b, p, sw, sw, hw, groups, maxCycles, opts); err != nil {
+		return nil, err
 	}
 	// Failed cells park the store too, once the flight dump and the result
 	// check below have read it: the next cell of a sweep reuses it.
-	defer m.Global.Recycle()
-	img.Apply(m.Global)
-	st, err := m.Run(maxCycles)
-	opts.Obs.Run().AddSim(m.Now(), st.WallNs)
-	if err != nil {
-		maybeFlightDump(opts.Obs, err)
-		return nil, wrapRun(name, sw.Name, 1, err)
+	defer a.m.Global.Recycle()
+	if a.runErr != nil {
+		return nil, wrapRun(name, sw.Name, 1, a.runErr)
 	}
-	if err := img.Check(m.Global); err != nil {
+	if err := a.img.Check(a.m.Global); err != nil {
 		return nil, fmt.Errorf("%s/%s: wrong result: %w", name, sw.Name, err)
 	}
+	return a.result(name, p, sw, hw, groups), nil
+}
+
+// trial is one machine run of a benchmark: the fault-free execution, or a
+// rung of the recovery ladder.
+type trial struct {
+	// What the ladder adds; all zero on a fault-free run.
+	n            int // rung number
+	plan         *fault.Plan
+	avoid        []int               // dead tiles the build works around
+	ckpt         bool                // build checkpoint sites, publish snapshots
+	wallDeadline time.Time           // the ladder's shared budget, not a fresh one per attempt
+	snap         *machine.Checkpoint // latest snapshot, and the site count of
+	snapSites    int                 // the build that published it
+
+	// Set by run.
+	m        *machine.Machine
+	img      *Image
+	st       *stats.Machine
+	runErr   error
+	sites    int  // checkpoint sites in this build
+	restored bool // resumed from snap, not the initial image
+}
+
+// run is the one attempt path: prepare the image, build and assemble the
+// program for the layout, build the machine, load the image — or restore the
+// snapshot when it fits this build — run, and tell the plane. Errors before
+// the run are returned; the run's own is a.runErr.
+func (a *trial) run(b Benchmark, p Params, sw, buildSW config.Software, hw config.Manycore,
+	groups []*config.Group, maxCycles int64, opts ExecOpts) error {
+	name := b.Info().Name
+	var err error
+	if a.img, err = b.Prepare(p); err == nil {
+		err = a.img.Err()
+	}
+	if err != nil {
+		return fmt.Errorf("%s: prepare: %w", name, err)
+	}
+	ctx := NewCtx(p, a.img, buildSW, hw, groups)
+	ctx.Avoid, ctx.Ckpt = a.avoid, a.ckpt
+	if err := b.Build(ctx); err != nil {
+		return fmt.Errorf("%s/%s: build: %w", name, sw.Name, err)
+	}
+	prog, err := ctx.B.Build()
+	if err != nil {
+		return fmt.Errorf("%s/%s: assemble: %w", name, sw.Name, err)
+	}
+	mp := machine.Params{Cfg: hw, Prog: prog, Groups: groups,
+		MemBytes: max(a.img.SizeBytes(), machine.DefaultMemBytes),
+		Workers:  opts.Workers, Trace: opts.Trace, Prof: opts.Prof, Obs: opts.Obs,
+		Causal: opts.Causal, Ctx: opts.Ctx, WallDeadline: opts.wallDeadline()}
+	if a.plan != nil {
+		mp.Faults, mp.NoReplay, mp.Checkpoint = a.plan, opts.NoReplay, a.ckpt
+		mp.WallDeadline = a.wallDeadline
+	}
+	if a.m, err = machine.New(mp); err != nil {
+		return fmt.Errorf("%s/%s: machine: %w", name, sw.Name, err)
+	}
+	// A snapshot is only restorable into a build with the same
+	// recovery-point count (the MIMD fallback may change the phase
+	// structure) and the same store size.
+	a.sites = ctx.CheckpointSites()
+	a.restored = a.snap != nil && a.snapSites == a.sites && a.snap.Image.Size() == mp.MemBytes
+	if a.restored {
+		a.m.RestoreCheckpoint(a.snap, a.n)
+	} else {
+		a.img.Apply(a.m.Global)
+	}
+	a.st, a.runErr = a.m.Run(maxCycles)
+	opts.Obs.Run().AddSim(a.m.Now(), a.st.WallNs)
+	// Dump per attempt, not only on the final error: a watchdog trip the
+	// ladder then recovers from would otherwise leave no forensic record.
+	maybeFlightDump(opts.Obs, a.runErr)
+	return nil
+}
+
+// result packages a correct attempt. The causal report is this attempt's
+// profile only; earlier attempts' recorders died with their machines.
+func (a *trial) result(name string, p Params, sw config.Software, hw config.Manycore, groups []*config.Group) *Result {
 	res := &Result{
 		Bench: name, Config: sw.Name, Params: p, HW: hw,
-		Stats: st, Energy: energy.New(hw).Evaluate(st), Groups: groups,
+		Stats: a.st, Energy: energy.New(hw).Evaluate(a.st), Groups: groups,
 	}
-	if prof := m.CausalProfile(); prof != nil {
+	if prof := a.m.CausalProfile(); prof != nil {
 		res.Causal = causal.BuildReport(prof)
 	}
-	return res, nil
+	return res
 }
 
 func executeGPU(b Benchmark, p Params, maxCycles int64, opts ExecOpts) (*Result, error) {

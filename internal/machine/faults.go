@@ -1,0 +1,251 @@
+package machine
+
+import (
+	"math"
+	"sync/atomic"
+
+	"rockcress/internal/fault"
+	"rockcress/internal/noc"
+	"rockcress/internal/stats"
+	"rockcress/internal/trace"
+)
+
+// faultStack is the fault-injection and recovery attachment (this file,
+// topology.go, replay.go). Machine.faults is nil on a fault-free machine;
+// the fabric enters the stack only through preMem, barrierReleased,
+// nextEvent, drained and tally.
+type faultStack struct {
+	*Machine // the fabric the stack acts on
+
+	inj          *fault.Injector
+	report       *fault.Report
+	brokenGroups []bool
+
+	// Flits harvested across a topology transition, until the network
+	// re-accepts them.
+	reinjectQ     []reinjectFlit
+	reroutedFlits int64
+
+	replays []*replayState // per tile; the slice is nil under Params.NoReplay
+
+	// Checkpointing: armed from the parallel core phase by csrw ckpt,
+	// consumed at the serial barrier release.
+	ckptOn    bool
+	ckptArmed atomic.Bool
+	ckpt      *Checkpoint
+}
+
+// attachFaults builds the fault stack for p.Faults on a wired fabric.
+func (m *Machine) attachFaults(p Params) error {
+	if err := p.Faults.ValidateGeometry(fault.Geometry{
+		Cores: m.Cfg.Cores, MeshW: m.Cfg.MeshWidth, MeshH: m.Cfg.MeshHeight,
+		Banks: m.Cfg.LLCBanks,
+	}); err != nil {
+		return err
+	}
+	fs := &faultStack{
+		Machine:      m,
+		inj:          fault.NewInjector(p.Faults),
+		report:       &fault.Report{},
+		brokenGroups: make([]bool, len(m.Groups)),
+		ckptOn:       p.Checkpoint,
+	}
+	if fs.inj.HasLinkFaults() {
+		m.meshReq.SetLinkJudge(fs.linkJudge(fault.PlaneReq))
+		m.meshResp.SetLinkJudge(fs.linkJudge(fault.PlaneResp))
+	}
+	// Only consulted once a mesh runs its fault-aware table.
+	m.meshReq.SetDeadDstHandler(m.deadDstPolicy)
+	m.meshResp.SetDeadDstHandler(m.deadDstPolicy)
+	if !p.NoReplay {
+		for _, s := range m.spads {
+			s.SetIntegrity(true)
+		}
+		fs.replays = make([]*replayState, len(m.spads))
+	}
+	m.faults = fs
+	return nil
+}
+
+// preMem is the stack's share of the serial mem prologue, so every decision
+// in it is identical for every engine worker count.
+func (fs *faultStack) preMem(now int64) {
+	if now >= fs.inj.NextDiscrete() {
+		// Faults mutate cores and queues out of band (kill, armed panic,
+		// stuck inet): unpark everything first so parked shards' stall
+		// back-fill happens against pre-fault state and an armed panic
+		// cannot sleep through its own cycle.
+		fs.engine.Sync(now)
+		fs.applyFaults(now)
+	}
+	if len(fs.reinjectQ) > 0 {
+		fs.drainReinject()
+	}
+	if fs.replays != nil {
+		fs.tickReplays(now)
+	}
+}
+
+// drained reports that no harvested flit waits to re-enter the network;
+// nil-safe.
+func (fs *faultStack) drained() bool { return fs == nil || len(fs.reinjectQ) == 0 }
+
+// nextEvent is the cycle of the next discrete fault, which bounds the
+// fast-forward horizon; nil-safe.
+func (fs *faultStack) nextEvent() int64 {
+	if fs == nil {
+		return math.MaxInt64
+	}
+	return fs.inj.NextDiscrete()
+}
+
+// tally copies the counters the stack owns into the spine (collect).
+func (fs *faultStack) tally(st *stats.Machine) {
+	st.NocReroutedFlits = fs.reroutedFlits
+	st.CutLinks = int64(len(fs.report.CutLinks))
+	st.DeadRouters = int64(len(fs.report.DeadRouters))
+	st.DeadBanks = int64(len(fs.report.DeadBanks))
+}
+
+// FaultReport summarizes the run's fault activity (nil without a plan).
+// Valid on both success and failure paths. Its counters are read off the
+// spine (collect + fold) like every other consumer's; only the topology
+// lists, the stuck-queue and escalation counts, which stats does not hold,
+// accumulate in the report itself as the events land.
+func (m *Machine) FaultReport() *fault.Report {
+	if m.faults == nil {
+		return nil
+	}
+	m.collect()
+	st, c, r := m.Stats, trace.Fold(m.Stats, m.roleOf), m.faults.report
+	r.Fired = m.faults.inj.Fired()
+	r.Retransmits = c.Noc.Retrans
+	r.DroppedFlits = c.Noc.Dropped
+	r.CorruptFlits = c.Noc.Corrupt
+	r.FlipsFrame = int(st.SpadFlipsFrame)
+	r.FlipsData = int(st.SpadFlipsData)
+	r.FlippedWords = r.FlipsFrame + r.FlipsData
+	r.FramePoisons = c.Frames.Poisons
+	r.FrameReplays = c.Frames.Replays
+	r.ReplayRetries = c.Frames.Retries
+	r.Checkpoints = c.Engine.Checkpoints
+	r.RouteRebuilds = st.NocRouteRebuilds
+	r.ReroutedFlits = st.NocReroutedFlits
+	r.DetourHops = st.NocDetourHops
+	r.BankFailovers = st.LLCBankFailovers
+	return r
+}
+
+// linkJudge adapts the injector's verdicts to one mesh plane.
+func (fs *faultStack) linkJudge(plane fault.Plane) noc.LinkJudge {
+	return func(now int64, from, to int) noc.LinkVerdict {
+		switch fs.inj.Judge(plane, now, from, to) {
+		case fault.VerdictDrop:
+			return noc.LinkDrop
+		case fault.VerdictCorrupt:
+			return noc.LinkCorrupt
+		}
+		return noc.LinkOK
+	}
+}
+
+// applyFaults fires every discrete event scheduled at or before now.
+func (fs *faultStack) applyFaults(now int64) {
+	for _, e := range fs.inj.TakeDiscrete(now) {
+		switch e.Kind {
+		case fault.KillTile:
+			fs.killTile(now, e.Tile)
+		case fault.PanicTile:
+			// The panic itself fires in the parallel core phase (the next
+			// Tick), not here: arming in the serial fault step keeps the
+			// injection deterministic while the crash lands where a real
+			// defect would.
+			fs.cores[e.Tile].ArmPanic()
+		case fault.StickInetQueue:
+			if fs.cores[e.Tile].StickInet(now + e.Duration) {
+				fs.report.StuckQueues++
+				fs.announce(trace.EvFaultStick, now, int64(e.Tile), e.Duration)
+			}
+		case fault.CutLink:
+			fs.cutLink(now, e)
+		case fault.KillRouter:
+			fs.killRouter(now, e.Tile)
+		case fault.KillBank:
+			fs.killBank(now, e.Bank)
+		case fault.DramDegrade:
+			fs.dram.Degrade(e.Cycle, e.Until, e.Factor)
+			fs.announce(trace.EvFaultDramDegrade, now, fs.tidMachine(), int64(e.Factor*100), e.Until)
+		case fault.FlipSpadWord:
+			if landed, inFrame := fs.spads[e.Tile].FlipBit(e.Offset, e.Bit); landed {
+				fs.announce(trace.EvFaultFlip, now, int64(e.Tile), int64(e.Bit), int64(e.Offset))
+				if inFrame {
+					fs.Stats.SpadFlipsFrame++
+				} else {
+					fs.Stats.SpadFlipsData++
+				}
+			}
+		}
+	}
+}
+
+// killTile powers tile t off: the core stops, its scratchpad ignores all
+// further traffic (including in-flight vload data), and any vector group it
+// belonged to is broken. Barrier and active-count bookkeeping are adjusted
+// so the rest of the fabric keeps running.
+func (fs *faultStack) killTile(now int64, t int) {
+	c := fs.cores[t]
+	if c.Dead() {
+		return
+	}
+	if !c.Halted() {
+		if c.InBarrier() {
+			fs.barrier.arrived.Add(-1)
+		}
+		fs.active.Add(-1)
+	}
+	c.Kill()
+	fs.announce(trace.EvFaultKill, now, int64(t))
+	fs.spads[t].Decommission()
+	if fs.replays != nil {
+		fs.replays[t] = nil // a dead tile's frames are beyond repair
+	}
+	fs.report.DeadTiles = append(fs.report.DeadTiles, t)
+	if gid := fs.tileGroup[t]; gid >= 0 {
+		fs.breakGroup(now, gid)
+	}
+	fs.checkBarrier()
+}
+
+// breakGroup devectorizes a group that lost a member: every surviving tile
+// is forced back to independent MIMD mode at the program's recovery point
+// (or halted when the program declares none). The group's formation
+// rendezvous is reset so the group id is dead for the rest of the run.
+func (fs *faultStack) breakGroup(now int64, gid int) {
+	if fs.brokenGroups[gid] {
+		return
+	}
+	// Members may be parked (a lane waiting on its inet queue, a core in
+	// the barrier): back-fill their skipped stalls against the pre-disband
+	// state before ForceDisband/ForceHalt rewrite it.
+	fs.engine.Sync(now)
+	fs.brokenGroups[gid] = true
+	fs.report.BrokenGroups = append(fs.report.BrokenGroups, gid)
+	fs.announce(trace.EvRecoverGroupBreak, now, int64(fs.Groups[gid].Scalar), int64(gid))
+	rpc := fs.Prog.RecoverPC
+	for _, t := range fs.Groups[gid].Tiles() {
+		c := fs.cores[t]
+		if c.Halted() {
+			continue
+		}
+		if c.InBarrier() {
+			fs.barrier.arrived.Add(-1)
+		}
+		if rpc > 0 {
+			c.ForceDisband(now, rpc)
+		} else {
+			c.ForceHalt()
+			fs.active.Add(-1)
+		}
+	}
+	fs.formation[gid] = genBarrier{}
+}

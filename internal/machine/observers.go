@@ -1,0 +1,275 @@
+package machine
+
+import (
+	"fmt"
+	"time"
+
+	"rockcress/internal/causal"
+	"rockcress/internal/metrics"
+	"rockcress/internal/msg"
+	"rockcress/internal/sim"
+	"rockcress/internal/trace"
+)
+
+// observers is the observability attachment; all but roleOf is nil on an
+// unobserved machine. Embedded in Machine by value, so the parallel-phase
+// gates the fabric keeps inline (TrySend, deliver, BarrierArrive,
+// NotifyHalt) read m.rec and m.causal with one load; every other gate is
+// here, behind observeBarrier, observeSkip, observeStep, observeEnd and
+// announce. All of it only reads simulated state, on the serial run loop or
+// under the recorder's mutex, so cycle counts are bit-identical with
+// observers on or off, for any engine worker count.
+type observers struct {
+	rec     *trace.Recorder
+	sampler *trace.Sampler
+	prof    *sim.Prof
+	roleOf  []trace.Role    // tile -> CPI-stack role; always built
+	pub     *obsPub         // the live plane's cells (metrics.go)
+	flight  *metrics.Flight // only on the machine that won the plane's slot
+	causal  *causal.Recorder
+}
+
+// attachObservers wires whatever p asks for onto a built fabric.
+func (m *Machine) attachObservers(p Params) {
+	m.roleOf = trace.Roles(m.Cfg.Cores, m.Groups)
+	if p.Causal {
+		// Cores classify their own cycles and the LLC banks stamp response
+		// journeys; the rest hangs off the fabric's m.causal gates.
+		m.causal = causal.NewRecorder(m.Cfg.Cores)
+		for t, c := range m.cores {
+			class := causal.ClassScalar
+			if r := m.roleOf[t]; r == trace.RoleLane || r == trace.RoleExpander {
+				class = causal.ClassVector
+			}
+			c.SetCausal(m.causal.Tile(t), class)
+		}
+		for _, b := range m.llcs {
+			b.SetCausal(true)
+		}
+		// Feeder chain: a lane's instruction stream comes from the group
+		// expander, the expander's from the scalar core. Inet waits on the
+		// critical tile are redistributed up this chain at interval close.
+		for _, g := range m.Groups {
+			for _, t := range g.Lanes {
+				if t != g.Expander {
+					m.causal.SetFeeder(t, g.Expander)
+				}
+			}
+			m.causal.SetFeeder(g.Expander, g.Scalar)
+		}
+	}
+	m.rec, m.sampler = p.Trace.Recorder(), p.Trace.Sampler() // nil from a nil sink
+	if m.rec != nil {
+		for _, s := range m.spads {
+			s.SetRecorder(m.rec)
+		}
+		// Perfetto track labels.
+		for t := range m.cores {
+			m.rec.Meta(int64(t), fmt.Sprintf("tile %d (%s)", t, trace.RoleNames[m.roleOf[t]]))
+		}
+		for b := range m.llcs {
+			m.rec.Meta(m.tidLLC(b), fmt.Sprintf("llc bank %d", b))
+		}
+		m.rec.Meta(m.tidMachine(), "machine")
+	}
+	if m.sampler != nil {
+		m.sampler.SetLinkLabels(m.meshReq.LinkLabels())
+		// Multi-attempt fault runs reuse one sink across machines; the window
+		// series restarts from cycle 0 with each new machine.
+		m.sampler.Reset()
+	}
+	if p.Prof != nil {
+		m.prof = p.Prof
+		m.engine.SetProfile(p.Prof)
+	}
+	// False on a nil plane, and when another machine of the same sweep is
+	// already publishing: this one then has no cells to publish.
+	if p.Obs.TryBindMachine() {
+		m.pub = newObsPub(p.Obs, m)
+		p.Obs.SetMachineProvider(m.pub.snapshot)
+		m.flight = p.Obs.Flight()
+		m.PublishMetrics()
+	}
+}
+
+// tidMachine is the trace thread id for machine-level events (barriers,
+// checkpoints, fast-forwards): one past the last NoC node id.
+func (m *Machine) tidMachine() int64 { return int64(m.space.Nodes()) }
+
+// tidLLC is the trace thread id of LLC bank b (its NoC node id, so core
+// tids 0..Cores-1 never collide).
+func (m *Machine) tidLLC(bank int) int64 { return int64(m.space.LLCNode(bank)) }
+
+// announce reports one rare event — a fault landing, a recovery step — to
+// both sinks from its vocabulary row: the recorder gets the event, the
+// flight ring a note named after the row whose detail is the row's pairs.
+// vals are the row's values in order, a span kind's duration first.
+func (o *observers) announce(k trace.Kind, now, tid int64, vals ...int64) {
+	span := trace.Vocabulary[k].Ph == trace.PhSpan
+	var dur int64
+	if span {
+		dur, vals = vals[0], vals[1:]
+	}
+	if o.rec != nil {
+		if span {
+			o.rec.Span(k, now, dur, tid, vals...)
+		} else {
+			o.rec.Instant(k, now, tid, vals...)
+		}
+	}
+	if o.flight != nil {
+		var buf [96]byte
+		o.flight.Note(now, k.Name(), string(k.AppendDetail(buf[:0], tid, dur, vals)))
+	}
+}
+
+// observeBarrier runs at the global barrier's release. Releases are the
+// causal profiler's interval boundaries: the last-arriving tile's class
+// deltas since the previous one are the interval's critical path.
+func (m *Machine) observeBarrier(now int64) {
+	if m.causal != nil {
+		m.causal.CloseInterval(now)
+	}
+	if m.rec != nil {
+		m.rec.Instant(trace.EvBarrierRelease, now, m.tidMachine(), m.barrier.gen)
+	}
+}
+
+// observeSkip records a fast-forward of n cycles from the current one.
+func (m *Machine) observeSkip(n int64) {
+	if m.rec != nil {
+		m.rec.Span(trace.EvFastForward, m.now, n, m.tidMachine())
+	}
+}
+
+// observeStep is the observers' share of a run-loop iteration: a telemetry
+// window when due and, at watchdog checkpoints, a counter publish.
+func (m *Machine) observeStep() {
+	if m.sampler != nil && m.sampler.Due(m.now) {
+		m.sample(false)
+	}
+	if m.now%m.checkEvery == 0 {
+		m.PublishMetrics()
+	}
+}
+
+// observeEnd runs on every exit path of Run: fresh totals feed the final
+// window (so a failed run's windows still sum to its aggregates) and the
+// final publish, a failed run's outputs are truncation-marked, the plane's
+// slot is freed, and a completed run's causal profile is finished — after
+// collect's Sync, which puts parked cores' back-filled cycles in it.
+func (m *Machine) observeEnd(failed bool) {
+	m.collect()
+	if m.rec != nil && failed {
+		m.rec.MarkTruncated()
+	}
+	if m.sampler != nil {
+		if failed {
+			m.sampler.MarkTruncated()
+		}
+		m.sample(true)
+	}
+	m.PublishMetrics()
+	m.ReleaseObs()
+	if m.causal != nil && !failed {
+		m.causal.Finish(m.now)
+	}
+}
+
+// CausalProfile returns the finished causal profile, or nil when causal
+// recording was not enabled for this run.
+func (m *Machine) CausalProfile() *causal.Profile {
+	if m.causal == nil {
+		return nil
+	}
+	return m.causal.Profile()
+}
+
+// causalArrive books a delivered response's journey stamps into the
+// destination tile's recorder; the floor is manhattan distance x hop latency.
+func (m *Machine) causalArrive(node int, f *msg.Message) {
+	w := m.Cfg.MeshWidth
+	dx, dy := f.Src%w-node%w, f.Src/w-node/w
+	hops := max(dx, -dx) + max(dy, -dy)
+	if j, ok := causal.JourneyOf(f, m.now, int64(hops*max(m.Cfg.RouterHopLat, 1))); ok {
+		m.causal.Tile(node).Arrive(m.now, j)
+	}
+}
+
+// snapshotCum is the sampler's view of the counter spine: fresh totals
+// folded into the window groups, plus the per-link hop vectors the meshes
+// own. The sampler keeps the previous snapshot by value, so the link slices
+// are copies, never aliases of the meshes' live counters.
+func (m *Machine) snapshotCum() trace.Cum {
+	m.collect()
+	c := trace.Fold(m.Stats, m.roleOf)
+	c.LinksReq = append([]int64(nil), m.meshReq.LinkHops()...)
+	c.LinksResp = append([]int64(nil), m.meshResp.LinkHops()...)
+	return c
+}
+
+// gauges reads the point-in-time values for the current window's end.
+func (m *Machine) gauges() trace.Gauges {
+	var g trace.Gauges
+	for t, s := range m.spads {
+		g.FramesOccupied += int64(s.FullFrames())
+		if hw := int64(m.cores[t].InetHighWater()); hw > g.InetHighWater {
+			g.InetHighWater = hw
+		}
+	}
+	return g
+}
+
+// sample emits one telemetry window ending at the current cycle.
+func (m *Machine) sample(final bool) {
+	c := m.snapshotCum()
+	if final {
+		m.sampler.Finish(m.now, &c, m.gauges())
+	} else {
+		m.sampler.Record(m.now, &c, m.gauges())
+	}
+}
+
+// stepOrSkip is one iteration of the run loop: fast-forward when the whole
+// fabric is provably idle, step otherwise. With a profile attached it also
+// meters the fast-forward probe (Ns covers every probe, Ticks counts taken
+// skips; stage time is metered inside the engine).
+func (m *Machine) stepOrSkip(limit int64) {
+	if m.prof == nil {
+		if !m.fastForward(limit) {
+			m.Step()
+		}
+		return
+	}
+	t0 := time.Now()
+	skipped := m.fastForward(limit)
+	m.prof.FastForward.Ns += int64(time.Since(t0))
+	if skipped {
+		m.prof.FastForward.Ticks++
+	} else {
+		m.Step()
+	}
+}
+
+// PublishMetrics stores the counters into the plane's cells (a no-op when
+// unbound, zero allocations when warm). Exported for drivers that Step
+// rather than Run.
+func (m *Machine) PublishMetrics() {
+	if m.pub != nil {
+		m.pub.publish(m)
+	}
+}
+
+// ReleaseObs frees the plane's machine slot, as Run's exit path does. The
+// snapshot provider stays installed, so /debug/machine serves the final
+// state until the next machine binds.
+func (m *Machine) ReleaseObs() {
+	if m.pub == nil {
+		return
+	}
+	m.pub.plane.ReleaseMachine()
+	m.pub = nil
+}
+
+// ObsBound reports whether this machine won the plane's machine slot (tests).
+func (m *Machine) ObsBound() bool { return m.pub != nil }

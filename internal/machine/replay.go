@@ -53,11 +53,20 @@ type Checkpoint struct {
 // ArmCheckpoint implements cpu.Env: the csrw ckpt instruction asks for a
 // snapshot at the next barrier release. Callable from the parallel core
 // phase; consumed in the serial core prologue.
-func (m *Machine) ArmCheckpoint() { m.ckptArmed.Store(true) }
+func (m *Machine) ArmCheckpoint() {
+	if m.faults != nil {
+		m.faults.ckptArmed.Store(true)
+	}
+}
 
 // Checkpoint returns the latest published checkpoint, if any. It stays
 // valid after Run returns, including on failed runs — that is the point.
-func (m *Machine) Checkpoint() *Checkpoint { return m.ckpt }
+func (m *Machine) Checkpoint() *Checkpoint {
+	if m.faults == nil {
+		return nil
+	}
+	return m.faults.ckpt
+}
 
 // RestoreCheckpoint loads ck's image into global memory before Run: the
 // ladder's attempt-th try resumes from it instead of from the initial
@@ -73,8 +82,8 @@ func (m *Machine) RestoreCheckpoint(ck *Checkpoint, attempt int) {
 // may hold corruption the integrity layer hasn't repaired (or can't see).
 // Without the integrity layer there is no evidence either way; snapshots
 // are then gated only on the barrier's own consistency.
-func (m *Machine) snapshotSafe() bool {
-	for _, s := range m.spads {
+func (fs *faultStack) snapshotSafe() bool {
+	for _, s := range fs.spads {
 		if s.Suspect() {
 			return false
 		}
@@ -82,50 +91,51 @@ func (m *Machine) snapshotSafe() bool {
 	return true
 }
 
-// takeCheckpoint publishes the current memory image. Called at a barrier
-// release, so the mesh and DRAM are drained and only dirty LLC lines differ
-// from the backing store.
-func (m *Machine) takeCheckpoint(now int64) {
-	im := m.Global.Snapshot()
-	for _, b := range m.llcs {
+// barrierReleased publishes the memory image if a checkpoint is armed: at
+// the release every earlier store has drained and no core is past the
+// barrier, so the image is a consistent cut, and only dirty LLC lines differ
+// from the backing store. Skipped (but disarmed) when a scratchpad may hold
+// unrepaired corruption.
+func (fs *faultStack) barrierReleased(now int64) {
+	if !fs.ckptArmed.Swap(false) || !fs.ckptOn || !fs.snapshotSafe() {
+		return
+	}
+	im := fs.Global.Snapshot()
+	for _, b := range fs.llcs {
 		b.OverlayDirty(im)
 	}
-	m.ckpt = &Checkpoint{Cycle: now, Image: im}
-	if m.rec != nil {
-		m.rec.Instant(trace.EvCheckpoint, now, m.tidMachine(), int64(im.Pages()), int64(im.Size()/4))
-	}
-	m.flight.Note(now, "checkpoint", fmt.Sprintf("%d words published, %d dirty pages (%d KiB) copied",
-		im.Size()/4, im.Pages(), im.Bytes()/1024))
-	m.Stats.Checkpoints++
+	fs.ckpt = &Checkpoint{Cycle: now, Image: im}
+	fs.announce(trace.EvCheckpoint, now, fs.tidMachine(), int64(im.Pages()), int64(im.Size()/4))
+	fs.Stats.Checkpoints++
 }
 
 // tickReplays is the replay manager's once-per-cycle scan (serial "mem"
 // prologue): start replays for newly poisoned frames and drive in-flight
 // ones.
-func (m *Machine) tickReplays(now int64) {
-	for t, s := range m.spads {
-		if rs := m.replays[t]; rs != nil {
-			m.driveReplay(now, rs)
+func (fs *faultStack) tickReplays(now int64) {
+	for t, s := range fs.spads {
+		if rs := fs.replays[t]; rs != nil {
+			fs.driveReplay(now, rs)
 			continue
 		}
 		if s.Poisoned() && !s.Dead() {
-			m.startReplay(now, t)
+			fs.startReplay(now, t)
 		}
 	}
 }
 
 // startReplay reconstructs the poisoned head frame's vload traffic from the
 // scratchpad's delivery record and begins injecting it.
-func (m *Machine) startReplay(now int64, t int) {
-	s := m.spads[t]
+func (fs *faultStack) startReplay(now int64, t int) {
+	s := fs.spads[t]
 	segs, complete := s.HeadSegments()
 	if !complete {
 		// The frame wasn't filled purely by vloads (or the record is torn):
 		// nothing to replay from. Escalate straight away.
-		m.escalateReplay(now, t)
+		fs.escalateReplay(now, t)
 		return
 	}
-	lineBytes := uint32(m.Cfg.CacheLineBytes)
+	lineBytes := uint32(fs.Cfg.CacheLineBytes)
 	var chunks []msg.Message
 	for _, g := range segs {
 		addr, off, left := g.Addr, g.Off, g.Words
@@ -136,7 +146,7 @@ func (m *Machine) startReplay(now int64, t int) {
 				n = left
 			}
 			chunks = append(chunks, msg.Message{
-				Kind: msg.KindVloadReq, Src: t, Dst: m.LLCNodeFor(addr),
+				Kind: msg.KindVloadReq, Src: t, Dst: fs.LLCNodeFor(addr),
 				Addr: addr, Words: n, SpadOff: off,
 				Vload: isa.VloadArgs{Dist: isa.VloadSelf, Width: n},
 				Group: -1, ReqCore: t,
@@ -147,23 +157,19 @@ func (m *Machine) startReplay(now int64, t int) {
 		}
 	}
 	s.BeginReplay()
-	if m.rec != nil {
-		m.rec.Instant(trace.EvReplayStart, now, int64(t), int64(len(chunks)), s.HeadSeq())
-	}
-	m.flight.Note(now, "replay.start",
-		fmt.Sprintf("tile %d head frame re-issued in %d chunks", t, len(chunks)))
+	fs.announce(trace.EvReplayStart, now, int64(t), int64(len(chunks)), s.HeadSeq())
 	rs := &replayState{tile: t, chunks: chunks, tries: 1, deadline: now + replayTimeout}
-	m.replays[t] = rs
-	m.driveReplay(now, rs)
+	fs.replays[t] = rs
+	fs.driveReplay(now, rs)
 }
 
 // driveReplay advances one replay: inject pending chunks (resuming across
 // cycles under backpressure), then watch for verification, re-poisoning, or
 // timeout.
-func (m *Machine) driveReplay(now int64, rs *replayState) {
-	s := m.spads[rs.tile]
+func (fs *faultStack) driveReplay(now int64, rs *replayState) {
+	s := fs.spads[rs.tile]
 	if s.Dead() || s.Err() != nil {
-		m.replays[rs.tile] = nil
+		fs.replays[rs.tile] = nil
 		return
 	}
 	if now < rs.retryAt {
@@ -171,7 +177,7 @@ func (m *Machine) driveReplay(now int64, rs *replayState) {
 	}
 	if rs.next < len(rs.chunks) {
 		for rs.next < len(rs.chunks) {
-			if !m.meshReq.TrySend(rs.chunks[rs.next]) {
+			if !fs.meshReq.TrySend(rs.chunks[rs.next]) {
 				return
 			}
 			rs.next++
@@ -183,71 +189,57 @@ func (m *Machine) driveReplay(now int64, rs *replayState) {
 	}
 	if s.Poisoned() {
 		// Refilled but the parity check failed again.
-		m.retryReplay(now, rs)
+		fs.retryReplay(now, rs)
 		return
 	}
 	if !s.Replaying() {
 		// Verification passed: the frame is clean and the consumer unblocks.
-		if m.rec != nil {
-			m.rec.Instant(trace.EvReplayOK, now, int64(rs.tile), int64(rs.tries))
-		}
-		m.flight.Note(now, "replay.ok",
-			fmt.Sprintf("tile %d frame verified after %d tries", rs.tile, rs.tries))
-		m.Stats.Cores[rs.tile].FrameReplays++
-		m.replays[rs.tile] = nil
+		fs.announce(trace.EvReplayOK, now, int64(rs.tile), int64(rs.tries))
+		fs.Stats.Cores[rs.tile].FrameReplays++
+		fs.replays[rs.tile] = nil
 		return
 	}
 	if now >= rs.deadline {
 		// Data never (fully) arrived: request or response lost or stuck.
-		m.retryReplay(now, rs)
+		fs.retryReplay(now, rs)
 	}
 }
 
 // retryReplay re-issues the whole replay after backoff, or escalates once
 // the retry budget is spent.
-func (m *Machine) retryReplay(now int64, rs *replayState) {
+func (fs *faultStack) retryReplay(now int64, rs *replayState) {
 	if rs.tries >= replayMaxTries {
-		m.replays[rs.tile] = nil
-		m.escalateReplay(now, rs.tile)
+		fs.replays[rs.tile] = nil
+		fs.escalateReplay(now, rs.tile)
 		return
 	}
 	rs.tries++
 	rs.next = 0
 	rs.retryAt = now + replayBackoff<<(rs.tries-2)
 	rs.deadline = rs.retryAt + replayTimeout<<(rs.tries-1)
-	if m.rec != nil {
-		m.rec.Instant(trace.EvReplayRetry, now, int64(rs.tile), int64(rs.tries))
-	}
-	m.flight.Note(now, "replay.retry",
-		fmt.Sprintf("tile %d replay try %d", rs.tile, rs.tries))
-	m.spads[rs.tile].BeginReplay()
-	m.Stats.Cores[rs.tile].ReplayRetries++
+	fs.announce(trace.EvReplayRetry, now, int64(rs.tile), int64(rs.tries))
+	fs.spads[rs.tile].BeginReplay()
+	fs.Stats.Cores[rs.tile].ReplayRetries++
 }
 
 // escalateReplay hands an unrepairable frame to the degradation ladder: a
 // grouped tile breaks its vector group (survivors devectorize through the
 // program's recovery point); an ungrouped tile latches a structured error so
 // the run restarts.
-func (m *Machine) escalateReplay(now int64, t int) {
-	if m.report != nil {
-		m.report.ReplayEscalations++
-	}
-	if m.rec != nil {
-		m.rec.Instant(trace.EvReplayEscalate, now, int64(t))
-	}
-	m.flight.Note(now, "replay.escalate",
-		fmt.Sprintf("tile %d frame unrepairable, escalating", t))
-	s := m.spads[t]
-	if gid := m.tileGroup[t]; gid >= 0 && !m.brokenGroups[gid] {
+func (fs *faultStack) escalateReplay(now int64, t int) {
+	fs.report.ReplayEscalations++
+	fs.announce(trace.EvReplayEscalate, now, int64(t))
+	s := fs.spads[t]
+	if gid := fs.tileGroup[t]; gid >= 0 && !fs.brokenGroups[gid] {
 		s.AbandonReplay()
-		m.breakGroup(now, gid)
-		m.checkBarrier()
+		fs.breakGroup(now, gid)
+		fs.checkBarrier()
 		return
 	}
 	s.FailReplay()
 	if s.Err() == nil {
 		// FailReplay latches unless an earlier error won; make sure the run
 		// stops either way.
-		m.Error(fmt.Errorf("machine: tile %d: frame replay escalation with no group to break", t))
+		fs.Error(fmt.Errorf("machine: tile %d: frame replay escalation with no group to break", t))
 	}
 }

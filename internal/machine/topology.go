@@ -39,20 +39,6 @@ func respPlane(k msg.Kind) bool {
 	return false
 }
 
-// ensureBankState allocates the bank-failover indirection on the first
-// topology event that needs it; until then LLCNodeFor runs the unmapped
-// modulo stripe untouched.
-func (m *Machine) ensureBankState() {
-	if m.bankMap == nil {
-		m.bankMap = make([]int, m.Cfg.LLCBanks)
-		for i := range m.bankMap {
-			m.bankMap[i] = i
-		}
-		m.deadBanks = make([]bool, m.Cfg.LLCBanks)
-		m.liveBanks = m.Cfg.LLCBanks
-	}
-}
-
 // deadDstPolicy is the mesh planes' unreachable-destination policy on a
 // degraded topology: stale LLC destinations fail over to the bank that now
 // owns the slice, responses owed to a dead core are dropped (nothing is
@@ -61,12 +47,10 @@ func (m *Machine) ensureBankState() {
 // mutates in the serial fault step and counts through an atomic.
 func (m *Machine) deadDstPolicy(f *msg.Message) noc.DeadDstAction {
 	if bank, ok := m.space.IsLLC(f.Dst); ok {
-		if m.bankMap != nil {
-			if nb := m.bankMap[bank]; nb != bank {
-				f.Dst = m.space.LLCNode(nb)
-				m.bankFailovers.Add(1)
-				return noc.DeadDstRetarget
-			}
+		if nb := m.bankMap[bank]; nb != bank {
+			f.Dst = m.space.LLCNode(nb)
+			m.bankFailovers.Add(1)
+			return noc.DeadDstRetarget
 		}
 		return noc.DeadDstFail
 	}
@@ -81,17 +65,17 @@ func (m *Machine) deadDstPolicy(f *msg.Message) noc.DeadDstAction {
 // route tables are up — in-place re-steering is unsound under up*/down*
 // (a flit that already descended may have no down-only path on the new
 // table), so transitions are epoch-style: drain, mutate, re-inject.
-func (m *Machine) harvestPlanes(req, resp bool) {
+func (fs *faultStack) harvestPlanes(req, resp bool) {
 	if req {
-		for _, f := range m.meshReq.HarvestAll() {
-			m.reinjectQ = append(m.reinjectQ, reinjectFlit{resp: false, f: f})
-			m.reroutedFlits++
+		for _, f := range fs.meshReq.HarvestAll() {
+			fs.reinjectQ = append(fs.reinjectQ, reinjectFlit{resp: false, f: f})
+			fs.reroutedFlits++
 		}
 	}
 	if resp {
-		for _, f := range m.meshResp.HarvestAll() {
-			m.reinjectQ = append(m.reinjectQ, reinjectFlit{resp: true, f: f})
-			m.reroutedFlits++
+		for _, f := range fs.meshResp.HarvestAll() {
+			fs.reinjectQ = append(fs.reinjectQ, reinjectFlit{resp: true, f: f})
+			fs.reroutedFlits++
 		}
 	}
 }
@@ -99,14 +83,14 @@ func (m *Machine) harvestPlanes(req, resp bool) {
 // drainReinject re-injects harvested and bank-drained flits, in order,
 // keeping whatever the network refuses (full injection queue, busy bank)
 // for the next cycle. Runs in the serial mem prologue.
-func (m *Machine) drainReinject() {
-	q := m.reinjectQ[:0]
-	for _, rf := range m.reinjectQ {
-		if !m.tryReinject(rf) {
+func (fs *faultStack) drainReinject() {
+	q := fs.reinjectQ[:0]
+	for _, rf := range fs.reinjectQ {
+		if !fs.tryReinject(rf) {
 			q = append(q, rf)
 		}
 	}
-	m.reinjectQ = q
+	fs.reinjectQ = q
 }
 
 // tryReinject attempts one re-injection. Destinations are re-resolved at
@@ -115,40 +99,40 @@ func (m *Machine) drainReinject() {
 // router died deliver directly (their injection port no longer exists, but
 // the payload — e.g. a decommissioned bank's final responses — must still
 // land).
-func (m *Machine) tryReinject(rf reinjectFlit) bool {
+func (fs *faultStack) tryReinject(rf reinjectFlit) bool {
 	f := rf.f
-	if bank, ok := m.space.IsLLC(f.Dst); ok && m.deadBanks != nil && m.deadBanks[bank] {
-		f.Dst = m.space.LLCNode(m.bankMap[bank])
-		m.bankFailovers.Add(1)
+	if bank, ok := fs.space.IsLLC(f.Dst); ok && fs.bankMap[bank] != bank {
+		f.Dst = fs.space.LLCNode(fs.bankMap[bank])
+		fs.bankFailovers.Add(1)
 	}
-	if f.Dst >= 0 && f.Dst < len(m.cores) && m.cores[f.Dst].Dead() {
+	if f.Dst >= 0 && f.Dst < len(fs.cores) && fs.cores[f.Dst].Dead() {
 		return true // owed to a dead core: drop
 	}
-	mesh := m.meshReq
+	mesh := fs.meshReq
 	if rf.resp {
-		mesh = m.meshResp
+		mesh = fs.meshResp
 	}
 	if mesh.RouterDead(mesh.AttachRouter(f.Src)) {
-		return m.deliver(f.Dst, &f)
+		return fs.deliver(f.Dst, &f)
 	}
 	return mesh.TrySend(f)
 }
 
 // cutLink severs one mesh link (both directions) on the planes the event
 // names and rebuilds their route tables. Runs with the engine synced.
-func (m *Machine) cutLink(now int64, e fault.Event) {
+func (fs *faultStack) cutLink(now int64, e fault.Event) {
 	req := e.Plane == fault.PlaneBoth || e.Plane == fault.PlaneReq
 	resp := e.Plane == fault.PlaneBoth || e.Plane == fault.PlaneResp
-	m.harvestPlanes(req, resp)
+	fs.harvestPlanes(req, resp)
 	if req {
-		if err := m.meshReq.CutLink(e.From, e.To); err != nil {
-			m.Error(err)
+		if err := fs.meshReq.CutLink(e.From, e.To); err != nil {
+			fs.Error(err)
 			return
 		}
 	}
 	if resp {
-		if err := m.meshResp.CutLink(e.From, e.To); err != nil {
-			m.Error(err)
+		if err := fs.meshResp.CutLink(e.From, e.To); err != nil {
+			fs.Error(err)
 			return
 		}
 	}
@@ -156,42 +140,36 @@ func (m *Machine) cutLink(now int64, e fault.Event) {
 	if e.Plane != fault.PlaneBoth {
 		label += ":" + e.Plane.String()
 	}
-	m.report.CutLinks = append(m.report.CutLinks, label)
-	if m.rec != nil {
-		m.rec.Instant(trace.EvFaultCutLink, now, int64(e.From), int64(e.Plane), int64(e.To))
-	}
-	m.flight.Note(now, "fault.cutlink", "link "+label+" cut")
-	m.meshWaker.Wake()
+	fs.report.CutLinks = append(fs.report.CutLinks, label)
+	fs.announce(trace.EvFaultCutLink, now, int64(e.From), int64(e.Plane), int64(e.To))
+	fs.meshWaker.Wake()
 }
 
 // killRouter powers router r off: both planes route around the hole, the
 // attached core dies exactly as a killed tile, and any LLC bank hanging off
 // the router fails over to the survivors.
-func (m *Machine) killRouter(now int64, r int) {
-	if m.meshReq.RouterDead(r) {
+func (fs *faultStack) killRouter(now int64, r int) {
+	if fs.meshReq.RouterDead(r) {
 		return
 	}
-	m.harvestPlanes(true, true)
-	if err := m.meshReq.KillRouter(r); err != nil {
-		m.Error(err)
+	fs.harvestPlanes(true, true)
+	if err := fs.meshReq.KillRouter(r); err != nil {
+		fs.Error(err)
 		return
 	}
-	if err := m.meshResp.KillRouter(r); err != nil {
-		m.Error(err)
+	if err := fs.meshResp.KillRouter(r); err != nil {
+		fs.Error(err)
 		return
 	}
-	m.report.DeadRouters = append(m.report.DeadRouters, r)
-	if m.rec != nil {
-		m.rec.Instant(trace.EvFaultKillRouter, now, int64(r))
-	}
-	m.flight.Note(now, "fault.killrouter", fmt.Sprintf("router %d powered off", r))
-	m.killTile(now, r)
-	for b := range m.llcs {
-		if m.meshResp.AttachRouter(m.space.LLCNode(b)) == r {
-			m.killBank(now, b)
+	fs.report.DeadRouters = append(fs.report.DeadRouters, r)
+	fs.announce(trace.EvFaultKillRouter, now, int64(r))
+	fs.killTile(now, r)
+	for b := range fs.llcs {
+		if fs.meshResp.AttachRouter(fs.space.LLCNode(b)) == r {
+			fs.killBank(now, b)
 		}
 	}
-	m.meshWaker.Wake()
+	fs.meshWaker.Wake()
 }
 
 // killBank decommissions LLC bank b: dirty lines flush to the global
@@ -200,57 +178,41 @@ func (m *Machine) killRouter(now int64, r int) {
 // untouched (the bank's router still routes); in-flight flits addressed to
 // the dead bank are absorbed by the failover owner at delivery. Killing
 // the last live bank is fatal — there is nowhere left to put the LLC.
-func (m *Machine) killBank(now int64, b int) {
-	m.ensureBankState()
-	if m.deadBanks[b] {
+func (fs *faultStack) killBank(now int64, b int) {
+	if fs.bankMap[b] != b {
+		return // already dead
+	}
+	owner := fs.nextLiveBank(b)
+	if owner == b {
+		fs.Error(fmt.Errorf("machine: killbank %d: last live LLC bank, nothing to fail over to", b))
 		return
 	}
-	if m.liveBanks == 1 {
-		m.Error(fmt.Errorf("machine: killbank %d: last live LLC bank, nothing to fail over to", b))
-		return
-	}
-	m.deadBanks[b] = true
-	m.liveBanks--
-	owner := m.nextLiveBank(b)
-	for x := range m.bankMap {
-		if m.bankMap[x] == b {
-			m.bankMap[x] = owner
+	for x := range fs.bankMap {
+		if fs.bankMap[x] == b {
+			fs.bankMap[x] = owner
 		}
 	}
-	m.report.DeadBanks = append(m.report.DeadBanks, b)
-	if m.rec != nil {
-		m.rec.Instant(trace.EvFaultKillBank, now, m.tidLLC(b), int64(owner))
-	}
-	m.flight.Note(now, "fault.killbank",
-		fmt.Sprintf("llc bank %d decommissioned, slice fails over to bank %d", b, owner))
+	fs.report.DeadBanks = append(fs.report.DeadBanks, b)
+	fs.announce(trace.EvFaultKillBank, now, fs.tidLLC(b), int64(owner))
 	// Dead-bank DRAM fills are dropped in preMem; the owner re-fetches any
 	// line it needs. The drained messages re-resolve their destinations in
 	// tryReinject, so requests the bank had absorbed land at the owner.
-	m.llcs[b].Decommission(func(f msg.Message) {
-		m.reinjectQ = append(m.reinjectQ, reinjectFlit{resp: respPlane(f.Kind), f: f})
+	fs.llcs[b].Decommission(func(f msg.Message) {
+		fs.reinjectQ = append(fs.reinjectQ, reinjectFlit{resp: respPlane(f.Kind), f: f})
 	})
-	m.bankWakers[owner].Wake()
+	fs.bankWakers[owner].Wake()
 }
 
 // nextLiveBank returns the first live bank scanning upward from b+1
-// (wrapping) — the deterministic failover owner.
-func (m *Machine) nextLiveBank(b int) int {
-	n := m.Cfg.LLCBanks
+// (wrapping) — the deterministic failover owner — or b itself when no other
+// bank is live.
+func (fs *faultStack) nextLiveBank(b int) int {
+	n := fs.Cfg.LLCBanks
 	for i := 1; i < n; i++ {
 		c := (b + i) % n
-		if !m.deadBanks[c] {
+		if fs.bankMap[c] == c {
 			return c
 		}
 	}
 	return b
-}
-
-// dramDegrade arms the DRAM latency-degradation window.
-func (m *Machine) dramDegrade(now int64, e fault.Event) {
-	m.dram.Degrade(e.Cycle, e.Until, e.Factor)
-	if m.rec != nil {
-		m.rec.Instant(trace.EvFaultDramDegrade, now, m.tidMachine(), int64(e.Factor*100), e.Until)
-	}
-	m.flight.Note(now, "fault.dramdegrade",
-		fmt.Sprintf("dram latency x%.2f until cycle %d", e.Factor, e.Until))
 }

@@ -120,10 +120,6 @@ type LLCBank struct {
 	groups GroupLanes
 	st     *stats.LLC
 
-	// watch, when nonzero, logs accesses to one word address (the old
-	// ROCKTRACE=<addr> debugging aid, now per-instance).
-	watch uint32
-
 	// causal gates journey stamping for the causal profiler: with it off
 	// (the default) responses leave with zero stamps and the bank does no
 	// extra work, keeping goldens bit-identical.
@@ -169,9 +165,6 @@ func NewLLCBank(id int, cfg config.Manycore, node int, out Sender, dram *DRAM, g
 	}
 	return b, nil
 }
-
-// SetWatchAddr arms ad-hoc logging of one word address (0 disarms).
-func (b *LLCBank) SetWatchAddr(addr uint32) { b.watch = addr }
 
 // Err returns the first invariant violation the bank observed, if any.
 func (b *LLCBank) Err() error { return b.err }
@@ -463,9 +456,6 @@ func (b *LLCBank) processRequest(now int64) {
 }
 
 func (b *LLCBank) handleStore(now int64, m msg.Message) bool {
-	if b.watch != 0 && m.Addr == b.watch {
-		fmt.Printf("[%d] bank%d STORE addr=%#x val=%d from core %d\n", now, b.ID, m.Addr, int32(m.Vals[0]), m.Src)
-	}
 	lineAddr := b.lineAddrOf(m.Addr)
 	if w := b.lookup(lineAddr); w >= 0 {
 		set := b.setOf(lineAddr)
@@ -496,15 +486,6 @@ func (b *LLCBank) handleStore(now int64, m msg.Message) bool {
 }
 
 func (b *LLCBank) handleLoad(now int64, m msg.Message) bool {
-	if b.watch != 0 && m.Kind == msg.KindLoadReq && m.Addr == b.watch {
-		w := b.lookup(b.lineAddrOf(m.Addr))
-		v := int32(-999)
-		if w >= 0 {
-			set := b.setOf(b.lineAddrOf(m.Addr))
-			v = int32(b.lines[set*b.ways+w].data[(m.Addr-b.lineAddrOf(m.Addr))/4])
-		}
-		fmt.Printf("[%d] bank%d LOAD addr=%#x cached=%d from core %d\n", now, b.ID, m.Addr, v, m.Src)
-	}
 	lineAddr, kStart, kEnd, ok := b.portion(m)
 	if !ok {
 		return true // error already recorded; drop

@@ -76,10 +76,6 @@ func (m *Mesh) resolveDeadDst(f msg.Message, tile int, p port) (out port, _ msg.
 	return portDead, f, false
 }
 
-// DegradedTopology reports whether the mesh has lost links or routers and
-// is running on the fault-aware route table.
-func (m *Mesh) DegradedTopology() bool { return m.ftab != nil }
-
 // RouterDead reports whether router r has been powered off (always false
 // on a healthy mesh).
 func (m *Mesh) RouterDead(r int) bool { return m.routerDead != nil && m.routerDead[r] }

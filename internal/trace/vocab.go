@@ -1,5 +1,7 @@
 package trace
 
+import "strconv"
+
 // Kind names one row of the event vocabulary. Every event a Recorder holds
 // is a Kind plus numbers; its name, category, phase and argument keys live
 // in Vocabulary and nowhere else, so producers (the emit sites), the JSON
@@ -105,4 +107,20 @@ func (k Kind) ArgIndex(key string) int {
 		}
 	}
 	return -1
+}
+
+// AppendDetail renders one event of kind k as text — "tid=T", "dur=D" for a
+// span, then the row's "key=value" pairs — the detail line a flight-recorder
+// note carries for the event. args are the row's values, in order.
+func (k Kind) AppendDetail(dst []byte, tid, dur int64, args []int64) []byte {
+	info := &Vocabulary[k]
+	dst = strconv.AppendInt(append(dst, "tid="...), tid, 10)
+	if info.Ph == PhSpan {
+		dst = strconv.AppendInt(append(dst, " dur="...), dur, 10)
+	}
+	for i, key := range info.Keys {
+		dst = append(append(append(dst, ' '), key...), '=')
+		dst = strconv.AppendInt(dst, args[i], 10)
+	}
+	return dst
 }
