@@ -4,7 +4,7 @@
 // Usage:
 //
 //	rockbench -table 1a|1b|2|3
-//	rockbench -fig 10|11|12|13|14|15|16|17a|17b|17c|bfs|fault|replay|netfault [-scale small|full] [-bench name,...]
+//	rockbench -fig NAME [-scale small|full] [-bench name,...]   (-h lists the names)
 //	rockbench -all [-scale small|full]
 //	rockbench -check bench/baseline.json
 //	rockbench -update-baseline bench/baseline.json [-scale tiny]
@@ -68,9 +68,16 @@ import (
 var journalHint string
 
 func main() {
+	// harness.Figures is the one list of figures: the -fig help, its
+	// dispatch, the unknown-figure message and -all's order all read it.
+	var figList []string
+	for _, f := range harness.Figures {
+		figList = append(figList, f.Name)
+	}
+	figNames := strings.Join(figList, ", ")
 	var (
 		tableName  = flag.String("table", "", "table to print: 1a, 1b, 2, 3")
-		figName    = flag.String("fig", "", "figure to regenerate: 10, 11, 12, 13, 14, 15, 16, 17a, 17b, 17c, bfs, fault, replay, netfault")
+		figName    = flag.String("fig", "", "figure to regenerate: "+figNames)
 		allFlag    = flag.Bool("all", false, "regenerate every table and figure")
 		scaleName  = flag.String("scale", "small", "input scale: tiny, small, full")
 		benchCSV   = flag.String("bench", "", "comma-separated benchmark subset")
@@ -188,42 +195,23 @@ func main() {
 	}
 
 	r := newRunner(scale)
-	out := os.Stdout
 	if *tableName != "" {
 		if err := printTable(*tableName, scale); err != nil {
 			fatal(err)
 		}
 		return
 	}
-	figs := map[string]func() error{
-		"10":  func() error { return r.Fig10(out) },
-		"11":  func() error { return r.Fig11(out) },
-		"12":  func() error { return r.Fig12(out) },
-		"13":  func() error { return r.Fig13(out) },
-		"14":  func() error { return r.Fig14(out) },
-		"15":  func() error { return r.Fig15(out) },
-		"16":  func() error { return r.Fig16(out) },
-		"17a": func() error { return r.Fig17a(out) },
-		"17b": func() error { return r.Fig17b(out) },
-		"17c": func() error { return r.Fig17c(out) },
-		"bfs": func() error { return r.BFS(out) },
-		// Not part of the paper: the fault-injection degradation curve and
-		// the recovery-ladder comparison (ROADMAP robustness extensions).
-		// Excluded from -all.
-		"fault":    func() error { return r.FigFault(out) },
-		"replay":   func() error { return r.FigReplay(out) },
-		"netfault": func() error { return r.FigNetFault(out) },
-	}
 	if *figName != "" {
-		fn, ok := figs[*figName]
-		if !ok {
-			fatal(fmt.Errorf("unknown figure %q", *figName))
+		for _, f := range harness.Figures {
+			if f.Name == *figName {
+				if err := f.Fn(r, os.Stdout); err != nil {
+					fatal(err)
+				}
+				reportThroughput(r)
+				return
+			}
 		}
-		if err := fn(); err != nil {
-			fatal(err)
-		}
-		reportThroughput(r)
-		return
+		fatal(fmt.Errorf("unknown figure %q (have: %s)", *figName, figNames))
 	}
 	if *allFlag {
 		for _, name := range []string{"1a", "1b", "2", "3"} {
@@ -232,9 +220,14 @@ func main() {
 			}
 			fmt.Println()
 		}
-		for _, name := range []string{"10", "11", "12", "13", "14", "15", "16", "17a", "17b", "17c", "bfs"} {
-			if err := figs[name](); err != nil {
-				fatal(fmt.Errorf("figure %s: %w", name, err))
+		// The paper's figures only: the robustness extensions (fault,
+		// replay, netfault) are not part of -all.
+		for _, f := range harness.Figures {
+			if !f.Paper {
+				continue
+			}
+			if err := f.Fn(r, os.Stdout); err != nil {
+				fatal(fmt.Errorf("figure %s: %w", f.Name, err))
 			}
 			fmt.Println()
 		}

@@ -8,7 +8,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
+
+	"rockcress/internal/harness"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -98,5 +102,49 @@ func TestUsageErrorsExitOne(t *testing.T) {
 		if !errors.As(err, &ee) || ee.ExitCode() != 1 {
 			t.Errorf("rockbench %v: got %v, want exit status 1", args, err)
 		}
+	}
+}
+
+// TestFigureNamesComeFromRegistry: the -fig help text and the
+// unknown-figure error each list exactly harness.Figures, in its order.
+func TestFigureNamesComeFromRegistry(t *testing.T) {
+	var names []string
+	for _, f := range harness.Figures {
+		names = append(names, f.Name)
+	}
+	want := strings.Join(names, ", ")
+	for _, c := range []struct {
+		args []string
+		list *regexp.Regexp
+	}{
+		{[]string{"-h"}, regexp.MustCompile(`figure to regenerate: (.*)`)},
+		{[]string{"-q", "-fig", "nosuchfigure", "-scale", "tiny"}, regexp.MustCompile(`unknown figure "nosuchfigure" \(have: (.*)\)`)},
+	} {
+		out, _ := exec.Command(rockbenchBin, c.args...).CombinedOutput()
+		if m := c.list.FindSubmatch(out); m == nil || string(m[1]) != want {
+			t.Errorf("rockbench %v lists figures %q, want %q; output:\n%s", c.args, m, want, out)
+		}
+	}
+}
+
+// TestAllIsTablesThenPaperFigures: -all prints the four tables and then
+// every paper figure of the registry, in registry order, each followed by
+// a blank line — byte for byte what the separate -table and -fig runs print.
+func TestAllIsTablesThenPaperFigures(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	common := []string{"-q", "-scale", "tiny", "-bench", "mvt"}
+	var want []byte
+	for _, name := range []string{"1a", "1b", "2", "3"} {
+		want = append(append(want, stdout(t, append(common, "-table", name)...)...), '\n')
+	}
+	for _, f := range harness.Figures {
+		if f.Paper {
+			want = append(append(want, stdout(t, append(common, "-fig", f.Name)...)...), '\n')
+		}
+	}
+	if got := stdout(t, append(common, "-all")...); !bytes.Equal(got, want) {
+		t.Errorf("-all stdout is not the tables followed by each paper figure; got:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -62,17 +62,16 @@ func ReadBaseline(path string) (*Baseline, error) {
 	return &b, nil
 }
 
-// baselineReqs is the full sweep a baseline records: every PolyBench
-// kernel under every BaselineConfigs entry, no hardware mods.
-func (r *Runner) baselineReqs() []runReq {
-	return sweepReqs(kernels.PolyBench(), BaselineConfigs, nil)
-}
-
-// WriteBaseline runs the baseline sweep at the runner's scale and writes
-// the resulting reports to path.
+// WriteBaseline runs the baseline sweep — every PolyBench kernel under
+// every BaselineConfigs entry, no hardware mods — at the runner's scale and
+// writes the resulting reports to path.
 func (r *Runner) WriteBaseline(path string) error {
-	reqs := r.baselineReqs()
-	if err := r.prewarm(reqs); err != nil {
+	reqs, err := requests(kernels.PolyBench(), plain(BaselineConfigs...))
+	if err != nil {
+		return err
+	}
+	results, err := r.fetch(reqs)
+	if err != nil {
 		return err
 	}
 	b := &Baseline{
@@ -80,12 +79,8 @@ func (r *Runner) WriteBaseline(path string) error {
 		Scale:  r.opts.Scale.String(),
 		Runs:   make(map[string]*analyze.Report, len(reqs)),
 	}
-	for _, q := range reqs {
-		res, err := r.RunNamed(q.bench, q.cfg, nil)
-		if err != nil {
-			return err
-		}
-		b.Runs[baselineKey(q.bench.Info().Name, q.cfg)] = r.report(res, "")
+	for i, q := range reqs {
+		b.Runs[baselineKey(q.bench.Info().Name, q.sw.Name)] = r.report(results[i], "")
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -117,10 +112,12 @@ func (r *Runner) Check(b *Baseline, out io.Writer) error {
 	// hand-edited baseline with entries removed would silently stop
 	// covering those runs. Demand the full expected sweep.
 	var missing []string
-	for _, q := range r.baselineReqs() {
-		k := baselineKey(q.bench.Info().Name, q.cfg)
-		if _, ok := b.Runs[k]; !ok {
-			missing = append(missing, k)
+	for _, bench := range kernels.PolyBench() {
+		for _, cfg := range BaselineConfigs {
+			k := baselineKey(bench.Info().Name, cfg)
+			if _, ok := b.Runs[k]; !ok {
+				missing = append(missing, k)
+			}
 		}
 	}
 	if len(missing) > 0 {
@@ -134,29 +131,27 @@ func (r *Runner) Check(b *Baseline, out io.Writer) error {
 	}
 	sort.Strings(keys)
 
-	// Re-simulate everything on the worker pool first, then compare in
+	// Re-simulate everything on the worker pool, then compare in
 	// deterministic key order.
-	var reqs []runReq
-	for _, k := range keys {
-		rep := b.Runs[k]
-		bench, err := kernels.Get(rep.Bench)
+	reqs := make([]runReq, len(keys))
+	for i, k := range keys {
+		bench, err := kernels.Get(b.Runs[k].Bench)
 		if err != nil {
 			return fmt.Errorf("harness: baseline run %s: %w", k, err)
 		}
-		reqs = append(reqs, runReq{bench: bench, cfg: rep.Config})
+		if reqs[i], err = req(bench, b.Runs[k].Config, nil); err != nil {
+			return err
+		}
 	}
-	if err := r.prewarm(reqs); err != nil {
+	results, err := r.fetch(reqs)
+	if err != nil {
 		return err
 	}
 
 	drifted := 0
 	for i, k := range keys {
 		want := b.Runs[k]
-		res, err := r.RunNamed(reqs[i].bench, reqs[i].cfg, nil)
-		if err != nil {
-			return err
-		}
-		got := r.report(res, "")
+		got := r.report(results[i], "")
 		if got.Cycles == want.Cycles {
 			fmt.Fprintf(out, "ok   %-22s %10d cycles\n", k, got.Cycles)
 			continue

@@ -21,6 +21,26 @@ var faultKills = []int{0, 1, 2, 4, 8}
 // both vector lengths (group reformation has more to lose at V16).
 var faultConfigs = []string{"NV", "V4", "V16"}
 
+// faultBases fetches the fault-free run of every benches x cfgs cell,
+// bench-major, for a fault figure with the given number of x-axis points
+// per cell. The base runs are independent and share the pool; the ladder
+// cells that follow stay serial — each is a restart chain whose plan
+// depends on its base cycle count — but their number is known here, so they
+// are planned now and /debug/run's ETA covers them. Each cell's request
+// comes back beside its result: the ladder re-executes its software.
+func (r *Runner) faultBases(benches []kernels.Benchmark, cfgs []string, points int) ([]runReq, []*kernels.Result, error) {
+	reqs, err := requests(benches, plain(cfgs...))
+	if err != nil {
+		return nil, nil, err
+	}
+	base, err := r.fetch(reqs)
+	if err != nil {
+		return nil, nil, err
+	}
+	r.opts.Obs.Run().AddPlanned(len(reqs) * points)
+	return reqs, base, nil
+}
+
 // FigFault prints the graceful-degradation curve: relative throughput
 // (fault-free cycles / total cycles including aborted attempts) for mvt as
 // k tiles are killed mid-run. A trailing * marks runs that could no longer
@@ -31,10 +51,8 @@ func (r *Runner) FigFault(w io.Writer) error {
 		return err
 	}
 	hw := config.ManycoreDefault()
-	// The fault-free base runs are independent; warm them in parallel. The
-	// degradation sweep itself stays serial — each point is a restart chain
-	// whose plan depends on the base cycle count.
-	if err := r.prewarm(sweepReqs([]kernels.Benchmark{bench}, faultConfigs, nil)); err != nil {
+	reqs, base, err := r.faultBases([]kernels.Benchmark{bench}, faultConfigs, len(faultKills))
+	if err != nil {
 		return err
 	}
 	header := []string{"config"}
@@ -42,16 +60,8 @@ func (r *Runner) FigFault(w io.Writer) error {
 		header = append(header, fmt.Sprintf("k=%d", k))
 	}
 	tbl := &table{header: header}
-	for _, cfgName := range faultConfigs {
-		sw, err := config.Preset(cfgName)
-		if err != nil {
-			return err
-		}
-		base, err := r.Run(bench, sw, nil)
-		if err != nil {
-			return err
-		}
-		baseCycles := base.Cycles()
+	for i, cfgName := range faultConfigs {
+		sw, baseCycles := reqs[i].sw, base[i].Cycles()
 		// Kills land mid-run: the first quarter of the fault-free runtime,
 		// then staggered so later victims die while earlier restarts are
 		// already underway.

@@ -9,287 +9,251 @@ import (
 	"rockcress/internal/stats"
 )
 
+// Figure is one entry of the figure registry.
+type Figure struct {
+	Name  string // rockbench -fig NAME
+	Paper bool   // a figure of the paper's §6 (part of -all); false = a robustness extension
+	Fn    func(*Runner, io.Writer) error
+}
+
+// Figures lists every figure generator in -all order. rockbench derives
+// its -fig help, dispatch and -all sequence from it.
+var Figures = []Figure{
+	{"10", true, (*Runner).Fig10},
+	{"11", true, (*Runner).Fig11},
+	{"12", true, (*Runner).Fig12},
+	{"13", true, (*Runner).Fig13},
+	{"14", true, (*Runner).Fig14},
+	{"15", true, (*Runner).Fig15},
+	{"16", true, (*Runner).Fig16},
+	{"17a", true, (*Runner).Fig17a},
+	{"17b", true, (*Runner).Fig17b},
+	{"17c", true, (*Runner).Fig17c},
+	{"bfs", true, (*Runner).BFS},
+	{"fault", false, (*Runner).FigFault},
+	{"replay", false, (*Runner).FigReplay},
+	{"netfault", false, (*Runner).FigNetFault},
+}
+
+// --- table shape 1: one metric per cell ---
+
+// metricTable renders a grid as one row per benchmark and one cell per
+// column holding metric(result): as measured (base < 0), or normalised to
+// the row's base column — base/value for a speedup, value/base for a ratio
+// — with an optional footer folding each column.
+type metricTable struct {
+	title   string
+	metric  func(*kernels.Result) float64
+	base    int                     // column every row is normalised to; < 0 = print the metric itself
+	speedup bool                    // lower is better: print base/value, not value/base
+	footer  string                  // footer row label; "" = no footer
+	fold    func([]float64) float64 // what the footer does to a column
+	ncols   int                     // leading columns shown; 0 = all (Fig 14b/c drop the GPU)
+}
+
+func (m metricTable) write(w io.Writer, benches []kernels.Benchmark, cols []col, g [][]*kernels.Result) {
+	if m.ncols > 0 {
+		cols = cols[:m.ncols]
+	}
+	t := &table{header: []string{"bench"}}
+	for _, c := range cols {
+		t.header = append(t.header, c.name)
+	}
+	sums := make([][]float64, len(cols))
+	for i, b := range benches {
+		row := []string{b.Info().Name}
+		for j := range cols {
+			v := m.metric(g[i][j])
+			if m.base >= 0 {
+				if bv := m.metric(g[i][m.base]); m.speedup {
+					v = bv / v
+				} else {
+					v /= bv
+				}
+			}
+			sums[j] = append(sums[j], v)
+			row = append(row, f2(v))
+		}
+		t.add(row...)
+	}
+	if m.footer != "" {
+		row := []string{m.footer}
+		for _, s := range sums {
+			row = append(row, f2(m.fold(s)))
+		}
+		t.add(row...)
+	}
+	fmt.Fprintln(w, m.title)
+	t.write(w)
+}
+
+// metricFig is a figure of metric tables over one grid of the session's
+// benchmarks, blank-line separated.
+func (r *Runner) metricFig(w io.Writer, cols []col, tables ...metricTable) error {
+	benches := r.benches()
+	g, err := r.grid(benches, cols)
+	if err != nil {
+		return err
+	}
+	for i, t := range tables {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		t.write(w, benches, cols, g)
+	}
+	return nil
+}
+
+// speedup is the commonest table: cycles relative to column 0, with a
+// geometric-mean footer.
+func speedup(title string) metricTable {
+	return metricTable{title: title, metric: cycles, speedup: true, footer: "GeoMean", fold: geomean}
+}
+
+// ratio is a GeoMean-footed table of metric relative to column 0.
+func ratio(title string, metric func(*kernels.Result) float64, ncols int) metricTable {
+	return metricTable{title: title, metric: metric, footer: "GeoMean", fold: geomean, ncols: ncols}
+}
+
+func cycles(res *kernels.Result) float64   { return float64(res.Cycles()) }
+func icache(res *kernels.Result) float64   { return float64(res.Stats.TotalICacheAccesses()) }
+func onChip(res *kernels.Result) float64   { return res.Energy.OnChip() }
+func missRate(res *kernels.Result) float64 { return res.Stats.LLCMissRate() }
+
+// --- table shape 2: CPI stacks ---
+
+// allTiles lists every tile of the run's machine.
+func allTiles(res *kernels.Result) []int {
+	all := make([]int, res.HW.Cores)
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// groupTiles collects pick over a run's vector groups. A MIMD run has no
+// groups — every tile does the kernel's work — so it yields all tiles.
+func groupTiles(res *kernels.Result, pick func(*config.Group) []int) []int {
+	if len(res.Groups) == 0 {
+		return allTiles(res)
+	}
+	var tiles []int
+	for _, g := range res.Groups {
+		tiles = append(tiles, pick(g)...)
+	}
+	return tiles
+}
+
+// expanders is Figure 13's methodology note: a vector run's CPI stack is
+// read on its expander cores only.
+func expanders(res *kernels.Result) []int {
+	return groupTiles(res, func(g *config.Group) []int { return []int{g.Expander} })
+}
+
+// lanes are the cores executing the kernel body (Figure 15c).
+func lanes(res *kernels.Result) []int {
+	return groupTiles(res, func(g *config.Group) []int { return g.Lanes })
+}
+
+// cpiFig renders a grid as CPI stacks: one row per (benchmark, column)
+// breaking the effective CPI of the tiles the picker selects into its stall
+// components (the inet and backpressure components only where vector
+// columns can have them), then one ArithMean CPI row per column. label
+// heads the column-name column.
+func (r *Runner) cpiFig(w io.Writer, title, label string, cols []col, tiles func(*kernels.Result) []int, withInet bool) error {
+	benches := r.benches()
+	g, err := r.grid(benches, cols)
+	if err != nil {
+		return err
+	}
+	parts := []string{"issued", "frame", "other"}
+	if withInet {
+		parts = []string{"issued", "frame", "inet", "backpr", "other"}
+	}
+	t := &table{header: append(append([]string{"bench", label}, parts...), "CPI")}
+	totals := make([][]float64, len(cols))
+	for i, b := range benches {
+		for j, c := range cols {
+			s := g[i][j].Stats.CPIStackFor(tiles(g[i][j]))
+			row := []string{b.Info().Name, c.name, f2(s.Issued), f2(s.Frame)}
+			if withInet {
+				row = append(row, f2(s.Inet), f2(s.Backpressure))
+			}
+			t.add(append(row, f2(s.Other), f2(s.Total()))...)
+			totals[j] = append(totals[j], s.Total())
+		}
+	}
+	for j, c := range cols {
+		row := make([]string, len(t.header))
+		row[0], row[1], row[len(row)-1] = "ArithMean", c.name, f2(mean(totals[j]))
+		t.add(row...)
+	}
+	fmt.Fprintln(w, title)
+	t.write(w)
+	return nil
+}
+
+// --- the figures ---
+
 // Fig10 regenerates the headline result (Figure 10): speedup, I-cache
 // accesses, and total on-chip energy for NV, NV_PF, and BEST_V, all
 // relative to the NV baseline.
 func (r *Runner) Fig10(w io.Writer) error {
-	if err := r.prewarm(sweepReqs(r.benches(), append([]string{"NV", "NV_PF"}, BestVConfigs...), nil)); err != nil {
-		return err
-	}
-	sp := &table{header: []string{"bench", "NV", "NV_PF", "BEST_V"}}
-	ic := &table{header: []string{"bench", "NV", "NV_PF", "BEST_V"}}
-	en := &table{header: []string{"bench", "NV", "NV_PF", "BEST_V"}}
-	var spPF, spBV, icPF, icBV, enPF, enBV []float64
-	for _, b := range r.benches() {
-		nv, err := r.RunNamed(b, "NV", nil)
-		if err != nil {
-			return err
-		}
-		pf, err := r.RunNamed(b, "NV_PF", nil)
-		if err != nil {
-			return err
-		}
-		bv, err := r.Best(b, BestVConfigs, nil)
-		if err != nil {
-			return err
-		}
-		name := b.Info().Name
-		base := float64(nv.Cycles())
-		sp.add(name, "1.00", f2(base/float64(pf.Cycles())), f2(base/float64(bv.Cycles())))
-		spPF = append(spPF, base/float64(pf.Cycles()))
-		spBV = append(spBV, base/float64(bv.Cycles()))
-		icBase := float64(nv.Stats.TotalICacheAccesses())
-		ic.add(name, "1.00", f2(float64(pf.Stats.TotalICacheAccesses())/icBase),
-			f2(float64(bv.Stats.TotalICacheAccesses())/icBase))
-		icPF = append(icPF, float64(pf.Stats.TotalICacheAccesses())/icBase)
-		icBV = append(icBV, float64(bv.Stats.TotalICacheAccesses())/icBase)
-		enBase := nv.Energy.OnChip()
-		en.add(name, "1.00", f2(pf.Energy.OnChip()/enBase), f2(bv.Energy.OnChip()/enBase))
-		enPF = append(enPF, pf.Energy.OnChip()/enBase)
-		enBV = append(enBV, bv.Energy.OnChip()/enBase)
-	}
-	sp.add("GeoMean", "1.00", f2(geomean(spPF)), f2(geomean(spBV)))
-	ic.add("GeoMean", "1.00", f2(geomean(icPF)), f2(geomean(icBV)))
-	en.add("GeoMean", "1.00", f2(geomean(enPF)), f2(geomean(enBV)))
-	fmt.Fprintln(w, "Figure 10a: speedup relative to NV")
-	sp.write(w)
-	fmt.Fprintln(w, "\nFigure 10b: I-cache accesses relative to NV")
-	ic.write(w)
-	fmt.Fprintln(w, "\nFigure 10c: total on-chip energy relative to NV")
-	en.write(w)
-	return nil
+	return r.metricFig(w, append(plain("NV", "NV_PF"), bestV),
+		speedup("Figure 10a: speedup relative to NV"),
+		ratio("Figure 10b: I-cache accesses relative to NV", icache, 0),
+		ratio("Figure 10c: total on-chip energy relative to NV", onChip, 0))
 }
 
-// coreCountMods returns the Figure 11/12 machine shrinks: same total LLC
-// capacity and DRAM bandwidth, fewer tiles.
-func coreCountMods() []HWMod {
-	shrink := func(w, h, banks int) func(*config.Manycore) {
-		return func(c *config.Manycore) {
-			c.MeshWidth, c.MeshHeight, c.Cores = w, h, w*h
-			c.LLCBanks = banks
-		}
+// coreCountCols are the Figure 11/12 machine shrinks as NV_PF columns named
+// prefix + core count: a side x side mesh with 2*side LLC banks, the same
+// total LLC capacity and DRAM bandwidth.
+func coreCountCols(prefix string, sides ...int) []col {
+	var cols []col
+	for _, side := range sides {
+		cores := fmt.Sprint(side * side)
+		cols = append(cols, col{name: prefix + cores, cfgs: []string{"NV_PF"},
+			mod: &HWMod{Name: cores, Fn: func(c *config.Manycore) {
+				c.MeshWidth, c.MeshHeight, c.Cores, c.LLCBanks = side, side, side*side, 2*side
+			}}})
 	}
-	return []HWMod{
-		{Name: "1", Fn: shrink(1, 1, 2)},
-		{Name: "4", Fn: shrink(2, 2, 4)},
-		{Name: "16", Fn: shrink(4, 4, 8)},
-		{Name: "64", Fn: shrink(8, 8, 16)},
-	}
+	return cols
 }
 
 // Fig11 regenerates the baseline scalability study: NV_PF speedup for
 // 1/4/16/64 cores relative to one core, with the same memory system
 // capacity and bandwidth.
 func (r *Runner) Fig11(w io.Writer) error {
-	mods := coreCountMods()
-	var reqs []runReq
-	for _, b := range r.benches() {
-		for i := range mods {
-			reqs = append(reqs, runReq{bench: b, cfg: "NV_PF", mod: &mods[i]})
-		}
-	}
-	if err := r.prewarm(reqs); err != nil {
-		return err
-	}
-	t := &table{header: []string{"bench", "NV_PF_1", "NV_PF_4", "NV_PF_16", "NV_PF_64"}}
-	sums := make([][]float64, len(mods))
-	for _, b := range r.benches() {
-		row := []string{b.Info().Name}
-		var base float64
-		for i := range mods {
-			res, err := r.RunNamed(b, "NV_PF", &mods[i])
-			if err != nil {
-				return err
-			}
-			if i == 0 {
-				base = float64(res.Cycles())
-			}
-			s := base / float64(res.Cycles())
-			sums[i] = append(sums[i], s)
-			row = append(row, f2(s))
-		}
-		t.add(row...)
-	}
-	gm := []string{"GeoMean"}
-	for i := range mods {
-		gm = append(gm, f2(geomean(sums[i])))
-	}
-	t.add(gm...)
-	fmt.Fprintln(w, "Figure 11: NV_PF speedup vs core count (relative to 1 core)")
-	t.write(w)
-	return nil
-}
-
-func cpiCells(s stats.CPIStack, withInet bool) []string {
-	cells := []string{f2(s.Issued), f2(s.Frame)}
-	if withInet {
-		cells = append(cells, f2(s.Inet), f2(s.Backpressure))
-	}
-	return append(cells, f2(s.Other), f2(s.Total()))
+	return r.metricFig(w, coreCountCols("NV_PF_", 1, 2, 4, 8),
+		speedup("Figure 11: NV_PF speedup vs core count (relative to 1 core)"))
 }
 
 // Fig12 regenerates the CPI stacks across manycore sizes (1/16/64 cores).
 func (r *Runner) Fig12(w io.Writer) error {
-	mods := coreCountMods()
-	use := []int{0, 2, 3} // 1, 16, 64 cores
-	var reqs []runReq
-	for _, b := range r.benches() {
-		for _, mi := range use {
-			reqs = append(reqs, runReq{bench: b, cfg: "NV_PF", mod: &mods[mi]})
-		}
-	}
-	if err := r.prewarm(reqs); err != nil {
-		return err
-	}
-	t := &table{header: []string{"bench", "cores", "issued", "frame", "other", "CPI"}}
-	var totals [3][]float64
-	for _, b := range r.benches() {
-		for i, mi := range use {
-			res, err := r.RunNamed(b, "NV_PF", &mods[mi])
-			if err != nil {
-				return err
-			}
-			all := make([]int, res.HW.Cores)
-			for j := range all {
-				all[j] = j
-			}
-			st := res.Stats.CPIStackFor(all)
-			t.add(append([]string{b.Info().Name, mods[mi].Name}, cpiCells(st, false)...)...)
-			totals[i] = append(totals[i], st.Total())
-		}
-	}
-	for i, mi := range use {
-		t.add("ArithMean", mods[mi].Name, "", "", "", f2(mean(totals[i])))
-	}
-	fmt.Fprintln(w, "Figure 12: NV_PF CPI stacks vs core count (frame stall = waiting on loads)")
-	t.write(w)
-	return nil
+	return r.cpiFig(w, "Figure 12: NV_PF CPI stacks vs core count (frame stall = waiting on loads)",
+		"cores", coreCountCols("", 1, 4, 8), allTiles, false)
 }
 
 // Fig13 regenerates the bandwidth study: CPI stacks for NV_PF, NV_PF with
 // twice the DRAM bandwidth, and V4 (expander cores only, per the paper's
 // methodology note).
 func (r *Runner) Fig13(w io.Writer) error {
-	bw2 := HWMod{Name: "2xBW", Fn: func(c *config.Manycore) { c.DRAMBandwidth *= 2 }}
-	var reqs []runReq
-	for _, b := range r.benches() {
-		reqs = append(reqs,
-			runReq{bench: b, cfg: "NV_PF"},
-			runReq{bench: b, cfg: "NV_PF", mod: &bw2},
-			runReq{bench: b, cfg: "V4"})
-	}
-	if err := r.prewarm(reqs); err != nil {
-		return err
-	}
-	t := &table{header: []string{"bench", "config", "issued", "frame", "inet", "backpr", "other", "CPI"}}
-	var cpiB, cpi2, cpiV []float64
-	for _, b := range r.benches() {
-		base, err := r.RunNamed(b, "NV_PF", nil)
-		if err != nil {
-			return err
-		}
-		wide, err := r.RunNamed(b, "NV_PF", &bw2)
-		if err != nil {
-			return err
-		}
-		v4, err := r.RunNamed(b, "V4", nil)
-		if err != nil {
-			return err
-		}
-		name := b.Info().Name
-		all := make([]int, base.HW.Cores)
-		for j := range all {
-			all[j] = j
-		}
-		sb := base.Stats.CPIStackFor(all)
-		s2 := wide.Stats.CPIStackFor(all)
-		var exp []int
-		for _, g := range v4.Groups {
-			exp = append(exp, g.Expander)
-		}
-		sv := v4.Stats.CPIStackFor(exp)
-		t.add(append([]string{name, "NV_PF"}, cpiCells(sb, true)...)...)
-		t.add(append([]string{name, "NV_PF_2xBW"}, cpiCells(s2, true)...)...)
-		t.add(append([]string{name, "V4"}, cpiCells(sv, true)...)...)
-		cpiB = append(cpiB, sb.Total())
-		cpi2 = append(cpi2, s2.Total())
-		cpiV = append(cpiV, sv.Total())
-	}
-	t.add("ArithMean", "NV_PF", "", "", "", "", "", f2(mean(cpiB)))
-	t.add("ArithMean", "NV_PF_2xBW", "", "", "", "", "", f2(mean(cpi2)))
-	t.add("ArithMean", "V4", "", "", "", "", "", f2(mean(cpiV)))
-	fmt.Fprintln(w, "Figure 13: CPI stacks, NV_PF vs 2x DRAM bandwidth vs V4 (expander cores)")
-	t.write(w)
-	return nil
+	bw2 := &HWMod{Name: "2xBW", Fn: func(c *config.Manycore) { c.DRAMBandwidth *= 2 }}
+	cols := []col{{name: "NV_PF", cfgs: []string{"NV_PF"}},
+		{name: "NV_PF_2xBW", cfgs: []string{"NV_PF"}, mod: bw2},
+		{name: "V4", cfgs: []string{"V4"}}}
+	return r.cpiFig(w, "Figure 13: CPI stacks, NV_PF vs 2x DRAM bandwidth vs V4 (expander cores)",
+		"config", cols, expanders, true)
 }
 
 // Fig14 regenerates the SIMD and GPU comparison: speedup, I-cache accesses,
-// and energy relative to NV_PF for PCV_PF, BEST_V, BEST_V_PCV, and the GPU.
+// and energy relative to NV_PF for PCV_PF, BEST_V, BEST_V_PCV, and (14a
+// only: it has no I-cache or energy model) the GPU.
 func (r *Runner) Fig14(w io.Writer) error {
-	cfgs := append([]string{"NV_PF", "PCV_PF"}, BestVConfigs...)
-	cfgs = append(cfgs, BestVPCVConfigs...)
-	cfgs = append(cfgs, "GPU")
-	if err := r.prewarm(sweepReqs(r.benches(), cfgs, nil)); err != nil {
-		return err
-	}
-	sp := &table{header: []string{"bench", "NV_PF", "PCV_PF", "BEST_V", "BEST_V_PCV", "GPU"}}
-	ic := &table{header: []string{"bench", "NV_PF", "PCV_PF", "BEST_V", "BEST_V_PCV"}}
-	en := &table{header: []string{"bench", "NV_PF", "PCV_PF", "BEST_V", "BEST_V_PCV"}}
-	sums := map[string][]float64{}
-	for _, b := range r.benches() {
-		pf, err := r.RunNamed(b, "NV_PF", nil)
-		if err != nil {
-			return err
-		}
-		pcv, err := r.RunNamed(b, "PCV_PF", nil)
-		if err != nil {
-			return err
-		}
-		bv, err := r.Best(b, BestVConfigs, nil)
-		if err != nil {
-			return err
-		}
-		bvp, err := r.Best(b, BestVPCVConfigs, nil)
-		if err != nil {
-			return err
-		}
-		gp, err := r.RunNamed(b, "GPU", nil)
-		if err != nil {
-			return err
-		}
-		name := b.Info().Name
-		base := float64(pf.Cycles())
-		rel := func(res *kernels.Result) float64 { return base / float64(res.Cycles()) }
-		sp.add(name, "1.00", f2(rel(pcv)), f2(rel(bv)), f2(rel(bvp)), f2(rel(gp)))
-		sums["sp_pcv"] = append(sums["sp_pcv"], rel(pcv))
-		sums["sp_bv"] = append(sums["sp_bv"], rel(bv))
-		sums["sp_bvp"] = append(sums["sp_bvp"], rel(bvp))
-		sums["sp_gpu"] = append(sums["sp_gpu"], rel(gp))
-		icb := float64(pf.Stats.TotalICacheAccesses())
-		icRel := func(res *kernels.Result) float64 {
-			return float64(res.Stats.TotalICacheAccesses()) / icb
-		}
-		ic.add(name, "1.00", f2(icRel(pcv)), f2(icRel(bv)), f2(icRel(bvp)))
-		sums["ic_pcv"] = append(sums["ic_pcv"], icRel(pcv))
-		sums["ic_bv"] = append(sums["ic_bv"], icRel(bv))
-		sums["ic_bvp"] = append(sums["ic_bvp"], icRel(bvp))
-		enb := pf.Energy.OnChip()
-		en.add(name, "1.00", f2(pcv.Energy.OnChip()/enb), f2(bv.Energy.OnChip()/enb), f2(bvp.Energy.OnChip()/enb))
-		sums["en_pcv"] = append(sums["en_pcv"], pcv.Energy.OnChip()/enb)
-		sums["en_bv"] = append(sums["en_bv"], bv.Energy.OnChip()/enb)
-		sums["en_bvp"] = append(sums["en_bvp"], bvp.Energy.OnChip()/enb)
-	}
-	sp.add("GeoMean", "1.00", f2(geomean(sums["sp_pcv"])), f2(geomean(sums["sp_bv"])),
-		f2(geomean(sums["sp_bvp"])), f2(geomean(sums["sp_gpu"])))
-	ic.add("GeoMean", "1.00", f2(geomean(sums["ic_pcv"])), f2(geomean(sums["ic_bv"])), f2(geomean(sums["ic_bvp"])))
-	en.add("GeoMean", "1.00", f2(geomean(sums["en_pcv"])), f2(geomean(sums["en_bv"])), f2(geomean(sums["en_bvp"])))
-	fmt.Fprintln(w, "Figure 14a: speedup relative to NV_PF (SIMD units and GPU)")
-	sp.write(w)
-	fmt.Fprintln(w, "\nFigure 14b: I-cache accesses relative to NV_PF")
-	ic.write(w)
-	fmt.Fprintln(w, "\nFigure 14c: total on-chip energy relative to NV_PF")
-	en.write(w)
-	return nil
+	return r.metricFig(w, append(append(plain("NV_PF", "PCV_PF"), bestV, bestVPCV), plain("GPU")...),
+		speedup("Figure 14a: speedup relative to NV_PF (SIMD units and GPU)"),
+		ratio("Figure 14b: I-cache accesses relative to NV_PF", icache, 4),
+		ratio("Figure 14c: total on-chip energy relative to NV_PF", onChip, 4))
 }
 
 // fig15Benches are the five benchmarks the paper characterizes by hop.
@@ -297,35 +261,35 @@ var fig15Benches = []string{"2dconv", "3dconv", "bicg", "gemm", "syr2k"}
 
 // Fig15 regenerates the vector-group characterization: inet input stalls
 // and backpressure stalls by hop distance from the scalar core (V4 and
-// V16), and the fraction of cycles waiting for frames (NV_PF vs V4).
+// V16), and the fraction of cycles waiting for frames (NV_PF vs V4). The
+// hop tables have two rows per benchmark and one column per hop, which is
+// neither table shape, so they are formatted here.
 func (r *Runner) Fig15(w io.Writer) error {
-	var reqs []runReq
-	for _, cfg := range []string{"V4", "V16"} {
-		for _, name := range fig15Benches {
-			b, err := kernels.Get(name)
-			if err != nil {
-				return err
-			}
-			reqs = append(reqs, runReq{bench: b, cfg: cfg})
+	var hopBenches []kernels.Benchmark
+	for _, name := range fig15Benches {
+		b, err := kernels.Get(name)
+		if err != nil {
+			return err
 		}
+		hopBenches = append(hopBenches, b)
 	}
-	reqs = append(reqs, sweepReqs(r.benches(), []string{"NV_PF", "V4"}, nil)...)
-	if err := r.prewarm(reqs); err != nil {
+	// Both grids are fetched before the first table is written, so a
+	// verbose run's progress lines all precede the figure.
+	hopCols, frameCols := plain("V4", "V16"), plain("NV_PF", "V4")
+	hops, err := r.grid(hopBenches, hopCols)
+	if err != nil {
 		return err
 	}
-	for _, cfg := range []string{"V4", "V16"} {
+	benches := r.benches()
+	frames, err := r.grid(benches, frameCols)
+	if err != nil {
+		return err
+	}
+	for j, c := range hopCols {
 		t := &table{header: []string{"bench", "kind", "hop0", "hop1", "hop2", "hop3", "hop4", "hop5", "hop6", "hop7"}}
-		for _, name := range fig15Benches {
-			b, err := kernels.Get(name)
-			if err != nil {
-				return err
-			}
-			res, err := r.RunNamed(b, cfg, nil)
-			if err != nil {
-				return err
-			}
+		for i, name := range fig15Benches {
 			for _, kind := range []stats.StallKind{stats.StallInet, stats.StallBackpressure} {
-				frac := res.Stats.StallFractionByHop(kind)
+				frac := hops[i][j].Stats.StallFractionByHop(kind)
 				row := []string{name, kind.String()}
 				for hop := 0; hop <= 7; hop++ {
 					if v, ok := frac[hop]; ok {
@@ -337,220 +301,81 @@ func (r *Runner) Fig15(w io.Writer) error {
 				t.add(row...)
 			}
 		}
-		fmt.Fprintf(w, "Figure 15a/15b (%s): inet-input and backpressure stalls by hop (hop 0 = scalar core)\n", cfg)
+		fmt.Fprintf(w, "Figure 15a/15b (%s): inet-input and backpressure stalls by hop (hop 0 = scalar core)\n", c.name)
 		t.write(w)
 		fmt.Fprintln(w)
 	}
-	t := &table{header: []string{"bench", "NV_PF", "V4"}}
-	var a, b2 []float64
-	for _, b := range r.benches() {
-		pf, err := r.RunNamed(b, "NV_PF", nil)
-		if err != nil {
-			return err
-		}
-		v4, err := r.RunNamed(b, "V4", nil)
-		if err != nil {
-			return err
-		}
-		allPF := make([]int, pf.HW.Cores)
-		for j := range allPF {
-			allPF[j] = j
-		}
-		lanes := []int{}
-		for _, g := range v4.Groups {
-			lanes = append(lanes, g.Lanes...)
-		}
-		fa := pf.Stats.FrameStallFraction(allPF)
-		fb := v4.Stats.FrameStallFraction(lanes)
-		t.add(b.Info().Name, f2(fa), f2(fb))
-		a = append(a, fa)
-		b2 = append(b2, fb)
-	}
-	t.add("ArithMean", f2(mean(a)), f2(mean(b2)))
-	fmt.Fprintln(w, "Figure 15c: fraction of cycles waiting for a frame (NV_PF vs V4 vector cores)")
-	t.write(w)
+	metricTable{
+		title:  "Figure 15c: fraction of cycles waiting for a frame (NV_PF vs V4 vector cores)",
+		metric: func(res *kernels.Result) float64 { return res.Stats.FrameStallFraction(lanes(res)) },
+		base:   -1, footer: "ArithMean", fold: mean,
+	}.write(w, benches, frameCols, frames)
 	return nil
 }
 
 // Fig16 regenerates the vector-length / long-line study: V4, V4_LL_PCV,
 // V16, V16_LL_PCV speedups relative to V4.
 func (r *Runner) Fig16(w io.Writer) error {
-	cfgs := []string{"V4", "V4_LL_PCV", "V16", "V16_LL_PCV"}
-	if err := r.prewarm(sweepReqs(r.benches(), cfgs, nil)); err != nil {
-		return err
-	}
-	t := &table{header: append([]string{"bench"}, cfgs...)}
-	sums := make([][]float64, len(cfgs))
-	for _, b := range r.benches() {
-		var base float64
-		row := []string{b.Info().Name}
-		for i, cfg := range cfgs {
-			res, err := r.RunNamed(b, cfg, nil)
-			if err != nil {
-				return err
-			}
-			if i == 0 {
-				base = float64(res.Cycles())
-			}
-			s := base / float64(res.Cycles())
-			sums[i] = append(sums[i], s)
-			row = append(row, f2(s))
-		}
-		t.add(row...)
-	}
-	gm := []string{"GeoMean"}
-	for i := range cfgs {
-		gm = append(gm, f2(geomean(sums[i])))
-	}
-	t.add(gm...)
-	fmt.Fprintln(w, "Figure 16: vector configuration speedups relative to V4")
-	t.write(w)
-	return nil
+	return r.metricFig(w, plain("V4", "V4_LL_PCV", "V16", "V16_LL_PCV"),
+		speedup("Figure 16: vector configuration speedups relative to V4"))
 }
 
-// Fig17a regenerates the LLC miss-rate comparison.
+// Fig17a regenerates the LLC miss-rate comparison. Miss rates can be zero,
+// so the footer is an arithmetic mean.
 func (r *Runner) Fig17a(w io.Writer) error {
-	cfgs := append([]string{"NV", "NV_PF"}, BestVConfigs...)
-	cfgs = append(cfgs, "V16_LL")
-	if err := r.prewarm(sweepReqs(r.benches(), cfgs, nil)); err != nil {
-		return err
-	}
-	t := &table{header: []string{"bench", "NV", "NV_PF", "BEST_V", "V16_LL"}}
-	sums := make([][]float64, 4)
-	for _, b := range r.benches() {
-		var row []string
-		row = append(row, b.Info().Name)
-		cfgRes := make([]*kernels.Result, 0, 4)
-		nv, err := r.RunNamed(b, "NV", nil)
-		if err != nil {
-			return err
-		}
-		pf, err := r.RunNamed(b, "NV_PF", nil)
-		if err != nil {
-			return err
-		}
-		bv, err := r.Best(b, BestVConfigs, nil)
-		if err != nil {
-			return err
-		}
-		ll, err := r.RunNamed(b, "V16_LL", nil)
-		if err != nil {
-			return err
-		}
-		cfgRes = append(cfgRes, nv, pf, bv, ll)
-		for i, res := range cfgRes {
-			mr := res.Stats.LLCMissRate()
-			sums[i] = append(sums[i], mr)
-			row = append(row, f2(mr))
-		}
-		t.add(row...)
-	}
-	t.add("GeoMean", f2(mean(sums[0])), f2(mean(sums[1])), f2(mean(sums[2])), f2(mean(sums[3])))
-	fmt.Fprintln(w, "Figure 17a: LLC miss rate")
-	t.write(w)
-	return nil
+	return r.metricFig(w, append(append(plain("NV", "NV_PF"), bestV), plain("V16_LL")...), metricTable{
+		title: "Figure 17a: LLC miss rate", metric: missRate, base: -1, footer: "ArithMean", fold: mean})
 }
 
-// Fig17b regenerates the LLC-capacity sensitivity: per-bank 16 kB vs 32 kB
-// slices for NV_PF, V4, and V16_LL, relative to NV_PF at 32 kB.
+// sensitivity renders a hardware-sensitivity figure: NV_PF, V4 and V16_LL
+// on each modified machine, as speedups over column base, no footer.
+func (r *Runner) sensitivity(w io.Writer, title string, mods []HWMod, base int) error {
+	var cols []col
+	for _, cfg := range []string{"NV_PF", "V4", "V16_LL"} {
+		for i := range mods {
+			cols = append(cols, col{name: cfg + "_" + mods[i].Name, cfgs: []string{cfg}, mod: &mods[i]})
+		}
+	}
+	return r.metricFig(w, cols, metricTable{title: title, metric: cycles, base: base, speedup: true})
+}
+
+// Fig17b regenerates the LLC-capacity sensitivity: per-bank 16 kB (256 kB
+// in total, the default) vs 32 kB slices, relative to NV_PF at 32 kB.
 func (r *Runner) Fig17b(w io.Writer) error {
-	// Per-bank slices: 16 kB/bank = 256 kB total (the default) vs 32 kB/bank.
-	small := HWMod{Name: "16kB", Fn: func(c *config.Manycore) { c.LLCBytes = 16 * 1024 * c.LLCBanks }}
-	big := HWMod{Name: "32kB", Fn: func(c *config.Manycore) { c.LLCBytes = 32 * 1024 * c.LLCBanks }}
-	cfgs := []string{"NV_PF", "V4", "V16_LL"}
-	mods := []*HWMod{&small, &big}
-	if err := r.prewarm(modSweepReqs(r.benches(), cfgs, mods)); err != nil {
-		return err
+	perBank := func(kb int) func(*config.Manycore) {
+		return func(c *config.Manycore) { c.LLCBytes = kb * 1024 * c.LLCBanks }
 	}
-	t := &table{header: []string{"bench", "NV_PF_16kB", "NV_PF_32kB", "V4_16kB", "V4_32kB", "V16_LL_16kB", "V16_LL_32kB"}}
-	for _, b := range r.benches() {
-		var base float64
-		row := []string{b.Info().Name}
-		var vals []float64
-		for _, cfg := range cfgs {
-			for _, mod := range mods {
-				res, err := r.RunNamed(b, cfg, mod)
-				if err != nil {
-					return err
-				}
-				if cfg == "NV_PF" && mod.Name == "32kB" {
-					base = float64(res.Cycles())
-				}
-				vals = append(vals, float64(res.Cycles()))
-			}
-		}
-		for _, v := range vals {
-			row = append(row, f2(base/v))
-		}
-		t.add(row...)
-	}
-	fmt.Fprintln(w, "Figure 17b: speedup vs LLC capacity (relative to NV_PF with 32kB banks)")
-	t.write(w)
-	return nil
+	return r.sensitivity(w, "Figure 17b: speedup vs LLC capacity (relative to NV_PF with 32kB banks)",
+		[]HWMod{{Name: "16kB", Fn: perBank(16)}, {Name: "32kB", Fn: perBank(32)}}, 1)
 }
 
 // Fig17c regenerates the on-chip network width sensitivity (1 vs 4 words).
 func (r *Runner) Fig17c(w io.Writer) error {
-	nw1 := HWMod{Name: "NW1", Fn: func(c *config.Manycore) { c.NetWidthWords = 1 }}
-	nw4 := HWMod{Name: "NW4", Fn: func(c *config.Manycore) { c.NetWidthWords = 4 }}
-	cfgs := []string{"NV_PF", "V4", "V16_LL"}
-	mods := []*HWMod{&nw1, &nw4}
-	if err := r.prewarm(modSweepReqs(r.benches(), cfgs, mods)); err != nil {
-		return err
+	width := func(words int) func(*config.Manycore) {
+		return func(c *config.Manycore) { c.NetWidthWords = words }
 	}
-	t := &table{header: []string{"bench", "NV_PF_NW1", "NV_PF_NW4", "V4_NW1", "V4_NW4", "V16_LL_NW1", "V16_LL_NW4"}}
-	for _, b := range r.benches() {
-		var base float64
-		row := []string{b.Info().Name}
-		var vals []float64
-		for _, cfg := range cfgs {
-			for _, mod := range mods {
-				res, err := r.RunNamed(b, cfg, mod)
-				if err != nil {
-					return err
-				}
-				if cfg == "NV_PF" && mod.Name == "NW1" {
-					base = float64(res.Cycles())
-				}
-				vals = append(vals, float64(res.Cycles()))
-			}
-		}
-		for _, v := range vals {
-			row = append(row, f2(base/v))
-		}
-		t.add(row...)
-	}
-	fmt.Fprintln(w, "Figure 17c: speedup vs on-chip network width (relative to NV_PF width 1)")
-	t.write(w)
-	return nil
+	return r.sensitivity(w, "Figure 17c: speedup vs on-chip network width (relative to NV_PF width 1)",
+		[]HWMod{{Name: "NW1", Fn: width(1)}, {Name: "NW4", Fn: width(4)}}, 0)
 }
 
 // BFS regenerates the irregular-workload result of §6.6: plain manycore
-// against the V4 and V16 mappings of breadth-first search.
+// against the V4 and V16 mappings of breadth-first search. The table is
+// transposed — one row per configuration of a single benchmark — so it is
+// formatted here.
 func (r *Runner) BFS(w io.Writer) error {
 	b, err := kernels.Get("bfs")
 	if err != nil {
 		return err
 	}
-	if err := r.prewarm(sweepReqs([]kernels.Benchmark{b}, []string{"NV", "V4", "V16"}, nil)); err != nil {
-		return err
-	}
-	nv, err := r.RunNamed(b, "NV", nil)
-	if err != nil {
-		return err
-	}
-	v4, err := r.RunNamed(b, "V4", nil)
-	if err != nil {
-		return err
-	}
-	v16, err := r.RunNamed(b, "V16", nil)
+	cols := plain("NV", "V4", "V16")
+	g, err := r.grid([]kernels.Benchmark{b}, cols)
 	if err != nil {
 		return err
 	}
 	t := &table{header: []string{"config", "cycles", "NV speedup over it"}}
-	t.add("NV", fmt.Sprint(nv.Cycles()), "1.00")
-	t.add("V4", fmt.Sprint(v4.Cycles()), f2(float64(v4.Cycles())/float64(nv.Cycles())))
-	t.add("V16", fmt.Sprint(v16.Cycles()), f2(float64(v16.Cycles())/float64(nv.Cycles())))
+	for j, c := range cols {
+		t.add(c.name, fmt.Sprint(g[0][j].Cycles()), f2(cycles(g[0][j])/cycles(g[0][0])))
+	}
 	fmt.Fprintln(w, "Section 6.6 (irregular): bfs on manycore vs vector groups")
 	t.write(w)
 	return nil

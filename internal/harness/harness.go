@@ -45,7 +45,7 @@ type Options struct {
 
 	// TelemetryDir, when set, dumps per-run windowed telemetry (JSONL) into
 	// the directory, one file per cache key. Each simulation gets its own
-	// private sink, so the bounded prewarm pool stays safe; duplicate runs
+	// private sink, so fetch's bounded pool stays safe; duplicate runs
 	// of the same key (a cache race) write byte-identical files. Cycle
 	// counts are unchanged — the sampler only reads counters.
 	TelemetryDir string
@@ -175,19 +175,25 @@ func effectiveSW(bench string, sw config.Software) config.Software {
 	return sw
 }
 
-// resolve computes the effective software, hardware, and cache key for one
-// (bench, config, mod) run. Run and prewarm must agree on this mapping or
-// the warm pool would miss the cache the sweep later reads.
-func (r *Runner) resolve(bench kernels.Benchmark, sw config.Software, mod *HWMod) (key string, esw config.Software, hw config.Manycore, modName string) {
-	name := bench.Info().Name
-	esw = effectiveSW(name, sw)
-	hw = config.ManycoreDefault()
-	if mod != nil {
-		modName = mod.Name
-		mod.Fn(&hw)
+// cell is one resolved request: the effective software and hardware of one
+// simulation, and the key its result is cached (and journaled) under.
+type cell struct {
+	bench   kernels.Benchmark
+	sw      config.Software
+	hw      config.Manycore
+	key     string
+	modName string
+}
+
+func (r *Runner) resolve(q runReq) cell {
+	name := q.bench.Info().Name
+	c := cell{bench: q.bench, sw: effectiveSW(name, q.sw), hw: config.ManycoreDefault()}
+	if q.mod != nil {
+		c.modName = q.mod.Name
+		q.mod.Fn(&c.hw)
 	}
-	key = fmt.Sprintf("%s|%s|%s|%d", name, esw.Name, modName, r.opts.Scale)
-	return key, esw, hw, modName
+	c.key = fmt.Sprintf("%s|%s|%s|%d", name, c.sw.Name, c.modName, r.opts.Scale)
+	return c
 }
 
 func (r *Runner) lookup(key string) (*kernels.Result, bool) {
@@ -218,7 +224,7 @@ func (r *Runner) store(key string, res *kernels.Result) *kernels.Result {
 	return res
 }
 
-func (r *Runner) progress(name string, sw config.Software, modName string, res *kernels.Result, secs float64) {
+func (r *Runner) progress(c cell, res *kernels.Result, secs float64) {
 	if res != nil && res.Stats != nil {
 		r.mu.Lock()
 		r.simCycles += res.Stats.Cycles
@@ -227,7 +233,7 @@ func (r *Runner) progress(name string, sw config.Software, modName string, res *
 	}
 	if r.opts.Verbose {
 		fmt.Fprintf(r.opts.Out, "# %-10s %-12s %-14s %10d cycles  (%.1fs)\n",
-			name, sw.Name, modName, res.Cycles(), secs)
+			c.bench.Info().Name, c.sw.Name, c.modName, res.Cycles(), secs)
 	}
 }
 
@@ -256,21 +262,21 @@ func sanitizeKey(key string) string {
 // TelemetryDir is set (and a retain-only sink feeding the flight recorder
 // when the observability plane is attached) and writing a per-run report
 // when ReportDir is set. GPU runs have no machine counters and dump
-// neither. Safe under the bounded prewarm pool: every call owns its sink
+// neither. Safe under fetch's bounded pool: every call owns its sink
 // and files. Duplicate executions of one key (the first-wins cache keeps
 // only one result) write artifacts identical except for the report's
 // wall-clock fields, so the shared path stays correct. A failed telemetry
 // flush or report write fails the run: a silently truncated artifact would
 // poison whatever reads it later.
-func (r *Runner) execute(bench kernels.Benchmark, sw config.Software, hw config.Manycore, key, modName string) (*kernels.Result, error) {
+func (r *Runner) execute(c cell) (*kernels.Result, error) {
 	var res *kernels.Result
 	// Contain is the crash boundary of one sweep cell: a panic anywhere in
 	// prepare/build/run (machine.Run recovers its own loop, but the paths
 	// around it are otherwise bare) becomes a RunError failing this cell,
 	// not the whole sweep process.
-	err := lifecycle.Contain(bench.Info().Name, sw.Name, 1, func() error {
+	err := lifecycle.Contain(c.bench.Info().Name, c.sw.Name, 1, func() error {
 		var eerr error
-		res, eerr = r.executeCell(bench, sw, hw, key)
+		res, eerr = r.executeCell(c.bench, c.sw, c.hw, c.key)
 		return eerr
 	})
 	if err != nil {
@@ -280,8 +286,8 @@ func (r *Runner) execute(bench kernels.Benchmark, sw config.Software, hw config.
 		if err := os.MkdirAll(r.opts.ReportDir, 0o755); err != nil {
 			return nil, fmt.Errorf("harness: report dir: %w", err)
 		}
-		rep := r.report(res, modName)
-		if err := rep.WriteFile(filepath.Join(r.opts.ReportDir, sanitizeKey(key)+".report.json")); err != nil {
+		rep := r.report(res, c.modName)
+		if err := rep.WriteFile(filepath.Join(r.opts.ReportDir, sanitizeKey(c.key)+".report.json")); err != nil {
 			return nil, err
 		}
 	}
@@ -362,41 +368,47 @@ func (r *Runner) report(res *kernels.Result, modName string) *analyze.Report {
 	return rep
 }
 
-// Run executes one benchmark under one configuration (with an optional
-// hardware modification), caching by (bench, config, mod, scale).
-func (r *Runner) Run(bench kernels.Benchmark, sw config.Software, mod *HWMod) (*kernels.Result, error) {
-	key, sw, hw, modName := r.resolve(bench, sw, mod)
-	if res, ok := r.lookup(key); ok {
-		return res, nil
+// runReq is one sweep cell: a benchmark under a software configuration on
+// an optionally modified machine. Every simulation the harness starts is
+// one of these handed to fetch.
+type runReq struct {
+	bench kernels.Benchmark
+	sw    config.Software
+	mod   *HWMod
+}
+
+// req resolves a Table 3 preset name ("GPU" selects the GPU baseline) into
+// a request. It is the package's one preset lookup, so an unknown name
+// fails here, before anything runs.
+func req(bench kernels.Benchmark, cfgName string, mod *HWMod) (runReq, error) {
+	sw := kernels.GPUSoftware()
+	if cfgName != "GPU" {
+		var err error
+		if sw, err = config.Preset(cfgName); err != nil {
+			return runReq{}, err
+		}
 	}
-	start := time.Now()
-	res, err := r.execute(bench, sw, hw, key, modName)
+	return runReq{bench: bench, sw: sw, mod: mod}, nil
+}
+
+// Run executes one benchmark under one configuration (with an optional
+// hardware modification), caching by (bench, config, mod, scale): a fetch
+// of one request.
+func (r *Runner) Run(bench kernels.Benchmark, sw config.Software, mod *HWMod) (*kernels.Result, error) {
+	res, err := r.fetch([]runReq{{bench: bench, sw: sw, mod: mod}})
 	if err != nil {
 		return nil, err
 	}
-	r.progress(bench.Info().Name, sw, modName, res, time.Since(start).Seconds())
-	return r.store(key, res), nil
+	return res[0], nil
 }
 
 // RunNamed looks the Table 3 preset up and runs it.
 func (r *Runner) RunNamed(bench kernels.Benchmark, cfgName string, mod *HWMod) (*kernels.Result, error) {
-	if cfgName == "GPU" {
-		return r.Run(bench, kernels.GPUSoftware(), mod)
-	}
-	sw, err := config.Preset(cfgName)
+	q, err := req(bench, cfgName, mod)
 	if err != nil {
 		return nil, err
 	}
-	return r.Run(bench, sw, mod)
-}
-
-// runReq names one simulation of a figure sweep: a benchmark under a
-// Table 3 preset name ("GPU" selects the GPU baseline), with an optional
-// hardware modification.
-type runReq struct {
-	bench kernels.Benchmark
-	cfg   string
-	mod   *HWMod
+	return r.Run(q.bench, q.sw, q.mod)
 }
 
 func (r *Runner) jobs() int {
@@ -406,46 +418,26 @@ func (r *Runner) jobs() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// prewarm executes a sweep's cache misses on a bounded worker pool so the
-// figure generator that follows hits the cache for every row. Determinism:
-// requests are deduplicated and committed in input order, progress lines
-// print in input order (each gated on its own completion), and on failure
-// the earliest-indexed error is returned after the pool drains. Simulated
-// cycle counts cannot depend on Jobs at all — every machine instance is
-// private to one simulation.
-func (r *Runner) prewarm(reqs []runReq) error {
-	type job struct {
-		bench   kernels.Benchmark
-		sw      config.Software
-		hw      config.Manycore
-		key     string
-		modName string
-	}
-	var jobs []job
+// fetch returns the result of every request, in request order, running the
+// cache misses on a bounded worker pool. It is the harness's one execution
+// path: figures, the baseline gate, the fault figures' base runs and Run
+// all start their simulations here. Determinism: requests are deduplicated
+// and committed in input order, progress lines print in input order (each
+// gated on its own completion), and on failure the earliest-indexed error
+// is returned after the pool drains. Simulated cycle counts cannot depend
+// on Jobs at all — every machine instance is private to one simulation.
+func (r *Runner) fetch(reqs []runReq) ([]*kernels.Result, error) {
+	var jobs []cell
+	keys := make([]string, len(reqs))
 	seen := map[string]bool{}
-	for _, q := range reqs {
-		var sw config.Software
-		if q.cfg == "GPU" {
-			sw = kernels.GPUSoftware()
-		} else {
-			var err error
-			sw, err = config.Preset(q.cfg)
-			if err != nil {
-				return err
-			}
-		}
-		key, esw, hw, modName := r.resolve(q.bench, sw, q.mod)
-		if seen[key] {
+	for i, q := range reqs {
+		c := r.resolve(q)
+		keys[i] = c.key
+		if _, ok := r.lookup(c.key); ok || seen[c.key] {
 			continue
 		}
-		if _, ok := r.lookup(key); ok {
-			continue
-		}
-		seen[key] = true
-		jobs = append(jobs, job{bench: q.bench, sw: esw, hw: hw, key: key, modName: modName})
-	}
-	if len(jobs) == 0 {
-		return nil
+		seen[c.key] = true
+		jobs = append(jobs, c)
 	}
 	// Live progress: the planned-cell gauge grows as sweeps enqueue work, so
 	// /debug/run's ETA covers the whole figure, not just the active cells.
@@ -461,11 +453,7 @@ func (r *Runner) prewarm(reqs []runReq) error {
 		done[i] = make(chan struct{})
 	}
 	var next atomic.Int64
-	n := r.jobs()
-	if n > len(jobs) {
-		n = len(jobs)
-	}
-	for w := 0; w < n; w++ {
+	for w := min(r.jobs(), len(jobs)); w > 0; w-- {
 		go func() {
 			for {
 				i := int(next.Add(1)) - 1
@@ -482,9 +470,8 @@ func (r *Runner) prewarm(reqs []runReq) error {
 						continue
 					}
 				}
-				j := jobs[i]
 				start := time.Now()
-				res, err := r.execute(j.bench, j.sw, j.hw, j.key, j.modName)
+				res, err := r.execute(jobs[i])
 				outs[i] = outcome{res: res, err: err, secs: time.Since(start).Seconds()}
 				close(done[i])
 			}
@@ -503,60 +490,92 @@ func (r *Runner) prewarm(reqs []runReq) error {
 		// earlier cell failed or the sweep was canceled: finished work is
 		// never forfeited, which is what makes -resume cheap.
 		if firstErr == nil {
-			r.progress(jobs[i].bench.Info().Name, jobs[i].sw, jobs[i].modName, outs[i].res, outs[i].secs)
+			r.progress(jobs[i], outs[i].res, outs[i].secs)
 		}
 		r.store(jobs[i].key, outs[i].res)
 	}
-	return firstErr
-}
-
-// sweepReqs builds the benches x cfgs cross product (configs inner, matching
-// the figure loops' run order) under one hardware mod.
-func sweepReqs(benches []kernels.Benchmark, cfgs []string, mod *HWMod) []runReq {
-	reqs := make([]runReq, 0, len(benches)*len(cfgs))
-	for _, b := range benches {
-		for _, c := range cfgs {
-			reqs = append(reqs, runReq{bench: b, cfg: c, mod: mod})
-		}
+	if firstErr != nil {
+		return nil, firstErr
 	}
-	return reqs
+	out := make([]*kernels.Result, len(reqs))
+	r.mu.Lock()
+	for i, key := range keys {
+		out[i] = r.cache[key]
+	}
+	r.mu.Unlock()
+	return out, nil
 }
 
-// modSweepReqs builds the benches x cfgs x mods cross product (mods
-// innermost, matching the sensitivity figures' run order).
-func modSweepReqs(benches []kernels.Benchmark, cfgs []string, mods []*HWMod) []runReq {
-	reqs := make([]runReq, 0, len(benches)*len(cfgs)*len(mods))
+// col is one column of a figure: a Table 3 configuration on an optionally
+// modified machine, or — given several cfgs — whichever of them is fastest
+// for the benchmark (the BEST_V rows of Table 3).
+type col struct {
+	name string
+	cfgs []string
+	mod  *HWMod
+}
+
+// plain makes one unmodified single-configuration column per preset name.
+func plain(cfgs ...string) []col {
+	cols := make([]col, len(cfgs))
+	for i, c := range cfgs {
+		cols[i] = col{name: c, cfgs: []string{c}}
+	}
+	return cols
+}
+
+// requests lists the cells behind benches x cols, bench-major with a
+// best-of column's candidates side by side: the order cells run, commit
+// and print their progress in.
+func requests(benches []kernels.Benchmark, cols []col) ([]runReq, error) {
+	var reqs []runReq
 	for _, b := range benches {
-		for _, c := range cfgs {
-			for _, m := range mods {
-				reqs = append(reqs, runReq{bench: b, cfg: c, mod: m})
+		for _, c := range cols {
+			for _, cfg := range c.cfgs {
+				q, err := req(b, cfg, c.mod)
+				if err != nil {
+					return nil, err
+				}
+				reqs = append(reqs, q)
 			}
 		}
 	}
-	return reqs
+	return reqs, nil
 }
 
-// Best returns the faster of several configurations (the BEST_V rows of
-// Table 3 pick the best vector configuration per benchmark).
-func (r *Runner) Best(bench kernels.Benchmark, cfgNames []string, mod *HWMod) (*kernels.Result, error) {
-	var best *kernels.Result
-	for _, n := range cfgNames {
-		res, err := r.RunNamed(bench, n, mod)
-		if err != nil {
-			return nil, err
-		}
-		if best == nil || res.Cycles() < best.Cycles() {
-			best = res
+// grid fetches benches x cols and returns one result per (benchmark,
+// column), a best-of column folded to its fastest candidate (the earliest
+// on a tie). The request list is built from the columns the caller then
+// reads, so what is simulated is exactly what is tabulated.
+func (r *Runner) grid(benches []kernels.Benchmark, cols []col) ([][]*kernels.Result, error) {
+	reqs, err := requests(benches, cols)
+	if err != nil {
+		return nil, err
+	}
+	res, err := r.fetch(reqs)
+	if err != nil {
+		return nil, err
+	}
+	g := make([][]*kernels.Result, len(benches))
+	for i := range g {
+		g[i] = make([]*kernels.Result, len(cols))
+		for j, c := range cols {
+			for _, cand := range res[:len(c.cfgs)] {
+				if g[i][j] == nil || cand.Cycles() < g[i][j].Cycles() {
+					g[i][j] = cand
+				}
+			}
+			res = res[len(c.cfgs):]
 		}
 	}
-	return best, nil
+	return g, nil
 }
 
-// BestVConfigs and BestVPCVConfigs are the candidate sets for the derived
-// Table 3 rows.
+// bestV and bestVPCV are the derived Table 3 rows: the fastest vector
+// configuration per benchmark, without and with per-core SIMD.
 var (
-	BestVConfigs    = []string{"V4", "V16", "V16_LL"}
-	BestVPCVConfigs = []string{"V4_PCV", "V16_PCV", "V16_LL_PCV"}
+	bestV    = col{name: "BEST_V", cfgs: []string{"V4", "V16", "V16_LL"}}
+	bestVPCV = col{name: "BEST_V_PCV", cfgs: []string{"V4_PCV", "V16_PCV", "V16_LL_PCV"}}
 )
 
 // --- formatting helpers ---

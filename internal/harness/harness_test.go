@@ -2,13 +2,18 @@ package harness
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"io"
+	"os"
 	"strings"
 	"testing"
 
 	"rockcress/internal/config"
 	"rockcress/internal/kernels"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/figures_tiny.golden.txt")
 
 func TestTablesRender(t *testing.T) {
 	var b bytes.Buffer
@@ -76,39 +81,165 @@ func TestEffectiveSWSubstitution(t *testing.T) {
 	}
 }
 
+// TestBestPicksFaster: a column naming several configurations folds, per
+// benchmark, to the fastest of them, and hands back that run's own result.
 func TestBestPicksFaster(t *testing.T) {
 	r := New(Options{Scale: kernels.Tiny, Out: io.Discard})
 	b, err := kernels.Get("mvt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := r.Best(b, []string{"V4", "V16"}, nil)
+	g, err := r.grid([]kernels.Benchmark{b},
+		append(plain("V4", "V16"), col{name: "best", cfgs: []string{"V16", "V4"}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v4, _ := r.RunNamed(b, "V4", nil)
-	v16, _ := r.RunNamed(b, "V16", nil)
-	min := v4.Cycles()
-	if v16.Cycles() < min {
-		min = v16.Cycles()
+	v4, v16, best := g[0][0], g[0][1], g[0][2]
+	if v4.Cycles() == v16.Cycles() {
+		t.Fatalf("V4 and V16 tie at %d cycles: the test cannot tell which was picked", v4.Cycles())
 	}
-	if best.Cycles() != min {
-		t.Fatalf("best %d, min %d", best.Cycles(), min)
+	want := v4
+	if v16.Cycles() < v4.Cycles() {
+		want = v16
+	}
+	if best != want {
+		t.Fatalf("best-of column picked %s at %d cycles, want %s at %d",
+			best.Config, best.Cycles(), want.Config, want.Cycles())
 	}
 }
 
-func TestFig10TinySubset(t *testing.T) {
+// TestFetch pins the one execution path: results in request order,
+// duplicates run once, cached cells run nothing, a bad preset fails before
+// anything runs, and a failing cell does not forfeit the finished ones.
+func TestFetch(t *testing.T) {
+	mustReq := func(bench, cfg string) runReq {
+		t.Helper()
+		b, err := kernels.Get(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := req(b, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	reqs := []runReq{mustReq("mvt", "V4"), mustReq("gemm", "V4"), mustReq("mvt", "NV"), mustReq("mvt", "V4")}
+
+	r := New(Options{Scale: kernels.Tiny, Out: io.Discard, Jobs: 2})
+	res, err := r.fetch(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []struct {
+		bench, cfg string
+		cycles     int64
+	}{{"mvt", "V4", 3152}, {"gemm", "V4", 1421}, {"mvt", "NV", 7918}, {"mvt", "V4", 3152}} {
+		if res[i].Bench != want.bench || res[i].Config != want.cfg || res[i].Cycles() != want.cycles {
+			t.Errorf("result %d is %s/%s at %d cycles, want %s/%s at %d",
+				i, res[i].Bench, res[i].Config, res[i].Cycles(), want.bench, want.cfg, want.cycles)
+		}
+	}
+	if res[0] != res[3] {
+		t.Error("duplicate requests returned different results")
+	}
+	ran, _ := r.Throughput()
+	if ran != 3152+1421+7918 {
+		t.Errorf("simulated %d cycles, want %d: a duplicate request must run once", ran, 3152+1421+7918)
+	}
+	again, err := r.fetch(reqs[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := r.Throughput(); after != ran || again[0] != res[0] || again[1] != res[1] {
+		t.Errorf("fetch of cached cells ran %d more cycles or returned new results", after-ran)
+	}
+
+	if _, err := req(reqs[0].bench, "NOSUCH", nil); err == nil {
+		t.Error("req accepted an unknown preset")
+	}
+	if _, err := r.grid([]kernels.Benchmark{reqs[0].bench}, plain("V16", "NOSUCH")); err == nil {
+		t.Error("grid accepted an unknown preset")
+	} else if after, _ := r.Throughput(); after != ran {
+		t.Errorf("grid with an unknown preset still ran %d cycles", after-ran)
+	}
+
+	// mvt/V4 needs 3152 cycles and gemm/V4 1421: a 2000-cycle budget fails
+	// the first request, and the second must be kept all the same.
+	short := New(Options{Scale: kernels.Tiny, Out: io.Discard, MaxCycles: 2000, Jobs: 2})
+	if _, err := short.fetch(reqs[:2]); err == nil || !strings.Contains(err.Error(), "mvt") {
+		t.Fatalf("fetch error %v, want mvt's cycle-budget failure", err)
+	}
+	kept, _ := short.Throughput()
+	got, err := short.fetch(reqs[1:2])
+	if err != nil || got[0].Cycles() != 1421 {
+		t.Fatalf("gemm/V4 after the failed fetch: %v, %v", got, err)
+	}
+	if after, _ := short.Throughput(); after != kept {
+		t.Errorf("gemm/V4 was forfeited by mvt's failure: it ran again (%d more cycles)", after-kept)
+	}
+}
+
+// renderFigures regenerates every registry entry at Tiny: the paper's
+// figures on one shared runner (so later figures read earlier figures'
+// cells), each extension on a runner of its own.
+func renderFigures(t *testing.T, jobs int) []byte {
+	t.Helper()
+	runner := func(benches ...string) *Runner {
+		return New(Options{Scale: kernels.Tiny, Out: io.Discard, Benches: benches, Jobs: jobs})
+	}
+	// gramschm exercises the effectiveSW substitution; 2dconv, bicg and
+	// gemm are Figure 15 hop kernels.
+	paper := runner("2dconv", "bicg", "gemm", "gramschm", "mvt")
+	var out bytes.Buffer
+	for _, f := range Figures {
+		r := paper
+		if !f.Paper {
+			r = runner("gemm", "mvt") // FigFault is mvt's curve whatever the subset
+		}
+		fmt.Fprintf(&out, "=== rockbench -fig %s ===\n", f.Name)
+		if err := f.Fn(r, &out); err != nil {
+			t.Fatalf("figure %s: %v", f.Name, err)
+		}
+	}
+	return out.Bytes()
+}
+
+// TestFigureGoldens holds every figure's bytes, for two sweep widths,
+// against testdata/figures_tiny.golden.txt (go test -run TestFigureGoldens
+// -update rewrites it).
+func TestFigureGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	r := New(Options{Scale: kernels.Tiny, Out: io.Discard, Benches: []string{"gemm", "mvt"}})
-	var b bytes.Buffer
-	if err := r.Fig10(&b); err != nil {
+	const golden = "testdata/figures_tiny.golden.txt"
+	got := renderFigures(t, 1)
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("figures drifted from %s (rerun with -update if intentional); got:\n%s", golden, got)
+	}
+	if wide := renderFigures(t, 4); !bytes.Equal(wide, got) {
+		t.Errorf("Jobs=4 renders differently from Jobs=1:\n%s", wide)
+	}
+}
+
+// TestFigReplayRunsOnlyItsProbes: the probe runs its own fault-free base,
+// so the figure starts no sweep cell of its own.
+func TestFigReplayRunsOnlyItsProbes(t *testing.T) {
+	r := New(Options{Scale: kernels.Tiny, Out: io.Discard, Benches: []string{"mvt"}})
+	if err := r.FigReplay(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
-	if !strings.Contains(out, "Figure 10a") || !strings.Contains(out, "GeoMean") {
-		t.Fatalf("unexpected output:\n%s", out)
+	if cycles, _ := r.Throughput(); cycles != 0 {
+		t.Errorf("FigReplay simulated %d cycles of sweep cells it never reads", cycles)
 	}
 }
 

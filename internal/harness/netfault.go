@@ -29,26 +29,21 @@ var netfaultConfigs = []string{"NV", "V4", "V16"}
 // correct completion on the degraded fabric.
 func (r *Runner) FigNetFault(w io.Writer) error {
 	hw := config.ManycoreDefault()
-	if err := r.prewarm(sweepReqs(r.benches(), netfaultConfigs, nil)); err != nil {
+	benches := r.benches()
+	reqs, base, err := r.faultBases(benches, netfaultConfigs, len(netfaultCuts))
+	if err != nil {
 		return err
 	}
 	header := []string{"bench"}
 	for _, c := range netfaultCuts {
 		header = append(header, fmt.Sprintf("cuts=%d", c))
 	}
-	for _, cfgName := range netfaultConfigs {
-		sw, err := config.Preset(cfgName)
-		if err != nil {
-			return err
-		}
+	for ci, cfgName := range netfaultConfigs {
 		tbl := &table{header: header}
 		var means [][]float64
-		for _, b := range r.benches() {
-			base, err := r.Run(b, sw, nil)
-			if err != nil {
-				return err
-			}
-			baseCycles := base.Cycles()
+		for bi, b := range benches {
+			at := bi*len(netfaultConfigs) + ci // the base runs are bench-major
+			sw, baseCycles := reqs[at].sw, base[at].Cycles()
 			// Faults land mid-run: the first quarter of the fault-free
 			// runtime, then staggered so later cuts hit a mesh already
 			// routing around earlier ones.

@@ -146,9 +146,12 @@ func TestPlaneRebindDuringSweep(t *testing.T) {
 
 // TestFaultFigureFeedsPlane pins the ladder cells' route to the plane: the
 // fault figures hand the session's plane to every execution they start, so
-// FigFault at Tiny ends with the 3 prewarmed base runs plus its 15 ladder
-// cells (3 configurations x 5 kill counts) done on /debug/run — and prints
-// the same table with or without a plane.
+// FigFault at Tiny ends with its 3 base runs plus its 15 ladder cells (3
+// configurations x 5 kill counts) done on /debug/run — and, because the
+// figure plans the ladder cells up front, with the raw planned gauge at the
+// same 18, so a watcher sees an ETA for them (the snapshot clamps planned
+// up to done, which would hide a shortfall; the exposition does not). It
+// prints the same table with or without a plane.
 func TestFaultFigureFeedsPlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -167,5 +170,14 @@ func TestFaultFigureFeedsPlane(t *testing.T) {
 	if snap := p.Run().Snapshot(); snap.Sweep.Done != 18 || snap.Sweep.Failed != 0 {
 		t.Errorf("plane saw %d cells done (%d failed), want 18 (3 base runs + 15 ladder cells)",
 			snap.Sweep.Done, snap.Sweep.Failed)
+	}
+	var prom bytes.Buffer
+	if err := p.Registry().WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{"rockcress_sweep_cells_planned", "rockcress_sweep_cells_done"} {
+		if v, err := promValue(prom.String(), series); err != nil || v != 18 {
+			t.Errorf("%s = %d (%v), want 18", series, v, err)
+		}
 	}
 }

@@ -22,9 +22,6 @@ func (r *Runner) FigReplay(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := r.prewarm(sweepReqs(r.benches(), []string{"V4"}, nil)); err != nil {
-		return err
-	}
 	tbl := &table{header: []string{"kernel", "rung", "ladder", "restart", "speedup"}}
 	for _, bench := range r.benches() {
 		pr, err := kernels.ProbeReplayWinOpts(bench, bench.Defaults(r.opts.Scale), sw, hw, r.execOpts())
