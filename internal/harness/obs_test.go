@@ -181,3 +181,42 @@ func TestFaultFigureFeedsPlane(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayFigureIsOneCellPerProbe: under -listen a probe is one sweep cell,
+// planned before it starts — not one per run inside the search, which put
+// 35 cells done against 0 planned on the exposition for mvt alone and left
+// a watcher with no ETA. The dry run inside the search is a measurement on a
+// machine that stops early: it must never take the plane's machine slot, so
+// the next machine built on the plane still binds. The table is the same
+// with and without a plane.
+func TestReplayFigureIsOneCellPerProbe(t *testing.T) {
+	opts := Options{Scale: kernels.Tiny, Out: io.Discard, Benches: []string{"mvt"}}
+	var bare, observed bytes.Buffer
+	if err := New(opts).FigReplay(&bare); err != nil {
+		t.Fatal(err)
+	}
+	p := metrics.NewPlane("")
+	opts.Obs = p
+	if err := New(opts).FigReplay(&observed); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bare.Bytes(), observed.Bytes()) {
+		t.Errorf("figure differs with a plane attached:\n%s\nvs\n%s", observed.Bytes(), bare.Bytes())
+	}
+	var prom bytes.Buffer
+	if err := p.Registry().WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{"rockcress_sweep_cells_planned", "rockcress_sweep_cells_done"} {
+		if v, err := promValue(prom.String(), series); err != nil || v != 1 {
+			t.Errorf("%s = %d (%v), want 1", series, v, err)
+		}
+	}
+	if snap := p.Run().Snapshot(); snap.Sweep.Failed != 0 || len(snap.Active) != 0 {
+		t.Errorf("after the figure: %d cells failed, %d still active", snap.Sweep.Failed, len(snap.Active))
+	}
+	if !p.TryBindMachine() {
+		t.Fatal("the figure left the plane's machine slot taken")
+	}
+	p.ReleaseMachine()
+}

@@ -23,7 +23,10 @@ func (r *Runner) FigReplay(w io.Writer) error {
 		return err
 	}
 	tbl := &table{header: []string{"kernel", "rung", "ladder", "restart", "speedup"}}
-	for _, bench := range r.benches() {
+	// One search is one cell, however many runs it takes.
+	benches := r.benches()
+	r.opts.Obs.Run().AddPlanned(len(benches))
+	for _, bench := range benches {
 		pr, err := kernels.ProbeReplayWinOpts(bench, bench.Defaults(r.opts.Scale), sw, hw, r.execOpts())
 		if err != nil {
 			return fmt.Errorf("replay figure: %w", err)

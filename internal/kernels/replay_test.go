@@ -14,16 +14,6 @@ import (
 // replayMaxCycles bounds the small Tiny-scale searches below.
 const replayMaxCycles = 30_000_000
 
-// flipPlan builds a single-event silent-corruption plan: one bit flip in
-// tile's scratchpad at the given cycle and byte offset. Bit 30 lands in a
-// float's exponent, so a consumed flip always moves the result far outside
-// the checker's tolerance.
-func flipPlan(cycle int64, tile int, off uint32) *fault.Plan {
-	return &fault.Plan{Events: []fault.Event{
-		{Kind: fault.FlipSpadWord, Cycle: cycle, Tile: tile, Offset: off, Bit: 30},
-	}}
-}
-
 // TestReplayLadderBeatsRestart is the acceptance criterion for the recovery
 // ladder under silent data corruption: for every PolyBench kernel under V4,
 // ProbeReplayWin must find a fault schedule the ladder repairs strictly

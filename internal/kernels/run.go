@@ -154,7 +154,7 @@ type trial struct {
 	snap         *machine.Checkpoint // latest snapshot, and the site count of
 	snapSites    int                 // the build that published it
 
-	// Set by run.
+	// Set by build and run.
 	m        *machine.Machine
 	img      *Image
 	st       *stats.Machine
@@ -163,12 +163,26 @@ type trial struct {
 	restored bool // resumed from snap, not the initial image
 }
 
-// run is the one attempt path: prepare the image, build and assemble the
-// program for the layout, build the machine, load the image — or restore the
-// snapshot when it fits this build — run, and tell the plane. Errors before
-// the run are returned; the run's own is a.runErr.
+// run is the one attempt path: build the machine, run it, and tell the plane.
+// Errors before the run are returned; the run's own is a.runErr.
 func (a *trial) run(b Benchmark, p Params, sw, buildSW config.Software, hw config.Manycore,
 	groups []*config.Group, maxCycles int64, opts ExecOpts) error {
+	if err := a.build(b, p, sw, buildSW, hw, groups, opts); err != nil {
+		return err
+	}
+	a.st, a.runErr = a.m.Run(maxCycles)
+	opts.Obs.Run().AddSim(a.m.Now(), a.st.WallNs)
+	// Dump per attempt, not only on the final error: a watchdog trip the
+	// ladder then recovers from would otherwise leave no forensic record.
+	maybeFlightDump(opts.Obs, a.runErr)
+	return nil
+}
+
+// build is everything before cycle 0: prepare the image, build and assemble
+// the program for the layout, build the machine, load the image — or restore
+// the snapshot when it fits this build.
+func (a *trial) build(b Benchmark, p Params, sw, buildSW config.Software, hw config.Manycore,
+	groups []*config.Group, opts ExecOpts) error {
 	name := b.Info().Name
 	var err error
 	if a.img, err = b.Prepare(p); err == nil {
@@ -207,11 +221,6 @@ func (a *trial) run(b Benchmark, p Params, sw, buildSW config.Software, hw confi
 	} else {
 		a.img.Apply(a.m.Global)
 	}
-	a.st, a.runErr = a.m.Run(maxCycles)
-	opts.Obs.Run().AddSim(a.m.Now(), a.st.WallNs)
-	// Dump per attempt, not only on the final error: a watchdog trip the
-	// ladder then recovers from would otherwise leave no forensic record.
-	maybeFlightDump(opts.Obs, a.runErr)
 	return nil
 }
 

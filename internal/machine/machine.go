@@ -92,6 +92,7 @@ type Machine struct {
 	bankFailovers atomic.Int64
 
 	// Read only at watchdog checkpoints (watchdog.go).
+	wd           watchdog
 	checkEvery   int64
 	stallLimit   int64
 	ctx          context.Context
@@ -143,6 +144,7 @@ func New(p Params) (*Machine, error) {
 		tileGroup:    make([]int, cfg.Cores),
 		meter:        sim.NewMeter(cfg.Cores),
 		bankMap:      make([]int, cfg.LLCBanks),
+		wd:           watchdog{lastIssued: -1},
 		ctx:          p.Ctx,
 		wallDeadline: p.WallDeadline,
 	}
@@ -646,14 +648,73 @@ func (m *Machine) fastForward(limit int64) bool {
 	return true
 }
 
+// advance is the run loop: step or skip, let the observers look, and at
+// every CheckEvery-th cycle hold the watchdog checkpoint — until every core
+// has halted (false) or an iteration ends at or past cycle stop (true). The
+// skip never crosses a checkpoint or stop, so checkpoints and the stop land
+// on the cycles the stepping engine would reach them at.
+func (m *Machine) advance(stop int64) (atStop bool, err error) {
+	for m.active.Load() > 0 {
+		// Idle fast-forward: when stepping can only record stalls, jump to
+		// the next event.
+		m.stepOrSkip(stop)
+		m.observeStep()
+		if m.now%m.checkEvery == 0 {
+			if err := m.checkpoint(&m.wd); err != nil {
+				return false, err
+			}
+		}
+		if m.now >= stop {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// recoverRun, deferred around the run loop, turns a panic anywhere in it (a
+// simulator bug) into a *FaultError rather than taking down the caller.
+func (m *Machine) recoverRun(err *error) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	fe := &FaultError{Cycle: m.now, Tile: -1, State: m.debugState()}
+	if pe, ok := r.(*sim.PanicError); ok {
+		// Engine-worker panic: keep the worker's stack, which points at the
+		// component that died rather than the re-raise site.
+		fe.Err = fmt.Errorf("machine: internal panic: %v", pe.Val)
+		fe.Stack = string(pe.Stack)
+	} else {
+		fe.Err = fmt.Errorf("machine: internal panic: %v", r)
+		fe.Stack = string(debug.Stack())
+	}
+	*err = fe
+}
+
+// RunUntil advances the machine to cycle stop and leaves it there, resumable:
+// Run's loop with the same watchdog checkpoints, but no cycle budget, drain,
+// flush or end-of-run collection. It returns early, still without error, once
+// every core has halted (Now() < stop tells), and with Run's *FaultError when
+// a checkpoint fails. A caller that reads state between calls sees exactly
+// what a fault scheduled at cycle Now() would find.
+func (m *Machine) RunUntil(stop int64) (err error) {
+	if m.now >= stop {
+		return nil
+	}
+	defer m.recoverRun(&err)
+	m.engine.Start()
+	defer m.engine.Stop()
+	_, err = m.advance(stop)
+	return err
+}
+
 // Run simulates until every core halts (plus memory drain), or maxCycles
 // elapse, or a simulation error surfaces. It returns the collected stats.
 // A progress watchdog aborts early (with a per-core state dump) when no
 // core issues an instruction for a long stretch: a deadlocked program.
-// Every failure path returns a *FaultError; a panic anywhere in the cycle
-// loop (a simulator bug) is recovered into one rather than taking down the
-// caller.
+// Every failure path returns a *FaultError, recovered panics included.
 func (m *Machine) Run(maxCycles int64) (st *stats.Machine, err error) {
+	st = m.Stats
 	// The simulated-throughput meter times the run loop alone; the deferred
 	// add runs on every exit path, including panics turned into errors.
 	runStart := time.Now()
@@ -662,40 +723,16 @@ func (m *Machine) Run(maxCycles int64) (st *stats.Machine, err error) {
 	// totals in m.Stats. Declared before the recover handler so it runs
 	// after it (LIFO) and a panicked run is truncation-marked too.
 	defer func() { m.observeEnd(err != nil) }()
-	defer func() {
-		if r := recover(); r != nil {
-			st = m.Stats
-			fe := &FaultError{Cycle: m.now, Tile: -1, State: m.debugState()}
-			if pe, ok := r.(*sim.PanicError); ok {
-				// Engine-worker panic: keep the worker's stack, which points
-				// at the component that died rather than the re-raise site.
-				fe.Err = fmt.Errorf("machine: internal panic: %v", pe.Val)
-				fe.Stack = string(pe.Stack)
-			} else {
-				fe.Err = fmt.Errorf("machine: internal panic: %v", r)
-				fe.Stack = string(debug.Stack())
-			}
-			err = fe
-		}
-	}()
+	defer m.recoverRun(&err)
 	m.engine.Start()
 	defer m.engine.Stop()
-	wd := watchdog{lastIssued: -1}
-	for m.active.Load() > 0 {
-		// Idle fast-forward: when stepping can only record stalls, jump to
-		// the next event; the skip never crosses a checkpoint or the
-		// budget, so the checks below fire at the serial engine's cycles.
-		m.stepOrSkip(maxCycles)
-		m.observeStep()
-		if m.now%m.checkEvery == 0 {
-			if err := m.checkpoint(&wd); err != nil {
-				return m.Stats, err
-			}
-		}
-		if m.now >= maxCycles {
-			return m.Stats, m.faultErr(-1, fmt.Errorf("machine: no completion after %d cycles (%d cores active): likely deadlock or undersized budget",
-				maxCycles, m.active.Load()))
-		}
+	overBudget, err := m.advance(maxCycles)
+	if err != nil {
+		return m.Stats, err
+	}
+	if overBudget {
+		return m.Stats, m.faultErr(-1, fmt.Errorf("machine: no completion after %d cycles (%d cores active): likely deadlock or undersized budget",
+			maxCycles, m.active.Load()))
 	}
 	if err := m.checkComponents(); err != nil {
 		return m.Stats, err

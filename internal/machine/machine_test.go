@@ -2,6 +2,7 @@ package machine_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"rockcress/internal/config"
@@ -199,6 +200,55 @@ func TestVectorGroupDAE(t *testing.T) {
 			if recv := m.Stats.Cores[lane].InetReceives; recv == 0 {
 				t.Errorf("lane %d executed no forwarded instructions", lane)
 			}
+		}
+	}
+}
+
+// TestRunUntilMatchesStepLoop pins the bounded run cycle for cycle: a machine
+// advanced by RunUntil through an irregular series of stops — consecutive
+// cycles, a repeated stop, a watchdog-checkpoint multiple, one far past the
+// end — is, at every stop, where a machine single-stepped to the same cycle
+// is: same Now(), same counters once collected. Fast-forward is on in the
+// bounded run and absent from the Step loop, so the two skip counters are the
+// only fields allowed to differ. Past the last halt RunUntil returns early
+// and without error.
+func TestRunUntilMatchesStepLoop(t *testing.T) {
+	for _, cfgName := range []string{"NV", "V4"} {
+		a := buildForAllocTest(t, "mvt", cfgName, nil, nil)
+		b := buildForAllocTest(t, "mvt", cfgName, nil, nil)
+		const pastEnd = 1 << 20
+		for _, stop := range []int64{0, 1, 2, 3, 57, 57, 400, 1023, 1024, 1025, 2048, 2500, pastEnd} {
+			if err := a.RunUntil(stop); err != nil {
+				t.Fatalf("mvt/%s: RunUntil(%d): %v", cfgName, stop, err)
+			}
+			if stop != pastEnd && a.Now() != stop {
+				t.Fatalf("mvt/%s: RunUntil(%d) stopped at cycle %d", cfgName, stop, a.Now())
+			}
+			for b.Now() < a.Now() {
+				b.Step()
+			}
+			a.Collect()
+			b.Collect()
+			sa, sb := *a.Stats, *b.Stats
+			sa.FastForwards, sa.SkippedCycles, sa.WallNs = 0, 0, 0
+			sb.FastForwards, sb.SkippedCycles, sb.WallNs = 0, 0, 0
+			if !reflect.DeepEqual(sa, sb) {
+				t.Fatalf("mvt/%s at cycle %d: RunUntil and the Step loop disagree:\n%+v\nvs\n%+v", cfgName, a.Now(), sa, sb)
+			}
+		}
+		if a.Now() >= pastEnd {
+			t.Errorf("mvt/%s: RunUntil ran to cycle %d with every core halted", cfgName, a.Now())
+		}
+		for tile := 0; tile < a.Cfg.Cores; tile++ {
+			if !a.Core(tile).Halted() {
+				t.Fatalf("mvt/%s: RunUntil returned at cycle %d with tile %d still running", cfgName, a.Now(), tile)
+			}
+		}
+		if a.Stats.FastForwards == 0 {
+			t.Errorf("mvt/%s: the bounded run never fast-forwarded; the comparison did not cover skips", cfgName)
+		}
+		if b.Stats.FastForwards != 0 {
+			t.Errorf("mvt/%s: the Step loop fast-forwarded %d times", cfgName, b.Stats.FastForwards)
 		}
 	}
 }

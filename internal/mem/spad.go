@@ -215,27 +215,67 @@ func (s *Scratchpad) Dead() bool { return s.dead }
 // verified) are beyond what frame replay can repair, so the scratchpad is
 // marked suspect and the machine stops publishing checkpoints.
 func (s *Scratchpad) FlipBit(off uint32, bit uint8) (landed, inFrame bool) {
-	if s.dead || off%4 != 0 || int(off/4) >= len(s.words) || bit > 31 {
+	site, slot := s.flipSite(off)
+	if site == flipMiss || bit > 31 {
 		return false, false
 	}
 	s.words[off/4] ^= 1 << bit
-	inFrame = s.numFrames > 0 && off < uint32(s.FrameRegionBytes())
 	if s.integrity {
-		if !inFrame {
-			s.suspect = true
+		if site == flipOpenFrame {
+			s.pending[slot]++
 		} else {
-			slot := int(off) / (s.frameWords * 4)
-			head := int(s.headSeq % int64(s.numFrames))
-			if slot == head && s.verifiedSeq == s.headSeq {
-				// The head frame already passed its check; the consumer may
-				// read the flipped word unverified.
-				s.suspect = true
-			} else {
-				s.pending[slot]++
-			}
+			s.suspect = true
 		}
 	}
-	return true, inFrame
+	return true, site != flipData
+}
+
+// Where a flip at a byte offset lands, as the integrity layer tells them
+// apart.
+const (
+	flipMiss         = iota // dead pad, unaligned or out of range: no word changes
+	flipData                // outside the frame region
+	flipVerifiedHead        // the head frame, after its parity check passed
+	flipOpenFrame           // a frame slot whose check is still to come
+)
+
+// flipSite classifies offset off for FlipBit and FlipWouldPoison, and
+// names the frame slot for the two frame-region sites.
+func (s *Scratchpad) flipSite(off uint32) (site, slot int) {
+	if s.dead || off%4 != 0 || int(off/4) >= len(s.words) {
+		return flipMiss, 0
+	}
+	if s.numFrames == 0 || off >= uint32(s.FrameRegionBytes()) {
+		return flipData, 0
+	}
+	slot = int(off) / (s.frameWords * 4)
+	if slot == int(s.headSeq%int64(s.numFrames)) && s.verifiedSeq == s.headSeq {
+		// The head frame already passed its check; the consumer may read the
+		// flipped word unverified.
+		return flipVerifiedHead, slot
+	}
+	return flipOpenFrame, slot
+}
+
+// FlipWouldPoison reports whether a FlipBit at off, landing now, would make
+// the slot's parity check fail when its frame opens. That takes integrity
+// checking, a frame slot still to be verified, and a word that has already
+// arrived in the slot's current fill: the parity accumulator then holds the
+// word's true value and no later arrival overwrites the flipped one. Every
+// other flip is invisible to the check — overwritten by the arrival still to
+// come, outside the frame region, or behind a check that already passed. It
+// reads only; the replay probe asks it of a machine no fault has touched.
+func (s *Scratchpad) FlipWouldPoison(off uint32) bool {
+	site, slot := s.flipSite(off)
+	if !s.integrity || site != flipOpenFrame {
+		return false
+	}
+	for _, g := range s.segs[slot] {
+		if off >= g.Off && off < g.Off+uint32(4*g.Words) {
+			return true
+		}
+	}
+	return false
 }
 
 // ReadWord performs a program load from the scratchpad.
