@@ -199,3 +199,33 @@ func checkTraceDigest(t *testing.T, wantBytes int, wantSHA256 string, extra ...s
 		t.Errorf("trace is %d bytes with SHA-256 %s, want %d and %s", len(raw), got, wantBytes, wantSHA256)
 	}
 }
+
+// TestDumpAsmGoldens pins the disassembly text: the bytes `-dump-asm` wrote
+// before isa.Instr.String became a loop over the ISA table (bfs with
+// same-PC labels sorted by name, which is what makes its dump stable).
+func TestDumpAsmGoldens(t *testing.T) {
+	for _, c := range []struct{ bench, cfg, golden string }{
+		{"mvt", "V4", "testdata/mvt_v4_tiny.golden.s"},
+		{"bfs", "NV", "testdata/bfs_nv_tiny.golden.s"},
+	} {
+		cmd := exec.Command(rocksimBin, "-bench", c.bench, "-config", c.cfg, "-scale", "tiny", "-dump-asm")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		got, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("rocksim -dump-asm %s/%s: %v\n%s", c.bench, c.cfg, err, stderr.String())
+		}
+		if *update {
+			if err := os.WriteFile(c.golden, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(c.golden)
+		if err != nil {
+			t.Fatalf("%v (regenerate with: go test ./cmd/rocksim -update)", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s/%s disassembly drifted from %s (rerun with -update if intentional)", c.bench, c.cfg, c.golden)
+		}
+	}
+}

@@ -16,6 +16,8 @@ package asm
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -53,6 +55,9 @@ func Disassemble(p *isa.Program) string {
 	byPC := map[int][]string{}
 	for name, pc := range p.Labels {
 		byPC[pc] = append(byPC[pc], name)
+	}
+	for _, names := range byPC {
+		sort.Strings(names) // map order would make the text differ run to run
 	}
 	var b strings.Builder
 	for pc, in := range p.Code {
@@ -118,43 +123,28 @@ func operands(rest string) []string {
 	return parts
 }
 
-func parseReg(tok string) (isa.Reg, error) {
-	if !strings.HasPrefix(tok, "x") {
-		return 0, fmt.Errorf("expected integer register, got %q", tok)
+// parseReg parses the register that fills slot o ("x7" for an Rs1, "f3" for
+// an Fd) and returns its index.
+func parseReg(tok string, o isa.Operand) (uint8, error) {
+	prefix, size := o.File()
+	if tok != "" && tok[0] == prefix {
+		if n, err := strconv.Atoi(tok[1:]); err == nil && n >= 0 && n < size {
+			return uint8(n), nil
+		}
 	}
-	n, err := strconv.Atoi(tok[1:])
-	if err != nil || n < 0 || n >= isa.NumIntRegs {
-		return 0, fmt.Errorf("bad integer register %q", tok)
-	}
-	return isa.Reg(n), nil
+	return 0, fmt.Errorf("expected a register %c0..%c%d, got %q", prefix, prefix, size-1, tok)
 }
 
-func parseFReg(tok string) (isa.FReg, error) {
-	if !strings.HasPrefix(tok, "f") {
-		return 0, fmt.Errorf("expected fp register, got %q", tok)
-	}
-	n, err := strconv.Atoi(tok[1:])
-	if err != nil || n < 0 || n >= isa.NumFpRegs {
-		return 0, fmt.Errorf("bad fp register %q", tok)
-	}
-	return isa.FReg(n), nil
-}
-
-func parseVReg(tok string) (uint8, error) {
-	if !strings.HasPrefix(tok, "v") {
-		return 0, fmt.Errorf("expected simd register, got %q", tok)
-	}
-	n, err := strconv.Atoi(tok[1:])
-	if err != nil || n < 0 || n >= isa.NumVecRegs {
-		return 0, fmt.Errorf("bad simd register %q", tok)
-	}
-	return uint8(n), nil
-}
-
+// parseImm accepts [-2^31, 2^32): values from 2^31 up wrap to negative,
+// which is how addresses above 2 GiB are written by hand; anything wider
+// would be silently truncated, so it is an error.
 func parseImm(tok string) (int32, error) {
 	v, err := strconv.ParseInt(tok, 0, 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad immediate %q", tok)
+	}
+	if v < math.MinInt32 || v > math.MaxUint32 {
+		return 0, fmt.Errorf("immediate %q does not fit in 32 bits", tok)
 	}
 	return int32(v), nil
 }
@@ -169,11 +159,11 @@ func parseMem(tok string) (int32, isa.Reg, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	base, err := parseReg(strings.TrimSpace(tok[open+1 : len(tok)-1]))
+	base, err := parseReg(strings.TrimSpace(tok[open+1:len(tok)-1]), isa.Rs1)
 	if err != nil {
 		return 0, 0, err
 	}
-	return off, base, nil
+	return off, isa.Reg(base), nil
 }
 
 // target resolves a branch operand: an absolute index or a label fixup.
@@ -185,6 +175,9 @@ func (a *assembler) target(tok string, in *isa.Instr) {
 	a.fixups = append(a.fixups, fixup{pos: len(a.code), label: tok})
 }
 
+// instr parses one instruction: the mnemonic picks a row of isa.Ops and each
+// slot of the row's Syntax consumes one operand (a trailing VlArgs slot, the
+// rest of them).
 func (a *assembler) instr(line string) error {
 	mnemonic, rest, _ := strings.Cut(line, " ")
 	mnemonic = strings.TrimSpace(mnemonic)
@@ -193,297 +186,58 @@ func (a *assembler) instr(line string) error {
 		return fmt.Errorf("unknown mnemonic %q", mnemonic)
 	}
 	ops := operands(rest)
+	syntax := isa.Ops[op].Syntax
+	lo, hi := len(syntax), len(syntax)
+	if lo > 0 && syntax[lo-1] == isa.VlArgs {
+		lo, hi = lo+2, lo+4 // baseLane, width, dist[, part][, f]
+	}
+	if len(ops) < lo || len(ops) > hi {
+		want := strconv.Itoa(lo)
+		if hi > lo {
+			want += "-" + strconv.Itoa(hi)
+		}
+		return fmt.Errorf("%s: expected %s operands, got %d", mnemonic, want, len(ops))
+	}
 	in := isa.Instr{Op: op}
-	need := func(n int) error {
-		if len(ops) != n {
-			return fmt.Errorf("%s: expected %d operands, got %d", mnemonic, n, len(ops))
+	for k, o := range syntax {
+		var err error
+		switch tok := ops[k]; o {
+		case isa.Imm:
+			in.Imm, err = parseImm(tok)
+		case isa.Target:
+			a.target(tok, &in)
+		case isa.Mem:
+			in.Imm, in.Rs1, err = parseMem(tok)
+		case isa.CsrOp:
+			if in.Csr, ok = isa.CSRByName(tok); !ok {
+				err = fmt.Errorf("unknown CSR %q", tok)
+			}
+		case isa.VlArgs:
+			err = parseVload(ops[k:], &in)
+		default:
+			*in.Reg(o), err = parseReg(tok, o)
 		}
-		return nil
-	}
-	var err error
-	switch op {
-	case isa.OpNop, isa.OpVend, isa.OpRemem, isa.OpBarrier, isa.OpHalt:
-		err = need(0)
-	case isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpRem, isa.OpAnd,
-		isa.OpOr, isa.OpXor, isa.OpSll, isa.OpSrl, isa.OpSra, isa.OpSlt, isa.OpSltu:
-		if err = need(3); err == nil {
-			in.Rd, err = parseReg(ops[0])
-			if err == nil {
-				in.Rs1, err = parseReg(ops[1])
-			}
-			if err == nil {
-				in.Rs2, err = parseReg(ops[2])
-			}
+		if err != nil {
+			return err
 		}
-	case isa.OpAddi, isa.OpAndi, isa.OpOri, isa.OpXori, isa.OpSlli, isa.OpSrli,
-		isa.OpSrai, isa.OpSlti:
-		if err = need(3); err == nil {
-			in.Rd, err = parseReg(ops[0])
-			if err == nil {
-				in.Rs1, err = parseReg(ops[1])
-			}
-			if err == nil {
-				in.Imm, err = parseImm(ops[2])
-			}
-		}
-	case isa.OpLi:
-		if err = need(2); err == nil {
-			in.Rd, err = parseReg(ops[0])
-			if err == nil {
-				in.Imm, err = parseImm(ops[1])
-			}
-		}
-	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBltu, isa.OpBgeu:
-		if err = need(3); err == nil {
-			in.Rs1, err = parseReg(ops[0])
-			if err == nil {
-				in.Rs2, err = parseReg(ops[1])
-			}
-			if err == nil {
-				a.target(ops[2], &in)
-			}
-		}
-	case isa.OpJal:
-		if err = need(2); err == nil {
-			in.Rd, err = parseReg(ops[0])
-			if err == nil {
-				a.target(ops[1], &in)
-			}
-		}
-	case isa.OpJalr:
-		if err = need(3); err == nil {
-			in.Rd, err = parseReg(ops[0])
-			if err == nil {
-				in.Rs1, err = parseReg(ops[1])
-			}
-			if err == nil {
-				in.Imm, err = parseImm(ops[2])
-			}
-		}
-	case isa.OpFadd, isa.OpFsub, isa.OpFmul, isa.OpFdiv, isa.OpFmin, isa.OpFmax:
-		if err = need(3); err == nil {
-			in.Fd, err = parseFReg(ops[0])
-			if err == nil {
-				in.Fs1, err = parseFReg(ops[1])
-			}
-			if err == nil {
-				in.Fs2, err = parseFReg(ops[2])
-			}
-		}
-	case isa.OpFmadd:
-		if err = need(4); err == nil {
-			in.Fd, err = parseFReg(ops[0])
-			if err == nil {
-				in.Fs1, err = parseFReg(ops[1])
-			}
-			if err == nil {
-				in.Fs2, err = parseFReg(ops[2])
-			}
-			if err == nil {
-				in.Fs3, err = parseFReg(ops[3])
-			}
-		}
-	case isa.OpFsqrt, isa.OpFabs, isa.OpFneg, isa.OpFmv:
-		if err = need(2); err == nil {
-			in.Fd, err = parseFReg(ops[0])
-			if err == nil {
-				in.Fs1, err = parseFReg(ops[1])
-			}
-		}
-	case isa.OpFeq, isa.OpFlt, isa.OpFle:
-		if err = need(3); err == nil {
-			in.Rd, err = parseReg(ops[0])
-			if err == nil {
-				in.Fs1, err = parseFReg(ops[1])
-			}
-			if err == nil {
-				in.Fs2, err = parseFReg(ops[2])
-			}
-		}
-	case isa.OpFcvtWS, isa.OpFmvXW:
-		if err = need(2); err == nil {
-			in.Rd, err = parseReg(ops[0])
-			if err == nil {
-				in.Fs1, err = parseFReg(ops[1])
-			}
-		}
-	case isa.OpFcvtSW, isa.OpFmvWX:
-		if err = need(2); err == nil {
-			in.Fd, err = parseFReg(ops[0])
-			if err == nil {
-				in.Rs1, err = parseReg(ops[1])
-			}
-		}
-	case isa.OpLw, isa.OpLwSp:
-		if err = need(2); err == nil {
-			in.Rd, err = parseReg(ops[0])
-			if err == nil {
-				in.Imm, in.Rs1, err = parseMem(ops[1])
-			}
-		}
-	case isa.OpFlw, isa.OpFlwSp:
-		if err = need(2); err == nil {
-			in.Fd, err = parseFReg(ops[0])
-			if err == nil {
-				in.Imm, in.Rs1, err = parseMem(ops[1])
-			}
-		}
-	case isa.OpSw, isa.OpSwSp:
-		if err = need(2); err == nil {
-			in.Rs2, err = parseReg(ops[0])
-			if err == nil {
-				in.Imm, in.Rs1, err = parseMem(ops[1])
-			}
-		}
-	case isa.OpFsw, isa.OpFswSp:
-		if err = need(2); err == nil {
-			in.Fs2, err = parseFReg(ops[0])
-			if err == nil {
-				in.Imm, in.Rs1, err = parseMem(ops[1])
-			}
-		}
-	case isa.OpSwRemote:
-		if err = need(3); err == nil {
-			in.Rs2, err = parseReg(ops[0])
-			if err == nil {
-				in.Imm, in.Rs1, err = parseMem(ops[1])
-			}
-			if err == nil {
-				in.Rs3, err = parseReg(ops[2])
-			}
-		}
-	case isa.OpFswRemote:
-		if err = need(3); err == nil {
-			in.Fs2, err = parseFReg(ops[0])
-			if err == nil {
-				in.Imm, in.Rs1, err = parseMem(ops[1])
-			}
-			if err == nil {
-				in.Rs3, err = parseReg(ops[2])
-			}
-		}
-	case isa.OpCsrw:
-		if err = need(2); err == nil {
-			var okc bool
-			in.Csr, okc = isa.CSRByName(ops[0])
-			if !okc {
-				err = fmt.Errorf("unknown CSR %q", ops[0])
-			}
-			if err == nil {
-				in.Rs1, err = parseReg(ops[1])
-			}
-		}
-	case isa.OpCsrr:
-		if err = need(2); err == nil {
-			in.Rd, err = parseReg(ops[0])
-			if err == nil {
-				var okc bool
-				in.Csr, okc = isa.CSRByName(ops[1])
-				if !okc {
-					err = fmt.Errorf("unknown CSR %q", ops[1])
-				}
-			}
-		}
-	case isa.OpVissue, isa.OpDevec:
-		if err = need(1); err == nil {
-			a.target(ops[0], &in)
-		}
-	case isa.OpFrameStart:
-		if err = need(1); err == nil {
-			in.Rd, err = parseReg(ops[0])
-		}
-	case isa.OpVload:
-		err = a.parseVload(ops, &in)
-	case isa.OpPredEq, isa.OpPredNeq:
-		if err = need(2); err == nil {
-			in.Rs1, err = parseReg(ops[0])
-			if err == nil {
-				in.Rs2, err = parseReg(ops[1])
-			}
-		}
-	case isa.OpVlwSp:
-		if err = need(2); err == nil {
-			in.Vd, err = parseVReg(ops[0])
-			if err == nil {
-				in.Imm, in.Rs1, err = parseMem(ops[1])
-			}
-		}
-	case isa.OpVswSp:
-		if err = need(2); err == nil {
-			in.Vs1, err = parseVReg(ops[0])
-			if err == nil {
-				in.Imm, in.Rs1, err = parseMem(ops[1])
-			}
-		}
-	case isa.OpVfadd, isa.OpVfsub, isa.OpVfmul, isa.OpVfma:
-		if err = need(3); err == nil {
-			in.Vd, err = parseVReg(ops[0])
-			if err == nil {
-				in.Vs1, err = parseVReg(ops[1])
-			}
-			if err == nil {
-				in.Vs2, err = parseVReg(ops[2])
-			}
-		}
-	case isa.OpVfmaF, isa.OpVfmulF:
-		if err = need(3); err == nil {
-			in.Vd, err = parseVReg(ops[0])
-			if err == nil {
-				in.Vs1, err = parseVReg(ops[1])
-			}
-			if err == nil {
-				in.Fs3, err = parseFReg(ops[2])
-			}
-		}
-	case isa.OpVbcastF:
-		if err = need(2); err == nil {
-			in.Vd, err = parseVReg(ops[0])
-			if err == nil {
-				in.Fs3, err = parseFReg(ops[1])
-			}
-		}
-	case isa.OpVfredsum:
-		if err = need(2); err == nil {
-			in.Fd, err = parseFReg(ops[0])
-			if err == nil {
-				in.Vs1, err = parseVReg(ops[1])
-			}
-		}
-	default:
-		err = fmt.Errorf("mnemonic %q not assemblable", mnemonic)
-	}
-	if err != nil {
-		return err
 	}
 	a.code = append(a.code, in)
 	return nil
 }
 
-// parseVload handles: vload xOff, xAddr, baseLane, width, dist[, part][, f]
-func (a *assembler) parseVload(ops []string, in *isa.Instr) error {
-	if len(ops) < 5 || len(ops) > 7 {
-		return fmt.Errorf("vload: expected 5-7 operands, got %d", len(ops))
-	}
-	var err error
-	in.Rs2, err = parseReg(ops[0])
+// parseVload handles vload's tail: baseLane, width, dist[, part][, f]
+func parseVload(ops []string, in *isa.Instr) error {
+	base, err := parseImm(ops[0])
 	if err != nil {
 		return err
 	}
-	in.Rs1, err = parseReg(ops[1])
-	if err != nil {
-		return err
-	}
-	base, err := parseImm(ops[2])
-	if err != nil {
-		return err
-	}
-	width, err := parseImm(ops[3])
+	width, err := parseImm(ops[1])
 	if err != nil {
 		return err
 	}
 	in.Vl.BaseLane = int(base)
 	in.Vl.Width = int(width)
-	switch ops[4] {
+	switch ops[2] {
 	case "single":
 		in.Vl.Dist = isa.VloadSingle
 	case "group":
@@ -491,9 +245,9 @@ func (a *assembler) parseVload(ops []string, in *isa.Instr) error {
 	case "self":
 		in.Vl.Dist = isa.VloadSelf
 	default:
-		return fmt.Errorf("vload: unknown distribution %q", ops[4])
+		return fmt.Errorf("vload: unknown distribution %q", ops[2])
 	}
-	for _, extra := range ops[5:] {
+	for _, extra := range ops[3:] {
 		switch extra {
 		case "suffix":
 			in.Vl.Part = isa.VloadSuffix

@@ -19,18 +19,6 @@ import (
 	"rockcress/internal/stats"
 )
 
-// vecCheck selects which SIMD source registers an op waits on (the vec-op
-// switch of the old checkSources, precomputed).
-type vecCheck uint8
-
-const (
-	vecNone  vecCheck = iota
-	vecS1S2           // vfadd/vfsub/vfmul
-	vecS1S2D          // vfma (accumulator is also a source)
-	vecS1D            // vfmaF
-	vecS1             // vfmulF/vswsp/vfredsum
-)
-
 // execFn performs one non-control instruction's semantics at cycle now. It
 // may refuse (resource hazards discovered at execution).
 type execFn func(c *Core, now int64) (bool, stats.StallKind)
@@ -45,15 +33,15 @@ type lowEntry struct {
 
 	// Source readiness (scoreboard check), in the old checkSources order:
 	// int sources, fp sources, vec sources, then WAW int/fp/vec.
-	srcInt        [3]isa.Reg
-	srcFp         [3]isa.FReg
-	nInt, nFp     uint8
-	vec           vecCheck
-	vs1, vs2, vd  uint8
-	wawInt, wawFp bool
-	wawVec        bool
-	rd            isa.Reg
-	fd            isa.FReg
+	srcInt          [3]isa.Reg
+	srcFp           [3]isa.FReg
+	srcVec          [3]uint8
+	nInt, nFp, nVec uint8
+	wawInt, wawFp   bool
+	wawVec          bool
+	rd              isa.Reg
+	fd              isa.FReg
+	vd              uint8
 
 	pred    bool // predicated-off execution turns it into a nop
 	vend    bool // microthread terminator (expander fetch loop)
@@ -86,24 +74,11 @@ func LowerProgram(prog *isa.Program, cfg config.Manycore) *Lowered {
 func lowerInstr(e *lowEntry, in *isa.Instr, cfg config.Manycore) {
 	e.nInt = uint8(in.IntSrcs(&e.srcInt))
 	e.nFp = uint8(in.FpSrcs(&e.srcFp))
-	e.vs1, e.vs2, e.vd = in.Vs1, in.Vs2, in.Vd
-	switch in.Op {
-	case isa.OpVfadd, isa.OpVfsub, isa.OpVfmul:
-		e.vec = vecS1S2
-	case isa.OpVfma:
-		e.vec = vecS1S2D
-	case isa.OpVfmaF:
-		e.vec = vecS1D
-	case isa.OpVfmulF, isa.OpVswSp, isa.OpVfredsum:
-		e.vec = vecS1
-	}
+	e.nVec = uint8(in.VecSrcs(&e.srcVec))
 	e.wawInt = in.WritesInt()
 	e.wawFp = in.WritesFp()
-	switch in.Op {
-	case isa.OpVlwSp, isa.OpVfadd, isa.OpVfsub, isa.OpVfmul, isa.OpVfmulF, isa.OpVbcastF:
-		e.wawVec = true
-	}
-	e.rd, e.fd = in.Rd, in.Fd
+	e.wawVec = in.WritesVec()
+	e.rd, e.fd, e.vd = in.Rd, in.Fd, in.Vd
 	e.pred = isa.IsPredicatable(in.Op)
 	e.vend = in.Op == isa.OpVend
 	e.frameWait = in.Op == isa.OpFrameStart
@@ -731,15 +706,8 @@ func (c *Core) checkLow(now int64, e *lowEntry) (bool, stats.StallKind, int64) {
 		}
 	}
 	vecAt := int64(0)
-	switch e.vec {
-	case vecS1S2:
-		vecAt = max64(c.vecReady[e.vs1], c.vecReady[e.vs2])
-	case vecS1S2D:
-		vecAt = max64(max64(c.vecReady[e.vs1], c.vecReady[e.vs2]), c.vecReady[e.vd])
-	case vecS1D:
-		vecAt = max64(c.vecReady[e.vs1], c.vecReady[e.vd])
-	case vecS1:
-		vecAt = c.vecReady[e.vs1]
+	for i := uint8(0); i < e.nVec; i++ {
+		vecAt = max64(vecAt, c.vecReady[e.srcVec[i]])
 	}
 	if vecAt > now {
 		return false, stats.StallOther, vecAt

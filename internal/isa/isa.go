@@ -267,220 +267,77 @@ const (
 )
 
 // Classify returns the accounting class for op.
-func Classify(op Op) Class {
-	switch op {
-	case OpNop:
-		return ClassNop
-	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpSll, OpSrl, OpSra, OpSlt, OpSltu,
-		OpAddi, OpAndi, OpOri, OpXori, OpSlli, OpSrli, OpSrai, OpSlti, OpLi:
-		return ClassIntAlu
-	case OpMul:
-		return ClassIntMul
-	case OpDiv, OpRem:
-		return ClassIntDiv
-	case OpFadd, OpFsub, OpFmin, OpFmax, OpFabs, OpFneg, OpFmv, OpFeq, OpFlt,
-		OpFle, OpFcvtWS, OpFcvtSW, OpFmvXW, OpFmvWX:
-		return ClassFpAlu
-	case OpFmul, OpFmadd:
-		return ClassFpMul
-	case OpFdiv, OpFsqrt:
-		return ClassFpDiv
-	case OpLw, OpFlw:
-		return ClassLoad
-	case OpSw, OpFsw:
-		return ClassStore
-	case OpLwSp, OpSwSp, OpFlwSp, OpFswSp, OpSwRemote, OpFswRemote:
-		return ClassSpad
-	case OpCsrw, OpCsrr:
-		return ClassCsr
-	case OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu:
-		return ClassBranch
-	case OpJal, OpJalr:
-		return ClassJump
-	case OpVissue, OpVend, OpDevec, OpFrameStart, OpRemem, OpPredEq, OpPredNeq:
-		return ClassVecCtl
-	case OpVload:
-		return ClassVload
-	case OpVlwSp, OpVswSp, OpVfadd, OpVfsub, OpVfmul, OpVfma, OpVfmaF,
-		OpVfmulF, OpVbcastF, OpVfredsum:
-		return ClassSimd
-	case OpBarrier, OpHalt:
-		return ClassSync
-	}
-	return ClassNop
-}
+func Classify(op Op) Class { return info(op).Class }
 
 // IsControlFlow reports whether op steers the PC. Control-flow instructions
 // are never forwarded on the inet (paper §3.2): vector cores cannot diverge.
-func IsControlFlow(op Op) bool {
-	switch op {
-	case OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu, OpJal, OpJalr:
-		return true
-	}
-	return false
-}
+func IsControlFlow(op Op) bool { return info(op).Flags&Steers != 0 }
 
 // IsPredicatable reports whether the predication flag suppresses op. The
 // predication instructions themselves, control flow, and microthread
 // terminators always execute (paper §2.4).
-func IsPredicatable(op Op) bool {
-	switch op {
-	case OpPredEq, OpPredNeq, OpVend, OpDevec, OpNop:
-		return false
-	}
-	return !IsControlFlow(op)
-}
+func IsPredicatable(op Op) bool { return info(op).Flags&(Steers|Always) == 0 }
 
 // AllowedInMicrothread reports whether a vector core may legally receive op
 // over the inet. Arithmetic, memory and predication are allowed; control
 // flow and group management are not (paper §3.2).
-func AllowedInMicrothread(op Op) bool {
-	switch op {
-	case OpCsrw, OpVissue, OpBarrier, OpHalt, OpVload:
-		return false
-	}
-	return !IsControlFlow(op)
-}
+func AllowedInMicrothread(op Op) bool { return info(op).Flags&(Steers|NoMicro) == 0 }
 
 // WritesInt reports whether the instruction writes integer register Rd.
-func (i Instr) WritesInt() bool {
-	switch i.Op {
-	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor, OpSll, OpSrl,
-		OpSra, OpSlt, OpSltu, OpAddi, OpAndi, OpOri, OpXori, OpSlli, OpSrli,
-		OpSrai, OpSlti, OpLi, OpJal, OpJalr, OpFeq, OpFlt, OpFle, OpFcvtWS,
-		OpFmvXW, OpLw, OpLwSp, OpCsrr, OpFrameStart:
-		return i.Rd != X0
-	}
-	return false
-}
+func (i Instr) WritesInt() bool { return i.Op.has(Rd) && i.Rd != X0 }
 
 // WritesFp reports whether the instruction writes FP register Fd.
-func (i Instr) WritesFp() bool {
-	switch i.Op {
-	case OpFadd, OpFsub, OpFmul, OpFdiv, OpFsqrt, OpFmadd, OpFmin, OpFmax,
-		OpFabs, OpFneg, OpFmv, OpFcvtSW, OpFmvWX, OpFlw, OpFlwSp, OpVfredsum:
-		return true
-	}
-	return false
-}
+func (i Instr) WritesFp() bool { return i.Op.has(Fd) }
 
-// IntSrcs writes the integer source registers into dst (X0 entries are
-// unused) and returns how many are set. Allocation-free twin of IntSources
-// for the simulator's per-cycle hazard checks.
+// WritesVec reports whether the instruction overwrites SIMD register Vd (a
+// write-after-write hazard). An accumulating Vd is a source instead.
+func (i Instr) WritesVec() bool { return i.Op.has(Vd) && info(i.Op).Flags&Accum == 0 }
+
+// IntSrcs writes the integer source registers into dst (X0 is never a
+// source) and returns how many are set. The order is Rs1, Rs2, Rs3 whatever
+// the syntax order: the scoreboard check stalls on the first blocker, and
+// stores and vload write Rs2 before Rs1.
 func (i *Instr) IntSrcs(dst *[3]Reg) int {
 	n := 0
-	add := func(r Reg) {
-		if r != X0 {
+	for k, r := range [3]Reg{i.Rs1, i.Rs2, i.Rs3} {
+		if r != X0 && i.Op.has(Rs1+Operand(k)) {
 			dst[n] = r
 			n++
 		}
 	}
-	switch i.Op {
-	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor, OpSll, OpSrl,
-		OpSra, OpSlt, OpSltu, OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu,
-		OpPredEq, OpPredNeq:
-		add(i.Rs1)
-		add(i.Rs2)
-	case OpAddi, OpAndi, OpOri, OpXori, OpSlli, OpSrli, OpSrai, OpSlti,
-		OpJalr, OpLw, OpFlw, OpLwSp, OpFlwSp, OpFcvtSW, OpFmvWX, OpVlwSp:
-		add(i.Rs1)
-	case OpSw, OpSwSp:
-		add(i.Rs1)
-		add(i.Rs2)
-	case OpFsw, OpFswSp, OpVswSp, OpFswRemote:
-		add(i.Rs1)
-	case OpSwRemote:
-		add(i.Rs1)
-		add(i.Rs2)
-	case OpCsrw:
-		add(i.Rs1)
-	case OpVload:
-		add(i.Rs1)
-		add(i.Rs2)
-	}
-	if i.Op == OpSwRemote || i.Op == OpFswRemote {
-		add(i.Rs3)
+	return n
+}
+
+// FpSrcs writes the FP source registers into dst, in the order Fs1, Fs2,
+// Fs3, and returns the count.
+func (i *Instr) FpSrcs(dst *[3]FReg) int {
+	n := 0
+	for k, f := range [3]FReg{i.Fs1, i.Fs2, i.Fs3} {
+		if i.Op.has(Fs1 + Operand(k)) {
+			dst[n] = f
+			n++
+		}
 	}
 	return n
 }
 
-// FpSrcs writes the FP source registers into dst and returns the count
-// (allocation-free twin of FpSources).
-func (i *Instr) FpSrcs(dst *[3]FReg) int {
-	switch i.Op {
-	case OpFadd, OpFsub, OpFmul, OpFdiv, OpFmin, OpFmax, OpFeq, OpFlt, OpFle:
-		dst[0], dst[1] = i.Fs1, i.Fs2
-		return 2
-	case OpFmadd:
-		dst[0], dst[1], dst[2] = i.Fs1, i.Fs2, i.Fs3
-		return 3
-	case OpFsqrt, OpFabs, OpFneg, OpFmv, OpFcvtWS, OpFmvXW:
-		dst[0] = i.Fs1
-		return 1
-	case OpFsw, OpFswSp, OpFswRemote:
-		dst[0] = i.Fs2
-		return 1
-	case OpVfmaF, OpVfmulF, OpVbcastF:
-		dst[0] = i.Fs3
-		return 1
+// VecSrcs writes the SIMD registers the instruction waits on into dst —
+// Vs1, Vs2, and Vd when it accumulates — and returns the count.
+func (i *Instr) VecSrcs(dst *[3]uint8) int {
+	n := 0
+	if i.Op.has(Vs1) {
+		dst[n] = i.Vs1
+		n++
 	}
-	return 0
-}
-
-// IntSources returns the integer registers the instruction reads.
-func (i Instr) IntSources() []Reg {
-	var out []Reg
-	add := func(r Reg) {
-		if r != X0 {
-			out = append(out, r)
-		}
+	if i.Op.has(Vs2) {
+		dst[n] = i.Vs2
+		n++
 	}
-	switch i.Op {
-	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor, OpSll, OpSrl,
-		OpSra, OpSlt, OpSltu, OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu,
-		OpPredEq, OpPredNeq:
-		add(i.Rs1)
-		add(i.Rs2)
-	case OpAddi, OpAndi, OpOri, OpXori, OpSlli, OpSrli, OpSrai, OpSlti,
-		OpJalr, OpLw, OpFlw, OpLwSp, OpFlwSp, OpFcvtSW, OpFmvWX, OpVlwSp:
-		add(i.Rs1)
-	case OpSw, OpSwSp:
-		add(i.Rs1)
-		add(i.Rs2)
-	case OpFsw, OpFswSp, OpVswSp, OpFswRemote:
-		add(i.Rs1)
-	case OpSwRemote:
-		add(i.Rs1)
-		add(i.Rs2)
-	case OpCsrw:
-		add(i.Rs1)
-	case OpVload:
-		add(i.Rs1)
-		add(i.Rs2)
-	case OpVfmaF, OpVfmulF, OpVbcastF:
-		// vector-scalar operand is FP; no int sources
+	if info(i.Op).Flags&Accum != 0 {
+		dst[n] = i.Vd
+		n++
 	}
-	if i.Op == OpSwRemote || i.Op == OpFswRemote {
-		add(i.Rs3)
-	}
-	return out
-}
-
-// FpSources returns the FP registers the instruction reads.
-func (i Instr) FpSources() []FReg {
-	switch i.Op {
-	case OpFadd, OpFsub, OpFmul, OpFdiv, OpFmin, OpFmax, OpFeq, OpFlt, OpFle:
-		return []FReg{i.Fs1, i.Fs2}
-	case OpFmadd:
-		return []FReg{i.Fs1, i.Fs2, i.Fs3}
-	case OpFsqrt, OpFabs, OpFneg, OpFmv, OpFcvtWS, OpFmvXW:
-		return []FReg{i.Fs1}
-	case OpFsw, OpFswSp, OpFswRemote:
-		return []FReg{i.Fs2}
-	case OpVfmaF, OpVfmulF, OpVbcastF:
-		return []FReg{i.Fs3}
-	}
-	return nil
+	return n
 }
 
 // Validate checks structural invariants of a program: branch targets in
@@ -491,17 +348,9 @@ func (p *Program) Validate() error {
 		if in.Op == OpInvalid || in.Op >= numOps {
 			return fmt.Errorf("%s: pc %d: invalid op %d", p.Name, pc, in.Op)
 		}
-		if IsControlFlow(in.Op) && in.Op != OpJalr {
-			if in.Imm < 0 || int(in.Imm) >= n {
-				return fmt.Errorf("%s: pc %d: %s target %d out of range [0,%d)",
-					p.Name, pc, opName(in.Op), in.Imm, n)
-			}
-		}
-		if in.Op == OpVissue || in.Op == OpDevec {
-			if in.Imm < 0 || int(in.Imm) >= n {
-				return fmt.Errorf("%s: pc %d: %s target %d out of range",
-					p.Name, pc, opName(in.Op), in.Imm)
-			}
+		if in.Op.has(Target) && (in.Imm < 0 || int(in.Imm) >= n) {
+			return fmt.Errorf("%s: pc %d: %s target %d out of range [0,%d)",
+				p.Name, pc, in.Op, in.Imm, n)
 		}
 		if in.Rd >= NumIntRegs || in.Rs1 >= NumIntRegs || in.Rs2 >= NumIntRegs || in.Rs3 >= NumIntRegs {
 			return fmt.Errorf("%s: pc %d: integer register out of range", p.Name, pc)
@@ -512,7 +361,7 @@ func (p *Program) Validate() error {
 		if in.Vd >= NumVecRegs || in.Vs1 >= NumVecRegs || in.Vs2 >= NumVecRegs {
 			return fmt.Errorf("%s: pc %d: simd register out of range", p.Name, pc)
 		}
-		if in.Op == OpVload {
+		if in.Op.has(VlArgs) {
 			if in.Vl.Width <= 0 {
 				return fmt.Errorf("%s: pc %d: vload width %d must be positive", p.Name, pc, in.Vl.Width)
 			}

@@ -1,66 +1,30 @@
 package isa
 
-import "fmt"
-
-var opNames = map[Op]string{
-	OpNop: "nop",
-	OpAdd: "add", OpSub: "sub", OpMul: "mul", OpDiv: "div", OpRem: "rem",
-	OpAnd: "and", OpOr: "or", OpXor: "xor", OpSll: "sll", OpSrl: "srl",
-	OpSra: "sra", OpSlt: "slt", OpSltu: "sltu",
-	OpAddi: "addi", OpAndi: "andi", OpOri: "ori", OpXori: "xori",
-	OpSlli: "slli", OpSrli: "srli", OpSrai: "srai", OpSlti: "slti", OpLi: "li",
-	OpBeq: "beq", OpBne: "bne", OpBlt: "blt", OpBge: "bge",
-	OpBltu: "bltu", OpBgeu: "bgeu", OpJal: "jal", OpJalr: "jalr",
-	OpFadd: "fadd", OpFsub: "fsub", OpFmul: "fmul", OpFdiv: "fdiv",
-	OpFsqrt: "fsqrt", OpFmadd: "fmadd", OpFmin: "fmin", OpFmax: "fmax",
-	OpFabs: "fabs", OpFneg: "fneg", OpFmv: "fmv", OpFeq: "feq", OpFlt: "flt",
-	OpFle: "fle", OpFcvtWS: "fcvt.w.s", OpFcvtSW: "fcvt.s.w",
-	OpFmvXW: "fmv.x.w", OpFmvWX: "fmv.w.x",
-	OpLw: "lw", OpSw: "sw", OpFlw: "flw", OpFsw: "fsw",
-	OpLwSp: "lw.sp", OpSwSp: "sw.sp", OpFlwSp: "flw.sp", OpFswSp: "fsw.sp",
-	OpSwRemote: "sw.rem", OpFswRemote: "fsw.rem",
-	OpCsrw: "csrw", OpCsrr: "csrr",
-	OpVissue: "vissue", OpVend: "vend", OpDevec: "devec",
-	OpFrameStart: "frame_start", OpRemem: "remem", OpVload: "vload",
-	OpPredEq: "pred_eq", OpPredNeq: "pred_neq",
-	OpVlwSp: "vlw.sp", OpVswSp: "vsw.sp",
-	OpVfadd: "vfadd", OpVfsub: "vfsub", OpVfmul: "vfmul", OpVfma: "vfma",
-	OpVfmaF: "vfma.f", OpVfmulF: "vfmul.f", OpVbcastF: "vbcast.f",
-	OpVfredsum: "vfredsum",
-	OpBarrier:  "barrier", OpHalt: "halt",
-}
+import (
+	"fmt"
+	"strings"
+)
 
 var nameToOp = func() map[string]Op {
-	m := make(map[string]Op, len(opNames))
-	for op, n := range opNames {
-		m[n] = op
+	m := make(map[string]Op, len(Ops))
+	for op := OpInvalid + 1; op < numOps; op++ {
+		m[Ops[op].Name] = op
 	}
 	return m
 }()
 
-func opName(op Op) string {
-	if n, ok := opNames[op]; ok {
+// String returns the mnemonic for op.
+func (op Op) String() string {
+	if n := info(op).Name; n != "" {
 		return n
 	}
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
 
-// String returns the mnemonic for op.
-func (op Op) String() string { return opName(op) }
-
 // OpByName resolves a mnemonic to its Op.
 func OpByName(name string) (Op, bool) {
 	op, ok := nameToOp[name]
 	return op, ok
-}
-
-// OpNames returns every known mnemonic (for the assembler and tests).
-func OpNames() []string {
-	out := make([]string, 0, len(nameToOp))
-	for n := range nameToOp {
-		out = append(out, n)
-	}
-	return out
 }
 
 var csrNames = map[CSR]string{
@@ -97,91 +61,35 @@ func CSRByName(name string) (CSR, bool) {
 }
 
 // String renders the instruction in the textual assembly syntax understood
-// by package asm.
+// by package asm: the mnemonic, then each slot of the op's Syntax.
 func (i Instr) String() string {
-	n := opName(i.Op)
-	switch i.Op {
-	case OpNop, OpVend, OpRemem, OpBarrier, OpHalt:
-		return n
-	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor, OpSll, OpSrl, OpSra, OpSlt, OpSltu:
-		return fmt.Sprintf("%s x%d, x%d, x%d", n, i.Rd, i.Rs1, i.Rs2)
-	case OpAddi, OpAndi, OpOri, OpXori, OpSlli, OpSrli, OpSrai, OpSlti:
-		return fmt.Sprintf("%s x%d, x%d, %d", n, i.Rd, i.Rs1, i.Imm)
-	case OpLi:
-		return fmt.Sprintf("li x%d, %d", i.Rd, i.Imm)
-	case OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu:
-		return fmt.Sprintf("%s x%d, x%d, %d", n, i.Rs1, i.Rs2, i.Imm)
-	case OpJal:
-		return fmt.Sprintf("jal x%d, %d", i.Rd, i.Imm)
-	case OpJalr:
-		return fmt.Sprintf("jalr x%d, x%d, %d", i.Rd, i.Rs1, i.Imm)
-	case OpFadd, OpFsub, OpFmul, OpFdiv, OpFmin, OpFmax:
-		return fmt.Sprintf("%s f%d, f%d, f%d", n, i.Fd, i.Fs1, i.Fs2)
-	case OpFmadd:
-		return fmt.Sprintf("fmadd f%d, f%d, f%d, f%d", i.Fd, i.Fs1, i.Fs2, i.Fs3)
-	case OpFsqrt, OpFabs, OpFneg, OpFmv:
-		return fmt.Sprintf("%s f%d, f%d", n, i.Fd, i.Fs1)
-	case OpFeq, OpFlt, OpFle:
-		return fmt.Sprintf("%s x%d, f%d, f%d", n, i.Rd, i.Fs1, i.Fs2)
-	case OpFcvtWS, OpFmvXW:
-		return fmt.Sprintf("%s x%d, f%d", n, i.Rd, i.Fs1)
-	case OpFcvtSW, OpFmvWX:
-		return fmt.Sprintf("%s f%d, x%d", n, i.Fd, i.Rs1)
-	case OpLw:
-		return fmt.Sprintf("lw x%d, %d(x%d)", i.Rd, i.Imm, i.Rs1)
-	case OpFlw:
-		return fmt.Sprintf("flw f%d, %d(x%d)", i.Fd, i.Imm, i.Rs1)
-	case OpSw:
-		return fmt.Sprintf("sw x%d, %d(x%d)", i.Rs2, i.Imm, i.Rs1)
-	case OpFsw:
-		return fmt.Sprintf("fsw f%d, %d(x%d)", i.Fs2, i.Imm, i.Rs1)
-	case OpLwSp:
-		return fmt.Sprintf("lw.sp x%d, %d(x%d)", i.Rd, i.Imm, i.Rs1)
-	case OpFlwSp:
-		return fmt.Sprintf("flw.sp f%d, %d(x%d)", i.Fd, i.Imm, i.Rs1)
-	case OpSwSp:
-		return fmt.Sprintf("sw.sp x%d, %d(x%d)", i.Rs2, i.Imm, i.Rs1)
-	case OpFswSp:
-		return fmt.Sprintf("fsw.sp f%d, %d(x%d)", i.Fs2, i.Imm, i.Rs1)
-	case OpSwRemote:
-		return fmt.Sprintf("sw.rem x%d, %d(x%d), x%d", i.Rs2, i.Imm, i.Rs1, i.Rs3)
-	case OpFswRemote:
-		return fmt.Sprintf("fsw.rem f%d, %d(x%d), x%d", i.Fs2, i.Imm, i.Rs1, i.Rs3)
-	case OpCsrw:
-		return fmt.Sprintf("csrw %s, x%d", i.Csr, i.Rs1)
-	case OpCsrr:
-		return fmt.Sprintf("csrr x%d, %s", i.Rd, i.Csr)
-	case OpVissue:
-		return fmt.Sprintf("vissue %d", i.Imm)
-	case OpDevec:
-		return fmt.Sprintf("devec %d", i.Imm)
-	case OpFrameStart:
-		return fmt.Sprintf("frame_start x%d", i.Rd)
-	case OpVload:
-		f := ""
-		if i.Vl.Float {
-			f = ", f"
+	var b strings.Builder
+	b.WriteString(i.Op.String())
+	for k, o := range info(i.Op).Syntax {
+		if k == 0 {
+			b.WriteByte(' ')
+		} else {
+			b.WriteString(", ")
 		}
-		part := ""
-		if i.Vl.Part != VloadWhole {
-			part = ", " + i.Vl.Part.String()
+		switch o {
+		case Imm, Target:
+			fmt.Fprintf(&b, "%d", i.Imm)
+		case Mem:
+			fmt.Fprintf(&b, "%d(x%d)", i.Imm, i.Rs1)
+		case CsrOp:
+			b.WriteString(i.Csr.String())
+		case VlArgs:
+			fmt.Fprintf(&b, "%d, %d, %s", i.Vl.BaseLane, i.Vl.Width, i.Vl.Dist)
+			if i.Vl.Part != VloadWhole {
+				b.WriteString(", " + i.Vl.Part.String())
+			}
+			if i.Vl.Float {
+				b.WriteString(", f")
+			}
+		default:
+			prefix, _ := o.File()
+			fmt.Fprintf(&b, "%c%d", prefix, *i.Reg(o))
 		}
-		return fmt.Sprintf("vload x%d, x%d, %d, %d, %s%s%s",
-			i.Rs2, i.Rs1, i.Vl.BaseLane, i.Vl.Width, i.Vl.Dist, part, f)
-	case OpPredEq, OpPredNeq:
-		return fmt.Sprintf("%s x%d, x%d", n, i.Rs1, i.Rs2)
-	case OpVlwSp:
-		return fmt.Sprintf("vlw.sp v%d, %d(x%d)", i.Vd, i.Imm, i.Rs1)
-	case OpVswSp:
-		return fmt.Sprintf("vsw.sp v%d, %d(x%d)", i.Vs1, i.Imm, i.Rs1)
-	case OpVfadd, OpVfsub, OpVfmul, OpVfma:
-		return fmt.Sprintf("%s v%d, v%d, v%d", n, i.Vd, i.Vs1, i.Vs2)
-	case OpVfmaF, OpVfmulF:
-		return fmt.Sprintf("%s v%d, v%d, f%d", n, i.Vd, i.Vs1, i.Fs3)
-	case OpVbcastF:
-		return fmt.Sprintf("vbcast.f v%d, f%d", i.Vd, i.Fs3)
-	case OpVfredsum:
-		return fmt.Sprintf("vfredsum f%d, v%d", i.Fd, i.Vs1)
 	}
-	return n
+	return b.String()
 }

@@ -128,20 +128,6 @@ func (c *Ctx) FrameDotSIMD(accV uint8, fbase isa.Reg, va, vb uint8, aOff, bOff i
 	}
 }
 
-// FrameAxpySIMD emits frame-resident out[i] += s * in[i]: not a dot but the
-// axpy shape several kernels share. (Reserved for kernels that stream
-// partial vectors through frames.)
-func (c *Ctx) FrameAxpySIMD(vout, vin uint8, s isa.FReg, fbase isa.Reg, inOff, outOff int32, n int) {
-	b := c.B
-	w := c.HW.SIMDWidth
-	for k := 0; k < n; k += w {
-		b.VlwSp(vin, fbase, inOff+int32(4*k))
-		b.VlwSp(vout, fbase, outOff+int32(4*k))
-		b.VfmaF(vout, vin, s)
-		b.VswSp(vout, fbase, outOff+int32(4*k))
-	}
-}
-
 // Fzero loads 0.0 into a fresh FP register (callers often keep one around).
 func (c *Ctx) Fzero() isa.FReg {
 	f := c.B.Fp()
