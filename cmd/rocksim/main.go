@@ -142,6 +142,9 @@ func main() {
 		if *reportOut != "" {
 			fatal(fmt.Errorf("-report needs machine counters; the GPU model has none"))
 		}
+		if *dumpAsm {
+			fatal(fmt.Errorf("-dump-asm: the GPU model runs wavefront traces, not a program"))
+		}
 		sw = kernels.GPUSoftware()
 	} else if sw, err = config.Preset(*cfgName); err != nil {
 		fatal(err)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -227,5 +228,11 @@ func TestDumpAsmGoldens(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s/%s disassembly drifted from %s (rerun with -update if intentional)", c.bench, c.cfg, c.golden)
 		}
+	}
+	// The GPU row has no program to dump: it must say so, not print NV's.
+	out, err := exec.Command(rocksimBin, "-bench", "mvt", "-config", "GPU", "-scale", "tiny", "-dump-asm").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "wavefront traces, not a program") {
+		t.Errorf("-dump-asm -config GPU: err %v, output %q; want exit 1 naming the wavefront traces", err, out)
 	}
 }

@@ -286,19 +286,6 @@ func (c *Core) Mode() Mode { return c.mode }
 // PC returns the current program counter (meaningful outside vector mode).
 func (c *Core) PC() int { return c.pc }
 
-// IntReg returns integer register r's current value (test hook).
-func (c *Core) IntReg(r isa.Reg) uint32 { return c.intRegs[r] }
-
-// FpReg returns FP register r's current value (test hook).
-func (c *Core) FpReg(r isa.FReg) float32 { return c.fpRegs[r] }
-
-// SetIntReg initializes a register before the run (launcher arguments).
-func (c *Core) SetIntReg(r isa.Reg, v uint32) {
-	if r != isa.X0 {
-		c.intRegs[r] = v
-	}
-}
-
 func (c *Core) fail(format string, args ...any) {
 	c.env.Error(fmt.Errorf("core %d (pc %d, mode %s): %s", c.ID, c.pc, c.mode,
 		fmt.Sprintf(format, args...)))
@@ -780,12 +767,6 @@ func (c *Core) Propose(now int64) { c.Tick(now) }
 
 // Commit is a no-op: a core's cycle has no deferred writes.
 func (c *Core) Commit(now int64) {}
-
-// Quiescent implements the sim.Component hint via IdleUntil.
-func (c *Core) Quiescent(now int64) (bool, int64) {
-	quiet, until, _ := c.IdleUntil(now)
-	return quiet, until
-}
 
 // Park implements sim.Sleeper: after ticking at now, the core may drop out
 // of the tick loop when every following cycle is a pure stall. The stall

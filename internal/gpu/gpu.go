@@ -56,6 +56,57 @@ type Kernel struct {
 	Trace      func(wf int) []WfOp
 }
 
+// WavefrontSize is the thread count of one wavefront (Table 1b; the traces
+// are generated before a Sim and its config.GPU exist).
+const WavefrontSize = 64
+
+// Wave is one wavefront's trace under construction: PerThread's body
+// appends ops to it in program order.
+type Wave struct {
+	base, lanes int // first thread id and live lane count
+	ops         []WfOp
+}
+
+// addrs evaluates at for each live lane's thread id.
+func (w *Wave) addrs(at func(t int) uint32) []uint32 {
+	a := make([]uint32, w.lanes)
+	for l := range a {
+		a[l] = at(w.base + l)
+	}
+	return a
+}
+
+// Load appends a load of the word at(t) by every live thread t. at is
+// evaluated here, not when the op issues, so it may read the caller's loop
+// variables.
+func (w *Wave) Load(at func(t int) uint32) {
+	w.ops = append(w.ops, WfOp{Kind: OpLoad, Addrs: w.addrs(at)})
+}
+
+// Store appends a store to the word at(t) by every live thread t.
+func (w *Wave) Store(at func(t int) uint32) {
+	w.ops = append(w.ops, WfOp{Kind: OpStore, Addrs: w.addrs(at)})
+}
+
+// Compute appends n vALU passes.
+func (w *Wave) Compute(n int) { w.ops = append(w.ops, Compute(n)) }
+
+// PerThread returns a launch of one thread per work item, threads 0 to
+// threads-1 packed into wavefronts in order (the last one partly idle).
+// body writes one wavefront's trace in terms of a thread id.
+func PerThread(name string, threads int, body func(w *Wave)) Kernel {
+	return Kernel{
+		Name:       name,
+		Wavefronts: (threads + WavefrontSize - 1) / WavefrontSize,
+		Trace: func(wf int) []WfOp {
+			base := wf * WavefrontSize
+			w := Wave{base: base, lanes: min(WavefrontSize, threads-base)}
+			body(&w)
+			return w.ops
+		},
+	}
+}
+
 // Stats summarizes a GPU run.
 type Stats struct {
 	Cycles     int64

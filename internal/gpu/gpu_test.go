@@ -128,3 +128,29 @@ func TestBudgetEnforced(t *testing.T) {
 		t.Fatal("budget overrun not reported")
 	}
 }
+
+// TestPerThread: threads pack into wavefronts in order, the last one keeps
+// only its live lanes, and an address function sees the loop variable's
+// value at the time of the call.
+func TestPerThread(t *testing.T) {
+	k := PerThread("t", WavefrontSize+6, func(w *Wave) {
+		for j := 0; j < 2; j++ {
+			w.Load(func(t int) uint32 { return uint32(1000*j + t) })
+		}
+		w.Compute(3)
+		w.Store(func(t int) uint32 { return uint32(t) })
+	})
+	if k.Wavefronts != 2 {
+		t.Fatalf("wavefronts %d, want 2", k.Wavefronts)
+	}
+	ops := k.Trace(1)
+	if len(ops) != 4 || ops[0].Kind != OpLoad || ops[2].Kind != OpCompute || ops[2].Flops != 3 || ops[3].Kind != OpStore {
+		t.Fatalf("trace %+v", ops)
+	}
+	if a := ops[1].Addrs; len(a) != 6 || a[0] != 1000+WavefrontSize || a[5] != 1000+WavefrontSize+5 {
+		t.Fatalf("second load addresses %v", a)
+	}
+	if a := ops[3].Addrs; len(a) != 6 || a[0] != WavefrontSize {
+		t.Fatalf("store addresses %v", a)
+	}
+}

@@ -262,9 +262,7 @@ func (ataxBench) buildAxpyVec(ctx *Ctx) {
 							b.Addi(pA, pA, int32(4*n))
 						}
 						b.Addi(toff, off, int32(4*rows*w))
-						for l := 0; l < vlen; l++ {
-							b.VLoad(isa.VloadSingle, pT, toff, l, rows, true)
-						}
+						ctx.VLoadAll(pT, toff, rows)
 						b.Addi(pT, pT, int32(4*rows))
 					})
 				b.VIssueAt(mtStore)

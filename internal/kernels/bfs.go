@@ -172,7 +172,7 @@ func (bfsBench) buildVec(ctx *Ctx) {
 	lanesTotal := groups * vlen
 	if np%lanesTotal != 0 {
 		// bfsPad sized for 48 lanes; a different group layout needs its own pad.
-		ctx.B.Emit(isa.Instr{}) // surfaces as a validation error
+		b.Fail("bfs: %d padded vertices do not divide over %d lanes", np, lanesTotal)
 		return
 	}
 	perLane := np / lanesTotal

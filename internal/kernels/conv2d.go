@@ -148,10 +148,7 @@ func (conv2dBench) buildNV(ctx *Ctx) {
 	in, out := ctx.Img.Arr("in"), ctx.Img.Arr("out")
 	ctx.MIMDKernel(func() {
 		cf := conv2dCoefRegs(ctx)
-		var tmps [4]isa.FReg
-		for u := range tmps {
-			tmps[u] = b.Fp()
-		}
+		tmps := ctx.Fp4()
 		acc := b.Fp()
 		i, j := b.Int(), b.Int()
 		p0, p1, p2, pOut := b.Int(), b.Int(), b.Int(), b.Int()
@@ -207,10 +204,7 @@ func (cv conv2dBench) buildPF(ctx *Ctx, chunk int) {
 	ctx.SetupFrames(frameWords, frames)
 	ctx.MIMDKernel(func() {
 		cf := conv2dCoefRegs(ctx)
-		var tmps [4]isa.FReg
-		for u := range tmps {
-			tmps[u] = b.Fp()
-		}
+		tmps := ctx.Fp4()
 		acc := b.Fp()
 		i := b.Int()
 		p0, pOut, t, toff := b.Int(), b.Int(), b.Int(), b.Int()
@@ -245,10 +239,7 @@ func (cv conv2dBench) buildVec(ctx *Ctx, chunk int) {
 	groups := ctx.Workers()
 
 	cf := conv2dCoefRegs(ctx)
-	var tmps [4]isa.FReg
-	for u := range tmps {
-		tmps[u] = b.Fp()
-	}
+	tmps := ctx.Fp4()
 	acc := b.Fp()
 	pOut, mtFb := b.Int(), b.Int()
 
@@ -267,11 +258,7 @@ func (cv conv2dBench) buildVec(ctx *Ctx, chunk int) {
 
 	ctx.VectorKernel(frameWords, frames,
 		func() { // lane setup: output pointer at first owned interior row
-			row := b.Int()
-			ctx.MulConst(row, ctx.Gid, vlen)
-			b.Add(row, row, ctx.Lane)
-			ctx.AddrInto(pOut, row, out.Addr, nc, int32(4*(nc+1)))
-			b.FreeInt(row)
+			ctx.LanePtr(pOut, 0, out.Addr, nc, int32(4*(nc+1)))
 		},
 		func() {
 			rb, p0, pRow, t, toff := b.Int(), b.Int(), b.Int(), b.Int(), b.Int()
@@ -299,42 +286,18 @@ func (cv conv2dBench) buildVec(ctx *Ctx, chunk int) {
 func (conv2dBench) GPU(p Params, img *Image) ([]gpu.Kernel, error) {
 	nr, nc := p.N, p.M
 	in, out := img.Arr("in"), img.Arr("out")
-	wfSize := 64
-	threads := (nr - 2) * (nc - 2)
-	return []gpu.Kernel{{
-		Name:       "2dconv",
-		Wavefronts: (threads + wfSize - 1) / wfSize,
-		Trace: func(wf int) []gpu.WfOp {
-			base := wf * wfSize
-			lanes := wfSize
-			if base+lanes > threads {
-				lanes = threads - base
+	// Thread t computes interior point (t/(nc-2)+1, t%(nc-2)+1); at returns
+	// its address in a, displaced by (di, dj).
+	at := func(a *Array, t, di, dj int) uint32 {
+		return a.At((t/(nc-2)+1+di)*nc + t%(nc-2) + 1 + dj)
+	}
+	return []gpu.Kernel{gpu.PerThread("2dconv", (nr-2)*(nc-2), func(w *gpu.Wave) {
+		for row := -1; row <= 1; row++ {
+			for dx := -1; dx <= 1; dx++ {
+				w.Load(func(t int) uint32 { return at(in, t, row, dx) })
+				w.Compute(1)
 			}
-			addr := func(f func(t int) uint32) []uint32 {
-				out := make([]uint32, lanes)
-				for l := 0; l < lanes; l++ {
-					out[l] = f(base + l)
-				}
-				return out
-			}
-			pos := func(t int) (int, int) { return t/(nc-2) + 1, t%(nc-2) + 1 }
-			var ops []gpu.WfOp
-			for row := -1; row <= 1; row++ {
-				for dx := -1; dx <= 1; dx++ {
-					row, dx := row, dx
-					ops = append(ops,
-						gpu.WfOp{Kind: gpu.OpLoad, Addrs: addr(func(t int) uint32 {
-							i, j := pos(t)
-							return in.At((i+row)*nc + j + dx)
-						})},
-						gpu.Compute(1))
-				}
-			}
-			ops = append(ops, gpu.WfOp{Kind: gpu.OpStore, Addrs: addr(func(t int) uint32 {
-				i, j := pos(t)
-				return out.At(i*nc + j)
-			})})
-			return ops
-		},
-	}}, nil
+		}
+		w.Store(func(t int) uint32 { return at(out, t, 0, 0) })
+	})}, nil
 }

@@ -172,10 +172,9 @@ func (conv3dBench) buildNV(ctx *Ctx) {
 	rowsI := (n - 2) * (n - 2)
 	ctx.MIMDKernel(func() {
 		cf := conv3dCoefRegs(ctx)
-		var tmps [4]isa.FReg
-		for u := range tmps {
-			tmps[u] = b.Fp()
-		}
+		// Four FP registers this build reserves and never reads (it loads
+		// through fv): kept so acc and fv keep their register numbers.
+		ctx.Fp4()
 		acc, fv := b.Fp(), b.Fp()
 		r, k := b.Int(), b.Int()
 		pIn, pOut := b.Int(), b.Int()
@@ -221,10 +220,7 @@ func (conv3dBench) buildPF(ctx *Ctx) {
 	ctx.SetupFrames(frameWords, frames)
 	ctx.MIMDKernel(func() {
 		cf := conv3dCoefRegs(ctx)
-		var tmps [4]isa.FReg
-		for u := range tmps {
-			tmps[u] = b.Fp()
-		}
+		tmps := ctx.Fp4()
 		acc := b.Fp()
 		r := b.Int()
 		pIn, pOut, t, toff := b.Int(), b.Int(), b.Int(), b.Int()
@@ -269,10 +265,7 @@ func (conv3dBench) buildVec(ctx *Ctx) {
 	blocks := rowsI / vlen
 
 	cf := conv3dCoefRegs(ctx)
-	var tmps [4]isa.FReg
-	for u := range tmps {
-		tmps[u] = b.Fp()
-	}
+	tmps := ctx.Fp4()
 	acc := b.Fp()
 	pOut, mtFb, rowReg := b.Int(), b.Int(), b.Int()
 
@@ -330,49 +323,22 @@ func (conv3dBench) buildVec(ctx *Ctx) {
 func (conv3dBench) GPU(p Params, img *Image) ([]gpu.Kernel, error) {
 	n, m := p.N, p.M
 	in, out := img.Arr("in"), img.Arr("out")
-	wfSize := 64
-	rowsI := (n - 2) * (n - 2)
-	threads := rowsI * (m - 2)
-	at := func(i, j, k int) uint32 { return in.At((i*n+j)*m + k) }
-	return []gpu.Kernel{{
-		Name:       "3dconv",
-		Wavefronts: (threads + wfSize - 1) / wfSize,
-		Trace: func(wf int) []gpu.WfOp {
-			base := wf * wfSize
-			lanes := wfSize
-			if base+lanes > threads {
-				lanes = threads - base
-			}
-			addr := func(f func(t int) uint32) []uint32 {
-				a := make([]uint32, lanes)
-				for l := 0; l < lanes; l++ {
-					a[l] = f(base + l)
-				}
-				return a
-			}
-			pos := func(t int) (int, int, int) {
-				r := t / (m - 2)
-				return r/(n-2) + 1, r%(n-2) + 1, t%(m-2) + 1
-			}
-			var ops []gpu.WfOp
-			for di := -1; di <= 1; di++ {
-				for dj := -1; dj <= 1; dj++ {
-					for dk := -1; dk <= 1; dk++ {
-						di, dj, dk := di, dj, dk
-						ops = append(ops,
-							gpu.WfOp{Kind: gpu.OpLoad, Addrs: addr(func(t int) uint32 {
-								i, j, k := pos(t)
-								return at(i+di, j+dj, k+dk)
-							})},
-							gpu.Compute(1))
-					}
+	// Thread t computes interior point (i, j, k) of flat row t/(m-2); at
+	// returns its address in a, displaced by (di, dj, dk).
+	at := func(a *Array, t, di, dj, dk int) uint32 {
+		r := t / (m - 2)
+		i, j, k := r/(n-2)+1, r%(n-2)+1, t%(m-2)+1
+		return a.At(((i+di)*n+j+dj)*m + k + dk)
+	}
+	return []gpu.Kernel{gpu.PerThread("3dconv", (n-2)*(n-2)*(m-2), func(w *gpu.Wave) {
+		for di := -1; di <= 1; di++ {
+			for dj := -1; dj <= 1; dj++ {
+				for dk := -1; dk <= 1; dk++ {
+					w.Load(func(t int) uint32 { return at(in, t, di, dj, dk) })
+					w.Compute(1)
 				}
 			}
-			ops = append(ops, gpu.WfOp{Kind: gpu.OpStore, Addrs: addr(func(t int) uint32 {
-				i, j, k := pos(t)
-				return out.At((i*n+j)*m + k)
-			})})
-			return ops
-		},
-	}}, nil
+		}
+		w.Store(func(t int) uint32 { return at(out, t, 0, 0, 0) })
+	})}, nil
 }

@@ -328,13 +328,7 @@ func buildStatsVec(ctx *Ctx, normalize bool) {
 	})
 
 	ctx.VectorKernel(lw, frames,
-		func() {
-			row := b.Int()
-			ctx.MulConst(row, ctx.Gid, vlen)
-			b.Add(row, row, ctx.Lane)
-			ctx.AddrInto(wPtr, row, data.Addr, n, 0)
-			b.FreeInt(row)
-		},
+		func() { ctx.LanePtr(wPtr, 0, data.Addr, n, 0) },
 		func() {
 			b.VIssueAt(mtInit)
 			rb, pD, pW, t := b.Int(), b.Int(), b.Int(), b.Int()
@@ -344,19 +338,13 @@ func buildStatsVec(ctx *Ctx, normalize bool) {
 				b.VIssueAt(mtBegin)
 				ctx.VecDAE(n/lw, lw, frames, mtAccLen, mtAcc,
 					func(_, off isa.Reg) {
-						for l := 0; l < vlen; l++ {
-							b.Addi(t, pD, int32(l*rowBytes))
-							b.VLoad(isa.VloadSingle, t, off, l, lw, true)
-						}
+						ctx.VLoadLanes(t, pD, rowBytes, off, lw)
 						b.Addi(pD, pD, int32(4*lw))
 					})
 				b.VIssueAt(mtStats)
 				ctx.VecDAE(n/lw, lw, frames, mtNormLen, mtNorm,
 					func(_, off isa.Reg) {
-						for l := 0; l < vlen; l++ {
-							b.Addi(t, pW, int32(l*rowBytes))
-							b.VLoad(isa.VloadSingle, t, off, l, lw, true)
-						}
+						ctx.VLoadLanes(t, pW, rowBytes, off, lw)
 						b.Addi(pW, pW, int32(4*lw))
 					})
 				b.VIssueAt(mtAdv)
@@ -373,41 +361,19 @@ func (covarBench) GPU(p Params, img *Image) ([]gpu.Kernel, error) { return corrG
 func corrGPU(p Params, img *Image) ([]gpu.Kernel, error) {
 	n, m := p.N, p.M
 	data, symmat := img.Arr("data"), img.Arr("symmat")
-	wfSize := 64
-	stats := gpu.Kernel{
-		Name:       "corr-stats",
-		Wavefronts: (m + wfSize - 1) / wfSize,
-		Trace: func(wf int) []gpu.WfOp {
-			base := wf * wfSize
-			lanes := wfSize
-			if base+lanes > m {
-				lanes = m - base
-			}
-			addr := func(f func(t int) uint32) []uint32 {
-				a := make([]uint32, lanes)
-				for l := 0; l < lanes; l++ {
-					a[l] = f(base + l)
-				}
-				return a
-			}
-			var ops []gpu.WfOp
-			for k := 0; k < n; k++ {
-				k := k
-				ops = append(ops,
-					gpu.WfOp{Kind: gpu.OpLoad, Addrs: addr(func(t int) uint32 { return data.At(t*n + k) })},
-					gpu.Compute(1))
-			}
-			ops = append(ops, gpu.Compute(4)) // mean/std
-			for k := 0; k < n; k++ {
-				k := k
-				ops = append(ops,
-					gpu.WfOp{Kind: gpu.OpLoad, Addrs: addr(func(t int) uint32 { return data.At(t*n + k) })},
-					gpu.Compute(1),
-					gpu.WfOp{Kind: gpu.OpStore, Addrs: addr(func(t int) uint32 { return data.At(t*n + k) })})
-			}
-			return ops
-		},
-	}
+	stats := gpu.PerThread("corr-stats", m, func(w *gpu.Wave) {
+		for k := 0; k < n; k++ {
+			w.Load(func(t int) uint32 { return data.At(t*n + k) })
+			w.Compute(1)
+		}
+		w.Compute(4) // mean/std
+		for k := 0; k < n; k++ {
+			elem := func(t int) uint32 { return data.At(t*n + k) }
+			w.Load(elem)
+			w.Compute(1)
+			w.Store(elem)
+		}
+	})
 	product := rowDotGPU("corr-symmat", m, m, n, 1,
 		func(_, i, k int) uint32 { return data.At(i*n + k) },
 		func(_, k, j int) uint32 { return data.At(j*n + k) },

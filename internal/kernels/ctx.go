@@ -285,6 +285,57 @@ func (c *Ctx) VectorKernel(frameWords, frames int, laneSetup, scalarBody func())
 	c.endPhase(skip)
 }
 
+// framesReady reports whether SetupFrames has run; a pipeline emitted before
+// it has no frame cursor, which fails the build.
+func (c *Ctx) framesReady(who string) bool {
+	if c.daeOff == 0 {
+		c.B.Fail("kernels: %s before SetupFrames", who)
+		return false
+	}
+	return true
+}
+
+// daeFill emits the opening both pipelines share: the load-iteration counter
+// iL and a prologue issuing the loads of the first `ahead` frames. next emits
+// one more iteration's loads and advances iL and the frame cursor.
+func (c *Ctx) daeFill(ahead int, label string, load func(iter, spadOff isa.Reg)) (iL isa.Reg, next func()) {
+	b := c.B
+	iL = b.Int()
+	b.Li(iL, 0)
+	next = func() {
+		load(iL, c.daeOff)
+		c.bumpDAE()
+		b.Addi(iL, iL, 1)
+	}
+	if ahead > 0 {
+		bound := b.Int()
+		b.Li(bound, int32(ahead))
+		top := b.NewLabel(label)
+		b.Label(top)
+		next()
+		b.Blt(iL, bound, top)
+		b.FreeInt(bound)
+	}
+	return iL, next
+}
+
+// repeat emits body n times as a counted loop (nothing when n <= 0).
+func (c *Ctx) repeat(n int, label string, body func()) {
+	if n <= 0 {
+		return
+	}
+	b := c.B
+	i, bound := b.Int(), b.Int()
+	b.Li(i, 0)
+	b.Li(bound, int32(n))
+	top := b.NewLabel(label)
+	b.Label(top)
+	body()
+	b.Addi(i, i, 1)
+	b.Blt(i, bound, top)
+	b.FreeInt(i, bound)
+}
+
 // SelfDAE emits the NV_PF per-core decoupled-prefetch pipeline: each
 // independent core vloads whole lines into its own scratchpad frames and
 // consumes them in order. load(iter, spadOff) must fill exactly frameWords
@@ -292,69 +343,23 @@ func (c *Ctx) VectorKernel(frameWords, frames int, laneSetup, scalarBody func())
 // The caller must have configured frames (frameWords x frames) already.
 func (c *Ctx) SelfDAE(trip, frameWords, frames int, load func(iter, spadOff isa.Reg), consume func(frameBase isa.Reg)) {
 	b := c.B
-	if trip <= 0 {
+	if trip <= 0 || !c.framesReady("SelfDAE") {
 		return
 	}
-	if c.daeOff == 0 {
-		c.fatalNoFrames()
-		return
-	}
-	ahead := frames - 1
-	if ahead > trip {
-		ahead = trip
-	}
-	iL := b.Int()
-	b.Li(iL, 0)
-	if ahead > 0 {
-		bound := b.Int()
-		b.Li(bound, int32(ahead))
-		top := b.NewLabel("pf_pro")
-		b.Label(top)
-		load(iL, c.daeOff)
-		c.bumpDAE()
-		b.Addi(iL, iL, 1)
-		b.Blt(iL, bound, top)
-		b.FreeInt(bound)
-	}
+	ahead := min(frames-1, trip)
+	iL, next := c.daeFill(ahead, "pf_pro", load)
 	fb := b.Int()
-	if trip-ahead > 0 {
-		iC := b.Int()
-		bound := b.Int()
-		b.Li(iC, 0)
-		b.Li(bound, int32(trip-ahead))
-		top := b.NewLabel("pf_steady")
-		b.Label(top)
-		load(iL, c.daeOff)
-		c.bumpDAE()
-		b.Addi(iL, iL, 1)
+	drain := func() {
 		b.FrameStart(fb)
 		consume(fb)
 		b.Remem()
-		b.Addi(iC, iC, 1)
-		b.Blt(iC, bound, top)
-		b.FreeInt(iC, bound)
 	}
-	if ahead > 0 {
-		k := b.Int()
-		bound := b.Int()
-		b.Li(k, 0)
-		b.Li(bound, int32(ahead))
-		top := b.NewLabel("pf_epi")
-		b.Label(top)
-		b.FrameStart(fb)
-		consume(fb)
-		b.Remem()
-		b.Addi(k, k, 1)
-		b.Blt(k, bound, top)
-		b.FreeInt(k, bound)
-	}
+	c.repeat(trip-ahead, "pf_steady", func() {
+		next()
+		drain()
+	})
+	c.repeat(ahead, "pf_epi", drain)
 	b.FreeInt(fb, iL)
-}
-
-// fatalNoFrames records a build error for DAE use before SetupFrames.
-func (c *Ctx) fatalNoFrames() {
-	// Emitting an invalid op surfaces the mistake at program validation.
-	c.B.Emit(isa.Instr{})
 }
 
 // VecDAE emits the vector-group scalar-side pipeline of §4.2: prologue
@@ -365,59 +370,15 @@ func (c *Ctx) fatalNoFrames() {
 // for iteration iter; mtLabel's microthread must frame_start/remem once.
 func (c *Ctx) VecDAE(trip, frameWords, frames, mtLen int, mtLabel string, load func(iter, spadOff isa.Reg)) {
 	b := c.B
-	if trip <= 0 {
+	if trip <= 0 || !c.framesReady("VecDAE") {
 		return
 	}
-	if c.daeOff == 0 {
-		c.fatalNoFrames()
-		return
-	}
-	ahead := prog.AheadOffset(c.HW, c.Side(), mtLen)
-	if ahead >= frames {
-		ahead = frames - 1
-	}
-	if ahead > trip {
-		ahead = trip
-	}
-	iL := b.Int()
-	b.Li(iL, 0)
-	if ahead > 0 {
-		bound := b.Int()
-		b.Li(bound, int32(ahead))
-		top := b.NewLabel("dae_pro")
-		b.Label(top)
-		load(iL, c.daeOff)
-		c.bumpDAE()
-		b.Addi(iL, iL, 1)
-		b.Blt(iL, bound, top)
-		b.FreeInt(bound)
-	}
-	if trip-ahead > 0 {
-		iC := b.Int()
-		bound := b.Int()
-		b.Li(iC, 0)
-		b.Li(bound, int32(trip-ahead))
-		top := b.NewLabel("dae_steady")
-		b.Label(top)
+	ahead := min(prog.AheadOffset(c.HW, c.Side(), mtLen), frames-1, trip)
+	iL, next := c.daeFill(ahead, "dae_pro", load)
+	c.repeat(trip-ahead, "dae_steady", func() {
 		b.VIssueAt(mtLabel)
-		load(iL, c.daeOff)
-		c.bumpDAE()
-		b.Addi(iL, iL, 1)
-		b.Addi(iC, iC, 1)
-		b.Blt(iC, bound, top)
-		b.FreeInt(iC, bound)
-	}
-	if ahead > 0 {
-		k := b.Int()
-		bound := b.Int()
-		b.Li(k, 0)
-		b.Li(bound, int32(ahead))
-		top := b.NewLabel("dae_epi")
-		b.Label(top)
-		b.VIssueAt(mtLabel)
-		b.Addi(k, k, 1)
-		b.Blt(k, bound, top)
-		b.FreeInt(k, bound)
-	}
+		next()
+	})
+	c.repeat(ahead, "dae_epi", func() { b.VIssueAt(mtLabel) })
 	b.FreeInt(iL)
 }

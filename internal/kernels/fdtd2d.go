@@ -310,12 +310,7 @@ func (fdtdBench) buildEyVec(ctx *Ctx, pFict isa.Reg) {
 
 	ctx.VectorKernel(frameWords, frames,
 		func() { // lane's ey pointer at its first owned row (1-based)
-			row := b.Int()
-			ctx.MulConst(row, ctx.Gid, vlen)
-			b.Add(row, row, ctx.Lane)
-			b.Addi(row, row, 1)
-			ctx.AddrInto(ePtr, row, ey.Addr, m, 0)
-			b.FreeInt(row)
+			ctx.LanePtr(ePtr, 1, ey.Addr, m, 0)
 		},
 		func() {
 			fdtdFictRow(ctx, pFict, ctx.Gid, groups)
@@ -394,14 +389,7 @@ func (fdtdBench) buildExVec(ctx *Ctx) {
 	mtAdv, _ := b.Microthread(func() { b.Addi(xPtr, xPtr, rowAdv) })
 
 	ctx.VectorKernel(frameWords, frames,
-		func() {
-			row := b.Int()
-			ctx.MulConst(row, ctx.Gid, vlen)
-			b.Add(row, row, ctx.Lane)
-			b.Addi(row, row, 1)
-			ctx.AddrInto(xPtr, row, ex.Addr, m, 0)
-			b.FreeInt(row)
-		},
+		func() { ctx.LanePtr(xPtr, 1, ex.Addr, m, 0) },
 		func() {
 			// Scalar cores sweep row 0 word-wise while lanes stream.
 			b.VIssueAt(mtInit)
@@ -537,13 +525,7 @@ func (fdtdBench) buildHzVec(ctx *Ctx) {
 	}
 
 	ctx.VectorKernel(frameWords, frames,
-		func() {
-			row := b.Int()
-			ctx.MulConst(row, ctx.Gid, vlen)
-			b.Add(row, row, ctx.Lane)
-			ctx.AddrInto(hPtr, row, hz.Addr, m, 0)
-			b.FreeInt(row)
-		},
+		func() { ctx.LanePtr(hPtr, 0, hz.Addr, m, 0) },
 		func() {
 			b.VIssueAt(mtInit)
 			rb, pH, pX, pY, pY1 := b.Int(), b.Int(), b.Int(), b.Int(), b.Int()
@@ -575,77 +557,49 @@ func (fdtdBench) buildHzVec(ctx *Ctx) {
 func (fdtdBench) GPU(p Params, img *Image) ([]gpu.Kernel, error) {
 	n, m, tmax := p.N, p.M, p.TMax
 	ex, ey, hz := img.Arr("ex"), img.Arr("ey"), img.Arr("hz")
-	wfSize := 64
-	mkRowKernel := func(name string, rows int, rowOff int, trace func(addr func(func(int) uint32) []uint32, i func(int) int, j func(int) int) []gpu.WfOp) gpu.Kernel {
-		threads := rows * m
-		return gpu.Kernel{
-			Name:       name,
-			Wavefronts: (threads + wfSize - 1) / wfSize,
-			Trace: func(wf int) []gpu.WfOp {
-				base := wf * wfSize
-				lanes := wfSize
-				if base+lanes > threads {
-					lanes = threads - base
-				}
-				addr := func(f func(t int) uint32) []uint32 {
-					a := make([]uint32, lanes)
-					for l := 0; l < lanes; l++ {
-						a[l] = f(base + l)
-					}
-					return a
-				}
-				return trace(addr,
-					func(t int) int { return t/m + rowOff },
-					func(t int) int { return t % m })
-			},
+	// One thread per grid point, row-major: thread t is point (t/m, t%m),
+	// flat index t. shift(a, d) is a's point d words further on.
+	shift := func(a *Array, d int) func(t int) uint32 {
+		return func(t int) uint32 { return a.At(t + d) }
+	}
+	eyDown, hzDown := shift(ey, m), shift(hz, m) // row i+1
+	hzLeft := func(t int) uint32 {               // column 0 reads itself
+		if t%m == 0 {
+			return hz.At(t)
 		}
+		return hz.At(t - 1)
+	}
+	exRight := func(t int) uint32 { // the last column reads itself
+		if t%m == m-1 {
+			return ex.At(t)
+		}
+		return ex.At(t + 1)
 	}
 	var launches []gpu.Kernel
 	for t := 0; t < tmax; t++ {
 		launches = append(launches,
-			mkRowKernel("fdtd-ey", n-1, 1, func(addr func(func(int) uint32) []uint32, fi, fj func(int) int) []gpu.WfOp {
-				return []gpu.WfOp{
-					{Kind: gpu.OpLoad, Addrs: addr(func(t int) uint32 { return ey.At(fi(t)*m + fj(t)) })},
-					{Kind: gpu.OpLoad, Addrs: addr(func(t int) uint32 { return hz.At(fi(t)*m + fj(t)) })},
-					{Kind: gpu.OpLoad, Addrs: addr(func(t int) uint32 { return hz.At((fi(t)-1)*m + fj(t)) })},
-					gpu.Compute(2),
-					{Kind: gpu.OpStore, Addrs: addr(func(t int) uint32 { return ey.At(fi(t)*m + fj(t)) })},
-				}
+			gpu.PerThread("fdtd-ey", (n-1)*m, func(w *gpu.Wave) { // thread (i, j) updates row i+1
+				w.Load(eyDown)
+				w.Load(hzDown)
+				w.Load(hz.At)
+				w.Compute(2)
+				w.Store(eyDown)
 			}),
-			mkRowKernel("fdtd-ex", n, 0, func(addr func(func(int) uint32) []uint32, fi, fj func(int) int) []gpu.WfOp {
-				return []gpu.WfOp{
-					{Kind: gpu.OpLoad, Addrs: addr(func(t int) uint32 { return ex.At(fi(t)*m + fj(t)) })},
-					{Kind: gpu.OpLoad, Addrs: addr(func(t int) uint32 { return hz.At(fi(t)*m + fj(t)) })},
-					{Kind: gpu.OpLoad, Addrs: addr(func(t int) uint32 {
-						j := fj(t)
-						if j == 0 {
-							j = 1
-						}
-						return hz.At(fi(t)*m + j - 1)
-					})},
-					gpu.Compute(2),
-					{Kind: gpu.OpStore, Addrs: addr(func(t int) uint32 { return ex.At(fi(t)*m + fj(t)) })},
-				}
+			gpu.PerThread("fdtd-ex", n*m, func(w *gpu.Wave) {
+				w.Load(ex.At)
+				w.Load(hz.At)
+				w.Load(hzLeft)
+				w.Compute(2)
+				w.Store(ex.At)
 			}),
-			mkRowKernel("fdtd-hz", n-1, 0, func(addr func(func(int) uint32) []uint32, fi, fj func(int) int) []gpu.WfOp {
-				at := func(f func(t int) uint32) gpu.WfOp {
-					return gpu.WfOp{Kind: gpu.OpLoad, Addrs: addr(f)}
-				}
-				return []gpu.WfOp{
-					at(func(t int) uint32 { return hz.At(fi(t)*m + fj(t)) }),
-					at(func(t int) uint32 {
-						j := fj(t)
-						if j < m-1 {
-							j++
-						}
-						return ex.At(fi(t)*m + j)
-					}),
-					at(func(t int) uint32 { return ex.At(fi(t)*m + fj(t)) }),
-					at(func(t int) uint32 { return ey.At((fi(t)+1)*m + fj(t)) }),
-					at(func(t int) uint32 { return ey.At(fi(t)*m + fj(t)) }),
-					gpu.Compute(3),
-					{Kind: gpu.OpStore, Addrs: addr(func(t int) uint32 { return hz.At(fi(t)*m + fj(t)) })},
-				}
+			gpu.PerThread("fdtd-hz", (n-1)*m, func(w *gpu.Wave) {
+				w.Load(hz.At)
+				w.Load(exRight)
+				w.Load(ex.At)
+				w.Load(eyDown)
+				w.Load(ey.At)
+				w.Compute(3)
+				w.Store(hz.At)
 			}))
 	}
 	return launches, nil

@@ -105,40 +105,14 @@ func (g gemmBench) Build(ctx *Ctx) error {
 func (gemmBench) GPU(p Params, img *Image) ([]gpu.Kernel, error) {
 	ni, nj, nk := p.N, p.M, p.K
 	A, B, C := img.Arr("A"), img.Arr("B"), img.Arr("C")
-	wfSize := 64
-	threads := ni * nj
-	wavefronts := (threads + wfSize - 1) / wfSize
-	return []gpu.Kernel{{
-		Name:       "gemm",
-		Wavefronts: wavefronts,
-		Trace: func(wf int) []gpu.WfOp {
-			var ops []gpu.WfOp
-			base := wf * wfSize
-			lanes := wfSize
-			if base+lanes > threads {
-				lanes = threads - base
-			}
-			addr := func(f func(t int) uint32) []uint32 {
-				out := make([]uint32, lanes)
-				for l := 0; l < lanes; l++ {
-					out[l] = f(base + l)
-				}
-				return out
-			}
-			for k := 0; k < nk; k++ {
-				k := k
-				ops = append(ops,
-					gpu.WfOp{Kind: gpu.OpLoad, Addrs: addr(func(t int) uint32 { return A.At((t/nj)*nk + k) })},
-					gpu.WfOp{Kind: gpu.OpLoad, Addrs: addr(func(t int) uint32 { return B.At(k*nj + t%nj) })},
-					gpu.Compute(1),
-				)
-			}
-			ops = append(ops,
-				gpu.WfOp{Kind: gpu.OpLoad, Addrs: addr(func(t int) uint32 { return C.At(t) })},
-				gpu.Compute(2),
-				gpu.WfOp{Kind: gpu.OpStore, Addrs: addr(func(t int) uint32 { return C.At(t) })},
-			)
-			return ops
-		},
-	}}, nil
+	return []gpu.Kernel{gpu.PerThread("gemm", ni*nj, func(w *gpu.Wave) {
+		for k := 0; k < nk; k++ {
+			w.Load(func(t int) uint32 { return A.At((t/nj)*nk + k) })
+			w.Load(func(t int) uint32 { return B.At(k*nj + t%nj) })
+			w.Compute(1)
+		}
+		w.Load(C.At)
+		w.Compute(2)
+		w.Store(C.At)
+	})}, nil
 }

@@ -86,35 +86,14 @@ func (gesummvBench) Build(ctx *Ctx) error {
 func (gesummvBench) GPU(p Params, img *Image) ([]gpu.Kernel, error) {
 	n := p.N
 	a, bm, x, y := img.Arr("A"), img.Arr("B"), img.Arr("x"), img.Arr("y")
-	wfSize := 64
-	return []gpu.Kernel{{
-		Name:       "gesummv",
-		Wavefronts: (n + wfSize - 1) / wfSize,
-		Trace: func(wf int) []gpu.WfOp {
-			base := wf * wfSize
-			lanes := wfSize
-			if base+lanes > n {
-				lanes = n - base
-			}
-			addr := func(f func(t int) uint32) []uint32 {
-				out := make([]uint32, lanes)
-				for l := 0; l < lanes; l++ {
-					out[l] = f(base + l)
-				}
-				return out
-			}
-			var ops []gpu.WfOp
-			for j := 0; j < n; j++ {
-				j := j
-				ops = append(ops,
-					gpu.WfOp{Kind: gpu.OpLoad, Addrs: addr(func(t int) uint32 { return a.At(t*n + j) })},
-					gpu.WfOp{Kind: gpu.OpLoad, Addrs: addr(func(t int) uint32 { return bm.At(t*n + j) })},
-					gpu.WfOp{Kind: gpu.OpLoad, Addrs: addr(func(t int) uint32 { return x.At(j) })},
-					gpu.Compute(2))
-			}
-			ya := addr(func(t int) uint32 { return y.At(t) })
-			ops = append(ops, gpu.Compute(1), gpu.WfOp{Kind: gpu.OpStore, Addrs: ya})
-			return ops
-		},
-	}}, nil
+	return []gpu.Kernel{gpu.PerThread("gesummv", n, func(w *gpu.Wave) {
+		for j := 0; j < n; j++ {
+			w.Load(func(t int) uint32 { return a.At(t*n + j) })
+			w.Load(func(t int) uint32 { return bm.At(t*n + j) })
+			w.Load(func(int) uint32 { return x.At(j) })
+			w.Compute(2)
+		}
+		w.Compute(1)
+		w.Store(y.At)
+	})}, nil
 }

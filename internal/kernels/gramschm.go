@@ -394,23 +394,16 @@ func (gramBench) buildVec(ctx *Ctx) {
 func (gramBench) GPU(p Params, img *Image) ([]gpu.Kernel, error) {
 	n, m := p.N, p.M
 	A, Q := img.Arr("A"), img.Arr("Q")
-	wfSize := 64
 	// One launch triple per k, matching the HIP port's kernel structure.
 	var launches []gpu.Kernel
 	for k := 0; k < m; k++ {
-		k := k
 		launches = append(launches,
 			gpu.Kernel{ // norm: a single wavefront reduces column k
 				Name: "gram-norm", Wavefronts: 1,
 				Trace: func(int) []gpu.WfOp {
 					var ops []gpu.WfOp
-					for i := 0; i < n; i += wfSize {
-						i := i
-						lanes := wfSize
-						if i+lanes > n {
-							lanes = n - i
-						}
-						addrs := make([]uint32, lanes)
+					for i := 0; i < n; i += gpu.WavefrontSize {
+						addrs := make([]uint32, min(gpu.WavefrontSize, n-i))
 						for l := range addrs {
 							addrs[l] = A.At((i+l)*m + k)
 						}
@@ -420,63 +413,25 @@ func (gramBench) GPU(p Params, img *Image) ([]gpu.Kernel, error) {
 					return ops
 				},
 			},
-			gpu.Kernel{ // normalize column k
-				Name: "gram-q", Wavefronts: (n + wfSize - 1) / wfSize,
-				Trace: func(wf int) []gpu.WfOp {
-					base := wf * wfSize
-					lanes := wfSize
-					if base+lanes > n {
-						lanes = n - base
-					}
-					la := make([]uint32, lanes)
-					qa := make([]uint32, lanes)
-					for l := 0; l < lanes; l++ {
-						la[l] = A.At((base+l)*m + k)
-						qa[l] = Q.At((base+l)*m + k)
-					}
-					return []gpu.WfOp{
-						{Kind: gpu.OpLoad, Addrs: la},
-						gpu.Compute(1),
-						{Kind: gpu.OpStore, Addrs: qa},
-					}
-				},
-			},
-			gpu.Kernel{ // update columns j > k: one thread per j
-				Name: "gram-upd", Wavefronts: (m - k - 1 + wfSize - 1) / wfSize,
-				Trace: func(wf int) []gpu.WfOp {
-					base := k + 1 + wf*wfSize
-					lanes := wfSize
-					if base+lanes > m {
-						lanes = m - base
-					}
-					if lanes <= 0 {
-						return nil
-					}
-					addr := func(f func(j int) uint32) []uint32 {
-						a := make([]uint32, lanes)
-						for l := 0; l < lanes; l++ {
-							a[l] = f(base + l)
-						}
-						return a
-					}
-					var ops []gpu.WfOp
-					for i := 0; i < n; i++ {
-						i := i
-						ops = append(ops,
-							gpu.WfOp{Kind: gpu.OpLoad, Addrs: addr(func(j int) uint32 { return A.At(i*m + j) })},
-							gpu.WfOp{Kind: gpu.OpLoad, Addrs: addr(func(j int) uint32 { return Q.At(i*m + k) })},
-							gpu.Compute(1))
-					}
-					for i := 0; i < n; i++ {
-						i := i
-						ops = append(ops,
-							gpu.WfOp{Kind: gpu.OpLoad, Addrs: addr(func(j int) uint32 { return A.At(i*m + j) })},
-							gpu.Compute(1),
-							gpu.WfOp{Kind: gpu.OpStore, Addrs: addr(func(j int) uint32 { return A.At(i*m + j) })})
-					}
-					return ops
-				},
-			})
+			gpu.PerThread("gram-q", n, func(w *gpu.Wave) { // normalize column k
+				w.Load(func(i int) uint32 { return A.At(i*m + k) })
+				w.Compute(1)
+				w.Store(func(i int) uint32 { return Q.At(i*m + k) })
+			}),
+			// update columns j > k: thread t owns column k+1+t
+			gpu.PerThread("gram-upd", m-k-1, func(w *gpu.Wave) {
+				for i := 0; i < n; i++ {
+					w.Load(func(t int) uint32 { return A.At(i*m + k + 1 + t) })
+					w.Load(func(int) uint32 { return Q.At(i*m + k) })
+					w.Compute(1)
+				}
+				for i := 0; i < n; i++ {
+					elem := func(t int) uint32 { return A.At(i*m + k + 1 + t) }
+					w.Load(elem)
+					w.Compute(1)
+					w.Store(elem)
+				}
+			}))
 	}
 	return launches, nil
 }

@@ -58,6 +58,46 @@ func (c *Ctx) AddrInto(dst, idx isa.Reg, base uint32, wordsPerElem int, byteOff 
 	b.FreeInt(t)
 }
 
+// LanePtr emits ptr = &base[(first + Gid*vlen + Lane) * rowWords] + byteOff:
+// the address of the row this lane owns in the group's first vlen-row block.
+// Lane setup code calls it before the group forms.
+func (c *Ctx) LanePtr(ptr isa.Reg, first int, base uint32, rowWords int, byteOff int32) {
+	b := c.B
+	row := b.Int()
+	c.MulConst(row, c.Gid, c.VLen())
+	b.Add(row, row, c.Lane)
+	if first != 0 {
+		b.Addi(row, row, int32(first))
+	}
+	c.AddrInto(ptr, row, base, rowWords, byteOff)
+	b.FreeInt(row)
+}
+
+// VLoadLanes emits one single-lane vload per lane: lane l receives words
+// words from src + l*laneStride (bytes) at scratchpad offset off. t is the
+// caller's address temporary.
+func (c *Ctx) VLoadLanes(t, src isa.Reg, laneStride int, off isa.Reg, words int) {
+	for l := 0; l < c.VLen(); l++ {
+		c.B.Addi(t, src, int32(l*laneStride))
+		c.B.VLoad(isa.VloadSingle, t, off, l, words, true)
+	}
+}
+
+// VLoadAll emits one single-lane vload per lane of the same words words at
+// src: every lane receives its own copy at scratchpad offset off.
+func (c *Ctx) VLoadAll(src, off isa.Reg, words int) {
+	for l := 0; l < c.VLen(); l++ {
+		c.B.VLoad(isa.VloadSingle, src, off, l, words, true)
+	}
+}
+
+// Fp4 reserves the four rotating FP temporaries FrameDot and the stencils
+// load through.
+func (c *Ctx) Fp4() [4]isa.FReg {
+	b := c.B
+	return [4]isa.FReg{b.Fp(), b.Fp(), b.Fp(), b.Fp()}
+}
+
 // GlobalDot emits acc += dot(mem[pA..], mem[pB..]) over n words, advancing
 // both pointer registers by 4n. It unrolls by four and rotates load
 // destinations so the core's load queue stays full (the MLP the NV

@@ -1,9 +1,11 @@
 package kernels
 
 import (
+	"strings"
 	"testing"
 
 	"rockcress/internal/config"
+	"rockcress/internal/isa"
 )
 
 // testConfigs are the Table 3 rows exercised on every benchmark at Tiny
@@ -90,3 +92,32 @@ func TestFdtd2d(t *testing.T) { testBenchAllConfigs(t, "fdtd-2d") }
 func TestGramschm(t *testing.T) { testBenchAllConfigs(t, "gramschm") }
 
 func TestBfs(t *testing.T) { testBenchAllConfigs(t, "bfs") }
+
+// TestBuildErrorsNameTheCause: a layout the kernel cannot tile and a pipeline
+// emitted before its frames exist fail the build with the reason, not with a
+// validator complaint about an instruction nobody wrote.
+func TestBuildErrorsNameTheCause(t *testing.T) {
+	bench, _ := Get("bfs")
+	p := bench.Defaults(Tiny)
+	sw, _ := config.Preset("V4")
+	hw := config.ManycoreDefault()
+	groups, err := GroupsFor(sw, hw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := NewCtx(p, mustPrepare(t, bench), sw, hw, groups[:11])
+	if err := bench.Build(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want := "bfs: 192 padded vertices do not divide over 44 lanes"
+	if _, err := ctx.B.Build(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("bfs over 11 V4 groups: %v, want %q", err, want)
+	}
+
+	ctx = NewCtx(p, NewImage(), sw, hw, groups)
+	ctx.SelfDAE(4, 16, 4, func(_, _ isa.Reg) {}, func(isa.Reg) {})
+	want = "SelfDAE before SetupFrames"
+	if _, err := ctx.B.Build(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("SelfDAE on a fresh Ctx: %v, want %q", err, want)
+	}
+}

@@ -125,10 +125,7 @@ func buildMVRowPF(ctx *Ctx, s mvSpec) {
 	ctx.SetupFrames(frameWords, frames)
 	ctx.MIMDKernel(func() {
 		fz := ctx.Fzero()
-		var tmps [4]isa.FReg
-		for u := range tmps {
-			tmps[u] = b.Fp()
-		}
+		tmps := ctx.Fp4()
 		var accV, va, vb uint8
 		if ctx.SW.SIMD {
 			accV, va, vb = b.Vec(), b.Vec(), b.Vec()
@@ -178,23 +175,25 @@ func buildMVRowPF(ctx *Ctx, s mvSpec) {
 	})
 }
 
-// buildMVRowVec: each lane owns one row of a vlen-row block; the scalar
-// core single-loads each lane's A chunk and the shared x chunk.
-func buildMVRowVec(ctx *Ctx, s mvSpec) {
+// mvChunk is the A (and x) words one lane consumes per frame in the vector
+// forms.
+const mvChunk = 16
+
+// buildMVVec is the vector mat-vec both forms share: each lane accumulates
+// one output of a vlen-output block over trip frames, each holding mvChunk
+// of the lane's A words then the mvChunk x words they multiply. Blocks
+// stride across groups; successive blocks start blockWords apart in A. load
+// fills one frame from the cursors pA and pX and advances them (t and toff
+// are its temporaries, off the frame's scratchpad offset).
+func buildMVVec(ctx *Ctx, s mvSpec, blocks, blockWords, trip int, load func(pA, pX, t, toff, off isa.Reg)) {
 	b := ctx.B
-	lw := 16
 	vlen := ctx.VLen()
 	groups := ctx.Workers()
-	rowBytes := 4 * s.Cols
 	frames := ctx.HW.FrameCounters
-	frameWords := 2 * lw
-	blocks := s.Rows / vlen
+	frameWords := 2 * mvChunk
 
 	fz, acc, old := b.Fp(), b.Fp(), b.Fp()
-	var tmps [4]isa.FReg
-	for u := range tmps {
-		tmps[u] = b.Fp()
-	}
+	tmps := ctx.Fp4()
 	var accV, va, vb uint8
 	if ctx.SW.SIMD {
 		accV, va, vb = b.Vec(), b.Vec(), b.Vec()
@@ -214,9 +213,9 @@ func buildMVRowVec(ctx *Ctx, s mvSpec) {
 	mtAcc, mtAccLen := b.Microthread(func() {
 		b.FrameStart(mtFb)
 		if ctx.SW.SIMD {
-			ctx.FrameDotSIMD(accV, mtFb, va, vb, 0, int32(4*lw), lw)
+			ctx.FrameDotSIMD(accV, mtFb, va, vb, 0, 4*mvChunk, mvChunk)
 		} else {
-			ctx.FrameDot(acc, mtFb, tmps, 0, int32(4*lw), lw)
+			ctx.FrameDot(acc, mtFb, tmps, 0, 4*mvChunk, mvChunk)
 		}
 		b.Remem()
 	})
@@ -233,37 +232,20 @@ func buildMVRowVec(ctx *Ctx, s mvSpec) {
 	})
 
 	ctx.VectorKernel(frameWords, frames,
-		func() {
-			row := b.Int()
-			ctx.MulConst(row, ctx.Gid, vlen)
-			b.Add(row, row, ctx.Lane)
-			ctx.AddrInto(outPtr, row, s.Out.Addr, 1, 0)
-			b.FreeInt(row)
-		},
+		func() { ctx.LanePtr(outPtr, 0, s.Out.Addr, 1, 0) },
 		func() {
 			b.VIssueAt(mtInit)
-			rb, pA, pAcur, pX, t, toff := b.Int(), b.Int(), b.Int(), b.Int(), b.Int(), b.Int()
-			ctx.StridedLoop(rb, ctx.Gid, int32(blocks), int32(groups), func() {
-				ctx.AddrInto(pA, rb, s.A.Addr, vlen*s.Cols, 0)
+			blk, pA, pAcur, pX, t, toff := b.Int(), b.Int(), b.Int(), b.Int(), b.Int(), b.Int()
+			ctx.StridedLoop(blk, ctx.Gid, int32(blocks), int32(groups), func() {
+				ctx.AddrInto(pA, blk, s.A.Addr, blockWords, 0)
 				b.VIssueAt(mtBegin)
 				b.Mv(pAcur, pA)
 				b.LiU(pX, s.X.Addr)
-				ctx.VecDAE(s.Cols/lw, frameWords, frames, mtAccLen, mtAcc,
-					func(_, off isa.Reg) {
-						for l := 0; l < vlen; l++ {
-							b.Addi(t, pAcur, int32(l*rowBytes))
-							b.VLoad(isa.VloadSingle, t, off, l, lw, true)
-						}
-						b.Addi(toff, off, int32(4*lw))
-						for l := 0; l < vlen; l++ {
-							b.VLoad(isa.VloadSingle, pX, toff, l, lw, true)
-						}
-						b.Addi(pAcur, pAcur, int32(4*lw))
-						b.Addi(pX, pX, int32(4*lw))
-					})
+				ctx.VecDAE(trip, frameWords, frames, mtAccLen, mtAcc,
+					func(_, off isa.Reg) { load(pAcur, pX, t, toff, off) })
 				b.VIssueAt(mtStore)
 			})
-			b.FreeInt(rb, pA, pAcur, pX, t, toff)
+			b.FreeInt(blk, pA, pAcur, pX, t, toff)
 		})
 	b.FreeInt(outPtr, mtFb)
 	b.FreeFp(fz, acc, old, tmps[0], tmps[1], tmps[2], tmps[3])
@@ -272,98 +254,37 @@ func buildMVRowVec(ctx *Ctx, s mvSpec) {
 	}
 }
 
+// buildMVRowVec: each lane owns one row of a vlen-row block; the scalar
+// core single-loads each lane's A chunk and the shared x chunk.
+func buildMVRowVec(ctx *Ctx, s mvSpec) {
+	b := ctx.B
+	vlen := ctx.VLen()
+	buildMVVec(ctx, s, s.Rows/vlen, vlen*s.Cols, s.Cols/mvChunk,
+		func(pA, pX, t, toff, off isa.Reg) {
+			ctx.VLoadLanes(t, pA, 4*s.Cols, off, mvChunk)
+			b.Addi(toff, off, 4*mvChunk)
+			ctx.VLoadAll(pX, toff, mvChunk)
+			b.Addi(pA, pA, 4*mvChunk)
+			b.Addi(pX, pX, 4*mvChunk)
+		})
+}
+
 // buildMVColVec: lanes own adjacent columns of a vlen-wide stripe; one
 // GROUP load per row feeds the whole group from a single line (§6.6).
 func buildMVColVec(ctx *Ctx, s mvSpec) {
 	b := ctx.B
-	rows := 16 // rows per frame
 	vlen := ctx.VLen()
-	groups := ctx.Workers()
-	rowBytes := 4 * s.Cols
-	frames := ctx.HW.FrameCounters
-	frameWords := 2 * rows
-	stripes := s.Cols / vlen
-
-	fz, acc, old := b.Fp(), b.Fp(), b.Fp()
-	var tmps [4]isa.FReg
-	for u := range tmps {
-		tmps[u] = b.Fp()
-	}
-	var accV, va, vb uint8
-	if ctx.SW.SIMD {
-		accV, va, vb = b.Vec(), b.Vec(), b.Vec()
-	}
-	outPtr, mtFb := b.Int(), b.Int()
-
-	mtInit, _ := b.Microthread(func() { b.FliF(fz, 0) })
-	mtBegin, _ := b.Microthread(func() {
-		if s.Accumulate {
-			b.Flw(old, outPtr, 0)
-		}
-		b.Fmv(acc, fz)
-		if ctx.SW.SIMD {
-			b.VbcastF(accV, fz)
-		}
-	})
-	mtAcc, mtAccLen := b.Microthread(func() {
-		b.FrameStart(mtFb)
-		if ctx.SW.SIMD {
-			ctx.FrameDotSIMD(accV, mtFb, va, vb, 0, int32(4*rows), rows)
-		} else {
-			ctx.FrameDot(acc, mtFb, tmps, 0, int32(4*rows), rows)
-		}
-		b.Remem()
-	})
-	advBytes := int32(groups * vlen * 4)
-	mtStore, _ := b.Microthread(func() {
-		if ctx.SW.SIMD {
-			b.Vfredsum(acc, accV)
-		}
-		if s.Accumulate {
-			b.Fadd(acc, acc, old)
-		}
-		b.Fsw(acc, outPtr, 0)
-		b.Addi(outPtr, outPtr, advBytes)
-	})
-
-	ctx.VectorKernel(frameWords, frames,
-		func() {
-			col := b.Int()
-			ctx.MulConst(col, ctx.Gid, vlen)
-			b.Add(col, col, ctx.Lane)
-			ctx.AddrInto(outPtr, col, s.Out.Addr, 1, 0)
-			b.FreeInt(col)
-		},
-		func() {
-			b.VIssueAt(mtInit)
-			st, pACol, pAcur, pX, t, toff := b.Int(), b.Int(), b.Int(), b.Int(), b.Int(), b.Int()
-			ctx.StridedLoop(st, ctx.Gid, int32(stripes), int32(groups), func() {
-				ctx.AddrInto(pACol, st, s.A.Addr, vlen, 0) // &A[0][stripe*vlen]
-				b.VIssueAt(mtBegin)
-				b.Mv(pAcur, pACol)
-				b.LiU(pX, s.X.Addr)
-				ctx.VecDAE(s.Rows/rows, frameWords, frames, mtAccLen, mtAcc,
-					func(_, off isa.Reg) {
-						for r := 0; r < rows; r++ {
-							b.Addi(t, off, int32(4*r))
-							b.VLoad(isa.VloadGroup, pAcur, t, 0, 1, true)
-							b.Addi(pAcur, pAcur, int32(rowBytes))
-						}
-						b.Addi(toff, off, int32(4*rows))
-						for l := 0; l < vlen; l++ {
-							b.VLoad(isa.VloadSingle, pX, toff, l, rows, true)
-						}
-						b.Addi(pX, pX, int32(4*rows))
-					})
-				b.VIssueAt(mtStore)
-			})
-			b.FreeInt(st, pACol, pAcur, pX, t, toff)
+	buildMVVec(ctx, s, s.Cols/vlen, vlen, s.Rows/mvChunk,
+		func(pA, pX, t, toff, off isa.Reg) {
+			for r := 0; r < mvChunk; r++ { // one word per lane per row
+				b.Addi(t, off, int32(4*r))
+				b.VLoad(isa.VloadGroup, pA, t, 0, 1, true)
+				b.Addi(pA, pA, int32(4*s.Cols))
+			}
+			b.Addi(toff, off, 4*mvChunk)
+			ctx.VLoadAll(pX, toff, mvChunk)
+			b.Addi(pX, pX, 4*mvChunk)
 		})
-	b.FreeInt(outPtr, mtFb)
-	b.FreeFp(fz, acc, old, tmps[0], tmps[1], tmps[2], tmps[3])
-	if ctx.SW.SIMD {
-		b.FreeVec(accV, va, vb)
-	}
 }
 
 // buildMVRow dispatches the row form on style; buildMVCol the column form

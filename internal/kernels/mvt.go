@@ -105,37 +105,16 @@ func (mvtBench) GPU(p Params, img *Image) ([]gpu.Kernel, error) {
 // mvGPU builds a one-thread-per-output matrix-vector launch. aAt(i, j)
 // returns thread i's matrix address at inner step j.
 func mvGPU(name string, outs, inner int, aAt func(i, j int) uint32, x, out *Array, readOut bool) gpu.Kernel {
-	wfSize := 64
-	return gpu.Kernel{
-		Name:       name,
-		Wavefronts: (outs + wfSize - 1) / wfSize,
-		Trace: func(wf int) []gpu.WfOp {
-			base := wf * wfSize
-			lanes := wfSize
-			if base+lanes > outs {
-				lanes = outs - base
-			}
-			addr := func(f func(t int) uint32) []uint32 {
-				a := make([]uint32, lanes)
-				for l := 0; l < lanes; l++ {
-					a[l] = f(base + l)
-				}
-				return a
-			}
-			var ops []gpu.WfOp
-			for j := 0; j < inner; j++ {
-				j := j
-				ops = append(ops,
-					gpu.WfOp{Kind: gpu.OpLoad, Addrs: addr(func(t int) uint32 { return aAt(t, j) })},
-					gpu.WfOp{Kind: gpu.OpLoad, Addrs: addr(func(t int) uint32 { return x.At(j) })},
-					gpu.Compute(1))
-			}
-			oa := addr(func(t int) uint32 { return out.At(t) })
-			if readOut {
-				ops = append(ops, gpu.WfOp{Kind: gpu.OpLoad, Addrs: oa}, gpu.Compute(1))
-			}
-			ops = append(ops, gpu.WfOp{Kind: gpu.OpStore, Addrs: oa})
-			return ops
-		},
-	}
+	return gpu.PerThread(name, outs, func(w *gpu.Wave) {
+		for j := 0; j < inner; j++ {
+			w.Load(func(t int) uint32 { return aAt(t, j) })
+			w.Load(func(int) uint32 { return x.At(j) })
+			w.Compute(1)
+		}
+		if readOut {
+			w.Load(out.At)
+			w.Compute(1)
+		}
+		w.Store(out.At)
+	})
 }

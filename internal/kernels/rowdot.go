@@ -125,10 +125,7 @@ func buildRowDotPF(ctx *Ctx, s rowDotSpec) {
 		b.FliF(alpha, s.Alpha)
 		b.FliF(alpha2, s.Alpha2)
 		b.FliF(beta, s.Beta)
-		var tmps [4]isa.FReg
-		for u := range tmps {
-			tmps[u] = b.Fp()
-		}
+		tmps := ctx.Fp4()
 		var accV, accV2, va, vb uint8
 		if ctx.SW.SIMD {
 			accV, accV2, va, vb = b.Vec(), b.Vec(), b.Vec(), b.Vec()
@@ -237,10 +234,7 @@ func buildRowDotVec(ctx *Ctx, s rowDotSpec) {
 	blocks := s.NI / vlen
 
 	fz, alpha, alpha2, beta, acc, acc2, oldc := b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp()
-	var tmps [4]isa.FReg
-	for u := range tmps {
-		tmps[u] = b.Fp()
-	}
+	tmps := ctx.Fp4()
 	var accV, accV2, va, vb uint8
 	if ctx.SW.SIMD {
 		accV, accV2, va, vb = b.Vec(), b.Vec(), b.Vec(), b.Vec()
@@ -288,13 +282,7 @@ func buildRowDotVec(ctx *Ctx, s rowDotSpec) {
 	})
 
 	ctx.VectorKernel(frameWords, frames,
-		func() {
-			row := b.Int()
-			ctx.MulConst(row, ctx.Gid, vlen)
-			b.Add(row, row, ctx.Lane)
-			ctx.AddrInto(cPtr, row, s.C.Addr, s.NJ, 0)
-			b.FreeInt(row)
-		},
+		func() { ctx.LanePtr(cPtr, 0, s.C.Addr, s.NJ, 0) },
 		func() {
 			b.VIssueAt(mtInit)
 			rb, pA, pAcur, pB, j := b.Int(), b.Int(), b.Int(), b.Int(), b.Int()
@@ -317,26 +305,16 @@ func buildRowDotVec(ctx *Ctx, s rowDotSpec) {
 					}
 					ctx.VecDAE(s.NK/lw, frameWords, frames, mtAccLen, mtAcc,
 						func(_, off isa.Reg) {
-							for l := 0; l < vlen; l++ {
-								b.Addi(t, pAcur, int32(l*rowBytes))
-								b.VLoad(isa.VloadSingle, t, off, l, lw, true)
-							}
+							ctx.VLoadLanes(t, pAcur, rowBytes, off, lw)
 							b.Addi(toff, off, int32(4*lw))
-							for l := 0; l < vlen; l++ {
-								b.VLoad(isa.VloadSingle, pB, toff, l, lw, true)
-							}
+							ctx.VLoadAll(pB, toff, lw)
 							b.Addi(pAcur, pAcur, int32(4*lw))
 							b.Addi(pB, pB, int32(4*lw))
 							if s.twoDots() {
 								b.Addi(toff, off, int32(8*lw))
-								for l := 0; l < vlen; l++ {
-									b.Addi(t, pAcur2, int32(l*rowBytes))
-									b.VLoad(isa.VloadSingle, t, toff, l, lw, true)
-								}
+								ctx.VLoadLanes(t, pAcur2, rowBytes, toff, lw)
 								b.Addi(toff, off, int32(12*lw))
-								for l := 0; l < vlen; l++ {
-									b.VLoad(isa.VloadSingle, pB2, toff, l, lw, true)
-								}
+								ctx.VLoadAll(pB2, toff, lw)
 								b.Addi(pAcur2, pAcur2, int32(4*lw))
 								b.Addi(pB2, pB2, int32(4*lw))
 							}
@@ -374,40 +352,19 @@ func buildRowDot(ctx *Ctx, s rowDotSpec) {
 func rowDotGPU(name string, ni, nj, nk, dots int,
 	aAt func(dot, i, k int) uint32, bAt func(dot, k, j int) uint32,
 	cAt func(i, j int) uint32, readC bool) gpu.Kernel {
-	wfSize := 64
-	threads := ni * nj
-	return gpu.Kernel{
-		Name:       name,
-		Wavefronts: (threads + wfSize - 1) / wfSize,
-		Trace: func(wf int) []gpu.WfOp {
-			base := wf * wfSize
-			lanes := wfSize
-			if base+lanes > threads {
-				lanes = threads - base
+	return gpu.PerThread(name, ni*nj, func(w *gpu.Wave) {
+		for k := 0; k < nk; k++ {
+			for d := 0; d < dots; d++ {
+				w.Load(func(t int) uint32 { return aAt(d, t/nj, k) })
+				w.Load(func(t int) uint32 { return bAt(d, k, t%nj) })
+				w.Compute(1)
 			}
-			addr := func(f func(t int) uint32) []uint32 {
-				out := make([]uint32, lanes)
-				for l := 0; l < lanes; l++ {
-					out[l] = f(base + l)
-				}
-				return out
-			}
-			var ops []gpu.WfOp
-			for k := 0; k < nk; k++ {
-				for d := 0; d < dots; d++ {
-					k, d := k, d
-					ops = append(ops,
-						gpu.WfOp{Kind: gpu.OpLoad, Addrs: addr(func(t int) uint32 { return aAt(d, t/nj, k) })},
-						gpu.WfOp{Kind: gpu.OpLoad, Addrs: addr(func(t int) uint32 { return bAt(d, k, t%nj) })},
-						gpu.Compute(1))
-				}
-			}
-			ca := addr(func(t int) uint32 { return cAt(t/nj, t%nj) })
-			if readC {
-				ops = append(ops, gpu.WfOp{Kind: gpu.OpLoad, Addrs: ca}, gpu.Compute(2))
-			}
-			ops = append(ops, gpu.WfOp{Kind: gpu.OpStore, Addrs: ca})
-			return ops
-		},
-	}
+		}
+		cOf := func(t int) uint32 { return cAt(t/nj, t%nj) }
+		if readC {
+			w.Load(cOf)
+			w.Compute(2)
+		}
+		w.Store(cOf)
+	})
 }

@@ -412,15 +412,6 @@ func (b *LLCBank) Idle() bool {
 	return b.reqCount == 0 && b.jobCount == 0
 }
 
-// Quiescent implements the sim.Component hint. The bank self-schedules
-// nothing: fills arrive via the DRAM horizon, requests via the mesh.
-func (b *LLCBank) Quiescent(now int64) (bool, int64) {
-	if !b.Idle() {
-		return false, 0
-	}
-	return true, math.MaxInt64
-}
-
 // Park implements sim.Sleeper: an idle bank's tick is a pure no-op (a busy
 // MSHR only waits on a DRAM fill, which arrives through Install — a wake
 // site). Nothing to replay, so CatchUp is empty.

@@ -693,16 +693,6 @@ func (m *Mesh) Propose(now int64) { m.Tick() }
 // Commit is a no-op: Propose applies the full cycle.
 func (m *Mesh) Commit(now int64) {}
 
-// Quiescent reports the mesh idle when no flit is buffered. An empty mesh
-// schedules nothing on its own (retry backoff only exists while a flit is
-// held), so the wake hint is sim's Never.
-func (m *Mesh) Quiescent(now int64) (bool, int64) {
-	if atomic.LoadInt64(&m.queued) > 0 {
-		return false, 0
-	}
-	return true, math.MaxInt64
-}
-
 // Park implements sim.Sleeper: an empty mesh's tick only advances the
 // internal clock, which CatchUp replays. Injections wake it via the hook
 // installed with SetWaker.

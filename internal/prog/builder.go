@@ -1,10 +1,11 @@
 // Package prog is the kernel construction layer: a builder DSL that plays
 // the role of the paper's C-macro + assembly-post-processing compiler (§4).
 // It provides register allocation, labels, structured loops, the
-// VECTORIZE / VECTOR_ISSUE / VECTOR_LOAD / DEVECTORIZE macros, and the
-// decoupled-access pipeline generator that enforces the implicit
-// synchronization bound of §4.2 (the compiler must keep the scalar core
-// from running further ahead than the hardware frame counters allow).
+// VECTORIZE / VECTOR_ISSUE / VECTOR_LOAD / DEVECTORIZE macros, and
+// AheadOffset, the implicit synchronization bound of §4.2 (the compiler
+// must keep the scalar core from running further ahead than the hardware
+// frame counters allow). The decoupled-access pipelines built on that bound
+// are kernels.Ctx.VecDAE and SelfDAE.
 //
 // Microthread bodies are emitted into a deferred section and appended after
 // the main (scalar) code, mirroring the paper's flow of extracting

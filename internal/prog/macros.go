@@ -10,11 +10,8 @@ import (
 func f32bits(v float32) uint32 { return math.Float32bits(v) }
 
 // ForI emits a counted loop: for i = start; i < stop; i += step { body }.
-// Bounds are compile-time constants; the body runs at least once when
-// start < stop, and the loop is skipped entirely otherwise (guard emitted
-// only when needed cannot be decided at build time, so the caller must
-// ensure start < stop or accept one iteration... the builder emits a guard
-// jump to be safe).
+// Bounds are compile-time constants, so an empty range emits nothing and a
+// non-empty one needs no guard: the body always runs at least once.
 func (b *Builder) ForI(i isa.Reg, start, stop, step int32, body func()) {
 	if start >= stop {
 		return // statically empty
@@ -28,20 +25,6 @@ func (b *Builder) ForI(i isa.Reg, start, stop, step int32, body func()) {
 	b.Addi(i, i, step)
 	b.Blt(i, bound, top)
 	b.FreeInt(bound)
-}
-
-// ForR emits for i = start; i < stopReg; i += step { body } with a runtime
-// bound. A guard branch skips the loop when start >= stop.
-func (b *Builder) ForR(i isa.Reg, start int32, stop isa.Reg, step int32, body func()) {
-	end := b.NewLabel("endfor")
-	top := b.NewLabel("for")
-	b.Li(i, start)
-	b.Bge(i, stop, end)
-	b.Label(top)
-	body()
-	b.Addi(i, i, step)
-	b.Blt(i, stop, top)
-	b.Label(end)
 }
 
 // ConfigFrames emits the CsrFrameCfg write (§2.3.1): frame size in words
@@ -93,14 +76,6 @@ func (b *Builder) Microthread(body func()) (label string, length int) {
 // VIssueAt emits a vissue launching the microthread at label.
 func (b *Builder) VIssueAt(label string) {
 	b.emitRef(isa.Instr{Op: isa.OpVissue}, label)
-}
-
-// VIssue defines a single-use microthread and issues it immediately (the
-// VECTOR_ISSUE macro). It returns the microthread's instruction count.
-func (b *Builder) VIssue(body func()) int {
-	label, n := b.Microthread(body)
-	b.VIssueAt(label)
-	return n
 }
 
 // VLoad emits one wide load (the VECTOR_LOAD macro). addr and spadOff are
@@ -164,60 +139,4 @@ func AheadOffset(cfg config.Manycore, side, mtLen int) int {
 		ahead = 0
 	}
 	return ahead
-}
-
-// DAEPipeline emits the software-pipelined decoupled-access loop the
-// compiler generates (§4.2): a prologue that issues `ahead` frames of
-// loads, a steady state interleaving one microthread issue with the loads
-// for a future frame, and an epilogue that drains the remaining frames.
-//
-// trip is the compile-time iteration count. load(iter) must emit the wide
-// loads that fill exactly one frame for iteration iter (a register holding
-// the iteration index); issueMT must emit exactly one vissue.
-func (b *Builder) DAEPipeline(trip, ahead int, load func(iter isa.Reg), issueMT func()) {
-	if trip <= 0 {
-		return
-	}
-	if ahead > trip {
-		ahead = trip
-	}
-	iL := b.Int()
-	b.Li(iL, 0)
-	if ahead > 0 {
-		bound := b.Int()
-		b.Li(bound, int32(ahead))
-		top := b.NewLabel("dae_pro")
-		b.Label(top)
-		load(iL)
-		b.Addi(iL, iL, 1)
-		b.Blt(iL, bound, top)
-		b.FreeInt(bound)
-	}
-	if trip-ahead > 0 {
-		iC := b.Int()
-		bound := b.Int()
-		b.Li(iC, 0)
-		b.Li(bound, int32(trip-ahead))
-		top := b.NewLabel("dae_steady")
-		b.Label(top)
-		issueMT()
-		load(iL)
-		b.Addi(iL, iL, 1)
-		b.Addi(iC, iC, 1)
-		b.Blt(iC, bound, top)
-		b.FreeInt(iC, bound)
-	}
-	if ahead > 0 {
-		k := b.Int()
-		bound := b.Int()
-		b.Li(k, 0)
-		b.Li(bound, int32(ahead))
-		top := b.NewLabel("dae_epi")
-		b.Label(top)
-		issueMT()
-		b.Addi(k, k, 1)
-		b.Blt(k, bound, top)
-		b.FreeInt(k, bound)
-	}
-	b.FreeInt(iL)
 }

@@ -14,10 +14,6 @@
 //   - Commit: apply deferred order-sensitive writes. Commit always runs
 //     serially, over every component of the stage in declared order, so a
 //     deferred write sequence is indistinguishable from the serial engine's.
-//
-// Components also expose a quiescence hint: when every component of every
-// stage is quiescent, the machine may skip ahead ("idle fast-forward") to
-// the earliest cycle any component reports it could act again.
 package sim
 
 import (
@@ -42,8 +38,8 @@ type PanicError struct {
 
 func (p *PanicError) Error() string { return fmt.Sprintf("engine worker panic: %v", p.Val) }
 
-// Never is the "until" value of a component with no self-scheduled future
-// event: it stays quiescent until some other component acts on it.
+// Never is the wake time of a component with no self-scheduled future
+// event: it stays parked until some other component acts on it.
 const Never = math.MaxInt64
 
 // Component is one simulated unit owned by the engine.
@@ -55,11 +51,6 @@ type Component interface {
 	// Commit applies the writes buffered by Propose. Commit runs serially
 	// in declared component order after every Propose of the stage.
 	Commit(now int64)
-	// Quiescent reports whether ticking the component at now (and every
-	// cycle after) is a no-op until either `until` arrives or another
-	// component acts on it. until is only meaningful when quiescent; use
-	// Never when no self-scheduled event exists.
-	Quiescent(now int64) (bool, int64)
 }
 
 // Sleeper is an optional Component extension that lets the engine park a
@@ -159,8 +150,8 @@ type Prof struct {
 	FastForward StageMeter
 }
 
-// String renders the profile as an aligned table, slowest stage first
-// kept in declared order for readability.
+// String renders the profile as an aligned table, stages in declared order
+// (the order a cycle runs them) and fast-forward last.
 func (p *Prof) String() string {
 	var b strings.Builder
 	var total int64
@@ -531,28 +522,6 @@ func (e *Engine) proposeShard(now int64, sh Shard) {
 	for _, c := range sh {
 		c.Propose(now)
 	}
-}
-
-// Quiescent reports whether every component of every stage is quiescent at
-// now, and if so the earliest cycle any of them self-schedules (Never when
-// none do). Callers layer machine-level events (DRAM completions, fault
-// schedules, watchdog checkpoints) on top before skipping.
-func (e *Engine) Quiescent(now int64) (bool, int64) {
-	until := int64(Never)
-	for i := range e.stages {
-		for _, sh := range e.stages[i].Shards {
-			for _, c := range sh {
-				q, u := c.Quiescent(now)
-				if !q {
-					return false, 0
-				}
-				if u < until {
-					until = u
-				}
-			}
-		}
-	}
-	return true, until
 }
 
 // Meter is a set of cache-line-padded counters for cheap incremental

@@ -8,13 +8,11 @@ import (
 )
 
 // counter is a toy component: Propose computes next = v + step into a
-// buffer, Commit applies it, and it goes quiescent once v reaches limit,
-// self-scheduling a wake at wakeAt.
+// buffer, Commit applies it, and it stops counting once v reaches limit.
 type counter struct {
 	v, next int64
 	step    int64
 	limit   int64
-	wakeAt  int64
 	commits int64
 }
 
@@ -31,18 +29,11 @@ func (c *counter) Commit(now int64) {
 	c.commits++
 }
 
-func (c *counter) Quiescent(now int64) (bool, int64) {
-	if c.v < c.limit {
-		return false, 0
-	}
-	return true, c.wakeAt
-}
-
 func runEngine(t *testing.T, workers, shardCount int) []int64 {
 	t.Helper()
 	shards := make([]Shard, shardCount)
 	for i := range shards {
-		shards[i] = Shard{&counter{step: int64(i + 1), limit: int64(100 * (i + 1)), wakeAt: Never}}
+		shards[i] = Shard{&counter{step: int64(i + 1), limit: int64(100 * (i + 1))}}
 	}
 	e := NewEngine([]Stage{{Name: "count", Shards: shards}}, workers)
 	e.Start()
@@ -124,29 +115,7 @@ func (p *probe) Propose(now int64) {
 		p.badPre = true
 	}
 }
-func (p *probe) Commit(now int64)                  { p.committed++ }
-func (p *probe) Quiescent(now int64) (bool, int64) { return false, 0 }
-
-// TestQuiescentHorizon checks the engine-wide scan returns the minimum
-// self-scheduled wake across quiescent components, and reports non-quiescent
-// as soon as any component is active.
-func TestQuiescentHorizon(t *testing.T) {
-	a := &counter{limit: 0, wakeAt: 900}
-	b := &counter{limit: 0, wakeAt: 450}
-	c := &counter{limit: 0, wakeAt: Never}
-	e := NewEngine([]Stage{
-		{Shards: []Shard{{a}, {b}}},
-		{Shards: []Shard{{c}}},
-	}, 1)
-	q, until := e.Quiescent(0)
-	if !q || until != 450 {
-		t.Fatalf("Quiescent = %v, %d; want true, 450", q, until)
-	}
-	b.limit = 10 // b becomes active
-	if q, _ := e.Quiescent(0); q {
-		t.Fatal("engine quiescent while a component is active")
-	}
-}
+func (p *probe) Commit(now int64) { p.committed++ }
 
 // TestWorkerPanicPropagates checks a panic inside a worker-executed Propose
 // resurfaces on the goroutine driving Tick, so machine.Run's recover sees it.
@@ -183,9 +152,8 @@ func TestWorkerPanicPropagates(t *testing.T) {
 
 type panicker struct{}
 
-func (p *panicker) Propose(now int64)                 { panic("boom") }
-func (p *panicker) Commit(now int64)                  {}
-func (p *panicker) Quiescent(now int64) (bool, int64) { return true, Never }
+func (p *panicker) Propose(now int64) { panic("boom") }
+func (p *panicker) Commit(now int64)  {}
 
 // TestMeter checks slot ownership and totals.
 func TestMeter(t *testing.T) {
@@ -201,7 +169,7 @@ func TestMeter(t *testing.T) {
 // TestProfileCountsTicks checks the attached self-profile meters every stage
 // tick, produces identical simulation results, and renders a table.
 func TestProfileCountsTicks(t *testing.T) {
-	shards := []Shard{{&counter{step: 1, limit: 50, wakeAt: Never}}}
+	shards := []Shard{{&counter{step: 1, limit: 50}}}
 	e := NewEngine([]Stage{
 		{Name: "alpha", Shards: shards},
 		{Name: "beta"},

@@ -211,9 +211,6 @@ func newSampler(w io.Writer, every int64) *Sampler {
 	return s
 }
 
-// Every returns the configured window size.
-func (s *Sampler) Every() int64 { return s.every }
-
 // Err returns the first write error, if any.
 func (s *Sampler) Err() error { return s.err }
 
