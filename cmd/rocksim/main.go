@@ -97,12 +97,8 @@ func main() {
 	opts.Obs = plane
 	var sink *trace.Sink
 	if *traceOut != "" || *telemOut != "" || plane != nil {
-		cfg := trace.Config{SampleEvery: *sampleN, EventCap: *traceBuf}
-		if fl := plane.Flight(); fl != nil {
-			// Feed the flight recorder's window ring; one run at a time, so
-			// the ambient run key set by Begin attributes windows correctly.
-			cfg.Retain = fl.Retain
-		}
+		// With a plane the machine feeds the flight recorder's window ring.
+		cfg := trace.Config{SampleEvery: *sampleN, EventCap: *traceBuf, Retain: plane != nil}
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)
 			if err != nil {

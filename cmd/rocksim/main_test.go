@@ -179,7 +179,7 @@ func TestTraceBytesPinned(t *testing.T) {
 // pins where in each serial site's sequence every event is emitted, not
 // just that it is.
 func TestFaultTraceBytesPinned(t *testing.T) {
-	checkTraceDigest(t, 1122333, "e4fd52abf3ee191d3c5fef66cdffaf5fdb688503270183fd4298d365625145d0",
+	checkTraceDigest(t, 1122574, "d0788b757b8ea6a422eed4d8d3fd6a51a1612c9a7476d9887e732111e15e85ba",
 		"-faults", "seed=42;kill@1500:t12")
 }
 

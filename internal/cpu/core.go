@@ -690,75 +690,6 @@ func (c *Core) DebugState() string {
 		c.spad.HeadSeq(), c.spad.NumFrames() > 0 && c.spad.FrameReady())
 }
 
-// IdleUntil reports whether ticking the core is a pure stall until some
-// future cycle: quiet means every tick before `until` would only record
-// one stall cycle of the returned kind. until is math.MaxInt64 when the
-// wake depends on another component (a group peer arriving, a barrier
-// release, an inet send); the machine's fast-forward horizon is then set
-// by whoever acts. Cores attempting to issue are conservatively reported
-// active: scoreboard and frame waits are resolved by mesh traffic, which
-// keeps the machine out of fast-forward on its own.
-func (c *Core) IdleUntil(now int64) (quiet bool, until int64, kind stats.StallKind) {
-	if c.halted {
-		return true, math.MaxInt64, stats.StallNone
-	}
-	switch c.state {
-	case stFormGroup:
-		if c.env.GroupFormed(c.ID, c.ticket) {
-			return false, 0, 0
-		}
-		return true, math.MaxInt64, stats.StallOther
-	case stBarrier:
-		if c.env.BarrierDone(c.ticket) {
-			return false, 0, 0
-		}
-		return true, math.MaxInt64, stats.StallOther
-	}
-	waitInet := func() (bool, int64, stats.StallKind) {
-		if c.inQ.Ready(now) {
-			return false, 0, 0
-		}
-		at, ok := c.inQ.ReadyAt()
-		if !ok {
-			return true, math.MaxInt64, stats.StallInet
-		}
-		return true, at, stats.StallInet
-	}
-	switch c.mode {
-	case ModeIndependent, ModeScalar:
-		if now < c.fetchReadyAt {
-			return true, c.fetchReadyAt, stats.StallOther
-		}
-	case ModeVector:
-		if c.isExpander() {
-			if !c.mtActive {
-				return waitInet()
-			}
-			if now < c.fetchReadyAt {
-				return true, c.fetchReadyAt, stats.StallOther
-			}
-		} else {
-			return waitInet()
-		}
-	}
-	return false, 0, 0
-}
-
-// SkipIdle accounts for n skipped cycles of a pure stall of the given kind
-// (idle fast-forward backfill). It must only be called with the kind a
-// preceding IdleUntil returned, and leaves every counter exactly as n
-// individual Ticks would have.
-func (c *Core) SkipIdle(n int64, kind stats.StallKind) {
-	if c.halted || n <= 0 {
-		return
-	}
-	c.st.Cycles += n
-	c.st.AddStallN(kind, n)
-	if c.crec != nil {
-		c.crec.AddN(c.causalClass(kind, c.state), n)
-	}
-}
-
 // Propose advances the core one cycle (sim.Component). Cores in different
 // shards share no same-cycle state: vector groups are co-sharded with
 // their inet wiring, and everything cross-shard a core touches (mesh
@@ -769,44 +700,84 @@ func (c *Core) Propose(now int64) { c.Tick(now) }
 func (c *Core) Commit(now int64) {}
 
 // Park implements sim.Sleeper: after ticking at now, the core may drop out
-// of the tick loop when every following cycle is a pure stall. The stall
-// kind is recorded so CatchUp can back-fill the histogram exactly as the
-// skipped ticks would have. Beyond IdleUntil's frontend/inet waits, Park
-// also probes issue stalls: a core blocked on the scoreboard, a DAE frame,
-// or inet backpressure is frozen — nothing in its own tick can unblock it —
-// so it sleeps until the blocker's known ready cycle, or until a mesh
-// delivery or same-shard progress wakes the shard (until = MaxInt64).
+// of the tick loop when every following cycle is a pure stall of one kind,
+// recorded so CatchUp can back-fill the histogram exactly as the skipped
+// ticks would have. The wake is math.MaxInt64 when it depends on another
+// component (a group peer arriving, a barrier release, an inet send, a mesh
+// delivery): whoever acts wakes the shard.
 func (c *Core) Park(now int64) (bool, int64) {
-	quiet, until, kind := c.IdleUntil(now + 1)
+	quiet, until, kind := c.frontendStall(now + 1)
 	if !quiet {
-		// The tick at now may have stashed a parkable issue stall (see
-		// noteStall): a pure stall whose blocker is frozen core state,
-		// cleared only at a known scoreboard cycle, by a mesh delivery
-		// (which wakes the shard), or by a same-shard neighbor's queue
-		// drain. The neighbor ticks after this core within the shard, so
-		// backpressure stashes re-verify their queue live; everything else
-		// in the stash is untouchable between the tick and this probe.
-		if c.stallAt != now {
-			return false, 0
-		}
-		switch c.stallCheck {
-		case checkSend:
-			if c.outQs[0].CanSend() {
-				return false, 0
-			}
-		case checkForward:
-			if c.canForwardAll() {
-				return false, 0
-			}
-		}
-		until, kind = c.stallWake, c.stallKind
-		if until <= now+1 {
-			return false, 0
-		}
+		quiet, until, kind = c.issueStall(now)
 	}
-	c.parkedKind = kind
-	return true, until
+	if quiet {
+		c.parkedKind = kind
+	}
+	return quiet, until
 }
 
-// CatchUp implements sim.Sleeper: replay n skipped parked cycles.
-func (c *Core) CatchUp(n int64) { c.SkipIdle(n, c.parkedKind) }
+// frontendStall probes the waits in which the core does not even try to
+// issue from cycle next on: halted, a formation or barrier rendezvous, a
+// fetch bubble, an inet queue with nothing ready.
+func (c *Core) frontendStall(next int64) (quiet bool, until int64, kind stats.StallKind) {
+	if c.halted {
+		return true, math.MaxInt64, stats.StallNone
+	}
+	switch c.state {
+	case stFormGroup:
+		return !c.env.GroupFormed(c.ID, c.ticket), math.MaxInt64, stats.StallOther
+	case stBarrier:
+		return !c.env.BarrierDone(c.ticket), math.MaxInt64, stats.StallOther
+	}
+	if c.mode == ModeVector && !(c.isExpander() && c.mtActive) {
+		// A lane, or an expander between microthreads: fed by the inet.
+		if c.inQ.Ready(next) {
+			return false, 0, 0
+		}
+		at, ok := c.inQ.ReadyAt()
+		if !ok {
+			at = math.MaxInt64
+		}
+		return true, at, stats.StallInet
+	}
+	return next < c.fetchReadyAt, c.fetchReadyAt, stats.StallOther
+}
+
+// issueStall probes the issue stall the tick at now may have stashed (see
+// noteStall): a core blocked on the scoreboard, a DAE frame, or inet
+// backpressure is frozen — nothing in its own tick can unblock it — so it
+// sleeps until the blocker's known ready cycle, or until a mesh delivery or
+// a same-shard neighbor's queue drain wakes the shard. The neighbor ticks
+// after this core within the shard, so backpressure stashes re-verify their
+// queue live; everything else in the stash is untouchable between the tick
+// and this probe.
+func (c *Core) issueStall(now int64) (quiet bool, until int64, kind stats.StallKind) {
+	if c.stallAt != now {
+		return false, 0, 0
+	}
+	switch c.stallCheck {
+	case checkSend:
+		if c.outQs[0].CanSend() {
+			return false, 0, 0
+		}
+	case checkForward:
+		if c.canForwardAll() {
+			return false, 0, 0
+		}
+	}
+	return c.stallWake > now+1, c.stallWake, c.stallKind
+}
+
+// CatchUp implements sim.Sleeper: account for n skipped cycles of the pure
+// stall Park recorded, leaving every counter exactly as n individual Ticks
+// would have.
+func (c *Core) CatchUp(n int64) {
+	if c.halted || n <= 0 {
+		return
+	}
+	c.st.Cycles += n
+	c.st.AddStallN(c.parkedKind, n)
+	if c.crec != nil {
+		c.crec.AddN(c.causalClass(c.parkedKind, c.state), n)
+	}
+}

@@ -1,7 +1,9 @@
 package fault
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -39,19 +41,66 @@ func TestParseRoundTrip(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, spec := range []string{
-		"boom@100:t1",       // unknown kind
-		"kill@x:t1",         // bad cycle
-		"kill@100",          // missing tile
-		"drop@0:1>2",        // missing probability
-		"drop@0:12:p0.5",    // malformed link
-		"flip@0:t1:o4:b40",  // bit out of range
-		"stick@0:t1",        // missing duration
-		"seed=zz",           // bad seed
-		"drop@0:1>2:p.5:up", // unknown plane
+	for _, tc := range []struct{ spec, verb, field string }{
+		{"boom@100:t1", "boom", ""},                         // unknown kind
+		{"kill@x:t1", "", "x"},                              // bad cycle
+		{"kill@100", "kill", ""},                            // missing tile
+		{"drop@0:1>2", "drop", ""},                          // missing probability
+		{"drop@0:12:p0.5", "", "12"},                        // malformed link
+		{"flip@0:t1:o4:b40", "", "40"},                      // bit out of range
+		{"stick@0:t1", "stick", ""},                         // missing duration
+		{"seed=zz", "", "zz"},                               // bad seed
+		{"drop@0:1>2:p.5:up", "", "up"},                     // unknown plane
+		{"flip@5:t1:o-4:b3", "flip", "o-4"},                 // negative offset: uint32(off) would wrap it to 4294967292
+		{"flip@5:t1:o4294967296:b3", "flip", "o4294967296"}, // offset past uint32
+		// A trailing argument is a typo, not a comment.
+		{"kill@3000:t12:zzz", "kill", "zzz"},
+		{"panic@3000:t12:t13", "panic", "t13"},
+		{"stick@5:t1:d5:t9", "stick", "t9"},
+		{"flip@5:t1:o4:b3:b4", "flip", "b4"},
+		{"drop@5:1>2:p0.5:req:both", "drop", "both"},
+		{"corrupt@5:1>2:p0.5:req:x", "corrupt", "x"},
+		{"cutlink@5:1>2:req:both", "cutlink", "both"},
+		{"killrouter@5:t1:t2", "killrouter", "t2"},
+		{"killbank@5:b1:b2", "killbank", "b2"},
+		{"dramdegrade@5:x2:junk", "dramdegrade", "junk"},
 	} {
-		if _, err := Parse(spec); err == nil {
-			t.Errorf("Parse(%q) accepted", spec)
+		_, err := Parse(tc.spec)
+		if err == nil {
+			t.Errorf("Parse(%q) accepted", tc.spec)
+			continue
+		}
+		for _, want := range []string{tc.verb, tc.field} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("Parse(%q): error %q does not name %q", tc.spec, err, want)
+			}
+		}
+	}
+}
+
+// TestEventStringRoundTrips holds Parse(e.String()) == e for one event of
+// every verb, optional fields both set and defaulted.
+func TestEventStringRoundTrips(t *testing.T) {
+	for _, e := range []Event{
+		{Kind: KillTile, Cycle: 3000, Tile: 12},
+		{Kind: PanicTile, Cycle: 7, Tile: 1},
+		{Kind: DropFlit, Cycle: 1000, Until: 9000, From: 12, To: 13, Prob: 0.05, Plane: PlaneReq},
+		{Kind: CorruptFlit, Cycle: 7, From: 1, To: 2, Prob: 0.5, Plane: PlaneBoth},
+		{Kind: StickInetQueue, Cycle: 2000, Tile: 9, Duration: 500},
+		{Kind: FlipSpadWord, Cycle: 2500, Tile: 3, Offset: math.MaxUint32 &^ 3, Bit: 31},
+		{Kind: CutLink, Cycle: 100, From: 3, To: 4, Plane: PlaneResp},
+		{Kind: KillRouter, Cycle: 50, Tile: 9},
+		{Kind: KillBank, Cycle: 10, Bank: 2},
+		{Kind: DramDegrade, Cycle: 100, Until: 900, Factor: 2.5},
+		{Kind: DramDegrade, Cycle: 400, Factor: 3},
+	} {
+		p, err := Parse(e.String())
+		if err != nil {
+			t.Errorf("Parse(%q): %v", e.String(), err)
+			continue
+		}
+		if len(p.Events) != 1 || p.Events[0] != e {
+			t.Errorf("Parse(%q) = %+v, want %+v", e.String(), p.Events, e)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -82,9 +83,14 @@ func parseEvent(kind string, fields []string) (Event, error) {
 		return e, fmt.Errorf("unknown fault kind %q", kind)
 	}
 	args := fields[1:]
-	need := func(n int) error {
-		if len(args) < n {
-			return fmt.Errorf("%s needs %d arguments, got %d", kind, n, len(args))
+	// arity holds the verb to its required and optional arguments: a
+	// trailing field is a typo, not a comment.
+	arity := func(required, optional int) error {
+		if len(args) < required {
+			return fmt.Errorf("%s needs %d arguments, got %d", kind, required, len(args))
+		}
+		if max := required + optional; len(args) > max {
+			return fmt.Errorf("%s takes %d arguments, got unexpected %q", kind, max, args[max])
 		}
 		return nil
 	}
@@ -101,7 +107,7 @@ func parseEvent(kind string, fields []string) (Event, error) {
 	}
 	switch kind {
 	case "kill":
-		if err := need(1); err != nil {
+		if err := arity(1, 0); err != nil {
 			return e, err
 		}
 		t, err := intArg(args[0], "t")
@@ -110,7 +116,7 @@ func parseEvent(kind string, fields []string) (Event, error) {
 		}
 		e.Kind, e.Tile = KillTile, int(t)
 	case "panic":
-		if err := need(1); err != nil {
+		if err := arity(1, 0); err != nil {
 			return e, err
 		}
 		t, err := intArg(args[0], "t")
@@ -119,7 +125,7 @@ func parseEvent(kind string, fields []string) (Event, error) {
 		}
 		e.Kind, e.Tile = PanicTile, int(t)
 	case "stick":
-		if err := need(2); err != nil {
+		if err := arity(2, 0); err != nil {
 			return e, err
 		}
 		t, err := intArg(args[0], "t")
@@ -132,7 +138,7 @@ func parseEvent(kind string, fields []string) (Event, error) {
 		}
 		e.Kind, e.Tile, e.Duration = StickInetQueue, int(t), d
 	case "flip":
-		if err := need(3); err != nil {
+		if err := arity(3, 0); err != nil {
 			return e, err
 		}
 		t, err := intArg(args[0], "t")
@@ -147,12 +153,15 @@ func parseEvent(kind string, fields []string) (Event, error) {
 		if err != nil {
 			return e, err
 		}
+		if off < 0 || off > math.MaxUint32 {
+			return e, fmt.Errorf("flip offset %q outside [0, 2^32)", args[1])
+		}
 		if bit < 0 || bit > 31 {
 			return e, fmt.Errorf("bit %d outside [0,31]", bit)
 		}
 		e.Kind, e.Tile, e.Offset, e.Bit = FlipSpadWord, int(t), uint32(off), uint8(bit)
 	case "drop", "corrupt":
-		if err := need(2); err != nil {
+		if err := arity(2, 1); err != nil {
 			return e, err
 		}
 		from, to, ok := strings.Cut(args[0], ">")
@@ -184,7 +193,7 @@ func parseEvent(kind string, fields []string) (Event, error) {
 			e.Plane = pl
 		}
 	case "cutlink":
-		if err := need(1); err != nil {
+		if err := arity(1, 1); err != nil {
 			return e, err
 		}
 		from, to, ok := strings.Cut(args[0], ">")
@@ -205,7 +214,7 @@ func parseEvent(kind string, fields []string) (Event, error) {
 			e.Plane = pl
 		}
 	case "killrouter":
-		if err := need(1); err != nil {
+		if err := arity(1, 0); err != nil {
 			return e, err
 		}
 		t, err := intArg(args[0], "t")
@@ -214,7 +223,7 @@ func parseEvent(kind string, fields []string) (Event, error) {
 		}
 		e.Kind, e.Tile = KillRouter, int(t)
 	case "killbank":
-		if err := need(1); err != nil {
+		if err := arity(1, 0); err != nil {
 			return e, err
 		}
 		b, err := intArg(args[0], "b")
@@ -223,7 +232,7 @@ func parseEvent(kind string, fields []string) (Event, error) {
 		}
 		e.Kind, e.Bank = KillBank, int(b)
 	case "dramdegrade":
-		if err := need(1); err != nil {
+		if err := arity(1, 0); err != nil {
 			return e, err
 		}
 		fv, ok := strings.CutPrefix(args[0], "x")

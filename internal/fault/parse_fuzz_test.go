@@ -27,6 +27,13 @@ func FuzzParse(f *testing.F) {
 		"dramdegrade@100-900:x2.5",
 		"dramdegrade@400:x3",
 		"seed=5;cutlink@1:0>1;killbank@2:b0;dramdegrade@3:x1",
+		// Trailing arguments and a negative offset: rejected.
+		"kill@3000:t12:zzz",
+		"cutlink@5:1>2:req:both",
+		"dramdegrade@5:x2:junk",
+		"stick@5:t1:d5:t9",
+		"flip@5:t1:o-4:b3",
+		"panic@9:t3",
 	} {
 		f.Add(seed)
 	}

@@ -312,13 +312,9 @@ func (r *Runner) executeCell(bench kernels.Benchmark, sw config.Software, hw con
 	if sw.Style == config.StyleGPU {
 		return kernels.ExecuteOpts(bench, bench.Defaults(r.opts.Scale), sw, hw, opts)
 	}
-	cfg := trace.Config{SampleEvery: r.opts.SampleEvery}
-	if fl := r.opts.Obs.Flight(); fl != nil {
-		// Keyed retention: concurrent sweep cells feed one ring, so each
-		// window must carry its own run identity, not the ambient SetRun key.
-		runKey := bench.Info().Name + "/" + sw.Name
-		cfg.Retain = func(w trace.Window) { fl.RetainKeyed(runKey, 1, w) }
-	}
+	// With a plane, sample even without a telemetry file: the cell whose
+	// machine holds the plane's slot feeds the flight ring.
+	cfg := trace.Config{SampleEvery: r.opts.SampleEvery, Retain: r.opts.Obs != nil}
 	var f *os.File
 	if r.opts.TelemetryDir != "" {
 		if err := os.MkdirAll(r.opts.TelemetryDir, 0o755); err != nil {
@@ -331,7 +327,7 @@ func (r *Runner) executeCell(bench kernels.Benchmark, sw config.Software, hw con
 		}
 		cfg.SampleTo = f
 	}
-	if cfg.SampleTo == nil && cfg.Retain == nil {
+	if cfg.SampleTo == nil && !cfg.Retain {
 		return kernels.ExecuteOpts(bench, bench.Defaults(r.opts.Scale), sw, hw, opts)
 	}
 	sink := trace.NewSink(cfg)

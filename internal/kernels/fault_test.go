@@ -5,6 +5,7 @@ import (
 
 	"rockcress/internal/config"
 	"rockcress/internal/fault"
+	"rockcress/internal/metrics"
 )
 
 // TestExecuteWithFaultsKillLane is the acceptance scenario: a V4 mvt run
@@ -114,5 +115,71 @@ func TestExecuteWithFaultsNilPlan(t *testing.T) {
 	}
 	if fr.Result.Cycles() != base.Cycles() {
 		t.Errorf("nil plan cycles %d != plain Execute cycles %d", fr.Result.Cycles(), base.Cycles())
+	}
+}
+
+// TestFlightKeyFollowsMachineSlot begins two cells on one plane, the way
+// `rockbench -j N` overlaps them: mvt/V4 (rung 2 of a ladder) builds first
+// and wins the plane's machine slot, gemm/NV begins and builds while it
+// holds it. Every flight note comes from the slot holder's machine, so the
+// kill it records, and the header of a bundle dumped then, must carry
+// mvt/V4 attempt 2 — not the key of the cell that began last.
+func TestFlightKeyFollowsMachineSlot(t *testing.T) {
+	plane := metrics.NewPlane(t.TempDir())
+	begin := func(bench, cfg string, n int, plan *fault.Plan) *trial {
+		t.Helper()
+		b, err := Get(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw, err := config.Preset(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hw := sw.Apply(config.ManycoreDefault())
+		groups, err := GroupsFor(sw, hw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tok := plane.Run().Begin(bench, cfg)
+		plane.Run().SetAttempt(tok, max(n, 1))
+		t.Cleanup(func() { plane.Run().End(tok, nil) })
+		a := &trial{n: n, plan: plan}
+		if err := a.build(b, b.Defaults(Tiny), sw, sw, hw, groups, ExecOpts{Obs: plane}); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	holder := begin("mvt", "V4", 2, &fault.Plan{Events: []fault.Event{{Kind: fault.KillTile, Cycle: 100, Tile: 12}}})
+	later := begin("gemm", "NV", 0, nil)
+	if !holder.m.ObsBound() || later.m.ObsBound() {
+		t.Fatalf("slot: mvt/V4 bound %v, gemm/NV bound %v; want the first builder to hold it",
+			holder.m.ObsBound(), later.m.ObsBound())
+	}
+	if err := holder.m.RunUntil(200); err != nil {
+		t.Fatal(err)
+	}
+	path, err := plane.DumpFlight("test", nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundle, err := metrics.ReadBundle(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bundle.Run != "mvt/V4" || bundle.Attempt != 2 {
+		t.Errorf("bundle header says %s attempt %d, want the slot holder mvt/V4 attempt 2", bundle.Run, bundle.Attempt)
+	}
+	kills := 0
+	for _, n := range bundle.Notes {
+		if n.Kind == "fault.kill" {
+			kills++
+		}
+		if n.Run != "mvt/V4" || n.Attempt != 2 {
+			t.Errorf("note %s at cycle %d tagged %s attempt %d, want mvt/V4 attempt 2", n.Kind, n.Cycle, n.Run, n.Attempt)
+		}
+	}
+	if kills != 1 {
+		t.Errorf("%d fault.kill notes in the bundle, want the one the slot holder's machine wrote", kills)
 	}
 }

@@ -211,6 +211,12 @@ func (a *trial) build(b Benchmark, p Params, sw, buildSW config.Software, hw con
 	if a.m, err = machine.New(mp); err != nil {
 		return fmt.Errorf("%s/%s: machine: %w", name, sw.Name, err)
 	}
+	if a.m.ObsBound() {
+		// This machine holds the plane's slot: the flight ring's windows and
+		// notes from here on are this attempt's, whichever cell of a
+		// concurrent sweep began last.
+		opts.Obs.Flight().SetRun(name+"/"+sw.Name, max(a.n, 1))
+	}
 	// A snapshot is only restorable into a build with the same
 	// recovery-point count (the MIMD fallback may change the phase
 	// structure) and the same store size.

@@ -17,6 +17,14 @@ import (
 // when non-nil, attaches a trace sink.
 func buildForAllocTest(t *testing.T, benchName, cfgName string, obs *metrics.Plane, sink *trace.Sink) *machine.Machine {
 	t.Helper()
+	return buildMachine(t, benchName, cfgName, machine.Params{Obs: obs, Trace: sink})
+}
+
+// buildMachine is buildForAllocTest for any attachment: it fills mp's
+// program, geometry and memory size and leaves the rest (a fault plan, an
+// engine width) as given.
+func buildMachine(t *testing.T, benchName, cfgName string, mp machine.Params) *machine.Machine {
+	t.Helper()
 	bench, err := kernels.Get(benchName)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +55,8 @@ func buildForAllocTest(t *testing.T, benchName, cfgName string, obs *metrics.Pla
 	if memBytes < machine.DefaultMemBytes {
 		memBytes = machine.DefaultMemBytes
 	}
-	m, err := machine.New(machine.Params{Cfg: hw, Prog: prog, Groups: groups, MemBytes: memBytes, Obs: obs, Trace: sink})
+	mp.Cfg, mp.Prog, mp.Groups, mp.MemBytes = hw, prog, groups, memBytes
+	m, err := machine.New(mp)
 	if err != nil {
 		t.Fatal(err)
 	}

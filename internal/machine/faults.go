@@ -13,7 +13,7 @@ import (
 // faultStack is the fault-injection and recovery attachment (this file,
 // topology.go, replay.go). Machine.faults is nil on a fault-free machine;
 // the fabric enters the stack only through preMem, barrierReleased,
-// nextEvent, drained and tally.
+// nextEvent, recovering, drained and tally.
 type faultStack struct {
 	*Machine // the fabric the stack acts on
 
@@ -72,10 +72,11 @@ func (m *Machine) attachFaults(p Params) error {
 func (fs *faultStack) preMem(now int64) {
 	if now >= fs.inj.NextDiscrete() {
 		// Faults mutate cores and queues out of band (kill, armed panic,
-		// stuck inet): unpark everything first so parked shards' stall
-		// back-fill happens against pre-fault state and an armed panic
-		// cannot sleep through its own cycle.
+		// stuck inet): settle parked shards' stall back-fill against
+		// pre-fault state, and wake them all so every Park verdict is taken
+		// again and an armed panic cannot sleep through its own cycle.
 		fs.engine.Sync(now)
+		fs.engine.WakeAll()
 		fs.applyFaults(now)
 	}
 	if len(fs.reinjectQ) > 0 {
@@ -90,13 +91,32 @@ func (fs *faultStack) preMem(now int64) {
 // nil-safe.
 func (fs *faultStack) drained() bool { return fs == nil || len(fs.reinjectQ) == 0 }
 
-// nextEvent is the cycle of the next discrete fault, which bounds the
-// fast-forward horizon; nil-safe.
+// nextEvent is the cycle of the next discrete fault, which bounds the run
+// loop's jump; nil-safe.
 func (fs *faultStack) nextEvent() int64 {
 	if fs == nil {
 		return math.MaxInt64
 	}
 	return fs.inj.NextDiscrete()
+}
+
+// recovering reports that preMem has work at the coming cycle that no shard's
+// wake announces — flits to reinject, a replay to drive against its
+// deadlines, a poisoned frame to start one for — so the run loop must step;
+// nil-safe.
+func (fs *faultStack) recovering() bool {
+	if fs == nil {
+		return false
+	}
+	if !fs.drained() {
+		return true
+	}
+	for t, rs := range fs.replays {
+		if rs != nil || fs.spads[t].Poisoned() && !fs.spads[t].Dead() {
+			return true
+		}
+	}
+	return false
 }
 
 // tally copies the counters the stack owns into the spine (collect).
@@ -226,8 +246,10 @@ func (fs *faultStack) breakGroup(now int64, gid int) {
 	}
 	// Members may be parked (a lane waiting on its inet queue, a core in
 	// the barrier): back-fill their skipped stalls against the pre-disband
-	// state before ForceDisband/ForceHalt rewrite it.
+	// state before ForceDisband/ForceHalt rewrite it, and wake them to tick
+	// from the rewritten one.
 	fs.engine.Sync(now)
+	fs.engine.WakeAll()
 	fs.brokenGroups[gid] = true
 	fs.report.BrokenGroups = append(fs.report.BrokenGroups, gid)
 	fs.announce(trace.EvRecoverGroupBreak, now, int64(fs.Groups[gid].Scalar), int64(gid))

@@ -13,6 +13,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"rockcress/internal/config"
@@ -63,11 +64,16 @@ func readGolden(t *testing.T) (entries []goldenEntry, faultCycles int64) {
 }
 
 // TestGoldenCycleCounts runs all 15 kernels x NV/V4/V16 at tiny scale on
-// every goldenWorkers engine and checks each against the golden count.
+// every goldenWorkers engine and checks each against the golden count. The
+// run loop's jumps read the engine's parking state, so the widths of one
+// entry must also agree on how many they took and how far they went.
 // Subtests run in parallel, so `go test -race` also sweeps concurrent
 // machine instances across goroutines.
 func TestGoldenCycleCounts(t *testing.T) {
 	entries, _ := readGolden(t)
+	type skips struct{ workers, jumps, cycles int64 }
+	var mu sync.Mutex
+	firstSkips := map[goldenEntry]skips{}
 	for _, e := range entries {
 		for _, workers := range goldenWorkers {
 			e, workers := e, workers
@@ -88,6 +94,17 @@ func TestGoldenCycleCounts(t *testing.T) {
 				}
 				if got := res.Cycles(); got != e.cycles {
 					t.Errorf("cycles = %d, want golden %d", got, e.cycles)
+				}
+				got := skips{int64(workers), res.Stats.FastForwards, res.Stats.SkippedCycles}
+				mu.Lock()
+				first, seen := firstSkips[e]
+				if !seen {
+					firstSkips[e] = got
+				}
+				mu.Unlock()
+				if seen && (got.jumps != first.jumps || got.cycles != first.cycles) {
+					t.Errorf("%d fast-forwards over %d cycles, but %d over %d at workers=%d",
+						got.jumps, got.cycles, first.jumps, first.cycles, first.workers)
 				}
 			})
 		}

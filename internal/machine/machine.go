@@ -82,8 +82,6 @@ type Machine struct {
 	errMu sync.Mutex
 	err   error
 
-	ffKinds []stats.StallKind // fast-forward backfill scratch
-
 	// LLC slice indirection, part of the address map: a bank's slice lives
 	// on bankMap[b] — b itself until a fault decommissions it (topology.go),
 	// so bankMap[b] != b marks b dead. bankFailovers counts redirected flits,
@@ -575,72 +573,38 @@ func (m *Machine) deliver(node int, f *msg.Message) bool {
 }
 
 // Step advances the whole machine exactly one cycle through the engine,
-// with no idle fast-forward, watchdog, or budget checks — the run loop's
-// step, and the single-step hook for debuggers and for tests that assert
-// per-cycle properties (e.g. steady-state allocation). Run and a Step loop
-// produce identical architectural state cycle for cycle; only Run's
-// bookkeeping (checkpoints, deadlock watchdog, final stats collection) is
-// skipped.
+// with no idle jump, watchdog, or budget checks — the run loop's step, and
+// the single-step hook for debuggers and for tests that assert per-cycle
+// properties (e.g. steady-state allocation). Run and a Step loop produce
+// identical architectural state cycle for cycle; only Run's bookkeeping
+// (checkpoints, deadlock watchdog, final stats collection) is skipped.
 func (m *Machine) Step() {
 	m.engine.Tick(m.now)
 	m.now++
 }
 
-// fastForward skips the machine straight to the next scheduled event when
-// nothing can make progress before it: the mesh is empty, every LLC bank is
-// a no-op, no barrier release is due, and every core reports a pure stall.
-// The skip is architecturally invisible — every stall histogram is
-// backfilled with exactly the cycles stepping would have recorded — and is
-// capped at the next watchdog checkpoint and at limit, so the watchdog and
-// budget aborts fire at the same cycle the stepping engine aborts at.
-// Returns false when the machine must step normally.
+// fastForward is parking's whole-machine case: once the engine says every
+// shard is parked, the cycles before the first wake would run the stages'
+// serial hooks and nothing else, so the run loop jumps over them. The jump
+// stops at whatever those hooks act on — a DRAM completion, a scheduled
+// fault — and at the next watchdog checkpoint and limit, so the watchdog
+// and budget aborts fire at the cycle a Step loop reaches them at; and it is
+// not taken while a hook has work the engine cannot see: a barrier release
+// due at the next core phase, or a fault stack mid-recovery. Nothing is
+// back-filled here: each parked shard's CatchUp at unpark already covers the
+// distance to the cycle it next ticks at. Returns false when the machine
+// must step normally.
 func (m *Machine) fastForward(limit int64) bool {
-	if m.meshReq.QueuedFlits() > 0 || m.meshResp.QueuedFlits() > 0 || !m.faults.drained() {
+	wake := m.engine.NextWake(m.now)
+	if wake <= m.now || m.barPending && m.memQuiescent() || m.faults.recovering() {
 		return false
 	}
-	for _, b := range m.llcs {
-		if !b.Idle() {
-			return false
-		}
-	}
-	if m.barPending && m.dram.Pending() == 0 {
-		return false // release due at the next core phase
-	}
-	// Event horizon: DRAM completions and scheduled fault events ...
-	horizon := min(m.dram.NextDoneAt(), m.faults.nextEvent())
-	// ... plus every core's self-scheduled wake. Any active core vetoes.
-	if len(m.ffKinds) < len(m.cores) {
-		m.ffKinds = make([]stats.StallKind, len(m.cores))
-	}
-	for t, c := range m.cores {
-		quiet, until, kind := c.IdleUntil(m.now)
-		if !quiet {
-			return false
-		}
-		m.ffKinds[t] = kind
-		if until < horizon {
-			horizon = until
-		}
-	}
-	// Never skip a watchdog checkpoint or the cycle budget.
-	if next := (m.now/m.checkEvery + 1) * m.checkEvery; next < horizon {
-		horizon = next
-	}
-	if limit < horizon {
-		horizon = limit
-	}
+	horizon := min(wake, m.dram.NextDoneAt(), m.faults.nextEvent(),
+		(m.now/m.checkEvery+1)*m.checkEvery, limit)
 	if horizon <= m.now {
 		return false
 	}
-	// Parked shards carry un-back-filled cycles; settle them before the
-	// global skip layers its own back-fill on top.
-	m.engine.Sync(m.now)
 	n := horizon - m.now
-	for t, c := range m.cores {
-		c.SkipIdle(n, m.ffKinds[t])
-	}
-	m.meshReq.FastForward(n)
-	m.meshResp.FastForward(n)
 	m.Stats.FastForwards++
 	m.Stats.SkippedCycles += n
 	m.observeSkip(n)
@@ -655,8 +619,6 @@ func (m *Machine) fastForward(limit int64) bool {
 // on the cycles the stepping engine would reach them at.
 func (m *Machine) advance(stop int64) (atStop bool, err error) {
 	for m.active.Load() > 0 {
-		// Idle fast-forward: when stepping can only record stalls, jump to
-		// the next event.
 		m.stepOrSkip(stop)
 		m.observeStep()
 		if m.now%m.checkEvery == 0 {
@@ -770,7 +732,8 @@ func (m *Machine) llcsBusy() bool {
 }
 
 // collect brings m.Stats — the single live home of every counter — up to
-// date: it settles the stall accounting parked shards defer, then copies
+// date: it settles the stall accounting parked shards defer (in place: a
+// reader never changes what the engine ticks or skips), then copies
 // the counters components own (mesh planes, DRAM, topology-fault tallies)
 // into it. It is the only reader of those component fields; the sampler,
 // the plane publisher, FaultReport and report.json all read m.Stats (through

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rockcress/internal/config"
+	"rockcress/internal/fault"
 	"rockcress/internal/isa"
 	"rockcress/internal/machine"
 	"rockcress/internal/prog"
@@ -211,18 +212,39 @@ func TestVectorGroupDAE(t *testing.T) {
 // is: same Now(), same counters once collected. Fast-forward is on in the
 // bounded run and absent from the Step loop, so the two skip counters are the
 // only fields allowed to differ. Past the last halt RunUntil returns early
-// and without error.
+// and without error. The fault plans hold the jump to the fault stack's gate:
+// a flip that poisons a frame (replay start -> verify, every cycle of which
+// the serial hook must see) and the golden two-kill schedule (group breaks
+// mutating parked cores).
 func TestRunUntilMatchesStepLoop(t *testing.T) {
-	for _, cfgName := range []string{"NV", "V4"} {
-		a := buildForAllocTest(t, "mvt", cfgName, nil, nil)
-		b := buildForAllocTest(t, "mvt", cfgName, nil, nil)
+	hw := config.ManycoreDefault()
+	v4, err := config.MakeGroups(hw, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := v4[0].Lanes[len(v4[0].Lanes)-1]
+	cases := []struct {
+		name, cfg string
+		plan      *fault.Plan
+		replays   bool // the plan must poison a frame and see it replayed
+	}{
+		{"mvt/NV", "NV", nil, false},
+		{"mvt/V4", "V4", nil, false},
+		{"mvt/V4+flip", "V4", &fault.Plan{Events: []fault.Event{
+			{Kind: fault.FlipSpadWord, Cycle: 2758, Tile: victim, Offset: 0, Bit: 30}}}, true},
+		{"mvt/V4+kills", "V4", fault.KillPlan(0x5eed, 2, hw.Cores, 800, 101), false},
+	}
+	for _, tc := range cases {
+		a := buildMachine(t, "mvt", tc.cfg, machine.Params{Faults: tc.plan})
+		b := buildMachine(t, "mvt", tc.cfg, machine.Params{Faults: tc.plan})
 		const pastEnd = 1 << 20
-		for _, stop := range []int64{0, 1, 2, 3, 57, 57, 400, 1023, 1024, 1025, 2048, 2500, pastEnd} {
+		for _, stop := range []int64{0, 1, 2, 3, 57, 57, 400, 800, 801, 901, 902, 1023, 1024, 1025, 2048, 2500,
+			2758, 2759, 2760, 2800, 2900, pastEnd} {
 			if err := a.RunUntil(stop); err != nil {
-				t.Fatalf("mvt/%s: RunUntil(%d): %v", cfgName, stop, err)
+				t.Fatalf("%s: RunUntil(%d): %v", tc.name, stop, err)
 			}
-			if stop != pastEnd && a.Now() != stop {
-				t.Fatalf("mvt/%s: RunUntil(%d) stopped at cycle %d", cfgName, stop, a.Now())
+			if a.Now() != stop && !allHalted(a) {
+				t.Fatalf("%s: RunUntil(%d) stopped at cycle %d with cores still running", tc.name, stop, a.Now())
 			}
 			for b.Now() < a.Now() {
 				b.Step()
@@ -233,22 +255,29 @@ func TestRunUntilMatchesStepLoop(t *testing.T) {
 			sa.FastForwards, sa.SkippedCycles, sa.WallNs = 0, 0, 0
 			sb.FastForwards, sb.SkippedCycles, sb.WallNs = 0, 0, 0
 			if !reflect.DeepEqual(sa, sb) {
-				t.Fatalf("mvt/%s at cycle %d: RunUntil and the Step loop disagree:\n%+v\nvs\n%+v", cfgName, a.Now(), sa, sb)
+				t.Fatalf("%s at cycle %d: RunUntil and the Step loop disagree:\n%+v\nvs\n%+v", tc.name, a.Now(), sa, sb)
 			}
 		}
 		if a.Now() >= pastEnd {
-			t.Errorf("mvt/%s: RunUntil ran to cycle %d with every core halted", cfgName, a.Now())
-		}
-		for tile := 0; tile < a.Cfg.Cores; tile++ {
-			if !a.Core(tile).Halted() {
-				t.Fatalf("mvt/%s: RunUntil returned at cycle %d with tile %d still running", cfgName, a.Now(), tile)
-			}
+			t.Errorf("%s: RunUntil ran to cycle %d, past every core's halt", tc.name, a.Now())
 		}
 		if a.Stats.FastForwards == 0 {
-			t.Errorf("mvt/%s: the bounded run never fast-forwarded; the comparison did not cover skips", cfgName)
+			t.Errorf("%s: the bounded run never fast-forwarded; the comparison did not cover skips", tc.name)
 		}
 		if b.Stats.FastForwards != 0 {
-			t.Errorf("mvt/%s: the Step loop fast-forwarded %d times", cfgName, b.Stats.FastForwards)
+			t.Errorf("%s: the Step loop fast-forwarded %d times", tc.name, b.Stats.FastForwards)
+		}
+		if tc.replays && a.Stats.Cores[victim].FrameReplays == 0 {
+			t.Errorf("%s: the flip poisoned no frame; the comparison did not cover a replay", tc.name)
 		}
 	}
+}
+
+func allHalted(m *machine.Machine) bool {
+	for tile := 0; tile < m.Cfg.Cores; tile++ {
+		if !m.Core(tile).Halted() {
+			return false
+		}
+	}
+	return true
 }

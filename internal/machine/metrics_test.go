@@ -24,6 +24,7 @@ import (
 	"rockcress/internal/kernels"
 	"rockcress/internal/metrics"
 	"rockcress/internal/stats"
+	"rockcress/internal/trace"
 )
 
 // scrape fetches one HTTP page from the introspection server.
@@ -302,8 +303,12 @@ func TestWatchdogFlightBundle(t *testing.T) {
 	}}
 	dir := t.TempDir()
 	plane := metrics.NewPlane(dir)
+	// A retain-only sink: no JSONL, the slot-holding machine keeps its
+	// windows in the plane's flight ring.
+	sink := trace.NewSink(trace.Config{SampleEvery: 256, Retain: true})
+	defer sink.Close()
 	res, err := kernels.ExecuteWithFaultsOpts(bench, bench.Defaults(kernels.Tiny), sw, hw, plan,
-		kernels.ExecOpts{Obs: plane})
+		kernels.ExecOpts{Obs: plane, Trace: sink})
 	if err != nil {
 		t.Fatalf("ladder did not recover from the watchdog trip: %v", err)
 	}
@@ -342,6 +347,14 @@ func TestWatchdogFlightBundle(t *testing.T) {
 	}
 	if kinds["fault.stick"] == 0 || kinds["watchdog"] == 0 {
 		t.Errorf("bundle notes missing the stick/watchdog story: %v", kinds)
+	}
+	if len(b.Windows) == 0 {
+		t.Error("bundle carries no telemetry windows from the retain-only sampler")
+	}
+	for _, w := range b.Windows {
+		if w.Run != "mvt/V4" || w.Attempt != 1 {
+			t.Errorf("window ending at %d tagged %s attempt %d, want mvt/V4 attempt 1", w.Window.End, w.Run, w.Attempt)
+		}
 	}
 }
 

@@ -125,9 +125,12 @@ func (o *observers) announce(k trace.Kind, now, tid int64, vals ...int64) {
 
 // observeBarrier runs at the global barrier's release. Releases are the
 // causal profiler's interval boundaries: the last-arriving tile's class
-// deltas since the previous one are the interval's critical path.
+// deltas since the previous one are the interval's critical path, read off
+// books settled through the previous cycle — every core is parked in the
+// barrier here, its wait not yet back-filled.
 func (m *Machine) observeBarrier(now int64) {
 	if m.causal != nil {
+		m.engine.Sync(now)
 		m.causal.CloseInterval(now)
 	}
 	if m.rec != nil {
@@ -220,20 +223,21 @@ func (m *Machine) gauges() trace.Gauges {
 	return g
 }
 
-// sample emits one telemetry window ending at the current cycle.
+// sample emits one telemetry window ending at the current cycle, and keeps
+// it in the flight ring when this machine holds the plane's slot.
 func (m *Machine) sample(final bool) {
 	c := m.snapshotCum()
-	if final {
-		m.sampler.Finish(m.now, &c, m.gauges())
-	} else {
-		m.sampler.Record(m.now, &c, m.gauges())
+	if !final {
+		m.flight.Retain(m.sampler.Record(m.now, &c, m.gauges()))
+	} else if w, emitted := m.sampler.Finish(m.now, &c, m.gauges()); emitted {
+		m.flight.Retain(w)
 	}
 }
 
-// stepOrSkip is one iteration of the run loop: fast-forward when the whole
-// fabric is provably idle, step otherwise. With a profile attached it also
-// meters the fast-forward probe (Ns covers every probe, Ticks counts taken
-// skips; stage time is metered inside the engine).
+// stepOrSkip is one iteration of the run loop: jump when the engine says
+// every shard is parked, step otherwise. With a profile attached it also
+// meters the ask (Ns covers every fastForward call, Ticks counts the jumps
+// taken; stage time is metered inside the engine).
 func (m *Machine) stepOrSkip(limit int64) {
 	if m.prof == nil {
 		if !m.fastForward(limit) {

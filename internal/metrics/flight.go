@@ -12,7 +12,7 @@ import (
 )
 
 // Flight is the flight recorder: a bounded ring of the most recent telemetry
-// windows (fed by the trace.Sampler's Retain hook) plus a bounded ring of
+// windows (fed by the machine holding the plane's slot) plus a bounded ring of
 // rare-event notes (fault injections, replay rungs, checkpoint publishes,
 // reroutes, watchdog trips). When a run dies badly — watchdog trip, wall
 // budget, contained crash, SIGQUIT — Dump writes the rings plus a machine
@@ -38,7 +38,7 @@ type Flight struct {
 }
 
 // FlightWindow is one retained telemetry window, tagged with the run it came
-// from so interleaved harness sweeps stay attributable.
+// from so successive cells of a sweep stay attributable.
 type FlightWindow struct {
 	Run     string       `json:"run,omitempty"`
 	Attempt int          `json:"attempt,omitempty"`
@@ -81,8 +81,11 @@ func NewFlight() *Flight {
 	}
 }
 
-// SetRun tags subsequently retained windows and notes with a run key (e.g.
-// "gemm/V4") and ladder attempt number.
+// SetRun tags subsequently retained windows and notes, and the header of a
+// dumped bundle, with a run key (e.g. "gemm/V4") and ladder attempt number.
+// Everything in the rings comes from the one machine holding the plane's
+// slot, so whoever builds that machine sets the key: the key follows the
+// slot, not the cell that began last.
 func (f *Flight) SetRun(run string, attempt int) {
 	if f == nil {
 		return
@@ -92,37 +95,20 @@ func (f *Flight) SetRun(run string, attempt int) {
 	f.mu.Unlock()
 }
 
-// Retain keeps one telemetry window, tagged with the current run. Its
-// signature matches trace.Config.Retain.
+// Retain keeps one telemetry window, tagged with the current run.
 func (f *Flight) Retain(w trace.Window) {
 	if f == nil {
 		return
 	}
 	f.mu.Lock()
-	f.retainLocked(f.run, f.attempt, w)
-	f.mu.Unlock()
-}
-
-// RetainKeyed keeps a window under an explicit run key — for harness sweeps
-// where several machines sample concurrently and the ambient SetRun key
-// would misattribute windows.
-func (f *Flight) RetainKeyed(run string, attempt int, w trace.Window) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.retainLocked(run, attempt, w)
-	f.mu.Unlock()
-}
-
-func (f *Flight) retainLocked(run string, attempt int, w trace.Window) {
 	i := (f.wHead + f.wLen) % len(f.windows)
-	f.windows[i] = FlightWindow{Run: run, Attempt: attempt, Window: w}
+	f.windows[i] = FlightWindow{Run: f.run, Attempt: f.attempt, Window: w}
 	if f.wLen < len(f.windows) {
 		f.wLen++
 	} else {
 		f.wHead = (f.wHead + 1) % len(f.windows)
 	}
+	f.mu.Unlock()
 }
 
 // Note records one rare event at a simulated cycle.

@@ -11,9 +11,10 @@ import (
 // the run-status tracker behind /debug/run, the flight recorder, and the
 // machine-snapshot provider behind /debug/machine. One Plane serves a whole
 // sweep; machines bind to it one at a time (sweeps overlap wall-clock-wise,
-// but only the first binder publishes per-tile series — the others still
-// count through the run status and flight recorder, so aggregate progress is
-// complete even when the heatmap tracks a single machine).
+// but only the first binder publishes per-tile series and feeds the flight
+// recorder — the others still count through the run status, so aggregate
+// progress is complete even when the heatmap and the flight rings track a
+// single machine).
 type Plane struct {
 	reg    *Registry
 	run    *RunStatus
@@ -182,7 +183,7 @@ type RunStatus struct {
 	active  map[int]*activeCell
 	nextTok int
 
-	flight *Flight
+	flight *Flight // /debug/run reports its ring occupancy
 
 	planned *Cell
 	done    *Cell
@@ -225,8 +226,7 @@ func (rs *RunStatus) AddPlanned(n int) {
 	rs.planned.Add(int64(n))
 }
 
-// Begin marks a cell active and returns a token for SetAttempt/End. It also
-// points the flight recorder's ambient run key at this cell.
+// Begin marks a cell active and returns a token for SetAttempt/End.
 func (rs *RunStatus) Begin(kernel, config string) int {
 	if rs == nil {
 		return 0
@@ -237,7 +237,6 @@ func (rs *RunStatus) Begin(kernel, config string) int {
 	rs.active[tok] = &activeCell{Kernel: kernel, Config: config, Attempt: 1, Since: time.Now()}
 	rs.mu.Unlock()
 	rs.running.Add(1)
-	rs.flight.SetRun(kernel+"/"+config, 1)
 	return tok
 }
 
@@ -247,14 +246,10 @@ func (rs *RunStatus) SetAttempt(tok, attempt int) {
 		return
 	}
 	rs.mu.Lock()
-	c := rs.active[tok]
-	if c != nil {
+	if c := rs.active[tok]; c != nil {
 		c.Attempt = attempt
 	}
 	rs.mu.Unlock()
-	if c != nil {
-		rs.flight.SetRun(c.Kernel+"/"+c.Config, attempt)
-	}
 }
 
 // End marks a cell finished.

@@ -680,11 +680,6 @@ func (m *Mesh) QueuedFlits() int {
 	return int(atomic.LoadInt64(&m.queued))
 }
 
-// FastForward advances the mesh's internal clock by delta idle cycles. The
-// machine calls it when the whole system is quiescent so the link retry
-// protocol's backoff timestamps stay aligned with machine time.
-func (m *Mesh) FastForward(delta int64) { m.now += delta }
-
 // Propose advances the mesh one cycle (sim.Component). Both mesh planes
 // share one shard so the fault judge's RNG draws happen in the serial
 // engine's plane order; the whole move is applied here and Commit is empty.

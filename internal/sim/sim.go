@@ -82,7 +82,7 @@ type shardCtl struct {
 	// only writer of both: the per-cycle shard scan reads the plain bool
 	// instead of paying an atomic load per shard.
 	parkedHint bool
-	parkedAt   int64 // last cycle the shard actually ticked
+	parkedAt   int64 // last cycle the shard's books are settled through
 	wakeAt     int64
 	woken      atomic.Bool
 }
@@ -141,12 +141,13 @@ func (m *StageMeter) add(d time.Duration) {
 }
 
 // Prof collects the engine's self-profile: per-stage wall time plus the time
-// the machine spends probing and executing idle fast-forwards. All writes
-// happen on the driving goroutine, so no locking. Attach with SetProfile;
-// the engine pays one time.Now pair per stage tick only when attached.
+// the run loop spends asking NextWake and jumping. All writes happen on the
+// driving goroutine, so no locking. Attach with SetProfile; the engine pays
+// one time.Now pair per stage tick only when attached.
 type Prof struct {
 	Stages []StageMeter
-	// FastForward accumulates the machine's quiescence probes and skips.
+	// FastForward is the run loop's idle jump: Ns covers every ask (one per
+	// loop iteration), Ticks counts the jumps taken.
 	FastForward StageMeter
 }
 
@@ -267,8 +268,9 @@ func (e *Engine) WakerFor(c Component) *Waker {
 }
 
 // WakeAll marks every parked shard runnable at its next stage tick. Used
-// for broadcast events (a global barrier release) that can unblock many
-// components at once; rare, so the sweep cost does not matter.
+// for broadcast events that can unblock many components at once — a global
+// barrier release, a fault mutating state after Sync; rare, so the sweep
+// cost does not matter.
 func (e *Engine) WakeAll() {
 	for si := range e.ctls {
 		for j := range e.ctls[si] {
@@ -281,35 +283,60 @@ func (e *Engine) WakeAll() {
 	}
 }
 
-// Sync unparks every shard and replays the skipped bookkeeping, leaving
-// every component's state and statistics exactly as if it had ticked every
-// cycle up to (but excluding) now — the next cycle to execute. The machine
-// calls it before anything that reads or mutates component state out of
-// band: fault application, telemetry sampling, idle fast-forward, final
-// collection.
+// NextWake answers the one question the run loop asks between ticks: when is
+// the first cycle any shard can act again? While some shard is unparked, or
+// a Waker has latched since its stage last ticked, that is now — the next
+// cycle to execute. Once every shard of every stage is parked it is the
+// earliest self-scheduled wake (Never when all wait on outside events), and
+// ticking any cycle before it would run the stages' serial hooks and
+// nothing else.
+func (e *Engine) NextWake(now int64) int64 {
+	wake := int64(Never)
+	for si := range e.groups {
+		grp := &e.groups[si]
+		if grp.nParked != len(e.ctls[si]) || grp.woken.Load() {
+			return now
+		}
+		wake = min(wake, grp.minWake)
+	}
+	return wake
+}
+
+// Sync settles every parked shard's books in place, leaving each
+// component's statistics exactly as if it had ticked every cycle up to (but
+// excluding) now — the next cycle to execute. Shards stay parked, wakes stay
+// latched and NextWake answers as before, so a reader (telemetry sampling, a
+// counter publish, final collection) may Sync at any serial point without
+// changing what the engine ticks or skips. A caller that goes on to mutate
+// component state out of band (a fault landing) must follow with WakeAll:
+// a parked shard's Park verdict is only as good as the state it was given on.
 func (e *Engine) Sync(now int64) {
 	for si := range e.ctls {
 		for j := range e.ctls[si] {
-			ctl := &e.ctls[si][j]
-			if ctl.parkedHint {
-				e.unpark(ctl, now)
+			if ctl := &e.ctls[si][j]; ctl.parkedHint {
+				ctl.settle(now)
 			}
 		}
-		e.groups[si].nParked = 0
+	}
+}
+
+// settle back-fills the cycles a parked shard skipped before now.
+func (ctl *shardCtl) settle(now int64) {
+	if n := now - ctl.parkedAt - 1; n > 0 {
+		for _, s := range ctl.sleepers {
+			s.CatchUp(n)
+		}
+		ctl.parkedAt = now - 1
 	}
 }
 
 // unpark wakes one shard that will next tick at now, back-filling the
 // cycles it skipped while parked.
 func (e *Engine) unpark(ctl *shardCtl, now int64) {
+	ctl.settle(now)
 	ctl.parked.Store(false)
 	ctl.parkedHint = false
 	ctl.woken.Store(false)
-	if n := now - ctl.parkedAt - 1; n > 0 {
-		for _, s := range ctl.sleepers {
-			s.CatchUp(n)
-		}
-	}
 }
 
 // tryPark asks a shard that just committed at now whether all its

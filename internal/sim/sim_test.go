@@ -201,3 +201,85 @@ func TestProfileCountsTicks(t *testing.T) {
 		t.Fatalf("profile table missing stages:\n%s", s)
 	}
 }
+
+// napper is a Sleeper that works (ticks count) until cycle busyUntil, then
+// asks to sleep until wake; skipped accumulates what CatchUp back-fills.
+type napper struct {
+	busyUntil, wake int64
+	ticks, skipped  int64
+}
+
+func (n *napper) Propose(now int64) { n.ticks++ }
+func (n *napper) Commit(now int64)  {}
+func (n *napper) Park(now int64) (bool, int64) {
+	return now >= n.busyUntil, n.wake
+}
+func (n *napper) CatchUp(k int64) { n.skipped += k }
+
+// TestNextWake pins the one question the run loop asks the engine: the
+// earliest parked wake once every shard of every stage is parked and no
+// Waker has latched, now otherwise — and that Sync settles the books without
+// changing the answer.
+func TestNextWake(t *testing.T) {
+	a := &napper{busyUntil: 0, wake: 40}
+	b := &napper{busyUntil: 3, wake: 25}
+	c := &napper{busyUntil: 0, wake: Never}
+	e := NewEngine([]Stage{
+		{Name: "one", Shards: []Shard{{a}, {b}}},
+		{Name: "two", Shards: []Shard{{c}}},
+	}, 1)
+	if got := e.NextWake(0); got != 0 {
+		t.Fatalf("before the first tick NextWake(0) = %d, want 0", got)
+	}
+	for now := int64(0); now < 3; now++ {
+		e.Tick(now)
+		if got := e.NextWake(now + 1); got != now+1 {
+			t.Fatalf("shard b unparked: NextWake(%d) = %d, want now", now+1, got)
+		}
+	}
+	e.Tick(3) // b parks too
+	if got := e.NextWake(4); got != 25 {
+		t.Fatalf("all parked: NextWake(4) = %d, want the min wake 25", got)
+	}
+
+	// Sync back-fills in place: books settled, shards still parked, the
+	// answer unchanged, and a second Sync has nothing left to replay.
+	e.Sync(10)
+	if a.skipped != 9 || b.skipped != 6 || c.skipped != 9 {
+		t.Fatalf("Sync(10) back-filled %d/%d/%d cycles, want 9/6/9", a.skipped, b.skipped, c.skipped)
+	}
+	e.Sync(10)
+	if a.skipped != 9 || b.skipped != 6 || c.skipped != 9 {
+		t.Fatalf("second Sync(10) back-filled again: %d/%d/%d", a.skipped, b.skipped, c.skipped)
+	}
+	if got := e.NextWake(10); got != 25 {
+		t.Fatalf("after Sync NextWake(10) = %d, want 25", got)
+	}
+	ticks := a.ticks + b.ticks + c.ticks
+	e.Tick(10)
+	if a.ticks+b.ticks+c.ticks != ticks {
+		t.Fatal("Sync unparked a shard: a parked-stage tick ran components")
+	}
+
+	// A latched Waker makes the answer now until the shard's stage ticks.
+	e.WakerFor(c).Wake()
+	if got := e.NextWake(11); got != 11 {
+		t.Fatalf("latched wake: NextWake(11) = %d, want now", got)
+	}
+	e.Tick(11)
+	if c.ticks != 2 || c.skipped != 10 {
+		t.Fatalf("woken shard: %d ticks, %d cycles back-filled, want 2 and 10", c.ticks, c.skipped)
+	}
+	if got := e.NextWake(12); got != 25 {
+		t.Fatalf("re-parked: NextWake(12) = %d, want 25", got)
+	}
+
+	// The wake cycle itself ticks the shard, with every skipped cycle
+	// accounted exactly once across Sync and unpark.
+	for now := int64(12); now <= 25; now++ {
+		e.Tick(now)
+	}
+	if b.ticks != 5 || b.ticks+b.skipped != 26 {
+		t.Fatalf("shard b: %d ticks + %d back-filled over 26 cycles", b.ticks, b.skipped)
+	}
+}

@@ -84,9 +84,9 @@ func (c *Core) Stall(k StallKind) int64 { return c.StallCycles[int(k)] }
 // AddStall records one cycle spent in state k.
 func (c *Core) AddStall(k StallKind) { c.StallCycles[int(k)]++ }
 
-// AddStallN records n consecutive cycles spent in state k. The machine's
-// idle fast-forward uses it to backfill the stall histogram for skipped
-// cycles so counts stay bit-identical to stepping every cycle.
+// AddStallN records n consecutive cycles spent in state k. A parked core's
+// CatchUp uses it to back-fill the stall histogram for the cycles it did not
+// tick, so counts stay bit-identical to stepping every cycle.
 func (c *Core) AddStallN(k StallKind, n int64) { c.StallCycles[int(k)] += n }
 
 // MaxInstrClasses bounds the isa.Class enum (17 classes today); a fixed
@@ -182,9 +182,10 @@ type Machine struct {
 	// barrier releases).
 	Checkpoints int64
 
-	// Engine counters: idle fast-forward skips taken and simulated cycles
-	// they covered. Architecturally invisible (every stall is backfilled);
-	// reported so speedups are attributable.
+	// Engine counters: the jumps the run loop took over cycles in which
+	// every engine shard was parked, and the simulated cycles they covered.
+	// Architecturally invisible (each parked component back-fills its own
+	// books when it next ticks); reported so speedups are attributable.
 	FastForwards  int64
 	SkippedCycles int64
 }

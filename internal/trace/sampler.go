@@ -190,7 +190,6 @@ type Window struct {
 // harness runs restart the window series per attempt.
 type Sampler struct {
 	enc        *json.Encoder
-	retain     func(Window)
 	every      int64
 	next       int64
 	prev       Cum
@@ -202,7 +201,8 @@ type Sampler struct {
 }
 
 // newSampler builds a sampler. w may be nil for a retain-only sampler (the
-// flight recorder keeps windows in memory without a JSONL file).
+// machine keeps the returned windows in its plane's flight recorder, without
+// a JSONL file).
 func newSampler(w io.Writer, every int64) *Sampler {
 	s := &Sampler{every: every}
 	if w != nil {
@@ -243,28 +243,32 @@ func (s *Sampler) Due(now int64) bool {
 	return now >= s.next
 }
 
-// Record emits the window [prevAt, now) from the cumulative snapshot c.
-func (s *Sampler) Record(now int64, c *Cum, g Gauges) {
-	s.emit(now, c, g, false)
+// Record emits the window [prevAt, now) from the cumulative snapshot c and
+// returns it.
+func (s *Sampler) Record(now int64, c *Cum, g Gauges) Window {
+	w := s.emit(now, c, g, false)
 	s.next = now - now%s.every + s.every
 	if s.next <= now {
 		s.next += s.every
 	}
+	return w
 }
 
-// Finish emits the final (possibly partial) window and stops the sampler.
-// Safe to call on a sampler that never became due; a run whose last window
-// is empty emits nothing extra.
-func (s *Sampler) Finish(now int64, c *Cum, g Gauges) {
+// Finish emits the final (possibly partial) window and stops the sampler;
+// emitted reports whether there was one. Safe to call on a sampler that
+// never became due; a run whose last window is empty emits nothing extra.
+func (s *Sampler) Finish(now int64, c *Cum, g Gauges) (w Window, emitted bool) {
 	if s.finished {
-		return
+		return w, false
 	}
 	// A truncated run always emits its final window, even an empty one:
 	// the marker must reach the JSONL tail for readers to see it.
-	if now > s.prevAt || !s.deltaZero(c) || s.truncated {
-		s.emit(now, c, g, true)
+	emitted = now > s.prevAt || !s.deltaZero(c) || s.truncated
+	if emitted {
+		w = s.emit(now, c, g, true)
 	}
 	s.finished = true
+	return w, emitted
 }
 
 func (s *Sampler) deltaZero(c *Cum) bool {
@@ -277,7 +281,7 @@ func (s *Sampler) deltaZero(c *Cum) bool {
 		c.Dram == s.prev.Dram && c.Noc == s.prev.Noc && c.Engine == s.prev.Engine
 }
 
-func (s *Sampler) emit(now int64, c *Cum, g Gauges, final bool) {
+func (s *Sampler) emit(now int64, c *Cum, g Gauges, final bool) Window {
 	w := Window{
 		Start: s.prevAt, End: now, Final: final, Truncated: final && s.truncated,
 		Roles:  make(map[string]RoleCounters, NumRoles),
@@ -306,11 +310,9 @@ func (s *Sampler) emit(now int64, c *Cum, g Gauges, final bool) {
 			s.err = err
 		}
 	}
-	if s.retain != nil {
-		s.retain(w)
-	}
 	s.prev = *c
 	s.prevAt = now
+	return w
 }
 
 func (s *Sampler) linkDelta(cur, prev []int64) map[string]int64 {

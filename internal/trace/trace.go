@@ -36,10 +36,11 @@ type Config struct {
 	// (and counted) when a run emits more. Ring memory is allocated as
 	// events arrive, so a large cap costs nothing a short run does not use.
 	EventCap int
-	// Retain receives a copy of every emitted window (the flight recorder's
-	// feed). Setting it enables the sampler even when SampleTo is nil, so a
-	// run can keep a telemetry tail in memory without writing JSONL.
-	Retain func(Window)
+	// Retain enables the sampler even when SampleTo is nil: windows are cut
+	// and handed back to the machine (Record, Finish), which feeds them to
+	// its plane's flight recorder, so a run can keep a telemetry tail in
+	// memory without writing JSONL.
+	Retain bool
 }
 
 // Sink owns one run's observability outputs. Attach it to a machine via
@@ -56,13 +57,12 @@ type Sink struct {
 // NewSink builds a sink from cfg.
 func NewSink(cfg Config) *Sink {
 	s := &Sink{}
-	if cfg.SampleTo != nil || cfg.Retain != nil {
+	if cfg.SampleTo != nil || cfg.Retain {
 		every := cfg.SampleEvery
 		if every <= 0 {
 			every = DefaultSampleEvery
 		}
 		s.sampler = newSampler(cfg.SampleTo, every)
-		s.sampler.retain = cfg.Retain
 	}
 	if cfg.EventsTo != nil {
 		capacity := cfg.EventCap
