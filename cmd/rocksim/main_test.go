@@ -183,6 +183,19 @@ func TestFaultTraceBytesPinned(t *testing.T) {
 		"-faults", "seed=42;kill@1500:t12")
 }
 
+// TestFaultPlanRejected: a drop window on two routers that are not mesh
+// neighbours could never fire, so the run must refuse it (exit 1, naming the
+// event) rather than finish as if the fault had been survived.
+func TestFaultPlanRejected(t *testing.T) {
+	out, err := exec.Command(rocksimBin, "-bench", "mvt", "-config", "V4", "-scale", "tiny",
+		"-faults", "drop@0:0>5:p1").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 ||
+		!strings.Contains(string(out), "fault: event 0 (drop@0:0>5:p1:both): routers 0 and 5 are not mesh-adjacent") {
+		t.Errorf("-faults drop@0:0>5:p1: err %v, output %q; want exit 1 with a fault: message naming the event", err, out)
+	}
+}
+
 // checkTraceDigest runs mvt/V4 tiny with -trace (plus extra flags) and holds
 // the file to a size and SHA-256.
 func checkTraceDigest(t *testing.T, wantBytes int, wantSHA256 string, extra ...string) {

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -67,30 +66,13 @@ const (
 	// [Cycle, Until) — a thermally throttled or half-dead memory channel.
 	// Until 0 means the degradation is permanent.
 	DramDegrade
+	numKinds // sentinel
 )
 
+// String is the verb's DSL name.
 func (k Kind) String() string {
-	switch k {
-	case KillTile:
-		return "kill"
-	case DropFlit:
-		return "drop"
-	case CorruptFlit:
-		return "corrupt"
-	case StickInetQueue:
-		return "stick"
-	case FlipSpadWord:
-		return "flip"
-	case PanicTile:
-		return "panic"
-	case CutLink:
-		return "cutlink"
-	case KillRouter:
-		return "killrouter"
-	case KillBank:
-		return "killbank"
-	case DramDegrade:
-		return "dramdegrade"
+	if k < numKinds {
+		return verbs[k].name
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -117,8 +99,8 @@ func (p Plane) String() string {
 // Event is one scheduled fault.
 type Event struct {
 	Kind  Kind
-	Cycle int64 // activation cycle (window start for link faults)
-	Until int64 // window end, exclusive; 0 = open-ended (link faults only)
+	Cycle int64 // activation cycle (window start for windowed verbs)
+	Until int64 // window end, exclusive; 0 = open-ended (windowed verbs only)
 
 	Tile     int     // KillTile, StickInetQueue, FlipSpadWord, KillRouter
 	From, To int     // link endpoints (mesh-adjacent tiles) for link faults
@@ -131,36 +113,21 @@ type Event struct {
 	Factor   float64 // DramDegrade: latency multiplier (>= 1)
 }
 
+// String writes e in the DSL Parse reads, every operand present (the plane
+// too), so Parse(e.String()) gives e back.
 func (e Event) String() string {
-	switch e.Kind {
-	case KillTile:
-		return fmt.Sprintf("kill@%d:t%d", e.Cycle, e.Tile)
-	case PanicTile:
-		return fmt.Sprintf("panic@%d:t%d", e.Cycle, e.Tile)
-	case DropFlit, CorruptFlit:
-		window := strconv.FormatInt(e.Cycle, 10)
-		if e.Until > 0 {
-			window += "-" + strconv.FormatInt(e.Until, 10)
-		}
-		return fmt.Sprintf("%s@%s:%d>%d:p%g:%s", e.Kind, window, e.From, e.To, e.Prob, e.Plane)
-	case StickInetQueue:
-		return fmt.Sprintf("stick@%d:t%d:d%d", e.Cycle, e.Tile, e.Duration)
-	case FlipSpadWord:
-		return fmt.Sprintf("flip@%d:t%d:o%d:b%d", e.Cycle, e.Tile, e.Offset, e.Bit)
-	case CutLink:
-		return fmt.Sprintf("cutlink@%d:%d>%d:%s", e.Cycle, e.From, e.To, e.Plane)
-	case KillRouter:
-		return fmt.Sprintf("killrouter@%d:t%d", e.Cycle, e.Tile)
-	case KillBank:
-		return fmt.Sprintf("killbank@%d:b%d", e.Cycle, e.Bank)
-	case DramDegrade:
-		window := strconv.FormatInt(e.Cycle, 10)
-		if e.Until > 0 {
-			window += "-" + strconv.FormatInt(e.Until, 10)
-		}
-		return fmt.Sprintf("dramdegrade@%s:x%g", window, e.Factor)
+	if e.Kind >= numKinds {
+		return e.Kind.String()
 	}
-	return e.Kind.String()
+	v := &verbs[e.Kind]
+	b := fmt.Appendf(nil, "%s@%d", v.name, e.Cycle)
+	if v.form == window && e.Until > 0 {
+		b = fmt.Appendf(b, "-%d", e.Until)
+	}
+	for _, o := range v.operands {
+		b = o.appendTo(append(b, ':'), &e)
+	}
+	return string(b)
 }
 
 // Plan is an immutable fault schedule plus the seed for its probabilistic
@@ -170,56 +137,10 @@ type Plan struct {
 	Events []Event
 }
 
-// Validate checks every event against a fabric of the given size. It only
-// knows the core count; ValidateGeometry adds the mesh- and bank-shape
-// checks the topology verbs need.
-func (p *Plan) Validate(cores int) error {
-	for i, e := range p.Events {
-		switch e.Kind {
-		case KillTile, StickInetQueue, FlipSpadWord, PanicTile, KillRouter:
-			if e.Tile < 0 || e.Tile >= cores {
-				return fmt.Errorf("fault: event %d (%s): tile %d out of range [0,%d)", i, e, e.Tile, cores)
-			}
-		case DropFlit, CorruptFlit:
-			if e.From < 0 || e.From >= cores || e.To < 0 || e.To >= cores {
-				return fmt.Errorf("fault: event %d (%s): link endpoint out of range [0,%d)", i, e, cores)
-			}
-			if e.Prob < 0 || e.Prob > 1 {
-				return fmt.Errorf("fault: event %d (%s): probability %g outside [0,1]", i, e, e.Prob)
-			}
-			if e.Until != 0 && e.Until <= e.Cycle {
-				return fmt.Errorf("fault: event %d (%s): window ends before it starts", i, e)
-			}
-		case CutLink:
-			if e.From < 0 || e.From >= cores || e.To < 0 || e.To >= cores {
-				return fmt.Errorf("fault: event %d (%s): link endpoint out of range [0,%d)", i, e, cores)
-			}
-			if e.From == e.To {
-				return fmt.Errorf("fault: event %d (%s): link endpoints must differ", i, e)
-			}
-		case KillBank:
-			if e.Bank < 0 {
-				return fmt.Errorf("fault: event %d (%s): negative bank index", i, e)
-			}
-		case DramDegrade:
-			if e.Factor < 1 {
-				return fmt.Errorf("fault: event %d (%s): degrade factor %g must be >= 1", i, e, e.Factor)
-			}
-			if e.Until != 0 && e.Until <= e.Cycle {
-				return fmt.Errorf("fault: event %d (%s): window ends before it starts", i, e)
-			}
-		default:
-			return fmt.Errorf("fault: event %d: unknown kind %d", i, e.Kind)
-		}
-		if e.Cycle < 0 {
-			return fmt.Errorf("fault: event %d (%s): negative cycle", i, e)
-		}
-		if e.Kind == StickInetQueue && e.Duration <= 0 {
-			return fmt.Errorf("fault: event %d (%s): stick duration must be positive", i, e)
-		}
-	}
-	return nil
-}
+// Validate range-checks every event's fields against a fabric of the given
+// size. It only knows the core count; ValidateGeometry adds the mesh- and
+// bank-shape checks.
+func (p *Plan) Validate(cores int) error { return p.validate(Geometry{Cores: cores}) }
 
 // Geometry describes the fabric shape the topology verbs are validated
 // against: the core count, the mesh dimensions (routers are tile ids in a
@@ -229,51 +150,37 @@ type Geometry struct {
 }
 
 // ValidateGeometry runs Validate plus the shape checks only the machine can
-// make: cut links must join mesh-adjacent routers, bank kills must name a
-// real bank, and routers must sit inside the mesh.
+// make: every link (cut, drop or corrupt) must join mesh-adjacent routers,
+// bank kills must name a real bank, and routers must sit inside the mesh.
+// Every event passes Validate before any is held to the shape.
 func (p *Plan) ValidateGeometry(g Geometry) error {
 	if err := p.Validate(g.Cores); err != nil {
 		return err
 	}
-	routers := g.MeshW * g.MeshH
-	for i, e := range p.Events {
-		switch e.Kind {
-		case CutLink:
-			if e.From >= routers || e.To >= routers {
-				return fmt.Errorf("fault: event %d (%s): router outside %dx%d mesh", i, e, g.MeshW, g.MeshH)
-			}
-			ax, ay := e.From%g.MeshW, e.From/g.MeshW
-			bx, by := e.To%g.MeshW, e.To/g.MeshW
-			dx, dy := ax-bx, ay-by
-			if dx < 0 {
-				dx = -dx
-			}
-			if dy < 0 {
-				dy = -dy
-			}
-			if dx+dy != 1 {
-				return fmt.Errorf("fault: event %d (%s): routers %d and %d are not mesh-adjacent in a %dx%d mesh",
-					i, e, e.From, e.To, g.MeshW, g.MeshH)
-			}
-		case KillRouter:
-			if e.Tile >= routers {
-				return fmt.Errorf("fault: event %d (%s): router %d outside %dx%d mesh", i, e, e.Tile, g.MeshW, g.MeshH)
-			}
-		case KillBank:
-			if e.Bank >= g.Banks {
-				return fmt.Errorf("fault: event %d (%s): bank %d out of range [0,%d)", i, e, e.Bank, g.Banks)
-			}
+	return p.validate(g)
+}
+
+// validate returns the first event's first problem in fabric g (see
+// Event.problem); it allocates nothing on success.
+func (p *Plan) validate(g Geometry) error {
+	for i := range p.Events {
+		e := &p.Events[i]
+		if e.Kind >= numKinds {
+			return fmt.Errorf("fault: event %d: unknown kind %d", i, e.Kind)
+		}
+		if msg := e.problem(g); msg != "" {
+			return fmt.Errorf("fault: event %d (%s): %s", i, e, msg)
 		}
 	}
 	return nil
 }
 
-// HasLinkFaults reports whether any event targets a NoC link (the machine
-// installs link judges on the mesh planes only when this is true, keeping
-// kill-only plans off the NoC hot path).
+// HasLinkFaults reports whether any event is judged per flit on a NoC link
+// (the machine installs link judges on the mesh planes only when this is
+// true, keeping kill-only plans off the NoC hot path).
 func (p *Plan) HasLinkFaults() bool {
 	for _, e := range p.Events {
-		if e.Kind == DropFlit || e.Kind == CorruptFlit {
+		if e.Kind.perFlit() {
 			return true
 		}
 	}
@@ -441,7 +348,7 @@ type Injector struct {
 func NewInjector(p *Plan) *Injector {
 	inj := &Injector{plan: p, rng: rng{state: p.Seed}, fired: make([]bool, len(p.Events))}
 	for i, e := range p.Events {
-		if e.Kind == DropFlit || e.Kind == CorruptFlit {
+		if e.Kind.perFlit() {
 			inj.links = append(inj.links, i)
 		} else {
 			inj.disc = append(inj.disc, i)

@@ -78,9 +78,72 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestVerbTable holds the rows of verbs to the rules Parse, String and the
+// ladder's carry-over derive from them.
+func TestVerbTable(t *testing.T) {
+	names := map[string]Kind{}
+	var permanents, perFlit []string
+	for k := KillTile; k < numKinds; k++ {
+		v := verbs[k]
+		if v.name == "" {
+			t.Fatalf("kind %d has no row in verbs", k)
+		}
+		if prev, dup := names[v.name]; dup {
+			t.Errorf("kinds %d and %d are both named %q", prev, k, v.name)
+		}
+		names[v.name] = k
+		if got := kindOf(v.name); got != k || k.String() != v.name {
+			t.Errorf("%q parses back to kind %d, String %q; want kind %d", v.name, got, k.String(), k)
+		}
+		for i, o := range v.operands {
+			if o.optional() && i != len(v.operands)-1 {
+				t.Errorf("%s: optional operand %d is not last", v.name, i)
+			}
+		}
+		if v.flags&permanent != 0 {
+			permanents = append(permanents, v.name)
+		}
+		if k.perFlit() {
+			perFlit = append(perFlit, v.name)
+		}
+	}
+	if want := []string{"cutlink", "killrouter", "killbank", "dramdegrade"}; !reflect.DeepEqual(permanents, want) {
+		t.Errorf("permanent rows %v, want %v", permanents, want)
+	}
+	if want := []string{"drop", "corrupt"}; !reflect.DeepEqual(perFlit, want) {
+		t.Errorf("per-flit rows %v, want %v", perFlit, want)
+	}
+	if kindOf("boom") != numKinds || numKinds.String() != "kind(10)" {
+		t.Error("an unknown verb resolved to a row")
+	}
+}
+
+// TestEventPermanent: a restart carries over exactly the permanent rows, a
+// windowed one only while open-ended.
+func TestEventPermanent(t *testing.T) {
+	for _, c := range []struct {
+		e    Event
+		want bool
+	}{
+		{Event{Kind: CutLink, Cycle: 5, From: 1, To: 2}, true},
+		{Event{Kind: KillRouter, Tile: 9}, true},
+		{Event{Kind: KillBank, Bank: 3}, true},
+		{Event{Kind: DramDegrade, Cycle: 400, Factor: 2}, true},
+		{Event{Kind: DramDegrade, Cycle: 100, Until: 900, Factor: 2}, false},
+		{Event{Kind: KillTile, Tile: 3}, false},
+		{Event{Kind: DropFlit, From: 1, To: 2, Prob: 1}, false},
+		{Event{Kind: numKinds}, false},
+	} {
+		if got := c.e.Permanent(); got != c.want {
+			t.Errorf("%v.Permanent() = %v, want %v", c.e, got, c.want)
+		}
+	}
+}
+
 // TestEventStringRoundTrips holds Parse(e.String()) == e for one event of
-// every verb, optional fields both set and defaulted.
+// every verb in the table, optional fields both set and defaulted.
 func TestEventStringRoundTrips(t *testing.T) {
+	covered := map[Kind]bool{}
 	for _, e := range []Event{
 		{Kind: KillTile, Cycle: 3000, Tile: 12},
 		{Kind: PanicTile, Cycle: 7, Tile: 1},
@@ -94,6 +157,7 @@ func TestEventStringRoundTrips(t *testing.T) {
 		{Kind: DramDegrade, Cycle: 100, Until: 900, Factor: 2.5},
 		{Kind: DramDegrade, Cycle: 400, Factor: 3},
 	} {
+		covered[e.Kind] = true
 		p, err := Parse(e.String())
 		if err != nil {
 			t.Errorf("Parse(%q): %v", e.String(), err)
@@ -101,6 +165,11 @@ func TestEventStringRoundTrips(t *testing.T) {
 		}
 		if len(p.Events) != 1 || p.Events[0] != e {
 			t.Errorf("Parse(%q) = %+v, want %+v", e.String(), p.Events, e)
+		}
+	}
+	for k := KillTile; k < numKinds; k++ {
+		if !covered[k] {
+			t.Errorf("verb %s has no round-trip case", k)
 		}
 	}
 }
@@ -114,10 +183,33 @@ func TestValidate(t *testing.T) {
 		{Events: []Event{{Kind: DropFlit, From: 0, To: 1, Prob: 0.5, Cycle: 100, Until: 50}}},
 		{Events: []Event{{Kind: KillTile, Tile: 1, Cycle: -5}}},
 		{Events: []Event{{Kind: StickInetQueue, Tile: 1, Duration: 0}}},
+		// A link joins two distinct routers, whichever verb names it.
+		{Events: []Event{{Kind: CorruptFlit, From: 3, To: 3, Prob: 1}}},
+		{Events: []Event{{Kind: DropFlit, From: 5, To: 5, Prob: 0.5}}},
+		{Events: []Event{{Kind: CutLink, From: 5, To: 5}}},
 	}
 	for i := range bad {
 		if err := bad[i].Validate(64); err == nil {
 			t.Errorf("plan %d (%v) validated", i, &bad[i])
+		}
+	}
+	// A probability or factor must be a finite number; the error names the
+	// verb and the field.
+	for _, c := range []struct {
+		spec, field string
+	}{
+		{"drop@0:0>1:pNaN", "probability"},
+		{"dramdegrade@0:xInf", "factor"},
+		{"dramdegrade@0:xNaN", "factor"},
+	} {
+		p, err := Parse(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = p.Validate(64)
+		verb, _, _ := strings.Cut(c.spec, "@")
+		if err == nil || !strings.Contains(err.Error(), verb) || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: Validate = %v, want an error naming %s and %s", c.spec, err, verb, c.field)
 		}
 	}
 	ok := Plan{Events: []Event{
@@ -292,6 +384,10 @@ func TestValidateGeometry(t *testing.T) {
 		{Events: []Event{{Kind: KillBank, Bank: -1}}},
 		{Events: []Event{{Kind: DramDegrade, Factor: 0.5}}},
 		{Events: []Event{{Kind: DramDegrade, Factor: 2, Cycle: 100, Until: 50}}},
+		// Flits only cross links between mesh neighbours: a drop or corrupt
+		// window on any other pair would never fire.
+		{Events: []Event{{Kind: DropFlit, From: 0, To: 5, Prob: 1}}},
+		{Events: []Event{{Kind: CorruptFlit, From: 7, To: 8, Prob: 1}}},
 	}
 	for i := range bad {
 		if err := bad[i].ValidateGeometry(g); err == nil {
@@ -304,9 +400,20 @@ func TestValidateGeometry(t *testing.T) {
 		{Kind: KillRouter, Tile: 63, Cycle: 1},
 		{Kind: KillBank, Bank: 15, Cycle: 1},
 		{Kind: DramDegrade, Factor: 1.5, Cycle: 1},
+		{Kind: DropFlit, From: 12, To: 13, Prob: 0.05, Cycle: 1},
+		{Kind: CorruptFlit, From: 20, To: 12, Prob: 1, Cycle: 1},
+		{Kind: KillTile, Tile: 2, Cycle: 1},
+		{Kind: PanicTile, Tile: 5, Cycle: 1},
+		{Kind: StickInetQueue, Tile: 3, Duration: 5, Cycle: 1},
+		{Kind: FlipSpadWord, Tile: 4, Offset: 64, Bit: 7, Cycle: 1},
 	}}
 	if err := ok.ValidateGeometry(g); err != nil {
 		t.Errorf("good plan rejected: %v", err)
+	}
+	// Checking a plan on the success path allocates nothing: the machine
+	// validates every attempt of a recovery ladder.
+	if n := testing.AllocsPerRun(100, func() { _ = ok.ValidateGeometry(g) }); n != 0 {
+		t.Errorf("ValidateGeometry allocates %v times on a good plan", n)
 	}
 	// KillRouter outside a smaller mesh than the core count implies.
 	small := Geometry{Cores: 64, MeshW: 4, MeshH: 4, Banks: 8}

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -27,6 +26,7 @@ import (
 //
 // For windowed faults U may be omitted (drop@C:A>B:pP, dramdegrade@C:x2)
 // for an open-ended window; plane is req, resp, or both (default both).
+// Each form is one row of the verb table (verbs.go).
 func Parse(spec string) (*Plan, error) {
 	p := &Plan{}
 	for _, raw := range strings.Split(spec, ";") {
@@ -56,206 +56,80 @@ func Parse(spec string) (*Plan, error) {
 	return p, nil
 }
 
-func parseEvent(kind string, fields []string) (Event, error) {
-	var e Event
-	switch kind {
-	case "kill", "stick", "flip", "panic", "cutlink", "killrouter", "killbank":
-		c, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			return e, fmt.Errorf("bad cycle %q", fields[0])
-		}
-		e.Cycle = c
-	case "drop", "corrupt", "dramdegrade":
-		start, until, windowed := strings.Cut(fields[0], "-")
-		c, err := strconv.ParseInt(start, 10, 64)
-		if err != nil {
-			return e, fmt.Errorf("bad cycle %q", start)
-		}
-		e.Cycle = c
-		if windowed && until != "" {
-			u, err := strconv.ParseInt(until, 10, 64)
-			if err != nil {
-				return e, fmt.Errorf("bad window end %q", until)
-			}
-			e.Until = u
-		}
-	default:
-		return e, fmt.Errorf("unknown fault kind %q", kind)
+// parseEvent reads one event: the cycle form in fields[0], then one field per
+// operand of the verb's row.
+func parseEvent(name string, fields []string) (Event, error) {
+	e := Event{Kind: kindOf(name)}
+	if e.Kind == numKinds {
+		return e, fmt.Errorf("unknown fault kind %q", name)
 	}
-	args := fields[1:]
-	// arity holds the verb to its required and optional arguments: a
-	// trailing field is a typo, not a comment.
-	arity := func(required, optional int) error {
-		if len(args) < required {
-			return fmt.Errorf("%s needs %d arguments, got %d", kind, required, len(args))
-		}
-		if max := required + optional; len(args) > max {
-			return fmt.Errorf("%s takes %d arguments, got unexpected %q", kind, max, args[max])
-		}
-		return nil
+	v := &verbs[e.Kind]
+	start, until, windowed := fields[0], "", false
+	if v.form == window {
+		start, until, windowed = strings.Cut(fields[0], "-")
 	}
-	intArg := func(s, prefix string) (int64, error) {
-		v, ok := strings.CutPrefix(s, prefix)
-		if !ok {
-			return 0, fmt.Errorf("want %s<n>, got %q", prefix, s)
-		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad %s argument %q", prefix, s)
-		}
-		return n, nil
+	var err error
+	if e.Cycle, err = strconv.ParseInt(start, 10, 64); err != nil {
+		return e, fmt.Errorf("bad cycle %q", start)
 	}
-	switch kind {
-	case "kill":
-		if err := arity(1, 0); err != nil {
+	if windowed && until != "" {
+		if e.Until, err = strconv.ParseInt(until, 10, 64); err != nil {
+			return e, fmt.Errorf("bad window end %q", until)
+		}
+	}
+	// Arity comes from the row: a trailing field is a typo, not a comment.
+	args, max := fields[1:], len(v.operands)
+	required := max
+	if max > 0 && v.operands[max-1].optional() {
+		required--
+	}
+	if len(args) < required {
+		return e, fmt.Errorf("%s needs %d arguments, got %d", name, required, len(args))
+	}
+	if len(args) > max {
+		return e, fmt.Errorf("%s takes %d arguments, got unexpected %q", name, max, args[max])
+	}
+	for i, s := range args {
+		if err := v.operands[i].parse(&e, s); err != nil {
 			return e, err
 		}
-		t, err := intArg(args[0], "t")
-		if err != nil {
-			return e, err
-		}
-		e.Kind, e.Tile = KillTile, int(t)
-	case "panic":
-		if err := arity(1, 0); err != nil {
-			return e, err
-		}
-		t, err := intArg(args[0], "t")
-		if err != nil {
-			return e, err
-		}
-		e.Kind, e.Tile = PanicTile, int(t)
-	case "stick":
-		if err := arity(2, 0); err != nil {
-			return e, err
-		}
-		t, err := intArg(args[0], "t")
-		if err != nil {
-			return e, err
-		}
-		d, err := intArg(args[1], "d")
-		if err != nil {
-			return e, err
-		}
-		e.Kind, e.Tile, e.Duration = StickInetQueue, int(t), d
-	case "flip":
-		if err := arity(3, 0); err != nil {
-			return e, err
-		}
-		t, err := intArg(args[0], "t")
-		if err != nil {
-			return e, err
-		}
-		off, err := intArg(args[1], "o")
-		if err != nil {
-			return e, err
-		}
-		bit, err := intArg(args[2], "b")
-		if err != nil {
-			return e, err
-		}
-		if off < 0 || off > math.MaxUint32 {
-			return e, fmt.Errorf("flip offset %q outside [0, 2^32)", args[1])
-		}
-		if bit < 0 || bit > 31 {
-			return e, fmt.Errorf("bit %d outside [0,31]", bit)
-		}
-		e.Kind, e.Tile, e.Offset, e.Bit = FlipSpadWord, int(t), uint32(off), uint8(bit)
-	case "drop", "corrupt":
-		if err := arity(2, 1); err != nil {
-			return e, err
-		}
-		from, to, ok := strings.Cut(args[0], ">")
-		if !ok {
-			return e, fmt.Errorf("want A>B link, got %q", args[0])
-		}
-		a, errA := strconv.Atoi(from)
-		b, errB := strconv.Atoi(to)
-		if errA != nil || errB != nil {
-			return e, fmt.Errorf("bad link %q", args[0])
-		}
-		pv, ok := strings.CutPrefix(args[1], "p")
-		if !ok {
-			return e, fmt.Errorf("want p<prob>, got %q", args[1])
-		}
-		prob, err := strconv.ParseFloat(pv, 64)
-		if err != nil {
-			return e, fmt.Errorf("bad probability %q", args[1])
-		}
-		e.Kind, e.From, e.To, e.Prob = DropFlit, a, b, prob
-		if kind == "corrupt" {
-			e.Kind = CorruptFlit
-		}
-		if len(args) >= 3 {
-			pl, err := planeArg(args[2])
-			if err != nil {
-				return e, err
-			}
-			e.Plane = pl
-		}
-	case "cutlink":
-		if err := arity(1, 1); err != nil {
-			return e, err
-		}
-		from, to, ok := strings.Cut(args[0], ">")
-		if !ok {
-			return e, fmt.Errorf("want A>B link, got %q", args[0])
-		}
-		a, errA := strconv.Atoi(from)
-		b, errB := strconv.Atoi(to)
-		if errA != nil || errB != nil {
-			return e, fmt.Errorf("bad link %q", args[0])
-		}
-		e.Kind, e.From, e.To = CutLink, a, b
-		if len(args) >= 2 {
-			pl, err := planeArg(args[1])
-			if err != nil {
-				return e, err
-			}
-			e.Plane = pl
-		}
-	case "killrouter":
-		if err := arity(1, 0); err != nil {
-			return e, err
-		}
-		t, err := intArg(args[0], "t")
-		if err != nil {
-			return e, err
-		}
-		e.Kind, e.Tile = KillRouter, int(t)
-	case "killbank":
-		if err := arity(1, 0); err != nil {
-			return e, err
-		}
-		b, err := intArg(args[0], "b")
-		if err != nil {
-			return e, err
-		}
-		e.Kind, e.Bank = KillBank, int(b)
-	case "dramdegrade":
-		if err := arity(1, 0); err != nil {
-			return e, err
-		}
-		fv, ok := strings.CutPrefix(args[0], "x")
-		if !ok {
-			return e, fmt.Errorf("want x<factor>, got %q", args[0])
-		}
-		factor, err := strconv.ParseFloat(fv, 64)
-		if err != nil {
-			return e, fmt.Errorf("bad factor %q", args[0])
-		}
-		e.Kind, e.Factor = DramDegrade, factor
 	}
 	return e, nil
 }
 
+// intArg reads a prefixed integer field such as t12 or d500.
+func intArg(s, prefix string) (int64, error) {
+	v, ok := strings.CutPrefix(s, prefix)
+	if !ok {
+		return 0, fmt.Errorf("want %s<n>, got %q", prefix, s)
+	}
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad %s argument %q", prefix, s)
+	}
+	return n, nil
+}
+
+// floatArg reads a prefixed float field such as p0.05 or x2.5; want and
+// what name the value in its two error messages.
+func floatArg(s, prefix, want, what string) (float64, error) {
+	v, ok := strings.CutPrefix(s, prefix)
+	if !ok {
+		return 0, fmt.Errorf("want %s<%s>, got %q", prefix, want, s)
+	}
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad %s %q", what, s)
+	}
+	return f, nil
+}
+
+// planeArg reads a plane by the name Plane.String gives it.
 func planeArg(s string) (Plane, error) {
-	switch s {
-	case "req":
-		return PlaneReq, nil
-	case "resp":
-		return PlaneResp, nil
-	case "both":
-		return PlaneBoth, nil
+	for p := PlaneBoth; p <= PlaneResp; p++ {
+		if s == p.String() {
+			return p, nil
+		}
 	}
 	return PlaneBoth, fmt.Errorf("unknown plane %q", s)
 }

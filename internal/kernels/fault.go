@@ -214,26 +214,18 @@ func degradedLayout(sw config.Software, hw config.Manycore, avoid []int, mimd bo
 	return g, nil, err
 }
 
-// carryTopology extracts the fired permanent-topology events — cut links,
-// dead routers, dead banks, and unbounded DRAM degradation — rescheduled to
-// cycle 0 so the next attempt's fresh machine re-applies them before any
-// work issues. Windowed DRAM degradation is transient and is not carried.
+// carryTopology extracts the fired permanent events (fault.Event.Permanent:
+// cut links, dead routers, dead banks, and unbounded DRAM degradation)
+// rescheduled to cycle 0 so the next attempt's fresh machine re-applies them
+// before any work issues. Windowed DRAM degradation is transient and is not
+// carried.
 func carryTopology(p *fault.Plan, fired []int) []fault.Event {
 	var out []fault.Event
 	for _, i := range fired {
-		if i < 0 || i >= len(p.Events) {
+		if i < 0 || i >= len(p.Events) || !p.Events[i].Permanent() {
 			continue
 		}
 		e := p.Events[i]
-		switch e.Kind {
-		case fault.CutLink, fault.KillRouter, fault.KillBank:
-		case fault.DramDegrade:
-			if e.Until != 0 {
-				continue
-			}
-		default:
-			continue
-		}
 		e.Cycle = 0
 		out = append(out, e)
 	}

@@ -6,13 +6,6 @@ import (
 	"syscall"
 )
 
-// DumpOnQuit installs a SIGQUIT handler that writes a flight bundle (reason
-// "sigquit") and keeps the process running — a live forensic snapshot of a
-// sweep you suspect is wedged, without killing it. The returned stop
-// function uninstalls the handler. Go's default SIGQUIT behavior (goroutine
-// dump + exit) is replaced while installed; send the signal twice only if
-// you actually want the process gone (the second lands after a dump and
-// still just dumps — use SIGINT/SIGTERM to stop the run).
 // DumpOnInterrupt installs a SIGINT observer that writes one flight bundle
 // (reason "sigint") on the FIRST interrupt and then uninstalls itself. It
 // observes, never consumes: lifecycle.WithSignals still sees the same
@@ -42,6 +35,13 @@ func DumpOnInterrupt(p *Plane) (stop func()) {
 	}
 }
 
+// DumpOnQuit installs a SIGQUIT handler that writes a flight bundle (reason
+// "sigquit") and keeps the process running — a live forensic snapshot of a
+// sweep you suspect is wedged, without killing it. The returned stop
+// function uninstalls the handler. Go's default SIGQUIT behavior (goroutine
+// dump + exit) is replaced while installed; send the signal twice only if
+// you actually want the process gone (the second lands after a dump and
+// still just dumps — use SIGINT/SIGTERM to stop the run).
 func DumpOnQuit(p *Plane) (stop func()) {
 	if p == nil {
 		return func() {}
