@@ -25,6 +25,19 @@ type Group struct {
 // VLen returns the group's vector length (number of lanes).
 func (g *Group) VLen() int { return len(g.Lanes) }
 
+// Size returns the number of tiles in the group: the scalar core and its
+// lanes.
+func (g *Group) Size() int { return 1 + len(g.Lanes) }
+
+// Tile returns the group's i-th tile in Tiles order, for i < Size(); unlike
+// Tiles it allocates nothing.
+func (g *Group) Tile(i int) int {
+	if i == 0 {
+		return g.Scalar
+	}
+	return g.Lanes[i-1]
+}
+
 // Tiles returns every tile in the group, scalar first, lanes row-major.
 func (g *Group) Tiles() []int {
 	out := make([]int, 0, 1+len(g.Lanes))
@@ -228,7 +241,8 @@ func buildGroup(id, meshW, r0, c0, m, expander, scalar int) *Group {
 // consistent, and no tile appears twice.
 func (g *Group) Validate(mc Manycore) error {
 	seen := map[int]bool{}
-	for _, t := range g.Tiles() {
+	for k := 0; k < g.Size(); k++ {
+		t := g.Tile(k)
 		if t < 0 || t >= mc.Cores {
 			return fmt.Errorf("group %d: tile %d out of range", g.ID, t)
 		}
@@ -288,7 +302,8 @@ func ValidateGroups(mc Manycore, groups []*Group) error {
 		if err := g.Validate(mc); err != nil {
 			return err
 		}
-		for _, t := range g.Tiles() {
+		for k := 0; k < g.Size(); k++ {
+			t := g.Tile(k)
 			if owner, ok := used[t]; ok {
 				return fmt.Errorf("tile %d in both group %d and group %d", t, owner, g.ID)
 			}

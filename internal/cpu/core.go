@@ -92,14 +92,6 @@ type Core struct {
 	st   *stats.Core
 	spad *mem.Scratchpad
 
-	// decoded is the core's decode cache: decoded[pc] means the pre-lowered
-	// entry for pc is held decoded, which is valid exactly while the icache
-	// line backing pc stays resident (the eviction hook clears the line's
-	// PCs). It survives mode switches and ForceDisband — decode state is
-	// tied to icache residency, not to the core's role. Purely a model
-	// (timing-neutral): the shared Lowered table itself is immutable.
-	decoded []bool
-
 	// Static group assignment (nil when the tile is not in any group).
 	group   *config.Group
 	laneIdx int // row-major lane index; -1 when not a lane
@@ -183,46 +175,56 @@ type lqEntry struct {
 	reg  uint8
 }
 
-// New builds a core around a pre-lowered program (LowerProgram; shared by
-// every core of a machine). group/laneIdx describe the tile's static place
-// in the machine's group layout (lane -1 when the tile is the scalar core or
-// in no group); inQ and outQs are its inet wiring. The only failure is a bad
-// icache geometry, which is configuration input.
-func New(id int, cfg config.Manycore, low *Lowered, env Env, st *stats.Core,
-	spad *mem.Scratchpad, group *config.Group, laneIdx int, inQ *inet.Queue, outQs []*inet.Queue) (*Core, error) {
-	ic, err := NewICache(cfg.ICacheBytes, cfg.ICacheWays, cfg.CacheLineBytes)
+// NewCores builds one core per scratchpad around a pre-lowered program
+// (LowerProgram; shared by every core): tile t's core counts into st[t] and
+// owns spads[t]. groups is the machine's static group layout and net its
+// inet wiring; a tile in no group runs independent. The cores, their
+// I-caches, load queues, decode caches and vector registers each come from
+// one slab. The only failure is a bad icache geometry, which is
+// configuration input.
+func NewCores(cfg config.Manycore, low *Lowered, env Env, st []stats.Core, spads []*mem.Scratchpad,
+	groups []*config.Group, net inet.Net) ([]*Core, error) {
+	n := len(spads)
+	ics, err := NewICaches(n, cfg.ICacheBytes, cfg.ICacheWays, cfg.CacheLineBytes)
 	if err != nil {
 		return nil, err
 	}
-	c := &Core{
-		ID: id, cfg: cfg, prog: low.Prog, low: low, env: env, st: st, spad: spad,
-		group: group, laneIdx: laneIdx, inQ: inQ, outQs: outQs,
-		predOn:  true,
-		icache:  ic,
-		lq:      make([]lqEntry, cfg.LoadQueueEntries),
-		decoded: make([]bool, len(low.Prog.Code)),
-		stallAt: -1,
-	}
-	// Decode-cache coherence: evicting an icache line drops the decoded
-	// entries for the instructions it backed.
-	lineInstrs := cfg.CacheLineBytes / 4
-	ic.SetEvictHook(func(lineAddr uint32) {
-		base := int(lineAddr / 4)
-		for i := 0; i < lineInstrs; i++ {
-			if pc := base + i; pc < len(c.decoded) {
-				c.decoded[pc] = false
-			}
+	var (
+		slab    = make([]Core, n)
+		cores   = make([]*Core, n)
+		lq      = make([]lqEntry, n*cfg.LoadQueueEntries)
+		decoded = make([]bool, n*len(low.Prog.Code))
+		vec     = make([]float32, n*isa.NumVecRegs*cfg.SIMDWidth)
+	)
+	for t := range cores {
+		c := &slab[t]
+		*c = Core{
+			ID: t, cfg: cfg, prog: low.Prog, low: low, env: env, st: &st[t], spad: spads[t],
+			laneIdx: -1,
+			predOn:  true,
+			icache:  &ics[t],
+			lq:      part(lq, t, cfg.LoadQueueEntries),
+			stallAt: -1,
 		}
-	})
-	for i := range c.vecRegs {
-		c.vecRegs[i] = make([]float32, cfg.SIMDWidth)
+		c.icache.decoded = part(decoded, t, len(low.Prog.Code))
+		for r := range c.vecRegs {
+			c.vecRegs[r] = part(vec, t*isa.NumVecRegs+r, cfg.SIMDWidth)
+		}
+		st[t].Hop = -1
+		cores[t] = c
 	}
-	if group != nil {
-		st.Hop = group.Hop[id]
-	} else {
-		st.Hop = -1
+	// Each group member's static place: lane k-1 for the group's k-th tile
+	// (the scalar core, tile 0, is no lane) and its inet links.
+	for _, g := range groups {
+		for k := 0; k < g.Size(); k++ {
+			t := g.Tile(k)
+			c := cores[t]
+			c.group, c.laneIdx = g, k-1
+			c.inQ, c.outQs = net.In[t], net.Out[t]
+			st[t].Hop = g.Hop[t]
+		}
 	}
-	return c, nil
+	return cores, nil
 }
 
 // Halted reports whether the core has executed halt.
@@ -489,7 +491,7 @@ func (c *Core) tickFrontend(now int64) {
 			return
 		}
 	}
-	c.decoded[c.pc] = true
+	c.icache.decoded[c.pc] = true
 	ok, stall := c.issueAt(now, c.pc)
 	if !ok {
 		c.st.AddStall(stall)
@@ -548,7 +550,7 @@ func (c *Core) tickExpander(now int64) {
 			return
 		}
 	}
-	c.decoded[c.vpc] = true
+	c.icache.decoded[c.vpc] = true
 	e := &c.low.ents[c.vpc]
 	switch {
 	case e.vend:

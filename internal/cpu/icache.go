@@ -14,19 +14,21 @@ type ICache struct {
 	valid     []bool
 	mru       []uint8 // last-used way per set (LRU for 2-way; approx beyond)
 
-	// evict, when set, is called with the byte address of each line a miss
-	// fill displaces (decode-cache coherence: the core drops the displaced
-	// line's pre-decoded entries).
-	evict func(lineAddr uint32)
+	// decoded is the owning core's decode cache: decoded[pc] means the
+	// pre-lowered entry for pc is held decoded, which is valid exactly while
+	// the line backing pc stays resident, so a miss fill that displaces a
+	// line drops the entries of the pcs it backed. It survives mode switches
+	// and ForceDisband — decode state is tied to residency, not to the
+	// core's role. Purely a model (timing-neutral): the shared Lowered table
+	// itself is immutable. nil when no core is attached.
+	decoded []bool
 }
 
-// SetEvictHook registers the eviction callback (nil disables it).
-func (c *ICache) SetEvictHook(fn func(lineAddr uint32)) { c.evict = fn }
-
-// NewICache builds a cache of the given geometry. Sets must come out a
-// power of two; the geometry is configuration input, so a bad shape is a
-// validated error, not a panic.
-func NewICache(bytes, ways, lineBytes int) (*ICache, error) {
+// NewICaches builds n caches of the given geometry, their tag, valid and
+// MRU arrays carved from one slab each. Sets must come out a power of two;
+// the geometry is configuration input, so a bad shape is a validated error,
+// not a panic.
+func NewICaches(n, bytes, ways, lineBytes int) ([]ICache, error) {
 	sets := bytes / (ways * lineBytes)
 	if sets < 1 {
 		sets = 1
@@ -35,12 +37,27 @@ func NewICache(bytes, ways, lineBytes int) (*ICache, error) {
 		return nil, fmt.Errorf("cpu: icache sets %d must be a power of two (%d B, %d-way, %d B lines)",
 			sets, bytes, ways, lineBytes)
 	}
-	return &ICache{
-		sets: sets, ways: ways, lineBytes: lineBytes,
-		tags:  make([]uint32, sets*ways),
-		valid: make([]bool, sets*ways),
-		mru:   make([]uint8, sets),
-	}, nil
+	var (
+		cs    = make([]ICache, n)
+		tags  = make([]uint32, n*sets*ways)
+		valid = make([]bool, n*sets*ways)
+		mru   = make([]uint8, n*sets)
+	)
+	for i := range cs {
+		cs[i] = ICache{
+			sets: sets, ways: ways, lineBytes: lineBytes,
+			tags:  part(tags, i, sets*ways),
+			valid: part(valid, i, sets*ways),
+			mru:   part(mru, i, sets),
+		}
+	}
+	return cs, nil
+}
+
+// part returns the i-th n-element piece of a slab, capped so an append
+// cannot grow into the neighbouring piece.
+func part[T any](slab []T, i, n int) []T {
+	return slab[i*n : (i+1)*n : (i+1)*n]
 }
 
 // Access looks byteAddr up, filling on miss, and reports whether it hit.
@@ -66,11 +83,19 @@ func (c *ICache) Access(byteAddr uint32) bool {
 	if victim < 0 {
 		victim = (int(c.mru[set]) + 1) % c.ways
 	}
-	if c.valid[base+victim] && c.evict != nil {
-		c.evict(c.tags[base+victim] * uint32(c.lineBytes))
+	if c.valid[base+victim] {
+		c.dropDecoded(c.tags[base+victim])
 	}
 	c.valid[base+victim] = true
 	c.tags[base+victim] = tag
 	c.mru[set] = uint8(victim)
 	return false
+}
+
+// dropDecoded clears the decode-cache entries of the pcs line lineNum backs.
+func (c *ICache) dropDecoded(lineNum uint32) {
+	lo := int(lineNum) * c.lineBytes / 4
+	if hi := min(lo+c.lineBytes/4, len(c.decoded)); lo < hi {
+		clear(c.decoded[lo:hi])
+	}
 }

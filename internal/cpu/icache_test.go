@@ -4,14 +4,21 @@ import (
 	"testing"
 
 	"rockcress/internal/config"
+	"rockcress/internal/inet"
 	"rockcress/internal/isa"
 	"rockcress/internal/mem"
 	"rockcress/internal/msg"
 	"rockcress/internal/stats"
 )
 
+// newICache builds a lone 4 kB 2-way cache of 64 B lines.
+func newICache() *ICache {
+	cs, _ := NewICaches(1, 4096, 2, 64)
+	return &cs[0]
+}
+
 func TestICacheHitAfterFill(t *testing.T) {
-	c, _ := NewICache(4096, 2, 64)
+	c := newICache()
 	if c.Access(0) {
 		t.Fatal("cold access hit")
 	}
@@ -24,7 +31,7 @@ func TestICacheHitAfterFill(t *testing.T) {
 }
 
 func TestICacheAssociativity(t *testing.T) {
-	c, _ := NewICache(4096, 2, 64)
+	c := newICache()
 	// 4kB 2-way 64B lines = 32 sets; addresses 0, 2048, 4096 share set 0.
 	c.Access(0)
 	c.Access(2048)
@@ -42,7 +49,7 @@ func TestICacheAssociativity(t *testing.T) {
 }
 
 func TestICacheLoopResidency(t *testing.T) {
-	c, _ := NewICache(4096, 2, 64)
+	c := newICache()
 	// A 512-instruction loop (2 kB) fits: after one warm pass every
 	// access hits.
 	for pc := uint32(0); pc < 512; pc++ {
@@ -57,7 +64,7 @@ func TestICacheLoopResidency(t *testing.T) {
 
 // --- decode-cache coherence (pre-lowered dispatch) ---
 //
-// The decode cache (Core.decoded) models which pre-lowered entries a core
+// The decode cache (ICache.decoded) models which pre-lowered entries a core
 // holds "decoded": an entry becomes resident when the frontend fetches its
 // pc and must be dropped exactly when the icache evicts the backing line.
 // These tests pin that coherence contract through eviction, mode switches,
@@ -88,16 +95,16 @@ func newDecodeCore(t *testing.T, n int) (*Core, *stubEnv) {
 	prog := &isa.Program{Name: "decode-test", Code: code, Labels: map[string]int{}}
 	cfg := config.ManycoreDefault()
 	env := &stubEnv{}
-	st := &stats.Core{}
-	spad, err := mem.NewScratchpad(0, cfg.SpadBytes, cfg.FrameCounters, st)
+	st := make([]stats.Core, 1)
+	spads, err := mem.NewScratchpads(cfg.SpadBytes, cfg.FrameCounters, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(0, cfg, LowerProgram(prog, cfg), env, st, spad, nil, -1, nil, nil)
+	cores, err := NewCores(cfg, LowerProgram(prog, cfg), env, st, spads, nil, inet.Net{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, env
+	return cores[0], env
 }
 
 // runToHalt ticks the core until it halts (or the cycle bound trips).

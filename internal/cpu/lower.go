@@ -8,7 +8,7 @@ package cpu
 // semantics with the operands and latencies already resolved. The Lowered
 // table is immutable and shared by every core of a machine; per-core decode
 // *state* (which PCs the core currently holds decoded, coherent with its
-// I-cache) lives in Core.decoded.
+// I-cache) lives in ICache.decoded.
 
 import (
 	"math"
@@ -810,5 +810,5 @@ func (c *Core) exec(now int64, e *lowEntry) (bool, stats.StallKind) {
 // pre-lowered entry: set when the core issues the instruction, cleared when
 // the icache line backing it is evicted (test hook).
 func (c *Core) DecodeCached(pc int) bool {
-	return pc >= 0 && pc < len(c.decoded) && c.decoded[pc]
+	return pc >= 0 && pc < len(c.icache.decoded) && c.icache.decoded[pc]
 }

@@ -8,7 +8,7 @@ package inet
 import (
 	"fmt"
 
-	"rockcress/internal/isa"
+	"rockcress/internal/config"
 )
 
 // ItemKind discriminates inet payloads.
@@ -37,11 +37,11 @@ func (k ItemKind) String() string {
 	return fmt.Sprintf("item(%d)", uint8(k))
 }
 
-// Item is one inet payload.
+// Item is one inet payload. A forwarded instruction travels as its PC:
+// lanes re-dispatch it through the shared pre-lowered table.
 type Item struct {
-	Kind  ItemKind
-	Instr isa.Instr
-	PC    int32
+	Kind ItemKind
+	PC   int32
 }
 
 type entry struct {
@@ -59,14 +59,65 @@ type Queue struct {
 	hw         int   // deepest occupancy ever observed (telemetry gauge)
 }
 
-// NewQueue builds a queue with the configured capacity (Table 1a: 2). The
-// capacity is configuration input, so a bad value is a validated error, not
-// a panic.
-func NewQueue(capacity int) (*Queue, error) {
+// NewQueues builds n queues with the configured capacity (Table 1a: 2),
+// their rings carved from one slab. The capacity is configuration input, so
+// a bad value is a validated error, not a panic.
+func NewQueues(n, capacity int) ([]Queue, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("inet: queue capacity %d must be at least 1", capacity)
 	}
-	return &Queue{buf: make([]entry, capacity)}, nil
+	qs := make([]Queue, n)
+	slab := make([]entry, n*capacity)
+	for i := range qs {
+		qs[i].buf = slab[i*capacity : (i+1)*capacity : (i+1)*capacity]
+	}
+	return qs, nil
+}
+
+// Net is a fabric's forwarding network: tile t's input queue In[t], fed by
+// its parent in its group's tree, and the queues Out[t] of its children
+// there. Both are nil for a tile in no group.
+type Net struct {
+	In  []*Queue
+	Out [][]*Queue
+}
+
+// NewNet wires the forwarding tree of every group over a fabric of n
+// tiles: one queue per grouped tile, all from one slab, and every tile's
+// child list carved from one more.
+func NewNet(n int, groups []*config.Group, capacity int) (Net, error) {
+	tiles, links := 0, 0
+	for _, g := range groups {
+		tiles += g.Size()
+		for _, ch := range g.Children {
+			links += len(ch)
+		}
+	}
+	qs, err := NewQueues(tiles, capacity)
+	if err != nil {
+		return Net{}, err
+	}
+	net := Net{In: make([]*Queue, n), Out: make([][]*Queue, n)}
+	i := 0
+	for _, g := range groups {
+		for k := 0; k < g.Size(); k++ {
+			net.In[g.Tile(k)] = &qs[i]
+			i++
+		}
+	}
+	out := make([]*Queue, 0, links)
+	for _, g := range groups {
+		for k := 0; k < g.Size(); k++ {
+			t, from := g.Tile(k), len(out)
+			for _, c := range g.Children[t] {
+				out = append(out, net.In[c])
+			}
+			if len(out) > from {
+				net.Out[t] = out[from:len(out):len(out)]
+			}
+		}
+	}
+	return net, nil
 }
 
 // CanSend reports whether the queue has room for another item.
@@ -80,7 +131,12 @@ func (q *Queue) Send(now int64, it Item) {
 		// simulator bug, not bad user input.
 		panic("internal/inet: invariant: send on full queue")
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = entry{item: it, readyAt: now + 1}
+	// Compare-and-wrap, as the mesh rings do: head+n < 2*len(buf).
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = entry{item: it, readyAt: now + 1}
 	q.n++
 	if q.n > q.hw {
 		q.hw = q.n
@@ -120,7 +176,10 @@ func (q *Queue) Peek() Item { return q.buf[q.head].item }
 // Pop consumes the head item. Check Ready first.
 func (q *Queue) Pop() Item {
 	it := q.buf[q.head].item
-	q.head = (q.head + 1) % len(q.buf)
+	q.head++
+	if q.head == len(q.buf) {
+		q.head = 0
+	}
 	q.n--
 	return it
 }

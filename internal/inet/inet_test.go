@@ -1,13 +1,15 @@
 package inet
 
-import (
-	"testing"
+import "testing"
 
-	"rockcress/internal/isa"
-)
+// newQueue builds a lone queue of the given capacity.
+func newQueue(capacity int) *Queue {
+	qs, _ := NewQueues(1, capacity)
+	return &qs[0]
+}
 
 func TestQueueLinkLatency(t *testing.T) {
-	q, _ := NewQueue(2)
+	q := newQueue(2)
 	q.Send(10, Item{Kind: ItemMTStart, PC: 7})
 	if q.Ready(10) {
 		t.Fatal("item visible in the send cycle (links take one cycle)")
@@ -22,7 +24,7 @@ func TestQueueLinkLatency(t *testing.T) {
 }
 
 func TestQueueCapacity(t *testing.T) {
-	q, _ := NewQueue(2)
+	q := newQueue(2)
 	q.Send(0, Item{Kind: ItemInstr})
 	q.Send(0, Item{Kind: ItemInstr})
 	if q.CanSend() {
@@ -38,22 +40,22 @@ func TestQueueCapacity(t *testing.T) {
 }
 
 func TestQueueFIFO(t *testing.T) {
-	q, _ := NewQueue(4)
+	q := newQueue(4)
 	for i := int32(0); i < 4; i++ {
-		q.Send(int64(i), Item{Kind: ItemInstr, Instr: isa.Instr{Imm: i}})
+		q.Send(int64(i), Item{Kind: ItemInstr, PC: i})
 	}
 	for i := int32(0); i < 4; i++ {
 		if !q.Ready(100) {
 			t.Fatal("queue ran dry")
 		}
-		if got := q.Pop().Instr.Imm; got != i {
+		if got := q.Pop().PC; got != i {
 			t.Fatalf("pop %d, want %d", got, i)
 		}
 	}
 }
 
 func TestQueueStick(t *testing.T) {
-	q, _ := NewQueue(2)
+	q := newQueue(2)
 	q.Send(0, Item{Kind: ItemInstr})
 	q.StickUntil(50)
 	if q.Ready(10) {
@@ -76,7 +78,7 @@ func TestQueueStick(t *testing.T) {
 }
 
 func TestQueueReset(t *testing.T) {
-	q, _ := NewQueue(2)
+	q := newQueue(2)
 	q.Send(0, Item{Kind: ItemDevec})
 	q.Reset()
 	if q.Len() != 0 || q.Ready(10) {

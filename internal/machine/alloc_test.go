@@ -2,9 +2,11 @@ package machine_test
 
 import (
 	"io"
+	"runtime"
 	"testing"
 
 	"rockcress/internal/config"
+	"rockcress/internal/fault"
 	"rockcress/internal/kernels"
 	"rockcress/internal/machine"
 	"rockcress/internal/metrics"
@@ -25,6 +27,20 @@ func buildForAllocTest(t *testing.T, benchName, cfgName string, obs *metrics.Pla
 // engine width) as given.
 func buildMachine(t *testing.T, benchName, cfgName string, mp machine.Params) *machine.Machine {
 	t.Helper()
+	mp, img := benchParams(t, benchName, cfgName, config.ManycoreDefault(), mp)
+	m, err := machine.New(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.Apply(m.Global)
+	return m
+}
+
+// benchParams builds one kernel's Tiny program for a software preset on the
+// fabric base and fills mp's program, geometry and memory size with it. The
+// input image still to load into the machine comes back beside it.
+func benchParams(t *testing.T, benchName, cfgName string, base config.Manycore, mp machine.Params) (machine.Params, *kernels.Image) {
+	t.Helper()
 	bench, err := kernels.Get(benchName)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +50,7 @@ func buildMachine(t *testing.T, benchName, cfgName string, mp machine.Params) *m
 	if err != nil {
 		t.Fatal(err)
 	}
-	hw := sw.Apply(config.ManycoreDefault())
+	hw := sw.Apply(base)
 	groups, err := kernels.GroupsFor(sw, hw)
 	if err != nil {
 		t.Fatal(err)
@@ -56,12 +72,54 @@ func buildMachine(t *testing.T, benchName, cfgName string, mp machine.Params) *m
 		memBytes = machine.DefaultMemBytes
 	}
 	mp.Cfg, mp.Prog, mp.Groups, mp.MemBytes = hw, prog, groups, memBytes
-	m, err := machine.New(mp)
-	if err != nil {
-		t.Fatal(err)
+	return mp, img
+}
+
+// newAllocs counts the allocations of one machine.New over mp. Each built
+// machine hands its store back, so every call after the first finds one in
+// the pool, as a sweep's next cell does.
+func newAllocs(t *testing.T, mp machine.Params) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(20, func() {
+		m, err := machine.New(mp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Global.Recycle()
+	})
+}
+
+// TestMachineNewAllocs holds construction to one backing allocation per
+// component kind: LLC lines, banks, scratchpads, cores, I-caches, vector
+// registers, inet queues, engine wakers and shard lists each come from a
+// slab sized once, so what a machine costs to build does not grow with its
+// tile or bank count. What remains scales with the program (the lowered
+// dispatch table) and with fixed per-machine plumbing.
+func TestMachineNewAllocs(t *testing.T) {
+	const maxAllocs = 600
+	var nv machine.Params
+	var nvAllocs float64
+	for _, cfg := range []string{"NV", "V4", "V16"} {
+		mp, _ := benchParams(t, "mvt", cfg, config.ManycoreDefault(), machine.Params{})
+		n := newAllocs(t, mp)
+		t.Logf("mvt Tiny %s, 8x8 / 16 banks: %.0f allocs per machine.New", cfg, n)
+		if n > maxAllocs {
+			t.Errorf("mvt %s: machine.New allocates %.0f times, want <= %d", cfg, n, maxAllocs)
+		}
+		if cfg == "NV" {
+			nv, nvAllocs = mp, n
+		}
 	}
-	img.Apply(m.Global)
-	return m
+	// The same NV program on four times the tiles and twice the banks.
+	big := &nv.Cfg
+	big.MeshWidth, big.MeshHeight, big.Cores = 16, 16, 256
+	big.LLCBanks, big.LLCBytes = 32, 2*big.LLCBytes
+	n := newAllocs(t, nv)
+	t.Logf("mvt Tiny NV, 16x16 / 32 banks: %.0f allocs per machine.New", n)
+	if n > 1.1*nvAllocs {
+		t.Errorf("16x16 machine.New allocates %.0f times, %.2fx the 8x8 count %.0f: construction grows with the fabric",
+			n, n/nvAllocs, nvAllocs)
+	}
 }
 
 // TestSteadyStateAllocs single-steps busy machines and asserts the steady
@@ -150,5 +208,57 @@ func TestSteadyStateAllocsWithRecorder(t *testing.T) {
 	}
 	if emitted := int64(rec.Len()) + rec.Dropped() - before; emitted < 1000 {
 		t.Errorf("measured window emitted %d events, want a busy recorder (>= 1000)", emitted)
+	}
+}
+
+// TestGroupArriveAllocs: a formation arrival runs in the parallel core phase
+// on every vconfig, and costs no allocation.
+func TestGroupArriveAllocs(t *testing.T) {
+	m := buildForAllocTest(t, "mvt", "V4", nil, nil)
+	defer m.Global.Recycle()
+	tile := m.Groups[0].Scalar
+	if avg := testing.AllocsPerRun(100, func() { m.GroupArrive(tile) }); avg != 0 {
+		t.Errorf("GroupArrive allocates: %.2f allocs per arrival", avg)
+	}
+}
+
+// totalAlloc returns the bytes the process has allocated so far.
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+// TestRejectedFaultPlanAllocates: a fault plan that does not fit the fabric
+// (routers 0 and 9 of an 8x8 mesh are not neighbours) is refused before New
+// builds anything, and the pooled store stays in the pool for the next
+// machine instead of being dropped. Not parallel: it reads the process's
+// allocation total.
+func TestRejectedFaultPlanAllocates(t *testing.T) {
+	mp, _ := benchParams(t, "mvt", "NV", config.ManycoreDefault(), machine.Params{})
+	m, err := machine.New(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Global.Recycle() // a store in the pool
+	bad := mp
+	if bad.Faults, err = fault.Parse("cutlink@5:0>9"); err != nil {
+		t.Fatal(err)
+	}
+	before := totalAlloc()
+	if _, err := machine.New(bad); err == nil {
+		t.Fatal("machine.New accepted a cut link between routers that are not neighbours")
+	}
+	if n := totalAlloc() - before; n >= 64<<10 {
+		t.Errorf("rejected machine.New allocated %d bytes, want < 64 KiB", n)
+	}
+	before = totalAlloc()
+	m, err = machine.New(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Global.Recycle()
+	if n := totalAlloc() - before; n >= 8<<20 {
+		t.Errorf("machine.New after a rejected one allocated %d bytes, want < 8 MiB: the pooled store was lost", n)
 	}
 }

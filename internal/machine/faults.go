@@ -35,14 +35,21 @@ type faultStack struct {
 	ckpt      *Checkpoint
 }
 
-// attachFaults builds the fault stack for p.Faults on a wired fabric.
-func (m *Machine) attachFaults(p Params) error {
-	if err := p.Faults.ValidateGeometry(fault.Geometry{
-		Cores: m.Cfg.Cores, MeshW: m.Cfg.MeshWidth, MeshH: m.Cfg.MeshHeight,
-		Banks: m.Cfg.LLCBanks,
-	}); err != nil {
-		return err
+// checkFaults rejects a fault plan that does not fit the fabric p.Cfg
+// describes. New asks it before allocating anything.
+func checkFaults(p Params) error {
+	if p.Faults == nil {
+		return nil
 	}
+	return p.Faults.ValidateGeometry(fault.Geometry{
+		Cores: p.Cfg.Cores, MeshW: p.Cfg.MeshWidth, MeshH: p.Cfg.MeshHeight,
+		Banks: p.Cfg.LLCBanks,
+	})
+}
+
+// attachFaults builds the fault stack for p.Faults, which checkFaults
+// passed, on a wired fabric.
+func (m *Machine) attachFaults(p Params) {
 	fs := &faultStack{
 		Machine:      m,
 		inj:          fault.NewInjector(p.Faults),
@@ -64,7 +71,6 @@ func (m *Machine) attachFaults(p Params) error {
 		fs.replays = make([]*replayState, len(m.spads))
 	}
 	m.faults = fs
-	return nil
 }
 
 // preMem is the stack's share of the serial mem prologue, so every decision

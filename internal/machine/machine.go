@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,8 +101,11 @@ type Machine struct {
 	observers
 }
 
-// New builds and wires a machine.
-func New(p Params) (*Machine, error) {
+// New builds and wires a machine. Each kind of per-tile and per-bank state
+// comes from one slab the machine owns, so construction costs a fixed
+// number of allocations whatever the fabric's size (DESIGN.md
+// "Construction").
+func New(p Params) (_ *Machine, err error) {
 	if err := p.Cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -114,6 +116,9 @@ func New(p Params) (*Machine, error) {
 		return nil, err
 	}
 	if err := config.ValidateGroups(p.Cfg, p.Groups); err != nil {
+		return nil, err
+	}
+	if err := checkFaults(p); err != nil {
 		return nil, err
 	}
 	memBytes := p.MemBytes
@@ -128,6 +133,12 @@ func New(p Params) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The store may be a pooled one: a failure below hands it back.
+	defer func() {
+		if err != nil {
+			global.Recycle()
+		}
+	}()
 	dram, err := mem.NewDRAM(cfg.DRAMLatency, cfg.DRAMBandwidth)
 	if err != nil {
 		return nil, err
@@ -154,8 +165,8 @@ func New(p Params) (*Machine, error) {
 		m.tileGroup[i] = -1
 	}
 	for _, g := range p.Groups {
-		for _, t := range g.Tiles() {
-			m.tileGroup[t] = g.ID
+		for k := 0; k < g.Size(); k++ {
+			m.tileGroup[g.Tile(k)] = g.ID
 		}
 	}
 	m.checkEvery, m.stallLimit = p.CheckEvery, p.StallLimit
@@ -182,84 +193,67 @@ func New(p Params) (*Machine, error) {
 	// bottleneck report (rockdoctor), not just windowed telemetry.
 	m.meshReq.EnableLinkHops()
 	m.meshResp.EnableLinkHops()
-	m.llcs = make([]*mem.LLCBank, cfg.LLCBanks)
-	for b := range m.llcs {
-		m.llcs[b], err = mem.NewLLCBank(b, cfg, m.space.LLCNode(b), m.meshResp, m.dram,
-			m.Global, m, &m.Stats.LLCs[b])
-		if err != nil {
-			return nil, err
-		}
+	m.llcs, err = mem.NewLLCBanks(cfg, m.space, m.meshResp, m.dram, m.Global, m, m.Stats.LLCs)
+	if err != nil {
+		return nil, err
 	}
-	m.spads = make([]*mem.Scratchpad, cfg.Cores)
-	for t := range m.spads {
-		m.spads[t], err = mem.NewScratchpad(t, cfg.SpadBytes, cfg.FrameCounters, &m.Stats.Cores[t])
-		if err != nil {
-			return nil, err
-		}
-		m.spads[t].SetClock(func() int64 { return m.now })
+	m.spads, err = mem.NewScratchpads(cfg.SpadBytes, cfg.FrameCounters, m.Stats.Cores)
+	if err != nil {
+		return nil, err
 	}
-	// inet wiring: one input queue per grouped tile, children per tree.
-	inQs := make([]*inet.Queue, cfg.Cores)
-	for _, g := range p.Groups {
-		for _, t := range g.Tiles() {
-			inQs[t], err = inet.NewQueue(cfg.InetQueueEntries)
-			if err != nil {
-				return nil, err
-			}
-		}
+	clock := func() int64 { return m.now }
+	for _, s := range m.spads {
+		s.SetClock(clock)
 	}
-	m.cores = make([]*cpu.Core, cfg.Cores)
+	net, err := inet.NewNet(cfg.Cores, p.Groups, cfg.InetQueueEntries)
+	if err != nil {
+		return nil, err
+	}
 	// Lower the program once; the dispatch table is immutable and shared by
-	// every core (per-core decode-cache state lives in each core).
-	lowered := cpu.LowerProgram(p.Prog, cfg)
-	for t := range m.cores {
-		var (
-			group *config.Group
-			lane  = -1
-			inQ   *inet.Queue
-			outQs []*inet.Queue
-		)
-		if gid := m.tileGroup[t]; gid >= 0 {
-			group = p.Groups[gid]
-			lane = group.LaneIndex(t)
-			inQ = inQs[t]
-			for _, child := range group.Children[t] {
-				outQs = append(outQs, inQs[child])
-			}
-		}
-		m.cores[t], err = cpu.New(t, cfg, lowered, m, &m.Stats.Cores[t],
-			m.spads[t], group, lane, inQ, outQs)
-		if err != nil {
-			return nil, err
-		}
-		m.cores[t].SetIssueSlot(m.meter.Slot(t))
+	// every core (per-core decode-cache state lives in each core's I-cache).
+	m.cores, err = cpu.NewCores(cfg, cpu.LowerProgram(p.Prog, cfg), m, m.Stats.Cores, m.spads, p.Groups, net)
+	if err != nil {
+		return nil, err
 	}
-	m.engine = sim.NewEngine(m.buildStages(), p.Workers)
+	for t, c := range m.cores {
+		c.SetIssueSlot(m.meter.Slot(t))
+	}
+	stages := m.buildStages()
+	m.engine = sim.NewEngine(stages, p.Workers)
 	// Event-parking wake wiring: a parked (empty) mesh shard must wake when
 	// anything injects; a parked (idle) bank must wake on a delivered
 	// request or a DRAM fill. Core shards wake through broadcast events
 	// (barrier release) or their own self-scheduled wake cycles.
-	m.meshWaker = m.engine.WakerFor(m.meshReq)
+	m.meshWaker = m.engine.WakerFor(stageMesh, 0)
 	m.meshReq.SetWaker(m.meshWaker.Wake)
 	m.meshResp.SetWaker(m.meshWaker.Wake)
 	m.bankWakers = make([]*sim.Waker, len(m.llcs))
-	for b := range m.llcs {
-		m.bankWakers[b] = m.engine.WakerFor(m.llcs[b])
+	for j, sh := range stages[stageMem].Shards {
+		for _, c := range sh {
+			m.bankWakers[c.(*mem.LLCBank).ID] = m.engine.WakerFor(stageMem, j)
+		}
 	}
 	// Cores park on issue stalls too (scoreboard pending, frame waits);
 	// the resolving event is always a mesh delivery to the tile.
 	m.coreWakers = make([]*sim.Waker, len(m.cores))
-	for t := range m.cores {
-		m.coreWakers[t] = m.engine.WakerFor(m.cores[t])
+	for j, sh := range stages[stageCores].Shards {
+		for _, c := range sh {
+			m.coreWakers[c.(*cpu.Core).ID] = m.engine.WakerFor(stageCores, j)
+		}
 	}
 	if p.Faults != nil {
-		if err := m.attachFaults(p); err != nil {
-			return nil, err
-		}
+		m.attachFaults(p)
 	}
 	m.attachObservers(p)
 	return m, nil
 }
+
+// The engine's stages, in cycle order (buildStages).
+const (
+	stageMem = iota
+	stageMesh
+	stageCores
+)
 
 // buildStages lays the machine out on the two-phase engine. One cycle is:
 //
@@ -282,58 +276,64 @@ func New(p Params) (*Machine, error) {
 //
 // Shards are declared in ascending tile/bank order, so the serial commit
 // sweep — and the serial engine itself — visits components exactly like
-// the pre-engine loop did.
+// the pre-engine loop did. Every shard is a piece of one component list,
+// and every stage's shard list a piece of one shard list.
 func (m *Machine) buildStages() []sim.Stage {
+	nb, nc := len(m.llcs), len(m.cores)
+	comps := make(sim.Shard, nb+2+nc)
+	shards := make([]sim.Shard, 0, nb+1+nc)
 	// LLC shards keyed by attach router. On meshes where two banks share a
 	// router (1-row meshes), all banks collapse into one serial shard so
 	// the commit order stays the global bank order.
-	routerSeen := map[int]bool{}
+	seen := make([]bool, m.Cfg.Cores)
 	shared := false
-	for b := range m.llcs {
+	for b, bank := range m.llcs {
+		comps[b] = bank
 		r := m.meshResp.AttachRouter(m.space.LLCNode(b))
-		if routerSeen[r] {
-			shared = true
-		}
-		routerSeen[r] = true
+		shared = shared || seen[r]
+		seen[r] = true
 	}
-	var llcShards []sim.Shard
 	if shared {
-		sh := make(sim.Shard, len(m.llcs))
-		for b := range m.llcs {
-			sh[b] = m.llcs[b]
-		}
-		llcShards = []sim.Shard{sh}
+		shards = append(shards, comps[:nb:nb])
 	} else {
 		for b := range m.llcs {
-			llcShards = append(llcShards, sim.Shard{m.llcs[b]})
+			shards = append(shards, comps[b:b+1:b+1])
 		}
 	}
-	// Core shards: group closures (tiles ascending) and singletons, in
-	// ascending order of their lowest tile.
-	var coreShards []sim.Shard
-	done := make([]bool, len(m.cores))
-	for t := range m.cores {
-		if done[t] {
+	mesh := len(shards)
+	comps[nb], comps[nb+1] = m.meshReq, m.meshResp
+	shards = append(shards, comps[nb:nb+2:nb+2])
+	// Core shards: one per group (tiles ascending) and one per ungrouped
+	// tile, in ascending order of their lowest tile. Tiles arrive in
+	// ascending order, so a group's shard is reserved at its lowest tile
+	// and filled in order by the rest; next[g] is its next free slot.
+	cores, cc := len(shards), comps[nb+2:]
+	next := make([]int, len(m.Groups))
+	for g := range next {
+		next[g] = -1
+	}
+	used := 0
+	for t, c := range m.cores {
+		gid := m.tileGroup[t]
+		if gid < 0 {
+			cc[used] = c
+			shards = append(shards, cc[used:used+1:used+1])
+			used++
 			continue
 		}
-		if gid := m.tileGroup[t]; gid >= 0 {
-			tiles := append([]int(nil), m.Groups[gid].Tiles()...)
-			sort.Ints(tiles)
-			sh := make(sim.Shard, len(tiles))
-			for i, gt := range tiles {
-				sh[i] = m.cores[gt]
-				done[gt] = true
-			}
-			coreShards = append(coreShards, sh)
-			continue
+		if next[gid] < 0 {
+			n := m.Groups[gid].Size()
+			shards = append(shards, cc[used:used+n:used+n])
+			next[gid] = used
+			used += n
 		}
-		coreShards = append(coreShards, sim.Shard{m.cores[t]})
-		done[t] = true
+		cc[next[gid]] = c
+		next[gid]++
 	}
 	return []sim.Stage{
-		{Name: "mem", Pre: m.preMem, Shards: llcShards},
-		{Name: "mesh", Shards: []sim.Shard{{m.meshReq, m.meshResp}}},
-		{Name: "cores", Pre: m.preCores, Shards: coreShards, Post: func(int64) { m.checkBarrier() }},
+		stageMem:   {Name: "mem", Pre: m.preMem, Shards: shards[:mesh:mesh]},
+		stageMesh:  {Name: "mesh", Shards: shards[mesh:cores:cores]},
+		stageCores: {Name: "cores", Pre: m.preCores, Shards: shards[cores:], Post: func(int64) { m.checkBarrier() }},
 	}
 }
 
@@ -425,7 +425,7 @@ func (m *Machine) GroupArrive(tile int) int64 {
 	g := &m.formation[gid]
 	ticket := g.gen
 	g.arrived++
-	if g.arrived == len(m.Groups[gid].Tiles()) {
+	if g.arrived == m.Groups[gid].Size() {
 		g.gen++
 		g.arrived = 0
 	}

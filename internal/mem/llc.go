@@ -135,11 +135,15 @@ type LLCBank struct {
 	err error
 }
 
-// NewLLCBank builds bank id of the configured cache. The geometry derives
-// from the user's configuration, so a bad shape is a validated error, not a
-// panic (config.Manycore.Validate normally rejects it first).
-func NewLLCBank(id int, cfg config.Manycore, node int, out Sender, dram *DRAM, global *Global, groups GroupLanes, st *stats.LLC) (*LLCBank, error) {
-	perBank := cfg.LLCBytes / cfg.LLCBanks
+// NewLLCBanks builds the configured cache's cfg.LLCBanks banks: bank b sits
+// at node space.LLCNode(b) and counts into st[b]. Every per-bank and per-line
+// array is carved from one slab per kind, so the cost of building the cache
+// does not grow with its line count. The geometry derives from the user's
+// configuration, so a bad shape is a validated error, not a panic
+// (config.Manycore.Validate normally rejects it first).
+func NewLLCBanks(cfg config.Manycore, space msg.NodeSpace, out Sender, dram *DRAM, global *Global, groups GroupLanes, st []stats.LLC) ([]*LLCBank, error) {
+	n := cfg.LLCBanks
+	perBank := cfg.LLCBytes / n
 	ways := cfg.LLCWays
 	sets := perBank / (cfg.CacheLineBytes * ways)
 	if sets < 1 {
@@ -147,23 +151,45 @@ func NewLLCBank(id int, cfg config.Manycore, node int, out Sender, dram *DRAM, g
 	}
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("mem: llc sets %d must be a power of two (%d B over %d banks, %d-way, %d B lines)",
-			sets, cfg.LLCBytes, cfg.LLCBanks, ways, cfg.CacheLineBytes)
+			sets, cfg.LLCBytes, n, ways, cfg.CacheLineBytes)
 	}
-	b := &LLCBank{
-		ID: id, node: node, cfg: cfg,
-		lineBytes: cfg.CacheLineBytes, lineWords: cfg.CacheLineBytes / 4,
-		ways: ways, sets: sets,
-		lines: make([]llcLine, sets*ways),
-		plru:  make([]uint8, sets),
-		mshr:  make([]llcMSHR, cfg.LLCMSHRs),
-		reqQ:  make([]msg.Message, cfg.LLCReqQueue),
-		jobs:  make([]respJob, cfg.LLCRespJobs),
-		out:   out, dram: dram, global: global, groups: groups, st: st,
+	lineWords, lines := cfg.CacheLineBytes/4, sets*ways
+	var (
+		slab     = make([]LLCBank, n)
+		banks    = make([]*LLCBank, n)
+		lineSlab = make([]llcLine, n*lines)
+		data     = make([]uint32, n*lines*lineWords)
+		plru     = make([]uint8, n*sets)
+		mshr     = make([]llcMSHR, n*cfg.LLCMSHRs)
+		reqQ     = make([]msg.Message, n*cfg.LLCReqQueue)
+		jobs     = make([]respJob, n*cfg.LLCRespJobs)
+	)
+	for i := range lineSlab {
+		lineSlab[i].data = part(data, i, lineWords)
 	}
-	for i := range b.lines {
-		b.lines[i].data = make([]uint32, b.lineWords)
+	for id := range banks {
+		b := &slab[id]
+		*b = LLCBank{
+			ID: id, node: space.LLCNode(id), cfg: cfg,
+			lineBytes: cfg.CacheLineBytes, lineWords: lineWords,
+			ways: ways, sets: sets,
+			lines: part(lineSlab, id, lines),
+			plru:  part(plru, id, sets),
+			mshr:  part(mshr, id, cfg.LLCMSHRs),
+			reqQ:  part(reqQ, id, cfg.LLCReqQueue),
+			jobs:  part(jobs, id, cfg.LLCRespJobs),
+			out:   out, dram: dram, global: global, groups: groups, st: &st[id],
+		}
+		banks[id] = b
 	}
-	return b, nil
+	return banks, nil
+}
+
+// part returns the i-th n-element piece of a slab. Its capacity ends where
+// the piece does, so an append grows away from the slab instead of into the
+// neighbouring piece.
+func part[T any](slab []T, i, n int) []T {
+	return slab[i*n : (i+1)*n : (i+1)*n]
 }
 
 // Err returns the first invariant violation the bank observed, if any.
@@ -189,13 +215,22 @@ func (b *LLCBank) Accept(m *msg.Message) {
 		// slot; stampResp turns the delta into the CGated stamp.
 		m.CInject = b.blocked
 	}
-	b.reqQ[(b.reqHead+b.reqCount)%len(b.reqQ)] = *m
+	b.reqQ[wrap(b.reqHead+b.reqCount, len(b.reqQ))] = *m
 	b.reqCount++
+}
+
+// wrap maps a ring index in [0, 2n) back into [0, n): a compare instead of
+// a division on every enqueue and dequeue.
+func wrap(i, n int) int {
+	if i >= n {
+		i -= n
+	}
+	return i
 }
 
 // popReq consumes the head request.
 func (b *LLCBank) popReq() {
-	b.reqHead = (b.reqHead + 1) % len(b.reqQ)
+	b.reqHead = wrap(b.reqHead+1, len(b.reqQ))
 	b.reqCount--
 }
 
@@ -205,12 +240,12 @@ func (b *LLCBank) pushJob(j respJob) {
 	if b.jobCount == len(b.jobs) {
 		grown := make([]respJob, 2*len(b.jobs)+1)
 		for i := 0; i < b.jobCount; i++ {
-			grown[i] = b.jobs[(b.jobHead+i)%len(b.jobs)]
+			grown[i] = b.jobs[wrap(b.jobHead+i, len(b.jobs))]
 		}
 		b.jobs = grown
 		b.jobHead = 0
 	}
-	b.jobs[(b.jobHead+b.jobCount)%len(b.jobs)] = j
+	b.jobs[wrap(b.jobHead+b.jobCount, len(b.jobs))] = j
 	b.jobCount++
 }
 
@@ -219,7 +254,7 @@ func (b *LLCBank) popJob() {
 	j := &b.jobs[b.jobHead]
 	b.dataPool = append(b.dataPool, j.data[:0])
 	j.data = nil
-	b.jobHead = (b.jobHead + 1) % len(b.jobs)
+	b.jobHead = wrap(b.jobHead+1, len(b.jobs))
 	b.jobCount--
 }
 

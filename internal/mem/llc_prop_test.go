@@ -6,7 +6,6 @@ import (
 
 	"rockcress/internal/config"
 	"rockcress/internal/msg"
-	"rockcress/internal/stats"
 )
 
 // TestLLCMatchesFlatMemory drives a bank with random word loads and stores
@@ -17,11 +16,7 @@ func TestLLCMatchesFlatMemory(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		cfg := config.ManycoreDefault()
-		g, _ := NewGlobal(1 << 20)
-		d, _ := NewDRAM(cfg.DRAMLatency, cfg.DRAMBandwidth)
-		out := &sink{}
-		st := &stats.LLC{}
-		bank, _ := NewLLCBank(0, cfg, 64, out, d, g, nolanes{}, st)
+		bank, g, d, out, _ := newBank(t)
 
 		// Addresses owned by bank 0: lines at stride banks*lineBytes.
 		addrs := make([]uint32, 64)
@@ -104,11 +99,7 @@ func TestLLCMatchesFlatMemory(t *testing.T) {
 func TestLLCValueOrdering(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	cfg := config.ManycoreDefault()
-	g, _ := NewGlobal(1 << 20)
-	d, _ := NewDRAM(cfg.DRAMLatency, cfg.DRAMBandwidth)
-	out := &sink{}
-	st := &stats.LLC{}
-	bank, _ := NewLLCBank(0, cfg, 64, out, d, g, nolanes{}, st)
+	bank, g, d, out, _ := newBank(t)
 
 	want := map[int]uint32{} // slot -> value the load must see
 	slot := 0

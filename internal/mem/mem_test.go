@@ -100,10 +100,17 @@ func TestDRAMBandwidthSerializes(t *testing.T) {
 
 // --- scratchpad frames ---
 
+// oneSpad builds a lone 4 KiB scratchpad (tile 0) with hwFrames frame
+// counters, and the stats it counts into.
+func oneSpad(hwFrames int) (*Scratchpad, *stats.Core) {
+	st := make([]stats.Core, 1)
+	spads, _ := NewScratchpads(4096, hwFrames, st)
+	return spads[0], &st[0]
+}
+
 func newSpad(t *testing.T, frameWords, frames int) (*Scratchpad, *stats.Core) {
 	t.Helper()
-	st := &stats.Core{}
-	s, _ := NewScratchpad(0, 4096, 5, st)
+	s, st := oneSpad(5)
 	s.Configure(frameWords, frames)
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
@@ -173,8 +180,7 @@ func TestFrameWindowProperty(t *testing.T) {
 	fn := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		const fw, frames = 4, 3
-		st := &stats.Core{}
-		s, _ := NewScratchpad(0, 4096, 5, st)
+		s, _ := oneSpad(5)
 		s.Configure(fw, frames)
 		arrived := make([]int, 64) // per absolute frame seq
 		consumed := 0
@@ -233,9 +239,12 @@ func newBank(t *testing.T) (*LLCBank, *Global, *DRAM, *sink, *stats.LLC) {
 	g, _ := NewGlobal(1 << 20)
 	d, _ := NewDRAM(cfg.DRAMLatency, cfg.DRAMBandwidth)
 	out := &sink{}
-	st := &stats.LLC{}
-	b, _ := NewLLCBank(0, cfg, 64, out, d, g, nolanes{}, st)
-	return b, g, d, out, st
+	st := make([]stats.LLC, cfg.LLCBanks)
+	banks, err := NewLLCBanks(cfg, msg.NodeSpace{Cores: cfg.Cores, Banks: cfg.LLCBanks}, out, d, g, nolanes{}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return banks[0], g, d, out, &st[0]
 }
 
 // runBank ticks the bank+DRAM until quiescent.

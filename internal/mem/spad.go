@@ -67,15 +67,50 @@ type Scratchpad struct {
 	openAt    []int64 // per-slot cycle the frame first opened; -1 when unopened
 }
 
-// NewScratchpad builds a scratchpad of the given byte size with the given
-// number of hardware frame counters. The size is configuration input, so a
-// bad value is a validated error, not a panic.
-func NewScratchpad(tile, bytes, hwFrames int, st *stats.Core) (*Scratchpad, error) {
+// NewScratchpads builds one scratchpad per entry of st — tile t's counts
+// into st[t] — each of the given byte size with the given number of
+// hardware frame counters. Words and every per-frame array come from one
+// slab per kind, the per-frame arrays sized to the hardware counters once
+// here, so configuring frames never allocates. The size is configuration
+// input, so a bad value is a validated error, not a panic.
+func NewScratchpads(bytes, hwFrames int, st []stats.Core) ([]*Scratchpad, error) {
 	if bytes%4 != 0 || bytes <= 0 {
 		return nil, fmt.Errorf("mem: scratchpad size %d must be a positive word multiple", bytes)
 	}
-	return &Scratchpad{tile: tile, words: make([]uint32, bytes/4), hwFrames: hwFrames, st: st,
-		verifiedSeq: -1, errCycle: -1}, nil
+	n, nw := len(st), bytes/4
+	var (
+		slab      = make([]Scratchpad, n)
+		spads     = make([]*Scratchpad, n)
+		words     = make([]uint32, n*nw)
+		counters  = make([]int, n*hwFrames)
+		parity    = make([]uint32, n*hwFrames)
+		segs      = make([][]FrameSeg, n*hwFrames)
+		pending   = make([]int, n*hwFrames)
+		fillStart = make([]int64, n*hwFrames)
+		openAt    = make([]int64, n*hwFrames)
+	)
+	for t := range spads {
+		// The per-frame arrays start empty; Configure extends them within
+		// the hardware counters' capacity.
+		s := &slab[t]
+		*s = Scratchpad{tile: t, words: part(words, t, nw), hwFrames: hwFrames, st: &st[t],
+			counters:    part(counters, t, hwFrames)[:0],
+			parity:      part(parity, t, hwFrames)[:0],
+			segs:        part(segs, t, hwFrames)[:0],
+			pending:     part(pending, t, hwFrames)[:0],
+			fillStart:   part(fillStart, t, hwFrames)[:0],
+			openAt:      part(openAt, t, hwFrames)[:0],
+			verifiedSeq: -1, errCycle: -1}
+		spads[t] = s
+	}
+	return spads, nil
+}
+
+// resize sets a per-frame array to n zero slots within its capacity.
+func resize[T any](a []T, n int) []T {
+	a = a[:n]
+	clear(a)
+	return a
 }
 
 // SetIntegrity enables per-frame parity accumulation, delivery recording,
@@ -97,8 +132,8 @@ func (s *Scratchpad) SetRecorder(rec *trace.Recorder) {
 }
 
 func (s *Scratchpad) initTraceSlots() {
-	s.fillStart = make([]int64, s.numFrames)
-	s.openAt = make([]int64, s.numFrames)
+	s.fillStart = resize(s.fillStart, s.numFrames)
+	s.openAt = resize(s.openAt, s.numFrames)
 	for i := range s.openAt {
 		s.openAt[i] = -1
 	}
@@ -171,15 +206,15 @@ func (s *Scratchpad) Configure(frameWords, frames int) {
 	}
 	s.frameWords = frameWords
 	s.numFrames = frames
-	s.counters = make([]int, frames)
+	s.counters = resize(s.counters, frames)
 	s.headSeq = 0
 	if s.rec != nil {
 		s.initTraceSlots()
 	}
 	if s.integrity {
-		s.parity = make([]uint32, frames)
-		s.segs = make([][]FrameSeg, frames)
-		s.pending = make([]int, frames)
+		s.parity = resize(s.parity, frames)
+		s.segs = resize(s.segs, frames)
+		s.pending = resize(s.pending, frames)
 		s.verifiedSeq = -1
 		s.poisoned = false
 		s.replaying = false

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"rockcress/internal/stats"
 )
 
 // spadDriver feeds a scratchpad the traffic a fault-free vload stream would:
@@ -19,7 +17,8 @@ type spadDriver struct {
 }
 
 func newSpadDriver(r *rand.Rand, fw, frames int) *spadDriver {
-	d := &spadDriver{s: newIntegritySpad(fw, frames, frames, &stats.Core{}), r: r,
+	s, _ := newIntegritySpad(fw, frames, frames)
+	d := &spadDriver{s: s, r: r,
 		rem: make([][]int, frames), fill: make([]int64, frames)}
 	for slot := range d.rem {
 		d.rem[slot], d.fill[slot] = r.Perm(fw), int64(slot)

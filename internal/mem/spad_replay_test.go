@@ -10,11 +10,11 @@ import (
 
 // newIntegritySpad builds a small integrity-checked scratchpad with a fixed
 // clock for error context.
-func newIntegritySpad(frameWords, frames, hwFrames int, st *stats.Core) *Scratchpad {
-	s, _ := NewScratchpad(3, 4096, hwFrames, st)
+func newIntegritySpad(frameWords, frames, hwFrames int) (*Scratchpad, *stats.Core) {
+	s, st := oneSpad(hwFrames)
 	s.SetIntegrity(true)
 	s.Configure(frameWords, frames)
-	return s
+	return s, st
 }
 
 // fillFrame delivers a full frame of vload words into the given slot, as the
@@ -45,8 +45,7 @@ func TestSpadReplayStaleResponses(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		fw := 1 + r.Intn(16)
 		frames := 2 + r.Intn(4)
-		st := &stats.Core{}
-		s := newIntegritySpad(fw, frames, frames, st)
+		s, st := newIntegritySpad(fw, frames, frames)
 
 		vals := fillFrame(r, s, 0, 0x4000)
 		// Corrupt one arrived word: the frame is full, so the flip is pending
@@ -110,8 +109,7 @@ func TestSpadReplayAcrossWraparound(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		fw := 1 + r.Intn(8)
 		frames := 2 + r.Intn(3)
-		st := &stats.Core{}
-		s := newIntegritySpad(fw, frames, frames, st)
+		s, st := newIntegritySpad(fw, frames, frames)
 
 		total := frames*3 + r.Intn(frames*3) // several wraps of the ring
 		poisons := 0
@@ -169,8 +167,7 @@ func TestSpadReplayUnderFramePressure(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		fw := 1 + r.Intn(8)
 		frames := 2 + r.Intn(3)
-		st := &stats.Core{}
-		s := newIntegritySpad(fw, frames, frames, st)
+		s, _ := newIntegritySpad(fw, frames, frames)
 		now := int64(100 + r.Intn(1000))
 		s.SetClock(func() int64 { return now })
 

@@ -77,8 +77,9 @@ type linkState struct {
 
 // entry is one buffered flit reference: its Message lives in the mesh's
 // arena and stays put for the flit's whole mesh lifetime, so a hop moves
-// twelve bytes between rings instead of a full Message. dst and out are
-// cached at enqueue (XY routing is static, so neither ever changes).
+// sixteen bytes (port is an int) between rings instead of a full Message.
+// dst and out are cached at enqueue (XY routing is static, so neither ever
+// changes).
 type entry struct {
 	idx int32 // arena slot holding the Message
 	dst int32 // == Message.Dst, cached for routing at the next hop

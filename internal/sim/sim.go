@@ -108,9 +108,6 @@ type Waker struct {
 
 // Wake marks the shard runnable at its stage's next tick.
 func (w *Waker) Wake() {
-	if w == nil || w.ctl == nil {
-		return
-	}
 	if w.ctl.parked.Load() {
 		w.ctl.woken.Store(true)
 		w.grp.woken.Store(true)
@@ -189,10 +186,11 @@ type Engine struct {
 	workers int
 	prof    *Prof
 
-	// Per-stage, per-shard parking state, the per-stage aggregates, plus
-	// the reusable active-shard index scratch the tick loop fills each
-	// stage.
+	// Per-stage, per-shard parking state and wakers, the per-stage
+	// aggregates, plus the reusable active-shard index scratch the tick loop
+	// fills each stage. ctls and wakers are carved from one slab each.
 	ctls   [][]shardCtl
+	wakers [][]Waker
 	groups []stageCtl
 	act    []int
 
@@ -223,27 +221,40 @@ func NewEngine(stages []Stage, workers int) *Engine {
 		workers = 1
 	}
 	e := &Engine{stages: stages, workers: workers}
-	e.ctls = make([][]shardCtl, len(stages))
-	e.groups = make([]stageCtl, len(stages))
-	maxShards := 0
+	shards, members, maxShards := 0, 0, 0
 	for si := range stages {
-		shards := stages[si].Shards
-		e.ctls[si] = make([]shardCtl, len(shards))
-		if len(shards) > maxShards {
-			maxShards = len(shards)
+		shards += len(stages[si].Shards)
+		maxShards = max(maxShards, len(stages[si].Shards))
+		for _, sh := range stages[si].Shards {
+			members += len(sh)
 		}
-		for j, sh := range shards {
-			sleepers := make([]Sleeper, 0, len(sh))
+	}
+	ctls := make([]shardCtl, shards)
+	wakers := make([]Waker, shards)
+	sleepers := make([]Sleeper, 0, members)
+	e.ctls = make([][]shardCtl, len(stages))
+	e.wakers = make([][]Waker, len(stages))
+	e.groups = make([]stageCtl, len(stages))
+	for si := range stages {
+		n := len(stages[si].Shards)
+		e.ctls[si], ctls = ctls[:n:n], ctls[n:]
+		e.wakers[si], wakers = wakers[:n:n], wakers[n:]
+		for j, sh := range stages[si].Shards {
+			ctl := &e.ctls[si][j]
+			e.wakers[si][j] = Waker{ctl: ctl, grp: &e.groups[si]}
+			// A shard parks only when every component can: its sleeper list
+			// is the shard's piece of the slab, or nil.
+			from := len(sleepers)
 			for _, c := range sh {
 				s, ok := c.(Sleeper)
 				if !ok {
-					sleepers = nil
+					sleepers = sleepers[:from]
 					break
 				}
 				sleepers = append(sleepers, s)
 			}
-			if len(sleepers) > 0 {
-				e.ctls[si][j].sleepers = sleepers
+			if len(sleepers) > from {
+				ctl.sleepers = sleepers[from:len(sleepers):len(sleepers)]
 			}
 		}
 	}
@@ -251,21 +262,10 @@ func NewEngine(stages []Stage, workers int) *Engine {
 	return e
 }
 
-// WakerFor returns the Waker of the shard containing c, or nil when c is
-// not an engine component. The machine wires these to the events that make
-// a parked component runnable again (a mesh injection, an LLC delivery).
-func (e *Engine) WakerFor(c Component) *Waker {
-	for si := range e.stages {
-		for j, sh := range e.stages[si].Shards {
-			for _, sc := range sh {
-				if sc == c {
-					return &Waker{ctl: &e.ctls[si][j], grp: &e.groups[si]}
-				}
-			}
-		}
-	}
-	return nil
-}
+// WakerFor returns the Waker of shard j of stage si, the order NewEngine was
+// given them in. The machine wires these to the events that make a parked
+// component runnable again (a mesh injection, an LLC delivery).
+func (e *Engine) WakerFor(si, j int) *Waker { return &e.wakers[si][j] }
 
 // WakeAll marks every parked shard runnable at its next stage tick. Used
 // for broadcast events that can unblock many components at once — a global

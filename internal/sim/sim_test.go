@@ -262,7 +262,7 @@ func TestNextWake(t *testing.T) {
 	}
 
 	// A latched Waker makes the answer now until the shard's stage ticks.
-	e.WakerFor(c).Wake()
+	e.WakerFor(1, 0).Wake() // stage "two", shard {c}
 	if got := e.NextWake(11); got != 11 {
 		t.Fatalf("latched wake: NextWake(11) = %d, want now", got)
 	}
