@@ -3,11 +3,11 @@
 //
 // Usage:
 //
-//	rocksim -bench gemm -config V4 [-scale small] [-v] [-j workers]
+//	rocksim -bench gemm -config V4 [-scale small] [-v]
 //	rocksim -bench mvt -config V4 -faults "seed=42;kill@3000:t12"
 //
-// -j spreads one simulation's per-cycle component ticks over a worker pool;
-// cycle counts are bit-identical for any value.
+// One simulation runs on one goroutine; to use more cores, run a sweep
+// (rockbench -j).
 //
 // Observability: -trace out.json writes a Chrome trace-event / Perfetto
 // event trace (ring sized by -trace-buf; a warning reports overwritten
@@ -61,7 +61,6 @@ func main() {
 		verbose   = flag.Bool("v", false, "print per-core CPI stack and energy split")
 		dumpAsm   = flag.Bool("dump-asm", false, "print the built program's disassembly and exit")
 		faultSpec = flag.String("faults", "", `fault schedule, e.g. "seed=42;kill@3000:t12;cutlink@2000:5>6;killbank@4000:b3"`)
-		workers   = flag.Int("j", 1, "engine worker goroutines for one simulation (0 or 1 = serial; cycle counts are identical for any value)")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event / Perfetto JSON event trace to this file")
 		traceBuf  = flag.Int("trace-buf", trace.DefaultEventCap, "event-trace ring capacity; oldest events drop (with a warning) when exceeded")
 		telemOut  = flag.String("telemetry", "", "write cycle-windowed telemetry (JSONL) to this file")
@@ -84,7 +83,6 @@ func main() {
 
 	opts := kernels.ExecOpts{
 		MaxCycles:  *maxCycles,
-		Workers:    *workers,
 		Ctx:        ctx,
 		WallBudget: *timeout,
 		Causal:     *causalOn,

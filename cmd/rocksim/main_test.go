@@ -196,6 +196,17 @@ func TestFaultPlanRejected(t *testing.T) {
 	}
 }
 
+// TestNoEngineWorkersFlag: one simulation ticks serially, so rocksim has no
+// -j; the flag parser must reject it (exit 2) rather than run anything.
+func TestNoEngineWorkersFlag(t *testing.T) {
+	out, err := exec.Command(rocksimBin, "-j", "2", "-bench", "mvt", "-config", "V4", "-scale", "tiny").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+		!strings.Contains(string(out), "flag provided but not defined: -j") {
+		t.Errorf("rocksim -j 2: err %v, output %q; want exit 2 naming the undefined flag", err, out)
+	}
+}
+
 // checkTraceDigest runs mvt/V4 tiny with -trace (plus extra flags) and holds
 // the file to a size and SHA-256.
 func checkTraceDigest(t *testing.T, wantBytes int, wantSHA256 string, extra ...string) {

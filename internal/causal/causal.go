@@ -96,10 +96,9 @@ func (c Class) String() string {
 	return "unknown"
 }
 
-// TileRec is one tile's streaming class accounting. All methods are called
-// from engine stages that never overlap for the same tile (the tile's own
-// core shard, and the serial mesh stage for Arrive), so it needs no lock.
-// It is preallocated and allocation-free in steady state.
+// TileRec is one tile's streaming class accounting, driven by the tile's
+// core as it ticks and by the mesh stage's deliveries (Arrive). It is
+// preallocated and allocation-free in steady state.
 type TileRec struct {
 	// Counts is the cumulative class-cycle histogram.
 	Counts [NumClasses]int64

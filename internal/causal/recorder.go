@@ -1,9 +1,5 @@
 package causal
 
-import (
-	"sync"
-)
-
 // MaxIntervals bounds the interval ring. Runs with more barrier intervals
 // collapse the oldest ones into a cumulative spill bucket so totals stay
 // exact; the profile is then flagged truncated (top-chain detail is lost
@@ -34,15 +30,14 @@ type Interval struct {
 }
 
 // Recorder collects per-tile class accounting and closes barrier intervals.
-// TileRec access is engine-stage-disciplined (see TileRec); the small
-// arrival/halt trackers are the only state touched from the parallel core
-// phase and sit behind a mutex that exists only when causal recording is on.
+// Cores drive their TileRec and the arrival/halt trackers as they tick; the
+// machine closes intervals from its stage hooks, all on the goroutine
+// running the machine.
 type Recorder struct {
 	tiles  []TileRec
 	prev   [][NumClasses]int64
 	feeder []int32
 
-	mu       sync.Mutex
 	arrCycle int64
 	arrTile  int
 	runnerUp int64
@@ -90,12 +85,10 @@ func (r *Recorder) SetFeeder(tile, feeder int) {
 // Tile returns tile t's per-tile recorder for the core to drive directly.
 func (r *Recorder) Tile(t int) *TileRec { return &r.tiles[t] }
 
-// Arrival records a barrier arrival. Called from the parallel core phase
-// (the machine cycle is stable there); last arrival wins, ties break to
-// the lower tile so the critical tile is deterministic for any worker
-// count.
+// Arrival records a barrier arrival. Last arrival wins; ties break to the
+// lower tile, so the critical tile does not depend on which core ticked
+// first.
 func (r *Recorder) Arrival(now int64, tile int) {
-	r.mu.Lock()
 	switch {
 	case now > r.arrCycle:
 		r.runnerUp = r.arrCycle
@@ -109,19 +102,16 @@ func (r *Recorder) Arrival(now int64, tile int) {
 	case now > r.runnerUp:
 		r.runnerUp = now
 	}
-	r.mu.Unlock()
 }
 
 // Halt records a core halting; the last halter closes the final interval.
 // Same determinism rule as Arrival.
 func (r *Recorder) Halt(now int64, tile int) {
-	r.mu.Lock()
 	if !r.haltSet || now > r.haltCyc || (now == r.haltCyc && tile < r.haltTile) {
 		r.haltSet = true
 		r.haltCyc = now
 		r.haltTile = tile
 	}
-	r.mu.Unlock()
 }
 
 // CloseInterval closes the window ending at the barrier released at cycle
@@ -138,11 +128,8 @@ func (r *Recorder) Finish(now int64) {
 	if r.finished {
 		return
 	}
-	r.mu.Lock()
 	tile, cyc := r.haltTile, r.haltCyc
-	set := r.haltSet
-	r.mu.Unlock()
-	if !set {
+	if !r.haltSet {
 		tile, cyc, _ = r.takeArrival()
 	}
 	r.close(now, tile, cyc, 0)
@@ -151,7 +138,6 @@ func (r *Recorder) Finish(now int64) {
 }
 
 func (r *Recorder) takeArrival() (tile int, arrive, gap int64) {
-	r.mu.Lock()
 	tile, arrive = r.arrTile, r.arrCycle
 	if arrive >= 0 && r.runnerUp >= 0 {
 		gap = arrive - r.runnerUp
@@ -160,7 +146,6 @@ func (r *Recorder) takeArrival() (tile int, arrive, gap int64) {
 		tile, arrive = 0, 0
 	}
 	r.arrCycle, r.runnerUp, r.arrTile = -1, -1, 0
-	r.mu.Unlock()
 	return tile, arrive, gap
 }
 

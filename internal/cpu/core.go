@@ -135,7 +135,7 @@ type Core struct {
 	vpc      int
 
 	// issueSlot, when set, receives the number of instructions issued each
-	// Tick (the machine's watchdog meter). The slot is owned by this core.
+	// Tick (the machine's watchdog meter, one counter every core adds to).
 	issueSlot *int64
 
 	// Causal recording (nil when off): crec receives one resource class
@@ -319,13 +319,13 @@ func (c *Core) InetHighWater() int {
 }
 
 // ArmPanic makes the core's next Tick panic — a simulated software defect
-// (fault.PanicTile). It fires inside the engine's parallel core phase, the
-// same place a real bug would, so the chaos harness exercises the full
-// crash-containment path: worker recover, stack capture, RunError
+// (fault.PanicTile). It fires inside the engine's core stage, the same
+// place a real bug would, so the chaos harness exercises the full
+// crash-containment path: the run loop's recover, stack capture, RunError
 // attribution.
 func (c *Core) ArmPanic() { c.blowUp = true }
 
-// Tick advances the core one cycle.
+// Tick advances the core one cycle (sim.Component).
 func (c *Core) Tick(now int64) {
 	if c.blowUp {
 		c.blowUp = false
@@ -691,15 +691,6 @@ func (c *Core) DebugState() string {
 		c.ID, c.mode, c.state, c.pc, c.vpc, c.mtActive, c.predOn, lq, inq,
 		c.spad.HeadSeq(), c.spad.NumFrames() > 0 && c.spad.FrameReady())
 }
-
-// Propose advances the core one cycle (sim.Component). Cores in different
-// shards share no same-cycle state: vector groups are co-sharded with
-// their inet wiring, and everything cross-shard a core touches (mesh
-// injection, barrier arrival counts) is router-disjoint or atomic.
-func (c *Core) Propose(now int64) { c.Tick(now) }
-
-// Commit is a no-op: a core's cycle has no deferred writes.
-func (c *Core) Commit(now int64) {}
 
 // Park implements sim.Sleeper: after ticking at now, the core may drop out
 // of the tick loop when every following cycle is a pure stall of one kind,

@@ -41,8 +41,8 @@ const (
 	FlipSpadWord
 	// PanicTile makes tile T's core panic on its next tick at or after
 	// cycle C — a simulated software defect, not a hardware fault. The
-	// panic fires inside the engine's parallel core phase, so it exercises
-	// the crash-containment path end to end (worker recover, stack
+	// panic fires inside the engine's core stage, so it exercises the
+	// crash-containment path end to end (the run loop's recover, stack
 	// preservation, RunError attribution); the chaos-soak harness is its
 	// main consumer.
 	PanicTile

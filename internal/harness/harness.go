@@ -89,7 +89,7 @@ type Options struct {
 // Runner executes and caches simulations.
 type Runner struct {
 	opts  Options
-	mu    sync.Mutex // guards cache (and journaled set) during parallel sweeps
+	mu    sync.Mutex // guards cache (and journaled set) across concurrent sweep jobs
 	cache map[string]*kernels.Result
 	// journaled marks keys already present in the journal (seeded from a
 	// previous run), so resumed cells are not appended a second time.

@@ -134,21 +134,6 @@ func TestReplayProbeCost(t *testing.T) {
 	}
 }
 
-// TestReplayProbeSameForEveryWorkerCount: the dry run stops and resumes the
-// engine at every candidate cycle, which must not let the worker pool's
-// width into the answer.
-func TestReplayProbeSameForEveryWorkerCount(t *testing.T) {
-	b, p, sw, hw := mvtV4Tiny(t)
-	want, wantErr := ProbeReplayWinOpts(b, p, sw, hw, ExecOpts{MaxCycles: replayMaxCycles})
-	if wantErr != nil {
-		t.Fatal(wantErr)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		got, err := ProbeReplayWinOpts(b, p, sw, hw, ExecOpts{MaxCycles: replayMaxCycles, Workers: workers})
-		sameProbe(t, fmt.Sprintf("workers %d vs 0", workers), got, err, want, nil)
-	}
-}
-
 // TestProbeStopsOnHostLimits pins which failed trials end the search: a
 // cancelled or timed-out context and an exhausted wall budget do, however
 // deeply the ladder wrapped them — scoring those as "the flip did not bite"

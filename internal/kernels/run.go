@@ -47,8 +47,11 @@ func (r *Result) Cycles() int64 {
 type ExecOpts struct {
 	// MaxCycles bounds the simulation; DefaultMaxCycles when 0.
 	MaxCycles int64
-	// Workers sizes the machine's two-phase engine tick pool. Results are
-	// bit-identical for every value; 0 or 1 runs the serial engine.
+	// Workers is ignored: the engine ticks serially, and sweep cells
+	// (harness.Options.Jobs) are the one parallelism. It stays declared
+	// only because the benchmark driver in perf/ still sets it. No program
+	// code under internal/ or cmd/ reads or sets it; the machine's golden
+	// tests set it to pin that it stays inert.
 	Workers int
 
 	// NoReplay disables the frame-integrity layer (per-frame parity +
@@ -202,7 +205,7 @@ func (a *trial) build(b Benchmark, p Params, sw, buildSW config.Software, hw con
 	}
 	mp := machine.Params{Cfg: hw, Prog: prog, Groups: groups,
 		MemBytes: max(a.img.SizeBytes(), machine.DefaultMemBytes),
-		Workers:  opts.Workers, Trace: opts.Trace, Prof: opts.Prof, Obs: opts.Obs,
+		Trace:    opts.Trace, Prof: opts.Prof, Obs: opts.Obs,
 		Causal: opts.Causal, Ctx: opts.Ctx, WallDeadline: opts.wallDeadline()}
 	if a.plan != nil {
 		mp.Faults, mp.NoReplay, mp.Checkpoint = a.plan, opts.NoReplay, a.ckpt

@@ -84,7 +84,7 @@ func TestChaosSoak(t *testing.T) {
 
 		// Interference: none, a cancel at a random point, a pre-canceled
 		// context, or a wall budget too short for most runs.
-		opts := kernels.ExecOpts{Ctx: context.Background(), Workers: 1 + rng.Intn(4)}
+		opts := kernels.ExecOpts{Ctx: context.Background()}
 		var cleanup func()
 		switch rng.Intn(4) {
 		case 1:
@@ -187,7 +187,7 @@ func TestChaosTopologySoak(t *testing.T) {
 				{Kind: fault.DramDegrade, Cycle: start, Factor: 1.5 + rng.Float64()}}})
 		}
 
-		opts := kernels.ExecOpts{Ctx: context.Background(), Workers: 1 + rng.Intn(4)}
+		opts := kernels.ExecOpts{Ctx: context.Background()}
 		var cleanup func()
 		switch rng.Intn(3) {
 		case 1:
@@ -255,7 +255,7 @@ func TestChaosPanicRecovered(t *testing.T) {
 	plan := &fault.Plan{Events: []fault.Event{
 		{Kind: fault.PanicTile, Cycle: 2_000, Tile: 5}}}
 	fr, err := kernels.ExecuteWithFaultsOpts(bench, bench.Defaults(scale), sw,
-		config.ManycoreDefault(), plan, kernels.ExecOpts{Workers: 2})
+		config.ManycoreDefault(), plan, kernels.ExecOpts{})
 	if err != nil {
 		t.Fatalf("panic not recovered: %v", err)
 	}

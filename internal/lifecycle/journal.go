@@ -41,7 +41,7 @@ type JournalEntry struct {
 // one JSONL line per cell, fsynced per append, so any prefix of the file —
 // including one ending in a torn line from a hard kill — replays cleanly.
 type Journal struct {
-	mu   sync.Mutex
+	mu   sync.Mutex // concurrent sweep jobs append
 	f    *os.File
 	path string
 	err  error

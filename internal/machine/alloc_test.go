@@ -211,8 +211,8 @@ func TestSteadyStateAllocsWithRecorder(t *testing.T) {
 	}
 }
 
-// TestGroupArriveAllocs: a formation arrival runs in the parallel core phase
-// on every vconfig, and costs no allocation.
+// TestGroupArriveAllocs: a formation arrival runs in the core stage on every
+// vconfig, and costs no allocation.
 func TestGroupArriveAllocs(t *testing.T) {
 	m := buildForAllocTest(t, "mvt", "V4", nil, nil)
 	defer m.Global.Recycle()

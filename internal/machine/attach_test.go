@@ -18,7 +18,7 @@ import (
 // TestAttachmentsDoNotPerturb crosses the machine's two attachments: mvt/V4
 // Tiny, fault-free and under the TestGoldenFaultSchedule kill plan, run bare
 // and with every observer attached (sink, plane, causal profiler, engine
-// profile), on one and two engine workers. Along the observer axis the
+// profile), at two of the inertWorkers values. Along the observer axis the
 // ladder's cycles, the surviving attempt's Stats and the merged fault report
 // must be identical — the observers read the fabric and the fault stack,
 // and change neither.

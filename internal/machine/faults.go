@@ -2,7 +2,6 @@ package machine
 
 import (
 	"math"
-	"sync/atomic"
 
 	"rockcress/internal/fault"
 	"rockcress/internal/noc"
@@ -28,10 +27,10 @@ type faultStack struct {
 
 	replays []*replayState // per tile; the slice is nil under Params.NoReplay
 
-	// Checkpointing: armed from the parallel core phase by csrw ckpt,
-	// consumed at the serial barrier release.
+	// Checkpointing: armed by csrw ckpt in the core stage, consumed at the
+	// barrier release.
 	ckptOn    bool
-	ckptArmed atomic.Bool
+	ckptArmed bool
 	ckpt      *Checkpoint
 }
 
@@ -73,8 +72,8 @@ func (m *Machine) attachFaults(p Params) {
 	m.faults = fs
 }
 
-// preMem is the stack's share of the serial mem prologue, so every decision
-// in it is identical for every engine worker count.
+// preMem is the stack's share of the mem prologue: faults land, flits
+// re-inject and replays advance before any bank ticks.
 func (fs *faultStack) preMem(now int64) {
 	if now >= fs.inj.NextDiscrete() {
 		// Faults mutate cores and queues out of band (kill, armed panic,
@@ -182,10 +181,9 @@ func (fs *faultStack) applyFaults(now int64) {
 		case fault.KillTile:
 			fs.killTile(now, e.Tile)
 		case fault.PanicTile:
-			// The panic itself fires in the parallel core phase (the next
-			// Tick), not here: arming in the serial fault step keeps the
-			// injection deterministic while the crash lands where a real
-			// defect would.
+			// The panic itself fires in the core stage (the next Tick), not
+			// here: arming in the fault step keeps the injection
+			// deterministic while the crash lands where a real defect would.
 			fs.cores[e.Tile].ArmPanic()
 		case fault.StickInetQueue:
 			if fs.cores[e.Tile].StickInet(now + e.Duration) {
@@ -225,9 +223,9 @@ func (fs *faultStack) killTile(now int64, t int) {
 	}
 	if !c.Halted() {
 		if c.InBarrier() {
-			fs.barrier.arrived.Add(-1)
+			fs.barrier.arrived--
 		}
-		fs.active.Add(-1)
+		fs.active--
 	}
 	c.Kill()
 	fs.announce(trace.EvFaultKill, now, int64(t))
@@ -266,13 +264,13 @@ func (fs *faultStack) breakGroup(now int64, gid int) {
 			continue
 		}
 		if c.InBarrier() {
-			fs.barrier.arrived.Add(-1)
+			fs.barrier.arrived--
 		}
 		if rpc > 0 {
 			c.ForceDisband(now, rpc)
 		} else {
 			c.ForceHalt()
-			fs.active.Add(-1)
+			fs.active--
 		}
 	}
 	fs.formation[gid] = genBarrier{}

@@ -2,24 +2,32 @@ package machine_test
 
 // Determinism regression: every kernel at tiny scale must produce cycle
 // counts bit-identical to the pre-engine serial simulator (the golden
-// file), for the serial engine and for every tested worker count. The
-// golden values in testdata/golden_tiny.txt were recorded from the seed
-// tree before the two-phase engine landed; any drift here means the
+// file). The golden values in testdata/golden_tiny.txt were recorded from
+// the seed tree before the staged engine landed; any drift here means the
 // engine changed the architecture, not just the wall clock.
 
 import (
 	"bufio"
 	"fmt"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"rockcress/internal/config"
 	"rockcress/internal/fault"
 	"rockcress/internal/kernels"
+	"rockcress/internal/stats"
 )
+
+// inertWorkers are values of kernels.ExecOpts.Workers, a field the engine
+// ignores: it stays declared only because the benchmark driver in perf/
+// sets it. The golden suites run each entry once per value (the subtests
+// named w0..w8), so every value must reproduce the same golden counts,
+// jumps and statistics — the field stays inert, and stores recycled
+// between the concurrent runs leak nothing into the next one.
+var inertWorkers = []int{0, 1, 2, 8}
 
 type goldenEntry struct {
 	bench  string
@@ -63,60 +71,55 @@ func readGolden(t *testing.T) (entries []goldenEntry, faultCycles int64) {
 	return entries, faultCycles
 }
 
-// TestGoldenCycleCounts runs all 15 kernels x NV/V4/V16 at tiny scale on
-// every goldenWorkers engine and checks each against the golden count. The
-// run loop's jumps read the engine's parking state, so the widths of one
-// entry must also agree on how many they took and how far they went.
-// Subtests run in parallel, so `go test -race` also sweeps concurrent
-// machine instances across goroutines.
+// TestGoldenCycleCounts runs all 15 kernels x NV/V4/V16 at tiny scale once
+// per inertWorkers value and checks each against the golden count. The runs
+// of one entry must also leave identical statistics, fast-forwards
+// included. Entries run in parallel, so `go test -race` also sweeps
+// concurrent machine instances across goroutines.
 func TestGoldenCycleCounts(t *testing.T) {
 	entries, _ := readGolden(t)
-	type skips struct{ workers, jumps, cycles int64 }
-	var mu sync.Mutex
-	firstSkips := map[goldenEntry]skips{}
 	for _, e := range entries {
-		for _, workers := range goldenWorkers {
-			e, workers := e, workers
-			t.Run(fmt.Sprintf("%s/%s/w%d", e.bench, e.config, workers), func(t *testing.T) {
-				t.Parallel()
-				bench, err := kernels.Get(e.bench)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sw, err := config.Preset(e.config)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := kernels.ExecuteOpts(bench, bench.Defaults(kernels.Tiny), sw,
-					config.ManycoreDefault(), kernels.ExecOpts{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := res.Cycles(); got != e.cycles {
-					t.Errorf("cycles = %d, want golden %d", got, e.cycles)
-				}
-				got := skips{int64(workers), res.Stats.FastForwards, res.Stats.SkippedCycles}
-				mu.Lock()
-				first, seen := firstSkips[e]
-				if !seen {
-					firstSkips[e] = got
-				}
-				mu.Unlock()
-				if seen && (got.jumps != first.jumps || got.cycles != first.cycles) {
-					t.Errorf("%d fast-forwards over %d cycles, but %d over %d at workers=%d",
-						got.jumps, got.cycles, first.jumps, first.cycles, first.workers)
-				}
-			})
-		}
+		t.Run(e.bench+"/"+e.config, func(t *testing.T) {
+			t.Parallel()
+			bench, err := kernels.Get(e.bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sw, err := config.Preset(e.config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var first *stats.Machine
+			for _, workers := range inertWorkers {
+				t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+					res, err := kernels.ExecuteOpts(bench, bench.Defaults(kernels.Tiny), sw,
+						config.ManycoreDefault(), kernels.ExecOpts{Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := res.Cycles(); got != e.cycles {
+						t.Errorf("cycles = %d, want golden %d", got, e.cycles)
+					}
+					st := *res.Stats
+					st.WallNs = 0 // host time
+					if first == nil {
+						first = &st
+					} else if !reflect.DeepEqual(&st, first) {
+						t.Errorf("statistics differ from the w%d run (%d fast-forwards over %d cycles, then %d over %d)",
+							inertWorkers[0], first.FastForwards, first.SkippedCycles, st.FastForwards, st.SkippedCycles)
+					}
+				})
+			}
+		})
 	}
 }
 
 // TestGoldenFaultSchedule checks the fault-injection path through the
 // engine: a two-kill schedule on mvt/V4 must burn the golden total cycle
-// count (across all degraded attempts) at every worker count.
+// count (across all degraded attempts), once per inertWorkers value.
 func TestGoldenFaultSchedule(t *testing.T) {
 	_, faultCycles := readGolden(t)
-	for _, workers := range goldenWorkers {
+	for _, workers := range inertWorkers {
 		workers := workers
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			t.Parallel()

@@ -1,11 +1,9 @@
 package machine_test
 
 // Lifecycle coverage at the machine layer: injected panics are contained
-// into FaultError with the original goroutine stack (for both the serial
-// engine and the worker pool, whose panic crosses goroutines via
-// sim.PanicError), cancellation aborts a run at the next watchdog
-// checkpoint, and the wall-clock watchdog kills an over-budget run with a
-// diagnostic state dump.
+// into FaultError with the original goroutine stack, cancellation aborts a
+// run at the next watchdog checkpoint, and the wall-clock watchdog kills an
+// over-budget run with a diagnostic state dump.
 
 import (
 	"context"
@@ -47,38 +45,29 @@ func runLifecycle(t *testing.T, mutate func(*machine.Params)) (*machine.Machine,
 // TestInjectedPanicContained arms a PanicTile fault and checks the engine
 // converts the resulting core panic — fired inside the tick path, where a
 // real defect would land — into a FaultError that keeps the panic message
-// and the original goroutine stack. Runs against both engine shapes: the
-// worker pool re-raises across goroutines via sim.PanicError, the serial
-// path recovers in place.
+// and the stack of the core that died: the run loop recovers on the
+// goroutine that panicked.
 func TestInjectedPanicContained(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 0}, {"workers", 4}} {
-		t.Run(tc.name, func(t *testing.T) {
-			plan := &fault.Plan{Events: []fault.Event{
-				{Kind: fault.PanicTile, Cycle: 50, Tile: 3},
-			}}
-			_, err := runLifecycle(t, func(p *machine.Params) {
-				p.Faults = plan
-				p.Workers = tc.workers
-			})
-			if err == nil {
-				t.Fatal("injected panic completed without error")
-			}
-			var fe *machine.FaultError
-			if !errors.As(err, &fe) {
-				t.Fatalf("want *machine.FaultError, got %T: %v", err, err)
-			}
-			if !strings.Contains(fe.Err.Error(), "internal panic") ||
-				!strings.Contains(fe.Err.Error(), "injected panic on tile 3") {
-				t.Errorf("panic message lost: %v", fe.Err)
-			}
-			if !strings.Contains(fe.Stack, "Tick") {
-				t.Errorf("original panic stack lost (no Tick frame):\n%s", fe.Stack)
-			}
-		})
-	}
+	t.Run("serial", func(t *testing.T) {
+		plan := &fault.Plan{Events: []fault.Event{
+			{Kind: fault.PanicTile, Cycle: 50, Tile: 3},
+		}}
+		_, err := runLifecycle(t, func(p *machine.Params) { p.Faults = plan })
+		if err == nil {
+			t.Fatal("injected panic completed without error")
+		}
+		var fe *machine.FaultError
+		if !errors.As(err, &fe) {
+			t.Fatalf("want *machine.FaultError, got %T: %v", err, err)
+		}
+		if !strings.Contains(fe.Err.Error(), "internal panic") ||
+			!strings.Contains(fe.Err.Error(), "injected panic on tile 3") {
+			t.Errorf("panic message lost: %v", fe.Err)
+		}
+		if !strings.Contains(fe.Stack, "(*Core).Tick") {
+			t.Errorf("original panic stack lost (no Core.Tick frame):\n%s", fe.Stack)
+		}
+	})
 }
 
 // TestRunCanceled cancels the context before the run: the machine must abort

@@ -4,17 +4,16 @@
 // barrier, NoC injection) and owns the cycle loop.
 //
 // This file is the fabric alone. Everything optional is one of two
-// attachments called from the serial sites below — the fault stack
-// (faults.go, topology.go, replay.go) and the observers (observers.go,
-// metrics.go); see DESIGN.md "The machine: a fabric and two attachments".
+// attachments called from the stage hooks and run-loop sites below — the
+// fault stack (faults.go, topology.go, replay.go) and the observers
+// (observers.go, metrics.go); see DESIGN.md "The machine: a fabric and two
+// attachments".
 package machine
 
 import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rockcress/internal/config"
@@ -56,37 +55,29 @@ type Machine struct {
 
 	tileGroup []int // tile -> group id, -1 if none
 
-	// engine drives the cycle as staged two-phase ticks; meter is the
-	// watchdog's incrementally-maintained issued-instruction counter.
+	// engine drives the cycle as staged ticks; issued is the watchdog's
+	// issued-instruction total, which every core adds to as it ticks.
 	engine *sim.Engine
-	meter  *sim.Meter
+	issued int64
 	// Shard wakers for the engine's event parking: injections wake the mesh
 	// shard, deliveries and fills wake the owning bank's shard.
 	meshWaker  *sim.Waker
 	bankWakers []*sim.Waker
 	coreWakers []*sim.Waker // tile -> waker, fired on any mesh delivery to it
 
-	now int64
-	// active and barrier.arrived are atomics: cores in different engine
-	// shards halt and arrive concurrently during the parallel core phase.
-	// barrier.gen is only written in serial phases (release, fault stage).
-	active  atomic.Int64
-	barrier struct {
-		gen     int64
-		arrived atomic.Int64
-	}
+	now        int64
+	active     int // cores not yet halted; they take part in the barrier
+	barrier    genBarrier
 	barPending bool         // all cores arrived; release waits for memory drain
 	formation  []genBarrier // per group
 
-	errMu sync.Mutex
-	err   error
+	err error // first fatal simulation error (Error)
 
 	// LLC slice indirection, part of the address map: a bank's slice lives
 	// on bankMap[b] — b itself until a fault decommissions it (topology.go),
-	// so bankMap[b] != b marks b dead. bankFailovers counts redirected flits,
-	// atomically: the dead-destination policy runs in concurrent core shards.
+	// so bankMap[b] != b marks b dead. bankFailovers counts redirected flits.
 	bankMap       []int
-	bankFailovers atomic.Int64
+	bankFailovers int64
 
 	// Read only at watchdog checkpoints (watchdog.go).
 	wd           watchdog
@@ -96,7 +87,7 @@ type Machine struct {
 	wallDeadline time.Time
 
 	// The two attachments. A new optional subsystem is a method of one of
-	// them, called from a serial site below — never a new field here.
+	// them, called from one of those sites — never a new field here.
 	faults *faultStack // nil on a fault-free machine
 	observers
 }
@@ -151,13 +142,12 @@ func New(p Params) (_ *Machine, err error) {
 		space:        msg.NodeSpace{Cores: cfg.Cores, Banks: cfg.LLCBanks},
 		formation:    make([]genBarrier, len(p.Groups)),
 		tileGroup:    make([]int, cfg.Cores),
-		meter:        sim.NewMeter(cfg.Cores),
+		active:       cfg.Cores,
 		bankMap:      make([]int, cfg.LLCBanks),
 		wd:           watchdog{lastIssued: -1},
 		ctx:          p.Ctx,
 		wallDeadline: p.WallDeadline,
 	}
-	m.active.Store(int64(cfg.Cores))
 	for b := range m.bankMap {
 		m.bankMap[b] = b
 	}
@@ -215,11 +205,11 @@ func New(p Params) (_ *Machine, err error) {
 	if err != nil {
 		return nil, err
 	}
-	for t, c := range m.cores {
-		c.SetIssueSlot(m.meter.Slot(t))
+	for _, c := range m.cores {
+		c.SetIssueSlot(&m.issued)
 	}
 	stages := m.buildStages()
-	m.engine = sim.NewEngine(stages, p.Workers)
+	m.engine = sim.NewEngine(stages)
 	// Event-parking wake wiring: a parked (empty) mesh shard must wake when
 	// anything injects; a parked (idle) bank must wake on a delivered
 	// request or a DRAM fill. Core shards wake through broadcast events
@@ -255,36 +245,39 @@ const (
 	stageCores
 )
 
-// buildStages lays the machine out on the two-phase engine. One cycle is:
+// buildStages lays the machine out on the engine. One cycle is:
 //
-//  1. "mem": serial prologue fires due fault events and drains DRAM
-//     completions into bank installs; then the LLC banks tick. Banks on
-//     distinct mesh routers form independent shards — their propose phase
-//     touches only bank-owned state and router-disjoint response
-//     injection, and the order-sensitive DRAM reads are committed in bank
-//     order afterwards.
-//  2. "mesh": both mesh planes in one shard, request plane first, exactly
-//     the serial order — the fault injector's link judge draws from one
-//     shared RNG stream, so plane ticking must never reorder.
-//  3. "cores": serial prologue releases the global barrier once memory
-//     drains; then the cores tick. A vector group and its inet wiring form
-//     one shard (lanes read what the scalar/expander sent this cycle);
-//     ungrouped tiles are singleton shards. The epilogue re-arms the
-//     barrier release check, which in the serial engine a mid-phase
-//     arrival would have run inline — deferred it is identical, because
-//     barPending is only read at the next cycle's release check.
+//  1. "mem": the prologue fires due fault events and drains DRAM
+//     completions into bank installs; then the LLC banks tick, in bank
+//     order, which is the order their fills reach the shared DRAM channel.
+//  2. "mesh": both mesh planes, request plane first — the fault injector's
+//     link judge draws from one shared RNG stream, so plane ticking must
+//     never reorder.
+//  3. "cores": the prologue releases the global barrier once memory
+//     drains; then the cores tick. The epilogue arms the barrier release
+//     once every active core has arrived; barPending is only read at the
+//     next cycle's release check.
 //
-// Shards are declared in ascending tile/bank order, so the serial commit
-// sweep — and the serial engine itself — visits components exactly like
-// the pre-engine loop did. Every shard is a piece of one component list,
-// and every stage's shard list a piece of one shard list.
+// Components tick in ascending bank and tile order. A shard is the unit
+// the engine parks, so the layout puts together what sleeps and wakes
+// together:
+//   - each bank is its own shard (its deliveries and fills wake it alone),
+//     except on 1-row meshes, where bank pairs share a router and its one
+//     LLC injection queue, and all banks form one shard;
+//   - both mesh planes are one shard (one waker serves every injection);
+//   - a vector group with its inet wiring is one shard: a lane's inet stall
+//     resolves when its scalar core or expander sends, and an inet send
+//     wakes no one, so the group parks only as a whole;
+//   - an ungrouped tile is a singleton shard.
+//
+// Every shard is a piece of one component list, and every stage's shard
+// list a piece of one shard list.
 func (m *Machine) buildStages() []sim.Stage {
 	nb, nc := len(m.llcs), len(m.cores)
 	comps := make(sim.Shard, nb+2+nc)
 	shards := make([]sim.Shard, 0, nb+1+nc)
 	// LLC shards keyed by attach router. On meshes where two banks share a
-	// router (1-row meshes), all banks collapse into one serial shard so
-	// the commit order stays the global bank order.
+	// router (1-row meshes), all banks collapse into one shard.
 	seen := make([]bool, m.Cfg.Cores)
 	shared := false
 	for b, bank := range m.llcs {
@@ -337,7 +330,7 @@ func (m *Machine) buildStages() []sim.Stage {
 	}
 }
 
-// preMem gives the fault stack its serial slot, then drains DRAM
+// preMem gives the fault stack its slot, then drains DRAM
 // completions into bank installs.
 func (m *Machine) preMem(now int64) {
 	if m.faults != nil {
@@ -358,7 +351,7 @@ func (m *Machine) preCores(now int64) {
 	if m.barPending && m.memQuiescent() {
 		m.barPending = false
 		m.barrier.gen++
-		m.barrier.arrived.Store(0)
+		m.barrier.arrived = 0
 		// Cores waiting at the barrier are parked with no self-scheduled
 		// wake; the release is the broadcast event that makes them runnable.
 		m.engine.WakeAll()
@@ -385,11 +378,10 @@ func (m *Machine) Now() int64 { return m.now }
 // (they sink unconditionally at scratchpads).
 func (m *Machine) TrySend(f msg.Message) bool {
 	if m.causal != nil && f.Kind != msg.KindRemoteStore {
-		// Journey stamp: request issue cycle. m.now is stable during the
-		// parallel core phase, and f is a value — no aliasing with the
-		// sender's copy. Responses never pass through here (LLC banks
-		// inject into meshResp directly), so this cannot clobber their
-		// stamps.
+		// Journey stamp: request issue cycle. f is a value — no aliasing
+		// with the sender's copy. Responses never pass through here (LLC
+		// banks inject into meshResp directly), so this cannot clobber
+		// their stamps.
 		f.CIssue = m.now
 	}
 	var ok bool
@@ -399,8 +391,6 @@ func (m *Machine) TrySend(f msg.Message) bool {
 		ok = m.meshReq.TrySend(f)
 	}
 	if ok && m.rec != nil && f.Kind == msg.KindVloadReq {
-		// m.now is stable during the parallel core phase (only the serial
-		// step advances it); the recorder's mutex covers concurrent emits.
 		m.rec.Instant(trace.EvVloadIssue, m.now, int64(f.Src), int64(f.Addr), int64(f.Words))
 	}
 	return ok
@@ -441,14 +431,12 @@ func (m *Machine) GroupFormed(tile int, ticket int64) bool {
 	return m.formation[gid].gen > ticket
 }
 
-// BarrierArrive registers a tile at the global barrier. Callable from the
-// parallel core phase: the arrival count is atomic, and the all-arrived
-// check is deferred to the phase epilogue (checkBarrier), which the serial
-// engine's inline check cannot be distinguished from — barPending is only
+// BarrierArrive registers a tile at the global barrier. The all-arrived
+// check runs in the core stage's epilogue (checkBarrier); barPending is only
 // read at the next cycle's release.
 func (m *Machine) BarrierArrive(tile int) int64 {
 	ticket := m.barrier.gen
-	m.barrier.arrived.Add(1)
+	m.barrier.arrived++
 	if m.causal != nil {
 		m.causal.Arrival(m.now, tile)
 	}
@@ -463,8 +451,7 @@ func (m *Machine) BarrierDone(ticket int64) bool { return m.barrier.gen > ticket
 // without cache coherence the global barrier doubles as a store fence, so
 // writes from before the barrier are visible to every core after it.
 func (m *Machine) checkBarrier() {
-	a := m.active.Load()
-	if a > 0 && m.barrier.arrived.Load() == a {
+	if m.active > 0 && m.barrier.arrived == m.active {
 		m.barPending = true
 	}
 }
@@ -478,7 +465,7 @@ func (m *Machine) memQuiescent() bool {
 // participate in the global barrier. The all-arrived check this can
 // trigger runs in the core phase epilogue.
 func (m *Machine) NotifyHalt(tile int) {
-	m.active.Add(-1)
+	m.active--
 	if m.causal != nil {
 		m.causal.Halt(m.now, tile)
 	}
@@ -487,20 +474,11 @@ func (m *Machine) NotifyHalt(tile int) {
 // NumGroups returns the configured group count.
 func (m *Machine) NumGroups() int { return len(m.Groups) }
 
-// Error records the first fatal simulation error. Callable from any shard.
+// Error records the first fatal simulation error.
 func (m *Machine) Error(err error) {
-	m.errMu.Lock()
 	if m.err == nil {
 		m.err = err
 	}
-	m.errMu.Unlock()
-}
-
-// firstErr returns the latched error, if any.
-func (m *Machine) firstErr() error {
-	m.errMu.Lock()
-	defer m.errMu.Unlock()
-	return m.err
 }
 
 // LaneTile implements mem.GroupLanes for the LLC response fan-out.
@@ -522,7 +500,7 @@ func (m *Machine) deliver(node int, f *msg.Message) bool {
 			// In-flight flit addressed before the bank decommissioned: the
 			// failover owner absorbs it (its lines now own the slice).
 			bank = owner
-			m.bankFailovers.Add(1)
+			m.bankFailovers++
 		}
 		if !m.llcs[bank].CanAccept() {
 			return false
@@ -585,7 +563,7 @@ func (m *Machine) Step() {
 
 // fastForward is parking's whole-machine case: once the engine says every
 // shard is parked, the cycles before the first wake would run the stages'
-// serial hooks and nothing else, so the run loop jumps over them. The jump
+// hooks and nothing else, so the run loop jumps over them. The jump
 // stops at whatever those hooks act on — a DRAM completion, a scheduled
 // fault — and at the next watchdog checkpoint and limit, so the watchdog
 // and budget aborts fire at the cycle a Step loop reaches them at; and it is
@@ -618,7 +596,7 @@ func (m *Machine) fastForward(limit int64) bool {
 // skip never crosses a checkpoint or stop, so checkpoints and the stop land
 // on the cycles the stepping engine would reach them at.
 func (m *Machine) advance(stop int64) (atStop bool, err error) {
-	for m.active.Load() > 0 {
+	for m.active > 0 {
 		m.stepOrSkip(stop)
 		m.observeStep()
 		if m.now%m.checkEvery == 0 {
@@ -634,23 +612,16 @@ func (m *Machine) advance(stop int64) (atStop bool, err error) {
 }
 
 // recoverRun, deferred around the run loop, turns a panic anywhere in it (a
-// simulator bug) into a *FaultError rather than taking down the caller.
+// simulator bug) into a *FaultError rather than taking down the caller. The
+// recover runs on the goroutine that panicked, so the stack still names the
+// component that died.
 func (m *Machine) recoverRun(err *error) {
 	r := recover()
 	if r == nil {
 		return
 	}
-	fe := &FaultError{Cycle: m.now, Tile: -1, State: m.debugState()}
-	if pe, ok := r.(*sim.PanicError); ok {
-		// Engine-worker panic: keep the worker's stack, which points at the
-		// component that died rather than the re-raise site.
-		fe.Err = fmt.Errorf("machine: internal panic: %v", pe.Val)
-		fe.Stack = string(pe.Stack)
-	} else {
-		fe.Err = fmt.Errorf("machine: internal panic: %v", r)
-		fe.Stack = string(debug.Stack())
-	}
-	*err = fe
+	*err = &FaultError{Cycle: m.now, Tile: -1, State: m.debugState(),
+		Err: fmt.Errorf("machine: internal panic: %v", r), Stack: string(debug.Stack())}
 }
 
 // RunUntil advances the machine to cycle stop and leaves it there, resumable:
@@ -664,8 +635,6 @@ func (m *Machine) RunUntil(stop int64) (err error) {
 		return nil
 	}
 	defer m.recoverRun(&err)
-	m.engine.Start()
-	defer m.engine.Stop()
 	_, err = m.advance(stop)
 	return err
 }
@@ -686,15 +655,13 @@ func (m *Machine) Run(maxCycles int64) (st *stats.Machine, err error) {
 	// after it (LIFO) and a panicked run is truncation-marked too.
 	defer func() { m.observeEnd(err != nil) }()
 	defer m.recoverRun(&err)
-	m.engine.Start()
-	defer m.engine.Stop()
 	overBudget, err := m.advance(maxCycles)
 	if err != nil {
 		return m.Stats, err
 	}
 	if overBudget {
 		return m.Stats, m.faultErr(-1, fmt.Errorf("machine: no completion after %d cycles (%d cores active): likely deadlock or undersized budget",
-			maxCycles, m.active.Load()))
+			maxCycles, m.active))
 	}
 	if err := m.checkComponents(); err != nil {
 		return m.Stats, err
@@ -737,7 +704,7 @@ func (m *Machine) llcsBusy() bool {
 // the counters components own (mesh planes, DRAM, topology-fault tallies)
 // into it. It is the only reader of those component fields; the sampler,
 // the plane publisher, FaultReport and report.json all read m.Stats (through
-// trace.Fold) after it. Idempotent, serial-phase only, allocation-free.
+// trace.Fold) after it. Idempotent, between ticks only, allocation-free.
 func (m *Machine) collect() {
 	m.engine.Sync(m.now)
 	st := m.Stats
@@ -759,7 +726,7 @@ func (m *Machine) collect() {
 	st.NocRouteRebuilds = m.meshReq.RouteRebuilds + m.meshResp.RouteRebuilds
 	st.NocDetourHops = m.meshReq.DetourHops + m.meshResp.DetourHops
 	st.NocDroppedDead = m.meshReq.DroppedDead + m.meshResp.DroppedDead
-	st.LLCBankFailovers = m.bankFailovers.Load()
+	st.LLCBankFailovers = m.bankFailovers
 	st.DramDegradedOps = m.dram.DegradedOps
 	if m.faults != nil {
 		m.faults.tally(st)

@@ -10,11 +10,12 @@ import (
 
 // Live-metrics glue. A machine built with Params.Obs binds to the plane at
 // construction (attachObservers): every series is registered once here (the
-// only allocation), and publish — called from the serial run loop at
+// only allocation), and publish — called from the run loop at
 // watchdog-checkpoint granularity and on every exit path — stores absolute
-// counter values into the pre-registered atomic cells. HTTP scrapes read only those cells, so a
-// mid-run scrape is race-free and can never perturb simulated state: cycle
-// counts are bit-identical with the plane on or off, for any worker count.
+// counter values into the pre-registered atomic cells. HTTP scrapes, on the
+// listener's goroutines, read only those cells, so a mid-run scrape is
+// race-free and can never perturb simulated state: cycle counts are
+// bit-identical with the plane on or off.
 //
 // Counters are published as absolute totals (monotone because the underlying
 // simulator counters are); Prometheus rate() works on them exactly as if
@@ -157,7 +158,7 @@ func newObsPub(p *metrics.Plane, m *Machine) *obsPub {
 // publish stores the counter spine into the cells: fresh totals (collect),
 // the per-tile and per-bank series straight from m.Stats, the aggregate
 // series from the same fold the sampler and report.json read, and the
-// per-link vectors the meshes own. Runs on the serial run loop and allocates
+// per-link vectors the meshes own. Runs on the run loop and allocates
 // nothing.
 func (o *obsPub) publish(m *Machine) {
 	m.collect()

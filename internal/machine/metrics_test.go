@@ -4,7 +4,7 @@ package machine_test
 // after a run must equal the end-of-run stats.Machine aggregates exactly,
 // because both read the same live counters; (2) the plane is architecturally
 // invisible — cycle counts with a listener attached and scraped mid-run are
-// bit-identical, at every engine worker width; (3) a fault run through the
+// bit-identical; (3) a fault run through the
 // recovery ladder conserves too; (4) a watchdog-tripped attempt dumps a
 // flight bundle the ladder then recovers from.
 
@@ -149,8 +149,8 @@ func checkScrapeConservation(t *testing.T, text string, st *stats.Machine) {
 	}
 }
 
-// TestMetricsConservation runs one kernel at several engine worker widths
-// with the full plane attached — registry bound, HTTP listener live, scrapes
+// TestMetricsConservation runs one kernel once per inertWorkers value with
+// the full plane attached — registry bound, HTTP listener live, scrapes
 // hammering /metrics mid-run — and asserts the cycle count matches the
 // plane-free run and the final scrape equals the stats aggregates exactly.
 func TestMetricsConservation(t *testing.T) {
@@ -167,7 +167,7 @@ func TestMetricsConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 2, 8} {
+	for _, workers := range inertWorkers {
 		workers := workers
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			plane := metrics.NewPlane("")
@@ -252,7 +252,7 @@ func TestMetricsFaultConservation(t *testing.T) {
 	}
 	defer srv.Close()
 	res, err := kernels.ExecuteWithFaultsOpts(bench, bench.Defaults(kernels.Tiny), sw, hw, plan,
-		kernels.ExecOpts{Workers: 1, Obs: plane})
+		kernels.ExecOpts{Obs: plane})
 	if err != nil {
 		t.Fatal(err)
 	}

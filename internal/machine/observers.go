@@ -12,13 +12,12 @@ import (
 )
 
 // observers is the observability attachment; all but roleOf is nil on an
-// unobserved machine. Embedded in Machine by value, so the parallel-phase
-// gates the fabric keeps inline (TrySend, deliver, BarrierArrive,
-// NotifyHalt) read m.rec and m.causal with one load; every other gate is
-// here, behind observeBarrier, observeSkip, observeStep, observeEnd and
-// announce. All of it only reads simulated state, on the serial run loop or
-// under the recorder's mutex, so cycle counts are bit-identical with
-// observers on or off, for any engine worker count.
+// unobserved machine. Embedded in Machine by value, so the per-tick gates
+// the fabric keeps inline (TrySend, deliver, BarrierArrive, NotifyHalt) read
+// m.rec and m.causal with one load; every other gate is here, behind
+// observeBarrier, observeSkip, observeStep, observeEnd and announce. All of
+// it only reads simulated state, so cycle counts are bit-identical with
+// observers on or off.
 type observers struct {
 	rec     *trace.Recorder
 	sampler *trace.Sampler

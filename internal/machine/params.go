@@ -48,13 +48,9 @@ type Params struct {
 	CheckEvery int64
 	StallLimit int64
 
-	// Workers sizes the two-phase engine's tick pool. 0 or 1 runs the
-	// serial engine; any value produces bit-identical results.
-	Workers int
-
 	// Trace attaches an observability sink (windowed telemetry sampler and
 	// structured event recorder). nil costs nothing; with a sink attached,
-	// cycle counts are still bit-identical for any engine worker count.
+	// cycle counts are still bit-identical.
 	Trace *trace.Sink
 
 	// Prof attaches an engine self-profile (per-stage wall time plus the

@@ -20,8 +20,8 @@ import (
 // group (devectorize), or latch a structured error on an ungrouped tile so
 // the harness restarts the run.
 //
-// All replay state lives in the serial "mem" stage prologue, so cycle counts
-// stay bit-identical across engine worker counts.
+// All replay state lives in the "mem" stage prologue, which runs before any
+// bank ticks.
 const (
 	// replayMaxTries bounds re-issues of one frame before escalating.
 	replayMaxTries = 4
@@ -51,11 +51,10 @@ type Checkpoint struct {
 }
 
 // ArmCheckpoint implements cpu.Env: the csrw ckpt instruction asks for a
-// snapshot at the next barrier release. Callable from the parallel core
-// phase; consumed in the serial core prologue.
+// snapshot at the next barrier release, which the core prologue consumes.
 func (m *Machine) ArmCheckpoint() {
 	if m.faults != nil {
-		m.faults.ckptArmed.Store(true)
+		m.faults.ckptArmed = true
 	}
 }
 
@@ -97,7 +96,9 @@ func (fs *faultStack) snapshotSafe() bool {
 // from the backing store. Skipped (but disarmed) when a scratchpad may hold
 // unrepaired corruption.
 func (fs *faultStack) barrierReleased(now int64) {
-	if !fs.ckptArmed.Swap(false) || !fs.ckptOn || !fs.snapshotSafe() {
+	armed := fs.ckptArmed
+	fs.ckptArmed = false
+	if !armed || !fs.ckptOn || !fs.snapshotSafe() {
 		return
 	}
 	im := fs.Global.Snapshot()
@@ -109,8 +110,8 @@ func (fs *faultStack) barrierReleased(now int64) {
 	fs.Stats.Checkpoints++
 }
 
-// tickReplays is the replay manager's once-per-cycle scan (serial "mem"
-// prologue): start replays for newly poisoned frames and drive in-flight
+// tickReplays is the replay manager's once-per-cycle scan ("mem" prologue):
+// start replays for newly poisoned frames and drive in-flight
 // ones.
 func (fs *faultStack) tickReplays(now int64) {
 	for t, s := range fs.spads {

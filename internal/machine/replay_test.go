@@ -9,77 +9,9 @@ import (
 	"rockcress/internal/config"
 	"rockcress/internal/fault"
 	"rockcress/internal/isa"
-	"rockcress/internal/kernels"
 	"rockcress/internal/machine"
 	"rockcress/internal/prog"
 )
-
-// TestReplayDeterministicAcrossWorkers pins the recovery ladder to the
-// engine-determinism contract: a fixed flip schedule that forces an in-run
-// frame replay must produce bit-identical cycle counts, attempt ladders and
-// fault reports on the serial engine and on every tested parallel pool
-// width. The replay manager runs in the serial pre-memory step, so any
-// divergence here means replay state leaked into the parallel tick.
-func TestReplayDeterministicAcrossWorkers(t *testing.T) {
-	b, err := kernels.Get("mvt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := config.Preset("V4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hw := config.ManycoreDefault()
-	groups, err := kernels.GroupsFor(sw, sw.Apply(hw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := groups[0].Lanes[len(groups[0].Lanes)-1]
-	p := b.Defaults(kernels.Tiny)
-	// The flip cycle/offset is known (from the kernels acceptance test) to
-	// poison an in-flight frame and trigger exactly one replay on mvt/V4.
-	plan := func() *fault.Plan {
-		return &fault.Plan{Events: []fault.Event{
-			{Kind: fault.FlipSpadWord, Cycle: 2758, Tile: victim, Offset: 0, Bit: 30},
-		}}
-	}
-	type outcome struct {
-		total    int64
-		attempts int
-		replays  int64
-		ladder   []kernels.AttemptInfo
-		report   *fault.Report
-	}
-	var ref *outcome
-	for _, workers := range goldenWorkers {
-		res, err := kernels.ExecuteWithFaultsOpts(b, p, sw, hw, plan(),
-			kernels.ExecOpts{MaxCycles: 30_000_000, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.FrameReplays < 1 {
-			t.Fatalf("workers=%d: flip did not trigger a replay (replays %d)", workers, res.FrameReplays)
-		}
-		got := &outcome{
-			total: res.TotalCycles, attempts: res.Attempts, replays: res.FrameReplays,
-			ladder: res.Ladder, report: res.Report,
-		}
-		if ref == nil {
-			ref = got
-			continue
-		}
-		if got.total != ref.total || got.attempts != ref.attempts || got.replays != ref.replays {
-			t.Errorf("workers=%d: cycles/attempts/replays %d/%d/%d, serial engine %d/%d/%d",
-				workers, got.total, got.attempts, got.replays, ref.total, ref.attempts, ref.replays)
-		}
-		if !reflect.DeepEqual(got.ladder, ref.ladder) {
-			t.Errorf("workers=%d: ladder %+v differs from serial %+v", workers, got.ladder, ref.ladder)
-		}
-		if !reflect.DeepEqual(got.report, ref.report) {
-			t.Errorf("workers=%d: fault report differs from serial:\n%+v\n%+v", workers, got.report, ref.report)
-		}
-	}
-}
 
 // TestSpadErrCycleContext checks the structured scratchpad error carries the
 // cycle the corruption *occurred*, not the (later) cycle the watchdog swept

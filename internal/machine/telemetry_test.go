@@ -2,7 +2,7 @@ package machine_test
 
 // Telemetry contract tests: (1) attaching a full observability sink (event
 // trace + cycle-windowed sampler + engine profile) must not move a single
-// golden cycle count, at any engine worker width; (2) conservation — the
+// golden cycle count; (2) conservation — the
 // per-window counter deltas must sum exactly to the end-of-run stats.Machine
 // aggregates, because both are read from the same live counters; (3) both
 // properties survive a fault run that exercises the recovery ladder.
@@ -219,11 +219,11 @@ func checkEventJSON(t *testing.T, raw []byte) map[string]int {
 // TestTelemetryGoldenAndConservation runs every golden entry (15 kernels x
 // NV/V4/V16 at tiny scale) with a full sink attached — bounded event ring,
 // windowed sampler, engine profile — and asserts the golden cycle count is
-// untouched and the windows conserve, at every goldenWorkers engine width.
+// untouched and the windows conserve, once per inertWorkers value.
 func TestTelemetryGoldenAndConservation(t *testing.T) {
 	entries, _ := readGolden(t)
 	for _, e := range entries {
-		for _, workers := range goldenWorkers {
+		for _, workers := range inertWorkers {
 			e, workers := e, workers
 			t.Run(fmt.Sprintf("%s/%s/w%d", e.bench, e.config, workers), func(t *testing.T) {
 				t.Parallel()
@@ -292,7 +292,7 @@ func TestTelemetryFaultConservation(t *testing.T) {
 	var events, samples bytes.Buffer
 	sink := trace.NewSink(trace.Config{SampleEvery: 256, SampleTo: &samples, EventsTo: &events})
 	res, err := kernels.ExecuteWithFaultsOpts(bench, bench.Defaults(kernels.Tiny), sw, hw, plan,
-		kernels.ExecOpts{Workers: 1, Trace: sink})
+		kernels.ExecOpts{Trace: sink})
 	if err != nil {
 		t.Fatal(err)
 	}

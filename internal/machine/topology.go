@@ -4,9 +4,8 @@
 // side of a topology transition — harvesting in-flight flits before the
 // mutation, re-injecting them on the new tables, failing LLC address slices
 // over to surviving banks, and keeping every piece of bookkeeping (barrier,
-// wakers, stats, fault report) consistent. All of it runs in the serial
-// fault step with the engine synced, so cycle counts stay bit-identical for
-// every worker count.
+// wakers, stats, fault report) consistent. All of it runs in the fault step
+// of the mem prologue with the engine synced.
 package machine
 
 import (
@@ -43,13 +42,12 @@ func respPlane(k msg.Kind) bool {
 // degraded topology: stale LLC destinations fail over to the bank that now
 // owns the slice, responses owed to a dead core are dropped (nothing is
 // waiting for them), and anything else is a genuine partition. Called from
-// TrySend, possibly from concurrent core shards — it only reads state that
-// mutates in the serial fault step and counts through an atomic.
+// TrySend.
 func (m *Machine) deadDstPolicy(f *msg.Message) noc.DeadDstAction {
 	if bank, ok := m.space.IsLLC(f.Dst); ok {
 		if nb := m.bankMap[bank]; nb != bank {
 			f.Dst = m.space.LLCNode(nb)
-			m.bankFailovers.Add(1)
+			m.bankFailovers++
 			return noc.DeadDstRetarget
 		}
 		return noc.DeadDstFail
@@ -82,7 +80,7 @@ func (fs *faultStack) harvestPlanes(req, resp bool) {
 
 // drainReinject re-injects harvested and bank-drained flits, in order,
 // keeping whatever the network refuses (full injection queue, busy bank)
-// for the next cycle. Runs in the serial mem prologue.
+// for the next cycle. Runs in the mem prologue.
 func (fs *faultStack) drainReinject() {
 	q := fs.reinjectQ[:0]
 	for _, rf := range fs.reinjectQ {
@@ -103,7 +101,7 @@ func (fs *faultStack) tryReinject(rf reinjectFlit) bool {
 	f := rf.f
 	if bank, ok := fs.space.IsLLC(f.Dst); ok && fs.bankMap[bank] != bank {
 		f.Dst = fs.space.LLCNode(fs.bankMap[bank])
-		fs.bankFailovers.Add(1)
+		fs.bankFailovers++
 	}
 	if f.Dst >= 0 && f.Dst < len(fs.cores) && fs.cores[f.Dst].Dead() {
 		return true // owed to a dead core: drop

@@ -2,9 +2,9 @@ package machine_test
 
 // Permanent topology faults through the full stack: cut links, dead
 // routers, decommissioned LLC banks, and degraded DRAM must leave the
-// machine bit-deterministic at every engine width, produce correct kernel
-// output on the degraded fabric, and fail structurally (never hang) when a
-// cut set partitions the mesh.
+// machine deterministic, produce correct kernel output on the degraded
+// fabric, and fail structurally (never hang) when a cut set partitions the
+// mesh.
 
 import (
 	"errors"
@@ -34,11 +34,12 @@ var topologyPlans = []struct {
 	{"combined", "cutlink@500:12>13;killbank@700:b5;dramdegrade@300:x1.5"},
 }
 
-// TestTopologyFaultDeterminism runs mvt/V4 under every new permanent-fault
-// kind on the serial engine and on each tested worker-pool width: total
-// cycles, attempt ladders and fault reports must be bit-identical. The
-// run itself also proves correctness — ExecuteWithFaultsOpts checks the
-// output against the serial reference before returning nil.
+// TestTopologyFaultDeterminism runs mvt/V4 twice under every permanent-fault
+// kind: total cycles, attempt ladders and fault reports must be
+// bit-identical, so nothing the topology transition touches (harvest order,
+// route rebuilds, bank failover) depends on more than the schedule. The run
+// itself also proves correctness — ExecuteWithFaultsOpts checks the output
+// against the serial reference before returning nil.
 func TestTopologyFaultDeterminism(t *testing.T) {
 	for _, tc := range topologyPlans {
 		tc := tc
@@ -60,28 +61,25 @@ func TestTopologyFaultDeterminism(t *testing.T) {
 				}
 				return p
 			}
-			var ref *kernels.FaultResult
-			for _, workers := range goldenWorkers {
+			var runs [2]*kernels.FaultResult
+			for i := range runs {
 				fr, err := kernels.ExecuteWithFaultsOpts(b, b.Defaults(kernels.Tiny), sw, hw,
-					mkPlan(), kernels.ExecOpts{Workers: workers})
+					mkPlan(), kernels.ExecOpts{})
 				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					t.Fatalf("run %d: %v", i, err)
 				}
-				if ref == nil {
-					ref = fr
-					continue
-				}
-				if fr.TotalCycles != ref.TotalCycles || fr.Attempts != ref.Attempts {
-					t.Errorf("workers=%d: cycles/attempts %d/%d, serial engine %d/%d",
-						workers, fr.TotalCycles, fr.Attempts, ref.TotalCycles, ref.Attempts)
-				}
-				if !reflect.DeepEqual(fr.Ladder, ref.Ladder) {
-					t.Errorf("workers=%d: ladder %+v differs from serial %+v", workers, fr.Ladder, ref.Ladder)
-				}
-				if !reflect.DeepEqual(fr.Report, ref.Report) {
-					t.Errorf("workers=%d: fault report differs from serial:\n%+v\n%+v",
-						workers, fr.Report, ref.Report)
-				}
+				runs[i] = fr
+			}
+			ref, fr := runs[0], runs[1]
+			if fr.TotalCycles != ref.TotalCycles || fr.Attempts != ref.Attempts {
+				t.Errorf("cycles/attempts %d/%d, then %d/%d",
+					ref.TotalCycles, ref.Attempts, fr.TotalCycles, fr.Attempts)
+			}
+			if !reflect.DeepEqual(fr.Ladder, ref.Ladder) {
+				t.Errorf("ladder %+v, then %+v", ref.Ladder, fr.Ladder)
+			}
+			if !reflect.DeepEqual(fr.Report, ref.Report) {
+				t.Errorf("fault report differs between runs:\n%+v\n%+v", ref.Report, fr.Report)
 			}
 		})
 	}

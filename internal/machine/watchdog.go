@@ -17,9 +17,8 @@ type FaultError struct {
 	Tile  int
 	Err   error
 	State string
-	// Stack is the goroutine stack of a recovered panic (empty otherwise).
-	// For engine-worker panics it is the worker's stack at the point the
-	// component died, carried across the re-raise by sim.PanicError.
+	// Stack is the goroutine stack of a recovered panic, taken where the
+	// component died (empty otherwise).
 	Stack string
 }
 
@@ -66,9 +65,8 @@ func (m *Machine) checkpoint(wd *watchdog) error {
 	if err := m.checkComponents(); err != nil {
 		return err
 	}
-	issued := m.meter.Total()
-	if issued != wd.lastIssued {
-		wd.stalled, wd.lastIssued = 0, issued
+	if m.issued != wd.lastIssued {
+		wd.stalled, wd.lastIssued = 0, m.issued
 		return nil
 	}
 	wd.stalled++
@@ -102,8 +100,8 @@ func (m *Machine) checkLifecycle() error {
 }
 
 func (m *Machine) checkComponents() error {
-	if err := m.firstErr(); err != nil {
-		return m.faultErr(-1, err)
+	if m.err != nil {
+		return m.faultErr(-1, m.err)
 	}
 	for _, b := range m.llcs {
 		if err := b.Err(); err != nil {

@@ -99,5 +99,4 @@ func (b *LLCBank) Decommission(emit func(msg.Message)) {
 		h.lineAddr = 0
 		h.events = h.events[:0]
 	}
-	b.pendingReads = b.pendingReads[:0]
 }

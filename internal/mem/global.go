@@ -36,6 +36,8 @@ const pageWords = 1024
 // poolPerSize bounds how many recycled stores are kept per distinct size.
 const poolPerSize = 8
 
+// globalPool is shared by every machine in the process; a sweep's jobs
+// build and recycle stores on concurrent goroutines.
 var globalPool struct {
 	sync.Mutex
 	bySize map[int][]*Global

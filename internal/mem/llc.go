@@ -108,12 +108,6 @@ type LLCBank struct {
 	// job's data is never referenced after its pop.
 	dataPool [][]uint32
 
-	// pendingReads buffers DRAM line-fill requests issued during Propose.
-	// The DRAM channel serializes on occupancy, so the issue order is
-	// architecturally visible; Commit flushes these in bank order, which is
-	// exactly the order the serial engine issued them in.
-	pendingReads []uint32
-
 	out    Sender
 	dram   *DRAM
 	global *Global
@@ -396,43 +390,23 @@ func (b *LLCBank) destOf(m msg.Message, k int) (tile int, spadOff uint32, ok boo
 	return tile, off, true
 }
 
-// Tick advances the bank one cycle: drain DRAM fills assigned to this bank
-// (delivered by the machine through Install), process one request, and
-// stream response words. Tick is the serial convenience form of
-// Propose+Commit.
+// Tick advances the bank one cycle (sim.Component): process one request,
+// and stream response words. DRAM fills reach the bank through Install,
+// which the machine calls before the banks tick.
 func (b *LLCBank) Tick(now int64) {
-	b.Propose(now)
-	b.Commit(now)
-}
-
-// Propose advances the bank's own state one cycle (sim.Component). Banks
-// attached to distinct mesh routers may Propose concurrently: everything
-// touched is bank-owned except response injection (router-disjoint by
-// sharding) and the DRAM channel, whose order-sensitive reads are buffered
-// for Commit.
-func (b *LLCBank) Propose(now int64) {
 	b.processRequest(now)
 	b.streamResponses(now)
 }
 
-// Commit flushes DRAM reads buffered by Propose. The engine runs Commit
-// serially in bank order, matching the serial engine's issue order on the
-// shared channel.
-func (b *LLCBank) Commit(now int64) {
-	for _, la := range b.pendingReads {
-		q, lat := b.dram.Read(now, la, b.lineBytes, b.ID)
-		if b.causal {
-			// Stamp the fill's decomposition on its MSHR (allocated earlier
-			// this cycle or before; at most LLCMSHRs entries to scan).
-			for i := range b.mshr {
-				if b.mshr[i].busy && b.mshr[i].lineAddr == la {
-					b.mshr[i].cDramQ, b.mshr[i].cDramLat = int32(q), int32(lat)
-					break
-				}
-			}
-		}
+// fetch issues the DRAM line fill for MSHR mi. The DRAM channel serializes
+// on occupancy, so the issue order is architecturally visible: banks tick
+// in bank order and issue at most one fill each per cycle, so the channel
+// sees fills in bank order.
+func (b *LLCBank) fetch(now int64, mi int) {
+	q, lat := b.dram.Read(now, b.mshr[mi].lineAddr, b.lineBytes, b.ID)
+	if b.causal {
+		b.mshr[mi].cDramQ, b.mshr[mi].cDramLat = int32(q), int32(lat)
 	}
-	b.pendingReads = b.pendingReads[:0]
 }
 
 // SetCausal switches journey stamping for the causal profiler on or off.
@@ -502,7 +476,7 @@ func (b *LLCBank) handleStore(now int64, m msg.Message) bool {
 	b.st.StoreMisses++
 	if isNew {
 		b.st.Misses++
-		b.pendingReads = append(b.pendingReads, lineAddr)
+		b.fetch(now, mi)
 	}
 	b.mshr[mi].events = append(b.mshr[mi].events, mshrEvent{
 		isStore: true,
@@ -542,7 +516,7 @@ func (b *LLCBank) handleLoad(now int64, m msg.Message) bool {
 		b.st.WideReqs++
 	}
 	if isNew {
-		b.pendingReads = append(b.pendingReads, lineAddr)
+		b.fetch(now, mi)
 	}
 	b.mshr[mi].events = append(b.mshr[mi].events, mshrEvent{req: m})
 	return true

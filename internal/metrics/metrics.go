@@ -7,7 +7,7 @@
 //
 // The contract with the simulator mirrors internal/trace: the plane only
 // READS simulated state, never mutates it, so cycle counts are bit-identical
-// with the plane attached or not, for any engine worker count. The hot-path
+// with the plane attached or not. The hot-path
 // contract mirrors PR 7's zero-alloc steady state: every metric cell is
 // registered once at machine construction (allocation happens there), and
 // steady-state updates are plain atomic loads/stores/adds on those

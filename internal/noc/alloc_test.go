@@ -29,12 +29,12 @@ func TestSteadyStateAllocs(t *testing.T) {
 		send(63, 0)
 		send(9, 54)
 		send(54, 9)
-		m.Tick()
+		m.Tick(0)
 	}
 	avg := testing.AllocsPerRun(500, func() {
 		send(0, 63)
 		send(63, 0)
-		m.Tick()
+		m.Tick(0)
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state mesh tick allocates: %.3f allocs/op", avg)

@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"rockcress/internal/msg"
 )
@@ -135,21 +133,16 @@ type Mesh struct {
 	occMask []uint8 // per router: bit per port with a non-empty input queue
 	// busy mirrors occMask one level up: bit tile&63 of busy[tile>>6] is
 	// set iff occMask[tile] != 0, so Tick walks only occupied routers.
-	// TrySend sets bits with a CAS (concurrent senders share a word); Tick
-	// maintains them serially — the stage barrier orders the two.
 	busy    []uint64
 	cap     int
 	deliver Deliver
 
 	// Flit arena: one Message slot per ring entry mesh-wide, so the free
-	// list can never run dry. Slots are allocated by TrySend (concurrent:
-	// senders in different engine shards inject at once, hence the CAS
-	// loop) and freed by Tick's delivery path (serial mesh stage). Arena
-	// indices never influence arbitration, so the nondeterministic
-	// allocation order under concurrent injection cannot perturb cycles.
+	// list can never run dry. Slots are allocated by TrySend and freed when
+	// their flit leaves the mesh (delivery or harvest).
 	flits    []msg.Message
-	next     []int32       // free-list links: slot -> next free slot
-	freeHead atomic.Uint64 // packed {tag:32, head-slot:32}
+	next     []int32 // free-list links: slot -> next free slot, -1 ends
+	freeHead int32   // first free slot, -1 when the arena is full
 
 	routeTab []port  // tile*nodes + dstNode -> output port (XY, static)
 	nbrTab   []int32 // tile*4 + linkPort -> neighbor router (-1 off-mesh)
@@ -165,16 +158,13 @@ type Mesh struct {
 	linkDead   []bool  // tile*4 + out: directional link permanently cut
 	routerDead []bool  // router powered off
 	deadDst    DeadDstHandler
-	failMu     sync.Mutex
 
 	incoming []int8 // per (router,port) reservation scratch
 	moves    []move
-	queued   int64 // flits buffered anywhere (O(1) Busy); atomic: senders
-	// in different engine shards inject concurrently
+	queued   int64 // flits buffered anywhere (O(1) Busy)
 
 	// waker, when set, is called after every successful injection so the
-	// engine can wake a parked (empty) mesh. Must be safe to call from any
-	// engine worker (sim.Waker.Wake is).
+	// engine can wake a parked (empty) mesh.
 	waker func()
 
 	// hopLat is the modeled per-hop link latency in cycles (config
@@ -266,34 +256,24 @@ func New(w, h, banks, queueCap int, deliver Deliver) (*Mesh, error) {
 		m.next[i] = int32(i) + 1
 	}
 	m.next[total-1] = -1
-	m.freeHead.Store(0)
 	return m, nil
 }
 
-// alloc pops a free arena slot. Safe to call concurrently (TrySend from
-// different engine shards); never runs dry because the arena has one slot
+// alloc pops a free arena slot. It never runs dry: the arena has one slot
 // per ring entry and a slot is only held while its flit occupies one.
 func (m *Mesh) alloc() int32 {
-	for {
-		old := m.freeHead.Load()
-		h := int32(uint32(old))
-		if h < 0 {
-			panic("internal/noc: invariant: flit arena exhausted")
-		}
-		nxt := m.next[h]
-		if m.freeHead.CompareAndSwap(old, uint64(uint32(old>>32)+1)<<32|uint64(uint32(nxt))) {
-			return h
-		}
+	h := m.freeHead
+	if h < 0 {
+		panic("internal/noc: invariant: flit arena exhausted")
 	}
+	m.freeHead = m.next[h]
+	return h
 }
 
-// free returns an arena slot. Only Tick's delivery path frees (the serial
-// mesh stage — deliver callbacks never inject), so unlike alloc it cannot
-// race with itself; the tag bump keeps concurrent alloc CAS loops honest.
+// free returns an arena slot to the head of the free list.
 func (m *Mesh) free(i int32) {
-	old := m.freeHead.Load()
-	m.next[i] = int32(uint32(old))
-	m.freeHead.Store(uint64(uint32(old>>32)+1)<<32 | uint64(uint32(i)))
+	m.next[i] = m.freeHead
+	m.freeHead = i
 }
 
 // SetLinkJudge installs a fault-injection judge consulted for every link
@@ -307,21 +287,13 @@ func (m *Mesh) SetLinkJudge(j LinkJudge) {
 
 // Err returns the first latched network error (a link exceeding the
 // retransmit bound, or a partitioned mesh), if any.
-func (m *Mesh) Err() error {
-	m.failMu.Lock()
-	defer m.failMu.Unlock()
-	return m.err
-}
+func (m *Mesh) Err() error { return m.err }
 
-// fail latches the first network error. The mutex covers concurrent
-// TrySend callers on the partition path; the serial tick path shares it
-// for uniformity (uncontended there).
+// fail latches the first network error.
 func (m *Mesh) fail(format string, args ...any) {
-	m.failMu.Lock()
 	if m.err == nil {
 		m.err = fmt.Errorf("noc: %s", fmt.Sprintf(format, args...))
 	}
-	m.failMu.Unlock()
 }
 
 // Space returns the node-id layout.
@@ -341,9 +313,7 @@ func (m *Mesh) attachTile(node int) (tile int, p port) {
 }
 
 // TrySend injects a flit at src's router. Returns false when the local
-// injection queue is full. Senders whose sources attach to different
-// routers may call TrySend concurrently (the queue and occupancy touched
-// are per-router); the shared counters are atomic.
+// injection queue is full.
 func (m *Mesh) TrySend(f msg.Message) bool {
 	tile, p := m.attachTile(f.Src)
 	qi := m.qi(tile, p)
@@ -363,21 +333,16 @@ func (m *Mesh) TrySend(f msg.Message) bool {
 			}
 		}
 		if d := m.detourTab[tile*m.nodes+f.Dst]; d > 0 {
-			atomic.AddInt64(&m.DetourHops, int64(d))
+			m.DetourHops += int64(d)
 		}
 	}
 	idx := m.alloc()
 	m.flits[idx] = f
 	m.pushQ(qi, entry{idx: idx, dst: int32(f.Dst), out: out})
 	m.occMask[tile] |= 1 << uint(p)
-	for bp := &m.busy[tile>>6]; ; {
-		old := atomic.LoadUint64(bp)
-		if old&(1<<uint(tile&63)) != 0 || atomic.CompareAndSwapUint64(bp, old, old|1<<uint(tile&63)) {
-			break
-		}
-	}
-	atomic.AddInt64(&m.Flits, 1)
-	atomic.AddInt64(&m.queued, 1)
+	m.busy[tile>>6] |= 1 << uint(tile&63)
+	m.Flits++
+	m.queued++
 	if m.waker != nil {
 		m.waker()
 	}
@@ -389,9 +354,7 @@ func (m *Mesh) TrySend(f msg.Message) bool {
 func (m *Mesh) SetWaker(fn func()) { m.waker = fn }
 
 // AttachRouter returns the router a node's flits enter and leave the mesh
-// at. The machine uses it to partition senders into independent shards:
-// two sources with different attach routers never contend on an injection
-// queue.
+// at.
 func (m *Mesh) AttachRouter(node int) int {
 	tile, _ := m.attachTile(node)
 	return tile
@@ -419,11 +382,13 @@ func (m *Mesh) route(tile int, dst int) port {
 	}
 }
 
-// Tick advances the network one cycle: every output link moves at most one
-// flit, chosen round-robin among input queues whose head routes to it.
-// Moves are computed against pre-tick state, so a flit advances at most one
-// hop per cycle. Routers with no buffered flits are skipped entirely.
-func (m *Mesh) Tick() {
+// Tick advances the network one cycle (sim.Component): every output link
+// moves at most one flit, chosen round-robin among input queues whose head
+// routes to it. Moves are computed against pre-tick state, so a flit
+// advances at most one hop per cycle. Routers with no buffered flits are
+// skipped entirely. The mesh keeps its own clock (see CatchUp), so now is
+// unused.
+func (m *Mesh) Tick(int64) {
 	if m.hopLat > 1 && m.now%m.hopLat != 0 {
 		m.now++
 		return
@@ -523,7 +488,7 @@ func (m *Mesh) Tick() {
 		qi := m.qi(mv.tile, mv.in)
 		if mv.toTile < 0 {
 			m.free(m.headEntry(qi).idx)
-			delivered++ // left the mesh; settled in one atomic below
+			delivered++ // left the mesh
 		} else {
 			np := oppTab[mv.out]
 			key := mv.toTile*int(numPorts) + int(np)
@@ -552,9 +517,7 @@ func (m *Mesh) Tick() {
 			}
 		}
 	}
-	if delivered > 0 {
-		atomic.AddInt64(&m.queued, -delivered)
-	}
+	m.queued -= delivered
 	m.moves = moves[:0]
 	m.now++
 }
@@ -672,28 +635,16 @@ var oppTab = [4]port{portN: portS, portE: portW, portS: portN, portW: portE}
 
 // Busy reports whether any flit is queued anywhere (quiescence check).
 // O(1): maintained as a counter rather than a router scan.
-func (m *Mesh) Busy() bool {
-	return atomic.LoadInt64(&m.queued) > 0
-}
+func (m *Mesh) Busy() bool { return m.queued > 0 }
 
 // QueuedFlits counts flits currently buffered in the mesh.
-func (m *Mesh) QueuedFlits() int {
-	return int(atomic.LoadInt64(&m.queued))
-}
-
-// Propose advances the mesh one cycle (sim.Component). Both mesh planes
-// share one shard so the fault judge's RNG draws happen in the serial
-// engine's plane order; the whole move is applied here and Commit is empty.
-func (m *Mesh) Propose(now int64) { m.Tick() }
-
-// Commit is a no-op: Propose applies the full cycle.
-func (m *Mesh) Commit(now int64) {}
+func (m *Mesh) QueuedFlits() int { return int(m.queued) }
 
 // Park implements sim.Sleeper: an empty mesh's tick only advances the
 // internal clock, which CatchUp replays. Injections wake it via the hook
 // installed with SetWaker.
 func (m *Mesh) Park(now int64) (bool, int64) {
-	if atomic.LoadInt64(&m.queued) > 0 {
+	if m.queued > 0 {
 		return false, 0
 	}
 	return true, math.MaxInt64

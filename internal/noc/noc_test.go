@@ -24,7 +24,7 @@ func (c *collector) deliver(node int, m *msg.Message) bool {
 
 func drain(m *Mesh, maxTicks int) {
 	for i := 0; i < maxTicks && m.Busy(); i++ {
-		m.Tick()
+		m.Tick(0)
 	}
 }
 
@@ -84,7 +84,7 @@ func TestBackpressure(t *testing.T) {
 		if m.TrySend(msg.Message{Kind: msg.KindRemoteStore, Src: 4, Dst: 5, Vals: [msg.MaxWords]uint32{1}, Words: 1}) {
 			sent++
 		}
-		m.Tick()
+		m.Tick(0)
 	}
 	if sent == 100 {
 		t.Fatal("no backpressure: all 100 flits injected against a blocked sink")
@@ -116,7 +116,7 @@ func TestPairwiseFIFO(t *testing.T) {
 				next[p]++
 			}
 		}
-		m.Tick()
+		m.Tick(0)
 	}
 	drain(m, 5000)
 	for _, p := range pairs {
@@ -156,7 +156,7 @@ func TestAllToAllDelivery(t *testing.T) {
 				injected++
 			}
 		}
-		m.Tick()
+		m.Tick(0)
 	}
 	drain(m, 20000)
 	if m.Busy() {
@@ -243,7 +243,7 @@ func TestLinkDead(t *testing.T) {
 		t.Fatal("inject failed")
 	}
 	for i := 0; i < 2000 && m.Err() == nil; i++ {
-		m.Tick()
+		m.Tick(0)
 	}
 	if m.Err() == nil {
 		t.Fatalf("dead link not detected after %d retransmits", m.Retransmits)

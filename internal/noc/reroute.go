@@ -26,7 +26,6 @@ package noc
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"rockcress/internal/msg"
 )
@@ -49,7 +48,6 @@ const (
 
 // DeadDstHandler decides what happens to a flit injected toward an
 // unreachable destination. It may rewrite the message (DeadDstRetarget).
-// Called from TrySend, so it must be safe under concurrent senders.
 type DeadDstHandler func(f *msg.Message) DeadDstAction
 
 // SetDeadDstHandler installs the unreachable-destination policy. Without a
@@ -64,7 +62,7 @@ func (m *Mesh) resolveDeadDst(f msg.Message, tile int, p port) (out port, _ msg.
 	if m.deadDst != nil {
 		switch m.deadDst(&f) {
 		case DeadDstDrop:
-			atomic.AddInt64(&m.DroppedDead, 1)
+			m.DroppedDead++
 			return portDead, f, true
 		case DeadDstRetarget:
 			if out = m.ftab[(tile*int(numPorts)+int(p))*m.nodes+f.Dst]; out != portDead {
@@ -153,7 +151,7 @@ func (m *Mesh) HarvestAll() []msg.Message {
 	for i := range m.busy {
 		m.busy[i] = 0
 	}
-	atomic.AddInt64(&m.queued, -int64(len(out)))
+	m.queued -= int64(len(out))
 	return out
 }
 

@@ -212,7 +212,7 @@ func TestReroutePreservesInFlight(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		m.Tick()
+		m.Tick(0)
 	}
 	got := m.HarvestAll()
 	if len(got) != sent {
@@ -238,7 +238,7 @@ func TestReroutePreservesInFlight(t *testing.T) {
 		}
 	}
 	for m.Busy() {
-		m.Tick()
+		m.Tick(0)
 	}
 	if err := m.Err(); err != nil {
 		t.Fatal(err)
@@ -271,7 +271,7 @@ func TestReroutePartitionFailsStructured(t *testing.T) {
 		t.Fatal("live-pair send refused on degraded mesh")
 	}
 	for m.QueuedFlits() > 0 {
-		m.Tick()
+		m.Tick(0)
 	}
 }
 
@@ -314,7 +314,7 @@ func TestRerouteDeadDstHandler(t *testing.T) {
 		t.Fatal("retarget policy refused")
 	}
 	for m.QueuedFlits() > 0 {
-		m.Tick()
+		m.Tick(0)
 	}
 	if delivered[m.space.LLCNode(0)] != 1 {
 		t.Fatalf("retargeted flit not delivered to failover bank: %v", delivered)

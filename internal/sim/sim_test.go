@@ -1,169 +1,81 @@
 package sim
 
 import (
-	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
-// counter is a toy component: Propose computes next = v + step into a
-// buffer, Commit applies it, and it stops counting once v reaches limit.
+// counter is a toy component that counts by step until it reaches limit.
 type counter struct {
-	v, next int64
-	step    int64
-	limit   int64
-	commits int64
+	v, step, limit int64
 }
 
-func (c *counter) Propose(now int64) {
+func (c *counter) Tick(now int64) {
 	if c.v < c.limit {
-		c.next = c.v + c.step
-	} else {
-		c.next = c.v
+		c.v += c.step
 	}
 }
 
-func (c *counter) Commit(now int64) {
-	c.v = c.next
-	c.commits++
-}
-
-func runEngine(t *testing.T, workers, shardCount int) []int64 {
-	t.Helper()
-	shards := make([]Shard, shardCount)
-	for i := range shards {
-		shards[i] = Shard{&counter{step: int64(i + 1), limit: int64(100 * (i + 1))}}
-	}
-	e := NewEngine([]Stage{{Name: "count", Shards: shards}}, workers)
-	e.Start()
-	defer e.Stop()
-	for now := int64(0); now < 200; now++ {
-		e.Tick(now)
-	}
-	out := make([]int64, shardCount)
-	for i, sh := range shards {
-		out[i] = sh[0].(*counter).v
-	}
-	return out
-}
-
-// TestDeterministicAcrossWorkers checks the parallel engine produces the
-// exact serial result for several worker counts and shard counts.
-func TestDeterministicAcrossWorkers(t *testing.T) {
-	for _, shardCount := range []int{1, 3, 16, 67} {
-		want := runEngine(t, 1, shardCount)
-		for _, workers := range []int{2, 4, 8} {
-			got := runEngine(t, workers, shardCount)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("shards=%d workers=%d: shard %d got %d want %d",
-						shardCount, workers, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestStageOrdering checks Pre, Propose, Commit, Post run in the declared
-// order with a full barrier between phases: every Propose of a stage sees
-// the Pre mutation, and Post sees every Commit.
+// TestStageOrdering checks Pre, the shard ticks and Post run in declared
+// order: every component sees its stage's Pre, components tick in shard
+// order and within a shard in declared order, and Post sees every tick.
 func TestStageOrdering(t *testing.T) {
-	var preSeen, postTotal int64
+	var preSeen int64
+	var order []int
 	const shardCount = 12
 	shards := make([]Shard, shardCount)
-	probes := make([]*probe, shardCount)
-	for i := range shards {
-		p := &probe{preSeen: &preSeen}
-		probes[i] = p
-		shards[i] = Shard{p}
+	probes := make([]*probe, 2*shardCount)
+	for i := range probes {
+		probes[i] = &probe{id: i, preSeen: &preSeen, order: &order}
 	}
+	for i := range shards {
+		shards[i] = Shard{probes[2*i], probes[2*i+1]}
+	}
+	var postTotal int64
 	e := NewEngine([]Stage{{
 		Name:   "probe",
-		Pre:    func(now int64) { atomic.StoreInt64(&preSeen, now+1) },
+		Pre:    func(now int64) { preSeen = now + 1 },
 		Shards: shards,
 		Post: func(now int64) {
 			postTotal = 0
 			for _, p := range probes {
-				postTotal += p.committed
+				postTotal += p.ticks
 			}
 		},
-	}}, 4)
-	e.Start()
-	defer e.Stop()
+	}})
 	for now := int64(0); now < 50; now++ {
+		order = order[:0]
 		e.Tick(now)
-		if postTotal != int64(shardCount)*(now+1) {
-			t.Fatalf("cycle %d: Post saw %d commits, want %d", now, postTotal, int64(shardCount)*(now+1))
+		if postTotal != int64(len(probes))*(now+1) {
+			t.Fatalf("cycle %d: Post saw %d ticks, want %d", now, postTotal, int64(len(probes))*(now+1))
+		}
+		for i, id := range order {
+			if id != i {
+				t.Fatalf("cycle %d: tick %d went to component %d, want declared order", now, i, id)
+			}
 		}
 	}
 	for i, p := range probes {
 		if p.badPre {
-			t.Fatalf("probe %d observed a Propose before its stage's Pre", i)
+			t.Fatalf("probe %d ticked before its stage's Pre", i)
 		}
 	}
 }
 
 type probe struct {
-	preSeen   *int64
-	badPre    bool
-	committed int64
+	id      int
+	preSeen *int64
+	order   *[]int
+	badPre  bool
+	ticks   int64
 }
 
-func (p *probe) Propose(now int64) {
-	if atomic.LoadInt64(p.preSeen) != now+1 {
+func (p *probe) Tick(now int64) {
+	if *p.preSeen != now+1 {
 		p.badPre = true
 	}
-}
-func (p *probe) Commit(now int64) { p.committed++ }
-
-// TestWorkerPanicPropagates checks a panic inside a worker-executed Propose
-// resurfaces on the goroutine driving Tick, so machine.Run's recover sees it.
-func TestWorkerPanicPropagates(t *testing.T) {
-	shards := make([]Shard, 8)
-	for i := range shards {
-		if i == 5 {
-			shards[i] = Shard{&panicker{}}
-		} else {
-			shards[i] = Shard{&counter{limit: 100}}
-		}
-	}
-	e := NewEngine([]Stage{{Shards: shards}}, 4)
-	e.Start()
-	defer e.Stop()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("worker panic did not propagate to Tick caller")
-		}
-		pe, ok := r.(*PanicError)
-		if !ok {
-			t.Fatalf("panic value %T, want *PanicError", r)
-		}
-		if fmt.Sprint(pe.Val) != "boom" {
-			t.Fatalf("unexpected panic value %v", pe.Val)
-		}
-		if !strings.Contains(string(pe.Stack), "panicker") {
-			t.Fatalf("PanicError stack does not point at the panicking component:\n%s", pe.Stack)
-		}
-	}()
-	e.Tick(0)
-}
-
-type panicker struct{}
-
-func (p *panicker) Propose(now int64) { panic("boom") }
-func (p *panicker) Commit(now int64)  {}
-
-// TestMeter checks slot ownership and totals.
-func TestMeter(t *testing.T) {
-	m := NewMeter(4)
-	for i := 0; i < 4; i++ {
-		*m.Slot(i) += int64(i + 1)
-	}
-	if got := m.Total(); got != 10 {
-		t.Fatalf("Total = %d, want 10", got)
-	}
+	*p.order = append(*p.order, p.id)
+	p.ticks++
 }
 
 // TestProfileCountsTicks checks the attached self-profile meters every stage
@@ -173,7 +85,7 @@ func TestProfileCountsTicks(t *testing.T) {
 	e := NewEngine([]Stage{
 		{Name: "alpha", Shards: shards},
 		{Name: "beta"},
-	}, 1)
+	})
 	var p Prof
 	e.SetProfile(&p)
 	for now := int64(0); now < 10; now++ {
@@ -196,9 +108,18 @@ func TestProfileCountsTicks(t *testing.T) {
 	if p.Stages[0].Ticks != 11 {
 		t.Fatalf("re-attach reset meters: %d", p.Stages[0].Ticks)
 	}
+	p.FastForward.Ticks = 1
 	s := p.String()
-	if !strings.Contains(s, "alpha") || !strings.Contains(s, "beta") {
-		t.Fatalf("profile table missing stages:\n%s", s)
+	for _, want := range []string{"alpha", "beta", "fast-forward"} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("profile table missing %q:\n%s", want, s)
+		}
+	}
+	// Same length, different names: the meters are rebuilt, not mislabelled.
+	other := NewEngine([]Stage{{Name: "gamma"}, {Name: "delta"}})
+	other.SetProfile(&p)
+	if p.Stages[0].Name != "gamma" || p.Stages[0].Ticks != 0 {
+		t.Fatalf("attach to a different layout kept stale meters: %+v", p.Stages)
 	}
 }
 
@@ -209,8 +130,7 @@ type napper struct {
 	ticks, skipped  int64
 }
 
-func (n *napper) Propose(now int64) { n.ticks++ }
-func (n *napper) Commit(now int64)  {}
+func (n *napper) Tick(now int64) { n.ticks++ }
 func (n *napper) Park(now int64) (bool, int64) {
 	return now >= n.busyUntil, n.wake
 }
@@ -227,7 +147,7 @@ func TestNextWake(t *testing.T) {
 	e := NewEngine([]Stage{
 		{Name: "one", Shards: []Shard{{a}, {b}}},
 		{Name: "two", Shards: []Shard{{c}}},
-	}, 1)
+	})
 	if got := e.NextWake(0); got != 0 {
 		t.Fatalf("before the first tick NextWake(0) = %d, want 0", got)
 	}

@@ -40,9 +40,10 @@ const (
 	chunkMask  = chunkLen - 1
 )
 
-// Recorder is a bounded ring buffer of events plus the thread labels.
-// Producers in parallel engine shards emit concurrently (one mutex per emit
-// — tracing runs only); when the ring fills, the oldest events are
+// Recorder is a bounded ring buffer of events plus the thread labels. A
+// machine emits from the goroutine running it; the mutex (one per emit —
+// tracing runs only) lets a caller share a recorder between goroutines, or
+// read it, while a run emits. When the ring fills, the oldest events are
 // overwritten and counted so the tail of a long run is always retained.
 // Labels live outside the ring: they are never overwritten.
 type Recorder struct {

@@ -7,7 +7,7 @@
 // holds a possibly-nil *Recorder or *Sampler and checks it before doing any
 // work, and neither ever mutates simulated state — they only read counters
 // and append to their own buffers. Cycle counts are therefore bit-identical
-// with tracing on or off, for any engine worker count.
+// with tracing on or off.
 package trace
 
 import (

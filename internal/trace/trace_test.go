@@ -70,9 +70,9 @@ func TestRingMemoryFollowsEvents(t *testing.T) {
 	}
 }
 
-// TestRecorderConcurrentEmit: engine shards emit in parallel while the ring
-// grows chunk by chunk and then wraps; no record may be lost or counted
-// twice (run under -race in CI).
+// TestRecorderConcurrentEmit: goroutines sharing a recorder emit in
+// parallel while the ring grows chunk by chunk and then wraps; no record
+// may be lost or counted twice (run under -race in CI).
 func TestRecorderConcurrentEmit(t *testing.T) {
 	const shards, each = 4, 3000
 	r := NewRecorder(chunkLen + 904)
