@@ -16,9 +16,9 @@
 // Absolute cycle counts are the simulator's, not the paper's gem5 testbed;
 // EXPERIMENTS.md records the shape comparison per figure.
 //
-// -telemetry DIR writes one cycle-windowed JSONL file per simulated run
-// (window size -sample N) and -report DIR writes one canonical per-run
-// report (rockdoctor's input) per run, neither changing any cycle count;
+// -telemetry DIR writes one cycle-windowed JSONL file per simulation
+// (window size -sample N) and -report DIR one canonical report
+// (rockdoctor's input) per simulation, neither changing any cycle count;
 // -pprof FILE writes a CPU profile of the whole sweep.
 //
 // -listen ADDR serves the live observability plane over HTTP while the

@@ -205,17 +205,38 @@ func (r *Runner) Fig10(w io.Writer) error {
 		ratio("Figure 10c: total on-chip energy relative to NV", onChip, 0))
 }
 
+// The sensitivity figures' hardware modifiers. Some restate the default
+// machine (64 cores, 16 kB banks, NW4); the cache keys a cell by the machine
+// it builds, so those columns read the default cells.
+
+// coreCount is a side x side mesh with 2*side LLC banks, the same total LLC
+// capacity and DRAM bandwidth (Figures 11 and 12), named by its core count.
+func coreCount(side int) HWMod {
+	return HWMod{Name: fmt.Sprint(side * side), Fn: func(c *config.Manycore) {
+		c.MeshWidth, c.MeshHeight, c.Cores, c.LLCBanks = side, side, side*side, 2*side
+	}}
+}
+
+// dramBW2x doubles the DRAM bandwidth (Figure 13).
+var dramBW2x = HWMod{Name: "2xBW", Fn: func(c *config.Manycore) { c.DRAMBandwidth *= 2 }}
+
+// llcPerBank sizes every LLC bank at kb kilobytes (Figure 17b).
+func llcPerBank(kb int) HWMod {
+	return HWMod{Name: fmt.Sprintf("%dkB", kb), Fn: func(c *config.Manycore) { c.LLCBytes = kb * 1024 * c.LLCBanks }}
+}
+
+// netWidth sets the on-chip network width in words (Figure 17c).
+func netWidth(words int) HWMod {
+	return HWMod{Name: fmt.Sprintf("NW%d", words), Fn: func(c *config.Manycore) { c.NetWidthWords = words }}
+}
+
 // coreCountCols are the Figure 11/12 machine shrinks as NV_PF columns named
-// prefix + core count: a side x side mesh with 2*side LLC banks, the same
-// total LLC capacity and DRAM bandwidth.
+// prefix + core count.
 func coreCountCols(prefix string, sides ...int) []col {
 	var cols []col
 	for _, side := range sides {
-		cores := fmt.Sprint(side * side)
-		cols = append(cols, col{name: prefix + cores, cfgs: []string{"NV_PF"},
-			mod: &HWMod{Name: cores, Fn: func(c *config.Manycore) {
-				c.MeshWidth, c.MeshHeight, c.Cores, c.LLCBanks = side, side, side*side, 2*side
-			}}})
+		mod := coreCount(side)
+		cols = append(cols, col{name: prefix + mod.Name, cfgs: []string{"NV_PF"}, mod: &mod})
 	}
 	return cols
 }
@@ -238,9 +259,8 @@ func (r *Runner) Fig12(w io.Writer) error {
 // twice the DRAM bandwidth, and V4 (expander cores only, per the paper's
 // methodology note).
 func (r *Runner) Fig13(w io.Writer) error {
-	bw2 := &HWMod{Name: "2xBW", Fn: func(c *config.Manycore) { c.DRAMBandwidth *= 2 }}
 	cols := []col{{name: "NV_PF", cfgs: []string{"NV_PF"}},
-		{name: "NV_PF_2xBW", cfgs: []string{"NV_PF"}, mod: bw2},
+		{name: "NV_PF_2xBW", cfgs: []string{"NV_PF"}, mod: &dramBW2x},
 		{name: "V4", cfgs: []string{"V4"}}}
 	return r.cpiFig(w, "Figure 13: CPI stacks, NV_PF vs 2x DRAM bandwidth vs V4 (expander cores)",
 		"config", cols, expanders, true)
@@ -342,20 +362,14 @@ func (r *Runner) sensitivity(w io.Writer, title string, mods []HWMod, base int) 
 // Fig17b regenerates the LLC-capacity sensitivity: per-bank 16 kB (256 kB
 // in total, the default) vs 32 kB slices, relative to NV_PF at 32 kB.
 func (r *Runner) Fig17b(w io.Writer) error {
-	perBank := func(kb int) func(*config.Manycore) {
-		return func(c *config.Manycore) { c.LLCBytes = kb * 1024 * c.LLCBanks }
-	}
 	return r.sensitivity(w, "Figure 17b: speedup vs LLC capacity (relative to NV_PF with 32kB banks)",
-		[]HWMod{{Name: "16kB", Fn: perBank(16)}, {Name: "32kB", Fn: perBank(32)}}, 1)
+		[]HWMod{llcPerBank(16), llcPerBank(32)}, 1)
 }
 
 // Fig17c regenerates the on-chip network width sensitivity (1 vs 4 words).
 func (r *Runner) Fig17c(w io.Writer) error {
-	width := func(words int) func(*config.Manycore) {
-		return func(c *config.Manycore) { c.NetWidthWords = words }
-	}
 	return r.sensitivity(w, "Figure 17c: speedup vs on-chip network width (relative to NV_PF width 1)",
-		[]HWMod{{Name: "NW1", Fn: width(1)}, {Name: "NW4", Fn: width(4)}}, 0)
+		[]HWMod{netWidth(1), netWidth(4)}, 0)
 }
 
 // BFS regenerates the irregular-workload result of §6.6: plain manycore

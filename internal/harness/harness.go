@@ -14,6 +14,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -44,7 +45,8 @@ type Options struct {
 	Jobs int
 
 	// TelemetryDir, when set, dumps per-run windowed telemetry (JSONL) into
-	// the directory, one file per cache key. Each simulation gets its own
+	// the directory, one file per cache key, so one per simulation (see
+	// resolve). Each simulation gets its own
 	// private sink, so fetch's bounded pool stays safe; duplicate runs
 	// of the same key (a cache race) write byte-identical files. Cycle
 	// counts are unchanged — the sampler only reads counters.
@@ -95,7 +97,7 @@ type Runner struct {
 	// previous run), so resumed cells are not appended a second time.
 	journaled map[string]bool
 	// Simulated-throughput meter: total simulated cycles and host run-loop
-	// time across this runner's executed (not seeded) cells. Guarded by mu.
+	// time across this runner's committed (not seeded) cells. Guarded by mu.
 	simCycles int64
 	simWallNs int64
 }
@@ -182,9 +184,12 @@ type cell struct {
 	sw      config.Software
 	hw      config.Manycore
 	key     string
-	modName string
+	modName string // the requesting modifier's name, for the -v progress line only
 }
 
+// resolve keys a request by what it simulates — bench|config|hw|scale, with
+// the effective software and the modified machine — never by the modifier's
+// name, so a modifier that restates the default machine is the default cell.
 func (r *Runner) resolve(q runReq) cell {
 	name := q.bench.Info().Name
 	c := cell{bench: q.bench, sw: effectiveSW(name, q.sw), hw: config.ManycoreDefault()}
@@ -192,8 +197,26 @@ func (r *Runner) resolve(q runReq) cell {
 		c.modName = q.mod.Name
 		q.mod.Fn(&c.hw)
 	}
-	c.key = fmt.Sprintf("%s|%s|%s|%d", name, c.sw.Name, c.modName, r.opts.Scale)
+	c.key = fmt.Sprintf("%s|%s|%s|%d", name, c.sw.Name, machineKey(c.hw), r.opts.Scale)
 	return c
+}
+
+// machineKey spells a machine for the cache key: "" for the Table 1a
+// default, otherwise every field that differs from it as Name=value, in
+// declaration order.
+func machineKey(hw config.Manycore) string {
+	def := config.ManycoreDefault()
+	if hw == def {
+		return ""
+	}
+	v, d := reflect.ValueOf(hw), reflect.ValueOf(def)
+	var diff []string
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); !f.Equal(d.Field(i)) {
+			diff = append(diff, fmt.Sprintf("%s=%v", v.Type().Field(i).Name, f))
+		}
+	}
+	return strings.Join(diff, ",")
 }
 
 func (r *Runner) lookup(key string) (*kernels.Result, bool) {
@@ -203,50 +226,41 @@ func (r *Runner) lookup(key string) (*kernels.Result, bool) {
 	return res, ok
 }
 
-// store commits a result first-wins, returning whichever pointer the cache
-// ends up holding (so repeated Runs keep returning the identical result).
-// A newly committed cell is appended to the journal (when one is attached)
-// before store returns: a crash right after never loses an acknowledged
-// cell. Append errors latch in the journal (Journal.Err) rather than
-// failing the run — a sweep with a broken journal still finishes, it just
-// is not resumable.
-func (r *Runner) store(key string, res *kernels.Result) *kernels.Result {
+// store commits a result first-wins and feeds the throughput meter with
+// every newly committed cell. A newly committed cell is appended to the
+// journal (when one is attached) before store returns: a crash right after
+// never loses an acknowledged cell. Append errors latch in the journal
+// (Journal.Err) rather than failing the run — a sweep with a broken journal
+// still finishes, it just is not resumable.
+func (r *Runner) store(key string, res *kernels.Result) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if prev, ok := r.cache[key]; ok {
-		return prev
+	if _, ok := r.cache[key]; ok {
+		return
 	}
 	r.cache[key] = res
+	if res.Stats != nil {
+		r.simCycles += res.Stats.Cycles
+		r.simWallNs += res.Stats.WallNs
+	}
 	if r.opts.Journal != nil && !r.journaled[key] {
 		r.journaled[key] = true
 		_ = r.opts.Journal.Record(key, res, "") // latched in Journal.Err
 	}
-	return res
 }
 
-func (r *Runner) progress(c cell, res *kernels.Result, secs float64) {
-	if res != nil && res.Stats != nil {
-		r.mu.Lock()
-		r.simCycles += res.Stats.Cycles
-		r.simWallNs += res.Stats.WallNs
-		r.mu.Unlock()
-	}
-	if r.opts.Verbose {
-		fmt.Fprintf(r.opts.Out, "# %-10s %-12s %-14s %10d cycles  (%.1fs)\n",
-			c.bench.Info().Name, c.sw.Name, c.modName, res.Cycles(), secs)
-	}
-}
-
-// Throughput reports the total simulated cycles this runner executed and
-// the host wall time the underlying run loops took (machine build and
-// harness bookkeeping excluded). Zero wall time means nothing ran.
+// Throughput reports the total simulated cycles of the cells this runner
+// executed and committed, and the host wall time their run loops took
+// (machine build and harness bookkeeping excluded; cells seeded from a
+// journal count for nothing). Zero wall time means nothing ran.
 func (r *Runner) Throughput() (simCycles, wallNs int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.simCycles, r.simWallNs
 }
 
-// sanitizeKey maps a cache key to a filesystem-safe telemetry file stem.
+// sanitizeKey maps a cache key to the filesystem-safe stem of its report and
+// telemetry files.
 func sanitizeKey(key string) string {
 	return strings.Map(func(r rune) rune {
 		switch {
@@ -286,7 +300,7 @@ func (r *Runner) execute(c cell) (*kernels.Result, error) {
 		if err := os.MkdirAll(r.opts.ReportDir, 0o755); err != nil {
 			return nil, fmt.Errorf("harness: report dir: %w", err)
 		}
-		rep := r.report(res, c.modName)
+		rep := r.report(res, machineKey(c.hw))
 		if err := rep.WriteFile(filepath.Join(r.opts.ReportDir, sanitizeKey(c.key)+".report.json")); err != nil {
 			return nil, err
 		}
@@ -353,11 +367,12 @@ func (r *Runner) executeCell(bench kernels.Benchmark, sw config.Software, hw con
 	return res, nil
 }
 
-// report builds the canonical per-run report for one cached result.
-func (r *Runner) report(res *kernels.Result, modName string) *analyze.Report {
+// report builds the canonical per-run report for one cached result; mod is
+// the machine's spelling in the cache key ("" for the default machine).
+func (r *Runner) report(res *kernels.Result, mod string) *analyze.Report {
 	rep := analyze.New(analyze.Meta{
 		Bench: res.Bench, Config: res.Config,
-		Scale: r.opts.Scale.String(), Mod: modName,
+		Scale: r.opts.Scale.String(), Mod: mod,
 	}, res.Stats, res.Groups, res.HW)
 	rep.CriticalPath = res.Causal
 	rep.Build = analyze.CurrentBuild()
@@ -388,8 +403,8 @@ func req(bench kernels.Benchmark, cfgName string, mod *HWMod) (runReq, error) {
 }
 
 // Run executes one benchmark under one configuration (with an optional
-// hardware modification), caching by (bench, config, mod, scale): a fetch
-// of one request.
+// hardware modification), caching by what is simulated — bench, effective
+// configuration, modified machine, scale: a fetch of one request.
 func (r *Runner) Run(bench kernels.Benchmark, sw config.Software, mod *HWMod) (*kernels.Result, error) {
 	res, err := r.fetch([]runReq{{bench: bench, sw: sw, mod: mod}})
 	if err != nil {
@@ -482,13 +497,16 @@ func (r *Runner) fetch(reqs []runReq) ([]*kernels.Result, error) {
 			}
 			continue
 		}
-		// Cells that completed are committed (and journaled) even after an
-		// earlier cell failed or the sweep was canceled: finished work is
-		// never forfeited, which is what makes -resume cheap.
-		if firstErr == nil {
-			r.progress(jobs[i], outs[i].res, outs[i].secs)
-		}
+		// Cells that completed are committed (and journaled, and metered)
+		// even after an earlier cell failed or the sweep was canceled:
+		// finished work is never forfeited, which is what makes -resume
+		// cheap. Only the progress line stops at the first failure.
 		r.store(jobs[i].key, outs[i].res)
+		if firstErr == nil && r.opts.Verbose {
+			c := jobs[i]
+			fmt.Fprintf(r.opts.Out, "# %-10s %-12s %-14s %10d cycles  (%.1fs)\n",
+				c.bench.Info().Name, c.sw.Name, c.modName, outs[i].res.Cycles(), outs[i].secs)
+		}
 	}
 	if firstErr != nil {
 		return nil, firstErr

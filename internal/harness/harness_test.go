@@ -58,6 +58,15 @@ func TestRunnerCaches(t *testing.T) {
 	if r3 == r1 {
 		t.Fatal("modified run served from unmodified cache")
 	}
+	// A modifier that restates the default machine is the default cell,
+	// whatever its name; one that builds a cached machine is that cell.
+	nw4, nw1 := netWidth(4), netWidth(1)
+	if r4, err := r.RunNamed(b, "NV", &nw4); err != nil || r4 != r1 {
+		t.Fatalf("NW4 (the default width) did not read the default cell: %v", err)
+	}
+	if r5, err := r.RunNamed(b, "NV", &nw1); err != nil || r5 != r3 {
+		t.Fatalf("NW1 did not read the cell an identical machine cached: %v", err)
+	}
 }
 
 func TestEffectiveSWSubstitution(t *testing.T) {
@@ -112,19 +121,8 @@ func TestBestPicksFaster(t *testing.T) {
 // duplicates run once, cached cells run nothing, a bad preset fails before
 // anything runs, and a failing cell does not forfeit the finished ones.
 func TestFetch(t *testing.T) {
-	mustReq := func(bench, cfg string) runReq {
-		t.Helper()
-		b, err := kernels.Get(bench)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q, err := req(b, cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return q
-	}
-	reqs := []runReq{mustReq("mvt", "V4"), mustReq("gemm", "V4"), mustReq("mvt", "NV"), mustReq("mvt", "V4")}
+	reqs := []runReq{mustReq(t, "mvt", "V4", nil), mustReq(t, "gemm", "V4", nil),
+		mustReq(t, "mvt", "NV", nil), mustReq(t, "mvt", "V4", nil)}
 
 	r := New(Options{Scale: kernels.Tiny, Out: io.Discard, Jobs: 2})
 	res, err := r.fetch(reqs)
