@@ -9,75 +9,53 @@
 package main
 
 import (
-	"context"
-	"flag"
 	"fmt"
 	"os"
 	"time"
 
 	"rockcress/internal/asm"
+	"rockcress/internal/cli"
 	"rockcress/internal/config"
-	"rockcress/internal/lifecycle"
+	"rockcress/internal/kernels"
 	"rockcress/internal/machine"
-	"rockcress/internal/metrics"
 )
 
-func main() {
-	var (
-		inPath  = flag.String("in", "", "assembly source file (required)")
-		disFlag = flag.Bool("dis", false, "print the round-tripped disassembly")
-		runFlag = flag.Bool("run", false, "run the program on a default fabric")
-		budget  = flag.Int64("max-cycles", 50_000_000, "simulation budget for -run")
-		timeout = flag.Duration("timeout", 0, "wall-clock budget for -run (0 = unlimited)")
-		listen  = flag.String("listen", "", "serve live introspection for -run on this address (/metrics, /debug/machine, /debug/pprof/)")
-	)
-	flag.Parse()
-	if *inPath == "" {
-		flag.Usage()
-		os.Exit(2)
+func main() { cli.Main(cli.Rockasm, run) }
+
+func run(s *cli.Session) error {
+	o := &s.Opts
+	if o.In == "" {
+		return cli.UsageError("-in is required")
 	}
-	src, err := os.ReadFile(*inPath)
+	src, err := os.ReadFile(o.In)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	prog, err := asm.Assemble(*inPath, string(src))
+	prog, err := asm.Assemble(o.In, string(src))
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("%s: %d instructions, %d labels\n", *inPath, len(prog.Code), len(prog.Labels))
-	if *disFlag {
+	fmt.Printf("%s: %d instructions, %d labels\n", o.In, len(prog.Code), len(prog.Labels))
+	if o.Dis {
 		fmt.Print(asm.Disassemble(prog))
 	}
-	if *runFlag {
-		// SIGINT/SIGTERM abort the run at its next watchdog checkpoint.
-		ctx, stop := lifecycle.WithSignals(context.Background())
-		defer stop()
-		var deadline time.Time
-		if *timeout > 0 {
-			deadline = time.Now().Add(*timeout)
-		}
-		plane, stopObs, err := metrics.StartCLI("rockasm", *listen, "", "")
-		if err != nil {
-			fatal(err)
-		}
-		defer stopObs()
-		m, err := machine.New(machine.Params{Cfg: config.ManycoreDefault(), Prog: prog,
-			Ctx: ctx, WallDeadline: deadline, Obs: plane})
-		if err != nil {
-			fatal(err)
-		}
-		st, err := m.Run(*budget)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(st.Summary())
+	if !o.Run {
+		return nil
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rockasm:", err)
-	if lifecycle.Interrupted(err) {
-		os.Exit(lifecycle.ExitCodeInterrupted)
+	// SIGINT/SIGTERM abort the run at its next watchdog checkpoint.
+	var deadline time.Time
+	if o.Timeout > 0 {
+		deadline = time.Now().Add(o.Timeout)
 	}
-	os.Exit(1)
+	m, err := machine.New(machine.Params{Cfg: config.ManycoreDefault(), Prog: prog,
+		Ctx: s.Ctx, WallDeadline: deadline, Obs: s.Plane})
+	if err != nil {
+		return err
+	}
+	st, err := m.Run(kernels.DefaultMaxCycles)
+	if err != nil {
+		return err
+	}
+	fmt.Print(st.Summary())
+	return nil
 }

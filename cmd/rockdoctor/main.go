@@ -37,6 +37,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -44,72 +45,81 @@ import (
 
 	"rockcress/internal/analyze"
 	"rockcress/internal/causal"
-	"rockcress/internal/lifecycle"
+	"rockcress/internal/cli"
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+	flag.Usage = usage
+	cli.Main(cli.Rockdoctor, dispatch)
+}
+
+// command is one row of rockdoctor's subcommand table: dispatch, the usage
+// text and every wrong-argument-count error read it.
+type command struct {
+	name, args, help string
+	nargs            int // positional arguments; 0: the command checks its own
+	run              func(ctx context.Context, args []string) error
+}
+
+var commands = []command{
+	{"explain", "report.json", "classify one run and show the evidence", 1, explain},
+	{"diff", "a.json b.json", "attribute the cycle delta between two runs", 2, diff},
+	{"critpath", "report.json", "causal critical path, slack, cross-check", 1, critpath},
+	{"whatif", "-scale k=v,... report.json", "project cycles under resource scalings (params: " +
+		strings.Join(causal.ScaleKeys(), ", ") + ")", 0, whatif},
+	{"trace", "trace.json", "vload-pipeline latencies and frame occupancy", 1, traceCmd},
+	{"timeline", "telemetry.jsonl", "time-resolved bottleneck phases", 1, timeline},
+	{"watch", "http://HOST:PORT [interval]", "live sweep progress from a -listen process", 0, watch},
+	{"flight", "flight-*.json", "render a flight-recorder forensic bundle", 1, flightCmd},
+}
+
+// errUsage is a command's word for "wrong arguments": dispatch answers it
+// with the command's synopsis.
+var errUsage = errors.New("usage")
+
+// dispatch runs one subcommand. rockdoctor only reads artifacts, so
+// commands finish fast; the session's signal context still gives a clean
+// 130 exit if one lands mid-read (a second signal falls back to the OS
+// default and kills the process).
+func dispatch(s *cli.Session) error {
+	if len(s.Args) == 0 {
+		return cli.UsageError("")
 	}
-	// rockdoctor only reads artifacts, so commands finish fast; the signal
-	// context still gives a clean 130 exit if one lands mid-read (a second
-	// signal falls back to the OS default and kills the process).
-	ctx, stop := lifecycle.WithSignals(context.Background())
-	defer stop()
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "explain":
-		err = explain(args)
-	case "diff":
-		err = diff(args)
-	case "critpath":
-		err = critpath(args)
-	case "whatif":
-		err = whatif(args)
-	case "trace":
-		err = traceCmd(args)
-	case "timeline":
-		err = timeline(args)
-	case "watch":
-		err = watch(ctx, args)
-	case "flight":
-		err = flightCmd(args)
-	case "-h", "-help", "--help", "help":
+	name, args := s.Args[0], s.Args[1:]
+	if name == "help" {
 		usage()
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "rockdoctor: unknown command %q\n\n", cmd)
-		usage()
-		os.Exit(2)
+		return nil
 	}
-	if err == nil {
-		err = ctx.Err()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rockdoctor:", err)
-		if lifecycle.Interrupted(err) {
-			os.Exit(lifecycle.ExitCodeInterrupted)
+	for _, c := range commands {
+		if c.name != name {
+			continue
 		}
-		os.Exit(1)
+		err := errUsage
+		if c.nargs == 0 || len(args) == c.nargs {
+			err = c.run(s.Ctx, args)
+		}
+		if errors.Is(err, errUsage) {
+			return fmt.Errorf("usage: rockdoctor %s %s", c.name, c.args)
+		}
+		if err != nil {
+			return err
+		}
+		return s.Ctx.Err()
 	}
+	return cli.UsageError(fmt.Sprintf("unknown command %q", name))
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `rockdoctor — bottleneck attribution for Rockcress runs
-
-  rockdoctor explain report.json        classify one run and show the evidence
-  rockdoctor diff a.json b.json         attribute the cycle delta between two runs
-  rockdoctor critpath report.json       causal critical path, slack, cross-check
-  rockdoctor whatif -scale k=v,... report.json
-                                        project cycles under resource scalings
-                                        (params: `+scaleParamList()+`)
-  rockdoctor trace trace.json           vload-pipeline latencies and frame occupancy
-  rockdoctor timeline telem.jsonl       time-resolved bottleneck phases
-  rockdoctor watch http://HOST:PORT     live sweep progress from a -listen process
-  rockdoctor flight flight-*.json       render a flight-recorder forensic bundle
-
+	w := os.Stderr
+	fmt.Fprint(w, "rockdoctor — bottleneck attribution for Rockcress runs\n\n")
+	for _, c := range commands {
+		line := "rockdoctor " + c.name + " " + c.args
+		if len(line) > 36 {
+			line += "\n" + strings.Repeat(" ", 38)
+		}
+		fmt.Fprintf(w, "  %-36s  %s\n", line, c.help)
+	}
+	fmt.Fprint(w, `
 Produce the inputs with rocksim -report/-trace/-telemetry or
 rockbench -report/-telemetry; critpath and whatif need a report from a
 -causal run; watch and flight read the live observability plane
@@ -117,14 +127,7 @@ rockbench -report/-telemetry; critpath and whatif need a report from a
 `)
 }
 
-func scaleParamList() string {
-	return strings.Join(causal.ScaleKeys(), ", ")
-}
-
-func explain(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: rockdoctor explain report.json")
-	}
+func explain(_ context.Context, args []string) error {
 	r, err := analyze.ReadReport(args[0])
 	if err != nil {
 		return err
@@ -133,10 +136,7 @@ func explain(args []string) error {
 	return nil
 }
 
-func diff(args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("usage: rockdoctor diff a.json b.json")
-	}
+func diff(_ context.Context, args []string) error {
 	a, err := analyze.ReadReport(args[0])
 	if err != nil {
 		return err
@@ -168,10 +168,7 @@ func buildLabel(b *analyze.BuildInfo) string {
 	return rev
 }
 
-func critpath(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: rockdoctor critpath report.json")
-	}
+func critpath(_ context.Context, args []string) error {
 	r, err := analyze.ReadReport(args[0])
 	if err != nil {
 		return err
@@ -179,14 +176,14 @@ func critpath(args []string) error {
 	return analyze.RenderCriticalPath(os.Stdout, r)
 }
 
-func whatif(args []string) error {
+func whatif(_ context.Context, args []string) error {
 	fs := flag.NewFlagSet("whatif", flag.ContinueOnError)
-	spec := fs.String("scale", "", "comma-separated resource scalings, e.g. noc=0.5,dram=0.5 (params: "+scaleParamList()+")")
+	spec := fs.String("scale", "", "comma-separated resource scalings, e.g. noc=0.5,dram=0.5 (params: "+strings.Join(causal.ScaleKeys(), ", ")+")")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *spec == "" || fs.NArg() != 1 {
-		return fmt.Errorf("usage: rockdoctor whatif -scale k=v,... report.json")
+		return errUsage
 	}
 	r, err := analyze.ReadReport(fs.Arg(0))
 	if err != nil {
@@ -195,10 +192,7 @@ func whatif(args []string) error {
 	return analyze.RenderWhatIf(os.Stdout, r, *spec)
 }
 
-func traceCmd(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: rockdoctor trace trace.json")
-	}
+func traceCmd(_ context.Context, args []string) error {
 	tf, err := analyze.ReadTraceFile(args[0])
 	if err != nil {
 		return err
@@ -209,10 +203,7 @@ func traceCmd(args []string) error {
 	return nil
 }
 
-func timeline(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: rockdoctor timeline telemetry.jsonl")
-	}
+func timeline(_ context.Context, args []string) error {
 	ws, truncated, err := analyze.ReadWindowsFile(args[0])
 	if err != nil {
 		return err

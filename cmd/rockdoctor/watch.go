@@ -21,11 +21,11 @@ func watch(ctx context.Context, args []string) error {
 	if len(args) == 2 {
 		d, err := time.ParseDuration(args[1])
 		if err != nil || d <= 0 {
-			return fmt.Errorf("usage: rockdoctor watch http://HOST:PORT [interval]")
+			return errUsage
 		}
 		interval = d
 	} else if len(args) != 1 {
-		return fmt.Errorf("usage: rockdoctor watch http://HOST:PORT [interval]")
+		return errUsage
 	}
 	base := strings.TrimSuffix(args[0], "/")
 	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
@@ -126,10 +126,7 @@ func renderRun(s *metrics.RunSnap) string {
 // flight reads a dumped flight-recorder bundle and renders its forensics:
 // why it was written, which run and ladder attempt it covers, the machine's
 // final heatmap headline, and the tail of the rare-event note ring.
-func flightCmd(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: rockdoctor flight flight-REASON-*.json")
-	}
+func flightCmd(_ context.Context, args []string) error {
 	b, err := metrics.ReadBundle(args[0])
 	if err != nil {
 		return err

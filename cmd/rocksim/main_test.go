@@ -196,6 +196,26 @@ func TestFaultPlanRejected(t *testing.T) {
 	}
 }
 
+// TestFailedRunFlushesProfile: a failed run leaves a complete CPU profile
+// and a truncation-marked trace, not an empty file: the one exit path
+// stops the profiler and flushes the sink whatever the exit status.
+func TestFailedRunFlushesProfile(t *testing.T) {
+	dir := t.TempDir()
+	profPath, tracePath := filepath.Join(dir, "cpu.pb.gz"), filepath.Join(dir, "trace.json")
+	err := exec.Command(rocksimBin, "-bench", "mvt", "-config", "V4", "-scale", "tiny",
+		"-pprof", profPath, "-trace", tracePath, "-faults", "drop@0:0>5:p1").Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("err %v, want exit status 1", err)
+	}
+	if prof, err := os.ReadFile(profPath); err != nil || !bytes.HasPrefix(prof, []byte{0x1f, 0x8b}) {
+		t.Errorf("-pprof file is not a gzipped profile (%d bytes, %v)", len(prof), err)
+	}
+	if tr, err := os.ReadFile(tracePath); err != nil || !bytes.Contains(tr, []byte(`"truncated":true`)) {
+		t.Errorf("-trace file is not truncation-marked (%v):\n%.200s", err, tr)
+	}
+}
+
 // TestNoEngineWorkersFlag: one simulation ticks serially, so rocksim has no
 // -j; the flag parser must reject it (exit 2) rather than run anything.
 func TestNoEngineWorkersFlag(t *testing.T) {

@@ -1,0 +1,281 @@
+package cli
+
+import (
+	"context"
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"os/signal"
+	"runtime/pprof"
+	"strings"
+	"syscall"
+
+	"rockcress/internal/harness"
+	"rockcress/internal/kernels"
+	"rockcress/internal/lifecycle"
+	"rockcress/internal/metrics"
+	"rockcress/internal/sim"
+	"rockcress/internal/trace"
+)
+
+// Session is one command-line process from its parsed flags to its exit
+// status. Everything it starts registers its own stop on the one exit path.
+type Session struct {
+	prog  Prog
+	Opts  Options
+	Args  []string        // what follows the flags
+	Ctx   context.Context // canceled by the first SIGINT/SIGTERM
+	Plane *metrics.Plane  // the live plane; nil without -listen and -flight
+
+	stderr  io.Writer
+	closers []func(exitErr error) error // run last-first on exit
+}
+
+// UsageError is a command line the command cannot act on. The exit path
+// prints it (when not empty) and the usage, and exits 2, as the flag
+// package does for an undefined flag.
+type UsageError string
+
+func (e UsageError) Error() string { return string(e) }
+
+// Main is every command's main: parse prog's rows of the option table,
+// start the session, run the command, and exit through the session. It
+// does not return.
+func Main(prog Prog, run func(*Session) error) {
+	s := &Session{prog: prog, stderr: os.Stderr}
+	declare(flag.CommandLine, prog, &s.Opts)
+	flag.Parse()
+	s.Args = flag.Args()
+	err := s.start()
+	if err == nil {
+		err = run(s)
+	}
+	os.Exit(s.exit(err))
+}
+
+// start installs the signal context and brings up what the flags ask for:
+// the plane only under -listen or -flight (otherwise runs carry no registry,
+// flight recorder or retain sampler), its flight dumps on SIGQUIT and the
+// first SIGINT, the HTTP listener, and the -pprof CPU profile — kept beside
+// /debug/pprof/profile because sub-second runs cannot be profiled over HTTP.
+func (s *Session) start() error {
+	ctx, stop := lifecycle.WithSignals(context.Background())
+	s.Ctx = ctx
+	s.onExit(func(error) error { stop(); return nil })
+	o := &s.Opts
+	if o.Listen != "" || o.Flight != "" {
+		s.Plane = metrics.NewPlane(o.Flight)
+		s.Plane.OnDump(func(path string) {
+			fmt.Fprintf(s.stderr, "%s: flight bundle written: %s\n", s.prog, path)
+		})
+		stop := dumpOnSignals(s.Plane)
+		s.onExit(func(error) error { stop(); return nil })
+	}
+	if o.Listen != "" {
+		srv, err := metrics.Serve(o.Listen, s.Plane)
+		if err != nil {
+			return err
+		}
+		s.onExit(func(error) error { srv.Close(); return nil })
+		fmt.Fprintf(s.stderr, "# observability: http://%s (/metrics /debug/run /debug/machine /debug/flight /debug/build /debug/pprof/)\n", srv.Addr())
+	}
+	if o.Pprof != "" {
+		f, err := s.create(o.Pprof)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
+		s.onExit(func(error) error { pprof.StopCPUProfile(); return nil })
+	}
+	return nil
+}
+
+// dumpOnSignals makes SIGQUIT write a flight bundle and keep the process
+// running — a live forensic snapshot of a sweep that looks wedged — and the
+// first SIGINT write one on the way out, the record of a run the user gave
+// up on. Both only observe: lifecycle.WithSignals still sees the SIGINT and
+// cancels the run. After the first SIGINT the observer lets go, so a second
+// one takes the OS default and kills the process without a racing dump.
+func dumpOnSignals(p *metrics.Plane) (stop func()) {
+	quit, intr := make(chan os.Signal, 1), make(chan os.Signal, 1)
+	signal.Notify(quit, syscall.SIGQUIT)
+	signal.Notify(intr, os.Interrupt)
+	done, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		for {
+			select {
+			case <-quit:
+				_, _ = p.DumpFlight("sigquit", nil, "")
+			case <-intr:
+				signal.Stop(intr)
+				_, _ = p.DumpFlight("sigint", nil, "")
+			case <-done:
+				return
+			}
+		}
+	}()
+	return func() {
+		signal.Stop(quit)
+		signal.Stop(intr)
+		close(done)
+		<-exited // a bundle being written is finished before the process exits
+	}
+}
+
+// onExit registers fn to run on the exit path, before everything
+// registered earlier. fn sees the error the command ends with.
+func (s *Session) onExit(fn func(exitErr error) error) { s.closers = append(s.closers, fn) }
+
+// exit is the one exit path. It reports err, then runs every closer, last
+// registered first: the artifact sink, the journal, the CPU profile, the
+// listener, the signal handlers. A closer that fails fails the command — a
+// silently truncated artifact would poison whatever reads it later. It
+// returns the exit status: 2 for a UsageError, 130 for an interrupted run,
+// 1 for any other failure.
+func (s *Session) exit(err error) int {
+	status := 0
+	report := func(err error) {
+		fmt.Fprintf(s.stderr, "%s: %v\n", s.prog, err)
+		status = 1
+	}
+	var usage UsageError
+	isUsage := errors.As(err, &usage)
+	if err != nil && (!isUsage || usage != "") {
+		report(err)
+	}
+	for i := len(s.closers) - 1; i >= 0; i-- {
+		if cerr := s.closers[i](err); cerr != nil {
+			report(cerr)
+		}
+	}
+	switch {
+	case isUsage:
+		flag.Usage()
+		return 2
+	case lifecycle.Interrupted(err):
+		return lifecycle.ExitCodeInterrupted
+	}
+	return status
+}
+
+// exec is what every simulation of this process shares: cancellation, the
+// wall budget, the causal profiler and the live plane.
+func (s *Session) exec() kernels.ExecOpts {
+	return kernels.ExecOpts{Ctx: s.Ctx, WallBudget: s.Opts.Timeout, Causal: s.Opts.Causal, Obs: s.Plane}
+}
+
+// ExecOpts is the options of the process's one simulation (rocksim): what
+// every simulation shares, the -prof engine profile, and a sink writing
+// -trace and -telemetry — or, with the plane up, retaining windows for the
+// flight recorder. The exit path closes the sink and its files.
+func (s *Session) ExecOpts() (kernels.ExecOpts, error) {
+	opts := s.exec()
+	if s.Opts.Prof {
+		opts.Prof = &sim.Prof{}
+	}
+	o := &s.Opts
+	if o.Trace == "" && o.Telemetry == "" && s.Plane == nil {
+		return opts, nil
+	}
+	cfg := trace.Config{SampleEvery: o.Sample, EventCap: o.TraceBuf, Retain: s.Plane != nil}
+	var err error
+	if cfg.EventsTo, err = s.create(o.Trace); err != nil {
+		return opts, err
+	}
+	if cfg.SampleTo, err = s.create(o.Telemetry); err != nil {
+		return opts, err
+	}
+	sink := trace.NewSink(cfg)
+	// Registered after its files, so it flushes before they close. A failed
+	// command leaves valid, truncation-marked artifacts, not torn files (a
+	// run marks its own errors; this covers failures outside a run).
+	s.onExit(func(exitErr error) error {
+		rec, smp := sink.Recorder(), sink.Sampler()
+		if exitErr != nil && rec != nil {
+			rec.MarkTruncated()
+		}
+		if exitErr != nil && smp != nil {
+			smp.MarkTruncated()
+		}
+		if rec != nil && rec.Dropped() > 0 {
+			fmt.Fprintf(s.stderr, "%s: warning: event ring overwrote %d events; raise -trace-buf (now %d) to keep the whole run\n",
+				s.prog, rec.Dropped(), rec.Cap())
+		}
+		return sink.Close()
+	})
+	opts.Trace = sink
+	return opts, nil
+}
+
+// create opens an artifact file the exit path closes; "" opens nothing.
+func (s *Session) create(path string) (io.Writer, error) {
+	if path == "" {
+		return nil, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	s.onExit(func(error) error { return f.Close() })
+	return f, nil
+}
+
+// Runner is rockbench's sweep runner at scale: what every simulation
+// shares, -j, the artifact directories, progress unless -q, and the
+// -journal, fresh or (-resume) reloaded into the runner; its header pins
+// -scale and -bench. The exit path closes the journal and, on an interrupt,
+// says how to resume it. Call Runner once.
+func (s *Session) Runner(scale kernels.Scale) (*harness.Runner, error) {
+	o := &s.Opts
+	if o.Resume && o.Journal == "" {
+		return nil, errors.New("-resume requires -journal")
+	}
+	var (
+		journal *lifecycle.Journal
+		seed    []lifecycle.JournalEntry
+	)
+	if o.Journal != "" {
+		meta := map[string]string{"scale": o.Scale, "bench": o.Bench}
+		var err error
+		if o.Resume {
+			journal, seed, err = lifecycle.ResumeJournal(o.Journal, meta)
+		} else {
+			journal, err = lifecycle.CreateJournal(o.Journal, meta)
+		}
+		if err != nil {
+			return nil, err
+		}
+		s.onExit(func(exitErr error) error {
+			if lifecycle.Interrupted(exitErr) {
+				fmt.Fprintf(s.stderr, "%s: journal saved: rerun with -journal %s -resume to continue\n", s.prog, o.Journal)
+			}
+			if err := journal.Close(); err != nil {
+				return fmt.Errorf("journal: %w", err)
+			}
+			return nil
+		})
+	}
+	var benches []string
+	if o.Bench != "" {
+		benches = strings.Split(o.Bench, ",")
+	}
+	r := harness.New(harness.Options{ExecOpts: s.exec(),
+		Scale: scale, Out: os.Stdout, Verbose: !o.Quiet, Benches: benches, Jobs: o.Jobs,
+		TelemetryDir: o.TelemetryDir, SampleEvery: o.Sample, ReportDir: o.ReportDir,
+		Journal: journal})
+	if len(seed) > 0 {
+		n, err := r.SeedJournal(seed)
+		if err != nil {
+			return nil, err
+		}
+		if !o.Quiet {
+			fmt.Printf("# resumed %d completed cells from %s\n", n, o.Journal)
+		}
+	}
+	return r, nil
+}

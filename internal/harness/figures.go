@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"rockcress/internal/config"
 	"rockcress/internal/kernels"
@@ -33,6 +34,25 @@ var Figures = []Figure{
 	{"fault", false, (*Runner).FigFault},
 	{"replay", false, (*Runner).FigReplay},
 	{"netfault", false, (*Runner).FigNetFault},
+}
+
+// FigureNames and TableNames list a registry's names in -all order,
+// comma-separated: what -fig's and -table's help and unknown-name errors
+// name.
+func FigureNames() string {
+	return joinNames(len(Figures), func(i int) string { return Figures[i].Name })
+}
+
+func TableNames() string {
+	return joinNames(len(Tables), func(i int) string { return Tables[i].Name })
+}
+
+func joinNames(n int, name func(int) string) string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = name(i)
+	}
+	return strings.Join(names, ", ")
 }
 
 // --- table shape 1: one metric per cell ---

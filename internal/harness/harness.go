@@ -7,7 +7,6 @@
 package harness
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -25,17 +24,24 @@ import (
 	"rockcress/internal/config"
 	"rockcress/internal/kernels"
 	"rockcress/internal/lifecycle"
-	"rockcress/internal/metrics"
 	"rockcress/internal/trace"
 )
 
 // Options steers a harness session.
 type Options struct {
-	Scale     kernels.Scale
-	MaxCycles int64
-	Out       io.Writer
-	Verbose   bool     // print per-run progress
-	Benches   []string // subset filter (nil = all PolyBench)
+	// ExecOpts is what every simulation the runner starts shares: the cycle
+	// budget (DefaultMaxCycles when 0), cancellation, the wall budget per
+	// simulation, the live plane (sweep progress, the per-machine series and
+	// the flight recorder, fed by a retain-only sampler per cell) and the
+	// causal profiler (a critical_path section in each report). None of them
+	// changes a printed table or a cycle count. Trace and Prof are per cell
+	// and ignored here: concurrent cells cannot share a sink or a profile.
+	kernels.ExecOpts
+
+	Scale   kernels.Scale
+	Out     io.Writer
+	Verbose bool     // print per-run progress
+	Benches []string // subset filter (nil = all PolyBench)
 
 	// Jobs bounds how many independent simulations a figure sweep runs
 	// concurrently (rockbench -j). 0 means GOMAXPROCS. Output ordering,
@@ -61,31 +67,11 @@ type Options struct {
 	// reports only read finished-run counters: cycle counts are unchanged.
 	ReportDir string
 
-	// Ctx, when non-nil, makes every simulation the runner launches
-	// cancellable (SIGINT/SIGTERM via lifecycle.WithSignals, -timeout via
-	// context.WithTimeout). Cancellation lands at watchdog-checkpoint
-	// granularity; runs that complete are cycle-identical either way.
-	Ctx context.Context
-	// WallBudget, when positive, bounds each simulation's host time; a run
-	// exceeding it fails its sweep cell with lifecycle.ErrWallBudget.
-	WallBudget time.Duration
 	// Journal, when non-nil, receives every newly computed cell result:
 	// the first-wins cache made persistent. Seed it from a previous
 	// interrupted sweep with SeedJournal for -resume. The caller owns
 	// Close and should surface Journal.Err at exit.
 	Journal *lifecycle.Journal
-
-	// Obs attaches the live observability plane (rockbench -listen): sweep
-	// progress and ladder state behind /debug/run, per-machine metric
-	// series behind /metrics, and the flight recorder fed by a retain-only
-	// telemetry sampler per run. Cycle counts and all printed output are
-	// unchanged with the plane attached.
-	Obs *metrics.Plane
-
-	// Causal enables the causal profiler on every simulation (rockbench
-	// -causal): each per-run report gains a critical_path section. All
-	// printed tables and cycle counts are unchanged.
-	Causal bool
 }
 
 // Runner executes and caches simulations.
@@ -309,11 +295,13 @@ func (r *Runner) execute(c cell) (*kernels.Result, error) {
 }
 
 // execOpts is the session's share of every execution the runner starts —
-// sweep cells and fault-ladder cells alike: the cycle budget, cancellation,
-// the wall budget and the live plane.
+// sweep cells and fault-ladder cells alike: Options.ExecOpts less the
+// per-cell Trace and Prof, and less Causal, which only the cells that write
+// reports pay for.
 func (r *Runner) execOpts() kernels.ExecOpts {
-	return kernels.ExecOpts{MaxCycles: r.opts.MaxCycles, Ctx: r.opts.Ctx,
-		WallBudget: r.opts.WallBudget, Obs: r.opts.Obs}
+	o := r.opts.ExecOpts
+	o.Trace, o.Prof, o.Causal = nil, nil, false
+	return o
 }
 
 // executeCell runs one simulation with whatever observability the session

@@ -8,6 +8,18 @@ import (
 	"rockcress/internal/kernels"
 )
 
+// Tables lists the paper's tables in -all order: rockbench's -table help,
+// its dispatch and -all read it. Only Table 2 depends on the scale.
+var Tables = []struct {
+	Name  string
+	Print func(io.Writer, kernels.Scale)
+}{
+	{"1a", func(w io.Writer, _ kernels.Scale) { Table1a(w) }},
+	{"1b", func(w io.Writer, _ kernels.Scale) { Table1b(w) }},
+	{"2", Table2},
+	{"3", func(w io.Writer, _ kernels.Scale) { Table3(w) }},
+}
+
 // Table1a prints the manycore microarchitectural parameters (Table 1a).
 func Table1a(w io.Writer) {
 	c := config.ManycoreDefault()

@@ -280,7 +280,8 @@ func TestChaosJournalReplayable(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		timer := time.AfterFunc(time.Duration(rng.Intn(40))*time.Millisecond, cancel)
 		r := harness.New(harness.Options{
-			Scale: scale, Out: io.Discard, Jobs: 2, Ctx: ctx, Journal: j,
+			Scale: scale, Out: io.Discard, Jobs: 2, Journal: j,
+			ExecOpts: kernels.ExecOpts{Ctx: ctx},
 		})
 		for _, bn := range []string{"gemm", "mvt"} {
 			bench, err := kernels.Get(bn)
