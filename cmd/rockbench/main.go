@@ -32,13 +32,16 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"rockcress/internal/cli"
 	"rockcress/internal/harness"
 	"rockcress/internal/kernels"
+	"rockcress/internal/lifecycle"
 )
 
 func main() { cli.Main(cli.Rockbench, run) }
@@ -60,7 +63,7 @@ func run(s *cli.Session) error {
 			return err
 		}
 	}
-	r, err := s.Runner(scale)
+	r, err := newRunner(s, scale)
 	if err != nil {
 		return err
 	}
@@ -115,6 +118,61 @@ func run(s *cli.Session) error {
 		flag.Usage()
 	}
 	return nil
+}
+
+// newRunner is the sweep runner at scale: what every simulation shares,
+// -j, the artifact directories, progress unless -q, and the -journal,
+// fresh or (-resume) reloaded into the runner; its header pins -scale and
+// -bench. The exit path closes the journal and, on an interrupt, says how
+// to resume it.
+func newRunner(s *cli.Session, scale kernels.Scale) (*harness.Runner, error) {
+	o := &s.Opts
+	if o.Resume && o.Journal == "" {
+		return nil, errors.New("-resume requires -journal")
+	}
+	var (
+		journal *lifecycle.Journal
+		seed    []lifecycle.JournalEntry
+	)
+	if o.Journal != "" {
+		meta := map[string]string{"scale": o.Scale, "bench": o.Bench}
+		var err error
+		if o.Resume {
+			journal, seed, err = lifecycle.ResumeJournal(o.Journal, meta)
+		} else {
+			journal, err = lifecycle.CreateJournal(o.Journal, meta)
+		}
+		if err != nil {
+			return nil, err
+		}
+		s.OnExit(func(exitErr error) error {
+			if lifecycle.Interrupted(exitErr) {
+				fmt.Fprintf(os.Stderr, "rockbench: journal saved: rerun with -journal %s -resume to continue\n", o.Journal)
+			}
+			if err := journal.Close(); err != nil {
+				return fmt.Errorf("journal: %w", err)
+			}
+			return nil
+		})
+	}
+	var benches []string
+	if o.Bench != "" {
+		benches = strings.Split(o.Bench, ",")
+	}
+	r := harness.New(harness.Options{Ctx: s.Ctx, WallBudget: o.Timeout, Obs: s.Plane, Causal: o.Causal,
+		Scale: scale, Out: os.Stdout, Verbose: !o.Quiet, Benches: benches, Jobs: o.Jobs,
+		TelemetryDir: o.TelemetryDir, SampleEvery: o.Sample, ReportDir: o.ReportDir,
+		Journal: journal})
+	if len(seed) > 0 {
+		n, err := r.SeedJournal(seed)
+		if err != nil {
+			return nil, err
+		}
+		if !o.Quiet {
+			fmt.Printf("# resumed %d completed cells from %s\n", n, o.Journal)
+		}
+	}
+	return r, nil
 }
 
 // reportThroughput prints the sweep's simulated-cycles-per-wall-second

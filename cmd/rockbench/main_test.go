@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"rockcress/internal/harness"
 )
@@ -146,5 +147,41 @@ func TestAllIsTablesThenPaperFigures(t *testing.T) {
 	}
 	if got := stdout(t, append(common, "-all")...); !bytes.Equal(got, want) {
 		t.Errorf("-all stdout is not the tables followed by each paper figure; got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestInterruptedSweepNamesItsJournal: a journaled sweep interrupted by
+// SIGINT exits 130 and says how to resume the journal it opened.
+func TestInterruptedSweepNamesItsJournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	cmd := exec.Command(rockbenchBin, "-q", "-fig", "10", "-scale", "small", "-j", "1", "-journal", path)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// The journal's header is on disk before the first cell runs; the
+	// sweep itself takes many seconds, so the signal lands mid-flight.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			_ = cmd.Process.Kill()
+			t.Fatal("the journal never appeared")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	err := cmd.Wait()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 130 {
+		t.Errorf("rockbench interrupted: %v, want exit status 130; stderr:\n%s", err, stderr.String())
+	}
+	if want := "rockbench: journal saved: rerun with -journal " + path + " -resume to continue\n"; !strings.HasSuffix(stderr.String(), want) {
+		t.Errorf("stderr %q does not end with the resume hint %q", stderr.String(), want)
 	}
 }

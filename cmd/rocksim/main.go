@@ -35,6 +35,7 @@ import (
 	"rockcress/internal/fault"
 	"rockcress/internal/kernels"
 	"rockcress/internal/sim"
+	"rockcress/internal/trace"
 )
 
 func main() { cli.Main(cli.Rocksim, run) }
@@ -64,28 +65,32 @@ func run(s *cli.Session) error {
 	if o.DumpAsm {
 		return dumpProgram(bench, scale, sw)
 	}
+	var plan *fault.Plan
+	if o.Faults != "" {
+		if plan, err = fault.Parse(o.Faults); err != nil {
+			return err
+		}
+	}
 	// SIGINT/SIGTERM cancel the run at its next watchdog checkpoint; the
-	// session flushes the trace/telemetry sink, truncation-marked, on the way
-	// out. A second signal kills the process immediately.
-	opts, err := s.ExecOpts()
+	// session flushes the trace/telemetry sink on the way out, and the run
+	// has marked it truncated. A second signal kills the process immediately.
+	opts, completed, err := execOpts(s)
 	if err != nil {
 		return err
 	}
-	if o.Faults != "" {
-		plan, err := fault.Parse(o.Faults)
-		if err != nil {
-			return err
-		}
+	if plan != nil {
 		res, err := runFaulted(bench, scale, sw, opts, plan, o.Verbose)
 		if err != nil {
 			return err
 		}
+		completed()
 		return finish(o.Report, res, o.Scale, opts.Prof)
 	}
 	res, err := kernels.ExecuteOpts(bench, bench.Defaults(scale), sw, config.ManycoreDefault(), opts)
 	if err != nil {
 		return err
 	}
+	completed()
 	fmt.Printf("%s / %s (%s scale)\n", res.Bench, res.Config, scale)
 	if res.GPU != nil {
 		g := res.GPU
@@ -107,6 +112,54 @@ func run(s *cli.Session) error {
 		fmt.Printf("vloads: %d microthreads: %d remote stores: %d\n", vloads, mts, res.Stats.RemoteStores)
 	}
 	return finish(o.Report, res, o.Scale, opts.Prof)
+}
+
+// execOpts is the options of the process's one simulation: cancellation,
+// the wall budget, the causal profiler, the live plane, the -prof engine
+// profile, and a sink writing -trace and -telemetry. The caller calls
+// completed once the run has returned. The exit path closes the sink and
+// its files: a run that fails has truncation-marked them itself, a command
+// that fails before its run completes (a plan the fabric rejects, a program
+// that does not build) has them marked here, and a failure after a
+// completed run (a -report write) leaves them unmarked.
+func execOpts(s *cli.Session) (opts kernels.ExecOpts, completed func(), err error) {
+	o := &s.Opts
+	opts = kernels.ExecOpts{Ctx: s.Ctx, WallBudget: o.Timeout, Causal: o.Causal, Obs: s.Plane}
+	if o.Prof {
+		opts.Prof = &sim.Prof{}
+	}
+	ran := false
+	completed = func() { ran = true }
+	if o.Trace == "" && o.Telemetry == "" {
+		return opts, completed, nil
+	}
+	cfg := trace.Config{SampleEvery: o.Sample, EventCap: o.TraceBuf}
+	if cfg.EventsTo, err = s.Create(o.Trace); err != nil {
+		return opts, completed, err
+	}
+	if cfg.SampleTo, err = s.Create(o.Telemetry); err != nil {
+		return opts, completed, err
+	}
+	sink := trace.NewSink(cfg)
+	// Registered after its files, so it flushes before they close.
+	s.OnExit(func(exitErr error) error {
+		rec, smp := sink.Recorder(), sink.Sampler()
+		if exitErr != nil && !ran {
+			if rec != nil {
+				rec.MarkTruncated()
+			}
+			if smp != nil {
+				smp.MarkTruncated()
+			}
+		}
+		if rec != nil && rec.Dropped() > 0 {
+			fmt.Fprintf(os.Stderr, "rocksim: warning: event ring overwrote %d events; raise -trace-buf (now %d) to keep the whole run\n",
+				rec.Dropped(), rec.Cap())
+		}
+		return sink.Close()
+	})
+	opts.Trace = sink
+	return opts, completed, nil
 }
 
 // finish prints the causal profile, writes the per-run report and prints

@@ -196,6 +196,10 @@ func TestFaultPlanRejected(t *testing.T) {
 	}
 }
 
+// partitioned is a fault plan whose run fails mid-flight: the two cuts
+// isolate router 0, and the run stops with "mesh partitioned".
+const partitioned = "cutlink@100:0>1;cutlink@100:0>8"
+
 // TestFailedRunFlushesProfile: a failed run leaves a complete CPU profile
 // and a truncation-marked trace, not an empty file: the one exit path
 // stops the profiler and flushes the sink whatever the exit status.
@@ -213,6 +217,73 @@ func TestFailedRunFlushesProfile(t *testing.T) {
 	}
 	if tr, err := os.ReadFile(tracePath); err != nil || !bytes.Contains(tr, []byte(`"truncated":true`)) {
 		t.Errorf("-trace file is not truncation-marked (%v):\n%.200s", err, tr)
+	}
+}
+
+// TestFailedRunMarksArtifacts: the trace and the telemetry are
+// truncation-marked when the command fails before its run completes — in
+// the run, or before any machine exists (a plan the mesh rejects) — and only
+// then: a run that completed leaves them unmarked even when the command
+// fails after it (here the -report write, aimed at a directory).
+func TestFailedRunMarksArtifacts(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		extra   []string
+		marked  bool
+		windows bool // whether a machine ran and cut telemetry windows
+	}{
+		{"failure after the run", []string{"-report", "."}, false, true},
+		{"failed run", []string{"-faults", partitioned}, true, true},
+		{"rejected plan", []string{"-faults", "drop@0:0>5:p1"}, true, false},
+	} {
+		dir := t.TempDir()
+		tracePath, telPath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "telemetry.jsonl")
+		args := append([]string{"-bench", "mvt", "-config", "V4", "-scale", "tiny",
+			"-trace", tracePath, "-telemetry", telPath}, c.extra...)
+		cmd := exec.Command(rocksimBin, args...)
+		cmd.Dir = dir
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%s: err %v, want exit status 1", c.name, err)
+		}
+		raw, err := os.ReadFile(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			OtherData struct {
+				Truncated bool `json:"truncated"`
+			} `json:"otherData"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatalf("%s: trace is not JSON: %v", c.name, err)
+		}
+		if doc.OtherData.Truncated != c.marked {
+			t.Errorf("%s: trace truncated=%v, want %v", c.name, doc.OtherData.Truncated, c.marked)
+		}
+		tel, err := os.ReadFile(telPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !c.windows {
+			if len(tel) != 0 {
+				t.Errorf("%s: telemetry holds %d bytes, want none (no machine ran)", c.name, len(tel))
+			}
+			continue
+		}
+		lines := bytes.Split(bytes.TrimSpace(tel), []byte("\n"))
+		var last struct {
+			Final     bool `json:"final"`
+			Truncated bool `json:"truncated"`
+		}
+		if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
+			t.Fatalf("%s: last telemetry line: %v", c.name, err)
+		}
+		if !last.Final || last.Truncated != c.marked {
+			t.Errorf("%s: last window final=%v truncated=%v, want final and truncated=%v",
+				c.name, last.Final, last.Truncated, c.marked)
+		}
 	}
 }
 

@@ -3,19 +3,15 @@ package cli
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
 	"regexp"
 	"slices"
 	"strings"
 	"testing"
-
-	"rockcress/internal/kernels"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/help.golden.txt")
@@ -141,8 +137,8 @@ func TestExitPath(t *testing.T) {
 		var stderr bytes.Buffer
 		var order []int
 		s := &Session{prog: Rocksim, stderr: &stderr}
-		s.onExit(func(error) error { order = append(order, 1); return nil })
-		s.onExit(func(error) error { order = append(order, 2); return nil })
+		s.OnExit(func(error) error { order = append(order, 1); return nil })
+		s.OnExit(func(error) error { order = append(order, 2); return nil })
 		if got := s.exit(c.err); got != c.status || stderr.String() != c.stderr {
 			t.Errorf("exit(%v) = %d with stderr %q, want %d and %q", c.err, got, stderr.String(), c.status, c.stderr)
 		}
@@ -154,57 +150,8 @@ func TestExitPath(t *testing.T) {
 	// A closer that fails fails the command.
 	var stderr bytes.Buffer
 	s := &Session{prog: Rockbench, stderr: &stderr}
-	s.onExit(func(error) error { return errors.New("journal: disk full") })
+	s.OnExit(func(error) error { return errors.New("journal: disk full") })
 	if got := s.exit(nil); got != 1 || stderr.String() != "rockbench: journal: disk full\n" {
 		t.Errorf("failing closer: exit %d, stderr %q", got, stderr.String())
-	}
-}
-
-// TestFailedRunMarksArtifacts: the exit path flushes rocksim's event trace
-// either way, and marks it truncated only when the command failed.
-func TestFailedRunMarksArtifacts(t *testing.T) {
-	for _, failed := range []bool{false, true} {
-		path := filepath.Join(t.TempDir(), "trace.json")
-		s := &Session{prog: Rocksim, stderr: &bytes.Buffer{}, Opts: Options{Trace: path}}
-		if _, err := s.ExecOpts(); err != nil {
-			t.Fatal(err)
-		}
-		var err error
-		if failed {
-			err = errors.New("run failed")
-		}
-		s.exit(err)
-		raw, rerr := os.ReadFile(path)
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-		var doc struct {
-			OtherData struct {
-				Truncated bool `json:"truncated"`
-			} `json:"otherData"`
-		}
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			t.Fatalf("failed=%v: trace is not JSON: %v", failed, err)
-		}
-		if doc.OtherData.Truncated != failed {
-			t.Errorf("failed=%v: trace truncated=%v", failed, doc.OtherData.Truncated)
-		}
-	}
-}
-
-// TestInterruptedSweepNamesItsJournal: an interrupted rockbench exits 130
-// and says how to resume the journal the session opened.
-func TestInterruptedSweepNamesItsJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.journal")
-	var stderr bytes.Buffer
-	s := &Session{prog: Rockbench, stderr: &stderr, Opts: Options{Journal: path, Scale: "tiny", Quiet: true}}
-	if _, err := s.Runner(kernels.Tiny); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.exit(fmt.Errorf("harness: sweep canceled: %w", context.Canceled)); got != 130 {
-		t.Errorf("exit status %d, want 130", got)
-	}
-	if want := "rockbench: journal saved: rerun with -journal " + path + " -resume to continue\n"; !strings.HasSuffix(stderr.String(), want) {
-		t.Errorf("stderr %q does not end with the resume hint %q", stderr.String(), want)
 	}
 }

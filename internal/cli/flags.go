@@ -104,7 +104,7 @@ var Flags = []Flag{
 	{"telemetry", Rockbench, "TelemetryDir", nil, "write per-run cycle-windowed telemetry (JSONL) into this directory"},
 	{"report", Rocksim, "Report", nil, "write the canonical per-run report (JSON, for rockdoctor) to this file"},
 	{"report", Rockbench, "ReportDir", nil, "write per-run reports (rockdoctor JSON) into this directory"},
-	{"sample", Rocksim | Rockbench, "Sample", int64(trace.DefaultSampleEvery), "telemetry window size in cycles"},
+	{"sample", Rocksim | Rockbench, "Sample", int64(trace.DefaultSampleEvery), "size in cycles of the -telemetry JSONL windows"},
 	{"pprof", Rocksim | Rockbench, "Pprof", nil, "write a CPU profile of the whole process to this file"},
 
 	// The live plane and resumability.

@@ -9,15 +9,10 @@ import (
 	"os"
 	"os/signal"
 	"runtime/pprof"
-	"strings"
 	"syscall"
 
-	"rockcress/internal/harness"
-	"rockcress/internal/kernels"
 	"rockcress/internal/lifecycle"
 	"rockcress/internal/metrics"
-	"rockcress/internal/sim"
-	"rockcress/internal/trace"
 )
 
 // Session is one command-line process from its parsed flags to its exit
@@ -56,14 +51,14 @@ func Main(prog Prog, run func(*Session) error) {
 }
 
 // start installs the signal context and brings up what the flags ask for:
-// the plane only under -listen or -flight (otherwise runs carry no registry,
-// flight recorder or retain sampler), its flight dumps on SIGQUIT and the
+// the plane only under -listen or -flight (otherwise runs carry no registry
+// or flight recorder), its flight dumps on SIGQUIT and the
 // first SIGINT, the HTTP listener, and the -pprof CPU profile — kept beside
 // /debug/pprof/profile because sub-second runs cannot be profiled over HTTP.
 func (s *Session) start() error {
 	ctx, stop := lifecycle.WithSignals(context.Background())
 	s.Ctx = ctx
-	s.onExit(func(error) error { stop(); return nil })
+	s.OnExit(func(error) error { stop(); return nil })
 	o := &s.Opts
 	if o.Listen != "" || o.Flight != "" {
 		s.Plane = metrics.NewPlane(o.Flight)
@@ -71,25 +66,25 @@ func (s *Session) start() error {
 			fmt.Fprintf(s.stderr, "%s: flight bundle written: %s\n", s.prog, path)
 		})
 		stop := dumpOnSignals(s.Plane)
-		s.onExit(func(error) error { stop(); return nil })
+		s.OnExit(func(error) error { stop(); return nil })
 	}
 	if o.Listen != "" {
 		srv, err := metrics.Serve(o.Listen, s.Plane)
 		if err != nil {
 			return err
 		}
-		s.onExit(func(error) error { srv.Close(); return nil })
+		s.OnExit(func(error) error { srv.Close(); return nil })
 		fmt.Fprintf(s.stderr, "# observability: http://%s (/metrics /debug/run /debug/machine /debug/flight /debug/build /debug/pprof/)\n", srv.Addr())
 	}
 	if o.Pprof != "" {
-		f, err := s.create(o.Pprof)
+		f, err := s.Create(o.Pprof)
 		if err != nil {
 			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			return err
 		}
-		s.onExit(func(error) error { pprof.StopCPUProfile(); return nil })
+		s.OnExit(func(error) error { pprof.StopCPUProfile(); return nil })
 	}
 	return nil
 }
@@ -127,13 +122,13 @@ func dumpOnSignals(p *metrics.Plane) (stop func()) {
 	}
 }
 
-// onExit registers fn to run on the exit path, before everything
+// OnExit registers fn to run on the exit path, before everything
 // registered earlier. fn sees the error the command ends with.
-func (s *Session) onExit(fn func(exitErr error) error) { s.closers = append(s.closers, fn) }
+func (s *Session) OnExit(fn func(exitErr error) error) { s.closers = append(s.closers, fn) }
 
 // exit is the one exit path. It reports err, then runs every closer, last
-// registered first: the artifact sink, the journal, the CPU profile, the
-// listener, the signal handlers. A closer that fails fails the command — a
+// registered first: what the command registered (rocksim's artifact sink,
+// rockbench's journal), the CPU profile, the listener, the signal handlers. A closer that fails fails the command — a
 // silently truncated artifact would poison whatever reads it later. It
 // returns the exit status: 2 for a UsageError, 130 for an interrupted run,
 // 1 for any other failure.
@@ -163,57 +158,8 @@ func (s *Session) exit(err error) int {
 	return status
 }
 
-// exec is what every simulation of this process shares: cancellation, the
-// wall budget, the causal profiler and the live plane.
-func (s *Session) exec() kernels.ExecOpts {
-	return kernels.ExecOpts{Ctx: s.Ctx, WallBudget: s.Opts.Timeout, Causal: s.Opts.Causal, Obs: s.Plane}
-}
-
-// ExecOpts is the options of the process's one simulation (rocksim): what
-// every simulation shares, the -prof engine profile, and a sink writing
-// -trace and -telemetry — or, with the plane up, retaining windows for the
-// flight recorder. The exit path closes the sink and its files.
-func (s *Session) ExecOpts() (kernels.ExecOpts, error) {
-	opts := s.exec()
-	if s.Opts.Prof {
-		opts.Prof = &sim.Prof{}
-	}
-	o := &s.Opts
-	if o.Trace == "" && o.Telemetry == "" && s.Plane == nil {
-		return opts, nil
-	}
-	cfg := trace.Config{SampleEvery: o.Sample, EventCap: o.TraceBuf, Retain: s.Plane != nil}
-	var err error
-	if cfg.EventsTo, err = s.create(o.Trace); err != nil {
-		return opts, err
-	}
-	if cfg.SampleTo, err = s.create(o.Telemetry); err != nil {
-		return opts, err
-	}
-	sink := trace.NewSink(cfg)
-	// Registered after its files, so it flushes before they close. A failed
-	// command leaves valid, truncation-marked artifacts, not torn files (a
-	// run marks its own errors; this covers failures outside a run).
-	s.onExit(func(exitErr error) error {
-		rec, smp := sink.Recorder(), sink.Sampler()
-		if exitErr != nil && rec != nil {
-			rec.MarkTruncated()
-		}
-		if exitErr != nil && smp != nil {
-			smp.MarkTruncated()
-		}
-		if rec != nil && rec.Dropped() > 0 {
-			fmt.Fprintf(s.stderr, "%s: warning: event ring overwrote %d events; raise -trace-buf (now %d) to keep the whole run\n",
-				s.prog, rec.Dropped(), rec.Cap())
-		}
-		return sink.Close()
-	})
-	opts.Trace = sink
-	return opts, nil
-}
-
-// create opens an artifact file the exit path closes; "" opens nothing.
-func (s *Session) create(path string) (io.Writer, error) {
+// Create opens an artifact file the exit path closes; "" opens nothing.
+func (s *Session) Create(path string) (io.Writer, error) {
 	if path == "" {
 		return nil, nil
 	}
@@ -221,61 +167,6 @@ func (s *Session) create(path string) (io.Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.onExit(func(error) error { return f.Close() })
+	s.OnExit(func(error) error { return f.Close() })
 	return f, nil
-}
-
-// Runner is rockbench's sweep runner at scale: what every simulation
-// shares, -j, the artifact directories, progress unless -q, and the
-// -journal, fresh or (-resume) reloaded into the runner; its header pins
-// -scale and -bench. The exit path closes the journal and, on an interrupt,
-// says how to resume it. Call Runner once.
-func (s *Session) Runner(scale kernels.Scale) (*harness.Runner, error) {
-	o := &s.Opts
-	if o.Resume && o.Journal == "" {
-		return nil, errors.New("-resume requires -journal")
-	}
-	var (
-		journal *lifecycle.Journal
-		seed    []lifecycle.JournalEntry
-	)
-	if o.Journal != "" {
-		meta := map[string]string{"scale": o.Scale, "bench": o.Bench}
-		var err error
-		if o.Resume {
-			journal, seed, err = lifecycle.ResumeJournal(o.Journal, meta)
-		} else {
-			journal, err = lifecycle.CreateJournal(o.Journal, meta)
-		}
-		if err != nil {
-			return nil, err
-		}
-		s.onExit(func(exitErr error) error {
-			if lifecycle.Interrupted(exitErr) {
-				fmt.Fprintf(s.stderr, "%s: journal saved: rerun with -journal %s -resume to continue\n", s.prog, o.Journal)
-			}
-			if err := journal.Close(); err != nil {
-				return fmt.Errorf("journal: %w", err)
-			}
-			return nil
-		})
-	}
-	var benches []string
-	if o.Bench != "" {
-		benches = strings.Split(o.Bench, ",")
-	}
-	r := harness.New(harness.Options{ExecOpts: s.exec(),
-		Scale: scale, Out: os.Stdout, Verbose: !o.Quiet, Benches: benches, Jobs: o.Jobs,
-		TelemetryDir: o.TelemetryDir, SampleEvery: o.Sample, ReportDir: o.ReportDir,
-		Journal: journal})
-	if len(seed) > 0 {
-		n, err := r.SeedJournal(seed)
-		if err != nil {
-			return nil, err
-		}
-		if !o.Quiet {
-			fmt.Printf("# resumed %d completed cells from %s\n", n, o.Journal)
-		}
-	}
-	return r, nil
 }

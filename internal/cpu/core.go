@@ -485,7 +485,6 @@ func (c *Core) tickFrontend(now int64) {
 		c.fetchCharged = true
 		c.st.ICacheAccesses++
 		if !c.icache.Access(uint32(c.pc) * 4) {
-			c.st.ICacheMisses++
 			c.fetchReadyAt = now + int64(c.cfg.ICacheMissLat)
 			c.st.AddStall(stats.StallOther)
 			return
@@ -544,7 +543,6 @@ func (c *Core) tickExpander(now int64) {
 		c.fetchCharged = true
 		c.st.ICacheAccesses++
 		if !c.icache.Access(uint32(c.vpc) * 4) {
-			c.st.ICacheMisses++
 			c.fetchReadyAt = now + int64(c.cfg.ICacheMissLat)
 			c.st.AddStall(stats.StallOther)
 			return

@@ -58,7 +58,6 @@ func (c *Core) globalLoad(now int64, rs1 isa.Reg, imm uint32, isFp bool, rd, fd 
 			c.intPending |= 1 << rd
 		}
 	}
-	c.st.LoadsIssued++
 	return true, stats.StallNone
 }
 
@@ -72,7 +71,6 @@ func (c *Core) globalStore(now int64, rs1 isa.Reg, imm, val uint32) (bool, stats
 	if !c.env.TrySend(m) {
 		return false, stats.StallOther
 	}
-	c.st.StoresIssued++
 	return true, stats.StallNone
 }
 
@@ -86,7 +84,6 @@ func (c *Core) remoteStore(now int64, rs3, rs1 isa.Reg, imm, val uint32) (bool, 
 	if !c.env.TrySend(m) {
 		return false, stats.StallOther
 	}
-	c.st.StoresIssued++
 	return true, stats.StallNone
 }
 

@@ -753,7 +753,6 @@ func (c *Core) issueAt(now int64, pc int) (bool, stats.StallKind) {
 	// Predicated-off instructions execute as nops but still flow through
 	// the pipeline (and the inet), costing a cycle (§2.4).
 	if !c.predOn && e.pred {
-		c.st.PredNops++
 		c.st.CountClass(uint8(isa.ClassNop))
 		if c.mode != ModeVector {
 			c.setPC(c.pc + 1)

@@ -105,7 +105,7 @@ func TestThroughputCountsEveryCommittedCell(t *testing.T) {
 	// mvt/V4 needs 3152 cycles and gemm/V4 1421: a 2000-cycle budget fails
 	// the first request and commits the second.
 	r := New(Options{Scale: kernels.Tiny, Out: io.Discard, Jobs: 1,
-		ExecOpts: kernels.ExecOpts{MaxCycles: 2000}})
+		MaxCycles: 2000})
 	if _, err := r.fetch([]runReq{mustReq(t, "mvt", "V4", nil), mustReq(t, "gemm", "V4", nil)}); err == nil {
 		t.Fatal("mvt/V4 fit a 2000-cycle budget")
 	}
@@ -136,7 +136,7 @@ func TestEachSimulationRunsOnce(t *testing.T) {
 	for _, jobs := range []int{1, 4} {
 		p := metrics.NewPlane("")
 		r := New(Options{Scale: kernels.Tiny, Out: io.Discard, Benches: benches, Jobs: jobs,
-			ExecOpts: kernels.ExecOpts{Obs: p}})
+			Obs: p})
 		out := renderFigs(t, r, paperSweep()...)
 		if ran := p.Run().Snapshot().Sweep.Done; ran != int64(len(want)) {
 			t.Errorf("Jobs=%d: %d simulations for %d distinct (bench, config, machine)", jobs, ran, len(want))

@@ -40,17 +40,17 @@ var Figures = []Figure{
 // comma-separated: what -fig's and -table's help and unknown-name errors
 // name.
 func FigureNames() string {
-	return joinNames(len(Figures), func(i int) string { return Figures[i].Name })
+	var names []string
+	for _, f := range Figures {
+		names = append(names, f.Name)
+	}
+	return strings.Join(names, ", ")
 }
 
 func TableNames() string {
-	return joinNames(len(Tables), func(i int) string { return Tables[i].Name })
-}
-
-func joinNames(n int, name func(int) string) string {
-	names := make([]string, n)
-	for i := range names {
-		names[i] = name(i)
+	var names []string
+	for _, t := range Tables {
+		names = append(names, t.Name)
 	}
 	return strings.Join(names, ", ")
 }

@@ -7,6 +7,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -24,19 +25,23 @@ import (
 	"rockcress/internal/config"
 	"rockcress/internal/kernels"
 	"rockcress/internal/lifecycle"
+	"rockcress/internal/metrics"
 	"rockcress/internal/trace"
 )
 
 // Options steers a harness session.
 type Options struct {
-	// ExecOpts is what every simulation the runner starts shares: the cycle
-	// budget (DefaultMaxCycles when 0), cancellation, the wall budget per
+	// What every simulation the runner starts shares: the cycle budget
+	// (DefaultMaxCycles when 0), cancellation, the wall budget per
 	// simulation, the live plane (sweep progress, the per-machine series and
-	// the flight recorder, fed by a retain-only sampler per cell) and the
+	// the flight recorder, fed by the slot-holding machine's windows) and the
 	// causal profiler (a critical_path section in each report). None of them
-	// changes a printed table or a cycle count. Trace and Prof are per cell
-	// and ignored here: concurrent cells cannot share a sink or a profile.
-	kernels.ExecOpts
+	// changes a printed table or a cycle count.
+	MaxCycles  int64
+	Ctx        context.Context
+	WallBudget time.Duration
+	Obs        *metrics.Plane
+	Causal     bool
 
 	Scale   kernels.Scale
 	Out     io.Writer
@@ -57,8 +62,8 @@ type Options struct {
 	// of the same key (a cache race) write byte-identical files. Cycle
 	// counts are unchanged — the sampler only reads counters.
 	TelemetryDir string
-	// SampleEvery is the telemetry window size in cycles (default
-	// trace.DefaultSampleEvery).
+	// SampleEvery is the size in cycles of the TelemetryDir windows
+	// (default trace.DefaultSampleEvery).
 	SampleEvery int64
 
 	// ReportDir, when set, writes one canonical per-run report
@@ -259,9 +264,7 @@ func sanitizeKey(key string) string {
 }
 
 // execute runs one simulation, attaching a private telemetry sink when
-// TelemetryDir is set (and a retain-only sink feeding the flight recorder
-// when the observability plane is attached) and writing a per-run report
-// when ReportDir is set. GPU runs have no machine counters and dump
+// TelemetryDir is set and writing a per-run report when ReportDir is set. GPU runs have no machine counters and dump
 // neither. Safe under fetch's bounded pool: every call owns its sink
 // and files. Duplicate executions of one key (the first-wins cache keeps
 // only one result) write artifacts identical except for the report's
@@ -295,54 +298,37 @@ func (r *Runner) execute(c cell) (*kernels.Result, error) {
 }
 
 // execOpts is the session's share of every execution the runner starts —
-// sweep cells and fault-ladder cells alike: Options.ExecOpts less the
-// per-cell Trace and Prof, and less Causal, which only the cells that write
-// reports pay for.
+// sweep cells and fault-ladder cells alike: the run fields of Options less
+// Causal, which only the cells that write reports pay for.
 func (r *Runner) execOpts() kernels.ExecOpts {
-	o := r.opts.ExecOpts
-	o.Trace, o.Prof, o.Causal = nil, nil, false
-	return o
+	o := &r.opts
+	return kernels.ExecOpts{MaxCycles: o.MaxCycles, Ctx: o.Ctx, WallBudget: o.WallBudget, Obs: o.Obs}
 }
 
-// executeCell runs one simulation with whatever observability the session
-// asked for: a JSONL telemetry file (TelemetryDir), a retain-only sampler
-// feeding the shared flight recorder (Obs), both through one sink, or
-// neither.
+// executeCell runs one simulation, writing its windowed telemetry to a JSONL
+// file when the session asked for TelemetryDir.
 func (r *Runner) executeCell(bench kernels.Benchmark, sw config.Software, hw config.Manycore, key string) (*kernels.Result, error) {
 	opts := r.execOpts()
 	opts.Causal = r.opts.Causal
-	if sw.Style == config.StyleGPU {
-		return kernels.ExecuteOpts(bench, bench.Defaults(r.opts.Scale), sw, hw, opts)
+	p := bench.Defaults(r.opts.Scale)
+	if sw.Style == config.StyleGPU || r.opts.TelemetryDir == "" {
+		return kernels.ExecuteOpts(bench, p, sw, hw, opts)
 	}
-	// With a plane, sample even without a telemetry file: the cell whose
-	// machine holds the plane's slot feeds the flight ring.
-	cfg := trace.Config{SampleEvery: r.opts.SampleEvery, Retain: r.opts.Obs != nil}
-	var f *os.File
-	if r.opts.TelemetryDir != "" {
-		if err := os.MkdirAll(r.opts.TelemetryDir, 0o755); err != nil {
-			return nil, fmt.Errorf("harness: telemetry dir: %w", err)
-		}
-		var err error
-		f, err = os.Create(filepath.Join(r.opts.TelemetryDir, sanitizeKey(key)+".jsonl"))
-		if err != nil {
-			return nil, fmt.Errorf("harness: telemetry file: %w", err)
-		}
-		cfg.SampleTo = f
+	if err := os.MkdirAll(r.opts.TelemetryDir, 0o755); err != nil {
+		return nil, fmt.Errorf("harness: telemetry dir: %w", err)
 	}
-	if cfg.SampleTo == nil && !cfg.Retain {
-		return kernels.ExecuteOpts(bench, bench.Defaults(r.opts.Scale), sw, hw, opts)
+	f, err := os.Create(filepath.Join(r.opts.TelemetryDir, sanitizeKey(key)+".jsonl"))
+	if err != nil {
+		return nil, fmt.Errorf("harness: telemetry file: %w", err)
 	}
-	sink := trace.NewSink(cfg)
+	sink := trace.NewSink(trace.Config{SampleEvery: r.opts.SampleEvery, SampleTo: f})
 	opts.Trace = sink
-	res, err := kernels.ExecuteOpts(bench, bench.Defaults(r.opts.Scale), sw, hw, opts)
+	res, err := kernels.ExecuteOpts(bench, p, sw, hw, opts)
 	// Close order: the sink first (it surfaces sampler write errors the hot
 	// path swallowed mid-run), then the file. The simulation error wins;
 	// after that the first artifact error fails the run.
 	cerr := sink.Close()
-	var ferr error
-	if f != nil {
-		ferr = f.Close()
-	}
+	ferr := f.Close()
 	if err != nil {
 		return nil, err
 	}

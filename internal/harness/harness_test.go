@@ -165,7 +165,7 @@ func TestFetch(t *testing.T) {
 	// mvt/V4 needs 3152 cycles and gemm/V4 1421: a 2000-cycle budget fails
 	// the first request, and the second must be kept all the same.
 	short := New(Options{Scale: kernels.Tiny, Out: io.Discard, Jobs: 2,
-		ExecOpts: kernels.ExecOpts{MaxCycles: 2000}})
+		MaxCycles: 2000})
 	if _, err := short.fetch(reqs[:2]); err == nil || !strings.Contains(err.Error(), "mvt") {
 		t.Fatalf("fetch error %v, want mvt's cycle-budget failure", err)
 	}

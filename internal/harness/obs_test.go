@@ -115,7 +115,7 @@ func TestPlaneRebindDuringSweep(t *testing.T) {
 	}
 
 	r := New(Options{Scale: kernels.Tiny, Out: io.Discard,
-		Benches: []string{"gemm", "mvt", "gesummv"}, Jobs: 4, ExecOpts: kernels.ExecOpts{Obs: p}})
+		Benches: []string{"gemm", "mvt", "gesummv"}, Jobs: 4, Obs: p})
 	if err := r.Fig16(io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestFaultFigureFeedsPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := metrics.NewPlane("")
-	if err := New(Options{Scale: kernels.Tiny, Out: io.Discard, ExecOpts: kernels.ExecOpts{Obs: p}}).FigFault(&observed); err != nil {
+	if err := New(Options{Scale: kernels.Tiny, Out: io.Discard, Obs: p}).FigFault(&observed); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bare.Bytes(), observed.Bytes()) {

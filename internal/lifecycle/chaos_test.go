@@ -281,7 +281,7 @@ func TestChaosJournalReplayable(t *testing.T) {
 		timer := time.AfterFunc(time.Duration(rng.Intn(40))*time.Millisecond, cancel)
 		r := harness.New(harness.Options{
 			Scale: scale, Out: io.Discard, Jobs: 2, Journal: j,
-			ExecOpts: kernels.ExecOpts{Ctx: ctx},
+			Ctx: ctx,
 		})
 		for _, bn := range []string{"gemm", "mvt"} {
 			bench, err := kernels.Get(bn)

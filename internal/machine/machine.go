@@ -598,7 +598,7 @@ func (m *Machine) fastForward(limit int64) bool {
 func (m *Machine) advance(stop int64) (atStop bool, err error) {
 	for m.active > 0 {
 		m.stepOrSkip(stop)
-		m.observeStep()
+		m.observe(false)
 		if m.now%m.checkEvery == 0 {
 			if err := m.checkpoint(&m.wd); err != nil {
 				return false, err
@@ -670,7 +670,7 @@ func (m *Machine) Run(maxCycles int64) (st *stats.Machine, err error) {
 	drainDeadline := m.now + maxCycles
 	for !m.memQuiescent() {
 		m.stepOrSkip(drainDeadline)
-		m.observeStep()
+		m.observe(false)
 		if m.now >= drainDeadline {
 			return m.Stats, m.faultErr(-1, fmt.Errorf("machine: memory system failed to drain"))
 		}

@@ -10,207 +10,203 @@ import (
 
 // Live-metrics glue. A machine built with Params.Obs binds to the plane at
 // construction (attachObservers): every series is registered once here (the
-// only allocation), and publish — called from the run loop at
-// watchdog-checkpoint granularity and on every exit path — stores absolute
-// counter values into the pre-registered atomic cells. HTTP scrapes, on the
-// listener's goroutines, read only those cells, so a mid-run scrape is
-// race-free and can never perturb simulated state: cycle counts are
-// bit-identical with the plane on or off.
+// only allocation), and publish — handed observe's one read of the counters
+// at watchdog-checkpoint granularity and on every exit path — stores
+// absolute counter values into the pre-registered atomic cells. HTTP
+// scrapes, on the listener's goroutines, read only those cells, so a mid-run
+// scrape is race-free and can never perturb simulated state: cycle counts
+// are bit-identical with the plane on or off.
 //
 // Counters are published as absolute totals (monotone because the underlying
 // simulator counters are); Prometheus rate() works on them exactly as if
 // they were incremented in place.
 
+// A tileRow is one per-tile series family, read off the tile's stats.Core
+// and labelled with the tile, its role and, for a stall row, the kind.
+type tileRow struct {
+	name, help, kind string
+	read             func(*stats.Core) int64
+}
+
+// tileRows are registered tile by tile, in TileSnap's column order (the
+// /debug/machine heatmap reads a tile's cells by position).
+var tileRows = [...]tileRow{
+	{"rockcress_tile_issued_cycles", "Cycles in which the tile issued an instruction.", "", (*stats.Core).Issued},
+	stallRow("frame", stats.StallFrame),
+	stallRow("inet", stats.StallInet),
+	stallRow("backpressure", stats.StallBackpressure),
+	stallRow("other", stats.StallOther),
+	{"rockcress_tile_instrs", "Instructions committed by the tile.", "", func(c *stats.Core) int64 { return c.Instrs }},
+}
+
+func stallRow(kind string, k stats.StallKind) tileRow {
+	return tileRow{"rockcress_tile_stall_cycles", "Cycles the tile could not issue, by CPI-stack stall kind.",
+		kind, func(c *stats.Core) int64 { return c.Stall(k) }}
+}
+
+// A row is one series family after the tiles'. Its reader says what it
+// fans out over: bank gives one series per LLC bank (labelled bank), links
+// one per directed link of that plane's vector (labelled link, after the
+// row's plane label), read one machine-wide series off the observation. A
+// row with heat is a gauge the /debug/machine snapshot also carries.
+type row struct {
+	name, help string
+	label      metrics.Label // fixed label; zero for none
+	bank       func(*stats.LLC) int64
+	links      func(*observation) []int64
+	read       func(*observation) int64
+	heat       func(*metrics.MachineSnap) *int64
+}
+
+// rows are in registration order, which is the exposition's.
+var rows = []row{
+	frameRow("consumed", func(o *observation) int64 { return o.Frames.Consumed }),
+	frameRow("poisons", func(o *observation) int64 { return o.Frames.Poisons }),
+	frameRow("replays", func(o *observation) int64 { return o.Frames.Replays }),
+	frameRow("retries", func(o *observation) int64 { return o.Frames.Retries }),
+	frameRow("stale_drops", func(o *observation) int64 { return o.Frames.StaleDrops }),
+	{name: "rockcress_llc_accesses", help: "LLC bank accesses.", bank: func(l *stats.LLC) int64 { return l.Accesses }},
+	{name: "rockcress_llc_misses", help: "LLC bank misses.", bank: func(l *stats.LLC) int64 { return l.Misses }},
+	{name: "rockcress_llc_wide_reqs", help: "Vload requests served by the bank.", bank: func(l *stats.LLC) int64 { return l.WideReqs }},
+	{name: "rockcress_llc_resp_words", help: "Word responses generated by the bank.", bank: func(l *stats.LLC) int64 { return l.RespWords }},
+	{name: "rockcress_llc_writebacks", help: "Dirty lines written back by the bank.", bank: func(l *stats.LLC) int64 { return l.Writebacks }},
+	{name: "rockcress_dram_reads", help: "Lines read from DRAM.", read: func(o *observation) int64 { return o.Dram.Reads }},
+	{name: "rockcress_dram_writes", help: "Lines written to DRAM.", read: func(o *observation) int64 { return o.Dram.Writes }},
+	{name: "rockcress_dram_busy_cycles", help: "Cycles the DRAM channel was occupied.", read: func(o *observation) int64 { return o.Dram.Busy }},
+	nocRow("rockcress_noc_flits", "Flits injected, by mesh plane.", "req", func(o *observation) int64 { return o.Noc.FlitsReq }),
+	nocRow("rockcress_noc_hops", "Link traversals, by mesh plane.", "req", func(o *observation) int64 { return o.Noc.HopsReq }),
+	linkRow("req", func(o *observation) []int64 { return o.LinksReq }),
+	nocRow("rockcress_noc_flits", "Flits injected, by mesh plane.", "resp", func(o *observation) int64 { return o.Noc.FlitsResp }),
+	nocRow("rockcress_noc_hops", "Link traversals, by mesh plane.", "resp", func(o *observation) int64 { return o.Noc.HopsResp }),
+	linkRow("resp", func(o *observation) []int64 { return o.LinksResp }),
+	{name: "rockcress_noc_retransmits", help: "Link retry-protocol retransmissions, both planes.", read: func(o *observation) int64 { return o.Noc.Retrans }},
+	{name: "rockcress_noc_dropped_flits", help: "Flits lost in transit and retransmitted, both planes.", read: func(o *observation) int64 { return o.Noc.Dropped }},
+	{name: "rockcress_noc_corrupt_flits", help: "Flits CRC-rejected and retransmitted, both planes.", read: func(o *observation) int64 { return o.Noc.Corrupt }},
+	{name: "rockcress_remote_stores", help: "Scratchpad stores delivered over the response plane.", read: func(o *observation) int64 { return o.Noc.RemoteStores }},
+	{name: "rockcress_engine_fast_forwards", help: "Idle fast-forward skips taken.", read: func(o *observation) int64 { return o.Engine.FastForwards }},
+	{name: "rockcress_engine_skipped_cycles", help: "Simulated cycles covered by fast-forwards.", read: func(o *observation) int64 { return o.Engine.SkippedCycles }},
+	{name: "rockcress_checkpoints", help: "Consistent global-memory snapshots published.", read: func(o *observation) int64 { return o.Engine.Checkpoints }},
+	{name: "rockcress_frames_occupied", help: "Completely filled, not-yet-consumed frames across every scratchpad.",
+		read: func(o *observation) int64 { return o.FramesOccupied }, heat: func(s *metrics.MachineSnap) *int64 { return &s.FramesOccupied }},
+	{name: "rockcress_inet_high_water", help: "Deepest any inet input queue has ever been this run.",
+		read: func(o *observation) int64 { return o.InetHighWater }, heat: func(s *metrics.MachineSnap) *int64 { return &s.InetHighWater }},
+	{name: "rockcress_machine_cycle", help: "Current simulated cycle of the bound machine.",
+		read: func(o *observation) int64 { return o.now }, heat: func(s *metrics.MachineSnap) *int64 { return &s.Cycle }},
+}
+
+func frameRow(event string, read func(*observation) int64) row {
+	return row{name: "rockcress_frame_events", help: "Frame-window and recovery-ladder events summed over all tiles.",
+		label: metrics.L("event", event), read: read}
+}
+
+func nocRow(name, help, plane string, read func(*observation) int64) row {
+	return row{name: name, help: help, label: metrics.L("plane", plane), read: read}
+}
+
+func linkRow(plane string, links func(*observation) []int64) row {
+	return row{name: "rockcress_noc_link_hops", help: "Traversals of one directed mesh link (from>to router ids).",
+		label: metrics.L("plane", plane), links: links}
+}
+
 // obsPub holds the pre-registered cells, laid out so the publish sweep is
 // pure slice iteration plus atomic stores — no maps, no strings, no heap.
 type obsPub struct {
-	plane *metrics.Plane
-
-	// Per tile, parallel to m.Stats.Cores.
-	tileIssued []*metrics.Cell
-	tileStall  []*metrics.Cell // tile*4 + (frame, inet, backpressure, other)
-	tileInstrs []*metrics.Cell
-
-	// Aggregate frame/recovery events (summed over tiles at publish).
-	frames [5]*metrics.Cell // consumed, poisons, replays, retries, stale_drops
-
-	// Per LLC bank, parallel to m.Stats.LLCs.
-	llcAccesses   []*metrics.Cell
-	llcMisses     []*metrics.Cell
-	llcWideReqs   []*metrics.Cell
-	llcRespWords  []*metrics.Cell
-	llcWritebacks []*metrics.Cell
-
-	dramReads, dramWrites, dramBusy *metrics.Cell
-
-	// Per mesh plane (0 = req, 1 = resp).
-	nocFlits [2]*metrics.Cell
-	nocHops  [2]*metrics.Cell
-	// Per directed link, parallel to Mesh.LinkHops() (nil at edge indexes
-	// whose label is empty — those counters never increment).
-	linkHops [2][]*metrics.Cell
-
-	nocRetrans, nocDropped, nocCorrupt, remoteStores *metrics.Cell
-
-	engineFF, engineSkipped, checkpoints *metrics.Cell
-
-	framesOccupied, inetHighWater, cycle *metrics.Cell
+	plane  *metrics.Plane
+	tiles  []*metrics.Cell // tile t's tileRows at t*len(tileRows)
+	series []pubSeries     // one per series of rows, in registration order
 
 	// Static context for the /debug/machine snapshot provider.
-	roles      []string
-	linkLabels [2][]string
-	meshW      int
-	meshH      int
+	roles        []string
+	meshW, meshH int
 }
 
-var stallKinds = [4]stats.StallKind{
-	stats.StallFrame, stats.StallInet, stats.StallBackpressure, stats.StallOther,
+// pubSeries is one registered series of a row: its cell, and the bank or
+// link index it reads (with the link's label, for the snapshot).
+type pubSeries struct {
+	cell *metrics.Cell
+	row  *row
+	i    int
+	link string
 }
-
-var stallKindNames = [4]string{"frame", "inet", "backpressure", "other"}
-
-var planeNames = [2]string{"req", "resp"}
 
 // newObsPub registers every series the machine publishes. Registration is
 // get-or-create, so a fault ladder's second attempt reuses the first
 // attempt's cells and the series stay continuous across attempts.
 func newObsPub(p *metrics.Plane, m *Machine) *obsPub {
 	r := p.Registry()
-	o := &obsPub{
-		plane:      p,
-		tileIssued: make([]*metrics.Cell, m.Cfg.Cores),
-		tileStall:  make([]*metrics.Cell, m.Cfg.Cores*4),
-		tileInstrs: make([]*metrics.Cell, m.Cfg.Cores),
-		roles:      make([]string, m.Cfg.Cores),
-		meshW:      m.Cfg.MeshWidth,
-		meshH:      m.Cfg.MeshHeight,
-	}
-	for t := 0; t < m.Cfg.Cores; t++ {
-		tile := strconv.Itoa(t)
-		role := trace.RoleNames[m.roleOf[t]]
-		o.roles[t] = role
-		o.tileIssued[t] = r.Counter("rockcress_tile_issued_cycles",
-			"Cycles in which the tile issued an instruction.",
-			metrics.L("tile", tile), metrics.L("role", role))
-		for k, kind := range stallKindNames {
-			o.tileStall[t*4+k] = r.Counter("rockcress_tile_stall_cycles",
-				"Cycles the tile could not issue, by CPI-stack stall kind.",
-				metrics.L("tile", tile), metrics.L("role", role), metrics.L("kind", kind))
-		}
-		o.tileInstrs[t] = r.Counter("rockcress_tile_instrs",
-			"Instructions committed by the tile.",
-			metrics.L("tile", tile), metrics.L("role", role))
-	}
-	frameEvents := [5]string{"consumed", "poisons", "replays", "retries", "stale_drops"}
-	for i, ev := range frameEvents {
-		o.frames[i] = r.Counter("rockcress_frame_events",
-			"Frame-window and recovery-ladder events summed over all tiles.",
-			metrics.L("event", ev))
-	}
-	nBanks := len(m.Stats.LLCs)
-	o.llcAccesses = make([]*metrics.Cell, nBanks)
-	o.llcMisses = make([]*metrics.Cell, nBanks)
-	o.llcWideReqs = make([]*metrics.Cell, nBanks)
-	o.llcRespWords = make([]*metrics.Cell, nBanks)
-	o.llcWritebacks = make([]*metrics.Cell, nBanks)
-	for b := 0; b < nBanks; b++ {
-		bank := metrics.L("bank", strconv.Itoa(b))
-		o.llcAccesses[b] = r.Counter("rockcress_llc_accesses", "LLC bank accesses.", bank)
-		o.llcMisses[b] = r.Counter("rockcress_llc_misses", "LLC bank misses.", bank)
-		o.llcWideReqs[b] = r.Counter("rockcress_llc_wide_reqs", "Vload requests served by the bank.", bank)
-		o.llcRespWords[b] = r.Counter("rockcress_llc_resp_words", "Word responses generated by the bank.", bank)
-		o.llcWritebacks[b] = r.Counter("rockcress_llc_writebacks", "Dirty lines written back by the bank.", bank)
-	}
-	o.dramReads = r.Counter("rockcress_dram_reads", "Lines read from DRAM.")
-	o.dramWrites = r.Counter("rockcress_dram_writes", "Lines written to DRAM.")
-	o.dramBusy = r.Counter("rockcress_dram_busy_cycles", "Cycles the DRAM channel was occupied.")
-	labels := [2][]string{m.meshReq.LinkLabels(), m.meshResp.LinkLabels()}
-	for pl := 0; pl < 2; pl++ {
-		plane := metrics.L("plane", planeNames[pl])
-		o.nocFlits[pl] = r.Counter("rockcress_noc_flits", "Flits injected, by mesh plane.", plane)
-		o.nocHops[pl] = r.Counter("rockcress_noc_hops", "Link traversals, by mesh plane.", plane)
-		o.linkHops[pl] = make([]*metrics.Cell, len(labels[pl]))
-		o.linkLabels[pl] = labels[pl]
-		for i, lbl := range labels[pl] {
-			if lbl == "" {
-				continue
+	o := &obsPub{plane: p, roles: make([]string, m.Cfg.Cores), meshW: m.Cfg.MeshWidth, meshH: m.Cfg.MeshHeight,
+		tiles: make([]*metrics.Cell, 0, m.Cfg.Cores*len(tileRows))}
+	for t := range o.roles {
+		o.roles[t] = trace.RoleNames[m.roleOf[t]]
+		tile, role := metrics.L("tile", strconv.Itoa(t)), metrics.L("role", o.roles[t])
+		for _, tr := range tileRows {
+			labels := []metrics.Label{tile, role, metrics.L("kind", tr.kind)}
+			if tr.kind == "" {
+				labels = labels[:2]
 			}
-			o.linkHops[pl][i] = r.Counter("rockcress_noc_link_hops",
-				"Traversals of one directed mesh link (from>to router ids).",
-				plane, metrics.L("link", lbl))
+			o.tiles = append(o.tiles, r.Counter(tr.name, tr.help, labels...))
 		}
 	}
-	o.nocRetrans = r.Counter("rockcress_noc_retransmits", "Link retry-protocol retransmissions, both planes.")
-	o.nocDropped = r.Counter("rockcress_noc_dropped_flits", "Flits lost in transit and retransmitted, both planes.")
-	o.nocCorrupt = r.Counter("rockcress_noc_corrupt_flits", "Flits CRC-rejected and retransmitted, both planes.")
-	o.remoteStores = r.Counter("rockcress_remote_stores", "Scratchpad stores delivered over the response plane.")
-	o.engineFF = r.Counter("rockcress_engine_fast_forwards", "Idle fast-forward skips taken.")
-	o.engineSkipped = r.Counter("rockcress_engine_skipped_cycles", "Simulated cycles covered by fast-forwards.")
-	o.checkpoints = r.Counter("rockcress_checkpoints", "Consistent global-memory snapshots published.")
-	o.framesOccupied = r.Gauge("rockcress_frames_occupied",
-		"Completely filled, not-yet-consumed frames across every scratchpad.")
-	o.inetHighWater = r.Gauge("rockcress_inet_high_water",
-		"Deepest any inet input queue has ever been this run.")
-	o.cycle = r.Gauge("rockcress_machine_cycle", "Current simulated cycle of the bound machine.")
+	// Both planes share the mesh's shape, so one label set serves both
+	// (the sampler's windows use it too).
+	linkLabels := m.meshReq.LinkLabels()
+	for k := range rows {
+		rw := &rows[k]
+		add := func(i int, link string, scope metrics.Label) {
+			labels := []metrics.Label{rw.label, scope}
+			if scope.Key == "" {
+				labels = labels[:1]
+			}
+			if rw.label.Key == "" {
+				labels = labels[1:]
+			}
+			var cell *metrics.Cell
+			if rw.heat != nil {
+				cell = r.Gauge(rw.name, rw.help, labels...)
+			} else {
+				cell = r.Counter(rw.name, rw.help, labels...)
+			}
+			o.series = append(o.series, pubSeries{cell, rw, i, link})
+		}
+		switch {
+		case rw.bank != nil:
+			for b := range m.Stats.LLCs {
+				add(b, "", metrics.L("bank", strconv.Itoa(b)))
+			}
+		case rw.links != nil:
+			for i, lbl := range linkLabels {
+				if lbl != "" { // an edge direction: the counter never moves
+					add(i, lbl, metrics.L("link", lbl))
+				}
+			}
+		default:
+			add(0, "", metrics.Label{})
+		}
+	}
 	return o
 }
 
-// publish stores the counter spine into the cells: fresh totals (collect),
-// the per-tile and per-bank series straight from m.Stats, the aggregate
-// series from the same fold the sampler and report.json read, and the
-// per-link vectors the meshes own. Runs on the run loop and allocates
+// publish stores one observation into the cells: per-tile series off
+// stats.Core, per-bank off stats.LLC, per-link off the link vectors, the
+// rest off the fold and the gauges. Runs on the run loop and allocates
 // nothing.
-func (o *obsPub) publish(m *Machine) {
-	m.collect()
-	for t := range m.Stats.Cores {
-		sc := &m.Stats.Cores[t]
-		o.tileIssued[t].Store(sc.Issued())
-		for k, kind := range stallKinds {
-			o.tileStall[t*4+k].Store(sc.Stall(kind))
+func (o *obsPub) publish(ob *observation) {
+	for t := range ob.st.Cores {
+		for k, tr := range tileRows {
+			o.tiles[t*len(tileRows)+k].Store(tr.read(&ob.st.Cores[t]))
 		}
-		o.tileInstrs[t].Store(sc.Instrs)
 	}
-	for b := range m.Stats.LLCs {
-		l := &m.Stats.LLCs[b]
-		o.llcAccesses[b].Store(l.Accesses)
-		o.llcMisses[b].Store(l.Misses)
-		o.llcWideReqs[b].Store(l.WideReqs)
-		o.llcRespWords[b].Store(l.RespWords)
-		o.llcWritebacks[b].Store(l.Writebacks)
-	}
-	c := trace.Fold(m.Stats, m.roleOf)
-	o.frames[0].Store(c.Frames.Consumed)
-	o.frames[1].Store(c.Frames.Poisons)
-	o.frames[2].Store(c.Frames.Replays)
-	o.frames[3].Store(c.Frames.Retries)
-	o.frames[4].Store(c.Frames.StaleDrops)
-	o.dramReads.Store(c.Dram.Reads)
-	o.dramWrites.Store(c.Dram.Writes)
-	o.dramBusy.Store(c.Dram.Busy)
-	o.nocFlits[0].Store(c.Noc.FlitsReq)
-	o.nocHops[0].Store(c.Noc.HopsReq)
-	o.nocFlits[1].Store(c.Noc.FlitsResp)
-	o.nocHops[1].Store(c.Noc.HopsResp)
-	publishLinks(o.linkHops[0], m.meshReq.LinkHops())
-	publishLinks(o.linkHops[1], m.meshResp.LinkHops())
-	o.nocRetrans.Store(c.Noc.Retrans)
-	o.nocDropped.Store(c.Noc.Dropped)
-	o.nocCorrupt.Store(c.Noc.Corrupt)
-	o.remoteStores.Store(c.Noc.RemoteStores)
-	o.engineFF.Store(c.Engine.FastForwards)
-	o.engineSkipped.Store(c.Engine.SkippedCycles)
-	o.checkpoints.Store(c.Engine.Checkpoints)
-	g := m.gauges()
-	o.framesOccupied.Store(g.FramesOccupied)
-	o.inetHighWater.Store(g.InetHighWater)
-	o.cycle.Store(m.now)
-}
-
-func publishLinks(cells []*metrics.Cell, hops []int64) {
-	for i, c := range cells {
-		if c != nil && i < len(hops) {
-			c.Store(hops[i])
+	for _, s := range o.series {
+		var v int64
+		switch rw := s.row; {
+		case rw.bank != nil:
+			v = rw.bank(&ob.st.LLCs[s.i])
+		case rw.links != nil:
+			v = rw.links(ob)[s.i]
+		default:
+			v = rw.read(ob)
 		}
+		s.cell.Store(v)
 	}
 }
 
@@ -218,37 +214,20 @@ func publishLinks(cells []*metrics.Cell, hops []int64) {
 // it is safe from any goroutine at any time (including while the machine is
 // mid-cycle on another goroutine).
 func (o *obsPub) snapshot() *metrics.MachineSnap {
-	s := &metrics.MachineSnap{
-		Cycle: o.cycle.Load(),
-		MeshW: o.meshW,
-		MeshH: o.meshH,
-		Tiles: make([]metrics.TileSnap, len(o.tileIssued)),
-	}
+	s := &metrics.MachineSnap{MeshW: o.meshW, MeshH: o.meshH, Tiles: make([]metrics.TileSnap, len(o.roles))}
 	for t := range s.Tiles {
-		s.Tiles[t] = metrics.TileSnap{
-			Tile:         t,
-			Role:         o.roles[t],
-			Issued:       o.tileIssued[t].Load(),
-			Frame:        o.tileStall[t*4].Load(),
-			Inet:         o.tileStall[t*4+1].Load(),
-			Backpressure: o.tileStall[t*4+2].Load(),
-			Other:        o.tileStall[t*4+3].Load(),
-			Instrs:       o.tileInstrs[t].Load(),
+		c := o.tiles[t*len(tileRows):]
+		s.Tiles[t] = metrics.TileSnap{Tile: t, Role: o.roles[t], Issued: c[0].Load(),
+			Frame: c[1].Load(), Inet: c[2].Load(), Backpressure: c[3].Load(), Other: c[4].Load(),
+			Instrs: c[5].Load()}
+	}
+	for _, ps := range o.series {
+		switch v := ps.cell.Load(); {
+		case ps.row.heat != nil:
+			*ps.row.heat(s) = v
+		case ps.row.links != nil && v > 0:
+			s.Links = append(s.Links, metrics.LinkSnap{Plane: ps.row.label.Value, Link: ps.link, Hops: v})
 		}
 	}
-	for pl := 0; pl < 2; pl++ {
-		for i, c := range o.linkHops[pl] {
-			if c == nil {
-				continue
-			}
-			if h := c.Load(); h > 0 {
-				s.Links = append(s.Links, metrics.LinkSnap{
-					Plane: planeNames[pl], Link: o.linkLabels[pl][i], Hops: h,
-				})
-			}
-		}
-	}
-	s.FramesOccupied = o.framesOccupied.Load()
-	s.InetHighWater = o.inetHighWater.Load()
 	return s
 }

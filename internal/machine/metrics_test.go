@@ -303,12 +303,9 @@ func TestWatchdogFlightBundle(t *testing.T) {
 	}}
 	dir := t.TempDir()
 	plane := metrics.NewPlane(dir)
-	// A retain-only sink: no JSONL, the slot-holding machine keeps its
-	// windows in the plane's flight ring.
-	sink := trace.NewSink(trace.Config{SampleEvery: 256, Retain: true})
-	defer sink.Close()
+	// No sink: the slot-holding machine cuts the flight ring's windows itself.
 	res, err := kernels.ExecuteWithFaultsOpts(bench, bench.Defaults(kernels.Tiny), sw, hw, plan,
-		kernels.ExecOpts{Obs: plane, Trace: sink})
+		kernels.ExecOpts{Obs: plane})
 	if err != nil {
 		t.Fatalf("ladder did not recover from the watchdog trip: %v", err)
 	}
@@ -349,12 +346,66 @@ func TestWatchdogFlightBundle(t *testing.T) {
 		t.Errorf("bundle notes missing the stick/watchdog story: %v", kinds)
 	}
 	if len(b.Windows) == 0 {
-		t.Error("bundle carries no telemetry windows from the retain-only sampler")
+		t.Error("bundle carries no telemetry windows from the slot holder's sampler")
 	}
 	for _, w := range b.Windows {
 		if w.Run != "mvt/V4" || w.Attempt != 1 {
 			t.Errorf("window ending at %d tagged %s attempt %d, want mvt/V4 attempt 1", w.Window.End, w.Run, w.Attempt)
 		}
+	}
+}
+
+// TestPlaneWithoutSinkKeepsWindows: a machine bound to a plane, with no
+// trace sink at all, still cuts telemetry windows for the flight ring — at
+// the default window size, ending at the run's last cycle, and summing to
+// its aggregates.
+func TestPlaneWithoutSinkKeepsWindows(t *testing.T) {
+	bench, err := kernels.Get("mvt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := config.Preset("V4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane := metrics.NewPlane(t.TempDir())
+	res, err := kernels.ExecuteOpts(bench, bench.Defaults(kernels.Tiny), sw,
+		config.ManycoreDefault(), kernels.ExecOpts{Obs: plane})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := plane.DumpFlight("test", nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := metrics.ReadBundle(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycles := res.Stats.Cycles
+	if want := int((cycles + trace.DefaultSampleEvery - 1) / trace.DefaultSampleEvery); len(b.Windows) != want {
+		t.Fatalf("flight ring holds %d windows, want %d (%d cycles at %d per window)",
+			len(b.Windows), want, cycles, trace.DefaultSampleEvery)
+	}
+	var instrs, issued int64
+	for _, fw := range b.Windows {
+		for _, r := range fw.Window.Roles {
+			instrs += r.Instrs
+			issued += r.Issued
+		}
+	}
+	last := b.Windows[len(b.Windows)-1].Window
+	if !last.Final || last.End != cycles {
+		t.Errorf("last window ends at %d (final %v), want the run's last cycle %d", last.End, last.Final, cycles)
+	}
+	cum := trace.Fold(res.Stats, trace.Roles(res.HW.Cores, res.Groups))
+	var wantInstrs, wantIssued int64
+	for _, r := range cum.Roles {
+		wantInstrs += r.Instrs
+		wantIssued += r.Issued
+	}
+	if instrs != wantInstrs || issued != wantIssued {
+		t.Errorf("windows sum to %d instrs / %d issued, run says %d / %d", instrs, issued, wantInstrs, wantIssued)
 	}
 }
 

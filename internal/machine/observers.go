@@ -8,6 +8,7 @@ import (
 	"rockcress/internal/metrics"
 	"rockcress/internal/msg"
 	"rockcress/internal/sim"
+	"rockcress/internal/stats"
 	"rockcress/internal/trace"
 )
 
@@ -15,7 +16,7 @@ import (
 // unobserved machine. Embedded in Machine by value, so the per-tick gates
 // the fabric keeps inline (TrySend, deliver, BarrierArrive, NotifyHalt) read
 // m.rec and m.causal with one load; every other gate is here, behind
-// observeBarrier, observeSkip, observeStep, observeEnd and announce. All of
+// observeBarrier, observeSkip, observe, observeEnd and announce. All of
 // it only reads simulated state, so cycle counts are bit-identical with
 // observers on or off.
 type observers struct {
@@ -26,6 +27,7 @@ type observers struct {
 	pub     *obsPub         // the live plane's cells (metrics.go)
 	flight  *metrics.Flight // only on the machine that won the plane's slot
 	causal  *causal.Recorder
+	ob      observation // observe's one read, refilled in place
 }
 
 // attachObservers wires whatever p asks for onto a built fabric.
@@ -71,12 +73,6 @@ func (m *Machine) attachObservers(p Params) {
 		}
 		m.rec.Meta(m.tidMachine(), "machine")
 	}
-	if m.sampler != nil {
-		m.sampler.SetLinkLabels(m.meshReq.LinkLabels())
-		// Multi-attempt fault runs reuse one sink across machines; the window
-		// series restarts from cycle 0 with each new machine.
-		m.sampler.Reset()
-	}
 	if p.Prof != nil {
 		m.prof = p.Prof
 		m.engine.SetProfile(p.Prof)
@@ -86,8 +82,19 @@ func (m *Machine) attachObservers(p Params) {
 	if p.Obs.TryBindMachine() {
 		m.pub = newObsPub(p.Obs, m)
 		p.Obs.SetMachineProvider(m.pub.snapshot)
+		// The flight ring keeps the slot holder's windows; when the sink
+		// cuts none, the machine cuts its own, written nowhere else.
 		m.flight = p.Obs.Flight()
+		if m.sampler == nil {
+			m.sampler = trace.NewSampler(nil, 0)
+		}
 		m.PublishMetrics()
+	}
+	if m.sampler != nil {
+		m.sampler.SetLinkLabels(m.meshReq.LinkLabels())
+		// Multi-attempt fault runs reuse one sink across machines; the window
+		// series restarts from cycle 0 with each new machine.
+		m.sampler.Reset()
 	}
 }
 
@@ -144,34 +151,72 @@ func (m *Machine) observeSkip(n int64) {
 	}
 }
 
-// observeStep is the observers' share of a run-loop iteration: a telemetry
-// window when due and, at watchdog checkpoints, a counter publish.
-func (m *Machine) observeStep() {
-	if m.sampler != nil && m.sampler.Due(m.now) {
-		m.sample(false)
+// observation is one read of the counter spine, handed to every consumer
+// due at one cycle: fresh totals, their fold (with the meshes' live per-link
+// vectors, which the sampler copies), and the gauges. The machine keeps one
+// and refills it, so a read costs no allocation.
+type observation struct {
+	trace.Cum
+	trace.Gauges
+	st  *stats.Machine
+	now int64
+}
+
+// observe is the observers' one read of the counters. In the run loop a
+// window is due at its boundary and a publish at watchdog checkpoints; on
+// Run's exit (final) both are — the window being the run's last — and
+// collect runs even with no consumer, so every exit path leaves fresh totals
+// in m.Stats. Either way, consumers due at the same cycle share one collect,
+// one Fold and one gauges read.
+func (m *Machine) observe(final bool) {
+	window := m.sampler != nil && (final || m.sampler.Due(m.now))
+	publish := m.pub != nil && (final || m.now%m.checkEvery == 0)
+	if !final && !window && !publish {
+		return
 	}
-	if m.now%m.checkEvery == 0 {
-		m.PublishMetrics()
+	m.collect()
+	if !window && !publish {
+		return
+	}
+	ob := m.read()
+	if window && !final {
+		m.flight.Retain(m.sampler.Record(m.now, &ob.Cum, ob.Gauges))
+	} else if window {
+		if w, emitted := m.sampler.Finish(m.now, &ob.Cum, ob.Gauges); emitted {
+			m.flight.Retain(w)
+		}
+	}
+	if publish {
+		m.pub.publish(ob)
 	}
 }
 
-// observeEnd runs on every exit path of Run: fresh totals feed the final
-// window (so a failed run's windows still sum to its aggregates) and the
-// final publish, a failed run's outputs are truncation-marked, the plane's
-// slot is freed, and a completed run's causal profile is finished — after
-// collect's Sync, which puts parked cores' back-filled cycles in it.
+// read fills the machine's observation from totals collect just refreshed.
+func (m *Machine) read() *observation {
+	ob := &m.ob
+	ob.Cum = trace.Fold(m.Stats, m.roleOf)
+	ob.LinksReq, ob.LinksResp = m.meshReq.LinkHops(), m.meshResp.LinkHops()
+	ob.Gauges = m.gauges()
+	ob.st, ob.now = m.Stats, m.now
+	return ob
+}
+
+// observeEnd runs on every exit path of Run: a failed run's outputs are
+// truncation-marked, the final observation feeds the last window (so a
+// failed run's windows still sum to its aggregates) and the final publish,
+// the plane's slot is freed, and a completed run's causal profile is
+// finished — after collect's Sync, which puts parked cores' back-filled
+// cycles in it.
 func (m *Machine) observeEnd(failed bool) {
-	m.collect()
-	if m.rec != nil && failed {
-		m.rec.MarkTruncated()
-	}
-	if m.sampler != nil {
-		if failed {
+	if failed {
+		if m.rec != nil {
+			m.rec.MarkTruncated()
+		}
+		if m.sampler != nil {
 			m.sampler.MarkTruncated()
 		}
-		m.sample(true)
 	}
-	m.PublishMetrics()
+	m.observe(true)
 	m.ReleaseObs()
 	if m.causal != nil && !failed {
 		m.causal.Finish(m.now)
@@ -198,18 +243,6 @@ func (m *Machine) causalArrive(node int, f *msg.Message) {
 	}
 }
 
-// snapshotCum is the sampler's view of the counter spine: fresh totals
-// folded into the window groups, plus the per-link hop vectors the meshes
-// own. The sampler keeps the previous snapshot by value, so the link slices
-// are copies, never aliases of the meshes' live counters.
-func (m *Machine) snapshotCum() trace.Cum {
-	m.collect()
-	c := trace.Fold(m.Stats, m.roleOf)
-	c.LinksReq = append([]int64(nil), m.meshReq.LinkHops()...)
-	c.LinksResp = append([]int64(nil), m.meshResp.LinkHops()...)
-	return c
-}
-
 // gauges reads the point-in-time values for the current window's end.
 func (m *Machine) gauges() trace.Gauges {
 	var g trace.Gauges
@@ -220,17 +253,6 @@ func (m *Machine) gauges() trace.Gauges {
 		}
 	}
 	return g
-}
-
-// sample emits one telemetry window ending at the current cycle, and keeps
-// it in the flight ring when this machine holds the plane's slot.
-func (m *Machine) sample(final bool) {
-	c := m.snapshotCum()
-	if !final {
-		m.flight.Retain(m.sampler.Record(m.now, &c, m.gauges()))
-	} else if w, emitted := m.sampler.Finish(m.now, &c, m.gauges()); emitted {
-		m.flight.Retain(w)
-	}
 }
 
 // stepOrSkip is one iteration of the run loop: jump when the engine says
@@ -254,12 +276,13 @@ func (m *Machine) stepOrSkip(limit int64) {
 	}
 }
 
-// PublishMetrics stores the counters into the plane's cells (a no-op when
-// unbound, zero allocations when warm). Exported for drivers that Step
-// rather than Run.
+// PublishMetrics stores the counters into the plane's cells now, cutting no
+// window (a no-op when unbound, zero allocations when warm). For drivers
+// that Step rather than Run.
 func (m *Machine) PublishMetrics() {
 	if m.pub != nil {
-		m.pub.publish(m)
+		m.collect()
+		m.pub.publish(m.read())
 	}
 }
 

@@ -48,17 +48,13 @@ type Core struct {
 	InstrsByClass [MaxInstrClasses]int64 // indexed by isa.Class
 
 	ICacheAccesses int64
-	ICacheMisses   int64
 	SpadReads      int64
 	SpadWrites     int64
 	InetForwards   int64 // instructions sent on the inet
 	InetReceives   int64
 	Microthreads   int64 // vissues consumed
 	FramesConsumed int64
-	LoadsIssued    int64 // global word loads
-	StoresIssued   int64
 	VloadsIssued   int64
-	PredNops       int64 // instructions squashed by predication
 
 	// Integrity counters (zero unless the fault-injection integrity layer
 	// is enabled): parity failures at frame-open, successful frame replays,

@@ -200,10 +200,14 @@ type Sampler struct {
 	err        error
 }
 
-// newSampler builds a sampler. w may be nil for a retain-only sampler (the
-// machine keeps the returned windows in its plane's flight recorder, without
-// a JSONL file).
-func newSampler(w io.Writer, every int64) *Sampler {
+// NewSampler builds a sampler cutting windows of every cycles
+// (DefaultSampleEvery when not positive). w may be nil: the windows are then
+// only handed back (Record, Finish) — a machine holding the plane's slot
+// keeps them in the flight recorder without writing JSONL.
+func NewSampler(w io.Writer, every int64) *Sampler {
+	if every <= 0 {
+		every = DefaultSampleEvery
+	}
 	s := &Sampler{every: every}
 	if w != nil {
 		s.enc = json.NewEncoder(w)
@@ -310,7 +314,11 @@ func (s *Sampler) emit(now int64, c *Cum, g Gauges, final bool) Window {
 			s.err = err
 		}
 	}
+	// A machine passes its meshes' live link counters: keep copies.
+	req, resp := s.prev.LinksReq[:0], s.prev.LinksResp[:0]
 	s.prev = *c
+	s.prev.LinksReq = append(req, c.LinksReq...)
+	s.prev.LinksResp = append(resp, c.LinksResp...)
 	s.prevAt = now
 	return w
 }

@@ -414,7 +414,7 @@ func TestVocabularyRows(t *testing.T) {
 
 func TestSamplerWindowsConserve(t *testing.T) {
 	var buf bytes.Buffer
-	s := newSampler(&buf, 100)
+	s := NewSampler(&buf, 100)
 	s.Reset()
 
 	cum := Cum{}
@@ -477,7 +477,7 @@ func TestSamplerWindowsConserve(t *testing.T) {
 
 func TestSamplerResetRestartsSeries(t *testing.T) {
 	var buf bytes.Buffer
-	s := newSampler(&buf, 50)
+	s := NewSampler(&buf, 50)
 	s.Reset()
 	cum := Cum{}
 	cum.Noc.FlitsReq = 5
@@ -512,7 +512,7 @@ func TestSamplerResetRestartsSeries(t *testing.T) {
 
 func TestSamplerFinishEmptyEmitsNothing(t *testing.T) {
 	var buf bytes.Buffer
-	s := newSampler(&buf, 100)
+	s := NewSampler(&buf, 100)
 	s.Reset()
 	s.Finish(0, &Cum{}, Gauges{})
 	if buf.Len() != 0 {
@@ -522,7 +522,7 @@ func TestSamplerFinishEmptyEmitsNothing(t *testing.T) {
 
 func TestSamplerLinkDeltas(t *testing.T) {
 	var buf bytes.Buffer
-	s := newSampler(&buf, 100)
+	s := NewSampler(&buf, 100)
 	s.Reset()
 	s.SetLinkLabels([]string{"0>1", "", "1>0", "1>2"})
 	cum := Cum{LinksReq: []int64{4, 9, 0, 2}}
