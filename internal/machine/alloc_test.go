@@ -122,6 +122,59 @@ func TestMachineNewAllocs(t *testing.T) {
 	}
 }
 
+// TestMachineNewAllocsWithPlane holds binding a machine to the live plane
+// to a cost per series family, not per series: what machine.New allocates
+// with a plane, over what it allocates without one. Re-binding to a warm
+// plane — every series already registered, as for a sweep's next cell or a
+// fault ladder's next attempt — finds each series by value and allocates
+// next to nothing; a fresh 16x16 plane, with four times the tile and link
+// series and twice the bank series of an 8x8, costs at most twice as much.
+func TestMachineNewAllocsWithPlane(t *testing.T) {
+	small, _ := benchParams(t, "mvt", "NV", config.ManycoreDefault(), machine.Params{})
+	big := small
+	big.Cfg.MeshWidth, big.Cfg.MeshHeight, big.Cfg.Cores = 16, 16, 256
+	big.Cfg.LLCBanks, big.Cfg.LLCBytes = 32, 2*big.Cfg.LLCBytes
+	// bind counts what a plane adds to machine.New; plane hands each build
+	// its plane.
+	bind := func(mp machine.Params, plane func() *metrics.Plane) float64 {
+		bare := newAllocs(t, mp)
+		return testing.AllocsPerRun(20, func() {
+			mp.Obs = plane()
+			m, err := machine.New(mp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !m.ObsBound() {
+				t.Fatal("machine did not bind to the plane")
+			}
+			m.ReleaseObs()
+			m.Global.Recycle()
+		}) - bare
+	}
+	fresh := func() func() *metrics.Plane {
+		planes := make([]*metrics.Plane, 21) // AllocsPerRun's warm-up run plus 20
+		for i := range planes {
+			planes[i] = metrics.NewPlane("")
+		}
+		return func() *metrics.Plane {
+			p := planes[0]
+			planes = planes[1:]
+			return p
+		}
+	}
+	warm := metrics.NewPlane("")
+	freshSmall, freshBig := bind(small, fresh()), bind(big, fresh())
+	warmSmall := bind(small, func() *metrics.Plane { return warm })
+	t.Logf("plane bind allocations: 8x8 fresh %.0f, 8x8 warm %.0f, 16x16 fresh %.0f", freshSmall, warmSmall, freshBig)
+	if warmSmall > 100 {
+		t.Errorf("re-binding an 8x8 machine to a warm plane allocates %.0f times, want <= 100", warmSmall)
+	}
+	if freshBig > 2*freshSmall {
+		t.Errorf("a fresh 16x16 bind allocates %.0f times, %.2fx the 8x8 bind's %.0f: binding grows with the series",
+			freshBig, freshBig/freshSmall, freshSmall)
+	}
+}
+
 // TestSteadyStateAllocs single-steps busy machines and asserts the steady
 // state allocates nothing per cycle: pre-lowered dispatch, arena-backed
 // flits, and pooled frames mean a warm machine's tick path never touches
@@ -183,6 +236,44 @@ func TestSteadyStateAllocsWithPlane(t *testing.T) {
 				t.Errorf("steady-state tick+publish allocates: %.3f allocs/cycle", avg)
 			}
 		})
+	}
+}
+
+// TestSteadyStateAllocsWithSampler repeats the gate through the run loop
+// with every window consumer attached: a JSONL sampler and a bound plane,
+// whose flight ring keeps the slot holder's windows. Step-driven gates never
+// reach observe, so this one drives RunUntil across window boundaries. Once
+// every ring slot holds a line, a window is one encode into the sampler's
+// reused line, one write and one copy into a slot: it costs nothing.
+func TestSteadyStateAllocsWithSampler(t *testing.T) {
+	const every, perRun = 16, 4
+	sink := trace.NewSink(trace.Config{SampleTo: io.Discard, SampleEvery: every})
+	plane := metrics.NewPlane("")
+	m := buildForAllocTest(t, "mvt", "V4", plane, sink)
+	defer m.ReleaseObs()
+	if !m.ObsBound() {
+		t.Fatal("machine did not bind to the plane")
+	}
+	if err := m.RunUntil(2000); err != nil { // 125 windows: past the ring's 64 slots
+		t.Fatal(err)
+	}
+	if held, _, _ := plane.Flight().Counts(); held != 64 {
+		t.Fatalf("flight ring holds %d windows after the warm-up, want a full 64", held)
+	}
+	start := m.Now()
+	stop := start
+	avg := testing.AllocsPerRun(8, func() {
+		stop += perRun * every
+		if err := m.RunUntil(stop); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// mvt/V4 at Tiny runs 3152 cycles: the machine is still busy here.
+	if windows := (m.Now() - start) / every; windows < 32 {
+		t.Fatalf("measured %d windows, want >= 32", windows)
+	}
+	if avg != 0 {
+		t.Errorf("windows allocate: %.2f allocs per %d windows", avg, perRun)
 	}
 }
 

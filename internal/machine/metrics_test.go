@@ -9,6 +9,8 @@ package machine_test
 // flight bundle the ladder then recovers from.
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -406,6 +408,82 @@ func TestPlaneWithoutSinkKeepsWindows(t *testing.T) {
 	}
 	if instrs != wantInstrs || issued != wantIssued {
 		t.Errorf("windows sum to %d instrs / %d issued, run says %d / %d", instrs, issued, wantInstrs, wantIssued)
+	}
+}
+
+// TestFlightWindowsAreJSONLLines: a window is encoded once, for both of its
+// consumers. A fault ladder runs with JSONL telemetry and a plane; the
+// dumped bundle's windows, re-encoded, are byte for byte the last 64 JSONL
+// lines, each tagged with the run and the ladder attempt that wrote it
+// (an attempt's series starts again at cycle 0).
+func TestFlightWindowsAreJSONLLines(t *testing.T) {
+	bench, err := kernels.Get("mvt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := config.Preset("V4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := fault.Parse("kill@1000:t12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jsonl bytes.Buffer
+	sink := trace.NewSink(trace.Config{SampleTo: &jsonl, SampleEvery: 96})
+	plane := metrics.NewPlane(t.TempDir())
+	res, err := kernels.ExecuteWithFaultsOpts(bench, bench.Defaults(kernels.Tiny), sw, config.ManycoreDefault(), plan,
+		kernels.ExecOpts{Obs: plane, Trace: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path, err := plane.DumpFlight("test", nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := metrics.ReadBundle(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	lines := bytes.SplitAfter(jsonl.Bytes(), []byte("\n"))
+	lines = lines[:len(lines)-1] // after the last newline
+	attempts := make([]int, len(lines))
+	attempt := 0
+	for i, line := range lines {
+		if bytes.HasPrefix(line, []byte(`{"start":0,`)) {
+			attempt++
+		}
+		attempts[i] = attempt
+	}
+	if attempt != res.Attempts {
+		t.Fatalf("JSONL holds %d attempts' series, the ladder ran %d", attempt, res.Attempts)
+	}
+	if len(lines) <= 64 {
+		t.Fatalf("run cut %d windows, want more than the ring's 64", len(lines))
+	}
+	if len(b.Windows) != 64 {
+		t.Fatalf("bundle holds %d windows, want 64", len(b.Windows))
+	}
+	tail := len(lines) - len(b.Windows)
+	if attempts[tail] == attempt {
+		t.Fatalf("the ring's windows all come from attempt %d; want them to span two", attempt)
+	}
+	for i, fw := range b.Windows {
+		line := lines[tail+i]
+		got, err := json.Marshal(&fw.Window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(append(got, '\n'), line) {
+			t.Fatalf("bundle window %d:\n got  %s\n want %s", i, got, line)
+		}
+		if fw.Run != "mvt/V4" || fw.Attempt != attempts[tail+i] {
+			t.Errorf("bundle window %d tagged %s attempt %d, want mvt/V4 attempt %d", i, fw.Run, fw.Attempt, attempts[tail+i])
+		}
 	}
 }
 

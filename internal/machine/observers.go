@@ -79,22 +79,27 @@ func (m *Machine) attachObservers(p Params) {
 	}
 	// False on a nil plane, and when another machine of the same sweep is
 	// already publishing: this one then has no cells to publish.
-	if p.Obs.TryBindMachine() {
-		m.pub = newObsPub(p.Obs, m)
-		p.Obs.SetMachineProvider(m.pub.snapshot)
+	bound := p.Obs.TryBindMachine()
+	if bound && m.sampler == nil {
 		// The flight ring keeps the slot holder's windows; when the sink
 		// cuts none, the machine cuts its own, written nowhere else.
-		m.flight = p.Obs.Flight()
-		if m.sampler == nil {
-			m.sampler = trace.NewSampler(nil, 0)
-		}
-		m.PublishMetrics()
+		m.sampler = trace.NewSampler(nil, 0)
 	}
-	if m.sampler != nil {
-		m.sampler.SetLinkLabels(m.meshReq.LinkLabels())
-		// Multi-attempt fault runs reuse one sink across machines; the window
-		// series restarts from cycle 0 with each new machine.
-		m.sampler.Reset()
+	if m.sampler == nil {
+		return
+	}
+	// Both planes share the mesh's shape, so one label set serves the
+	// windows and both planes' link series.
+	links := m.meshReq.LinkLabels()
+	m.sampler.SetLinkLabels(links)
+	// Multi-attempt fault runs reuse one sink across machines; the window
+	// series restarts from cycle 0 with each new machine.
+	m.sampler.Reset()
+	if bound {
+		m.pub = newObsPub(p.Obs, m, links)
+		p.Obs.SetMachineProvider(m.pub.snapshot)
+		m.flight = p.Obs.Flight()
+		m.PublishMetrics()
 	}
 }
 
@@ -179,11 +184,12 @@ func (m *Machine) observe(final bool) {
 		return
 	}
 	ob := m.read()
+	// The flight ring keeps the very line the JSONL got.
 	if window && !final {
 		m.flight.Retain(m.sampler.Record(m.now, &ob.Cum, ob.Gauges))
 	} else if window {
-		if w, emitted := m.sampler.Finish(m.now, &ob.Cum, ob.Gauges); emitted {
-			m.flight.Retain(w)
+		if line := m.sampler.Finish(m.now, &ob.Cum, ob.Gauges); line != nil {
+			m.flight.Retain(line)
 		}
 	}
 	if publish {

@@ -25,7 +25,7 @@ import (
 // SIGQUIT handler may dump from another.
 type Flight struct {
 	mu      sync.Mutex
-	windows []FlightWindow
+	windows []flightLine
 	wHead   int
 	wLen    int
 	notes   []FlightNote
@@ -37,8 +37,17 @@ type Flight struct {
 	seq     int
 }
 
+// flightLine is one ring slot: a window's JSONL line, copied into a buffer
+// the slot owns and reuses, and the run tags it was retained under.
+type flightLine struct {
+	run     string
+	attempt int
+	line    []byte
+}
+
 // FlightWindow is one retained telemetry window, tagged with the run it came
-// from so successive cells of a sweep stay attributable.
+// from so successive cells of a sweep stay attributable. The ring keeps
+// the sampler's line; a snapshot decodes it into this form.
 type FlightWindow struct {
 	Run     string       `json:"run,omitempty"`
 	Attempt int          `json:"attempt,omitempty"`
@@ -76,7 +85,7 @@ const (
 // NewFlight creates a flight recorder with the default ring capacities.
 func NewFlight() *Flight {
 	return &Flight{
-		windows: make([]FlightWindow, defaultWindowCap),
+		windows: make([]flightLine, defaultWindowCap),
 		notes:   make([]FlightNote, defaultNoteCap),
 	}
 }
@@ -95,14 +104,22 @@ func (f *Flight) SetRun(run string, attempt int) {
 	f.mu.Unlock()
 }
 
-// Retain keeps one telemetry window, tagged with the current run.
-func (f *Flight) Retain(w trace.Window) {
+// Retain keeps one telemetry window — the JSON line trace.Sampler wrote
+// for it — tagged with the current run. The line is copied: the sampler
+// reuses its buffer for the next window.
+func (f *Flight) Retain(line []byte) {
 	if f == nil {
 		return
 	}
 	f.mu.Lock()
 	i := (f.wHead + f.wLen) % len(f.windows)
-	f.windows[i] = FlightWindow{Run: f.run, Attempt: f.attempt, Window: w}
+	w := &f.windows[i]
+	if cap(w.line) < len(line) {
+		// Twice the line: lines vary with link activity, and the slack
+		// lets a slot stop growing once they settle.
+		w.line = make([]byte, 0, 2*len(line))
+	}
+	w.run, w.attempt, w.line = f.run, f.attempt, append(w.line[:0], line...)
 	if f.wLen < len(f.windows) {
 		f.wLen++
 	} else {
@@ -139,19 +156,23 @@ func (f *Flight) Counts() (windows, notes, dumps int) {
 	return f.wLen, f.nLen, f.dumps
 }
 
-// snapshot copies the rings oldest-first.
-func (f *Flight) snapshot() (ws []FlightWindow, ns []FlightNote, run string, attempt int) {
+// snapshot copies the rings oldest-first, decoding each retained line.
+func (f *Flight) snapshot() (ws []FlightWindow, ns []FlightNote, run string, attempt int, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ws = make([]FlightWindow, 0, f.wLen)
-	for i := 0; i < f.wLen; i++ {
-		ws = append(ws, f.windows[(f.wHead+i)%len(f.windows)])
+	ws = make([]FlightWindow, f.wLen)
+	for i := range ws {
+		w := &f.windows[(f.wHead+i)%len(f.windows)]
+		ws[i].Run, ws[i].Attempt = w.run, w.attempt
+		if err := json.Unmarshal(w.line, &ws[i].Window); err != nil {
+			return nil, nil, "", 0, fmt.Errorf("flight: window %d: %w", i, err)
+		}
 	}
 	ns = make([]FlightNote, 0, f.nLen)
 	for i := 0; i < f.nLen; i++ {
 		ns = append(ns, f.notes[(f.nHead+i)%len(f.notes)])
 	}
-	return ws, ns, f.run, f.attempt
+	return ws, ns, f.run, f.attempt, nil
 }
 
 // Dump writes a bundle into dir and returns its path. reason is a short
@@ -162,7 +183,10 @@ func (f *Flight) Dump(dir, reason string, runErr error, tileState string, snap *
 	if f == nil || dir == "" {
 		return "", nil
 	}
-	ws, ns, run, attempt := f.snapshot()
+	ws, ns, run, attempt, err := f.snapshot()
+	if err != nil {
+		return "", err
+	}
 	b := Bundle{
 		Schema:    1,
 		Reason:    reason,

@@ -8,12 +8,15 @@
 // The contract with the simulator mirrors internal/trace: the plane only
 // READS simulated state, never mutates it, so cycle counts are bit-identical
 // with the plane attached or not. The hot-path
-// contract mirrors PR 7's zero-alloc steady state: every metric cell is
-// registered once at machine construction (allocation happens there), and
-// steady-state updates are plain atomic loads/stores/adds on those
-// pre-registered cells — the machine publishes counter snapshots into the
-// cells on its serial run loop at watchdog-checkpoint granularity, so HTTP
-// scrapes from other goroutines are race-free without any hot-path locking.
+// contract mirrors the simulator's zero-alloc steady state: every metric
+// cell is registered once at machine construction, and steady-state updates
+// are plain atomic loads/stores/adds on those pre-registered cells — the
+// machine publishes counter snapshots into the cells on its serial run loop
+// at watchdog-checkpoint granularity, so HTTP scrapes from other goroutines
+// are race-free without any hot-path locking. Registration allocates per
+// family, not per series: a series is keyed by its label set as a value and
+// built in its family's slab, so binding a machine costs the same handful
+// of allocations however many tiles, banks and links it labels.
 package metrics
 
 import (
@@ -87,12 +90,23 @@ type Label struct {
 // L builds a label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
+// maxLabels bounds a series' label set. The set is its family's map key,
+// and Go stores a key of more than 128 bytes out of line, one allocation
+// per insert: four labels are 128 bytes.
+const maxLabels = 4
+
+// labelSet is a series' labels in registration order, zero past the last.
+type labelSet [maxLabels]Label
+
 // series is one labeled instance inside a family.
 type series struct {
-	labels []Label
-	cell   Cell
-	hist   *histCells // histogram families only
+	key  labelSet
+	n    int // labels in key
+	cell Cell
+	hist *histCells // histogram families only
 }
+
+func (s *series) labels() []Label { return s.key[:s.n] }
 
 type histCells struct {
 	counts []Cell // one per bucket upper bound, plus +Inf
@@ -106,13 +120,16 @@ type family struct {
 	kind    Kind
 	buckets []float64 // histogram upper bounds (ascending, no +Inf)
 	series  []*series
-	byKey   map[string]*series
+	byKey   map[labelSet]*series
+	slab    []series // the next series come from here; full, it is replaced by one twice its size
 }
 
 // Registry holds metric families. Registration (Counter/Gauge/Histogram) is
 // get-or-create by name+labels and may allocate; it is meant for machine and
 // harness construction time. Updates on the returned cells never touch the
-// registry again.
+// registry again. A series is found by its label set as a value, and
+// created in its family's slab, so registering allocates per family (and
+// per doubling of it), not per series; re-registering allocates nothing.
 type Registry struct {
 	mu       sync.Mutex
 	families []*family
@@ -124,34 +141,29 @@ func NewRegistry() *Registry {
 	return &Registry{byName: map[string]*family{}}
 }
 
-func labelKey(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for _, l := range labels {
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
-		b.WriteByte(';')
-	}
-	return b.String()
-}
-
 func (r *Registry) lookup(name, help string, kind Kind, buckets []float64, labels []Label) *series {
+	if len(labels) > maxLabels {
+		panic(fmt.Sprintf("metrics: %s registered with %d labels, at most %d", name, len(labels), maxLabels))
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.byName[name]
 	if f == nil {
 		f = &family{name: name, help: help, kind: kind, buckets: buckets,
-			byKey: map[string]*series{}}
+			byKey: map[labelSet]*series{}}
 		r.byName[name] = f
 		r.families = append(r.families, f)
 	}
-	key := labelKey(labels)
+	var key labelSet
+	copy(key[:], labels)
 	s := f.byKey[key]
 	if s == nil {
-		s = &series{labels: append([]Label(nil), labels...)}
+		if len(f.slab) == cap(f.slab) {
+			f.slab = make([]series, 0, max(4, 2*cap(f.slab)))
+		}
+		f.slab = f.slab[:len(f.slab)+1]
+		s = &f.slab[len(f.slab)-1]
+		s.key, s.n = key, len(labels)
 		if kind == KindHistogram {
 			s.hist = &histCells{counts: make([]Cell, len(buckets)+1)}
 		}
@@ -288,20 +300,20 @@ func (r *Registry) WriteProm(w io.Writer) error {
 					}
 					b.WriteString(f.name)
 					b.WriteString("_bucket")
-					writeLabels(&b, s.labels, L("le", le))
+					writeLabels(&b, s.labels(), L("le", le))
 					fmt.Fprintf(&b, " %d\n", cum)
 				}
 				b.WriteString(f.name)
 				b.WriteString("_sum")
-				writeLabels(&b, s.labels)
+				writeLabels(&b, s.labels())
 				fmt.Fprintf(&b, " %s\n", formatFloat(math.Float64frombits(uint64(s.hist.sum.Load()))))
 				b.WriteString(f.name)
 				b.WriteString("_count")
-				writeLabels(&b, s.labels)
+				writeLabels(&b, s.labels())
 				fmt.Fprintf(&b, " %d\n", cum)
 			default:
 				b.WriteString(f.name)
-				writeLabels(&b, s.labels)
+				writeLabels(&b, s.labels())
 				fmt.Fprintf(&b, " %d\n", s.cell.Load())
 			}
 		}

@@ -1,11 +1,13 @@
 package metrics
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"rockcress/internal/trace"
 )
@@ -45,6 +47,30 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if nilCell.Load() != 0 {
 		t.Error("nil cell should read 0")
 	}
+}
+
+// TestRegistryLabelSetKey: a series' label set is its family's map key, so
+// it must stay within the 128 bytes a Go map stores inline (a larger key
+// costs an allocation per insert), and a registration with more labels
+// than the set holds is a bug at the call site.
+func TestRegistryLabelSetKey(t *testing.T) {
+	if size := unsafe.Sizeof(labelSet{}); size > 128 {
+		t.Errorf("labelSet is %d bytes, want at most 128", size)
+	}
+	r := NewRegistry()
+	four := []Label{L("a", "1"), L("b", "2"), L("c", "3"), L("d", "4")}
+	if r.Counter("x_four", "four", four...) != r.Counter("x_four", "four", four...) {
+		t.Error("a four-label series re-registered to a new cell")
+	}
+	if r.Counter("x_four", "four", four[:3]...) == r.Counter("x_four", "four", four...) {
+		t.Error("three and four labels resolved to one series")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("five labels registered without a panic")
+		}
+	}()
+	r.Counter("x_five", "five", append(four, L("e", "5"))...)
 }
 
 // TestWritePromFormat checks the text exposition: HELP/TYPE headers,
@@ -115,13 +141,23 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// windowLine is w as the sampler writes it: one JSONL line.
+func windowLine(t *testing.T, w trace.Window) []byte {
+	t.Helper()
+	b, err := json.Marshal(&w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, '\n')
+}
+
 // TestFlightRings checks ring bounds (oldest entries drop), run tagging, and
 // the Dump -> ReadBundle round trip.
 func TestFlightRings(t *testing.T) {
 	f := NewFlight()
 	f.SetRun("gemm/V4", 1)
 	for i := 0; i < defaultWindowCap+10; i++ {
-		f.Retain(trace.Window{Start: int64(i * 256), End: int64((i + 1) * 256)})
+		f.Retain(windowLine(t, trace.Window{Start: int64(i * 256), End: int64((i + 1) * 256)}))
 	}
 	for i := 0; i < defaultNoteCap+20; i++ {
 		f.Note(int64(i), "fault.flip", fmt.Sprintf("note %d", i))
@@ -176,7 +212,7 @@ func TestFlightRings(t *testing.T) {
 	// Nil-safety: every producer-facing method on a nil recorder is a no-op.
 	var nf *Flight
 	nf.SetRun("x", 1)
-	nf.Retain(trace.Window{})
+	nf.Retain(windowLine(t, trace.Window{}))
 	nf.Note(0, "k", "d")
 	if _, err := nf.Dump(dir, "crash", nil, "", nil); err != nil {
 		t.Error(err)

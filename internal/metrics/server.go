@@ -64,7 +64,11 @@ func Serve(addr string, plane *Plane) (*Server, error) {
 		writeJSON(w, snap)
 	})
 	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
-		ws, ns, run, attempt := plane.Flight().snapshot()
+		ws, ns, run, attempt, err := plane.Flight().snapshot()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		writeJSON(w, Bundle{
 			Schema: 1, Reason: "live", WrittenAt: time.Now().UTC(),
 			Run: run, Attempt: attempt, Windows: ws, Notes: ns,

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 
 	"rockcress/internal/msg"
 )
@@ -584,32 +585,22 @@ func (m *Mesh) EnableLinkHops() {
 func (m *Mesh) LinkHops() []int64 { return m.linkHops }
 
 // LinkLabels names each LinkHops index "from>to" by router id; indexes whose
-// direction leaves the mesh get "" (those counters never increment).
+// direction leaves the mesh get "" (those counters never increment). The
+// labels are slices of one string.
 func (m *Mesh) LinkLabels() []string {
-	labels := make([]string, m.w*m.h*4)
-	for tile := 0; tile < m.w*m.h; tile++ {
-		for out := portN; out <= portW; out++ {
-			switch out {
-			case portN:
-				if tile < m.w {
-					continue
-				}
-			case portS:
-				if tile >= (m.h-1)*m.w {
-					continue
-				}
-			case portE:
-				if tile%m.w == m.w-1 {
-					continue
-				}
-			case portW:
-				if tile%m.w == 0 {
-					continue
-				}
-			}
-			nt, _ := m.neighbor(tile, out)
-			labels[tile*4+int(out)] = fmt.Sprintf("%d>%d", tile, nt)
+	widest := len(strconv.Itoa(len(m.nbrTab)/4 - 1))
+	buf := make([]byte, 0, len(m.nbrTab)*(2*widest+1))
+	ends := make([]int, len(m.nbrTab))
+	for i, nt := range m.nbrTab {
+		if nt >= 0 {
+			buf = strconv.AppendInt(append(strconv.AppendInt(buf, int64(i/4), 10), '>'), int64(nt), 10)
 		}
+		ends[i] = len(buf)
+	}
+	all, start := string(buf), 0
+	labels := make([]string, len(ends))
+	for i, end := range ends {
+		labels[i], start = all[start:end], end
 	}
 	return labels
 }

@@ -172,21 +172,36 @@ func (r *Recorder) snapshot() snapshot {
 		dropped:   r.dropped,
 		truncated: r.truncated,
 	}
-	for i := 0; i < r.n; i++ {
+	r.runs(func(run []Event) { s.events = append(s.events, run...) })
+	return s
+}
+
+// runs calls fn on the held events in emission order, as the few
+// contiguous runs of chunk memory they lie in. The caller holds r.mu.
+func (r *Recorder) runs(fn func([]Event)) {
+	for i := 0; i < r.n; {
 		pos := r.start + i
 		if pos >= r.capacity {
 			pos -= r.capacity
 		}
-		s.events = append(s.events, r.chunks[pos>>chunkShift][pos&chunkMask])
+		run := r.chunks[pos>>chunkShift][pos&chunkMask:] // a chunk ends at or before the capacity
+		run = run[:min(len(run), r.n-i)]
+		fn(run)
+		i += len(run)
 	}
-	return s
 }
 
 // Events returns the buffered events in emission order.
 func (r *Recorder) Events() []Event { return r.snapshot().events }
 
 // WriteJSON emits the labels and the buffered events as Chrome trace-event
-// JSON (the object form Perfetto and chrome://tracing both load).
+// JSON (the object form Perfetto and chrome://tracing both load), encoding
+// the ring where it lies. It holds the recorder's lock while it writes, so
+// emits wait until it returns and w must not call back into the recorder.
 func (r *Recorder) WriteJSON(w io.Writer) error {
-	return encode(w, vocabJSON, r.snapshot())
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	d := beginDoc(w, snapshot{labels: r.labels, dropped: r.dropped, truncated: r.truncated})
+	r.runs(func(run []Event) { d.events(vocabJSON, run) })
+	return d.end()
 }

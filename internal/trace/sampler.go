@@ -1,8 +1,10 @@
 package trace
 
 import (
-	"encoding/json"
 	"io"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 // Role buckets cores for the per-role CPI stack windows: a tile is the
@@ -156,7 +158,9 @@ type Gauges struct {
 }
 
 // Window is one JSONL telemetry record: the counter deltas over
-// [Start, End), derived rates, and end-of-window gauges.
+// [Start, End), derived rates, and end-of-window gauges. It is the readers'
+// type: the Sampler writes the same bytes encoding/json makes of it without
+// building one.
 type Window struct {
 	Start int64 `json:"start"`
 	End   int64 `json:"end"`
@@ -188,17 +192,27 @@ type Window struct {
 // the machine's serial run loop, so it needs no locking. One sampler serves
 // one machine at a time; machine.New calls Reset so multi-attempt fault
 // harness runs restart the window series per attempt.
+//
+// A window is encoded once, straight from the fold, into one reused line —
+// the bytes encoding/json makes of the Window — which goes to the JSONL
+// writer and back to the caller, for the flight ring.
 type Sampler struct {
-	enc        *json.Encoder
-	every      int64
-	next       int64
-	prev       Cum
-	prevAt     int64
-	linkLabels []string
-	finished   bool
-	truncated  bool
-	err        error
+	w         io.Writer
+	every     int64
+	next      int64
+	prev      Cum
+	prevAt    int64
+	links     []linkKey // labelled links, in encoding/json's map order
+	keys      []byte    // every link's quoted key and colon, back to back
+	line      []byte    // the last window's JSON line
+	finished  bool
+	truncated bool
+	err       error
 }
+
+// linkKey is one labelled link: its index into Cum.LinksReq/LinksResp and
+// its rendered key, keys[lo:hi].
+type linkKey struct{ i, lo, hi int32 }
 
 // NewSampler builds a sampler cutting windows of every cycles
 // (DefaultSampleEvery when not positive). w may be nil: the windows are then
@@ -208,11 +222,7 @@ func NewSampler(w io.Writer, every int64) *Sampler {
 	if every <= 0 {
 		every = DefaultSampleEvery
 	}
-	s := &Sampler{every: every}
-	if w != nil {
-		s.enc = json.NewEncoder(w)
-	}
-	return s
+	return &Sampler{w: w, every: every}
 }
 
 // Err returns the first write error, if any.
@@ -220,7 +230,22 @@ func (s *Sampler) Err() error { return s.err }
 
 // SetLinkLabels installs the router-pair names for per-link deltas (index
 // parallel to Cum.LinksReq/LinksResp; empty label = nonexistent edge link).
-func (s *Sampler) SetLinkLabels(labels []string) { s.linkLabels = labels }
+// The keys are quoted and put in map order here, once per machine.
+func (s *Sampler) SetLinkLabels(labels []string) {
+	s.links, s.keys = s.links[:0], s.keys[:0]
+	for i, l := range labels {
+		if l != "" {
+			s.links = append(s.links, linkKey{i: int32(i)})
+		}
+	}
+	slices.SortFunc(s.links, func(a, b linkKey) int { return strings.Compare(labels[a.i], labels[b.i]) })
+	for k := range s.links {
+		l := &s.links[k]
+		l.lo = int32(len(s.keys))
+		s.keys = append(appendQuoted(s.keys, labels[l.i]), ':')
+		l.hi = int32(len(s.keys))
+	}
+}
 
 // Reset rewinds the sampler for a fresh machine run starting at cycle 0.
 func (s *Sampler) Reset() {
@@ -248,31 +273,31 @@ func (s *Sampler) Due(now int64) bool {
 }
 
 // Record emits the window [prevAt, now) from the cumulative snapshot c and
-// returns it.
-func (s *Sampler) Record(now int64, c *Cum, g Gauges) Window {
-	w := s.emit(now, c, g, false)
+// returns its JSON line, valid until the sampler's next window.
+func (s *Sampler) Record(now int64, c *Cum, g Gauges) []byte {
+	line := s.emit(now, c, g, false)
 	s.next = now - now%s.every + s.every
 	if s.next <= now {
 		s.next += s.every
 	}
-	return w
+	return line
 }
 
-// Finish emits the final (possibly partial) window and stops the sampler;
-// emitted reports whether there was one. Safe to call on a sampler that
-// never became due; a run whose last window is empty emits nothing extra.
-func (s *Sampler) Finish(now int64, c *Cum, g Gauges) (w Window, emitted bool) {
+// Finish emits the final (possibly partial) window, stops the sampler and
+// returns the window's line, or nil when there was none. Safe to call on a
+// sampler that never became due; a run whose last window is empty emits
+// nothing extra.
+func (s *Sampler) Finish(now int64, c *Cum, g Gauges) []byte {
 	if s.finished {
-		return w, false
-	}
-	// A truncated run always emits its final window, even an empty one:
-	// the marker must reach the JSONL tail for readers to see it.
-	emitted = now > s.prevAt || !s.deltaZero(c) || s.truncated
-	if emitted {
-		w = s.emit(now, c, g, true)
+		return nil
 	}
 	s.finished = true
-	return w, emitted
+	// A truncated run always emits its final window, even an empty one:
+	// the marker must reach the JSONL tail for readers to see it.
+	if now > s.prevAt || !s.deltaZero(c) || s.truncated {
+		return s.emit(now, c, g, true)
+	}
+	return nil
 }
 
 func (s *Sampler) deltaZero(c *Cum) bool {
@@ -285,60 +310,111 @@ func (s *Sampler) deltaZero(c *Cum) bool {
 		c.Dram == s.prev.Dram && c.Noc == s.prev.Noc && c.Engine == s.prev.Engine
 }
 
-func (s *Sampler) emit(now int64, c *Cum, g Gauges, final bool) Window {
-	w := Window{
-		Start: s.prevAt, End: now, Final: final, Truncated: final && s.truncated,
-		Roles:  make(map[string]RoleCounters, NumRoles),
-		Frames: c.Frames.sub(s.prev.Frames),
-		LLC:    c.LLC.sub(s.prev.LLC),
-		Dram:   c.Dram.sub(s.prev.Dram),
-		Noc:    c.Noc.sub(s.prev.Noc),
-		Engine: c.Engine.sub(s.prev.Engine),
+// The counter groups' keys, in field order (the Window's json tags).
+var (
+	roleKeys   = objectKeys("issued", "frame", "inet", "backpressure", "other", "instrs")
+	frameKeys  = objectKeys("consumed", "poisons", "replays", "retries", "stale_drops")
+	llcKeys    = objectKeys("accesses", "misses", "wide_reqs", "resp_words", "writebacks")
+	dramKeys   = objectKeys("reads", "writes", "busy")
+	nocKeys    = objectKeys("flits_req", "hops_req", "flits_resp", "hops_resp", "retrans", "dropped", "corrupt", "remote_stores")
+	engineKeys = objectKeys("fast_forwards", "skipped_cycles", "checkpoints")
+)
 
-		FramesOccupied: g.FramesOccupied,
-		InetHighWater:  g.InetHighWater,
+// roleOrder is the roles in the order encoding/json writes Window.Roles
+// (sorted by name), and roleOrderKeys their rendered keys.
+var roleOrder, roleOrderKeys = func() ([NumRoles]Role, []string) {
+	var order [NumRoles]Role
+	names := make([]string, NumRoles)
+	for r := range order {
+		order[r] = Role(r)
 	}
-	for r := Role(0); r < NumRoles; r++ {
-		w.Roles[RoleNames[r]] = c.Roles[r].sub(s.prev.Roles[r])
+	slices.SortFunc(order[:], func(a, b Role) int { return strings.Compare(RoleNames[a], RoleNames[b]) })
+	for i, r := range order {
+		names[i] = RoleNames[r]
 	}
-	if w.LLC.Accesses > 0 {
-		w.LLCMissRate = float64(w.LLC.Misses) / float64(w.LLC.Accesses)
+	return order, objectKeys(names...)
+}()
+
+// emit encodes the window [prevAt, now) as one JSONL line, writes it and
+// returns it.
+func (s *Sampler) emit(now int64, c *Cum, g Gauges, final bool) []byte {
+	p := &s.prev
+	b := append(s.line[:0], `{"start":`...)
+	b = strconv.AppendInt(b, s.prevAt, 10)
+	b = append(b, `,"end":`...)
+	b = strconv.AppendInt(b, now, 10)
+	if final {
+		b = append(b, `,"final":true`...)
+		if s.truncated {
+			b = append(b, `,"truncated":true`...)
+		}
+	}
+	b = append(b, `,"roles":`...)
+	for i, r := range roleOrder {
+		b = append(b, roleOrderKeys[i]...)
+		d := c.Roles[r].sub(p.Roles[r])
+		b = appendObject(b, roleKeys, d.Issued, d.Frame, d.Inet, d.Backpressure, d.Other, d.Instrs)
+	}
+	fr := c.Frames.sub(p.Frames)
+	b = appendObject(append(b, `},"frames":`...), frameKeys, fr.Consumed, fr.Poisons, fr.Replays, fr.Retries, fr.StaleDrops)
+	llc := c.LLC.sub(p.LLC)
+	b = appendObject(append(b, `,"llc":`...), llcKeys, llc.Accesses, llc.Misses, llc.WideReqs, llc.RespWords, llc.Writebacks)
+	dram := c.Dram.sub(p.Dram)
+	b = appendObject(append(b, `,"dram":`...), dramKeys, dram.Reads, dram.Writes, dram.Busy)
+	n := c.Noc.sub(p.Noc)
+	b = appendObject(append(b, `,"noc":`...), nocKeys, n.FlitsReq, n.HopsReq, n.FlitsResp, n.HopsResp,
+		n.Retrans, n.Dropped, n.Corrupt, n.RemoteStores)
+	e := c.Engine.sub(p.Engine)
+	b = appendObject(append(b, `,"engine":`...), engineKeys, e.FastForwards, e.SkippedCycles, e.Checkpoints)
+	var missRate, busyFrac float64
+	if llc.Accesses > 0 {
+		missRate = float64(llc.Misses) / float64(llc.Accesses)
 	}
 	if span := now - s.prevAt; span > 0 {
-		w.DramBusyFrac = float64(w.Dram.Busy) / float64(span)
+		busyFrac = float64(dram.Busy) / float64(span)
 	}
-	w.LinksReq = s.linkDelta(c.LinksReq, s.prev.LinksReq)
-	w.LinksResp = s.linkDelta(c.LinksResp, s.prev.LinksResp)
-	if s.enc != nil {
-		if err := s.enc.Encode(&w); err != nil && s.err == nil {
-			s.err = err
-		}
+	b = appendFloat(append(b, `,"llc_miss_rate":`...), missRate)
+	b = appendFloat(append(b, `,"dram_busy_frac":`...), busyFrac)
+	b = s.appendLinks(b, `,"links_req":`, c.LinksReq, p.LinksReq)
+	b = s.appendLinks(b, `,"links_resp":`, c.LinksResp, p.LinksResp)
+	b = strconv.AppendInt(append(b, `,"frames_occupied":`...), g.FramesOccupied, 10)
+	b = strconv.AppendInt(append(b, `,"inet_high_water":`...), g.InetHighWater, 10)
+	b = append(b, "}\n"...)
+	s.line = b
+	// Like json.Encoder, stop writing after the first error.
+	if s.w != nil && s.err == nil {
+		_, s.err = s.w.Write(b)
 	}
 	// A machine passes its meshes' live link counters: keep copies.
-	req, resp := s.prev.LinksReq[:0], s.prev.LinksResp[:0]
-	s.prev = *c
-	s.prev.LinksReq = append(req, c.LinksReq...)
-	s.prev.LinksResp = append(resp, c.LinksResp...)
+	req, resp := p.LinksReq[:0], p.LinksResp[:0]
+	*p = *c
+	p.LinksReq = append(req, c.LinksReq...)
+	p.LinksResp = append(resp, c.LinksResp...)
 	s.prevAt = now
-	return w
+	return b
 }
 
-func (s *Sampler) linkDelta(cur, prev []int64) map[string]int64 {
-	if len(cur) == 0 {
-		return nil
-	}
-	var out map[string]int64
-	for i, v := range cur {
-		var p int64
-		if i < len(prev) {
-			p = prev[i]
+// appendLinks appends one per-link delta object under name, nonzero links
+// only; with none, it appends nothing (the field is omitted).
+func (s *Sampler) appendLinks(b []byte, name string, cur, prev []int64) []byte {
+	mark, sep := len(b), byte('{')
+	b = append(b, name...)
+	for _, l := range s.links {
+		if int(l.i) >= len(cur) {
+			continue
 		}
-		if d := v - p; d != 0 && i < len(s.linkLabels) && s.linkLabels[i] != "" {
-			if out == nil {
-				out = make(map[string]int64)
-			}
-			out[s.linkLabels[i]] = d
+		d := cur[l.i]
+		if int(l.i) < len(prev) {
+			d -= prev[l.i]
+		}
+		if d != 0 {
+			b = append(append(b, sep), s.keys[l.lo:l.hi]...)
+			b = strconv.AppendInt(b, d, 10)
+			sep = ','
 		}
 	}
-	return out
+	if sep == '{' {
+		return b[:mark]
+	}
+	return append(b, '}')
 }

@@ -412,6 +412,158 @@ func TestVocabularyRows(t *testing.T) {
 	}
 }
 
+// refWindow builds the window [prevAt, now) as the sampler once did before
+// handing it to encoding/json: maps for the roles and for the nonzero
+// labelled links.
+func refWindow(prevAt, now int64, prev, cur *Cum, g Gauges, final, truncated bool, labels []string) Window {
+	w := Window{
+		Start: prevAt, End: now, Final: final, Truncated: final && truncated,
+		Roles:  map[string]RoleCounters{},
+		Frames: cur.Frames.sub(prev.Frames),
+		LLC:    cur.LLC.sub(prev.LLC),
+		Dram:   cur.Dram.sub(prev.Dram),
+		Noc:    cur.Noc.sub(prev.Noc),
+		Engine: cur.Engine.sub(prev.Engine),
+
+		FramesOccupied: g.FramesOccupied,
+		InetHighWater:  g.InetHighWater,
+	}
+	for r := Role(0); r < NumRoles; r++ {
+		w.Roles[RoleNames[r]] = cur.Roles[r].sub(prev.Roles[r])
+	}
+	if w.LLC.Accesses > 0 {
+		w.LLCMissRate = float64(w.LLC.Misses) / float64(w.LLC.Accesses)
+	}
+	if span := now - prevAt; span > 0 {
+		w.DramBusyFrac = float64(w.Dram.Busy) / float64(span)
+	}
+	links := func(cur, prev []int64) map[string]int64 {
+		var out map[string]int64
+		for i, v := range cur {
+			var p int64
+			if i < len(prev) {
+				p = prev[i]
+			}
+			if d := v - p; d != 0 && i < len(labels) && labels[i] != "" {
+				if out == nil {
+					out = map[string]int64{}
+				}
+				out[labels[i]] = d
+			}
+		}
+		return out
+	}
+	w.LinksReq, w.LinksResp = links(cur.LinksReq, prev.LinksReq), links(cur.LinksResp, prev.LinksResp)
+	return w
+}
+
+// TestWindowEncoderMatchesReflection holds the window encoder to the bytes
+// encoding/json makes of the same Window: over random counter pairs with
+// small and huge deltas, links whose deltas are zero, nonzero or all zero
+// (the field is then omitted), labels that sort differently from their index
+// and need escaping, miss rates of 0, 1 and 1e-7, an empty-span final
+// window, and final and truncated series.
+func TestWindowEncoderMatchesReflection(t *testing.T) {
+	labels := []string{"0>1", "", "9>10", "10>2", "2>1", "", `1<"2"&\` + "\b\f\x7f\u2029\xff", "é>1"}
+	rng := rand.New(rand.NewSource(37))
+	pick := func() int64 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return rng.Int63n(100)
+		case 2:
+			return rng.Int63n(1 << 20)
+		}
+		return rng.Int63() >> rng.Intn(3) // large counts
+	}
+	grow := func(c *Cum) {
+		vals := []*int64{
+			&c.Frames.Consumed, &c.Frames.Poisons, &c.Frames.Replays, &c.Frames.Retries, &c.Frames.StaleDrops,
+			&c.LLC.WideReqs, &c.LLC.RespWords, &c.LLC.Writebacks,
+			&c.Dram.Reads, &c.Dram.Writes, &c.Dram.Busy,
+			&c.Noc.FlitsReq, &c.Noc.HopsReq, &c.Noc.FlitsResp, &c.Noc.HopsResp,
+			&c.Noc.Retrans, &c.Noc.Dropped, &c.Noc.Corrupt, &c.Noc.RemoteStores,
+			&c.Engine.FastForwards, &c.Engine.SkippedCycles, &c.Engine.Checkpoints,
+		}
+		for r := range c.Roles {
+			rc := &c.Roles[r]
+			vals = append(vals, &rc.Issued, &rc.Frame, &rc.Inet, &rc.Backpressure, &rc.Other, &rc.Instrs)
+		}
+		for _, v := range vals {
+			*v += pick()
+		}
+		switch acc := pick(); rng.Intn(4) {
+		case 0: // miss rate 0
+			c.LLC.Accesses += acc
+		case 1: // miss rate 1
+			c.LLC.Accesses += acc
+			c.LLC.Misses += acc
+		case 2: // miss rate 1e-7
+			c.LLC.Accesses += 10_000_000
+			c.LLC.Misses++
+		default:
+			c.LLC.Accesses += acc
+			c.LLC.Misses += acc / (1 + rng.Int63n(9))
+		}
+		// Copies, as a machine's live vectors would be: the sampler keeps
+		// its own.
+		c.LinksReq, c.LinksResp = append([]int64(nil), c.LinksReq...), append([]int64(nil), c.LinksResp...)
+		zero := rng.Intn(3) == 0 // a window in which no link moves
+		for _, v := range [][]int64{c.LinksReq, c.LinksResp} {
+			for i := range v {
+				if !zero && rng.Intn(2) == 0 {
+					v[i] += pick()
+				}
+			}
+		}
+	}
+
+	for seq := 0; seq < 40; seq++ {
+		var jsonl bytes.Buffer
+		s := NewSampler(&jsonl, 100)
+		s.SetLinkLabels(labels)
+		s.Reset()
+		var want []byte
+		check := func(line []byte, prevAt, now int64, prev, cur *Cum, g Gauges, final bool) {
+			t.Helper()
+			ref, err := json.Marshal(refWindow(prevAt, now, prev, cur, g, final, seq%2 == 1, labels))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref = append(ref, '\n')
+			if !bytes.Equal(line, ref) {
+				t.Fatalf("sequence %d, window ending %d:\n got  %s\n want %s", seq, now, line, ref)
+			}
+			want = append(want, ref...)
+		}
+		var prev Cum
+		if seq%3 != 0 { // else the machine keeps no per-link counts
+			prev.LinksReq, prev.LinksResp = make([]int64, len(labels)), make([]int64, len(labels)-2)
+		}
+		prevAt := int64(0)
+		for k := 0; k < 20; k++ {
+			cur := prev
+			grow(&cur)
+			now := prevAt + 1 + rng.Int63n(300)
+			g := Gauges{FramesOccupied: pick(), InetHighWater: pick()}
+			check(s.Record(now, &cur, g), prevAt, now, &prev, &cur, g, false)
+			prev, prevAt = cur, now
+		}
+		if seq%2 == 1 {
+			s.MarkTruncated()
+		}
+		cur := prev
+		grow(&cur)
+		now := prevAt + int64(seq%4/2) // every other final window spans no cycles
+		g := Gauges{InetHighWater: pick()}
+		check(s.Finish(now, &cur, g), prevAt, now, &prev, &cur, g, true)
+		if !bytes.Equal(jsonl.Bytes(), want) {
+			t.Fatalf("sequence %d: the JSONL is not the lines Record and Finish returned", seq)
+		}
+	}
+}
+
 func TestSamplerWindowsConserve(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewSampler(&buf, 100)
