@@ -117,15 +117,6 @@ type TraceStats struct {
 	FastForwarded   int64 `json:"fast_forwarded_cycles"`
 }
 
-// ReadTrace parses a Chrome trace-event JSON file the Recorder wrote.
-func ReadTrace(path string) ([]TraceEvent, int64, error) {
-	tf, err := ReadTraceFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	return tf.Events, tf.Dropped, nil
-}
-
 // ReadTraceFile parses a Chrome trace-event JSON file the Recorder wrote,
 // including its truncation marker. An interrupted run flushes a valid,
 // truncation-marked document, so readers report "partial" rather than

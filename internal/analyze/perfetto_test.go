@@ -90,10 +90,11 @@ func TestReadTraceRoundTrip(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	evs, dropped, err := ReadTrace(path)
+	tf, err := ReadTraceFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	evs, dropped := tf.Events, tf.Dropped
 	if dropped != 1 {
 		t.Fatalf("dropped %d, want 1 (ring capacity 2, 3 events; the label is not in the ring)", dropped)
 	}

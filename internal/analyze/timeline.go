@@ -20,12 +20,6 @@ type Phase struct {
 	Windows int   `json:"windows"`
 }
 
-// ReadWindows parses a JSONL telemetry file the sampler wrote.
-func ReadWindows(path string) ([]trace.Window, error) {
-	ws, _, err := ReadWindowsFile(path)
-	return ws, err
-}
-
 // ReadWindowsFile parses a JSONL telemetry file and reports whether it is
 // partial: either a window carries the sampler's truncation marker (the run
 // was interrupted but flushed cleanly) or the final line is torn (the

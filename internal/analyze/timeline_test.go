@@ -55,7 +55,7 @@ func TestReadWindows(t *testing.T) {
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ws, err := ReadWindows(path)
+	ws, _, err := ReadWindowsFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

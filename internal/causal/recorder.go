@@ -48,7 +48,6 @@ type Recorder struct {
 	windowStart int64
 	intervals   []Interval
 	spill       [NumClasses]int64
-	spillWindow int64
 	spilled     int
 	finished    bool
 	endCycle    int64
@@ -180,7 +179,6 @@ func (r *Recorder) close(now int64, tile int, arrive, gap int64) {
 		for c := 0; c < NumClasses; c++ {
 			r.spill[c] += old.Delta[c]
 		}
-		r.spillWindow += old.Window
 		r.spilled++
 		copy(r.intervals, r.intervals[1:])
 		r.intervals = r.intervals[:MaxIntervals-1]

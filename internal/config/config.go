@@ -27,7 +27,6 @@ type Manycore struct {
 	SIMDLat   int
 
 	LoadQueueEntries int
-	StoreBufEntries  int
 	InetQueueEntries int
 	FrameCounters    int // DAE frame counters per scratchpad (paper: five)
 
@@ -63,8 +62,7 @@ func ManycoreDefault() Manycore {
 		ALULat: 1, MulLat: 2, DivLat: 20,
 		FpALULat: 3, FpMulLat: 3, FpDivLat: 20,
 		SIMDWidth: 4, SIMDLat: 3,
-		LoadQueueEntries: 2, StoreBufEntries: 4,
-		InetQueueEntries: 2, FrameCounters: 5,
+		LoadQueueEntries: 2, InetQueueEntries: 2, FrameCounters: 5,
 		CacheLineBytes: 64,
 		ICacheBytes:    4 * 1024, ICacheWays: 2, ICacheHitLat: 1, ICacheMissLat: 30,
 		SpadBytes: 4 * 1024, SpadHitLat: 2,

@@ -98,14 +98,13 @@ type Core struct {
 	inQ     *inet.Queue
 	outQs   []*inet.Queue // children in the forwarding tree
 
-	mode    Mode
-	state   coreState
-	ticket  int64
-	halted  bool
-	dead    bool // killed by fault injection (halted is also set)
-	blowUp  bool // armed injected panic; fires on the next Tick
-	predOn  bool
-	mtCount int64
+	mode   Mode
+	state  coreState
+	ticket int64
+	halted bool
+	dead   bool // killed by fault injection (halted is also set)
+	blowUp bool // armed injected panic; fires on the next Tick
+	predOn bool
 
 	// Architectural state.
 	pc      int
@@ -179,9 +178,8 @@ type lqEntry struct {
 // (LowerProgram; shared by every core): tile t's core counts into st[t] and
 // owns spads[t]. groups is the machine's static group layout and net its
 // inet wiring; a tile in no group runs independent. The cores, their
-// I-caches, load queues, decode caches and vector registers each come from
-// one slab. The only failure is a bad icache geometry, which is
-// configuration input.
+// I-caches, load queues and vector registers each come from one slab. The
+// only failure is a bad icache geometry, which is configuration input.
 func NewCores(cfg config.Manycore, low *Lowered, env Env, st []stats.Core, spads []*mem.Scratchpad,
 	groups []*config.Group, net inet.Net) ([]*Core, error) {
 	n := len(spads)
@@ -190,11 +188,10 @@ func NewCores(cfg config.Manycore, low *Lowered, env Env, st []stats.Core, spads
 		return nil, err
 	}
 	var (
-		slab    = make([]Core, n)
-		cores   = make([]*Core, n)
-		lq      = make([]lqEntry, n*cfg.LoadQueueEntries)
-		decoded = make([]bool, n*len(low.Prog.Code))
-		vec     = make([]float32, n*isa.NumVecRegs*cfg.SIMDWidth)
+		slab  = make([]Core, n)
+		cores = make([]*Core, n)
+		lq    = make([]lqEntry, n*cfg.LoadQueueEntries)
+		vec   = make([]float32, n*isa.NumVecRegs*cfg.SIMDWidth)
 	)
 	for t := range cores {
 		c := &slab[t]
@@ -206,7 +203,6 @@ func NewCores(cfg config.Manycore, low *Lowered, env Env, st []stats.Core, spads
 			lq:      part(lq, t, cfg.LoadQueueEntries),
 			stallAt: -1,
 		}
-		c.icache.decoded = part(decoded, t, len(low.Prog.Code))
 		for r := range c.vecRegs {
 			c.vecRegs[r] = part(vec, t*isa.NumVecRegs+r, cfg.SIMDWidth)
 		}
@@ -490,7 +486,6 @@ func (c *Core) tickFrontend(now int64) {
 			return
 		}
 	}
-	c.icache.decoded[c.pc] = true
 	ok, stall := c.issueAt(now, c.pc)
 	if !ok {
 		c.st.AddStall(stall)
@@ -514,7 +509,6 @@ func (c *Core) tickExpander(now int64) {
 			c.inQ.Pop()
 			c.mtActive = true
 			c.setVPC(int(it.PC))
-			c.mtCount++
 			c.st.Microthreads++
 			c.st.AddStall(stats.StallOther) // pipeline redirect bubble
 		case inet.ItemDevec:
@@ -548,7 +542,6 @@ func (c *Core) tickExpander(now int64) {
 			return
 		}
 	}
-	c.icache.decoded[c.vpc] = true
 	e := &c.low.ents[c.vpc]
 	switch {
 	case e.vend:

@@ -13,15 +13,6 @@ type ICache struct {
 	tags      []uint32
 	valid     []bool
 	mru       []uint8 // last-used way per set (LRU for 2-way; approx beyond)
-
-	// decoded is the owning core's decode cache: decoded[pc] means the
-	// pre-lowered entry for pc is held decoded, which is valid exactly while
-	// the line backing pc stays resident, so a miss fill that displaces a
-	// line drops the entries of the pcs it backed. It survives mode switches
-	// and ForceDisband — decode state is tied to residency, not to the
-	// core's role. Purely a model (timing-neutral): the shared Lowered table
-	// itself is immutable. nil when no core is attached.
-	decoded []bool
 }
 
 // NewICaches builds n caches of the given geometry, their tag, valid and
@@ -83,19 +74,8 @@ func (c *ICache) Access(byteAddr uint32) bool {
 	if victim < 0 {
 		victim = (int(c.mru[set]) + 1) % c.ways
 	}
-	if c.valid[base+victim] {
-		c.dropDecoded(c.tags[base+victim])
-	}
 	c.valid[base+victim] = true
 	c.tags[base+victim] = tag
 	c.mru[set] = uint8(victim)
 	return false
-}
-
-// dropDecoded clears the decode-cache entries of the pcs line lineNum backs.
-func (c *ICache) dropDecoded(lineNum uint32) {
-	lo := int(lineNum) * c.lineBytes / 4
-	if hi := min(lo+c.lineBytes/4, len(c.decoded)); lo < hi {
-		clear(c.decoded[lo:hi])
-	}
 }

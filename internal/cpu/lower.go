@@ -6,9 +6,8 @@ package cpu
 // (program, configuration) at machine build time. Each instruction becomes a
 // lowEntry holding its readiness metadata and a closure that performs its
 // semantics with the operands and latencies already resolved. The Lowered
-// table is immutable and shared by every core of a machine; per-core decode
-// *state* (which PCs the core currently holds decoded, coherent with its
-// I-cache) lives in ICache.decoded.
+// table is immutable and shared by every core of a machine, and it is the
+// whole decode: a core keeps no decode state of its own.
 
 import (
 	"math"
@@ -48,11 +47,10 @@ type lowEntry struct {
 	allowMT bool
 	class   uint8
 
-	// Park-probe flags: ops whose blocked exec path is side-effect free and
-	// resolved by a mesh delivery (frameWait) or a same-shard inet pop
-	// (sendWait), so a core stalled on them may sleep (see Core.Park).
-	frameWait bool // frame_start waiting on the next frame to fill
-	sendWait  bool // vissue/devec waiting on the expander queue
+	// Park-probe flag: vissue/devec waiting on the expander queue. Its
+	// blocked exec path is side-effect free and resolved by a same-shard
+	// inet pop, so a core stalled on it may sleep (see Core.Park).
+	sendWait bool
 }
 
 // Lowered is a program lowered against one hardware configuration.
@@ -81,7 +79,6 @@ func lowerInstr(e *lowEntry, in *isa.Instr, cfg config.Manycore) {
 	e.rd, e.fd, e.vd = in.Rd, in.Fd, in.Vd
 	e.pred = isa.IsPredicatable(in.Op)
 	e.vend = in.Op == isa.OpVend
-	e.frameWait = in.Op == isa.OpFrameStart
 	e.sendWait = in.Op == isa.OpVissue || in.Op == isa.OpDevec
 	e.allowMT = isa.AllowedInMicrothread(in.Op)
 	e.class = uint8(isa.Classify(in.Op))
@@ -803,11 +800,4 @@ func (c *Core) exec(now int64, e *lowEntry) (bool, stats.StallKind) {
 		}
 	}
 	return ok, stall
-}
-
-// DecodeCached reports whether the decode cache currently holds pc's
-// pre-lowered entry: set when the core issues the instruction, cleared when
-// the icache line backing it is evicted (test hook).
-func (c *Core) DecodeCached(pc int) bool {
-	return pc >= 0 && pc < len(c.icache.decoded) && c.icache.decoded[pc]
 }

@@ -14,21 +14,23 @@ import (
 // like (the point of fault.KillPlan's seeded victim choice).
 const faultSeed = 0x5eed
 
-// faultKills is the x axis of the degradation curve: how many tiles die.
-var faultKills = []int{0, 1, 2, 4, 8}
+// faultKills is the x axis of the degradation curve past its k=0 point: how
+// many tiles die. The k=0 point is the base cell itself, relative to itself.
+var faultKills = []int{1, 2, 4, 8}
 
-// faultConfigs are the Table 3 rows the curve compares: plain MIMD against
-// both vector lengths (group reformation has more to lose at V16).
+// faultConfigs are the Table 3 rows both fault figures compare: plain MIMD
+// against both vector lengths (group reformation has more to lose at V16),
+// routing the same traffic around the same holes.
 var faultConfigs = []string{"NV", "V4", "V16"}
 
 // faultBases fetches the fault-free run of every benches x cfgs cell,
-// bench-major, for a fault figure with the given number of x-axis points
-// per cell. The base runs are independent and share the pool; the ladder
-// cells that follow stay serial — each is a restart chain whose plan
+// bench-major, for a fault figure with the given number of faulted x-axis
+// points per cell. The base runs are independent and share the pool; the
+// ladder cells that follow stay serial — each is a restart chain whose plan
 // depends on its base cycle count — but their number is known here, so they
 // are planned now and /debug/run's ETA covers them. Each cell's request
 // comes back beside its result: the ladder re-executes its software.
-func (r *Runner) faultBases(benches []kernels.Benchmark, cfgs []string, points int) ([]runReq, []*kernels.Result, error) {
+func (r *Runner) faultBases(benches []kernels.Benchmark, cfgs []string, faulted int) ([]runReq, []*kernels.Result, error) {
 	reqs, err := requests(benches, plain(cfgs...))
 	if err != nil {
 		return nil, nil, err
@@ -37,7 +39,7 @@ func (r *Runner) faultBases(benches []kernels.Benchmark, cfgs []string, points i
 	if err != nil {
 		return nil, nil, err
 	}
-	r.opts.Obs.Run().AddPlanned(len(reqs) * points)
+	r.opts.Obs.Run().AddPlanned(len(reqs) * faulted)
 	return reqs, base, nil
 }
 
@@ -55,7 +57,7 @@ func (r *Runner) FigFault(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	header := []string{"config"}
+	header := []string{"config", "k=0"}
 	for _, k := range faultKills {
 		header = append(header, fmt.Sprintf("k=%d", k))
 	}
@@ -69,12 +71,9 @@ func (r *Runner) FigFault(w io.Writer) error {
 		if start < 1 {
 			start = 1
 		}
-		row := []string{cfgName}
+		row := []string{cfgName, f2(1)} // k=0: the base run itself
 		for _, k := range faultKills {
-			var plan *fault.Plan
-			if k > 0 {
-				plan = fault.KillPlan(faultSeed, k, hw.Cores, start, 101)
-			}
+			plan := fault.KillPlan(faultSeed, k, hw.Cores, start, 101)
 			fr, err := kernels.ExecuteWithFaultsOpts(bench, bench.Defaults(r.opts.Scale), sw, hw,
 				plan, r.execOpts())
 			if err != nil {

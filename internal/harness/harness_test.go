@@ -11,6 +11,7 @@ import (
 
 	"rockcress/internal/config"
 	"rockcress/internal/kernels"
+	"rockcress/internal/metrics"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/figures_tiny.golden.txt")
@@ -246,20 +247,23 @@ func TestFigReplayRunsOnlyItsProbes(t *testing.T) {
 // kernels: every cell must complete (each is output-checked on the
 // degraded fabric inside the executor), the fault-free column must be
 // exactly 1.00, and two sweeps must render byte-identically (the
-// determinism the figure's golden use depends on).
+// determinism the figure's golden use depends on), the second with a plane
+// attached. On the plane the sweep plans and finishes 18 cells: 6 base runs
+// plus 12 faulted ladder cells (2 kernels x 3 configurations x 2 cut
+// counts); the cuts=0 column is the base run and simulates nothing more.
 func TestFigNetFaultTinySubset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	run := func() string {
-		r := New(Options{Scale: kernels.Tiny, Out: io.Discard, Benches: []string{"gemm", "mvt"}})
+	run := func(obs *metrics.Plane) string {
+		r := New(Options{Scale: kernels.Tiny, Out: io.Discard, Benches: []string{"gemm", "mvt"}, Obs: obs})
 		var b bytes.Buffer
 		if err := r.FigNetFault(&b); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
 	}
-	out := run()
+	out := run(nil)
 	if !strings.Contains(out, "Figure N (NV)") || !strings.Contains(out, "Figure N (V16)") {
 		t.Fatalf("unexpected output:\n%s", out)
 	}
@@ -269,8 +273,18 @@ func TestFigNetFaultTinySubset(t *testing.T) {
 			t.Errorf("fault-free column not 1.00: %q", line)
 		}
 	}
-	if again := run(); again != out {
+	p := metrics.NewPlane("")
+	if again := run(p); again != out {
 		t.Fatalf("netfault sweep not deterministic:\n%s\n---\n%s", out, again)
+	}
+	var prom bytes.Buffer
+	if err := p.Registry().WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{"rockcress_sweep_cells_planned", "rockcress_sweep_cells_done"} {
+		if v, err := promValue(prom.String(), series); err != nil || v != 18 {
+			t.Errorf("%s = %d (%v), want 18 (6 base runs + 12 ladder cells)", series, v, err)
+		}
 	}
 }
 

@@ -9,16 +9,11 @@ import (
 	"rockcress/internal/kernels"
 )
 
-// netfaultCuts is the x axis of the topology-degradation sweep: how many
-// mesh links are cut. Every point with at least one cut also decommissions
-// one LLC bank, so each degraded cell exercises rerouting and bank
-// failover together.
-var netfaultCuts = []int{0, 1, 2}
-
-// netfaultConfigs mirrors the kill-curve's Table 3 rows: scalar MIMD and
-// both vector lengths route the same traffic patterns around the same
-// holes.
-var netfaultConfigs = []string{"NV", "V4", "V16"}
+// netfaultCuts is the x axis of the topology-degradation sweep past its
+// cuts=0 point (the base cell itself): how many mesh links are cut. Every
+// such point also decommissions one LLC bank, so each degraded cell
+// exercises rerouting and bank failover together.
+var netfaultCuts = []int{1, 2}
 
 // FigNetFault prints the permanent-topology degradation sweep: relative
 // throughput (fault-free cycles / total cycles across every attempt) for
@@ -30,19 +25,19 @@ var netfaultConfigs = []string{"NV", "V4", "V16"}
 func (r *Runner) FigNetFault(w io.Writer) error {
 	hw := config.ManycoreDefault()
 	benches := r.benches()
-	reqs, base, err := r.faultBases(benches, netfaultConfigs, len(netfaultCuts))
+	reqs, base, err := r.faultBases(benches, faultConfigs, len(netfaultCuts))
 	if err != nil {
 		return err
 	}
-	header := []string{"bench"}
+	header := []string{"bench", "cuts=0"}
 	for _, c := range netfaultCuts {
 		header = append(header, fmt.Sprintf("cuts=%d", c))
 	}
-	for ci, cfgName := range netfaultConfigs {
+	for ci, cfgName := range faultConfigs {
 		tbl := &table{header: header}
 		var means [][]float64
 		for bi, b := range benches {
-			at := bi*len(netfaultConfigs) + ci // the base runs are bench-major
+			at := bi*len(faultConfigs) + ci // the base runs are bench-major
 			sw, baseCycles := reqs[at].sw, base[at].Cycles()
 			// Faults land mid-run: the first quarter of the fault-free
 			// runtime, then staggered so later cuts hit a mesh already
@@ -51,14 +46,11 @@ func (r *Runner) FigNetFault(w io.Writer) error {
 			if start < 1 {
 				start = 1
 			}
-			row := []string{b.Info().Name}
+			row := []string{b.Info().Name, f2(1)} // cuts=0: the base run itself
 			for i, c := range netfaultCuts {
-				var plan *fault.Plan
-				if c > 0 {
-					plan = fault.Merge(
-						fault.LinkPlan(faultSeed, c, hw.MeshWidth, hw.MeshHeight, start, 101),
-						fault.BankPlan(faultSeed, 1, hw.LLCBanks, start+int64(c)*101, 101))
-				}
+				plan := fault.Merge(
+					fault.LinkPlan(faultSeed, c, hw.MeshWidth, hw.MeshHeight, start, 101),
+					fault.BankPlan(faultSeed, 1, hw.LLCBanks, start+int64(c)*101, 101))
 				fr, err := kernels.ExecuteWithFaultsOpts(b, b.Defaults(r.opts.Scale), sw, hw,
 					plan, r.execOpts())
 				if err != nil {
@@ -81,7 +73,7 @@ func (r *Runner) FigNetFault(w io.Writer) error {
 			}
 			tbl.add(row...)
 		}
-		gm := []string{"GeoMean"}
+		gm := []string{"GeoMean", f2(1)}
 		for _, vals := range means {
 			gm = append(gm, f2(geomean(vals)))
 		}

@@ -146,12 +146,13 @@ func TestPlaneRebindDuringSweep(t *testing.T) {
 
 // TestFaultFigureFeedsPlane pins the ladder cells' route to the plane: the
 // fault figures hand the session's plane to every execution they start, so
-// FigFault at Tiny ends with its 3 base runs plus its 15 ladder cells (3
-// configurations x 5 kill counts) done on /debug/run — and, because the
-// figure plans the ladder cells up front, with the raw planned gauge at the
-// same 18, so a watcher sees an ETA for them (the snapshot clamps planned
-// up to done, which would hide a shortfall; the exposition does not). It
-// prints the same table with or without a plane.
+// FigFault at Tiny ends with its 3 base runs plus its 12 faulted ladder
+// cells (3 configurations x 4 kill counts; the k=0 column is the base run
+// and simulates nothing more) done on /debug/run — and, because the figure
+// plans the ladder cells up front, with the raw planned gauge at the same
+// 15, so a watcher sees an ETA for them (the snapshot clamps planned up to
+// done, which would hide a shortfall; the exposition does not). It prints
+// the same table with or without a plane.
 func TestFaultFigureFeedsPlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -167,8 +168,8 @@ func TestFaultFigureFeedsPlane(t *testing.T) {
 	if !bytes.Equal(bare.Bytes(), observed.Bytes()) {
 		t.Errorf("figure differs with a plane attached:\n%s\nvs\n%s", observed.Bytes(), bare.Bytes())
 	}
-	if snap := p.Run().Snapshot(); snap.Sweep.Done != 18 || snap.Sweep.Failed != 0 {
-		t.Errorf("plane saw %d cells done (%d failed), want 18 (3 base runs + 15 ladder cells)",
+	if snap := p.Run().Snapshot(); snap.Sweep.Done != 15 || snap.Sweep.Failed != 0 {
+		t.Errorf("plane saw %d cells done (%d failed), want 15 (3 base runs + 12 ladder cells)",
 			snap.Sweep.Done, snap.Sweep.Failed)
 	}
 	var prom bytes.Buffer
@@ -176,8 +177,8 @@ func TestFaultFigureFeedsPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, series := range []string{"rockcress_sweep_cells_planned", "rockcress_sweep_cells_done"} {
-		if v, err := promValue(prom.String(), series); err != nil || v != 18 {
-			t.Errorf("%s = %d (%v), want 18", series, v, err)
+		if v, err := promValue(prom.String(), series); err != nil || v != 15 {
+			t.Errorf("%s = %d (%v), want 15", series, v, err)
 		}
 	}
 }

@@ -171,9 +171,6 @@ func (j *Journal) Record(key string, result any, errMsg string) error {
 	return j.appendLine(&e)
 }
 
-// Path returns the journal file path.
-func (j *Journal) Path() string { return j.path }
-
 // Err returns the first append error, if any.
 func (j *Journal) Err() error {
 	j.mu.Lock()

@@ -178,11 +178,6 @@ func New(p Params) (_ *Machine, err error) {
 		m.meshReq.SetHopLat(cfg.RouterHopLat)
 		m.meshResp.SetHopLat(cfg.RouterHopLat)
 	}
-	// Per-link hop accounting is always on: the per-hop branch exists
-	// either way, and the hottest link's duty cycle feeds the end-of-run
-	// bottleneck report (rockdoctor), not just windowed telemetry.
-	m.meshReq.EnableLinkHops()
-	m.meshResp.EnableLinkHops()
 	m.llcs, err = mem.NewLLCBanks(cfg, m.space, m.meshResp, m.dram, m.Global, m, m.Stats.LLCs)
 	if err != nil {
 		return nil, err

@@ -193,7 +193,7 @@ type Mesh struct {
 	DetourHops    int64 // extra hops vs the XY path, summed over injections
 	DroppedDead   int64 // flits dropped at injection: destination node dead
 
-	linkHops []int64 // per-link traversals (router*4 + out), telemetry only
+	linkHops []int64 // per-link traversals (router*4 + out)
 }
 
 type move struct {
@@ -226,6 +226,7 @@ func New(w, h, banks, queueCap int, deliver Deliver) (*Mesh, error) {
 		cap:      queueCap,
 		deliver:  deliver,
 		incoming: make([]int8, w*h*int(numPorts)),
+		linkHops: make([]int64, w*h*4),
 	}
 	m.bufs = make([]entry, len(m.queues)*queueCap)
 	for qi := range m.queues {
@@ -505,9 +506,7 @@ func (m *Mesh) Tick(int64) {
 			m.occMask[mv.toTile] |= 1 << uint(np)
 			m.busy[mv.toTile>>6] |= 1 << uint(mv.toTile&63)
 			m.Hops++
-			if m.linkHops != nil {
-				m.linkHops[mv.tile*4+int(mv.out)]++
-			}
+			m.linkHops[mv.tile*4+int(mv.out)]++
 			incoming[key] = 0
 		}
 		m.dropQ(qi)
@@ -570,18 +569,9 @@ func (m *Mesh) linkClear(tile, outOff, nt int) bool {
 // single-cycle hop and changes nothing.
 func (m *Mesh) SetHopLat(n int) { m.hopLat = int64(n) }
 
-// EnableLinkHops switches on per-link traversal accounting for telemetry.
-// Call before the first Tick; the counters only affect observability, never
-// routing, so cycle counts are unchanged.
-func (m *Mesh) EnableLinkHops() {
-	if m.linkHops == nil {
-		m.linkHops = make([]int64, m.w*m.h*4)
-	}
-}
-
 // LinkHops returns the per-link traversal counters (index router*4+direction
-// in N/E/S/W order), or nil when EnableLinkHops was never called. The slice
-// is live; callers snapshot it between cycles.
+// in N/E/S/W order). They are always kept and never affect routing. The
+// slice is live; callers snapshot it between cycles.
 func (m *Mesh) LinkHops() []int64 { return m.linkHops }
 
 // LinkLabels names each LinkHops index "from>to" by router id; indexes whose

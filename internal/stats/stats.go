@@ -6,7 +6,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -105,14 +104,6 @@ type LLC struct {
 	Writebacks  int64
 	StoreHits   int64
 	StoreMisses int64
-}
-
-// MissRate returns the bank's miss ratio, or 0 if it saw no accesses.
-func (l *LLC) MissRate() float64 {
-	if l.Accesses == 0 {
-		return 0
-	}
-	return float64(l.Misses) / float64(l.Accesses)
 }
 
 // Machine aggregates everything for one simulation run.
@@ -373,14 +364,4 @@ func (m *Machine) Summary() string {
 	fmt.Fprintf(&b, "cpi stack: issued=%.2f frame=%.2f inet=%.2f backpressure=%.2f other=%.2f\n",
 		st.Issued, st.Frame, st.Inet, st.Backpressure, st.Other)
 	return b.String()
-}
-
-// SortedHops returns the hop keys of a by-hop map in increasing order.
-func SortedHops(m map[int]float64) []int {
-	hops := make([]int, 0, len(m))
-	for h := range m {
-		hops = append(hops, h)
-	}
-	sort.Ints(hops)
-	return hops
 }

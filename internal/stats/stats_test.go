@@ -46,9 +46,6 @@ func TestStallFractionByHop(t *testing.T) {
 	if frac[1] != 0.3 || frac[2] != 0.5 {
 		t.Fatalf("fractions: %v", frac)
 	}
-	if got := SortedHops(frac); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("sorted hops: %v", got)
-	}
 }
 
 func TestAggregates(t *testing.T) {

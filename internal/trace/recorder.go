@@ -146,13 +146,6 @@ func (r *Recorder) MarkTruncated() {
 	r.mu.Unlock()
 }
 
-// Truncated reports whether MarkTruncated was called.
-func (r *Recorder) Truncated() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.truncated
-}
-
 // snapshot is a consistent copy of everything WriteJSON renders.
 type snapshot struct {
 	labels    []label

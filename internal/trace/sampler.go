@@ -141,8 +141,8 @@ type Cum struct {
 	LLCStoreHits   int64
 	LLCStoreMisses int64
 
-	// Per-link mesh hop totals (index: router*4+direction), present only
-	// when the machine enabled per-link accounting for this run.
+	// Per-link mesh hop totals (index: router*4+direction). The machine
+	// always fills them from its meshes; Fold leaves them nil.
 	LinksReq  []int64
 	LinksResp []int64
 }
