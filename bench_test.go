@@ -119,7 +119,7 @@ func runAblation(b *testing.B, benchName, cfgName string, mod func(*config.Manyc
 	if mod != nil {
 		mod(&hw)
 	}
-	res, err := kernels.Execute(bench, bench.Defaults(kernels.Tiny), sw, hw, 0)
+	res, err := kernels.ExecuteOpts(bench, bench.Defaults(kernels.Tiny), sw, hw, kernels.ExecOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func BenchmarkSimThroughput(b *testing.B) {
 	sw, _ := config.Preset("NV")
 	var simCycles int64
 	for i := 0; i < b.N; i++ {
-		res, err := kernels.Execute(bench, bench.Defaults(kernels.Small), sw, config.ManycoreDefault(), 0)
+		res, err := kernels.ExecuteOpts(bench, bench.Defaults(kernels.Small), sw, config.ManycoreDefault(), kernels.ExecOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func BenchmarkEngineMIPS(b *testing.B) {
 	b.ReportAllocs()
 	var simCycles, wallNs int64
 	for i := 0; i < b.N; i++ {
-		res, err := kernels.Execute(bench, bench.Defaults(kernels.Small), sw, config.ManycoreDefault(), 0)
+		res, err := kernels.ExecuteOpts(bench, bench.Defaults(kernels.Small), sw, config.ManycoreDefault(), kernels.ExecOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}

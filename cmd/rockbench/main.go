@@ -130,6 +130,18 @@ func newRunner(s *cli.Session, scale kernels.Scale) (*harness.Runner, error) {
 	if o.Resume && o.Journal == "" {
 		return nil, errors.New("-resume requires -journal")
 	}
+	// An unknown -bench name is refused before any simulation; an empty
+	// entry (a trailing comma) is not a name.
+	var benches []string
+	for _, n := range strings.Split(o.Bench, ",") {
+		if n == "" {
+			continue
+		}
+		if _, err := kernels.Get(n); err != nil {
+			return nil, err
+		}
+		benches = append(benches, n)
+	}
 	var (
 		journal *lifecycle.Journal
 		seed    []lifecycle.JournalEntry
@@ -154,10 +166,6 @@ func newRunner(s *cli.Session, scale kernels.Scale) (*harness.Runner, error) {
 			}
 			return nil
 		})
-	}
-	var benches []string
-	if o.Bench != "" {
-		benches = strings.Split(o.Bench, ",")
 	}
 	r := harness.New(harness.Options{Ctx: s.Ctx, WallBudget: o.Timeout, Obs: s.Plane, Causal: o.Causal,
 		Scale: scale, Out: os.Stdout, Verbose: !o.Quiet, Benches: benches, Jobs: o.Jobs,

@@ -106,6 +106,29 @@ func TestUsageErrorsExitOne(t *testing.T) {
 	}
 }
 
+// TestUnknownBenchRefused: a -bench list naming an unknown benchmark exits
+// 1 naming it before any simulation prints, alone or beside a known one;
+// an empty entry from a trailing comma is ignored.
+func TestUnknownBenchRefused(t *testing.T) {
+	for _, list := range []string{"nosuch", "mvt,nosuch"} {
+		cmd := exec.Command(rockbenchBin, "-q", "-fig", "10", "-scale", "tiny", "-bench", list)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+			t.Errorf("-bench %s: got %v, want exit status 1", list, err)
+		}
+		if !strings.Contains(stderr.String(), `unknown benchmark "nosuch"`) || len(out) > 0 {
+			t.Errorf("-bench %s: stderr %q, stdout %q; want the refusal and no table", list, stderr.String(), out)
+		}
+	}
+	args := []string{"-q", "-fig", "10", "-scale", "tiny", "-bench"}
+	if got, want := stdout(t, append(args, "mvt,")...), stdout(t, append(args, "mvt")...); !bytes.Equal(got, want) {
+		t.Errorf("-bench mvt, stdout differs from -bench mvt:\n%s\nvs\n%s", got, want)
+	}
+}
+
 // TestFigureNamesComeFromRegistry: the -fig help text and the
 // unknown-figure error each list exactly harness.Figures, in its order.
 func TestFigureNamesComeFromRegistry(t *testing.T) {

@@ -78,20 +78,17 @@ func run(s *cli.Session) error {
 	if err != nil {
 		return err
 	}
-	if plan != nil {
-		res, err := runFaulted(bench, scale, sw, opts, plan, o.Verbose)
-		if err != nil {
-			return err
-		}
-		completed()
-		return finish(o.Report, res, o.Scale, opts.Prof)
-	}
-	res, err := kernels.ExecuteOpts(bench, bench.Defaults(scale), sw, config.ManycoreDefault(), opts)
+	fr, err := kernels.ExecuteWithFaultsOpts(bench, bench.Defaults(scale), sw, config.ManycoreDefault(), plan, opts)
 	if err != nil {
 		return err
 	}
 	completed()
-	fmt.Printf("%s / %s (%s scale)\n", res.Bench, res.Config, scale)
+	res := fr.Result
+	if plan != nil {
+		fmt.Printf("%s / %s (%s scale, faults: %s)\n", res.Bench, res.Config, scale, plan)
+	} else {
+		fmt.Printf("%s / %s (%s scale)\n", res.Bench, res.Config, scale)
+	}
 	if res.GPU != nil {
 		g := res.GPU
 		fmt.Printf("cycles: %d\nwavefronts: %d\ncompute ops: %d loads: %d stores: %d\n",
@@ -102,13 +99,24 @@ func run(s *cli.Session) error {
 	}
 	fmt.Print(res.Stats.Summary())
 	fmt.Printf("result check: passed (vs serial reference)\n")
+	if plan != nil {
+		if fr.Report != nil {
+			fmt.Printf("faults: %s\n", fr.Report)
+		}
+		fmt.Printf("attempts: %d  total cycles incl. aborted attempts: %d\n", fr.Attempts, fr.TotalCycles)
+		if fr.MIMDFallback {
+			fmt.Println("vector groups could not re-form: finished in MIMD fallback")
+		}
+	}
 	if o.Verbose {
+		fmt.Printf("energy: %s\n", res.Energy)
+	}
+	if o.Verbose && plan == nil {
 		var vloads, mts int64
 		for i := range res.Stats.Cores {
 			vloads += res.Stats.Cores[i].VloadsIssued
 			mts += res.Stats.Cores[i].Microthreads
 		}
-		fmt.Printf("energy: %s\n", res.Energy)
 		fmt.Printf("vloads: %d microthreads: %d remote stores: %d\n", vloads, mts, res.Stats.RemoteStores)
 	}
 	return finish(o.Report, res, o.Scale, opts.Prof)
@@ -190,31 +198,6 @@ func finish(reportPath string, res *kernels.Result, scaleName string, prof *sim.
 		fmt.Print(prof.String())
 	}
 	return errors.Join(errs...)
-}
-
-// runFaulted runs the benchmark under a fault schedule via the graceful
-// degradation harness and prints the final statistics plus what it cost.
-func runFaulted(bench kernels.Benchmark, scale kernels.Scale, sw config.Software,
-	opts kernels.ExecOpts, plan *fault.Plan, verbose bool) (*kernels.Result, error) {
-	fr, err := kernels.ExecuteWithFaultsOpts(bench, bench.Defaults(scale), sw,
-		config.ManycoreDefault(), plan, opts)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("%s / %s (%s scale, faults: %s)\n", fr.Result.Bench, fr.Result.Config, scale, plan)
-	fmt.Print(fr.Result.Stats.Summary())
-	fmt.Printf("result check: passed (vs serial reference)\n")
-	if fr.Report != nil {
-		fmt.Printf("faults: %s\n", fr.Report)
-	}
-	fmt.Printf("attempts: %d  total cycles incl. aborted attempts: %d\n", fr.Attempts, fr.TotalCycles)
-	if fr.MIMDFallback {
-		fmt.Println("vector groups could not re-form: finished in MIMD fallback")
-	}
-	if verbose {
-		fmt.Printf("energy: %s\n", fr.Result.Energy)
-	}
-	return fr.Result, nil
 }
 
 // dumpProgram builds the benchmark's program for the configuration and

@@ -48,7 +48,7 @@ func TestClassifierAgreesWithDocumentedBottlenecks(t *testing.T) {
 		if tc.mod != nil {
 			tc.mod(&hw)
 		}
-		res, err := kernels.Execute(bench, bench.Defaults(kernels.Small), sw, hw, kernels.DefaultMaxCycles)
+		res, err := kernels.ExecuteOpts(bench, bench.Defaults(kernels.Small), sw, hw, kernels.ExecOpts{MaxCycles: kernels.DefaultMaxCycles})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

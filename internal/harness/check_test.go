@@ -126,7 +126,7 @@ func TestTelemetryAndReportsDoNotChangeCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := kernels.Execute(bench, bench.Defaults(kernels.Tiny), sw, config.ManycoreDefault(), kernels.DefaultMaxCycles)
+	bare, err := kernels.ExecuteOpts(bench, bench.Defaults(kernels.Tiny), sw, config.ManycoreDefault(), kernels.ExecOpts{MaxCycles: kernels.DefaultMaxCycles})
 	if err != nil {
 		t.Fatal(err)
 	}

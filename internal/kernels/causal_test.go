@@ -68,7 +68,7 @@ func measureProjection(b Benchmark, sw config.Software, sc Scale, d causalDirect
 	rerunHW := config.ManycoreDefault()
 	d.baseMod(&rerunHW)
 	d.rerunMod(&rerunHW)
-	rerunRes, err := Execute(b, b.Defaults(sc), sw, rerunHW, 0)
+	rerunRes, err := ExecuteOpts(b, b.Defaults(sc), sw, rerunHW, ExecOpts{})
 	if err != nil {
 		return projectionMeasurement{}, err
 	}
@@ -161,7 +161,7 @@ func TestCausalBucketsSumToCycles(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%s causal: %v", tc.bench, tc.cfg, err)
 		}
-		off, err := Execute(b, b.Defaults(Tiny), sw, hw, 0)
+		off, err := ExecuteOpts(b, b.Defaults(Tiny), sw, hw, ExecOpts{})
 		if err != nil {
 			t.Fatalf("%s/%s: %v", tc.bench, tc.cfg, err)
 		}

@@ -21,9 +21,10 @@ type AttemptInfo struct {
 	Checkpoints    int64 // snapshots published during the attempt
 }
 
-// FaultResult is the outcome of a degraded run: the final (correct) result
-// plus how the harness got there. TotalCycles includes the cycles burned by
-// aborted attempts — the price of degradation the fault figure plots.
+// FaultResult is the outcome of a run through the recovery ladder: the final
+// (correct) result plus how the harness got there. TotalCycles includes the
+// cycles burned by aborted attempts — the price of degradation the fault
+// figure plots. A fault-free run has one attempt and no Report or Ladder.
 type FaultResult struct {
 	*Result
 	Report       *fault.Report
@@ -41,54 +42,40 @@ type FaultResult struct {
 	Ladder             []AttemptInfo
 }
 
-// ExecuteWithFaults runs benchmark b under a fault schedule and degrades
+// ExecuteWithFaultsOpts runs benchmark b under a fault schedule and degrades
 // gracefully: when an attempt loses tiles (broken groups, killed workers) or
 // produces wrong output, the harness re-forms the fabric around the dead
 // tiles — vector groups via config.Reform, or a dense-ranked MIMD partition
 // when no complete group fits — and restarts from the initial image with the
 // already-fired fault events stripped from the plan. It returns once an
-// attempt completes with output matching the serial reference.
-func ExecuteWithFaults(b Benchmark, p Params, sw config.Software, hw config.Manycore,
-	maxCycles int64, plan *fault.Plan) (*FaultResult, error) {
-	return ExecuteWithFaultsOpts(b, p, sw, hw, plan, ExecOpts{MaxCycles: maxCycles})
-}
-
-// ExecuteWithFaultsOpts is ExecuteWithFaults with engine options.
+// attempt completes with output matching the serial reference. A nil or
+// empty plan is the fault-free run.
 func ExecuteWithFaultsOpts(b Benchmark, p Params, sw config.Software, hw config.Manycore,
 	plan *fault.Plan, opts ExecOpts) (*FaultResult, error) {
-	name := b.Info().Name
-	if plan == nil || len(plan.Events) == 0 {
-		res, err := ExecuteOpts(b, p, sw, hw, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &FaultResult{Result: res, Attempts: 1, TotalCycles: res.Cycles()}, nil
+	if sw.Style == config.StyleGPU && plan != nil && len(plan.Events) > 0 {
+		return nil, fmt.Errorf("%s/GPU: fault injection targets the manycore fabric", b.Info().Name)
 	}
-	if sw.Style == config.StyleGPU {
-		return nil, fmt.Errorf("%s/GPU: fault injection targets the manycore fabric", name)
+	fr := &FaultResult{}
+	if err := execute(b, p, sw, hw, plan, opts, fr); err != nil {
+		return nil, err
 	}
-	// The whole recovery ladder is one sweep cell: one Begin/End pair, with
-	// the rung number surfaced live through SetAttempt.
-	tok := opts.Obs.Run().Begin(name, sw.Name)
-	fr, err := executeFaultLadder(b, p, sw, hw, plan, opts, tok)
-	opts.Obs.Run().End(tok, err)
-	return fr, err
+	return fr, nil
 }
 
+// executeFaultLadder is the recovery ladder, into fr. Under a nil or empty
+// plan it is one rung with no recovery instrumentation: the fault-free run.
+// restart selects the whole-run-restart baseline (see trial.restart).
+// opts.MaxCycles must be set.
 func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Manycore,
-	plan *fault.Plan, opts ExecOpts, tok int) (*FaultResult, error) {
+	plan *fault.Plan, opts ExecOpts, tok int, restart bool, fr *FaultResult) error {
 	name := b.Info().Name
-	maxCycles := opts.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = DefaultMaxCycles
-	}
 	hw = sw.Apply(hw)
-
-	fr := &FaultResult{}
 	cur := plan
+	if cur != nil && len(cur.Events) == 0 {
+		cur = nil
+	}
 	var avoid []int
 	mimd := false
-	ckptOn := !opts.NoCheckpoint
 	// One wall budget covers the whole recovery ladder, not each attempt:
 	// a pathological restart loop is exactly what the budget must bound.
 	wallDeadline := opts.wallDeadline()
@@ -104,15 +91,15 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 		// interrupted ladder stops between attempts, not just mid-run.
 		if opts.Ctx != nil {
 			if cerr := opts.Ctx.Err(); cerr != nil {
-				return nil, wrapRun(name, sw.Name, attempt, fmt.Errorf("run canceled: %w", cerr))
+				return wrapRun(name, sw.Name, attempt, fmt.Errorf("run canceled: %w", cerr))
 			}
 		}
 		if !wallDeadline.IsZero() && time.Now().After(wallDeadline) {
-			return nil, wrapRun(name, sw.Name, attempt, lifecycle.ErrWallBudget)
+			return wrapRun(name, sw.Name, attempt, lifecycle.ErrWallBudget)
 		}
 		groups, ctxAvoid, err := degradedLayout(sw, hw, avoid, mimd)
 		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", name, sw.Name, err)
+			return fmt.Errorf("%s/%s: %w", name, sw.Name, err)
 		}
 		if sw.Style == config.StyleVector && len(groups) == 0 {
 			mimd = true
@@ -125,10 +112,10 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 		}
 		// Restart from the last checkpoint when one is compatible with this
 		// attempt's build; otherwise from the initial image.
-		a := trial{n: attempt, plan: cur, avoid: ctxAvoid, ckpt: ckptOn,
+		a := trial{n: attempt, plan: cur, restart: restart, avoid: ctxAvoid,
 			wallDeadline: wallDeadline, snap: snap, snapSites: snapSites}
-		if err := a.run(b, p, sw, buildSW, hw, groups, maxCycles, opts); err != nil {
-			return nil, err
+		if err := a.run(b, p, sw, buildSW, hw, groups, opts); err != nil {
+			return err
 		}
 		m, runErr, restored := a.m, a.runErr, a.restored
 		if restored {
@@ -140,25 +127,32 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 		fr.TotalCycles += m.Now()
 		rep := m.FaultReport()
 		mergeReport(fr, rep)
-		ai := AttemptInfo{Cycles: m.Now(), FromCheckpoint: restored}
 		if rep != nil {
-			ai.FrameReplays = rep.FrameReplays
-			ai.ReplayRetries = rep.ReplayRetries
-			ai.Checkpoints = rep.Checkpoints
+			fr.Ladder = append(fr.Ladder, AttemptInfo{Cycles: m.Now(), FromCheckpoint: restored,
+				FrameReplays: rep.FrameReplays, ReplayRetries: rep.ReplayRetries, Checkpoints: rep.Checkpoints})
 			fr.FrameReplays += rep.FrameReplays
 		}
-		fr.Ladder = append(fr.Ladder, ai)
 		if ck := m.Checkpoint(); ck != nil {
 			snap, snapSites = ck, a.sites
 		}
-		correct := runErr == nil && a.img.Check(m.Global) == nil
+		checkErr := runErr
+		if checkErr == nil {
+			checkErr = a.img.Check(m.Global)
+		}
 		// Every reader of the store is done, and a published checkpoint is a
 		// copy, not a view: park the store for the next attempt or cell.
 		m.Global.Recycle()
-		if correct {
+		if checkErr == nil {
 			fr.Result = a.result(name, p, sw, hw, groups)
 			fr.MIMDFallback = mimd
-			return fr, nil
+			return nil
+		}
+		if cur == nil {
+			// Fault-free: no fault to blame, nothing a restart could repair.
+			if runErr != nil {
+				return wrapRun(name, sw.Name, attempt, runErr)
+			}
+			return fmt.Errorf("%s/%s: wrong result: %w", name, sw.Name, checkErr)
 		}
 		// A run that completed but wrong had a fault corrupt data or kill a
 		// worker whose partition never ran. Restart on the degraded fabric.
@@ -190,14 +184,14 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 			}
 			if runErr != nil {
 				// Failed without consuming any fault: restarting cannot help.
-				return nil, wrapRun(name, sw.Name, attempt, runErr)
+				return wrapRun(name, sw.Name, attempt, runErr)
 			}
-			return nil, fmt.Errorf("%s/%s: wrong result with no fault consumed (not repairable by restart)",
+			return fmt.Errorf("%s/%s: wrong result with no fault consumed (not repairable by restart)",
 				name, sw.Name)
 		}
 		avoid = append([]int(nil), fr.DeadTiles...)
 	}
-	return nil, fmt.Errorf("%s/%s: no fault-free attempt within %d restarts", name, sw.Name, fr.Attempts)
+	return fmt.Errorf("%s/%s: no fault-free attempt within %d restarts", name, sw.Name, fr.Attempts)
 }
 
 // degradedLayout picks the group layout for an attempt: full-health layouts

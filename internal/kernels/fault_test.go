@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"rockcress/internal/config"
@@ -30,7 +32,7 @@ func TestExecuteWithFaultsKillLane(t *testing.T) {
 	plan := &fault.Plan{Events: []fault.Event{
 		{Kind: fault.KillTile, Cycle: 1500, Tile: victim},
 	}}
-	fr, err := ExecuteWithFaults(bench, bench.Defaults(Tiny), sw, hw, 30_000_000, plan)
+	fr, err := ExecuteWithFaultsOpts(bench, bench.Defaults(Tiny), sw, hw, plan, ExecOpts{MaxCycles: 30_000_000})
 	if err != nil {
 		t.Fatalf("degraded run failed: %v", err)
 	}
@@ -78,7 +80,7 @@ func TestExecuteWithFaultsNVKill(t *testing.T) {
 	plan := &fault.Plan{Events: []fault.Event{
 		{Kind: fault.KillTile, Cycle: 1000, Tile: 3},
 	}}
-	fr, err := ExecuteWithFaults(bench, bench.Defaults(Tiny), sw, config.ManycoreDefault(), 30_000_000, plan)
+	fr, err := ExecuteWithFaultsOpts(bench, bench.Defaults(Tiny), sw, config.ManycoreDefault(), plan, ExecOpts{MaxCycles: 30_000_000})
 	if err != nil {
 		t.Fatalf("degraded run failed: %v", err)
 	}
@@ -90,8 +92,10 @@ func TestExecuteWithFaultsNVKill(t *testing.T) {
 	}
 }
 
-// TestExecuteWithFaultsNilPlan checks the nil-plan path is exactly the
-// plain Execute path: same cycle count, one attempt, no report.
+// TestExecuteWithFaultsNilPlan checks that a nil or an empty plan is the
+// fault-free run: the recovery ladder's first rung with no recovery
+// instrumentation, counting exactly what ExecuteOpts counts. The GPU row
+// still refuses a non-empty plan.
 func TestExecuteWithFaultsNilPlan(t *testing.T) {
 	bench, err := Get("mvt")
 	if err != nil {
@@ -102,19 +106,66 @@ func TestExecuteWithFaultsNilPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	hw := config.ManycoreDefault()
-	base, err := Execute(bench, bench.Defaults(Tiny), sw, hw, 30_000_000)
+	opts := ExecOpts{MaxCycles: 30_000_000}
+	base, err := ExecuteOpts(bench, bench.Defaults(Tiny), sw, hw, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := ExecuteWithFaults(bench, bench.Defaults(Tiny), sw, hw, 30_000_000, nil)
+	want := *base.Stats
+	want.WallNs = 0
+	for _, plan := range []*fault.Plan{nil, {Seed: 7}} {
+		fr, err := ExecuteWithFaultsOpts(bench, bench.Defaults(Tiny), sw, hw, plan, opts)
+		if err != nil {
+			t.Fatalf("plan %v: %v", plan, err)
+		}
+		if fr.Attempts != 1 || fr.Degraded() {
+			t.Errorf("plan %v: attempts %d, degraded %v", plan, fr.Attempts, fr.Degraded())
+		}
+		if fr.TotalCycles != fr.Cycles() {
+			t.Errorf("plan %v: TotalCycles %d != Cycles %d", plan, fr.TotalCycles, fr.Cycles())
+		}
+		if fr.Ladder != nil || fr.Report != nil {
+			t.Errorf("plan %v: ladder %+v, report %v; want neither", plan, fr.Ladder, fr.Report)
+		}
+		if fr.CheckpointRestarts != 0 || fr.FullRestarts != 0 || fr.FrameReplays != 0 {
+			t.Errorf("plan %v: %d checkpoint restarts, %d full restarts, %d frame replays; want none",
+				plan, fr.CheckpointRestarts, fr.FullRestarts, fr.FrameReplays)
+		}
+		got := *fr.Stats
+		got.WallNs = 0
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("plan %v: stats differ from ExecuteOpts (cycles %d vs %d)", plan, got.Cycles, want.Cycles)
+		}
+	}
+	kill := &fault.Plan{Events: []fault.Event{{Kind: fault.KillTile, Cycle: 100, Tile: 3}}}
+	_, err = ExecuteWithFaultsOpts(bench, bench.Defaults(Tiny), GPUSoftware(), hw, kill, opts)
+	if err == nil || !strings.Contains(err.Error(), "fault injection targets the manycore fabric") {
+		t.Errorf("GPU under a fault plan: err %v, want the manycore-only refusal", err)
+	}
+}
+
+// TestVectorRowNeedsAGroup runs V4 on a 2x2 fabric, where no complete V4
+// group fits: the run is refused before any machine is built, naming the
+// row and the fabric, rather than simulated as a vector build without
+// groups or silently finished in MIMD.
+func TestVectorRowNeedsAGroup(t *testing.T) {
+	bench, err := Get("mvt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr.Attempts != 1 || fr.Degraded() {
-		t.Errorf("nil plan: attempts %d, degraded %v", fr.Attempts, fr.Degraded())
+	sw, err := config.Preset("V4")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fr.Result.Cycles() != base.Cycles() {
-		t.Errorf("nil plan cycles %d != plain Execute cycles %d", fr.Result.Cycles(), base.Cycles())
+	hw := config.ManycoreDefault()
+	hw.MeshWidth, hw.MeshHeight, hw.Cores, hw.LLCBanks = 2, 2, 4, 4
+	plane := metrics.NewPlane("")
+	_, err = ExecuteOpts(bench, bench.Defaults(Tiny), sw, hw, ExecOpts{MaxCycles: 30_000_000, Obs: plane})
+	if err == nil || !strings.Contains(err.Error(), "no complete V4 group fits a 2x2 fabric") {
+		t.Fatalf("V4 on 2x2: err %v, want the no-group refusal", err)
+	}
+	if sim := plane.Run().Snapshot().Sim; sim.Cycles != 0 {
+		t.Errorf("the refused run simulated %d cycles, want none", sim.Cycles)
 	}
 }
 

@@ -115,10 +115,15 @@ func Get(name string) (Benchmark, error) {
 func SupportsSIMD(name string) bool { return name != "gramschm" && name != "bfs" }
 
 // GroupsFor builds the group layout a Software row implies (nil for the
-// MIMD styles).
+// MIMD styles). A vector row on a fabric too small for one complete group
+// is an error: only a fabric that lost tiles falls back to MIMD.
 func GroupsFor(sw config.Software, hw config.Manycore) ([]*config.Group, error) {
 	if sw.Style != config.StyleVector {
 		return nil, nil
 	}
-	return config.MakeGroups(hw, sw.VLen)
+	groups, err := config.MakeGroups(hw, sw.VLen)
+	if err == nil && len(groups) == 0 {
+		err = fmt.Errorf("no complete %s group fits a %dx%d fabric", sw.Name, hw.MeshWidth, hw.MeshHeight)
+	}
+	return groups, err
 }

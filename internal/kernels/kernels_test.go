@@ -26,7 +26,7 @@ func runTiny(t *testing.T, name, cfgName string) *Result {
 	if sw.SIMD && !SupportsSIMD(name) {
 		t.Skipf("%s does not support SIMD", name)
 	}
-	res, err := Execute(bench, bench.Defaults(Tiny), sw, config.ManycoreDefault(), 30_000_000)
+	res, err := ExecuteOpts(bench, bench.Defaults(Tiny), sw, config.ManycoreDefault(), ExecOpts{MaxCycles: 30_000_000})
 	if err != nil {
 		t.Fatalf("%s/%s: %v", name, cfgName, err)
 	}
@@ -49,7 +49,7 @@ func testBenchAllConfigs(t *testing.T, name string) {
 		if ks, err := bench.GPU(bench.Defaults(Tiny), mustPrepare(t, bench)); err != nil || len(ks) == 0 {
 			t.Skipf("no GPU kernel: %v", err)
 		}
-		res, err := Execute(bench, bench.Defaults(Tiny), GPUSoftware(), config.ManycoreDefault(), 30_000_000)
+		res, err := ExecuteOpts(bench, bench.Defaults(Tiny), GPUSoftware(), config.ManycoreDefault(), ExecOpts{MaxCycles: 30_000_000})
 		if err != nil {
 			t.Fatalf("GPU: %v", err)
 		}

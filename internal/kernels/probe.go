@@ -20,8 +20,9 @@ type LadderProbe struct {
 	Restart *FaultResult
 }
 
-// ProbeReplayWin searches for a fault schedule on which the recovery ladder
-// strictly beats the whole-run-restart baseline, and returns both runs.
+// ProbeReplayWinOpts searches for a fault schedule on which the recovery
+// ladder strictly beats the whole-run-restart baseline, and returns both
+// runs.
 //
 // It first looks, among a fixed list of single bit flips over injection
 // cycles and frame offsets, for one that poisons an in-flight vload frame: a
@@ -34,14 +35,9 @@ type LadderProbe struct {
 // sec. 6.2) no flip can bite; the probe falls back to killing a lane so the
 // checkpoint rung carries the comparison. Returns an error if neither rung
 // can demonstrate a strict win.
-func ProbeReplayWin(b Benchmark, p Params, sw config.Software, hw config.Manycore,
-	maxCycles int64) (*LadderProbe, error) {
-	return ProbeReplayWinOpts(b, p, sw, hw, ExecOpts{MaxCycles: maxCycles})
-}
-
-// ProbeReplayWinOpts is ProbeReplayWin with engine options; Ctx and
-// WallBudget bound every execution the search performs. The whole search is
-// one sweep cell on opts.Obs.
+//
+// Ctx and WallBudget bound every execution the search performs. The whole
+// search is one sweep cell on opts.Obs.
 func ProbeReplayWinOpts(b Benchmark, p Params, sw config.Software, hw config.Manycore,
 	opts ExecOpts) (*LadderProbe, error) {
 	return probeReplayWin(b, p, sw, hw, opts, flipVerdicts)
@@ -125,8 +121,7 @@ func flipVerdicts(b Benchmark, p Params, sw config.Software, hw config.Manycore,
 		return nil, err
 	}
 	opts.Trace, opts.Obs, opts.Causal = nil, nil, false
-	a := trial{n: 1, plan: flipPlan(opts.MaxCycles, victim, 0), ckpt: !opts.NoCheckpoint,
-		wallDeadline: opts.wallDeadline()}
+	a := trial{n: 1, plan: flipPlan(opts.MaxCycles, victim, 0), wallDeadline: opts.wallDeadline()}
 	if err := a.build(b, p, sw, sw, hw, groups, opts); err != nil {
 		return bites, nil // so does every trial's build
 	}
@@ -159,8 +154,6 @@ func probeReplayWin(b Benchmark, p Params, sw config.Software, hw config.Manycor
 	if opts.MaxCycles == 0 {
 		opts.MaxCycles = DefaultMaxCycles
 	}
-	rstOpts := opts
-	rstOpts.NoReplay, rstOpts.NoCheckpoint = true, true
 	groups, err := GroupsFor(sw, sw.Apply(hw))
 	if err != nil {
 		return nil, err
@@ -173,7 +166,12 @@ func probeReplayWin(b Benchmark, p Params, sw config.Software, hw config.Manycor
 	// restart baseline report under this token, rungs through SetAttempt.
 	tok := opts.Obs.Run().Begin(b.Info().Name, sw.Name)
 	defer func() { opts.Obs.Run().End(tok, err) }()
-	base, err := executeOpts(b, p, sw, hw, opts)
+	// ladder is one run of the search; restart selects the baseline.
+	ladder := func(plan *fault.Plan, restart bool) (*FaultResult, error) {
+		fr := &FaultResult{}
+		return fr, executeFaultLadder(b, p, sw, hw, plan, opts, tok, restart, fr)
+	}
+	base, err := ladder(nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +179,7 @@ func probeReplayWin(b Benchmark, p Params, sw config.Software, hw config.Manycor
 
 	tryFlip := func(c flipCand) (*LadderProbe, error) {
 		plan := flipPlan(c.cycle, victim, c.off)
-		lad, err := executeFaultLadder(b, p, sw, hw, plan, opts, tok)
+		lad, err := ladder(plan, false)
 		if err != nil {
 			// Any failed flip but one that ends the search is just not the
 			// scenario under test.
@@ -196,7 +194,7 @@ func probeReplayWin(b Benchmark, p Params, sw config.Software, hw config.Manycor
 			// under test.
 			return nil, nil
 		}
-		rst, err := executeFaultLadder(b, p, sw, hw, plan, rstOpts, tok)
+		rst, err := ladder(plan, true)
 		if err != nil {
 			return nil, fmt.Errorf("restart baseline: %w", err)
 		}
@@ -236,7 +234,7 @@ func probeReplayWin(b Benchmark, p Params, sw config.Software, hw config.Manycor
 		plan := &fault.Plan{Events: []fault.Event{
 			{Kind: fault.KillTile, Cycle: baseCycles * fr[0] / fr[1], Tile: victim},
 		}}
-		lad, err := executeFaultLadder(b, p, sw, hw, plan, opts, tok)
+		lad, err := ladder(plan, false)
 		if err != nil {
 			if stopsSearch(err) {
 				return nil, err
@@ -246,7 +244,7 @@ func probeReplayWin(b Benchmark, p Params, sw config.Software, hw config.Manycor
 		if lad.CheckpointRestarts < 1 {
 			continue
 		}
-		rst, err := executeFaultLadder(b, p, sw, hw, plan, rstOpts, tok)
+		rst, err := ladder(plan, true)
 		if err != nil {
 			return nil, fmt.Errorf("restart baseline: %w", err)
 		}

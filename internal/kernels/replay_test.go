@@ -33,7 +33,7 @@ func TestReplayLadderBeatsRestart(t *testing.T) {
 		b := b
 		t.Run(b.Info().Name, func(t *testing.T) {
 			p := b.Defaults(Tiny)
-			pr, err := ProbeReplayWin(b, p, sw, hw, replayMaxCycles)
+			pr, err := ProbeReplayWinOpts(b, p, sw, hw, ExecOpts{MaxCycles: replayMaxCycles})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,11 +97,11 @@ func TestGramschmFlipBenign(t *testing.T) {
 	}
 	victim := groups[0].Lanes[len(groups[0].Lanes)-1]
 	p := b.Defaults(Tiny)
-	base, err := Execute(b, p, sw, hw, replayMaxCycles)
+	base, err := ExecuteOpts(b, p, sw, hw, ExecOpts{MaxCycles: replayMaxCycles})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lad, err := ExecuteWithFaults(b, p, sw, hw, replayMaxCycles, flipPlan(base.Cycles()/2, victim, 0))
+	lad, err := ExecuteWithFaultsOpts(b, p, sw, hw, flipPlan(base.Cycles()/2, victim, 0), ExecOpts{MaxCycles: replayMaxCycles})
 	if err != nil {
 		t.Fatalf("frame flip must be benign for a gather-only kernel: %v", err)
 	}
@@ -133,7 +133,7 @@ func TestCheckpointRestart(t *testing.T) {
 	}
 	victim := groups[0].Lanes[len(groups[0].Lanes)-1]
 	p := b.Defaults(Tiny)
-	base, err := Execute(b, p, sw, hw, replayMaxCycles)
+	base, err := ExecuteOpts(b, p, sw, hw, ExecOpts{MaxCycles: replayMaxCycles})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestCheckpointRestart(t *testing.T) {
 		plan := &fault.Plan{Events: []fault.Event{
 			{Kind: fault.KillTile, Cycle: baseCycles * fr[0] / fr[1], Tile: victim},
 		}}
-		res, err := ExecuteWithFaults(b, p, sw, hw, replayMaxCycles, plan)
+		res, err := ExecuteWithFaultsOpts(b, p, sw, hw, plan, ExecOpts{MaxCycles: replayMaxCycles})
 		if err != nil || res.CheckpointRestarts < 1 {
 			continue
 		}
@@ -209,7 +209,7 @@ func TestCheckpointCostScalesWithDirtyPages(t *testing.T) {
 	b, p, sw, hw := mvtV4Tiny(t)
 	plan := lateKillPlan()
 	run := func() *FaultResult {
-		res, err := ExecuteWithFaults(b, p, sw, hw, replayMaxCycles, plan)
+		res, err := ExecuteWithFaultsOpts(b, p, sw, hw, plan, ExecOpts{MaxCycles: replayMaxCycles})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +278,7 @@ func TestCheckpointEventReportsPagesCopied(t *testing.T) {
 func TestFailedRunRecyclesStore(t *testing.T) {
 	b, p, sw, hw := mvtV4Tiny(t)
 	fail := func() {
-		if _, err := Execute(b, p, sw, hw, 100); err == nil {
+		if _, err := ExecuteOpts(b, p, sw, hw, ExecOpts{MaxCycles: 100}); err == nil {
 			t.Fatal("a 100-cycle budget must fail the run")
 		}
 	}

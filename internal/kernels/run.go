@@ -54,15 +54,6 @@ type ExecOpts struct {
 	// tests set it to pin that it stays inert.
 	Workers int
 
-	// NoReplay disables the frame-integrity layer (per-frame parity +
-	// poisoned-frame replay) on fault runs; NoCheckpoint disables
-	// checkpointed restart. Both exist to measure the whole-run-restart
-	// baseline the recovery ladder is compared against. Fault-free runs
-	// (Execute/ExecuteOpts) never enable either, so these have no effect
-	// there.
-	NoReplay     bool
-	NoCheckpoint bool
-
 	// Trace attaches an observability sink to the machine (nil costs
 	// nothing). One sink serves one execution; multi-attempt fault runs
 	// reuse it across attempts and the telemetry windows restart per
@@ -100,59 +91,49 @@ func (o *ExecOpts) wallDeadline() time.Time {
 	return time.Now().Add(o.WallBudget)
 }
 
-// Execute runs benchmark b with parameters p under the given software row
-// and hardware base configuration, checks the results against the serial
-// reference, and returns the statistics.
-func Execute(b Benchmark, p Params, sw config.Software, hw config.Manycore, maxCycles int64) (*Result, error) {
-	return ExecuteOpts(b, p, sw, hw, ExecOpts{MaxCycles: maxCycles})
-}
-
-// ExecuteOpts is Execute with engine options.
+// ExecuteOpts runs benchmark b with parameters p under the given software
+// row and hardware base configuration, checks the results against the
+// serial reference, and returns the statistics. On the manycore it is the
+// recovery ladder's first rung with no fault plan.
 func ExecuteOpts(b Benchmark, p Params, sw config.Software, hw config.Manycore, opts ExecOpts) (*Result, error) {
-	tok := opts.Obs.Run().Begin(b.Info().Name, sw.Name)
-	res, err := executeOpts(b, p, sw, hw, opts)
-	opts.Obs.Run().End(tok, err)
-	return res, err
-}
-
-func executeOpts(b Benchmark, p Params, sw config.Software, hw config.Manycore, opts ExecOpts) (*Result, error) {
-	name := b.Info().Name
-	maxCycles := opts.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = DefaultMaxCycles
-	}
-	if sw.Style == config.StyleGPU {
-		return executeGPU(b, p, maxCycles, opts)
-	}
-	hw = sw.Apply(hw)
-	groups, err := GroupsFor(sw, hw)
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", name, sw.Name, err)
-	}
-	var a trial
-	if err := a.run(b, p, sw, sw, hw, groups, maxCycles, opts); err != nil {
+	var fr FaultResult
+	if err := execute(b, p, sw, hw, nil, opts, &fr); err != nil {
 		return nil, err
 	}
-	// Failed cells park the store too, once the flight dump and the result
-	// check below have read it: the next cell of a sweep reuses it.
-	defer a.m.Global.Recycle()
-	if a.runErr != nil {
-		return nil, wrapRun(name, sw.Name, 1, a.runErr)
-	}
-	if err := a.img.Check(a.m.Global); err != nil {
-		return nil, fmt.Errorf("%s/%s: wrong result: %w", name, sw.Name, err)
-	}
-	return a.result(name, p, sw, hw, groups), nil
+	return fr.Result, nil
 }
 
-// trial is one machine run of a benchmark: the fault-free execution, or a
-// rung of the recovery ladder.
+// execute is the one run path: one sweep cell on opts.Obs, the GPU model for
+// the GPU row and the recovery ladder for every manycore row, into fr.
+func execute(b Benchmark, p Params, sw config.Software, hw config.Manycore,
+	plan *fault.Plan, opts ExecOpts, fr *FaultResult) error {
+	// The whole recovery ladder is one sweep cell: one Begin/End pair, with
+	// the rung number surfaced live through SetAttempt.
+	tok := opts.Obs.Run().Begin(b.Info().Name, sw.Name)
+	if opts.MaxCycles == 0 {
+		opts.MaxCycles = DefaultMaxCycles
+	}
+	var err error
+	if sw.Style == config.StyleGPU {
+		if fr.Result, err = executeGPU(b, p, opts); err == nil {
+			fr.Attempts, fr.TotalCycles = 1, fr.Result.Cycles()
+		}
+	} else {
+		err = executeFaultLadder(b, p, sw, hw, plan, opts, tok, false, fr)
+	}
+	opts.Obs.Run().End(tok, err)
+	return err
+}
+
+// trial is one machine run of a benchmark: one rung of the recovery ladder.
 type trial struct {
-	// What the ladder adds; all zero on a fault-free run.
-	n            int // rung number
-	plan         *fault.Plan
+	n    int         // rung number
+	plan *fault.Plan // nil on a fault-free run: no recovery instrumentation
+	// restart is the whole-run-restart baseline the ladder is measured
+	// against: the build has no checkpoint sites and the machine no
+	// frame-integrity layer.
+	restart      bool
 	avoid        []int               // dead tiles the build works around
-	ckpt         bool                // build checkpoint sites, publish snapshots
 	wallDeadline time.Time           // the ladder's shared budget, not a fresh one per attempt
 	snap         *machine.Checkpoint // latest snapshot, and the site count of
 	snapSites    int                 // the build that published it
@@ -169,11 +150,11 @@ type trial struct {
 // run is the one attempt path: build the machine, run it, and tell the plane.
 // Errors before the run are returned; the run's own is a.runErr.
 func (a *trial) run(b Benchmark, p Params, sw, buildSW config.Software, hw config.Manycore,
-	groups []*config.Group, maxCycles int64, opts ExecOpts) error {
+	groups []*config.Group, opts ExecOpts) error {
 	if err := a.build(b, p, sw, buildSW, hw, groups, opts); err != nil {
 		return err
 	}
-	a.st, a.runErr = a.m.Run(maxCycles)
+	a.st, a.runErr = a.m.Run(opts.MaxCycles)
 	opts.Obs.Run().AddSim(a.m.Now(), a.st.WallNs)
 	// Dump per attempt, not only on the final error: a watchdog trip the
 	// ladder then recovers from would otherwise leave no forensic record.
@@ -195,7 +176,9 @@ func (a *trial) build(b Benchmark, p Params, sw, buildSW config.Software, hw con
 		return fmt.Errorf("%s: prepare: %w", name, err)
 	}
 	ctx := NewCtx(p, a.img, buildSW, hw, groups)
-	ctx.Avoid, ctx.Ckpt = a.avoid, a.ckpt
+	// A faulted build instruments every phase as a recovery point; the
+	// machine publishes a snapshot wherever the program arms one.
+	ctx.Avoid, ctx.Ckpt = a.avoid, a.plan != nil && !a.restart
 	if err := b.Build(ctx); err != nil {
 		return fmt.Errorf("%s/%s: build: %w", name, sw.Name, err)
 	}
@@ -206,11 +189,8 @@ func (a *trial) build(b Benchmark, p Params, sw, buildSW config.Software, hw con
 	mp := machine.Params{Cfg: hw, Prog: prog, Groups: groups,
 		MemBytes: max(a.img.SizeBytes(), machine.DefaultMemBytes),
 		Trace:    opts.Trace, Prof: opts.Prof, Obs: opts.Obs,
-		Causal: opts.Causal, Ctx: opts.Ctx, WallDeadline: opts.wallDeadline()}
-	if a.plan != nil {
-		mp.Faults, mp.NoReplay, mp.Checkpoint = a.plan, opts.NoReplay, a.ckpt
-		mp.WallDeadline = a.wallDeadline
-	}
+		Causal: opts.Causal, Ctx: opts.Ctx, WallDeadline: a.wallDeadline,
+		Faults: a.plan, NoReplay: a.restart}
 	if a.m, err = machine.New(mp); err != nil {
 		return fmt.Errorf("%s/%s: machine: %w", name, sw.Name, err)
 	}
@@ -246,7 +226,7 @@ func (a *trial) result(name string, p Params, sw config.Software, hw config.Many
 	return res
 }
 
-func executeGPU(b Benchmark, p Params, maxCycles int64, opts ExecOpts) (*Result, error) {
+func executeGPU(b Benchmark, p Params, opts ExecOpts) (*Result, error) {
 	name := b.Info().Name
 	img, err := b.Prepare(p)
 	if err != nil {
@@ -274,7 +254,7 @@ func executeGPU(b Benchmark, p Params, maxCycles int64, opts ExecOpts) (*Result,
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return nil, wrapRun(name, "GPU", 1, lifecycle.ErrWallBudget)
 		}
-		st, err := sim.Run(k, maxCycles)
+		st, err := sim.Run(k, opts.MaxCycles)
 		if err != nil {
 			return nil, fmt.Errorf("%s/GPU: %w", name, err)
 		}

@@ -14,7 +14,7 @@ import (
 )
 
 // buildForAllocTest assembles a ready-to-run machine for one kernel and
-// software preset, mirroring kernels.Execute up to (but excluding) Run.
+// software preset, mirroring kernels.ExecuteOpts up to (but excluding) Run.
 // obs, when non-nil, binds the machine to a live observability plane; sink,
 // when non-nil, attaches a trace sink.
 func buildForAllocTest(t *testing.T, benchName, cfgName string, obs *metrics.Plane, sink *trace.Sink) *machine.Machine {

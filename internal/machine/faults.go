@@ -29,7 +29,6 @@ type faultStack struct {
 
 	// Checkpointing: armed by csrw ckpt in the core stage, consumed at the
 	// barrier release.
-	ckptOn    bool
 	ckptArmed bool
 	ckpt      *Checkpoint
 }
@@ -54,7 +53,6 @@ func (m *Machine) attachFaults(p Params) {
 		inj:          fault.NewInjector(p.Faults),
 		report:       &fault.Report{},
 		brokenGroups: make([]bool, len(m.Groups)),
-		ckptOn:       p.Checkpoint,
 	}
 	if fs.inj.HasLinkFaults() {
 		m.meshReq.SetLinkJudge(fs.linkJudge(fault.PlaneReq))

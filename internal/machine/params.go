@@ -29,19 +29,16 @@ type Params struct {
 	Groups   []*config.Group // nil for pure-MIMD configurations
 	MemBytes int             // backing store size; DefaultMemBytes if 0
 
-	// Faults is the fault-injection schedule; nil costs nothing.
+	// Faults is the fault-injection schedule; nil costs nothing. A faulted
+	// machine publishes a checkpoint wherever the program arms one: csrw
+	// ckpt asks for a global-memory snapshot at the next barrier release,
+	// retrievable via Machine.Checkpoint after the run.
 	Faults *fault.Plan
 
 	// NoReplay disables the scratchpad integrity layer (per-frame parity +
 	// poisoned-frame replay) that fault-injection runs otherwise get. Used
 	// to measure the whole-run-restart baseline.
 	NoReplay bool
-
-	// Checkpoint enables checkpoint publication: csrw ckpt arms a
-	// global-memory snapshot at the next barrier release, retrievable via
-	// Machine.Checkpoint after the run. Part of the fault stack: no effect
-	// without Faults.
-	Checkpoint bool
 
 	// Watchdog tuning; zero means the default. Long-latency fault/retry
 	// experiments raise these to avoid false deadlock aborts.

@@ -98,7 +98,7 @@ func (fs *faultStack) snapshotSafe() bool {
 func (fs *faultStack) barrierReleased(now int64) {
 	armed := fs.ckptArmed
 	fs.ckptArmed = false
-	if !armed || !fs.ckptOn || !fs.snapshotSafe() {
+	if !armed || !fs.snapshotSafe() {
 		return
 	}
 	im := fs.Global.Snapshot()

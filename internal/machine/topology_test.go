@@ -103,8 +103,8 @@ func TestTopologyFaultAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", plan, err)
 		}
-		fr, err := kernels.ExecuteWithFaults(b, b.Defaults(kernels.Tiny), sw,
-			config.ManycoreDefault(), 30_000_000, p)
+		fr, err := kernels.ExecuteWithFaultsOpts(b, b.Defaults(kernels.Tiny), sw,
+			config.ManycoreDefault(), p, kernels.ExecOpts{MaxCycles: 30_000_000})
 		if err != nil {
 			t.Fatalf("%q: %v", plan, err)
 		}

@@ -111,5 +111,5 @@ func RunBenchmark(bench, cfg string, scale Scale) (*Result, error) {
 	} else if sw, err = config.Preset(cfg); err != nil {
 		return nil, err
 	}
-	return kernels.Execute(b, b.Defaults(scale), sw, config.ManycoreDefault(), 0)
+	return kernels.ExecuteOpts(b, b.Defaults(scale), sw, config.ManycoreDefault(), kernels.ExecOpts{})
 }
