@@ -46,6 +46,7 @@ import (
 	"rockcress/internal/analyze"
 	"rockcress/internal/causal"
 	"rockcress/internal/cli"
+	"rockcress/internal/metrics"
 )
 
 func main() {
@@ -145,7 +146,7 @@ func diff(_ context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if !analyze.SameBuild(a.Build, b.Build) {
+	if !metrics.SameBuild(a.Build, b.Build) {
 		fmt.Printf("WARNING: reports come from different simulator builds (%s vs %s); the delta may include simulator changes, not just configuration effects\n",
 			buildLabel(a.Build), buildLabel(b.Build))
 	}
@@ -154,7 +155,7 @@ func diff(_ context.Context, args []string) error {
 	return nil
 }
 
-func buildLabel(b *analyze.BuildInfo) string {
+func buildLabel(b *metrics.BuildInfo) string {
 	if b == nil || b.Revision == "" {
 		return "unstamped"
 	}

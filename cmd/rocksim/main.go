@@ -34,6 +34,7 @@ import (
 	"rockcress/internal/config"
 	"rockcress/internal/fault"
 	"rockcress/internal/kernels"
+	"rockcress/internal/metrics"
 	"rockcress/internal/sim"
 	"rockcress/internal/trace"
 )
@@ -180,7 +181,7 @@ func finish(reportPath string, res *kernels.Result, scaleName string, prof *sim.
 		rep = analyze.New(analyze.Meta{Bench: res.Bench, Config: res.Config, Scale: scaleName},
 			res.Stats, res.Groups, res.HW)
 		rep.CriticalPath = res.Causal
-		rep.Build = analyze.CurrentBuild()
+		rep.Build = metrics.CurrentBuild()
 	}
 	var errs []error
 	if res.Causal != nil {

@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -193,6 +194,24 @@ func TestFaultPlanRejected(t *testing.T) {
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 ||
 		!strings.Contains(string(out), "fault: event 0 (drop@0:0>5:p1:both): routers 0 and 5 are not mesh-adjacent") {
 		t.Errorf("-faults drop@0:0>5:p1: err %v, output %q; want exit 1 with a fault: message naming the event", err, out)
+	}
+}
+
+// TestFaultCountsPrintedOnce: every fault count lives in the stats summary,
+// so the faults: line is the fault record alone — a kill run's checkpoint
+// count appears once, not again beside the dead tiles.
+func TestFaultCountsPrintedOnce(t *testing.T) {
+	out, err := exec.Command(rocksimBin, "-bench", "gemm", "-config", "NV", "-scale", "tiny",
+		"-faults", "kill@1500:t12").Output()
+	if err != nil {
+		t.Fatalf("gemm NV kill: %v\n%s", err, out)
+	}
+	if n := strings.Count(string(out), "checkpoints"); n != 1 {
+		t.Errorf("stdout names checkpoints %d times, want once:\n%s", n, out)
+	}
+	const want = "faults: dead=[12] brokenGroups=[] stuck=0"
+	if !slices.Contains(strings.Split(string(out), "\n"), want) {
+		t.Errorf("stdout lacks the line %q:\n%s", want, out)
 	}
 }
 

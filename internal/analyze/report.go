@@ -17,6 +17,7 @@ import (
 
 	"rockcress/internal/causal"
 	"rockcress/internal/config"
+	"rockcress/internal/metrics"
 	"rockcress/internal/stats"
 	"rockcress/internal/trace"
 )
@@ -142,7 +143,7 @@ type Report struct {
 	// revision, go version, dirty flag). rockdoctor diff warns when the two
 	// sides came from different revisions. Omitted when unavailable (tests,
 	// non-VCS builds) so pre-existing goldens stay byte-identical.
-	Build *BuildInfo `json:"build,omitempty"`
+	Build *metrics.BuildInfo `json:"build,omitempty"`
 }
 
 // New builds a report from a finished run's statistics. groups is the

@@ -425,48 +425,24 @@ func (inj *Injector) Fired() []int {
 	return out
 }
 
-// Report summarizes what the fault layer did to one machine run. The
-// machine fills it in as faults land and degradation actions trigger.
+// Report is the fault layer's record of one machine run: what died, what
+// broke and which plan events fired — the events stats.Machine cannot count.
+// Every fault counter (flips, retransmissions, frame replays, checkpoints,
+// reroutes, failovers) lives in the stats spine alone.
 type Report struct {
 	DeadTiles    []int // tiles killed, in kill order
 	BrokenGroups []int // vector groups broken by a dead member
 	Fired        []int // plan event indices that fired
 	StuckQueues  int   // inet queues frozen
-	FlippedWords int   // scratchpad bits flipped
-	Retransmits  int64 // NoC link retransmissions (both planes)
-	DroppedFlits int64
-	CorruptFlits int64
 
-	// Flip landing sites: frame-region hits are repairable by replay,
-	// program-data hits only surface at the output compare.
-	FlipsFrame int
-	FlipsData  int
-
-	// Frame-integrity ladder: parity failures at frame-open, successful
-	// replays, replay re-issues, and replays abandoned to the group-break
-	// escalation path.
-	FramePoisons      int64
-	FrameReplays      int64
-	ReplayRetries     int64
+	// Frame replays abandoned to the group-break escalation path.
 	ReplayEscalations int64
-
-	// Checkpoints published during the run.
-	Checkpoints int64
 
 	// Permanent topology loss: links cut ("a>b"), routers and LLC banks
 	// powered off, in the order the events landed.
 	CutLinks    []string
 	DeadRouters []int
 	DeadBanks   []int
-
-	// Degraded-fabric accounting: route-table rebuilds, flits harvested
-	// and re-injected across a topology transition, extra hops taken
-	// versus the fault-free XY path, and requests redirected from a dead
-	// bank to its failover target.
-	RouteRebuilds int64
-	ReroutedFlits int64
-	DetourHops    int64
-	BankFailovers int64
 }
 
 // Degraded reports whether the fabric lost capacity during the run.
@@ -479,25 +455,15 @@ func (r *Report) String() string {
 	if r == nil {
 		return "no faults"
 	}
-	s := fmt.Sprintf("dead=%v brokenGroups=%v stuck=%d flips=%d retrans=%d dropped=%d corrupt=%d",
-		r.DeadTiles, r.BrokenGroups, r.StuckQueues, r.FlippedWords,
-		r.Retransmits, r.DroppedFlits, r.CorruptFlits)
-	if r.FlippedWords > 0 {
-		s += fmt.Sprintf(" flipSites=%d/%d(frame/data)", r.FlipsFrame, r.FlipsData)
-	}
-	if r.FramePoisons > 0 || r.FrameReplays > 0 {
-		s += fmt.Sprintf(" poisons=%d replays=%d retries=%d escalations=%d",
-			r.FramePoisons, r.FrameReplays, r.ReplayRetries, r.ReplayEscalations)
-	}
-	if r.Checkpoints > 0 {
-		s += fmt.Sprintf(" checkpoints=%d", r.Checkpoints)
+	s := fmt.Sprintf("dead=%v brokenGroups=%v stuck=%d", r.DeadTiles, r.BrokenGroups, r.StuckQueues)
+	if r.ReplayEscalations > 0 {
+		s += fmt.Sprintf(" escalations=%d", r.ReplayEscalations)
 	}
 	if len(r.CutLinks) > 0 || len(r.DeadRouters) > 0 {
-		s += fmt.Sprintf(" cutLinks=%v deadRouters=%v rebuilds=%d rerouted=%d detourHops=%d",
-			r.CutLinks, r.DeadRouters, r.RouteRebuilds, r.ReroutedFlits, r.DetourHops)
+		s += fmt.Sprintf(" cutLinks=%v deadRouters=%v", r.CutLinks, r.DeadRouters)
 	}
 	if len(r.DeadBanks) > 0 {
-		s += fmt.Sprintf(" deadBanks=%v failovers=%d", r.DeadBanks, r.BankFailovers)
+		s += fmt.Sprintf(" deadBanks=%v", r.DeadBanks)
 	}
 	return s
 }

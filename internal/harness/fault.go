@@ -43,6 +43,37 @@ func (r *Runner) faultBases(benches []kernels.Benchmark, cfgs []string, faulted 
 	return reqs, base, nil
 }
 
+// faultRow runs the n ladder cells of one fault-figure row against its
+// fault-free base run. Faults land mid-run: plan(i, start) builds cell i's
+// schedule from the first quarter of the fault-free runtime, staggered so
+// later faults hit a fabric already recovering from earlier ones. It returns
+// the row's cells — the base column f2(1) first, then each relative
+// throughput with a * for MIMD fallback — and the relative throughputs
+// themselves. tag(i) names cell i in -v lines and errors.
+func (r *Runner) faultRow(w io.Writer, req runReq, base *kernels.Result, n int,
+	plan func(i int, start int64) *fault.Plan, tag func(i int) string) ([]string, []float64, error) {
+	b, baseCycles := req.bench, base.Cycles()
+	start := max(baseCycles/4, 1)
+	row, rels := []string{f2(1)}, make([]float64, n)
+	for i := range n {
+		fr, err := kernels.ExecuteWithFaultsOpts(b, b.Defaults(r.opts.Scale), req.sw, config.ManycoreDefault(),
+			plan(i, start), r.execOpts())
+		if err != nil {
+			return nil, nil, fmt.Errorf("fault cell %s: %w", tag(i), err)
+		}
+		rels[i] = float64(baseCycles) / float64(fr.TotalCycles)
+		cell := f2(rels[i])
+		if fr.MIMDFallback {
+			cell += "*"
+		}
+		row = append(row, cell)
+		if r.opts.Verbose && fr.Report != nil {
+			fmt.Fprintf(w, "# %s: %s (%d attempts, %d cycles)\n", tag(i), fr.Report, fr.Attempts, fr.TotalCycles)
+		}
+	}
+	return row, rels, nil
+}
+
 // FigFault prints the graceful-degradation curve: relative throughput
 // (fault-free cycles / total cycles including aborted attempts) for mvt as
 // k tiles are killed mid-run. A trailing * marks runs that could no longer
@@ -63,33 +94,15 @@ func (r *Runner) FigFault(w io.Writer) error {
 	}
 	tbl := &table{header: header}
 	for i, cfgName := range faultConfigs {
-		sw, baseCycles := reqs[i].sw, base[i].Cycles()
-		// Kills land mid-run: the first quarter of the fault-free runtime,
-		// then staggered so later victims die while earlier restarts are
-		// already underway.
-		start := baseCycles / 4
-		if start < 1 {
-			start = 1
+		row, _, err := r.faultRow(w, reqs[i], base[i], len(faultKills),
+			func(j int, start int64) *fault.Plan {
+				return fault.KillPlan(faultSeed, faultKills[j], hw.Cores, start, 101)
+			},
+			func(j int) string { return fmt.Sprintf("%-4s k=%d", cfgName, faultKills[j]) })
+		if err != nil {
+			return err
 		}
-		row := []string{cfgName, f2(1)} // k=0: the base run itself
-		for _, k := range faultKills {
-			plan := fault.KillPlan(faultSeed, k, hw.Cores, start, 101)
-			fr, err := kernels.ExecuteWithFaultsOpts(bench, bench.Defaults(r.opts.Scale), sw, hw,
-				plan, r.execOpts())
-			if err != nil {
-				return fmt.Errorf("fault curve %s k=%d: %w", cfgName, k, err)
-			}
-			cell := f2(float64(baseCycles) / float64(fr.TotalCycles))
-			if fr.MIMDFallback {
-				cell += "*"
-			}
-			row = append(row, cell)
-			if r.opts.Verbose && fr.Report != nil {
-				fmt.Fprintf(w, "# %-4s k=%d: %s (%d attempts, %d cycles)\n",
-					cfgName, k, fr.Report, fr.Attempts, fr.TotalCycles)
-			}
-		}
-		tbl.add(row...)
+		tbl.add(append([]string{cfgName}, row...)...)
 	}
 	fmt.Fprintln(w, "Figure F: mvt throughput relative to fault-free run, k tiles killed")
 	tbl.write(w)

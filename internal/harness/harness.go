@@ -349,7 +349,7 @@ func (r *Runner) report(res *kernels.Result, mod string) *analyze.Report {
 		Scale: r.opts.Scale.String(), Mod: mod,
 	}, res.Stats, res.Groups, res.HW)
 	rep.CriticalPath = res.Causal
-	rep.Build = analyze.CurrentBuild()
+	rep.Build = metrics.CurrentBuild()
 	return rep
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"rockcress/internal/config"
 	"rockcress/internal/fault"
-	"rockcress/internal/kernels"
 )
 
 // netfaultCuts is the x axis of the topology-degradation sweep past its
@@ -35,43 +34,26 @@ func (r *Runner) FigNetFault(w io.Writer) error {
 	}
 	for ci, cfgName := range faultConfigs {
 		tbl := &table{header: header}
-		var means [][]float64
+		means := make([][]float64, len(netfaultCuts))
 		for bi, b := range benches {
 			at := bi*len(faultConfigs) + ci // the base runs are bench-major
-			sw, baseCycles := reqs[at].sw, base[at].Cycles()
-			// Faults land mid-run: the first quarter of the fault-free
-			// runtime, then staggered so later cuts hit a mesh already
-			// routing around earlier ones.
-			start := baseCycles / 4
-			if start < 1 {
-				start = 1
+			row, rels, err := r.faultRow(w, reqs[at], base[at], len(netfaultCuts),
+				func(j int, start int64) *fault.Plan {
+					c := netfaultCuts[j]
+					return fault.Merge(
+						fault.LinkPlan(faultSeed, c, hw.MeshWidth, hw.MeshHeight, start, 101),
+						fault.BankPlan(faultSeed, 1, hw.LLCBanks, start+int64(c)*101, 101))
+				},
+				func(j int) string {
+					return fmt.Sprintf("%-10s %-4s cuts=%d", b.Info().Name, cfgName, netfaultCuts[j])
+				})
+			if err != nil {
+				return err
 			}
-			row := []string{b.Info().Name, f2(1)} // cuts=0: the base run itself
-			for i, c := range netfaultCuts {
-				plan := fault.Merge(
-					fault.LinkPlan(faultSeed, c, hw.MeshWidth, hw.MeshHeight, start, 101),
-					fault.BankPlan(faultSeed, 1, hw.LLCBanks, start+int64(c)*101, 101))
-				fr, err := kernels.ExecuteWithFaultsOpts(b, b.Defaults(r.opts.Scale), sw, hw,
-					plan, r.execOpts())
-				if err != nil {
-					return fmt.Errorf("netfault %s/%s cuts=%d: %w", b.Info().Name, cfgName, c, err)
-				}
-				rel := float64(baseCycles) / float64(fr.TotalCycles)
-				cell := f2(rel)
-				if fr.MIMDFallback {
-					cell += "*"
-				}
-				row = append(row, cell)
-				for len(means) <= i {
-					means = append(means, nil)
-				}
-				means[i] = append(means[i], rel)
-				if r.opts.Verbose && fr.Report != nil {
-					fmt.Fprintf(w, "# %-10s %-4s cuts=%d: %s (%d attempts, %d cycles)\n",
-						b.Info().Name, cfgName, c, fr.Report, fr.Attempts, fr.TotalCycles)
-				}
+			for j, rel := range rels {
+				means[j] = append(means[j], rel)
 			}
-			tbl.add(row...)
+			tbl.add(append([]string{b.Info().Name}, row...)...)
 		}
 		gm := []string{"GeoMean", f2(1)}
 		for _, vals := range means {

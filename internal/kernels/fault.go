@@ -12,7 +12,8 @@ import (
 )
 
 // AttemptInfo records one rung of the recovery ladder: what a single
-// machine attempt cost and how it recovered.
+// machine attempt cost and how it recovered, read off the attempt's
+// stats.Machine.
 type AttemptInfo struct {
 	Cycles         int64
 	FromCheckpoint bool  // resumed from a published snapshot, not the image
@@ -30,7 +31,6 @@ type FaultResult struct {
 	Report       *fault.Report
 	Attempts     int   // machine runs, including the final successful one
 	TotalCycles  int64 // cycles summed over every attempt
-	DeadTiles    []int // all tiles lost across attempts
 	MIMDFallback bool  // vector groups could not re-form; finished in MIMD
 
 	// Recovery ladder: in-run frame replays, restarts resumed from a
@@ -123,14 +123,17 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 		} else if attempt > 1 {
 			fr.FullRestarts++
 		}
-		prevDead := len(fr.DeadTiles)
 		fr.TotalCycles += m.Now()
 		rep := m.FaultReport()
-		mergeReport(fr, rep)
+		lost := mergeReport(fr, rep)
 		if rep != nil {
-			fr.Ladder = append(fr.Ladder, AttemptInfo{Cycles: m.Now(), FromCheckpoint: restored,
-				FrameReplays: rep.FrameReplays, ReplayRetries: rep.ReplayRetries, Checkpoints: rep.Checkpoints})
-			fr.FrameReplays += rep.FrameReplays
+			info := AttemptInfo{Cycles: m.Now(), FromCheckpoint: restored, Checkpoints: a.st.Checkpoints}
+			for i := range a.st.Cores {
+				info.FrameReplays += a.st.Cores[i].FrameReplays
+				info.ReplayRetries += a.st.Cores[i].ReplayRetries
+			}
+			fr.Ladder = append(fr.Ladder, info)
+			fr.FrameReplays += info.FrameReplays
 		}
 		if ck := m.Checkpoint(); ck != nil {
 			snap, snapSites = ck, a.sites
@@ -173,7 +176,7 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 				cur = &fault.Plan{Seed: cur.Seed, Events: append(carried, cur.Events...)}
 			}
 		}
-		if len(fr.DeadTiles) == prevDead && len(cur.Events) == nBefore {
+		if lost == 0 && len(cur.Events) == nBefore {
 			if restored {
 				// The snapshot itself may be the problem (kernel state the
 				// memory image cannot capture, or corruption published
@@ -189,7 +192,7 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 			return fmt.Errorf("%s/%s: wrong result with no fault consumed (not repairable by restart)",
 				name, sw.Name)
 		}
-		avoid = append([]int(nil), fr.DeadTiles...)
+		avoid = append([]int(nil), fr.Report.DeadTiles...)
 	}
 	return fmt.Errorf("%s/%s: no fault-free attempt within %d restarts", name, sw.Name, fr.Attempts)
 }
@@ -226,56 +229,36 @@ func carryTopology(p *fault.Plan, fired []int) []fault.Event {
 	return out
 }
 
-// mergeReport folds one attempt's fault report into the running totals.
-// Topology losses (tiles, links, routers, banks) dedupe across attempts —
-// carried-over events re-fire on every restart — while the degradation
-// counters sum, since each attempt genuinely paid them.
-func mergeReport(fr *FaultResult, rep *fault.Report) {
+// mergeReport folds one attempt's fault record into the ladder's and
+// returns how many tiles the attempt newly lost. Topology losses (tiles,
+// links, routers, banks) dedupe across attempts — carried-over events re-fire
+// on every restart — broken groups append, and the stuck-queue and
+// escalation counts add up. Every other count is the attempt's stats.Machine.
+func mergeReport(fr *FaultResult, rep *fault.Report) int {
 	if rep == nil {
-		return
-	}
-	for _, t := range rep.DeadTiles {
-		if !slices.Contains(fr.DeadTiles, t) {
-			fr.DeadTiles = append(fr.DeadTiles, t)
-		}
+		return 0
 	}
 	if fr.Report == nil {
 		fr.Report = &fault.Report{}
 	}
-	fr.Report.DeadTiles = fr.DeadTiles
-	for _, l := range rep.CutLinks {
-		if !slices.Contains(fr.Report.CutLinks, l) {
-			fr.Report.CutLinks = append(fr.Report.CutLinks, l)
-		}
-	}
-	for _, r := range rep.DeadRouters {
-		if !slices.Contains(fr.Report.DeadRouters, r) {
-			fr.Report.DeadRouters = append(fr.Report.DeadRouters, r)
-		}
-	}
-	for _, b := range rep.DeadBanks {
-		if !slices.Contains(fr.Report.DeadBanks, b) {
-			fr.Report.DeadBanks = append(fr.Report.DeadBanks, b)
-		}
-	}
-	fr.Report.RouteRebuilds += rep.RouteRebuilds
-	fr.Report.ReroutedFlits += rep.ReroutedFlits
-	fr.Report.DetourHops += rep.DetourHops
-	fr.Report.BankFailovers += rep.BankFailovers
-	fr.Report.BrokenGroups = append(fr.Report.BrokenGroups, rep.BrokenGroups...)
-	fr.Report.StuckQueues += rep.StuckQueues
-	fr.Report.FlippedWords += rep.FlippedWords
-	fr.Report.Retransmits += rep.Retransmits
-	fr.Report.DroppedFlits += rep.DroppedFlits
-	fr.Report.CorruptFlits += rep.CorruptFlits
-	fr.Report.FlipsFrame += rep.FlipsFrame
-	fr.Report.FlipsData += rep.FlipsData
-	fr.Report.FramePoisons += rep.FramePoisons
-	fr.Report.FrameReplays += rep.FrameReplays
-	fr.Report.ReplayRetries += rep.ReplayRetries
-	fr.Report.ReplayEscalations += rep.ReplayEscalations
-	fr.Report.Checkpoints += rep.Checkpoints
+	r := fr.Report
+	before := len(r.DeadTiles)
+	r.DeadTiles = union(r.DeadTiles, rep.DeadTiles)
+	r.CutLinks = union(r.CutLinks, rep.CutLinks)
+	r.DeadRouters = union(r.DeadRouters, rep.DeadRouters)
+	r.DeadBanks = union(r.DeadBanks, rep.DeadBanks)
+	r.BrokenGroups = append(r.BrokenGroups, rep.BrokenGroups...)
+	r.StuckQueues += rep.StuckQueues
+	r.ReplayEscalations += rep.ReplayEscalations
+	return len(r.DeadTiles) - before
 }
 
-// Degraded reports whether the run lost any tiles.
-func (fr *FaultResult) Degraded() bool { return len(fr.DeadTiles) > 0 }
+// union appends the elements of src that dst lacks, in src order.
+func union[T comparable](dst, src []T) []T {
+	for _, v := range src {
+		if !slices.Contains(dst, v) {
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}

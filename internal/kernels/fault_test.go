@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestExecuteWithFaultsKillLane(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded run failed: %v", err)
 	}
-	if !fr.Degraded() {
+	if !fr.Report.Degraded() {
 		t.Fatal("run not marked degraded")
 	}
 	if fr.Attempts < 2 {
@@ -45,8 +46,8 @@ func TestExecuteWithFaultsKillLane(t *testing.T) {
 	if fr.MIMDFallback {
 		t.Error("one dead tile must not force MIMD fallback on an 8x8 fabric")
 	}
-	if len(fr.DeadTiles) != 1 || fr.DeadTiles[0] != victim {
-		t.Errorf("dead tiles %v, want [%d]", fr.DeadTiles, victim)
+	if dead := fr.Report.DeadTiles; len(dead) != 1 || dead[0] != victim {
+		t.Errorf("dead tiles %v, want [%d]", dead, victim)
 	}
 	if fr.Result == nil || fr.Result.Stats.Cycles <= 0 {
 		t.Fatal("no final result")
@@ -84,11 +85,28 @@ func TestExecuteWithFaultsNVKill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded run failed: %v", err)
 	}
-	if !fr.Degraded() || len(fr.DeadTiles) != 1 || fr.DeadTiles[0] != 3 {
-		t.Fatalf("dead tiles %v, want [3]", fr.DeadTiles)
+	if !fr.Report.Degraded() || !slices.Equal(fr.Report.DeadTiles, []int{3}) {
+		t.Fatalf("dead tiles %v, want [3]", fr.Report.DeadTiles)
 	}
 	if fr.Attempts < 2 {
 		t.Errorf("attempts = %d, want >= 2", fr.Attempts)
+	}
+	// The ladder's per-attempt record is read off each attempt's spine: the
+	// last rung is the completed attempt, whose stats the result carries.
+	last := fr.Ladder[len(fr.Ladder)-1]
+	var replays, sum int64
+	for i := range fr.Stats.Cores {
+		replays += fr.Stats.Cores[i].FrameReplays
+	}
+	if last.Checkpoints != fr.Stats.Checkpoints || last.FrameReplays != replays {
+		t.Errorf("last rung checkpoints/replays = %d/%d, want the spine's %d/%d",
+			last.Checkpoints, last.FrameReplays, fr.Stats.Checkpoints, replays)
+	}
+	for _, a := range fr.Ladder {
+		sum += a.FrameReplays
+	}
+	if fr.FrameReplays != sum {
+		t.Errorf("FrameReplays = %d, want the ladder's sum %d", fr.FrameReplays, sum)
 	}
 }
 
@@ -118,8 +136,8 @@ func TestExecuteWithFaultsNilPlan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("plan %v: %v", plan, err)
 		}
-		if fr.Attempts != 1 || fr.Degraded() {
-			t.Errorf("plan %v: attempts %d, degraded %v", plan, fr.Attempts, fr.Degraded())
+		if fr.Attempts != 1 || fr.Report.Degraded() {
+			t.Errorf("plan %v: attempts %d, degraded %v", plan, fr.Attempts, fr.Report.Degraded())
 		}
 		if fr.TotalCycles != fr.Cycles() {
 			t.Errorf("plan %v: TotalCycles %d != Cycles %d", plan, fr.TotalCycles, fr.Cycles())

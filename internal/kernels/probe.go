@@ -188,7 +188,7 @@ func probeReplayWin(b Benchmark, p Params, sw config.Software, hw config.Manycor
 			}
 			return nil, nil
 		}
-		if lad.FrameReplays < 1 || lad.Attempts != 1 || lad.Degraded() {
+		if lad.FrameReplays < 1 || lad.Attempts != 1 || lad.Report.Degraded() {
 			// Flip not caught as a poisoned frame (overwritten before
 			// verification, data region, or escalated): not the scenario
 			// under test.

@@ -43,15 +43,19 @@ func TestReplayLadderBeatsRestart(t *testing.T) {
 			}
 			switch pr.Rung {
 			case "replay":
-				if lad.Report.FramePoisons < 1 {
+				var poisons int64
+				for i := range lad.Stats.Cores {
+					poisons += lad.Stats.Cores[i].FramePoisons
+				}
+				if poisons < 1 {
 					t.Errorf("replay fired without a recorded frame poison: %+v", lad.Report)
 				}
 				if len(lad.Ladder) != 1 || lad.Ladder[0].FrameReplays < 1 {
 					t.Errorf("ladder detail %+v, want one attempt with >= 1 replay", lad.Ladder)
 				}
 			case "checkpoint":
-				if lad.Report.Checkpoints < 1 {
-					t.Errorf("checkpoint restart without a recorded publish: %+v", lad.Report)
+				if ladderCheckpoints(lad) < 1 {
+					t.Errorf("checkpoint restart without a recorded publish: %+v", lad.Ladder)
 				}
 				fromCkpt := false
 				for _, ai := range lad.Ladder {
@@ -105,11 +109,11 @@ func TestGramschmFlipBenign(t *testing.T) {
 	if err != nil {
 		t.Fatalf("frame flip must be benign for a gather-only kernel: %v", err)
 	}
-	if lad.Attempts != 1 || lad.Degraded() {
-		t.Errorf("benign flip cost %d attempts (degraded %v), want 1 clean attempt", lad.Attempts, lad.Degraded())
+	if lad.Attempts != 1 || lad.Report.Degraded() {
+		t.Errorf("benign flip cost %d attempts (degraded %v), want 1 clean attempt", lad.Attempts, lad.Report.Degraded())
 	}
-	if lad.Report == nil || lad.Report.FlipsFrame+lad.Report.FlipsData < 1 {
-		t.Errorf("flip not recorded in report: %+v", lad.Report)
+	if lad.Stats.SpadFlipsFrame+lad.Stats.SpadFlipsData < 1 {
+		t.Errorf("flip not recorded in stats: frame %d, data %d", lad.Stats.SpadFlipsFrame, lad.Stats.SpadFlipsData)
 	}
 }
 
@@ -156,8 +160,8 @@ func TestCheckpointRestart(t *testing.T) {
 			t.Errorf("CheckpointRestarts %d but no ladder attempt marked FromCheckpoint: %+v",
 				res.CheckpointRestarts, res.Ladder)
 		}
-		if res.Report == nil || res.Report.Checkpoints < 1 {
-			t.Errorf("restart without a recorded checkpoint publish: %+v", res.Report)
+		if ladderCheckpoints(res) < 1 {
+			t.Errorf("restart without a recorded checkpoint publish: %+v", res.Ladder)
 		}
 		if res.Result == nil || res.Result.Stats.Cycles <= 0 {
 			t.Fatal("no final result after checkpoint restart")
@@ -229,8 +233,8 @@ func TestCheckpointCostScalesWithDirtyPages(t *testing.T) {
 	if res.TotalCycles != 5110 || res.Cycles() != 1889 {
 		t.Errorf("total %d cycles, restored attempt %d; want 5110 and 1889", res.TotalCycles, res.Cycles())
 	}
-	if res.Report == nil || res.Report.Checkpoints != 2 {
-		t.Errorf("report %+v, want 2 published checkpoints", res.Report)
+	if n := ladderCheckpoints(res); n != 2 {
+		t.Errorf("ladder %+v published %d checkpoints, want 2", res.Ladder, n)
 	}
 	if len(res.Ladder) != 2 || !res.Ladder[1].FromCheckpoint {
 		t.Errorf("ladder %+v, want the second attempt resumed from a checkpoint", res.Ladder)
@@ -288,4 +292,13 @@ func TestFailedRunRecyclesStore(t *testing.T) {
 			t.Fatalf("failing run %d allocated %d bytes: the previous run's store was dropped, not recycled", i+2, got)
 		}
 	}
+}
+
+// ladderCheckpoints is the snapshots every attempt of the ladder published.
+func ladderCheckpoints(fr *FaultResult) int64 {
+	var n int64
+	for _, a := range fr.Ladder {
+		n += a.Checkpoints
+	}
+	return n
 }

@@ -130,33 +130,15 @@ func (fs *faultStack) tally(st *stats.Machine) {
 	st.DeadBanks = int64(len(fs.report.DeadBanks))
 }
 
-// FaultReport summarizes the run's fault activity (nil without a plan).
-// Valid on both success and failure paths. Its counters are read off the
-// spine (collect + fold) like every other consumer's; only the topology
-// lists, the stuck-queue and escalation counts, which stats does not hold,
-// accumulate in the report itself as the events land.
+// FaultReport is the run's fault record (nil without a plan): what died,
+// what broke and which plan events fired. Valid on both success and failure
+// paths. Its counts live in m.Stats, which Run's exit path has collected.
 func (m *Machine) FaultReport() *fault.Report {
 	if m.faults == nil {
 		return nil
 	}
-	m.collect()
-	st, c, r := m.Stats, trace.Fold(m.Stats, m.roleOf), m.faults.report
-	r.Fired = m.faults.inj.Fired()
-	r.Retransmits = c.Noc.Retrans
-	r.DroppedFlits = c.Noc.Dropped
-	r.CorruptFlits = c.Noc.Corrupt
-	r.FlipsFrame = int(st.SpadFlipsFrame)
-	r.FlipsData = int(st.SpadFlipsData)
-	r.FlippedWords = r.FlipsFrame + r.FlipsData
-	r.FramePoisons = c.Frames.Poisons
-	r.FrameReplays = c.Frames.Replays
-	r.ReplayRetries = c.Frames.Retries
-	r.Checkpoints = c.Engine.Checkpoints
-	r.RouteRebuilds = st.NocRouteRebuilds
-	r.ReroutedFlits = st.NocReroutedFlits
-	r.DetourHops = st.NocDetourHops
-	r.BankFailovers = st.LLCBankFailovers
-	return r
+	m.faults.report.Fired = m.faults.inj.Fired()
+	return m.faults.report
 }
 
 // linkJudge adapts the injector's verdicts to one mesh plane.

@@ -698,8 +698,8 @@ func (m *Machine) llcsBusy() bool {
 // reader never changes what the engine ticks or skips), then copies
 // the counters components own (mesh planes, DRAM, topology-fault tallies)
 // into it. It is the only reader of those component fields; the sampler,
-// the plane publisher, FaultReport and report.json all read m.Stats (through
-// trace.Fold) after it. Idempotent, between ticks only, allocation-free.
+// the plane publisher and report.json all read m.Stats (through trace.Fold)
+// after it. Idempotent, between ticks only, allocation-free.
 func (m *Machine) collect() {
 	m.engine.Sync(m.now)
 	st := m.Stats

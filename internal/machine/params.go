@@ -40,8 +40,8 @@ type Params struct {
 	// to measure the whole-run-restart baseline.
 	NoReplay bool
 
-	// Watchdog tuning; zero means the default. Long-latency fault/retry
-	// experiments raise these to avoid false deadlock aborts.
+	// Watchdog tuning; zero means the default. Only tests set them, to
+	// shorten deadlock detection.
 	CheckEvery int64
 	StallLimit int64
 

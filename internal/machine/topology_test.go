@@ -117,12 +117,11 @@ func TestTopologyFaultAccounting(t *testing.T) {
 		if rep == nil || len(rep.CutLinks) != 1 || rep.CutLinks[0] != "27>28" {
 			t.Fatalf("cut links not reported: %v", rep)
 		}
-		if rep.RouteRebuilds < 2 {
-			t.Errorf("route rebuilds = %d, want >= 2 (one per plane)", rep.RouteRebuilds)
+		if fr.Stats.NocRouteRebuilds < 2 {
+			t.Errorf("route rebuilds = %d, want >= 2 (one per plane)", fr.Stats.NocRouteRebuilds)
 		}
-		if fr.Stats.CutLinks != 1 || fr.Stats.NocRouteRebuilds != rep.RouteRebuilds {
-			t.Errorf("stats cutLinks/rebuilds = %d/%d, want 1/%d",
-				fr.Stats.CutLinks, fr.Stats.NocRouteRebuilds, rep.RouteRebuilds)
+		if fr.Stats.CutLinks != 1 {
+			t.Errorf("stats cutLinks = %d, want 1", fr.Stats.CutLinks)
 		}
 		if !rep.Degraded() {
 			t.Error("report not degraded after a cut link")
@@ -137,13 +136,13 @@ func TestTopologyFaultAccounting(t *testing.T) {
 		}
 		// The router takes its tile down with it.
 		found := false
-		for _, d := range fr.DeadTiles {
+		for _, d := range rep.DeadTiles {
 			if d == 9 {
 				found = true
 			}
 		}
 		if !found {
-			t.Errorf("tile 9 not dead after killrouter: %v", fr.DeadTiles)
+			t.Errorf("tile 9 not dead after killrouter: %v", rep.DeadTiles)
 		}
 	})
 	t.Run("killbank", func(t *testing.T) {

@@ -244,7 +244,7 @@ func (s *Scratchpad) Dead() bool { return s.dead }
 // FlipBit flips one bit of the word at byte offset off (fault injection:
 // silent data corruption). It reports whether the flip landed in-range and
 // whether it landed inside the frame region — the distinction the
-// silent-corruption accounting in fault.Report keys on. Frame-region flips
+// SpadFlipsFrame/SpadFlipsData counters key on. Frame-region flips
 // on an integrity-checked scratchpad will be caught by the parity check
 // when the frame opens; data-region flips (and flips into a frame already
 // verified) are beyond what frame replay can repair, so the scratchpad is

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -294,5 +296,27 @@ func TestPlaneMachineSlot(t *testing.T) {
 	}
 	if np.Run() != nil || np.Flight() != nil || np.Registry() != nil {
 		t.Error("nil plane accessors should return nil")
+	}
+}
+
+// TestDebugBuildEndpoint serves the listener on a free loopback port and
+// reads /debug/build: the one build stamp report.json also carries.
+func TestDebugBuildEndpoint(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", NewPlane(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	resp, err := http.Get("http://" + srv.Addr() + "/debug/build")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var b BuildInfo
+	if err := json.NewDecoder(resp.Body).Decode(&b); err != nil {
+		t.Fatal(err)
+	}
+	if b.GoVersion != runtime.Version() || b.Path == "" {
+		t.Errorf("/debug/build = %+v, want go_version %s and a module path", b, runtime.Version())
 	}
 }

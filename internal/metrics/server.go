@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"runtime/debug"
 	"sync/atomic"
 	"time"
 )
@@ -75,7 +74,11 @@ func Serve(addr string, plane *Plane) (*Server, error) {
 		})
 	})
 	mux.HandleFunc("/debug/build", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, buildStamp())
+		b := CurrentBuild()
+		if b == nil {
+			b = &BuildInfo{GoVersion: runtime.Version()}
+		}
+		writeJSON(w, b)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -94,37 +97,6 @@ func Serve(addr string, plane *Plane) (*Server, error) {
 		}
 	}()
 	return s, nil
-}
-
-// buildInfo is the /debug/build payload: the identity of the running binary
-// as the Go runtime recorded it at link time.
-type buildInfo struct {
-	GoVersion string `json:"go_version"`
-	Path      string `json:"path,omitempty"`
-	Revision  string `json:"vcs_revision,omitempty"`
-	Time      string `json:"vcs_time,omitempty"`
-	Dirty     bool   `json:"vcs_dirty,omitempty"`
-}
-
-func buildStamp() buildInfo {
-	b := buildInfo{GoVersion: runtime.Version()}
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return b
-	}
-	b.GoVersion = bi.GoVersion
-	b.Path = bi.Path
-	for _, s := range bi.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			b.Revision = s.Value
-		case "vcs.time":
-			b.Time = s.Value
-		case "vcs.modified":
-			b.Dirty = s.Value == "true"
-		}
-	}
-	return b
 }
 
 // Err returns the latched serve-loop error, if the background listener

@@ -27,9 +27,9 @@ func Roles(nCores int, groups []*config.Group) []Role {
 // Fold sums a run's counters into the schema-1 groups: cores by role, banks
 // into one LLC total, and the machine-wide DRAM, NoC and engine counters.
 // It is the one place that mapping is written down — telemetry windows,
-// report.json, the aggregate metric cells and the fault report's counters
-// all read its result — so st must hold fresh totals (the machine's
-// collect() runs first). Allocation-free; the per-link slices stay nil.
+// report.json and the aggregate metric cells all read its result — so st
+// must hold fresh totals (the machine's collect() runs first).
+// Allocation-free; the per-link slices stay nil.
 func Fold(st *stats.Machine, roles []Role) Cum {
 	var c Cum
 	for t := range st.Cores {
