@@ -133,13 +133,10 @@ type Core struct {
 	mtActive bool
 	vpc      int
 
-	// issueSlot, when set, receives the number of instructions issued each
-	// Tick (the machine's watchdog meter, one counter every core adds to).
-	issueSlot *int64
-
 	// Causal recording (nil when off): crec receives one resource class
-	// per accounted cycle; cclass is the class issued work counts toward
-	// (scalar or vector, fixed by the tile's static role).
+	// per accounted cycle, booked with its stall kind (book); cclass is the
+	// class issued work counts toward (scalar or vector, fixed by the
+	// tile's static role).
 	crec   *causal.TileRec
 	cclass causal.Class
 
@@ -300,11 +297,6 @@ func (c *Core) setVPC(pc int) {
 	c.fetchCharged = false
 }
 
-// SetIssueSlot points the core at a counter that accumulates its issued
-// instructions incrementally, so the machine's progress watchdog reads a
-// running total instead of rescanning every stall histogram.
-func (c *Core) SetIssueSlot(p *int64) { c.issueSlot = p }
-
 // InetHighWater returns the deepest occupancy the core's inet input queue
 // ever reached (0 when the tile has no queue).
 func (c *Core) InetHighWater() int {
@@ -327,100 +319,12 @@ func (c *Core) Tick(now int64) {
 		c.blowUp = false
 		panic(fmt.Sprintf("cpu: injected panic on tile %d at cycle %d", c.ID, now))
 	}
-	if c.crec != nil {
-		c.tickCausal(now)
-		return
-	}
-	if c.issueSlot == nil {
-		c.tick(now)
-		return
-	}
-	pre := c.st.StallCycles[stats.StallNone]
-	c.tick(now)
-	*c.issueSlot += c.st.StallCycles[stats.StallNone] - pre
-}
-
-// SetCausal attaches the causal profiler's per-tile recorder. compute is
-// the class issued cycles count toward. Set before the first Tick; with no
-// recorder attached the hot path pays one nil check.
-func (c *Core) SetCausal(rec *causal.TileRec, compute causal.Class) {
-	c.crec = rec
-	c.cclass = compute
-}
-
-// tickCausal wraps tick with causal classification: snapshot the stall
-// histogram, tick, and account the cycle to the resource class behind
-// whichever counter moved. Purely observational — tick itself is
-// untouched, so cycle counts are identical with recording on or off.
-func (c *Core) tickCausal(now int64) {
-	preStalls := c.st.StallCycles
-	preCycles := c.st.Cycles
-	preState := c.state
-	c.tick(now)
-	if c.issueSlot != nil {
-		*c.issueSlot += c.st.StallCycles[stats.StallNone] - preStalls[stats.StallNone]
-	}
-	if c.st.Cycles == preCycles {
-		return // halted: no cycle accounted
-	}
-	for k := range c.st.StallCycles {
-		if c.st.StallCycles[k] != preStalls[k] {
-			c.crec.Tick(c.causalClass(stats.StallKind(k), preState))
-			return
-		}
-	}
-	// Transition cycles (a barrier or formation rendezvous resolving) book
-	// no stall; they belong to the wait that just ended.
-	if preState == stBarrier || preState == stFormGroup {
-		c.crec.Tick(causal.ClassBarrier)
-		return
-	}
-	c.crec.Tick(c.cclass)
-}
-
-// causalClass maps one accounted stall kind to its resource class.
-func (c *Core) causalClass(kind stats.StallKind, state coreState) causal.Class {
-	switch kind {
-	case stats.StallFrame:
-		if c.spad != nil && (c.spad.Poisoned() || c.spad.Replaying()) {
-			return causal.ClassRecovery
-		}
-		return causal.ClassFrame
-	case stats.StallInet:
-		return causal.ClassInet
-	case stats.StallBackpressure:
-		return causal.ClassBackpressure
-	case stats.StallOther:
-		if state == stBarrier || state == stFormGroup {
-			return causal.ClassBarrier
-		}
-		// RAW hazards, fetch, branch bubbles: core-local compute.
-		return c.cclass
-	}
-	return c.cclass // StallNone: an instruction issued
-}
-
-func (c *Core) tick(now int64) {
 	if c.halted {
 		return
 	}
 	c.st.Cycles++
-	switch c.state {
-	case stFormGroup:
-		if c.env.GroupFormed(c.ID, c.ticket) {
-			c.state = stRun
-			c.enterGroupRole(now)
-		} else {
-			c.st.AddStall(stats.StallOther)
-		}
-		return
-	case stBarrier:
-		if c.env.BarrierDone(c.ticket) {
-			c.state = stRun
-			c.setPC(c.pc + 1)
-		} else {
-			c.st.AddStall(stats.StallOther)
-		}
+	if c.state != stRun {
+		c.tickRendezvous(now)
 		return
 	}
 	switch c.mode {
@@ -432,6 +336,76 @@ func (c *Core) tick(now int64) {
 		} else {
 			c.tickLane(now)
 		}
+	}
+}
+
+// SetCausal attaches the causal profiler's per-tile recorder. compute is
+// the class issued cycles count toward. Set before the first Tick; with no
+// recorder attached the hot path pays one nil check.
+func (c *Core) SetCausal(rec *causal.TileRec, compute causal.Class) {
+	c.crec = rec
+	c.cclass = compute
+}
+
+// book classifies the cycle being ticked: one count in the stall
+// histogram and, with a recorder attached, kind's causal class. Every
+// cycle a core ticks passes through here once, except the cycle a
+// rendezvous resolves (tickRendezvous) and one that fails the core.
+func (c *Core) book(kind stats.StallKind) {
+	c.st.AddStall(kind)
+	if c.crec != nil {
+		c.crec.Tick(c.causalClass(kind))
+	}
+}
+
+// causalClass maps one accounted stall kind to its resource class.
+func (c *Core) causalClass(kind stats.StallKind) causal.Class {
+	switch kind {
+	case stats.StallFrame:
+		if c.spad != nil && (c.spad.Poisoned() || c.spad.Replaying()) {
+			return causal.ClassRecovery
+		}
+		return causal.ClassFrame
+	case stats.StallInet:
+		return causal.ClassInet
+	case stats.StallBackpressure:
+		return causal.ClassBackpressure
+	case stats.StallOther:
+		if c.state != stRun {
+			return causal.ClassBarrier
+		}
+		// RAW hazards, fetch, branch bubbles: core-local compute.
+		return c.cclass
+	}
+	return c.cclass // StallNone: an instruction issued
+}
+
+// rendezvousDone reports whether the formation or barrier rendezvous the
+// core waits at has resolved.
+func (c *Core) rendezvousDone() bool {
+	if c.state == stFormGroup {
+		return c.env.GroupFormed(c.ID, c.ticket)
+	}
+	return c.env.BarrierDone(c.ticket)
+}
+
+// tickRendezvous waits at a group-formation or barrier rendezvous. The
+// cycle it resolves books no stall kind; the causal profile counts it
+// toward the wait that just ended.
+func (c *Core) tickRendezvous(now int64) {
+	if !c.rendezvousDone() {
+		c.book(stats.StallOther)
+		return
+	}
+	if c.crec != nil {
+		c.crec.Tick(causal.ClassBarrier)
+	}
+	formed := c.state == stFormGroup
+	c.state = stRun
+	if formed {
+		c.enterGroupRole(now)
+	} else {
+		c.setPC(c.pc + 1)
 	}
 }
 
@@ -469,29 +443,45 @@ func (c *Core) leaveVectorMode(now int64, pc int) {
 
 // tickFrontend fetches and issues for independent and scalar cores.
 func (c *Core) tickFrontend(now int64) {
-	if now < c.fetchReadyAt {
-		c.st.AddStall(stats.StallOther)
+	if !c.fetch(now, false) {
 		return
 	}
-	if c.pc < 0 || c.pc >= len(c.prog.Code) {
-		c.fail("pc out of range")
+	ok, stall := c.issueAt(now, c.pc)
+	if !ok {
+		c.book(stall)
 		return
+	}
+	c.book(stats.StallNone)
+}
+
+// fetch readies the instruction at the core's PC (the microthread PC when
+// micro) for issue this cycle, charging the I-cache once per PC. When it
+// cannot, it has booked the cycle (a fetch bubble or a miss) or failed the
+// core, and reports false.
+func (c *Core) fetch(now int64, micro bool) bool {
+	if now < c.fetchReadyAt {
+		c.book(stats.StallOther)
+		return false
+	}
+	pc := c.curPC(micro)
+	if pc < 0 || pc >= len(c.prog.Code) {
+		if micro {
+			c.fail("microthread pc %d out of range", pc)
+		} else {
+			c.fail("pc out of range")
+		}
+		return false
 	}
 	if !c.fetchCharged {
 		c.fetchCharged = true
 		c.st.ICacheAccesses++
-		if !c.icache.Access(uint32(c.pc) * 4) {
+		if !c.icache.Access(uint32(pc) * 4) {
 			c.fetchReadyAt = now + int64(c.cfg.ICacheMissLat)
-			c.st.AddStall(stats.StallOther)
-			return
+			c.book(stats.StallOther)
+			return false
 		}
 	}
-	ok, stall := c.issueAt(now, c.pc)
-	if !ok {
-		c.st.AddStall(stall)
-		return
-	}
-	c.st.AddStall(stats.StallNone)
+	return true
 }
 
 // tickExpander runs the expander: it consumes microthread-start messages
@@ -500,7 +490,7 @@ func (c *Core) tickFrontend(now int64) {
 func (c *Core) tickExpander(now int64) {
 	if !c.mtActive {
 		if !c.inQ.Ready(now) {
-			c.st.AddStall(stats.StallInet)
+			c.book(stats.StallInet)
 			return
 		}
 		it := c.inQ.Peek()
@@ -510,73 +500,50 @@ func (c *Core) tickExpander(now int64) {
 			c.mtActive = true
 			c.setVPC(int(it.PC))
 			c.st.Microthreads++
-			c.st.AddStall(stats.StallOther) // pipeline redirect bubble
+			c.book(stats.StallOther) // pipeline redirect bubble
 		case inet.ItemDevec:
-			if !c.forwardAll(now, it) {
-				c.noteStall(now, stats.StallBackpressure, math.MaxInt64, checkForward)
-				c.st.AddStall(stats.StallBackpressure)
-				return
-			}
-			c.inQ.Pop()
-			c.leaveVectorMode(now, int(it.PC))
-			c.st.AddStall(stats.StallOther)
+			c.devec(now, it)
 		default:
 			c.fail("expander received %s outside a microthread", it.Kind)
 		}
 		return
 	}
-	if now < c.fetchReadyAt {
-		c.st.AddStall(stats.StallOther)
+	if !c.fetch(now, true) {
 		return
-	}
-	if c.vpc < 0 || c.vpc >= len(c.prog.Code) {
-		c.fail("microthread pc %d out of range", c.vpc)
-		return
-	}
-	if !c.fetchCharged {
-		c.fetchCharged = true
-		c.st.ICacheAccesses++
-		if !c.icache.Access(uint32(c.vpc) * 4) {
-			c.fetchReadyAt = now + int64(c.cfg.ICacheMissLat)
-			c.st.AddStall(stats.StallOther)
-			return
-		}
 	}
 	e := &c.low.ents[c.vpc]
 	switch {
 	case e.vend:
 		c.mtActive = false
 		c.st.CountClass(uint8(isa.ClassVecCtl))
-		c.st.AddStall(stats.StallNone)
+		c.book(stats.StallNone)
 	case e.ctl != nil:
 		// Executed locally, never forwarded; the expander pauses fetch
 		// until the branch resolves (§3.2), hence the penalty either way.
 		ok, stall := c.issueAt(now, c.vpc)
 		if !ok {
-			c.st.AddStall(stall)
+			c.book(stall)
 			return
 		}
 		c.fetchReadyAt = now + int64(c.cfg.BranchPenalty)
-		c.st.AddStall(stats.StallNone)
+		c.book(stats.StallNone)
 	case !e.allowMT:
 		c.fail("op %s not allowed in a microthread", c.prog.Code[c.vpc].Op)
 	default:
-		if !c.canForwardAll() {
-			c.noteStall(now, stats.StallBackpressure, math.MaxInt64, checkForward)
-			c.st.AddStall(stats.StallBackpressure)
+		if c.forwardBlocked(now) {
 			return
 		}
 		vpc := c.vpc
 		ok, stall := c.issueAt(now, vpc)
 		if !ok {
-			c.st.AddStall(stall)
+			c.book(stall)
 			return
 		}
 		// Lanes re-dispatch the forwarded instruction through the shared
 		// pre-lowered table by PC; the instruction body never travels.
 		c.mustForwardAll(now, inet.Item{Kind: inet.ItemInstr, PC: int32(vpc)})
 		c.setVPC(vpc + 1)
-		c.st.AddStall(stats.StallNone)
+		c.book(stats.StallNone)
 	}
 }
 
@@ -584,38 +551,52 @@ func (c *Core) tickExpander(now int64) {
 // and forward it to the children. Lanes never fetch and never diverge.
 func (c *Core) tickLane(now int64) {
 	if !c.inQ.Ready(now) {
-		c.st.AddStall(stats.StallInet)
+		c.book(stats.StallInet)
 		return
 	}
 	it := c.inQ.Peek()
 	switch it.Kind {
 	case inet.ItemDevec:
-		if !c.forwardAll(now, it) {
-			c.noteStall(now, stats.StallBackpressure, math.MaxInt64, checkForward)
-			c.st.AddStall(stats.StallBackpressure)
-			return
-		}
-		c.inQ.Pop()
-		c.leaveVectorMode(now, int(it.PC))
-		c.st.AddStall(stats.StallOther)
+		c.devec(now, it)
 	case inet.ItemInstr:
-		if !c.canForwardAll() {
-			c.noteStall(now, stats.StallBackpressure, math.MaxInt64, checkForward)
-			c.st.AddStall(stats.StallBackpressure)
+		if c.forwardBlocked(now) {
 			return
 		}
 		ok, stall := c.issueAt(now, int(it.PC))
 		if !ok {
-			c.st.AddStall(stall)
+			c.book(stall)
 			return
 		}
 		c.mustForwardAll(now, it)
 		c.inQ.Pop()
 		c.st.InetReceives++
-		c.st.AddStall(stats.StallNone)
+		c.book(stats.StallNone)
 	default:
 		c.fail("vector lane received %s", it.Kind)
 	}
+}
+
+// devec passes a devectorize item down the tree and returns the core to
+// independent execution at the item's PC, unless a child queue is full.
+func (c *Core) devec(now int64, it inet.Item) {
+	if c.forwardBlocked(now) {
+		return
+	}
+	c.mustForwardAll(now, it)
+	c.inQ.Pop()
+	c.leaveVectorMode(now, int(it.PC))
+	c.book(stats.StallOther)
+}
+
+// forwardBlocked books a backpressure cycle, stashed for the park probe,
+// when some child queue is full, and reports whether it did.
+func (c *Core) forwardBlocked(now int64) bool {
+	if c.canForwardAll() {
+		return false
+	}
+	c.noteStall(now, stats.StallBackpressure, math.MaxInt64, checkForward)
+	c.book(stats.StallBackpressure)
+	return true
 }
 
 // canForwardAll reports whether every child queue has room.
@@ -625,15 +606,6 @@ func (c *Core) canForwardAll() bool {
 			return false
 		}
 	}
-	return true
-}
-
-// forwardAll sends to all children if possible, else to none.
-func (c *Core) forwardAll(now int64, it inet.Item) bool {
-	if !c.canForwardAll() {
-		return false
-	}
-	c.mustForwardAll(now, it)
 	return true
 }
 
@@ -707,11 +679,8 @@ func (c *Core) frontendStall(next int64) (quiet bool, until int64, kind stats.St
 	if c.halted {
 		return true, math.MaxInt64, stats.StallNone
 	}
-	switch c.state {
-	case stFormGroup:
-		return !c.env.GroupFormed(c.ID, c.ticket), math.MaxInt64, stats.StallOther
-	case stBarrier:
-		return !c.env.BarrierDone(c.ticket), math.MaxInt64, stats.StallOther
+	if c.state != stRun {
+		return !c.rendezvousDone(), math.MaxInt64, stats.StallOther
 	}
 	if c.mode == ModeVector && !(c.isExpander() && c.mtActive) {
 		// A lane, or an expander between microthreads: fed by the inet.
@@ -762,6 +731,6 @@ func (c *Core) CatchUp(n int64) {
 	c.st.Cycles += n
 	c.st.AddStallN(c.parkedKind, n)
 	if c.crec != nil {
-		c.crec.AddN(c.causalClass(c.parkedKind, c.state), n)
+		c.crec.AddN(c.causalClass(c.parkedKind), n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"rockcress/internal/causal"
 	"rockcress/internal/config"
 )
 
@@ -142,11 +143,20 @@ func TestWhatIfProjectionAgreesWithRerun(t *testing.T) {
 // with causal recording on, the critical-path buckets of every profiled
 // run sum to the end-to-end cycle count exactly — no cycle is attributed
 // twice, none is dropped. It also pins bit-identity: the run's cycle count
-// with recording on equals the count with it off.
+// with recording on equals the count with it off. Each cell's per-class
+// bucket vector is pinned too, so a change that moves cycles from one
+// class to another fails here even though the sum still holds.
 func TestCausalBucketsSumToCycles(t *testing.T) {
-	for _, tc := range []struct{ bench, cfg string }{
-		{"gemm", "NV"}, {"gemm", "V4"}, {"gemm", "V16"},
-		{"mvt", "V4"}, {"atax", "V16"}, {"gesummv", "NV"},
+	for _, tc := range []struct {
+		bench, cfg string
+		buckets    [causal.NumClasses]int64 // in causal.Class order
+	}{
+		{"gemm", "NV", [causal.NumClasses]int64{987, 0, 0, 0, 288, 482, 1199, 205, 131, 132, 0, 0, 1, 0}},
+		{"gemm", "V4", [causal.NumClasses]int64{0, 544, 0, 0, 215, 0, 100, 292, 128, 140, 0, 0, 2, 0}},
+		{"gemm", "V16", [causal.NumClasses]int64{0, 544, 0, 7, 467, 0, 87, 300, 166, 109, 0, 0, 2, 0}},
+		{"mvt", "V4", [causal.NumClasses]int64{0, 946, 0, 21, 476, 0, 368, 665, 539, 133, 0, 0, 4, 0}},
+		{"atax", "V16", [causal.NumClasses]int64{0, 985, 0, 0, 1136, 0, 358, 660, 0, 0, 0, 0, 66, 0}},
+		{"gesummv", "NV", [causal.NumClasses]int64{955, 0, 0, 0, 737, 96, 2443, 3355, 7, 340, 0, 0, 4, 0}},
 	} {
 		b, err := Get(tc.bench)
 		if err != nil {
@@ -173,11 +183,16 @@ func TestCausalBucketsSumToCycles(t *testing.T) {
 			t.Fatalf("%s/%s: causal run produced no report", tc.bench, tc.cfg)
 		}
 		var sum int64
-		for _, bk := range on.Causal.Buckets {
+		var got [causal.NumClasses]int64
+		for i, bk := range on.Causal.Buckets {
 			sum += bk.Cycles
+			got[i] = bk.Cycles
 		}
 		if sum != on.Cycles() {
 			t.Errorf("%s/%s: buckets sum to %d, run took %d cycles", tc.bench, tc.cfg, sum, on.Cycles())
+		}
+		if got != tc.buckets {
+			t.Errorf("%s/%s: buckets = %v, want %v", tc.bench, tc.cfg, got, tc.buckets)
 		}
 	}
 }

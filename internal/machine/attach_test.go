@@ -9,6 +9,7 @@ import (
 	"rockcress/internal/config"
 	"rockcress/internal/fault"
 	"rockcress/internal/kernels"
+	"rockcress/internal/machine"
 	"rockcress/internal/metrics"
 	"rockcress/internal/sim"
 	"rockcress/internal/stats"
@@ -82,5 +83,34 @@ func TestAttachmentsDoNotPerturb(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCausalBooksEveryTileCycle holds the causal profiler to the stall
+// histogram's cycle count tile by tile: every cycle a core accounts — ticked
+// or back-filled after parking — books exactly one resource class, so each
+// tile's class counts sum to its stats.Core.Cycles. A booking site that
+// forgets its class, or books one twice, breaks the sum on its tile.
+func TestCausalBooksEveryTileCycle(t *testing.T) {
+	for _, tc := range []struct{ bench, cfg string }{
+		{"gemm", "NV"}, {"mvt", "V4"}, {"atax", "V16"}, {"fdtd-2d", "V4"}, {"bfs", "V16"},
+	} {
+		t.Run(tc.bench+"/"+tc.cfg, func(t *testing.T) {
+			t.Parallel()
+			m := buildMachine(t, tc.bench, tc.cfg, machine.Params{Causal: true})
+			st, err := m.Run(testBudget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for tile := range st.Cores {
+				var sum int64
+				for _, n := range m.CausalTile(tile).Counts {
+					sum += n
+				}
+				if want := st.Cores[tile].Cycles; sum != want {
+					t.Errorf("tile %d: causal classes sum to %d, the core accounted %d cycles", tile, sum, want)
+				}
+			}
+		})
 	}
 }

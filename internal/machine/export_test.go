@@ -1,5 +1,16 @@
 package machine
 
+import "rockcress/internal/causal"
+
 // Collect exposes collect to the external tests: it brings m.Stats up to
 // date on a machine that is stepped or stopped rather than Run to the end.
 func (m *Machine) Collect() { m.collect() }
+
+// CausalTile exposes tile t's causal recorder to the external tests (nil
+// when causal recording is off).
+func (m *Machine) CausalTile(t int) *causal.TileRec {
+	if m.causal == nil {
+		return nil
+	}
+	return m.causal.Tile(t)
+}

@@ -261,10 +261,14 @@ func TestWatchdogParams(t *testing.T) {
 	if !strings.Contains(runErr.Error(), "deadlock") {
 		t.Errorf("error does not mention deadlock: %v", runErr)
 	}
-	// 64 * 4 = 256 cycles of stall suffice; the default 1024 * 64 would need
-	// 65536. The tightened watchdog must fire well before that.
-	if m.Now() >= machine.DefaultCheckEvery*machine.DefaultStallLimit {
-		t.Errorf("watchdog fired at cycle %d, tightened params had no effect", m.Now())
+	// Every tile's last issue lands before the first checkpoint, at 64,
+	// which records the issued total; the four issue-free checkpoints after
+	// it trip the watchdog at 64 * (1+4) = 320. The defaults would wait
+	// 1024 * 64 = 65536 cycles.
+	const wantTrip = 320
+	if m.Now() != wantTrip {
+		t.Errorf("watchdog fired at cycle %d, want %d (default params would wait %d)",
+			m.Now(), wantTrip, machine.DefaultCheckEvery*machine.DefaultStallLimit)
 	}
 }
 

@@ -55,10 +55,8 @@ type Machine struct {
 
 	tileGroup []int // tile -> group id, -1 if none
 
-	// engine drives the cycle as staged ticks; issued is the watchdog's
-	// issued-instruction total, which every core adds to as it ticks.
+	// engine drives the cycle as staged ticks.
 	engine *sim.Engine
-	issued int64
 	// Shard wakers for the engine's event parking: injections wake the mesh
 	// shard, deliveries and fills wake the owning bank's shard.
 	meshWaker  *sim.Waker
@@ -199,9 +197,6 @@ func New(p Params) (_ *Machine, err error) {
 	m.cores, err = cpu.NewCores(cfg, cpu.LowerProgram(p.Prog, cfg), m, m.Stats.Cores, m.spads, p.Groups, net)
 	if err != nil {
 		return nil, err
-	}
-	for _, c := range m.cores {
-		c.SetIssueSlot(&m.issued)
 	}
 	stages := m.buildStages()
 	m.engine = sim.NewEngine(stages)

@@ -65,8 +65,14 @@ func (m *Machine) checkpoint(wd *watchdog) error {
 	if err := m.checkComponents(); err != nil {
 		return err
 	}
-	if m.issued != wd.lastIssued {
-		wd.stalled, wd.lastIssued = 0, m.issued
+	// The issued total is exact at any cycle: a parked core never issues,
+	// so its deferred back-fill (CatchUp) never books an issued cycle.
+	var issued int64
+	for i := range m.Stats.Cores {
+		issued += m.Stats.Cores[i].Issued()
+	}
+	if issued != wd.lastIssued {
+		wd.stalled, wd.lastIssued = 0, issued
 		return nil
 	}
 	wd.stalled++
