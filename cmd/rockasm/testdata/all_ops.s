@@ -57,11 +57,8 @@ loop:
 	flw f9, 0(x24)
 	fsw f10, 12(x25)
 	lw.sp x26, 16(x27)
-	sw.sp x28, 20(x29)
 	flw.sp f11, 24(x30)
-	fsw.sp f12, 28(x31)
 	sw.rem x1, 32(x2), x3
-	fsw.rem f13, 36(x4), x5
 	csrw vconfig, x6
 	csrr x7, coreid
 	vissue micro
@@ -78,13 +75,7 @@ micro:
 	pred_eq x15, x16
 	pred_neq x17, x18
 	vlw.sp v0, 0(x14)
-	vsw.sp v1, 32(x14)
-	vfadd v2, v3, v4
-	vfsub v5, v6, v7
-	vfmul v0, v1, v2
 	vfma v3, v4, v5
-	vfma.f v6, v7, f14
-	vfmul.f v0, v1, f15
 	vbcast.f v2, f16
 	vfredsum f17, v3
 	remem

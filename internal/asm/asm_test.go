@@ -86,7 +86,7 @@ func TestAssembleErrors(t *testing.T) {
 		"addi x2, x0, 99999999999",          // likewise, decimal
 		"li x1, -2147483649",                // below int32
 		"lw x1, 0x100000000(x2)",            // memory offset wider than 32 bits
-		"vfadd v8, v0, v1",                  // SIMD register out of range
+		"vfma v8, v0, v1",                   // SIMD register out of range
 		"fadd x1, f2, f3",                   // wrong register file
 		"halt x1",                           // operand on a bare op
 		"vload x1, x2, 0, 1, self, f, f, f", // too many vload modifiers

@@ -275,9 +275,6 @@ func (c *Core) StickInet(until int64) bool {
 	return true
 }
 
-// Mode returns the core's current execution mode.
-func (c *Core) Mode() Mode { return c.mode }
-
 // PC returns the current program counter (meaningful outside vector mode).
 func (c *Core) PC() int { return c.pc }
 

@@ -451,25 +451,10 @@ func lowerExec(in *isa.Instr, cfg config.Manycore) execFn {
 			c.writeFp(fd, f32frombits(c.spad.ReadWord(c.intRegs[rs1]+uimm)), now+spadHitLat)
 			return true, stats.StallNone
 		}
-	case isa.OpSwSp:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.spad.WriteWord(c.intRegs[rs1]+uimm, c.intRegs[rs2])
-			return true, stats.StallNone
-		}
-	case isa.OpFswSp:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.spad.WriteWord(c.intRegs[rs1]+uimm, f32bits(c.fpRegs[fs2]))
-			return true, stats.StallNone
-		}
 	case isa.OpSwRemote:
 		return func(c *Core, now int64) (bool, stats.StallKind) {
 			return c.remoteStore(now, rs3, rs1, uimm, c.intRegs[rs2])
 		}
-	case isa.OpFswRemote:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			return c.remoteStore(now, rs3, rs1, uimm, f32bits(c.fpRegs[fs2]))
-		}
-
 	case isa.OpCsrw:
 		inp := in
 		return func(c *Core, now int64) (bool, stats.StallKind) {
@@ -555,72 +540,12 @@ func lowerExec(in *isa.Instr, cfg config.Manycore) execFn {
 			c.vecReady[vd] = now + spadHitLat
 			return true, stats.StallNone
 		}
-	case isa.OpVswSp:
-		w := cfg.SIMDWidth
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			off := c.intRegs[rs1] + uimm
-			src := c.vecRegs[vs1]
-			for i := 0; i < w; i++ {
-				c.spad.WriteWord(off+uint32(4*i), f32bits(src[i]))
-			}
-			return true, stats.StallNone
-		}
-	case isa.OpVfadd:
-		simdLat := int64(cfg.SIMDLat)
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			a, b, d := c.vecRegs[vs1], c.vecRegs[vs2], c.vecRegs[vd]
-			for i := range d {
-				d[i] = a[i] + b[i]
-			}
-			c.vecReady[vd] = now + simdLat
-			return true, stats.StallNone
-		}
-	case isa.OpVfsub:
-		simdLat := int64(cfg.SIMDLat)
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			a, b, d := c.vecRegs[vs1], c.vecRegs[vs2], c.vecRegs[vd]
-			for i := range d {
-				d[i] = a[i] - b[i]
-			}
-			c.vecReady[vd] = now + simdLat
-			return true, stats.StallNone
-		}
-	case isa.OpVfmul:
-		simdLat := int64(cfg.SIMDLat)
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			a, b, d := c.vecRegs[vs1], c.vecRegs[vs2], c.vecRegs[vd]
-			for i := range d {
-				d[i] = a[i] * b[i]
-			}
-			c.vecReady[vd] = now + simdLat
-			return true, stats.StallNone
-		}
 	case isa.OpVfma:
 		simdLat := int64(cfg.SIMDLat)
 		return func(c *Core, now int64) (bool, stats.StallKind) {
 			a, b, d := c.vecRegs[vs1], c.vecRegs[vs2], c.vecRegs[vd]
 			for i := range d {
 				d[i] += a[i] * b[i]
-			}
-			c.vecReady[vd] = now + simdLat
-			return true, stats.StallNone
-		}
-	case isa.OpVfmaF:
-		simdLat := int64(cfg.SIMDLat)
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			a, d, s := c.vecRegs[vs1], c.vecRegs[vd], c.fpRegs[fs3]
-			for i := range d {
-				d[i] += a[i] * s
-			}
-			c.vecReady[vd] = now + simdLat
-			return true, stats.StallNone
-		}
-	case isa.OpVfmulF:
-		simdLat := int64(cfg.SIMDLat)
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			a, d, s := c.vecRegs[vs1], c.vecRegs[vd], c.fpRegs[fs3]
-			for i := range d {
-				d[i] = a[i] * s
 			}
 			c.vecReady[vd] = now + simdLat
 			return true, stats.StallNone

@@ -175,18 +175,6 @@ func (p *Plan) validate(g Geometry) error {
 	return nil
 }
 
-// HasLinkFaults reports whether any event is judged per flit on a NoC link
-// (the machine installs link judges on the mesh planes only when this is
-// true, keeping kill-only plans off the NoC hot path).
-func (p *Plan) HasLinkFaults() bool {
-	for _, e := range p.Events {
-		if e.Kind.perFlit() {
-			return true
-		}
-	}
-	return false
-}
-
 // Without returns a copy of the plan with the events at the given indices
 // removed (the harness strips events that already fired before restarting a
 // run on the degraded fabric).

@@ -96,12 +96,9 @@ const (
 
 	// Local scratchpad (byte offset rs1+imm into this core's scratchpad).
 	OpLwSp
-	OpSwSp
 	OpFlwSp
-	OpFswSp
-	// Remote scratchpad store: core id in rs3, offset rs1+imm, data rs2/fs2.
+	// Remote scratchpad store: core id in rs3, offset rs1+imm, data rs2.
 	OpSwRemote
-	OpFswRemote
 
 	// CSR access.
 	OpCsrw
@@ -119,13 +116,7 @@ const (
 
 	// Per-core SIMD extension (PCV): fixed SIMDWidth lanes per core.
 	OpVlwSp    // vreg rd <- SIMDWidth words at scratchpad rs1+imm
-	OpVswSp    // scratchpad <- vreg
-	OpVfadd    // vd = va + vb
-	OpVfsub    // vd = va - vb
-	OpVfmul    // vd = va * vb
 	OpVfma     // vd += va * vb
-	OpVfmaF    // vd += va * f(rs3) (vector-scalar FMA)
-	OpVfmulF   // vd = va * f(rs3)
 	OpVbcastF  // vd[*] = f(rs3)
 	OpVfredsum // f rd = sum(va)
 
@@ -217,7 +208,7 @@ type Instr struct {
 	Rd  Reg
 	Rs1 Reg
 	Rs2 Reg
-	Rs3 Reg // remote-store core id, vector-scalar operand
+	Rs3 Reg // remote-store core id
 	Fd  FReg
 	Fs1 FReg
 	Fs2 FReg

@@ -110,9 +110,7 @@ func TestScoreboardOrder(t *testing.T) {
 		want []Reg
 	}{
 		{OpSw, []Reg{1, 2}}, // written "sw x2, 0(x1)"
-		{OpSwSp, []Reg{1, 2}},
 		{OpSwRemote, []Reg{1, 2, 3}},
-		{OpFswRemote, []Reg{1, 3}},
 		{OpVload, []Reg{1, 2}}, // written "vload xOff(2), xAddr(1), ..."
 		{OpFsw, []Reg{1}},
 		{OpLi, nil},
@@ -133,13 +131,9 @@ func TestScoreboardOrder(t *testing.T) {
 		srcs []uint8
 		waw  bool
 	}{
-		{OpVfadd, []uint8{5, 6}, true},
 		{OpVfma, []uint8{4, 5, 6}, false}, // waits on the accumulator as a source
-		{OpVfmaF, []uint8{4, 5}, false},
-		{OpVfmulF, []uint8{5}, true},
 		{OpVbcastF, nil, true},
 		{OpVlwSp, nil, true},
-		{OpVswSp, []uint8{5}, false},
 		{OpVfredsum, []uint8{5}, false},
 	} {
 		got := vecs(c.op)

@@ -158,16 +158,13 @@ var Ops = [numOps]OpInfo{
 
 	// Stores put the data register first and the base inside Mem, so their
 	// syntax order is Rs2 before Rs1; see IntSrcs for the scoreboard order.
-	OpLw:        {"lw", ClassLoad, sx{Rd, Mem}, 0},
-	OpSw:        {"sw", ClassStore, sx{Rs2, Mem}, 0},
-	OpFlw:       {"flw", ClassLoad, sx{Fd, Mem}, 0},
-	OpFsw:       {"fsw", ClassStore, sx{Fs2, Mem}, 0},
-	OpLwSp:      {"lw.sp", ClassSpad, sx{Rd, Mem}, 0},
-	OpSwSp:      {"sw.sp", ClassSpad, sx{Rs2, Mem}, 0},
-	OpFlwSp:     {"flw.sp", ClassSpad, sx{Fd, Mem}, 0},
-	OpFswSp:     {"fsw.sp", ClassSpad, sx{Fs2, Mem}, 0},
-	OpSwRemote:  {"sw.rem", ClassSpad, sx{Rs2, Mem, Rs3}, 0},
-	OpFswRemote: {"fsw.rem", ClassSpad, sx{Fs2, Mem, Rs3}, 0},
+	OpLw:       {"lw", ClassLoad, sx{Rd, Mem}, 0},
+	OpSw:       {"sw", ClassStore, sx{Rs2, Mem}, 0},
+	OpFlw:      {"flw", ClassLoad, sx{Fd, Mem}, 0},
+	OpFsw:      {"fsw", ClassStore, sx{Fs2, Mem}, 0},
+	OpLwSp:     {"lw.sp", ClassSpad, sx{Rd, Mem}, 0},
+	OpFlwSp:    {"flw.sp", ClassSpad, sx{Fd, Mem}, 0},
+	OpSwRemote: {"sw.rem", ClassSpad, sx{Rs2, Mem, Rs3}, 0},
 
 	OpCsrw: {"csrw", ClassCsr, sx{CsrOp, Rs1}, NoMicro},
 	OpCsrr: {"csrr", ClassCsr, sx{Rd, CsrOp}, 0},
@@ -182,13 +179,7 @@ var Ops = [numOps]OpInfo{
 	OpPredNeq:    {"pred_neq", ClassVecCtl, sx{Rs1, Rs2}, Always},
 
 	OpVlwSp:    {"vlw.sp", ClassSimd, sx{Vd, Mem}, 0},
-	OpVswSp:    {"vsw.sp", ClassSimd, sx{Vs1, Mem}, 0},
-	OpVfadd:    {"vfadd", ClassSimd, sx{Vd, Vs1, Vs2}, 0},
-	OpVfsub:    {"vfsub", ClassSimd, sx{Vd, Vs1, Vs2}, 0},
-	OpVfmul:    {"vfmul", ClassSimd, sx{Vd, Vs1, Vs2}, 0},
 	OpVfma:     {"vfma", ClassSimd, sx{Vd, Vs1, Vs2}, Accum},
-	OpVfmaF:    {"vfma.f", ClassSimd, sx{Vd, Vs1, Fs3}, Accum},
-	OpVfmulF:   {"vfmul.f", ClassSimd, sx{Vd, Vs1, Fs3}, 0},
 	OpVbcastF:  {"vbcast.f", ClassSimd, sx{Vd, Fs3}, 0},
 	OpVfredsum: {"vfredsum", ClassSimd, sx{Fd, Vs1}, 0},
 

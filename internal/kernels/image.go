@@ -31,9 +31,6 @@ type Array struct {
 	Tol  float64  // relative FP tolerance for checking; 0 = exact bits
 }
 
-// End returns the first byte address past the array.
-func (a *Array) End() uint32 { return a.Addr + uint32(4*a.Len) }
-
 // At returns the byte address of word i.
 func (a *Array) At(i int) uint32 {
 	if i < 0 || i >= a.Len {

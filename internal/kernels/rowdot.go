@@ -1,8 +1,6 @@
 package kernels
 
 import (
-	"fmt"
-
 	"rockcress/internal/gpu"
 	"rockcress/internal/isa"
 )
@@ -32,16 +30,6 @@ type rowDotSpec struct {
 func (s *rowDotSpec) separateAccs() bool { return s.Alpha2 != 0 }
 
 func (s *rowDotSpec) twoDots() bool { return s.A2 != nil }
-
-func (s *rowDotSpec) check(name string) error {
-	if s.NK%16 != 0 || log2(s.NK) < 0 {
-		return fmt.Errorf("%s: NK=%d must be a power-of-two multiple of 16", name, s.NK)
-	}
-	if s.NI%16 != 0 {
-		return fmt.Errorf("%s: NI=%d must be a multiple of 16 (V16 blocks)", name, s.NI)
-	}
-	return nil
-}
 
 // rowDotChunks returns how many 16-word operand chunks one frame holds.
 func (s *rowDotSpec) chunksPerFrame() int {

@@ -14,3 +14,8 @@ func (m *Machine) CausalTile(t int) *causal.TileRec {
 	}
 	return m.causal.Tile(t)
 }
+
+// EscalateReplay exposes the frame-replay ladder's last rung to the external
+// tests: tile t's frame is given up on at the current cycle, as when its
+// replay exhausts its retries. The machine must carry a fault plan.
+func (m *Machine) EscalateReplay(t int) { m.faults.escalateReplay(m.now, t) }

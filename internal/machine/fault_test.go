@@ -74,12 +74,20 @@ func buildV4DAE(t *testing.T) *isa.Program {
 
 func runV4DAE(t *testing.T, plan *fault.Plan, checkEvery, stallLimit int64) (*machine.Machine, error) {
 	t.Helper()
+	m := newV4DAE(t, buildV4DAE(t), plan, checkEvery, stallLimit)
+	_, runErr := m.Run(testBudget)
+	return m, runErr
+}
+
+// newV4DAE builds a machine running p on the V4 groups, with the input
+// buildV4DAE's program reads written, ready to run.
+func newV4DAE(t *testing.T, p *isa.Program, plan *fault.Plan, checkEvery, stallLimit int64) *machine.Machine {
+	t.Helper()
 	cfg := config.ManycoreDefault()
 	groups, err := config.MakeGroups(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := buildV4DAE(t)
 	m, err := machine.New(machine.Params{
 		Cfg: cfg, Prog: p, Groups: groups, Faults: plan,
 		CheckEvery: checkEvery, StallLimit: stallLimit,
@@ -91,8 +99,7 @@ func runV4DAE(t *testing.T, plan *fault.Plan, checkEvery, stallLimit int64) (*ma
 	for i := 0; i < len(groups)*4; i++ {
 		m.Global.WriteWord(uint32(in+4*i), math.Float32bits(float32(i)*0.5))
 	}
-	_, runErr := m.Run(testBudget)
-	return m, runErr
+	return m
 }
 
 // TestKillLaneDegrades kills one lane of group 0 mid-kernel: the machine

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"rockcress/internal/fault"
+	"rockcress/internal/msg"
 	"rockcress/internal/noc"
 	"rockcress/internal/stats"
 	"rockcress/internal/trace"
@@ -21,8 +22,8 @@ type faultStack struct {
 	brokenGroups []bool
 
 	// Flits harvested across a topology transition, until the network
-	// re-accepts them.
-	reinjectQ     []reinjectFlit
+	// re-accepts them on their kind's plane.
+	reinjectQ     []msg.Message
 	reroutedFlits int64
 
 	replays []*replayState // per tile; the slice is nil under Params.NoReplay

@@ -361,25 +361,32 @@ func (m *Machine) Spad(t int) *mem.Scratchpad { return m.spads[t] }
 // Now returns the current cycle.
 func (m *Machine) Now() int64 { return m.now }
 
+// plane maps a message kind to the mesh that carries it: responses and
+// core-to-core scratchpad stores ride the response plane (they sink
+// unconditionally at scratchpads), requests the request plane. TrySend and
+// the re-injection of harvested flits both pick their mesh here; the LLC
+// banks, which only respond, are wired to the response plane.
+func (m *Machine) plane(k msg.Kind) *noc.Mesh {
+	switch k {
+	case msg.KindLoadResp, msg.KindSpadWord, msg.KindRemoteStore:
+		return m.meshResp
+	}
+	return m.meshReq
+}
+
 // --- cpu.Env implementation ---
 
-// TrySend injects a message at its source node: memory requests ride the
-// request plane; core-to-core scratchpad stores ride the response plane
-// (they sink unconditionally at scratchpads).
+// TrySend injects a message at its source node, on its kind's plane.
 func (m *Machine) TrySend(f msg.Message) bool {
-	if m.causal != nil && f.Kind != msg.KindRemoteStore {
+	mesh := m.plane(f.Kind)
+	if m.causal != nil && mesh == m.meshReq {
 		// Journey stamp: request issue cycle. f is a value — no aliasing
 		// with the sender's copy. Responses never pass through here (LLC
 		// banks inject into meshResp directly), so this cannot clobber
 		// their stamps.
 		f.CIssue = m.now
 	}
-	var ok bool
-	if f.Kind == msg.KindRemoteStore {
-		ok = m.meshResp.TrySend(f)
-	} else {
-		ok = m.meshReq.TrySend(f)
-	}
+	ok := mesh.TrySend(f)
 	if ok && m.rec != nil && f.Kind == msg.KindVloadReq {
 		m.rec.Instant(trace.EvVloadIssue, m.now, int64(f.Src), int64(f.Addr), int64(f.Words))
 	}

@@ -195,3 +195,97 @@ func TestReplayBackoffBoundsFastForward(t *testing.T) {
 		t.Error("no swept flip re-poisoned the refill; the retry backoff was never reached")
 	}
 }
+
+// TestReplayEscalation drives the frame-replay ladder's last rung, which no
+// fault plan reaches in a short run: a grouped tile breaks its group, and
+// the survivors devectorize through the recovery point (or halt without
+// one); an ungrouped tile latches the structured error that restarts the
+// run.
+func TestReplayEscalation(t *testing.T) {
+	const at = 100 // group 0 is running its microthreads
+	escalate := func(t *testing.T, m *machine.Machine, tile int) error {
+		t.Helper()
+		if err := m.RunUntil(at); err != nil {
+			t.Fatal(err)
+		}
+		m.EscalateReplay(tile)
+		_, err := m.Run(testBudget)
+		return err
+	}
+	checkBroken := func(t *testing.T, m *machine.Machine, victim int) {
+		t.Helper()
+		rep := m.FaultReport()
+		if !reflect.DeepEqual(rep.BrokenGroups, []int{0}) || rep.ReplayEscalations != 1 {
+			t.Errorf("broken groups %v, escalations %d; want [0], 1", rep.BrokenGroups, rep.ReplayEscalations)
+		}
+		if !m.Spad(victim).Suspect() {
+			t.Error("abandoned frame left the scratchpad trusted: a checkpoint could publish it")
+		}
+		for _, tile := range m.Groups[0].Tiles() {
+			if !m.Core(tile).Halted() {
+				t.Errorf("group 0 tile %d did not halt", tile)
+			}
+		}
+	}
+
+	t.Run("V4 lane", func(t *testing.T) {
+		p := buildV4DAE(t)
+		m := newV4DAE(t, p, &fault.Plan{}, 0, 0)
+		victim := m.Groups[0].Lanes[1]
+		if err := escalate(t, m, victim); err != nil {
+			t.Fatalf("escalation must degrade, not fail: %v", err)
+		}
+		checkBroken(t, m, victim)
+		// Every member resumed at the recovery point and halted there.
+		halt := p.Labels["idle"] + 1
+		for _, tile := range m.Groups[0].Tiles() {
+			if pc := m.Core(tile).PC(); pc != halt {
+				t.Errorf("group 0 tile %d stopped at pc %d, want the recovery path's halt at %d", tile, pc, halt)
+			}
+		}
+	})
+
+	t.Run("no recovery point", func(t *testing.T) {
+		p := buildV4DAE(t)
+		p.RecoverPC = 0
+		m := newV4DAE(t, p, &fault.Plan{}, 0, 0)
+		victim := m.Groups[0].Lanes[1]
+		if err := escalate(t, m, victim); err != nil {
+			t.Fatalf("escalation must degrade, not fail: %v", err)
+		}
+		checkBroken(t, m, victim)
+		// Every member stopped where the break found it, short of any halt.
+		for _, tile := range m.Groups[0].Tiles() {
+			if pc := m.Core(tile).PC(); p.Code[pc].Op == isa.OpHalt {
+				t.Errorf("group 0 tile %d ran on to the halt at pc %d", tile, pc)
+			}
+		}
+	})
+
+	t.Run("NV tile", func(t *testing.T) {
+		b := prog.New("nv-escalate")
+		tid, addr := b.Int(), b.Int()
+		b.Csrr(tid, isa.CsrCoreID)
+		b.Slli(addr, tid, 2)
+		b.Sw(tid, addr, 0x1000)
+		b.Barrier()
+		b.Halt()
+		p, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := machine.New(machine.Params{Cfg: config.ManycoreDefault(), Prog: p, Faults: &fault.Plan{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const victim = 9
+		err = escalate(t, m, victim)
+		var fe *machine.FaultError
+		if !errors.As(err, &fe) || fe.Tile != victim || !strings.Contains(err.Error(), "frame replay exhausted retries") {
+			t.Fatalf("got %v; want a *FaultError for tile %d naming the exhausted replay", err, victim)
+		}
+		if rep := m.FaultReport(); rep.ReplayEscalations != 1 || len(rep.BrokenGroups) != 0 {
+			t.Errorf("broken groups %v, escalations %d; want none, 1", rep.BrokenGroups, rep.ReplayEscalations)
+		}
+	})
+}

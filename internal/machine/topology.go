@@ -17,27 +17,6 @@ import (
 	"rockcress/internal/trace"
 )
 
-// reinjectFlit is one harvested (or bank-drained) message waiting to
-// re-enter the network after a topology transition. resp selects the mesh
-// plane; flits whose source attaches to a dead router bypass the mesh and
-// deliver directly (decided at drain time, so a later router death still
-// reroutes flits queued before it).
-type reinjectFlit struct {
-	resp bool
-	f    msg.Message
-}
-
-// respPlane maps a message kind to its mesh plane: responses and
-// core-to-core stores ride the response plane, requests the request plane
-// (mirrors Machine.TrySend and the LLC banks' wiring).
-func respPlane(k msg.Kind) bool {
-	switch k {
-	case msg.KindLoadResp, msg.KindSpadWord, msg.KindRemoteStore:
-		return true
-	}
-	return false
-}
-
 // deadDstPolicy is the mesh planes' unreachable-destination policy on a
 // degraded topology: stale LLC destinations fail over to the bank that now
 // owns the slice, responses owed to a dead core are dropped (nothing is
@@ -64,18 +43,14 @@ func (m *Machine) deadDstPolicy(f *msg.Message) noc.DeadDstAction {
 // (a flit that already descended may have no down-only path on the new
 // table), so transitions are epoch-style: drain, mutate, re-inject.
 func (fs *faultStack) harvestPlanes(req, resp bool) {
+	n := len(fs.reinjectQ)
 	if req {
-		for _, f := range fs.meshReq.HarvestAll() {
-			fs.reinjectQ = append(fs.reinjectQ, reinjectFlit{resp: false, f: f})
-			fs.reroutedFlits++
-		}
+		fs.reinjectQ = append(fs.reinjectQ, fs.meshReq.HarvestAll()...)
 	}
 	if resp {
-		for _, f := range fs.meshResp.HarvestAll() {
-			fs.reinjectQ = append(fs.reinjectQ, reinjectFlit{resp: true, f: f})
-			fs.reroutedFlits++
-		}
+		fs.reinjectQ = append(fs.reinjectQ, fs.meshResp.HarvestAll()...)
 	}
+	fs.reroutedFlits += int64(len(fs.reinjectQ) - n)
 }
 
 // drainReinject re-injects harvested and bank-drained flits, in order,
@@ -83,22 +58,22 @@ func (fs *faultStack) harvestPlanes(req, resp bool) {
 // for the next cycle. Runs in the mem prologue.
 func (fs *faultStack) drainReinject() {
 	q := fs.reinjectQ[:0]
-	for _, rf := range fs.reinjectQ {
-		if !fs.tryReinject(rf) {
-			q = append(q, rf)
+	for _, f := range fs.reinjectQ {
+		if !fs.tryReinject(f) {
+			q = append(q, f)
 		}
 	}
 	fs.reinjectQ = q
 }
 
-// tryReinject attempts one re-injection. Destinations are re-resolved at
-// drain time: flits bound for a decommissioned bank go to its failover
-// owner, flits owed to a dead core are dropped, and flits whose source
-// router died deliver directly (their injection port no longer exists, but
-// the payload — e.g. a decommissioned bank's final responses — must still
-// land).
-func (fs *faultStack) tryReinject(rf reinjectFlit) bool {
-	f := rf.f
+// tryReinject attempts one re-injection on f's plane. Destinations are
+// re-resolved at drain time: flits bound for a decommissioned bank go to its
+// failover owner, flits owed to a dead core are dropped, and flits whose
+// source router died deliver directly (their injection port no longer
+// exists, but the payload — e.g. a decommissioned bank's final responses —
+// must still land; decided here, so a later router death still reroutes
+// flits queued before it).
+func (fs *faultStack) tryReinject(f msg.Message) bool {
 	if bank, ok := fs.space.IsLLC(f.Dst); ok && fs.bankMap[bank] != bank {
 		f.Dst = fs.space.LLCNode(fs.bankMap[bank])
 		fs.bankFailovers++
@@ -106,10 +81,7 @@ func (fs *faultStack) tryReinject(rf reinjectFlit) bool {
 	if f.Dst >= 0 && f.Dst < len(fs.cores) && fs.cores[f.Dst].Dead() {
 		return true // owed to a dead core: drop
 	}
-	mesh := fs.meshReq
-	if rf.resp {
-		mesh = fs.meshResp
-	}
+	mesh := fs.plane(f.Kind)
 	if mesh.RouterDead(mesh.AttachRouter(f.Src)) {
 		return fs.deliver(f.Dst, &f)
 	}
@@ -196,7 +168,7 @@ func (fs *faultStack) killBank(now int64, b int) {
 	// line it needs. The drained messages re-resolve their destinations in
 	// tryReinject, so requests the bank had absorbed land at the owner.
 	fs.llcs[b].Decommission(func(f msg.Message) {
-		fs.reinjectQ = append(fs.reinjectQ, reinjectFlit{resp: respPlane(f.Kind), f: f})
+		fs.reinjectQ = append(fs.reinjectQ, f)
 	})
 	fs.bankWakers[owner].Wake()
 }

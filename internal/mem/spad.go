@@ -165,9 +165,6 @@ func (s *Scratchpad) Err() error { return s.err }
 // no clock was wired).
 func (s *Scratchpad) ErrCycle() int64 { return s.errCycle }
 
-// Tile returns the owning tile id.
-func (s *Scratchpad) Tile() int { return s.tile }
-
 func (s *Scratchpad) fail(format string, args ...any) {
 	if s.err == nil {
 		s.err = fmt.Errorf("scratchpad %d: %s", s.tile, fmt.Sprintf(format, args...))

@@ -47,11 +47,6 @@ func (b *Builder) Slli(rd, rs1 isa.Reg, imm int32) {
 	b.Emit(isa.Instr{Op: isa.OpSlli, Rd: rd, Rs1: rs1, Imm: imm})
 }
 
-// Srli emits rd = rs1 >> imm (logical).
-func (b *Builder) Srli(rd, rs1 isa.Reg, imm int32) {
-	b.Emit(isa.Instr{Op: isa.OpSrli, Rd: rd, Rs1: rs1, Imm: imm})
-}
-
 // Andi emits rd = rs1 & imm.
 func (b *Builder) Andi(rd, rs1 isa.Reg, imm int32) {
 	b.Emit(isa.Instr{Op: isa.OpAndi, Rd: rd, Rs1: rs1, Imm: imm})
@@ -120,21 +115,6 @@ func (b *Builder) FliF(fd isa.FReg, v float32) {
 	b.FreeInt(tmp)
 }
 
-// FcvtSW emits fd = float(rs1).
-func (b *Builder) FcvtSW(fd isa.FReg, rs1 isa.Reg) {
-	b.Emit(isa.Instr{Op: isa.OpFcvtSW, Fd: fd, Rs1: rs1})
-}
-
-// FcvtWS emits rd = int(fs1).
-func (b *Builder) FcvtWS(rd isa.Reg, fs1 isa.FReg) {
-	b.Emit(isa.Instr{Op: isa.OpFcvtWS, Rd: rd, Fs1: fs1})
-}
-
-// Flt emits rd = (fs1 < fs2).
-func (b *Builder) Flt(rd isa.Reg, fs1, fs2 isa.FReg) {
-	b.Emit(isa.Instr{Op: isa.OpFlt, Rd: rd, Fs1: fs1, Fs2: fs2})
-}
-
 // Lw loads a global word: rd = mem[rs1+imm].
 func (b *Builder) Lw(rd, rs1 isa.Reg, imm int32) {
 	b.Emit(isa.Instr{Op: isa.OpLw, Rd: rd, Rs1: rs1, Imm: imm})
@@ -163,21 +143,6 @@ func (b *Builder) LwSp(rd, rs1 isa.Reg, imm int32) {
 // FlwSp loads a float from the local scratchpad.
 func (b *Builder) FlwSp(fd isa.FReg, rs1 isa.Reg, imm int32) {
 	b.Emit(isa.Instr{Op: isa.OpFlwSp, Fd: fd, Rs1: rs1, Imm: imm})
-}
-
-// SwSp stores a word to the local scratchpad.
-func (b *Builder) SwSp(rs2, rs1 isa.Reg, imm int32) {
-	b.Emit(isa.Instr{Op: isa.OpSwSp, Rs2: rs2, Rs1: rs1, Imm: imm})
-}
-
-// FswSp stores a float to the local scratchpad.
-func (b *Builder) FswSp(fs2 isa.FReg, rs1 isa.Reg, imm int32) {
-	b.Emit(isa.Instr{Op: isa.OpFswSp, Fs2: fs2, Rs1: rs1, Imm: imm})
-}
-
-// FswRemote stores a float into core rs3's scratchpad at rs1+imm (shuffle).
-func (b *Builder) FswRemote(fs2 isa.FReg, rs1 isa.Reg, imm int32, core isa.Reg) {
-	b.Emit(isa.Instr{Op: isa.OpFswRemote, Fs2: fs2, Rs1: rs1, Imm: imm, Rs3: core})
 }
 
 // SwRemote stores a word into core rs3's scratchpad at rs1+imm.
@@ -238,29 +203,9 @@ func (b *Builder) VlwSp(vd uint8, rs1 isa.Reg, imm int32) {
 	b.Emit(isa.Instr{Op: isa.OpVlwSp, Vd: vd, Rs1: rs1, Imm: imm})
 }
 
-// VswSp stores vd's SIMDWidth words to the scratchpad.
-func (b *Builder) VswSp(vs uint8, rs1 isa.Reg, imm int32) {
-	b.Emit(isa.Instr{Op: isa.OpVswSp, Vs1: vs, Rs1: rs1, Imm: imm})
-}
-
-// Vfadd emits vd = vs1 + vs2 elementwise.
-func (b *Builder) Vfadd(vd, vs1, vs2 uint8) {
-	b.Emit(isa.Instr{Op: isa.OpVfadd, Vd: vd, Vs1: vs1, Vs2: vs2})
-}
-
-// Vfmul emits vd = vs1 * vs2 elementwise.
-func (b *Builder) Vfmul(vd, vs1, vs2 uint8) {
-	b.Emit(isa.Instr{Op: isa.OpVfmul, Vd: vd, Vs1: vs1, Vs2: vs2})
-}
-
 // Vfma emits vd += vs1 * vs2 elementwise.
 func (b *Builder) Vfma(vd, vs1, vs2 uint8) {
 	b.Emit(isa.Instr{Op: isa.OpVfma, Vd: vd, Vs1: vs1, Vs2: vs2})
-}
-
-// VfmaF emits vd += vs1 * fs (vector-scalar).
-func (b *Builder) VfmaF(vd, vs1 uint8, fs isa.FReg) {
-	b.Emit(isa.Instr{Op: isa.OpVfmaF, Vd: vd, Vs1: vs1, Fs3: fs})
 }
 
 // VbcastF fills vd with fs.
