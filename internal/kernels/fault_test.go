@@ -252,3 +252,52 @@ func TestFlightKeyFollowsMachineSlot(t *testing.T) {
 		t.Errorf("%d fault.kill notes in the bundle, want the one the slot holder's machine wrote", kills)
 	}
 }
+
+// TestLinkFaultCyclesPinned holds link-fault timing to recorded values. The
+// link retry protocol's backoff is timed in machine cycles, including the
+// cycles a parked, empty mesh skips, so a change to how the mesh keeps time
+// moves these cells; TestFaultDeterminism only compares a run with itself.
+// Each cell must take at least one fast-forward jump so that the parked
+// mesh's catch-up is exercised.
+func TestLinkFaultCyclesPinned(t *testing.T) {
+	const (
+		transient = "seed=42;drop@0-3000:1>2:p0.5:req;corrupt@500-4000:9>10:p0.3:resp"
+		cut       = "seed=7;drop@100-:12>13:p0.2;cutlink@800:27>28;corrupt@2000-9000:27>35:p0.5"
+	)
+	for _, tc := range []struct {
+		bench, cfg, plan                                        string
+		cycles, retrans, dropped, corrupt, rebuilds, detourHops int64
+	}{
+		{"gemm", "NV", transient, 3428, 172, 172, 0, 0, 0},
+		{"bfs", "NV", transient, 5427, 29, 29, 0, 0, 0},
+		{"mvt", "V4", cut, 3642, 224, 23, 201, 2, 136},
+	} {
+		name := tc.bench + "/" + tc.cfg
+		b, err := Get(tc.bench)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sw, err := config.Preset(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		plan, err := fault.Parse(tc.plan)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fr, err := ExecuteWithFaultsOpts(b, b.Defaults(Tiny), sw, config.ManycoreDefault(), plan,
+			ExecOpts{MaxCycles: 30_000_000})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		st := fr.Stats
+		got := [6]int64{st.Cycles, st.NocRetrans, st.NocDropped, st.NocCorrupt, st.NocRouteRebuilds, st.NocDetourHops}
+		want := [6]int64{tc.cycles, tc.retrans, tc.dropped, tc.corrupt, tc.rebuilds, tc.detourHops}
+		if got != want {
+			t.Errorf("%s: cycles, retrans, dropped, corrupt, rebuilds, detour hops = %v, want %v", name, got, want)
+		}
+		if st.FastForwards == 0 {
+			t.Errorf("%s: no fast-forward jump; the parked mesh's catch-up went unexercised", name)
+		}
+	}
+}

@@ -3,6 +3,10 @@
 // backpressure, and LLC banks attached above the top row and below the
 // bottom row of each column (§3.1, §5.1).
 //
+// One route table, keyed by router, input port and destination, holds XY
+// routes from cycle 0; the first permanent topology fault rewrites it in
+// place (reroute.go). Tick reads the engine's clock; the mesh keeps none.
+//
 // A flit carries one msg.Message; wide responses bundle up to the network
 // width in words, so the configured width changes flit counts rather than
 // flit size (§5.1's "on-chip net width" knob).
@@ -30,8 +34,8 @@ const (
 	numPorts
 )
 
-// portDead marks a destination unreachable in the fault-aware route table
-// (the mesh is partitioned, or the destination's router is powered off).
+// portDead marks a destination unreachable in the route table (the mesh is
+// partitioned, or the destination's router is powered off).
 const portDead port = -1
 
 // Deliver receives a flit that has reached its destination node. It returns
@@ -77,8 +81,8 @@ type linkState struct {
 // entry is one buffered flit reference: its Message lives in the mesh's
 // arena and stays put for the flit's whole mesh lifetime, so a hop moves
 // sixteen bytes (port is an int) between rings instead of a full Message.
-// dst and out are cached at enqueue (XY routing is static, so neither ever
-// changes).
+// dst and out are cached at enqueue: the route table is only rewritten
+// with the mesh harvested, so neither changes while the flit is buffered.
 type entry struct {
 	idx int32 // arena slot holding the Message
 	dst int32 // == Message.Dst, cached for routing at the next hop
@@ -145,16 +149,11 @@ type Mesh struct {
 	next     []int32 // free-list links: slot -> next free slot, -1 ends
 	freeHead int32   // first free slot, -1 when the arena is full
 
-	routeTab []port  // tile*nodes + dstNode -> output port (XY, static)
-	nbrTab   []int32 // tile*4 + linkPort -> neighbor router (-1 off-mesh)
-	nodes    int     // space.Nodes(), routeTab row stride
+	routes []int8  // (tile*numPorts+inPort)*nodes + dst -> output port
+	nbrTab []int32 // tile*4 + linkPort -> neighbor router (-1 off-mesh)
+	nodes  int     // space.Nodes(), routes row stride
 
-	// Permanent-fault topology state (nil until the first cut link or dead
-	// router, so the fault-free hot path pays one nil check per route
-	// lookup and nothing else). ftab replaces routeTab once topology is
-	// degraded: it is phase-aware (up*/down* routing needs the input port
-	// a flit arrived on), indexed (tile*numPorts+inPort)*nodes + dst.
-	ftab       []port
+	// Permanent-fault topology state (nil until the first topology fault).
 	detourTab  []int32 // tile*nodes + dst -> extra hops vs the XY path
 	linkDead   []bool  // tile*4 + out: directional link permanently cut
 	routerDead []bool  // router powered off
@@ -176,7 +175,6 @@ type Mesh struct {
 	hopLat int64
 
 	// Fault-injection hooks (nil/empty in a fault-free mesh).
-	now   int64 // cycles ticked (only consulted by the retry protocol)
 	judge LinkJudge
 	links []linkState // router*4 + out (link ports only)
 	err   error
@@ -233,10 +231,14 @@ func New(w, h, banks, queueCap int, deliver Deliver) (*Mesh, error) {
 		m.queues[qi].head = int32(qi * queueCap)
 	}
 	m.nodes = m.space.Nodes()
-	m.routeTab = make([]port, w*h*m.nodes)
+	m.routes = make([]int8, w*h*int(numPorts)*m.nodes)
 	for tile := 0; tile < w*h; tile++ {
+		rows := m.routes[tile*int(numPorts)*m.nodes : (tile+1)*int(numPorts)*m.nodes]
 		for dst := 0; dst < m.nodes; dst++ {
-			m.routeTab[tile*m.nodes+dst] = m.route(tile, dst)
+			rows[dst] = int8(m.route(tile, dst))
+		}
+		for in := 1; in < int(numPorts); in++ {
+			copy(rows[in*m.nodes:], rows[:m.nodes])
 		}
 	}
 	m.nbrTab = make([]int32, w*h*4)
@@ -322,18 +324,17 @@ func (m *Mesh) TrySend(f msg.Message) bool {
 	if int(m.queues[qi].n) == m.cap {
 		return false
 	}
-	out := m.routeTab[tile*m.nodes+f.Dst]
-	if m.ftab != nil {
-		out = m.ftab[(tile*int(numPorts)+int(p))*m.nodes+f.Dst]
+	out := m.routeAt(tile, p, f.Dst)
+	if out == portDead {
+		// Cold path in its own function so taking f's address there
+		// doesn't make every TrySend heap-allocate the message.
+		var accepted bool
+		out, f, accepted = m.resolveDeadDst(f, tile, p)
 		if out == portDead {
-			// Cold path in its own function so taking f's address there
-			// doesn't make every TrySend heap-allocate the message.
-			var accepted bool
-			out, f, accepted = m.resolveDeadDst(f, tile, p)
-			if out == portDead {
-				return accepted
-			}
+			return accepted
 		}
+	}
+	if m.detourTab != nil {
 		if d := m.detourTab[tile*m.nodes+f.Dst]; d > 0 {
 			m.DetourHops += int64(d)
 		}
@@ -362,8 +363,15 @@ func (m *Mesh) AttachRouter(node int) int {
 	return tile
 }
 
-// route returns the output port a flit at router tile should take toward
-// dst (XY routing: X first, then Y, then the local/LLC port).
+// routeAt looks up the output port a flit that entered router tile on port
+// in takes toward node dst.
+func (m *Mesh) routeAt(tile int, in port, dst int) port {
+	return port(m.routes[(tile*int(numPorts)+int(in))*m.nodes+dst])
+}
+
+// route returns the XY output port a flit at router tile takes toward dst
+// (X first, then Y, then the local/LLC port): the route table's contents
+// until the first topology fault.
 func (m *Mesh) route(tile int, dst int) port {
 	dtile, dport := m.attachTile(dst)
 	c, dc := tile%m.w, dtile%m.w
@@ -388,11 +396,10 @@ func (m *Mesh) route(tile int, dst int) port {
 // moves at most one flit, chosen round-robin among input queues whose head
 // routes to it. Moves are computed against pre-tick state, so a flit
 // advances at most one hop per cycle. Routers with no buffered flits are
-// skipped entirely. The mesh keeps its own clock (see CatchUp), so now is
-// unused.
-func (m *Mesh) Tick(int64) {
-	if m.hopLat > 1 && m.now%m.hopLat != 0 {
-		m.now++
+// skipped entirely. now is the engine's cycle: the hop-latency gate and the
+// link retry protocol's backoff read it.
+func (m *Mesh) Tick(now int64) {
+	if m.hopLat > 1 && now%m.hopLat != 0 {
 		return
 	}
 	moves := m.moves[:0]
@@ -400,44 +407,13 @@ func (m *Mesh) Tick(int64) {
 	for bi, bw := range m.busy {
 		for tw := bw; tw != 0; tw &= tw - 1 {
 			tile := bi<<6 + bits.TrailingZeros64(tw)
-			om := m.occMask[tile]
 			base := tile * int(numPorts)
-			if om&(om-1) == 0 {
-				// One occupied input: its head is the only nominee for its
-				// output, so arbitration reduces to the eligibility check. The
-				// general path below picks the same winner (a single-bit mask
-				// yields that input at any RR pointer) and updates rrPtr the
-				// same way, so this path is cycle-identical.
-				in := port(bits.TrailingZeros8(om))
-				e := m.headEntry(base + int(in))
-				out := e.out
-				if out == portLocal || out == portLLC {
-					if m.deliver(int(e.dst), &m.flits[e.idx]) {
-						moves = append(moves, move{tile: tile, in: in, out: out, toTile: -1})
-						m.rrPtr[base+int(out)] = rrNext(in)
-					}
-					continue
-				}
-				outOff := int(out)
-				nt := int(m.nbrTab[tile*4+outOff])
-				key := nt*int(numPorts) + int(oppTab[outOff])
-				if int(m.queues[key].n)+int(incoming[key]) >= m.cap {
-					continue
-				}
-				if m.judge != nil && !m.linkClear(tile, outOff, nt) {
-					continue
-				}
-				incoming[key]++
-				moves = append(moves, move{tile: tile, in: in, out: out, toTile: nt})
-				m.rrPtr[base+outOff] = rrNext(in)
-				continue
-			}
 			// Each non-empty input nominates its head flit's (cached) output:
 			// wantIn[out] collects nominating inputs as a bitmask, outMask the
 			// outputs with at least one nomination.
 			var wantIn [numPorts]uint8
 			outMask := uint8(0)
-			for bm := om; bm != 0; bm &= bm - 1 {
+			for bm := m.occMask[tile]; bm != 0; bm &= bm - 1 {
 				in := bits.TrailingZeros8(bm)
 				o := m.headEntry(base + in).out
 				wantIn[o] |= 1 << uint(in)
@@ -446,14 +422,16 @@ func (m *Mesh) Tick(int64) {
 			// Per nominated output (ascending, matching the fault judge's draw
 			// order), pick the round-robin-first nominating input: the lowest
 			// set bit at or above the RR pointer, wrapping to the lowest overall.
+			// A lone nominee wins at any pointer, so the pointer is read only
+			// under contention.
 			for bm := outMask; bm != 0; bm &= bm - 1 {
 				outOff := bits.TrailingZeros8(bm)
 				mask := wantIn[outOff]
-				var in port
-				if low := mask >> m.rrPtr[base+outOff]; low != 0 {
-					in = port(int(m.rrPtr[base+outOff]) + bits.TrailingZeros8(low))
-				} else {
-					in = port(bits.TrailingZeros8(mask))
+				in := port(bits.TrailingZeros8(mask))
+				if mask&(mask-1) != 0 {
+					if low := mask >> m.rrPtr[base+outOff]; low != 0 {
+						in = port(int(m.rrPtr[base+outOff]) + bits.TrailingZeros8(low))
+					}
 				}
 				out := port(outOff)
 				if out == portLocal || out == portLLC {
@@ -470,7 +448,7 @@ func (m *Mesh) Tick(int64) {
 				if int(m.queues[key].n)+int(incoming[key]) >= m.cap {
 					continue // downstream full; nothing crosses this output
 				}
-				if m.judge != nil && !m.linkClear(tile, outOff, nt) {
+				if m.judge != nil && !m.linkClear(now, tile, outOff, nt) {
 					// Transfer failed (injected drop/corrupt) or the link is
 					// in retransmit backoff: the flit stays at its queue head
 					// and the round-robin pointer holds, so the same flit
@@ -495,13 +473,9 @@ func (m *Mesh) Tick(int64) {
 			np := oppTab[mv.out]
 			key := mv.toTile*int(numPorts) + int(np)
 			e := *m.headEntry(qi)
-			if m.ftab == nil {
-				e.out = m.routeTab[mv.toTile*m.nodes+int(e.dst)]
-			} else {
-				// Phase-aware lookup: the input port the flit lands on at
-				// the next router decides whether it may still climb.
-				e.out = m.ftab[(mv.toTile*int(numPorts)+int(np))*m.nodes+int(e.dst)]
-			}
+			// The input port the flit lands on decides, once the table is
+			// rerouted, whether it may still climb (see reroute.go).
+			e.out = m.routeAt(mv.toTile, np, int(e.dst))
 			m.pushQ(key, e)
 			m.occMask[mv.toTile] |= 1 << uint(np)
 			m.busy[mv.toTile>>6] |= 1 << uint(mv.toTile&63)
@@ -519,7 +493,6 @@ func (m *Mesh) Tick(int64) {
 	}
 	m.queued -= delivered
 	m.moves = moves[:0]
-	m.now++
 }
 
 // rrNext advances a round-robin pointer past the winning input.
@@ -532,15 +505,15 @@ func rrNext(in port) uint8 {
 }
 
 // linkClear runs the retry protocol for the directional link tile->nt
-// (output port outOff). It reports whether the head flit may cross now; a
-// false return means the transfer was lost/rejected (stats counted, backoff
-// armed) or the link is still backing off.
-func (m *Mesh) linkClear(tile, outOff, nt int) bool {
+// (output port outOff) at cycle now. It reports whether the head flit may
+// cross now; a false return means the transfer was lost/rejected (stats
+// counted, backoff armed) or the link is still backing off.
+func (m *Mesh) linkClear(now int64, tile, outOff, nt int) bool {
 	ls := &m.links[tile*4+outOff]
-	if m.now < ls.holdUntil {
+	if now < ls.holdUntil {
 		return false
 	}
-	switch m.judge(m.now, tile, nt) {
+	switch m.judge(now, tile, nt) {
 	case LinkDrop:
 		m.Dropped++
 	case LinkCorrupt:
@@ -560,7 +533,7 @@ func (m *Mesh) linkClear(tile, outOff, nt int) bool {
 	if backoff > 6 {
 		backoff = 6
 	}
-	ls.holdUntil = m.now + (int64(1) << uint(backoff))
+	ls.holdUntil = now + (int64(1) << uint(backoff))
 	return false
 }
 
@@ -621,9 +594,8 @@ func (m *Mesh) Busy() bool { return m.queued > 0 }
 // QueuedFlits counts flits currently buffered in the mesh.
 func (m *Mesh) QueuedFlits() int { return int(m.queued) }
 
-// Park implements sim.Sleeper: an empty mesh's tick only advances the
-// internal clock, which CatchUp replays. Injections wake it via the hook
-// installed with SetWaker.
+// Park implements sim.Sleeper: an empty mesh's tick is a no-op. Injections
+// wake it via the hook installed with SetWaker.
 func (m *Mesh) Park(now int64) (bool, int64) {
 	if m.queued > 0 {
 		return false, 0
@@ -631,6 +603,6 @@ func (m *Mesh) Park(now int64) (bool, int64) {
 	return true, math.MaxInt64
 }
 
-// CatchUp implements sim.Sleeper: advance the internal clock over the
-// skipped idle cycles so retry-backoff timestamps stay in machine time.
-func (m *Mesh) CatchUp(n int64) { m.now += n }
+// CatchUp implements sim.Sleeper: the mesh reads the engine's clock, so an
+// idle mesh accrues no bookkeeping.
+func (m *Mesh) CatchUp(n int64) {}

@@ -22,9 +22,10 @@ func (c *collector) deliver(node int, m *msg.Message) bool {
 	return true
 }
 
+// drain ticks m from cycle 0 until it is empty or maxTicks cycles pass.
 func drain(m *Mesh, maxTicks int) {
 	for i := 0; i < maxTicks && m.Busy(); i++ {
-		m.Tick(0)
+		m.Tick(int64(i))
 	}
 }
 
@@ -51,6 +52,27 @@ func TestDelivery(t *testing.T) {
 	// Manhattan distance 0->63 on an 8x8 mesh is 14 hops.
 	if m.Hops != 14 {
 		t.Fatalf("hops %d, want 14 (XY route)", m.Hops)
+	}
+}
+
+// TestRoutesAreXYUntilFirstFault: on a healthy mesh every input port's row
+// of the one route table holds the XY route, and no detour table exists.
+func TestRoutesAreXYUntilFirstFault(t *testing.T) {
+	for _, sz := range []struct{ w, h, banks int }{{8, 8, 16}, {4, 4, 8}, {4, 1, 8}, {1, 1, 2}} {
+		m := newMesh(t, sz.w, sz.h, sz.banks, 4, newCollector().deliver)
+		for tile := 0; tile < sz.w*sz.h; tile++ {
+			for in := port(0); in < numPorts; in++ {
+				for dst := 0; dst < m.nodes; dst++ {
+					if got, want := m.routeAt(tile, in, dst), m.route(tile, dst); got != want {
+						t.Fatalf("%dx%d/%d: router %d input %d -> node %d routes via port %d, want XY port %d",
+							sz.w, sz.h, sz.banks, tile, in, dst, got, want)
+					}
+				}
+			}
+		}
+		if m.detourTab != nil {
+			t.Fatalf("%dx%d/%d: detour table allocated before any topology fault", sz.w, sz.h, sz.banks)
+		}
 	}
 }
 
@@ -243,7 +265,7 @@ func TestLinkDead(t *testing.T) {
 		t.Fatal("inject failed")
 	}
 	for i := 0; i < 2000 && m.Err() == nil; i++ {
-		m.Tick(0)
+		m.Tick(int64(i))
 	}
 	if m.Err() == nil {
 		t.Fatalf("dead link not detected after %d retransmits", m.Retransmits)

@@ -1,5 +1,5 @@
-// Fault-aware rerouting: permanent link cuts and router deaths switch the
-// mesh from its static XY table to a recomputed up*/down* route table.
+// Fault-aware rerouting: permanent link cuts and router deaths rewrite the
+// mesh's route table, in place, from XY routes to up*/down* routes.
 //
 // Up*/down* (Autonet) is the classic irregular-topology escape routing:
 // pick a root per connected component, orient every live link "up" (toward
@@ -65,7 +65,7 @@ func (m *Mesh) resolveDeadDst(f msg.Message, tile int, p port) (out port, _ msg.
 			m.DroppedDead++
 			return portDead, f, true
 		case DeadDstRetarget:
-			if out = m.ftab[(tile*int(numPorts)+int(p))*m.nodes+f.Dst]; out != portDead {
+			if out = m.routeAt(tile, p, f.Dst); out != portDead {
 				return out, f, true
 			}
 		}
@@ -79,7 +79,7 @@ func (m *Mesh) resolveDeadDst(f msg.Message, tile int, p port) (out port, _ msg.
 func (m *Mesh) RouterDead(r int) bool { return m.routerDead != nil && m.routerDead[r] }
 
 // ensureTopo allocates the permanent-fault state on the first topology
-// event; until then the mesh runs the static XY table untouched.
+// event; until then the route table holds XY routes.
 func (m *Mesh) ensureTopo() {
 	if m.linkDead == nil {
 		m.linkDead = make([]bool, m.w*m.h*4)
@@ -155,16 +155,16 @@ func (m *Mesh) HarvestAll() []msg.Message {
 	return out
 }
 
-// rebuildRoutes recomputes the fault-aware route table for the current
+// rebuildRoutes rewrites the route table in place for the current
 // dead-link/dead-router state. Runs once per topology event (serial, mesh
 // empty), so clarity beats constant factors here.
 func (m *Mesh) rebuildRoutes() {
 	n := m.w * m.h
-	if m.ftab == nil {
-		m.ftab = make([]port, n*int(numPorts)*m.nodes)
+	if m.detourTab == nil {
 		m.detourTab = make([]int32, n*m.nodes)
 	}
 	m.RouteRebuilds++
+	set := func(r, in, dn int, p port) { m.routes[(r*int(numPorts)+in)*m.nodes+dn] = int8(p) }
 
 	// Connected components of the live topology, each rooted at its
 	// lowest-id live router; level = BFS distance from the root.
@@ -221,7 +221,7 @@ func (m *Mesh) rebuildRoutes() {
 			if m.routerDead[dstR] {
 				for r := 0; r < n; r++ {
 					for in := 0; in < int(numPorts); in++ {
-						m.ftab[(r*int(numPorts)+in)*m.nodes+dn] = portDead
+						set(r, in, dn, portDead)
 					}
 					m.detourTab[r*m.nodes+dn] = 0
 				}
@@ -273,17 +273,16 @@ func (m *Mesh) rebuildRoutes() {
 				}
 			}
 			for r := 0; r < n; r++ {
-				base := r * int(numPorts)
 				if m.routerDead[r] || comp[r] != comp[dstR] {
 					for in := 0; in < int(numPorts); in++ {
-						m.ftab[(base+in)*m.nodes+dn] = portDead
+						set(r, in, dn, portDead)
 					}
 					m.detourTab[r*m.nodes+dn] = 0
 					continue
 				}
 				if r == dstR {
 					for in := 0; in < int(numPorts); in++ {
-						m.ftab[(base+in)*m.nodes+dn] = attachP[dn]
+						set(r, in, dn, attachP[dn])
 					}
 					m.detourTab[r*m.nodes+dn] = 0
 					continue
@@ -296,7 +295,7 @@ func (m *Mesh) rebuildRoutes() {
 					if in < 4 {
 						pr := int(m.nbrTab[r*4+in])
 						if pr < 0 {
-							m.ftab[(base+in)*m.nodes+dn] = portDead
+							set(r, in, dn, portDead)
 							continue
 						}
 						if !up(pr, r) {
@@ -305,7 +304,7 @@ func (m *Mesh) rebuildRoutes() {
 					}
 					d := dist[r*2+phase]
 					if d == inf {
-						m.ftab[(base+in)*m.nodes+dn] = portDead
+						set(r, in, dn, portDead)
 						continue
 					}
 					sel := portDead
@@ -328,7 +327,7 @@ func (m *Mesh) rebuildRoutes() {
 							break
 						}
 					}
-					m.ftab[(base+in)*m.nodes+dn] = sel
+					set(r, in, dn, sel)
 				}
 				if d0 := dist[r*2]; d0 != inf {
 					dx := r%m.w - dstR%m.w

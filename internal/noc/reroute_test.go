@@ -10,7 +10,7 @@ import (
 
 // liveComponents labels each live router with its connected component under
 // the mesh's current dead-link/dead-router state, independently of the
-// route tables under test.
+// route table under test.
 func liveComponents(m *Mesh) []int {
 	n := m.w * m.h
 	comp := make([]int, n)
@@ -40,7 +40,7 @@ func liveComponents(m *Mesh) []int {
 	return comp
 }
 
-// walkRoute follows the fault-aware table from src to dst, checking every
+// walkRoute follows the rerouted table from src to dst, checking every
 // traversed link is alive, and returns the hop count (-1 if the walk
 // doesn't terminate at dst within the bound).
 func walkRoute(t *testing.T, m *Mesh, src, dst int) int {
@@ -50,7 +50,7 @@ func walkRoute(t *testing.T, m *Mesh, src, dst int) int {
 	hops := 0
 	bound := 4 * m.w * m.h
 	for {
-		out := m.ftab[(tile*int(numPorts)+int(in))*m.nodes+dst]
+		out := m.routeAt(tile, in, dst)
 		if out == portDead {
 			t.Fatalf("route %d->%d: dead port at router %d input %d after %d hops", src, dst, tile, in, hops)
 		}
@@ -78,7 +78,7 @@ func walkRoute(t *testing.T, m *Mesh, src, dst int) int {
 }
 
 // checkNoDependencyCycle asserts the channel dependency graph induced by
-// the fault-aware table is acyclic: an edge joins directional link L1 (into
+// the rerouted table is acyclic: an edge joins directional link L1 (into
 // router r) to directional link L2 (out of r) when some (input, dst) table
 // entry forwards L1's traffic onto L2. A cycle would admit deadlock.
 func checkNoDependencyCycle(t *testing.T, m *Mesh) {
@@ -95,7 +95,7 @@ func checkNoDependencyCycle(t *testing.T, m *Mesh) {
 			}
 			l1 := pr*4 + int(oppTab[in]) // the link delivering into (r, in)
 			for dst := 0; dst < m.nodes; dst++ {
-				out := m.ftab[(r*int(numPorts)+in)*m.nodes+dst]
+				out := m.routeAt(r, port(in), dst)
 				if out < 0 || out > portW {
 					continue
 				}
@@ -174,7 +174,7 @@ func TestRerouteProperty(t *testing.T) {
 					srcLive := comp[sr] >= 0
 					dstLive := comp[dr] >= 0
 					tile, p := m.attachTile(src)
-					entry := m.ftab[(tile*int(numPorts)+int(p))*m.nodes+dst]
+					entry := m.routeAt(tile, p, dst)
 					if !srcLive || !dstLive || comp[sr] != comp[dr] {
 						if entry != portDead {
 							t.Fatalf("route %d->%d crosses a partition (entry %d)", src, dst, entry)
