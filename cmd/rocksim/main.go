@@ -51,17 +51,17 @@ func run(s *cli.Session) error {
 	if err != nil {
 		return err
 	}
-	var sw config.Software
-	if o.Config == "GPU" {
+	sw, err := kernels.Preset(o.Config)
+	if err != nil {
+		return err
+	}
+	if sw.Style == config.StyleGPU {
 		if o.Report != "" {
 			return fmt.Errorf("-report needs machine counters; the GPU model has none")
 		}
 		if o.DumpAsm {
 			return fmt.Errorf("-dump-asm: the GPU model runs wavefront traces, not a program")
 		}
-		sw = kernels.GPUSoftware()
-	} else if sw, err = config.Preset(o.Config); err != nil {
-		return err
 	}
 	if o.DumpAsm {
 		return dumpProgram(bench, scale, sw)

@@ -191,11 +191,6 @@ func b2u(b bool) uint32 {
 	return 0
 }
 
-// Float helpers preserving the old interpreter's exact semantics (promotion
-// through float64 for min/max/abs/sqrt, IEEE bit moves for fmv.x.w/fmv.w.x).
-func sqrt32(x float32) float32     { return float32(math.Sqrt(float64(x))) }
-func min64f(a, b float32) float32  { return float32(math.Min(float64(a), float64(b))) }
-func max64f(a, b float32) float32  { return float32(math.Max(float64(a), float64(b))) }
-func abs32(x float32) float32      { return float32(math.Abs(float64(x))) }
+// IEEE bit moves between the register files (fmv.x.w, fmv.w.x, fp memory).
 func f32bits(x float32) uint32     { return math.Float32bits(x) }
 func f32frombits(x uint32) float32 { return math.Float32frombits(x) }

@@ -5,11 +5,13 @@ package cpu
 // lookups, class/predicability/control-flow tests — is done once per
 // (program, configuration) at machine build time. Each instruction becomes a
 // lowEntry holding its readiness metadata and a closure that performs its
-// semantics with the operands and latencies already resolved. The Lowered
-// table is immutable and shared by every core of a machine, and it is the
-// whole decode: a core keeps no decode state of its own.
+// semantics with the operands and latencies already resolved (for an
+// arithmetic op, its operand shape's closure calling its arith entry). The
+// Lowered table is immutable and shared by every core of a machine, and it
+// is the whole decode: a core keeps no decode state of its own.
 
 import (
+	"fmt"
 	"math"
 
 	"rockcress/internal/config"
@@ -89,44 +91,35 @@ func lowerInstr(e *lowEntry, in *isa.Instr, cfg config.Manycore) {
 	e.exec = lowerExec(in, cfg)
 }
 
+// branchTaken is each conditional branch's compare of rs1 against rs2.
+var branchTaken = map[isa.Op]func(a, b uint32) bool{
+	isa.OpBeq:  func(a, b uint32) bool { return a == b },
+	isa.OpBne:  func(a, b uint32) bool { return a != b },
+	isa.OpBlt:  func(a, b uint32) bool { return int32(a) < int32(b) },
+	isa.OpBge:  func(a, b uint32) bool { return int32(a) >= int32(b) },
+	isa.OpBltu: func(a, b uint32) bool { return a < b },
+	isa.OpBgeu: func(a, b uint32) bool { return a >= b },
+}
+
 // lowerControl builds the resolver for one branch or jump. Field reads and
-// the class constant are hoisted; the compare itself is the closure body.
+// the class constant are hoisted; a conditional branch's compare comes
+// from branchTaken.
 func lowerControl(in *isa.Instr) ctlFn {
 	rs1, rs2, rd := in.Rs1, in.Rs2, in.Rd
 	imm := int(in.Imm)
 	class := uint8(isa.Classify(in.Op))
-	// next-pc helper is inlined per closure: cur is pc or vpc by mode.
+	if taken, ok := branchTaken[in.Op]; ok {
+		return func(c *Core, now int64, micro bool) (bool, stats.StallKind) {
+			c.st.CountClass(class)
+			if taken(c.intRegs[rs1], c.intRegs[rs2]) {
+				c.jumpTo(now, micro, imm, true) // taken: pays the branch penalty
+			} else {
+				c.jumpTo(now, micro, c.curPC(micro)+1, false)
+			}
+			return true, stats.StallNone
+		}
+	}
 	switch in.Op {
-	case isa.OpBeq:
-		return func(c *Core, now int64, micro bool) (bool, stats.StallKind) {
-			c.branch(now, micro, c.intRegs[rs1] == c.intRegs[rs2], imm, class)
-			return true, stats.StallNone
-		}
-	case isa.OpBne:
-		return func(c *Core, now int64, micro bool) (bool, stats.StallKind) {
-			c.branch(now, micro, c.intRegs[rs1] != c.intRegs[rs2], imm, class)
-			return true, stats.StallNone
-		}
-	case isa.OpBlt:
-		return func(c *Core, now int64, micro bool) (bool, stats.StallKind) {
-			c.branch(now, micro, int32(c.intRegs[rs1]) < int32(c.intRegs[rs2]), imm, class)
-			return true, stats.StallNone
-		}
-	case isa.OpBge:
-		return func(c *Core, now int64, micro bool) (bool, stats.StallKind) {
-			c.branch(now, micro, int32(c.intRegs[rs1]) >= int32(c.intRegs[rs2]), imm, class)
-			return true, stats.StallNone
-		}
-	case isa.OpBltu:
-		return func(c *Core, now int64, micro bool) (bool, stats.StallKind) {
-			c.branch(now, micro, c.intRegs[rs1] < c.intRegs[rs2], imm, class)
-			return true, stats.StallNone
-		}
-	case isa.OpBgeu:
-		return func(c *Core, now int64, micro bool) (bool, stats.StallKind) {
-			c.branch(now, micro, c.intRegs[rs1] >= c.intRegs[rs2], imm, class)
-			return true, stats.StallNone
-		}
 	case isa.OpJal:
 		return func(c *Core, now int64, micro bool) (bool, stats.StallKind) {
 			next := c.curPC(micro) + 1
@@ -161,25 +154,178 @@ func (c *Core) curPC(micro bool) int {
 	return c.pc
 }
 
-// branch applies a resolved conditional branch: taken control flow pays the
-// branch penalty (jumpTo), fall-through moves to next.
-func (c *Core) branch(now int64, micro bool, taken bool, imm int, class uint8) {
-	next := c.curPC(micro) + 1
-	c.st.CountClass(class)
-	if taken {
-		c.jumpTo(now, micro, imm, true)
-	} else {
-		c.jumpTo(now, micro, next, false)
+// arith is each arithmetic row's value (classes IntAlu through FpDiv): a
+// pure function of its sources in syntax order, integer registers and the
+// sign-extended immediate as uint32 and fp registers as float32.
+var arith = map[isa.Op]any{
+	isa.OpAdd:  func(a, b uint32) uint32 { return a + b },
+	isa.OpSub:  func(a, b uint32) uint32 { return a - b },
+	isa.OpMul:  func(a, b uint32) uint32 { return uint32(int32(a) * int32(b)) },
+	isa.OpDiv:  func(a, b uint32) uint32 { q, _ := divRem(int32(a), int32(b)); return uint32(q) },
+	isa.OpRem:  func(a, b uint32) uint32 { _, r := divRem(int32(a), int32(b)); return uint32(r) },
+	isa.OpAnd:  func(a, b uint32) uint32 { return a & b },
+	isa.OpOr:   func(a, b uint32) uint32 { return a | b },
+	isa.OpXor:  func(a, b uint32) uint32 { return a ^ b },
+	isa.OpSll:  func(a, b uint32) uint32 { return a << (b & 31) },
+	isa.OpSrl:  func(a, b uint32) uint32 { return a >> (b & 31) },
+	isa.OpSra:  func(a, b uint32) uint32 { return uint32(int32(a) >> (b & 31)) },
+	isa.OpSlt:  func(a, b uint32) uint32 { return b2u(int32(a) < int32(b)) },
+	isa.OpSltu: func(a, b uint32) uint32 { return b2u(a < b) },
+	isa.OpAddi: func(a, imm uint32) uint32 { return a + imm },
+	isa.OpAndi: func(a, imm uint32) uint32 { return a & imm },
+	isa.OpOri:  func(a, imm uint32) uint32 { return a | imm },
+	isa.OpXori: func(a, imm uint32) uint32 { return a ^ imm },
+	isa.OpSlli: func(a, imm uint32) uint32 { return a << (imm & 31) },
+	isa.OpSrli: func(a, imm uint32) uint32 { return a >> (imm & 31) },
+	isa.OpSrai: func(a, imm uint32) uint32 { return uint32(int32(a) >> (imm & 31)) },
+	isa.OpSlti: func(a, imm uint32) uint32 { return b2u(int32(a) < int32(imm)) },
+	isa.OpLi:   func(_, imm uint32) uint32 { return imm },
+
+	// min, max, abs and sqrt round through float64.
+	isa.OpFadd:   func(a, b float32) float32 { return a + b },
+	isa.OpFsub:   func(a, b float32) float32 { return a - b },
+	isa.OpFmul:   func(a, b float32) float32 { return a * b },
+	isa.OpFdiv:   func(a, b float32) float32 { return a / b },
+	isa.OpFsqrt:  func(a float32) float32 { return float32(math.Sqrt(float64(a))) },
+	isa.OpFmadd:  func(a, b, c float32) float32 { return a*b + c },
+	isa.OpFmin:   func(a, b float32) float32 { return float32(math.Min(float64(a), float64(b))) },
+	isa.OpFmax:   func(a, b float32) float32 { return float32(math.Max(float64(a), float64(b))) },
+	isa.OpFabs:   func(a float32) float32 { return float32(math.Abs(float64(a))) },
+	isa.OpFneg:   func(a float32) float32 { return -a },
+	isa.OpFmv:    func(a float32) float32 { return a },
+	isa.OpFeq:    func(a, b float32) uint32 { return b2u(a == b) },
+	isa.OpFlt:    func(a, b float32) uint32 { return b2u(a < b) },
+	isa.OpFle:    func(a, b float32) uint32 { return b2u(a <= b) },
+	isa.OpFcvtWS: func(a float32) uint32 { return uint32(int32(a)) },
+	isa.OpFcvtSW: func(a uint32) float32 { return float32(int32(a)) },
+	isa.OpFmvXW:  f32bits,
+	isa.OpFmvWX:  f32frombits,
+}
+
+// divRem is RV32M's signed division: dividing by zero gives quotient -1
+// and remainder a. MinInt32 / -1 needs no case: Go's int32 division wraps
+// it to quotient a, remainder 0, as RV32M does.
+func divRem(a, b int32) (q, r int32) {
+	if b == 0 {
+		return -1, a
+	}
+	return a / b, a % b
+}
+
+// latency is the one reader of Table 1a's functional-unit latencies: the
+// cycles from issue until an op of class's result is ready. csrr reads its
+// CSR through the integer ALU.
+func latency(class isa.Class, cfg config.Manycore) int64 {
+	switch class {
+	case isa.ClassIntAlu, isa.ClassCsr:
+		return int64(cfg.ALULat)
+	case isa.ClassIntMul:
+		return int64(cfg.MulLat)
+	case isa.ClassIntDiv:
+		return int64(cfg.DivLat)
+	case isa.ClassFpAlu:
+		return int64(cfg.FpALULat)
+	case isa.ClassFpMul:
+		return int64(cfg.FpMulLat)
+	case isa.ClassFpDiv:
+		return int64(cfg.FpDivLat)
+	}
+	panic(fmt.Sprintf("cpu: class %d has no functional unit", class))
+}
+
+// lowerArith builds an arithmetic row's closure. Its operand shape, spelled
+// from the row's syntax one letter per slot (x an integer register, f an fp
+// register, i the immediate; destination first), picks the registers the
+// closure reads and writes; sem computes the value; the class sets the
+// latency and whether the op holds the core's one shared divider.
+func lowerArith(in *isa.Instr, sem any, cfg config.Manycore) execFn {
+	class := isa.Classify(in.Op)
+	lat := latency(class, cfg)
+	rd, rs1, rs2 := in.Rd, in.Rs1, in.Rs2
+	fd, fs1, fs2, fs3 := in.Fd, in.Fs1, in.Fs2, in.Fs3
+	imm := uint32(in.Imm)
+	var shape [4]byte
+	syn := isa.Ops[in.Op].Syntax
+	for i, o := range syn {
+		shape[i] = 'i'
+		if o != isa.Imm {
+			shape[i], _ = o.File()
+		}
+	}
+	var exec execFn
+	switch string(shape[:len(syn)]) {
+	case "xxx":
+		f := sem.(func(a, b uint32) uint32)
+		exec = func(c *Core, now int64) (bool, stats.StallKind) {
+			c.writeInt(rd, f(c.intRegs[rs1], c.intRegs[rs2]), now+lat)
+			return true, stats.StallNone
+		}
+	case "xxi", "xi": // li is addi's shape; its value ignores the register
+		f := sem.(func(a, imm uint32) uint32)
+		exec = func(c *Core, now int64) (bool, stats.StallKind) {
+			c.writeInt(rd, f(c.intRegs[rs1], imm), now+lat)
+			return true, stats.StallNone
+		}
+	case "fff":
+		f := sem.(func(a, b float32) float32)
+		exec = func(c *Core, now int64) (bool, stats.StallKind) {
+			c.writeFp(fd, f(c.fpRegs[fs1], c.fpRegs[fs2]), now+lat)
+			return true, stats.StallNone
+		}
+	case "ff":
+		f := sem.(func(a float32) float32)
+		exec = func(c *Core, now int64) (bool, stats.StallKind) {
+			c.writeFp(fd, f(c.fpRegs[fs1]), now+lat)
+			return true, stats.StallNone
+		}
+	case "ffff":
+		f := sem.(func(a, b, c float32) float32)
+		exec = func(c *Core, now int64) (bool, stats.StallKind) {
+			c.writeFp(fd, f(c.fpRegs[fs1], c.fpRegs[fs2], c.fpRegs[fs3]), now+lat)
+			return true, stats.StallNone
+		}
+	case "xff":
+		f := sem.(func(a, b float32) uint32)
+		exec = func(c *Core, now int64) (bool, stats.StallKind) {
+			c.writeInt(rd, f(c.fpRegs[fs1], c.fpRegs[fs2]), now+lat)
+			return true, stats.StallNone
+		}
+	case "xf":
+		f := sem.(func(a float32) uint32)
+		exec = func(c *Core, now int64) (bool, stats.StallKind) {
+			c.writeInt(rd, f(c.fpRegs[fs1]), now+lat)
+			return true, stats.StallNone
+		}
+	case "fx":
+		f := sem.(func(a uint32) float32)
+		exec = func(c *Core, now int64) (bool, stats.StallKind) {
+			c.writeFp(fd, f(c.intRegs[rs1]), now+lat)
+			return true, stats.StallNone
+		}
+	default:
+		panic(fmt.Sprintf("cpu: %s has no operand shape", in.Op))
+	}
+	if class != isa.ClassIntDiv && class != isa.ClassFpDiv {
+		return exec
+	}
+	return func(c *Core, now int64) (bool, stats.StallKind) {
+		if now < c.divBusyUntil {
+			return false, stats.StallOther
+		}
+		c.divBusyUntil = now + lat
+		return exec(c, now)
 	}
 }
 
-// lowerExec builds the semantics closure for one non-control instruction.
+// lowerExec builds the semantics closure for one non-control instruction:
+// an arithmetic row through lowerArith, any other op by its own case.
 // Latencies come from cfg once; operand fields are captured as locals.
 func lowerExec(in *isa.Instr, cfg config.Manycore) execFn {
-	aluLat := int64(cfg.ALULat)
-	fpALULat := int64(cfg.FpALULat)
+	if sem, ok := arith[in.Op]; ok {
+		return lowerArith(in, sem, cfg)
+	}
 	rd, rs1, rs2, rs3 := in.Rd, in.Rs1, in.Rs2, in.Rs3
-	fd, fs1, fs2, fs3 := in.Fd, in.Fs1, in.Fs2, in.Fs3
+	fd, fs2, fs3 := in.Fd, in.Fs2, in.Fs3
 	vd, vs1, vs2 := in.Vd, in.Vs1, in.Vs2
 	imm := in.Imm
 	uimm := uint32(in.Imm)
@@ -189,239 +335,6 @@ func lowerExec(in *isa.Instr, cfg config.Manycore) execFn {
 		return func(c *Core, now int64) (bool, stats.StallKind) {
 			return true, stats.StallNone
 		}
-	case isa.OpAdd:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, c.intRegs[rs1]+c.intRegs[rs2], now+aluLat)
-			return true, stats.StallNone
-		}
-	case isa.OpSub:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, c.intRegs[rs1]-c.intRegs[rs2], now+aluLat)
-			return true, stats.StallNone
-		}
-	case isa.OpMul:
-		mulLat := int64(cfg.MulLat)
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, uint32(int32(c.intRegs[rs1])*int32(c.intRegs[rs2])), now+mulLat)
-			return true, stats.StallNone
-		}
-	case isa.OpDiv, isa.OpRem:
-		divLat := int64(cfg.DivLat)
-		isRem := in.Op == isa.OpRem
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			if now < c.divBusyUntil {
-				return false, stats.StallOther
-			}
-			c.divBusyUntil = now + divLat
-			a, b := int32(c.intRegs[rs1]), int32(c.intRegs[rs2])
-			var q, rem int32
-			switch {
-			case b == 0:
-				q, rem = -1, a
-			case a == -1<<31 && b == -1:
-				q, rem = a, 0
-			default:
-				q, rem = a/b, a%b
-			}
-			v := q
-			if isRem {
-				v = rem
-			}
-			c.writeInt(rd, uint32(v), now+divLat)
-			return true, stats.StallNone
-		}
-	case isa.OpAnd:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, c.intRegs[rs1]&c.intRegs[rs2], now+aluLat)
-			return true, stats.StallNone
-		}
-	case isa.OpOr:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, c.intRegs[rs1]|c.intRegs[rs2], now+aluLat)
-			return true, stats.StallNone
-		}
-	case isa.OpXor:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, c.intRegs[rs1]^c.intRegs[rs2], now+aluLat)
-			return true, stats.StallNone
-		}
-	case isa.OpSll:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, c.intRegs[rs1]<<(c.intRegs[rs2]&31), now+aluLat)
-			return true, stats.StallNone
-		}
-	case isa.OpSrl:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, c.intRegs[rs1]>>(c.intRegs[rs2]&31), now+aluLat)
-			return true, stats.StallNone
-		}
-	case isa.OpSra:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, uint32(int32(c.intRegs[rs1])>>(c.intRegs[rs2]&31)), now+aluLat)
-			return true, stats.StallNone
-		}
-	case isa.OpSlt:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, b2u(int32(c.intRegs[rs1]) < int32(c.intRegs[rs2])), now+aluLat)
-			return true, stats.StallNone
-		}
-	case isa.OpSltu:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, b2u(c.intRegs[rs1] < c.intRegs[rs2]), now+aluLat)
-			return true, stats.StallNone
-		}
-	case isa.OpAddi:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, c.intRegs[rs1]+uimm, now+aluLat)
-			return true, stats.StallNone
-		}
-	case isa.OpAndi:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, c.intRegs[rs1]&uimm, now+aluLat)
-			return true, stats.StallNone
-		}
-	case isa.OpOri:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, c.intRegs[rs1]|uimm, now+aluLat)
-			return true, stats.StallNone
-		}
-	case isa.OpXori:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, c.intRegs[rs1]^uimm, now+aluLat)
-			return true, stats.StallNone
-		}
-	case isa.OpSlli:
-		sh := uimm & 31
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, c.intRegs[rs1]<<sh, now+aluLat)
-			return true, stats.StallNone
-		}
-	case isa.OpSrli:
-		sh := uimm & 31
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, c.intRegs[rs1]>>sh, now+aluLat)
-			return true, stats.StallNone
-		}
-	case isa.OpSrai:
-		sh := uimm & 31
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, uint32(int32(c.intRegs[rs1])>>sh), now+aluLat)
-			return true, stats.StallNone
-		}
-	case isa.OpSlti:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, b2u(int32(c.intRegs[rs1]) < imm), now+aluLat)
-			return true, stats.StallNone
-		}
-	case isa.OpLi:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, uimm, now+aluLat)
-			return true, stats.StallNone
-		}
-
-	case isa.OpFadd:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeFp(fd, c.fpRegs[fs1]+c.fpRegs[fs2], now+fpALULat)
-			return true, stats.StallNone
-		}
-	case isa.OpFsub:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeFp(fd, c.fpRegs[fs1]-c.fpRegs[fs2], now+fpALULat)
-			return true, stats.StallNone
-		}
-	case isa.OpFmul:
-		fpMulLat := int64(cfg.FpMulLat)
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeFp(fd, c.fpRegs[fs1]*c.fpRegs[fs2], now+fpMulLat)
-			return true, stats.StallNone
-		}
-	case isa.OpFmadd:
-		fpMulLat := int64(cfg.FpMulLat)
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeFp(fd, c.fpRegs[fs1]*c.fpRegs[fs2]+c.fpRegs[fs3], now+fpMulLat)
-			return true, stats.StallNone
-		}
-	case isa.OpFdiv:
-		fpDivLat := int64(cfg.FpDivLat)
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			if now < c.divBusyUntil {
-				return false, stats.StallOther
-			}
-			c.divBusyUntil = now + fpDivLat
-			c.writeFp(fd, c.fpRegs[fs1]/c.fpRegs[fs2], now+fpDivLat)
-			return true, stats.StallNone
-		}
-	case isa.OpFsqrt:
-		fpDivLat := int64(cfg.FpDivLat)
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			if now < c.divBusyUntil {
-				return false, stats.StallOther
-			}
-			c.divBusyUntil = now + fpDivLat
-			c.writeFp(fd, sqrt32(c.fpRegs[fs1]), now+fpDivLat)
-			return true, stats.StallNone
-		}
-	case isa.OpFmin:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeFp(fd, min64f(c.fpRegs[fs1], c.fpRegs[fs2]), now+fpALULat)
-			return true, stats.StallNone
-		}
-	case isa.OpFmax:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeFp(fd, max64f(c.fpRegs[fs1], c.fpRegs[fs2]), now+fpALULat)
-			return true, stats.StallNone
-		}
-	case isa.OpFabs:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeFp(fd, abs32(c.fpRegs[fs1]), now+fpALULat)
-			return true, stats.StallNone
-		}
-	case isa.OpFneg:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeFp(fd, -c.fpRegs[fs1], now+fpALULat)
-			return true, stats.StallNone
-		}
-	case isa.OpFmv:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeFp(fd, c.fpRegs[fs1], now+fpALULat)
-			return true, stats.StallNone
-		}
-	case isa.OpFeq:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, b2u(c.fpRegs[fs1] == c.fpRegs[fs2]), now+fpALULat)
-			return true, stats.StallNone
-		}
-	case isa.OpFlt:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, b2u(c.fpRegs[fs1] < c.fpRegs[fs2]), now+fpALULat)
-			return true, stats.StallNone
-		}
-	case isa.OpFle:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, b2u(c.fpRegs[fs1] <= c.fpRegs[fs2]), now+fpALULat)
-			return true, stats.StallNone
-		}
-	case isa.OpFcvtWS:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, uint32(int32(c.fpRegs[fs1])), now+fpALULat)
-			return true, stats.StallNone
-		}
-	case isa.OpFcvtSW:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeFp(fd, float32(int32(c.intRegs[rs1])), now+fpALULat)
-			return true, stats.StallNone
-		}
-	case isa.OpFmvXW:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, f32bits(c.fpRegs[fs1]), now+fpALULat)
-			return true, stats.StallNone
-		}
-	case isa.OpFmvWX:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeFp(fd, f32frombits(c.intRegs[rs1]), now+fpALULat)
-			return true, stats.StallNone
-		}
-
 	case isa.OpLw:
 		return func(c *Core, now int64) (bool, stats.StallKind) {
 			return c.globalLoad(now, rs1, uimm, false, uint8(rd), 0)
@@ -462,8 +375,9 @@ func lowerExec(in *isa.Instr, cfg config.Manycore) execFn {
 		}
 	case isa.OpCsrr:
 		csr := in.Csr
+		lat := latency(isa.ClassCsr, cfg)
 		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, c.readCSR(csr), now+aluLat)
+			c.writeInt(rd, c.readCSR(csr), now+lat)
 			return true, stats.StallNone
 		}
 

@@ -362,16 +362,13 @@ type runReq struct {
 	mod   *HWMod
 }
 
-// req resolves a Table 3 preset name ("GPU" selects the GPU baseline) into
-// a request. It is the package's one preset lookup, so an unknown name
-// fails here, before anything runs.
+// req resolves a Table 3 row name (kernels.Preset) into a request. It is
+// the package's one preset lookup, so an unknown name fails here, before
+// anything runs.
 func req(bench kernels.Benchmark, cfgName string, mod *HWMod) (runReq, error) {
-	sw := kernels.GPUSoftware()
-	if cfgName != "GPU" {
-		var err error
-		if sw, err = config.Preset(cfgName); err != nil {
-			return runReq{}, err
-		}
+	sw, err := kernels.Preset(cfgName)
+	if err != nil {
+		return runReq{}, err
 	}
 	return runReq{bench: bench, sw: sw, mod: mod}, nil
 }

@@ -4,7 +4,9 @@ package isa
 // and the lowering half of package cpu know about an op's *shape* — its
 // mnemonic, its accounting class, which registers it reads and writes, how
 // it is written and parsed — is read from Ops. What an op *does* lives in
-// cpu's lowerExec/lowerControl, and nowhere else.
+// package cpu, and nowhere else: an arithmetic row's value is one entry of
+// cpu's arith table and its latency follows its Class; the other ops are
+// cpu's lowerExec/lowerControl cases.
 
 // Operand is one slot of an instruction's assembly syntax. The register
 // slots are named after the Instr field they fill.

@@ -3,11 +3,9 @@ package kernels
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"rockcress/internal/config"
 	"rockcress/internal/fault"
-	"rockcress/internal/lifecycle"
 	"rockcress/internal/machine"
 )
 
@@ -89,13 +87,8 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 		opts.Obs.Run().SetAttempt(tok, attempt)
 		// Cancellation and the wall budget also gate restarts, so an
 		// interrupted ladder stops between attempts, not just mid-run.
-		if opts.Ctx != nil {
-			if cerr := opts.Ctx.Err(); cerr != nil {
-				return wrapRun(name, sw.Name, attempt, fmt.Errorf("run canceled: %w", cerr))
-			}
-		}
-		if !wallDeadline.IsZero() && time.Now().After(wallDeadline) {
-			return wrapRun(name, sw.Name, attempt, lifecycle.ErrWallBudget)
+		if err := opts.stopBefore(wallDeadline, name, sw.Name, attempt); err != nil {
+			return err
 		}
 		groups, ctxAvoid, err := degradedLayout(sw, hw, avoid, mimd)
 		if err != nil {

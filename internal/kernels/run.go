@@ -91,6 +91,21 @@ func (o *ExecOpts) wallDeadline() time.Time {
 	return time.Now().Add(o.WallBudget)
 }
 
+// stopBefore is the between-runs budget check: before attempt starts it
+// fails the run if o.Ctx is canceled or the wall budget ending at deadline
+// (zero: none) is spent.
+func (o *ExecOpts) stopBefore(deadline time.Time, bench, cfg string, attempt int) error {
+	if o.Ctx != nil {
+		if cerr := o.Ctx.Err(); cerr != nil {
+			return wrapRun(bench, cfg, attempt, fmt.Errorf("run canceled: %w", cerr))
+		}
+	}
+	if !deadline.IsZero() && time.Now().After(deadline) {
+		return wrapRun(bench, cfg, attempt, lifecycle.ErrWallBudget)
+	}
+	return nil
+}
+
 // ExecuteOpts runs benchmark b with parameters p under the given software
 // row and hardware base configuration, checks the results against the
 // serial reference, and returns the statistics. On the manycore it is the
@@ -246,13 +261,8 @@ func executeGPU(b Benchmark, p Params, opts ExecOpts) (*Result, error) {
 	sim := gpu.NewSim(config.GPUDefault())
 	var total gpu.Stats
 	for _, k := range launches {
-		if opts.Ctx != nil {
-			if cerr := opts.Ctx.Err(); cerr != nil {
-				return nil, wrapRun(name, "GPU", 1, fmt.Errorf("run canceled: %w", cerr))
-			}
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return nil, wrapRun(name, "GPU", 1, lifecycle.ErrWallBudget)
+		if err := opts.stopBefore(deadline, name, "GPU", 1); err != nil {
+			return nil, err
 		}
 		st, err := sim.Run(k, opts.MaxCycles)
 		if err != nil {
@@ -316,4 +326,13 @@ func wrapRun(bench, cfg string, attempt int, err error) error {
 // GPUSoftware is the Table 3 GPU row.
 func GPUSoftware() config.Software {
 	return config.Software{Name: "GPU", Style: config.StyleGPU, VLen: 1}
+}
+
+// Preset looks a Table 3 row up by name: "GPU" is GPUSoftware, any other
+// name a config.Preset manycore row.
+func Preset(name string) (config.Software, error) {
+	if name == "GPU" {
+		return GPUSoftware(), nil
+	}
+	return config.Preset(name)
 }

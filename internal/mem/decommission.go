@@ -25,43 +25,16 @@ func (b *LLCBank) Decommission(emit func(msg.Message)) {
 		b.lines[i].valid = false
 	}
 
-	// Owed responses: finish streaming every job's unsent remainder in the
-	// same flit shapes streamResponses would have used.
+	// Owed responses: finish streaming every job's unsent remainder as the
+	// flits streamResponses would have sent (both form them in nextFlit).
 	for ; b.jobCount > 0; b.popJob() {
 		j := &b.jobs[b.jobHead]
-		m := j.req
-		if m.Kind == msg.KindLoadReq {
-			resp := msg.Message{
-				Kind: msg.KindLoadResp, Src: b.node, Dst: m.Src,
-				Words: 1, LQSlot: m.LQSlot, Addr: m.Addr,
-			}
-			resp.Vals[0] = j.data[0]
-			emit(resp)
-			b.st.RespWords++
-			continue
-		}
 		for j.sent < len(j.data) {
-			k := j.kStart + j.sent
-			tile, off, ok := b.destOf(m, k)
+			var resp msg.Message
+			n, ok := b.nextFlit(j, &resp)
 			if !ok {
 				break // error already recorded
 			}
-			resp := msg.Message{
-				Kind: msg.KindSpadWord, Src: b.node, Dst: tile,
-				SpadOff: off, Addr: m.Addr + uint32(4*k),
-			}
-			resp.Vals[0] = j.data[j.sent]
-			n := 1
-			for n < b.cfg.NetWidthWords && j.sent+n < len(j.data) {
-				nk := j.kStart + j.sent + n
-				nt, noff, ok2 := b.destOf(m, nk)
-				if !ok2 || nt != tile || noff != off+uint32(4*n) {
-					break
-				}
-				resp.Vals[n] = j.data[j.sent+n]
-				n++
-			}
-			resp.Words = n
 			emit(resp)
 			b.st.RespWords += int64(n)
 			j.sent += n

@@ -342,7 +342,7 @@ func (b *LLCBank) victim(set int) int {
 // combined access block that THIS request serves, and the line address it
 // reads. For the aligned variants that is the whole block; the unaligned
 // Suffix/Prefix pair split a block that straddles a line boundary (§2.3.2).
-func (b *LLCBank) portion(m msg.Message) (lineAddr uint32, kStart, kEnd int, ok bool) {
+func (b *LLCBank) portion(m *msg.Message) (lineAddr uint32, kStart, kEnd int, ok bool) {
 	if m.Addr%4 != 0 {
 		b.fail("unaligned word address %#x", m.Addr)
 		return 0, 0, 0, false
@@ -375,7 +375,7 @@ func (b *LLCBank) portion(m msg.Message) (lineAddr uint32, kStart, kEnd int, ok 
 
 // destOf resolves global word index k of a block to its destination tile
 // and scratchpad byte offset: (Addr+Cnt) -> (BC + Cnt/RPC, BO + Cnt%RPC).
-func (b *LLCBank) destOf(m msg.Message, k int) (tile int, spadOff uint32, ok bool) {
+func (b *LLCBank) destOf(m *msg.Message, k int) (tile int, spadOff uint32, ok bool) {
 	if m.Vload.Dist == isa.VloadSelf || m.Group < 0 {
 		return m.ReqCore, m.SpadOff + uint32(4*k), true
 	}
@@ -438,7 +438,7 @@ func (b *LLCBank) processRequest(now int64) {
 	if b.reqCount == 0 || b.err != nil {
 		return
 	}
-	m := b.reqQ[b.reqHead]
+	m := &b.reqQ[b.reqHead]
 	switch m.Kind {
 	case msg.KindStoreReq:
 		if !b.handleStore(now, m) {
@@ -455,7 +455,7 @@ func (b *LLCBank) processRequest(now int64) {
 	b.popReq()
 }
 
-func (b *LLCBank) handleStore(now int64, m msg.Message) bool {
+func (b *LLCBank) handleStore(now int64, m *msg.Message) bool {
 	lineAddr := b.lineAddrOf(m.Addr)
 	if w := b.lookup(lineAddr); w >= 0 {
 		set := b.setOf(lineAddr)
@@ -485,7 +485,7 @@ func (b *LLCBank) handleStore(now int64, m msg.Message) bool {
 	return true
 }
 
-func (b *LLCBank) handleLoad(now int64, m msg.Message) bool {
+func (b *LLCBank) handleLoad(now int64, m *msg.Message) bool {
 	lineAddr, kStart, kEnd, ok := b.portion(m)
 	if !ok {
 		return true // error already recorded; drop
@@ -518,7 +518,7 @@ func (b *LLCBank) handleLoad(now int64, m msg.Message) bool {
 	if isNew {
 		b.fetch(now, mi)
 	}
-	b.mshr[mi].events = append(b.mshr[mi].events, mshrEvent{req: m})
+	b.mshr[mi].events = append(b.mshr[mi].events, mshrEvent{req: *m})
 	return true
 }
 
@@ -544,7 +544,7 @@ func (b *LLCBank) mshrFor(lineAddr uint32) (int, bool) {
 	return free, true
 }
 
-func (b *LLCBank) makeJob(m msg.Message, l *llcLine, lineAddr uint32, kStart, kEnd int) respJob {
+func (b *LLCBank) makeJob(m *msg.Message, l *llcLine, lineAddr uint32, kStart, kEnd int) respJob {
 	skewBase := b.lineAddrOf(m.Addr)
 	var firstWordInLine int
 	if lineAddr == skewBase {
@@ -555,7 +555,7 @@ func (b *LLCBank) makeJob(m msg.Message, l *llcLine, lineAddr uint32, kStart, kE
 	n := kEnd - kStart
 	data := b.getData(n)
 	copy(data, l.data[firstWordInLine:firstWordInLine+n])
-	j := respJob{req: m, kStart: kStart, data: data}
+	j := respJob{req: *m, kStart: kStart, data: data}
 	if b.causal {
 		j.start = -1 // set when the job reaches the stream head
 	}
@@ -600,7 +600,7 @@ func (b *LLCBank) Install(now int64, lineAddr uint32) {
 		if b.causal {
 			m.CDramQ, m.CDramLat = b.mshr[mi].cDramQ, b.mshr[mi].cDramLat
 		}
-		la, kStart, kEnd, ok := b.portion(m)
+		la, kStart, kEnd, ok := b.portion(&m)
 		if !ok || kEnd == kStart {
 			continue
 		}
@@ -610,7 +610,7 @@ func (b *LLCBank) Install(now int64, lineAddr uint32) {
 		}
 		// Fills may exceed the hit-path job cap transiently; bounding only
 		// the hit path keeps the bank deadlock-free.
-		b.pushJob(b.makeJob(m, l, lineAddr, kStart, kEnd))
+		b.pushJob(b.makeJob(&m, l, lineAddr, kStart, kEnd))
 	}
 	b.mshr[mi].busy = false
 	b.mshr[mi].lineAddr = 0
@@ -618,8 +618,7 @@ func (b *LLCBank) Install(now int64, lineAddr uint32) {
 	b.mshr[mi].cDramQ, b.mshr[mi].cDramLat = 0, 0
 }
 
-// streamResponses emits at most one flit per cycle from the head job,
-// carrying up to NetWidthWords consecutive words for a single destination.
+// streamResponses emits at most one flit per cycle from the head job.
 func (b *LLCBank) streamResponses(now int64) {
 	if b.jobCount == 0 {
 		return
@@ -628,53 +627,15 @@ func (b *LLCBank) streamResponses(now int64) {
 	if j.start < 0 {
 		j.start = now
 	}
-	m := j.req
-	if m.Kind == msg.KindLoadReq {
-		resp := msg.Message{
-			Kind: msg.KindLoadResp, Src: b.node, Dst: m.Src,
-			Words: 1, LQSlot: m.LQSlot, Addr: m.Addr,
-		}
-		if b.causal {
-			b.stampResp(&resp, &m, now, j.start)
-		}
-		resp.Vals[0] = j.data[0]
-		if b.out.TrySend(resp) {
-			b.st.RespWords++
-			b.popJob()
-		} else if b.causal {
-			b.blocked++
-		}
-		return
-	}
-	// Wide access: bundle consecutive words for the same tile.
-	k := j.kStart + j.sent
-	tile, off, ok := b.destOf(m, k)
+	var resp msg.Message
+	n, ok := b.nextFlit(j, &resp)
 	if !ok {
 		b.popJob()
 		return
 	}
-	maxW := b.cfg.NetWidthWords
-	// Addr carries the global address of the first bundled word so the
-	// receiving scratchpad can record the frame's data provenance (replay).
-	resp := msg.Message{
-		Kind: msg.KindSpadWord, Src: b.node, Dst: tile,
-		SpadOff: off, Addr: m.Addr + uint32(4*k),
-	}
 	if b.causal {
-		b.stampResp(&resp, &m, now, j.start)
+		b.stampResp(&resp, &j.req, now, j.start)
 	}
-	resp.Vals[0] = j.data[j.sent]
-	n := 1
-	for n < maxW && j.sent+n < len(j.data) {
-		nk := j.kStart + j.sent + n
-		nt, noff, ok2 := b.destOf(m, nk)
-		if !ok2 || nt != tile || noff != off+uint32(4*n) {
-			break
-		}
-		resp.Vals[n] = j.data[j.sent+n]
-		n++
-	}
-	resp.Words = n
 	if !b.out.TrySend(resp) {
 		if b.causal {
 			b.blocked++
@@ -686,6 +647,46 @@ func (b *LLCBank) streamResponses(now int64) {
 	if j.sent == len(j.data) {
 		b.popJob()
 	}
+}
+
+// nextFlit forms j's next response flit in resp and returns how many of
+// j's words it carries: a scalar load's one-word response, or up to
+// NetWidthWords consecutive words of a wide access bound for one tile at
+// consecutive scratchpad offsets. ok is false when the destination lane
+// does not resolve (the error is recorded).
+func (b *LLCBank) nextFlit(j *respJob, resp *msg.Message) (n int, ok bool) {
+	m := &j.req
+	if m.Kind == msg.KindLoadReq {
+		*resp = msg.Message{
+			Kind: msg.KindLoadResp, Src: b.node, Dst: m.Src,
+			Words: 1, LQSlot: m.LQSlot, Addr: m.Addr,
+		}
+		resp.Vals[0] = j.data[0]
+		return 1, true
+	}
+	k := j.kStart + j.sent
+	tile, off, ok := b.destOf(m, k)
+	if !ok {
+		return 0, false
+	}
+	// Addr carries the global address of the first bundled word so the
+	// receiving scratchpad can record the frame's data provenance (replay).
+	*resp = msg.Message{
+		Kind: msg.KindSpadWord, Src: b.node, Dst: tile,
+		SpadOff: off, Addr: m.Addr + uint32(4*k),
+	}
+	resp.Vals[0] = j.data[j.sent]
+	n = 1
+	for n < b.cfg.NetWidthWords && j.sent+n < len(j.data) {
+		nt, noff, ok := b.destOf(m, k+n)
+		if !ok || nt != tile || noff != off+uint32(4*n) {
+			break
+		}
+		resp.Vals[n] = j.data[j.sent+n]
+		n++
+	}
+	resp.Words = n
+	return n, true
 }
 
 // stampResp copies the request's causal journey onto a response and adds

@@ -105,10 +105,8 @@ func RunBenchmark(bench, cfg string, scale Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var sw Software
-	if cfg == "GPU" {
-		sw = kernels.GPUSoftware()
-	} else if sw, err = config.Preset(cfg); err != nil {
+	sw, err := kernels.Preset(cfg)
+	if err != nil {
 		return nil, err
 	}
 	return kernels.ExecuteOpts(b, b.Defaults(scale), sw, config.ManycoreDefault(), kernels.ExecOpts{})
