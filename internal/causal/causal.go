@@ -17,16 +17,16 @@
 // Frame waits are retro-split: while a tile sits in a frame-wait run the
 // recorder tracks the journey of the last response that arrived for it
 // (NoC request leg, DRAM queue, DRAM latency, LLC service, NoC response
-// leg, stamped by the memory system when causal recording is on). When the
+// leg, stamped by the memory system when causal recording is on, into the
+// recorder's journey slab; see Journeys). When the
 // run closes, its tail cycles are re-bucketed backward along that journey —
 // last-arrival attribution down the full memory chain — and only the
 // residue stays ClassFrame.
 //
-// Everything here is gated: with recording off no stamp fields are written,
-// no counters advance, and fault-free goldens are bit-identical.
+// Everything here is gated: with recording off no journey slab exists, no
+// stamps are written, no counters advance, and fault-free goldens are
+// bit-identical.
 package causal
-
-import "rockcress/internal/msg"
 
 // Class is a resource class on the critical path.
 type Class uint8
@@ -139,34 +139,104 @@ type Journey struct {
 	Resp    int64 // response-plane leg (distance + destination funnel)
 }
 
-// JourneyOf decomposes the round trip of response f, delivered at cycle now,
-// from its journey stamps (the C* fields) into request NoC, DRAM queue, DRAM
-// latency, bank residence, and response NoC cycles. floor is the request
-// leg's minimum-hop traversal (manhattan distance x hop latency). The bank
+// Stamps is one flit journey's causal timestamps, kept in the recorder's
+// slab under the id the flit carries (msg.Message.Journey). A request's
+// entry fills in as it travels: its issue cycle, its request-plane
+// traversal, the bank's blocked count when it arrived, and the DRAM split
+// of its fill. Each response flit gets an entry of its own — the request's
+// stamps plus the flit's own injection cycle, bank queue wait and gated
+// cycles — because the flits of one wide response leave the bank at
+// different cycles.
+type Stamps struct {
+	Issue   int64 // cycle the request entered the request NoC
+	Inject  int64 // response: cycle it entered the response NoC
+	Blocked int64 // request: the bank's blocked-cycle count when it arrived
+	NocReq  int32 // request-plane traversal cycles
+	DramQ   int32 // DRAM channel queue + transfer wait cycles
+	DramLat int32 // DRAM access latency cycles
+	LlcQ    int32 // response: bank queue wait before service started
+	Gated   int32 // response: bank cycles gated on response-mesh injection
+}
+
+// Journeys is the slab of live journeys' stamps. Ids are recycled through
+// a free list, so the slab grows only to the most journeys ever in flight
+// at once, and steady-state recording allocates nothing. A nil *Journeys —
+// recording off — stamps nothing: At returns nil and Free does nothing.
+type Journeys struct {
+	stamps []Stamps // stamps[0] is never handed out: id 0 is "no journey"
+	free   []uint32
+}
+
+// journeysCap is the slab's initial capacity: more journeys than the Tiny
+// and Small kernels keep in flight at once on the default fabric.
+const journeysCap = 1024
+
+func newJourneys() Journeys {
+	return Journeys{
+		stamps: make([]Stamps, 1, journeysCap),
+		free:   make([]uint32, 0, journeysCap),
+	}
+}
+
+// New opens a journey with zero stamps and returns its id, never 0. It
+// invalidates pointers At returned before.
+func (js *Journeys) New() uint32 {
+	if n := len(js.free); n > 0 {
+		id := js.free[n-1]
+		js.free = js.free[:n-1]
+		js.stamps[id] = Stamps{}
+		return id
+	}
+	js.stamps = append(js.stamps, Stamps{})
+	return uint32(len(js.stamps) - 1)
+}
+
+// At returns journey id's stamps: nil for id 0 and with recording off.
+func (js *Journeys) At(id uint32) *Stamps {
+	if js == nil || id == 0 {
+		return nil
+	}
+	return &js.stamps[id]
+}
+
+// Free closes journey id, recycling its entry; id 0 is a no-op.
+func (js *Journeys) Free(id uint32) {
+	if js != nil && id != 0 {
+		js.free = append(js.free, id)
+	}
+}
+
+// Live counts the open journeys.
+func (js *Journeys) Live() int { return len(js.stamps) - 1 - len(js.free) }
+
+// JourneyOf decomposes the round trip of a response delivered at cycle now
+// from its stamps s into request NoC, DRAM queue, DRAM latency, bank
+// residence, and response NoC cycles. floor is the request leg's
+// minimum-hop traversal (manhattan distance x hop latency). The bank
 // residence — the remainder, so clock skew never makes components exceed
 // the total — is split into mesh-gating, queue wait, and service via the
-// CGated/CLlcQ stamps, and the request leg into floor and the queueing
-// excess above it. Floor and service book to traversal/service classes; the
+// Gated/LlcQ stamps, and the request leg into floor and the queueing excess
+// above it. Floor and service book to traversal/service classes; the
 // excesses book to ClassNocContend/ClassLLCQ — the shares bank count and
 // link bandwidth actually drive. The response leg stays whole: its
 // congestion is the destination-side ejection funnel, which neither knob
 // relieves per-endpoint, only link bandwidth — so it rides ClassNocResp. ok
-// is false for an unstamped response.
-func JourneyOf(f *msg.Message, now, floor int64) (j Journey, ok bool) {
-	if f.CIssue == 0 || f.CInject == 0 {
+// is false for a response whose request was issued at cycle 0.
+func JourneyOf(s *Stamps, now, floor int64) (j Journey, ok bool) {
+	if s.Issue == 0 || s.Inject == 0 {
 		return Journey{}, false
 	}
-	resp := now - f.CInject
-	bank := now - f.CIssue - int64(f.CNocReq) - int64(f.CDramQ) - int64(f.CDramLat) - resp
-	gated := min(max(int64(f.CGated), 0), max(bank, 0))
-	llcq := min(max(int64(f.CLlcQ), 0), max(bank-gated, 0))
-	reqDist, reqCont := int64(f.CNocReq), int64(0)
+	resp := now - s.Inject
+	bank := now - s.Issue - int64(s.NocReq) - int64(s.DramQ) - int64(s.DramLat) - resp
+	gated := min(max(int64(s.Gated), 0), max(bank, 0))
+	llcq := min(max(int64(s.LlcQ), 0), max(bank-gated, 0))
+	reqDist, reqCont := int64(s.NocReq), int64(0)
 	if reqDist > floor {
 		reqDist, reqCont = floor, reqDist-floor
 	}
 	return Journey{
 		ReqDist: reqDist, ReqCont: reqCont,
-		DramQ: int64(f.CDramQ), DramLat: int64(f.CDramLat),
+		DramQ: int64(s.DramQ), DramLat: int64(s.DramLat),
 		LLCQ: llcq, LLC: bank - gated - llcq, Gated: gated, Resp: resp,
 	}, true
 }

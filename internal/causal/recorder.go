@@ -34,9 +34,10 @@ type Interval struct {
 // machine closes intervals from its stage hooks, all on the goroutine
 // running the machine.
 type Recorder struct {
-	tiles  []TileRec
-	prev   [][NumClasses]int64
-	feeder []int32
+	tiles    []TileRec
+	journeys Journeys
+	prev     [][NumClasses]int64
+	feeder   []int32
 
 	arrCycle int64
 	arrTile  int
@@ -58,6 +59,7 @@ type Recorder struct {
 func NewRecorder(tiles int) *Recorder {
 	r := &Recorder{
 		tiles:     make([]TileRec, tiles),
+		journeys:  newJourneys(),
 		prev:      make([][NumClasses]int64, tiles),
 		feeder:    make([]int32, tiles),
 		intervals: make([]Interval, 0, 256),
@@ -83,6 +85,10 @@ func (r *Recorder) SetFeeder(tile, feeder int) {
 
 // Tile returns tile t's per-tile recorder for the core to drive directly.
 func (r *Recorder) Tile(t int) *TileRec { return &r.tiles[t] }
+
+// Journeys returns the slab of in-flight journeys' stamps, which the
+// machine and the LLC banks write and deliveries read.
+func (r *Recorder) Journeys() *Journeys { return &r.journeys }
 
 // Arrival records a barrier arrival. Last arrival wins; ties break to the
 // lower tile, so the critical tile does not depend on which core ticked

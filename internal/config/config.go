@@ -74,10 +74,27 @@ func ManycoreDefault() Manycore {
 	}
 }
 
+// RangeError is a fabric whose size overflows a field of the 64-byte flit
+// (msg.Message): its node ids or its load-queue slots.
+type RangeError struct {
+	What     string // "nodes" or "load queue entries"
+	N, Limit int
+}
+
+func (e *RangeError) Error() string {
+	return fmt.Sprintf("%d %s exceed the flit's limit of %d", e.N, e.What, e.Limit)
+}
+
 // Validate sanity-checks derived relationships.
 func (m Manycore) Validate() error {
 	if m.Cores != m.MeshWidth*m.MeshHeight {
 		return fmt.Errorf("cores %d != mesh %dx%d", m.Cores, m.MeshWidth, m.MeshHeight)
+	}
+	if n := m.Cores + m.LLCBanks; n > msg.MaxNodes {
+		return &RangeError{What: "nodes", N: n, Limit: msg.MaxNodes}
+	}
+	if m.LoadQueueEntries > msg.MaxLQSlots {
+		return &RangeError{What: "load queue entries", N: m.LoadQueueEntries, Limit: msg.MaxLQSlots}
 	}
 	if m.LLCBanks%2 != 0 {
 		return fmt.Errorf("llc banks %d must be even (top+bottom rows)", m.LLCBanks)

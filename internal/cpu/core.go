@@ -59,8 +59,9 @@ const (
 // lookup, group formation rendezvous, the global barrier, and error
 // reporting. Package machine implements it.
 type Env interface {
-	// TrySend injects a message at this core's tile; false = inject full.
-	TrySend(m msg.Message) bool
+	// TrySend injects a message at this core's tile, copying it; false =
+	// inject full.
+	TrySend(m *msg.Message) bool
 	// LLCNodeFor returns the NoC node of the bank owning addr's line.
 	LLCNodeFor(addr uint32) int
 	// GroupArrive registers the tile at its group's formation rendezvous
@@ -124,6 +125,10 @@ type Core struct {
 	icache       *ICache
 	fetchReadyAt int64
 	fetchCharged bool
+
+	// out is the message a memory op forms and TrySend copies into the
+	// mesh: one copy per flit, and none on the heap per send.
+	out msg.Message
 
 	// Load queue and long-latency units.
 	lq           []lqEntry
@@ -618,7 +623,7 @@ func (c *Core) OnLoadResp(now int64, m *msg.Message) {
 	if c.dead {
 		return // response raced the tile's death; drop it
 	}
-	if m.LQSlot < 0 || m.LQSlot >= len(c.lq) || !c.lq[m.LQSlot].busy {
+	if int(m.LQSlot) >= len(c.lq) || !c.lq[m.LQSlot].busy {
 		c.fail("load response for idle LQ slot %d", m.LQSlot)
 		return
 	}

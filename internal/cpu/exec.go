@@ -40,11 +40,11 @@ func (c *Core) globalLoad(now int64, rs1 isa.Reg, imm uint32, isFp bool, rd, fd 
 		return false, stats.StallFrame // waiting on memory: LQ full
 	}
 	addr := c.intRegs[rs1] + imm
-	m := msg.Message{
-		Kind: msg.KindLoadReq, Src: c.ID, Dst: c.env.LLCNodeFor(addr),
-		Addr: addr, Words: 1, LQSlot: slot,
+	c.out = msg.Message{
+		Kind: msg.KindLoadReq, Src: msg.Node(c.ID), Dst: msg.Node(c.env.LLCNodeFor(addr)),
+		Addr: addr, Words: 1, LQSlot: uint8(slot),
 	}
-	if !c.env.TrySend(m) {
+	if !c.env.TrySend(&c.out) {
 		return false, stats.StallOther
 	}
 	if isFp {
@@ -63,25 +63,28 @@ func (c *Core) globalLoad(now int64, rs1 isa.Reg, imm uint32, isFp bool, rd, fd 
 
 func (c *Core) globalStore(now int64, rs1 isa.Reg, imm, val uint32) (bool, stats.StallKind) {
 	addr := c.intRegs[rs1] + imm
-	m := msg.Message{
-		Kind: msg.KindStoreReq, Src: c.ID, Dst: c.env.LLCNodeFor(addr),
+	c.out = msg.Message{
+		Kind: msg.KindStoreReq, Src: msg.Node(c.ID), Dst: msg.Node(c.env.LLCNodeFor(addr)),
 		Addr: addr, Words: 1,
 	}
-	m.Vals[0] = val
-	if !c.env.TrySend(m) {
+	c.out.Vals[0] = val
+	if !c.env.TrySend(&c.out) {
 		return false, stats.StallOther
 	}
 	return true, stats.StallNone
 }
 
 func (c *Core) remoteStore(now int64, rs3, rs1 isa.Reg, imm, val uint32) (bool, stats.StallKind) {
-	dst := int(c.intRegs[rs3])
-	m := msg.Message{
-		Kind: msg.KindRemoteStore, Src: c.ID, Dst: dst,
+	if c.intRegs[rs3] >= uint32(c.cfg.Cores) {
+		c.fail("remote store to tile %d outside the %d-tile fabric", c.intRegs[rs3], c.cfg.Cores)
+		return true, stats.StallNone
+	}
+	c.out = msg.Message{
+		Kind: msg.KindRemoteStore, Src: msg.Node(c.ID), Dst: msg.Node(c.intRegs[rs3]),
 		SpadOff: c.intRegs[rs1] + imm, Words: 1,
 	}
-	m.Vals[0] = val
-	if !c.env.TrySend(m) {
+	c.out.Vals[0] = val
+	if !c.env.TrySend(&c.out) {
 		return false, stats.StallOther
 	}
 	return true, stats.StallNone
@@ -107,17 +110,22 @@ func (c *Core) execVload(now int64, in *isa.Instr) (bool, stats.StallKind) {
 		}
 	}
 	total := vl.Width * nlanes
+	if total < 0 || total > math.MaxUint16 {
+		c.fail("vload of %d words outside a request's range [0, %d]", total, math.MaxUint16)
+		return true, stats.StallNone
+	}
 	line := addr &^ (lineBytes - 1)
 	dstLine := line
 	if vl.Part == isa.VloadPrefix {
 		dstLine = line + lineBytes
 	}
-	m := msg.Message{
-		Kind: msg.KindVloadReq, Src: c.ID, Dst: c.env.LLCNodeFor(dstLine),
-		Addr: addr, Words: total, SpadOff: spadOff,
-		Vload: vl, Group: group, ReqCore: c.ID,
+	c.out = msg.Message{
+		Kind: msg.KindVloadReq, Src: msg.Node(c.ID), Dst: msg.Node(c.env.LLCNodeFor(dstLine)),
+		Addr: addr, Words: uint16(total), SpadOff: spadOff,
+		Vload: msg.Vload{BaseLane: uint16(vl.BaseLane), Width: uint16(vl.Width), Dist: vl.Dist, Part: vl.Part},
+		Group: int16(group), ReqCore: msg.Node(c.ID),
 	}
-	if !c.env.TrySend(m) {
+	if !c.env.TrySend(&c.out) {
 		return false, stats.StallOther
 	}
 	c.st.VloadsIssued++

@@ -61,8 +61,9 @@ type Lowered struct {
 	ents []lowEntry
 }
 
-// LowerProgram lowers prog once for cfg. The result is immutable and safe to
-// share across every core of a machine.
+// LowerProgram lowers prog, which must pass isa.Program.Validate, once for
+// cfg. The result is immutable and safe to share across every core of a
+// machine.
 func LowerProgram(prog *isa.Program, cfg config.Manycore) *Lowered {
 	l := &Lowered{Prog: prog, ents: make([]lowEntry, len(prog.Code))}
 	for i := range prog.Code {
@@ -91,8 +92,9 @@ func lowerInstr(e *lowEntry, in *isa.Instr, cfg config.Manycore) {
 	e.exec = lowerExec(in, cfg)
 }
 
-// branchTaken is each conditional branch's compare of rs1 against rs2.
-var branchTaken = map[isa.Op]func(a, b uint32) bool{
+// branchTaken is each conditional branch's compare of rs1 against rs2,
+// indexed by op (nil for every other op).
+var branchTaken = [len(isa.Ops)]func(a, b uint32) bool{
 	isa.OpBeq:  func(a, b uint32) bool { return a == b },
 	isa.OpBne:  func(a, b uint32) bool { return a != b },
 	isa.OpBlt:  func(a, b uint32) bool { return int32(a) < int32(b) },
@@ -108,7 +110,7 @@ func lowerControl(in *isa.Instr) ctlFn {
 	rs1, rs2, rd := in.Rs1, in.Rs2, in.Rd
 	imm := int(in.Imm)
 	class := uint8(isa.Classify(in.Op))
-	if taken, ok := branchTaken[in.Op]; ok {
+	if taken := branchTaken[in.Op]; taken != nil {
 		return func(c *Core, now int64, micro bool) (bool, stats.StallKind) {
 			c.st.CountClass(class)
 			if taken(c.intRegs[rs1], c.intRegs[rs2]) {
@@ -156,8 +158,9 @@ func (c *Core) curPC(micro bool) int {
 
 // arith is each arithmetic row's value (classes IntAlu through FpDiv): a
 // pure function of its sources in syntax order, integer registers and the
-// sign-extended immediate as uint32 and fp registers as float32.
-var arith = map[isa.Op]any{
+// sign-extended immediate as uint32 and fp registers as float32. It is
+// indexed by op, nil for every other op.
+var arith = [len(isa.Ops)]any{
 	isa.OpAdd:  func(a, b uint32) uint32 { return a + b },
 	isa.OpSub:  func(a, b uint32) uint32 { return a - b },
 	isa.OpMul:  func(a, b uint32) uint32 { return uint32(int32(a) * int32(b)) },
@@ -321,7 +324,7 @@ func lowerArith(in *isa.Instr, sem any, cfg config.Manycore) execFn {
 // an arithmetic row through lowerArith, any other op by its own case.
 // Latencies come from cfg once; operand fields are captured as locals.
 func lowerExec(in *isa.Instr, cfg config.Manycore) execFn {
-	if sem, ok := arith[in.Op]; ok {
+	if sem := arith[in.Op]; sem != nil {
 		return lowerArith(in, sem, cfg)
 	}
 	rd, rs1, rs2, rs3 := in.Rd, in.Rs1, in.Rs2, in.Rs3

@@ -1,11 +1,15 @@
 package kernels
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"os"
 	"testing"
 
 	"rockcress/internal/causal"
 	"rockcress/internal/config"
+	"rockcress/internal/fault"
 )
 
 // causalDirection is one validated what-if axis: a hardware baseline, the
@@ -194,5 +198,76 @@ func TestCausalBucketsSumToCycles(t *testing.T) {
 		if got != tc.buckets {
 			t.Errorf("%s/%s: buckets = %v, want %v", tc.bench, tc.cfg, got, tc.buckets)
 		}
+	}
+}
+
+// TestCausalReportGolden pins the whole critical_path section (buckets,
+// slack table, top chains) of five Tiny cells that between them exercise
+// every journey stamp: gemm/NV's scalar load responses and its DRAM fills,
+// mvt/V4's group vload fan-out, mvt/V4 on a one-word, one-deep network,
+// where responses wait on the response plane (the gated stamp), and two
+// fault plans whose flits carry stamps across a topology change: a cut
+// link harvests and re-injects in-flight flits, and a dead bank re-emits
+// the requests it had absorbed. -update rewrites
+// testdata/causal.golden.json.
+func TestCausalReportGolden(t *testing.T) {
+	const golden = "testdata/causal.golden.json"
+	type cell struct {
+		Cell         string         `json:"cell"`
+		CriticalPath *causal.Report `json:"critical_path"`
+	}
+	var got []cell
+	for _, tc := range []struct {
+		name, bench, cfg, plan string
+		hw                     func(*config.Manycore)
+	}{
+		{name: "gemm/NV", bench: "gemm", cfg: "NV"},
+		{name: "mvt/V4", bench: "mvt", cfg: "V4"},
+		{name: "mvt/V4 net=1w q=1", bench: "mvt", cfg: "V4",
+			hw: func(m *config.Manycore) { m.NetWidthWords, m.LinkQueue = 1, 1 }},
+		{name: "mvt/V4 cutlink@500:27>28", bench: "mvt", cfg: "V4", plan: "cutlink@500:27>28"},
+		{name: "mvt/V4 killbank@800:b3", bench: "mvt", cfg: "V4", plan: "killbank@800:b3"},
+	} {
+		b, err := Get(tc.bench)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		sw, err := config.Preset(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		hw := config.ManycoreDefault()
+		if tc.hw != nil {
+			tc.hw(&hw)
+		}
+		var plan *fault.Plan
+		if tc.plan != "" {
+			if plan, err = fault.Parse(tc.plan); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		fr, err := ExecuteWithFaultsOpts(b, b.Defaults(Tiny), sw, hw, plan, ExecOpts{Causal: true})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got = append(got, cell{tc.name, fr.Result.Causal})
+	}
+	out, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = append(out, '\n')
+	if *update {
+		if err := os.WriteFile(golden, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(out, want) {
+		t.Errorf("causal reports differ from %s (-update rewrites it):\n%s", golden, out)
 	}
 }

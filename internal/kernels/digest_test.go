@@ -13,7 +13,7 @@ import (
 	"rockcress/internal/config"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/programs.golden.txt")
+var update = flag.Bool("update", false, "rewrite the testdata golden files")
 
 // programDigest builds one program the way trial.build does and returns its
 // instruction count and the first 16 hex digits of the SHA-256 of its

@@ -302,6 +302,23 @@ func TestSteadyStateAllocsWithRecorder(t *testing.T) {
 	}
 }
 
+// TestSteadyStateAllocsWithCausal repeats the gate with the causal profiler
+// attached: every request and response flit opens a journey in the
+// recorder's slab, and a warm slab recycles its entries instead of growing.
+func TestSteadyStateAllocsWithCausal(t *testing.T) {
+	for _, tc := range []struct{ bench, cfg string }{{"mvt", "NV"}, {"mvt", "V4"}} {
+		t.Run(tc.bench+"/"+tc.cfg, func(t *testing.T) {
+			m := buildMachine(t, tc.bench, tc.cfg, machine.Params{Causal: true})
+			for i := 0; i < 1500; i++ {
+				m.Step()
+			}
+			if avg := testing.AllocsPerRun(1000, func() { m.Step() }); avg != 0 {
+				t.Errorf("steady-state tick with causal recording allocates: %.3f allocs/cycle", avg)
+			}
+		})
+	}
+}
+
 // TestGroupArriveAllocs: a formation arrival runs in the core stage on every
 // vconfig, and costs no allocation.
 func TestGroupArriveAllocs(t *testing.T) {

@@ -114,3 +114,32 @@ func TestCausalBooksEveryTileCycle(t *testing.T) {
 		})
 	}
 }
+
+// TestCausalJourneysEnd holds the causal journey slab leak-free: every
+// request and response flit's journey ends (delivered, absorbed by a bank,
+// or dropped), so a completed run leaves none open — also across topology
+// faults that harvest, re-inject and re-emit stamped flits.
+func TestCausalJourneysEnd(t *testing.T) {
+	for _, tc := range []struct{ bench, cfg, plan string }{
+		{"gemm", "NV", ""}, {"mvt", "V4", ""}, {"atax", "V16", ""},
+		{"mvt", "V4", "cutlink@500:27>28"}, {"mvt", "V4", "killbank@800:b3"},
+		{"gemm", "NV", "seed=7;drop@100-:12>13:p0.2;cutlink@800:27>28"},
+	} {
+		t.Run(tc.bench+"/"+tc.cfg+"/"+tc.plan, func(t *testing.T) {
+			mp := machine.Params{Causal: true}
+			if tc.plan != "" {
+				var err error
+				if mp.Faults, err = fault.Parse(tc.plan); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m := buildMachine(t, tc.bench, tc.cfg, mp)
+			if _, err := m.Run(testBudget); err != nil {
+				t.Fatal(err)
+			}
+			if n := m.OpenJourneys(); n != 0 {
+				t.Errorf("%d causal journeys left open after the run", n)
+			}
+		})
+	}
+}

@@ -19,3 +19,7 @@ func (m *Machine) CausalTile(t int) *causal.TileRec {
 // tests: tile t's frame is given up on at the current cycle, as when its
 // replay exhausts its retries. The machine must carry a fault plan.
 func (m *Machine) EscalateReplay(t int) { m.faults.escalateReplay(m.now, t) }
+
+// OpenJourneys counts the causal journeys still open in the recorder's
+// slab.
+func (m *Machine) OpenJourneys() int { return m.journeys.Live() }

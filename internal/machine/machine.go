@@ -377,20 +377,23 @@ func (m *Machine) plane(k msg.Kind) *noc.Mesh {
 // --- cpu.Env implementation ---
 
 // TrySend injects a message at its source node, on its kind's plane.
-func (m *Machine) TrySend(f msg.Message) bool {
+func (m *Machine) TrySend(f *msg.Message) bool {
 	mesh := m.plane(f.Kind)
-	if m.causal != nil && mesh == m.meshReq {
-		// Journey stamp: request issue cycle. f is a value — no aliasing
-		// with the sender's copy. Responses never pass through here (LLC
-		// banks inject into meshResp directly), so this cannot clobber
-		// their stamps.
-		f.CIssue = m.now
+	if m.journeys != nil && mesh == m.meshReq {
+		// A request opens its causal journey with its issue cycle.
+		// Responses never pass through here (LLC banks inject into meshResp
+		// directly).
+		f.Journey = m.journeys.New()
+		m.journeys.At(f.Journey).Issue = m.now
 	}
-	ok := mesh.TrySend(f)
-	if ok && m.rec != nil && f.Kind == msg.KindVloadReq {
+	if !mesh.TrySend(f) {
+		m.journeys.Free(f.Journey)
+		return false
+	}
+	if m.rec != nil && f.Kind == msg.KindVloadReq {
 		m.rec.Instant(trace.EvVloadIssue, m.now, int64(f.Src), int64(f.Addr), int64(f.Words))
 	}
-	return ok
+	return true
 }
 
 // LLCNodeFor returns the node id of the bank owning addr's line: the
@@ -502,8 +505,8 @@ func (m *Machine) deliver(node int, f *msg.Message) bool {
 		if !m.llcs[bank].CanAccept() {
 			return false
 		}
-		if m.causal != nil && f.CIssue != 0 {
-			f.CNocReq = int32(m.now - f.CIssue)
+		if s := m.journeys.At(f.Journey); s != nil && s.Issue != 0 {
+			s.NocReq = int32(m.now - s.Issue)
 		}
 		m.llcs[bank].Accept(f)
 		m.bankWakers[bank].Wake()
@@ -523,20 +526,20 @@ func (m *Machine) deliver(node int, f *msg.Message) bool {
 		m.cores[node].OnLoadResp(m.now, f)
 		m.coreWakers[node].Wake()
 		if m.causal != nil {
-			m.causalArrive(node, f)
+			m.causalArrive(node, f, true)
 		}
 	case msg.KindSpadWord:
 		filled := false
-		for i := 0; i < f.Words; i++ {
+		for i := 0; i < int(f.Words); i++ {
 			if m.spads[node].ArriveWord(f.SpadOff+uint32(4*i), f.Addr+uint32(4*i), f.Vals[i]) {
 				filled = true
 			}
 		}
 		if filled {
 			m.coreWakers[node].Wake()
-			if m.causal != nil {
-				m.causalArrive(node, f)
-			}
+		}
+		if m.causal != nil {
+			m.causalArrive(node, f, filled)
 		}
 	case msg.KindRemoteStore:
 		m.spads[node].WriteWord(f.SpadOff, f.Vals[0])

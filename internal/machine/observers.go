@@ -27,7 +27,10 @@ type observers struct {
 	pub     *obsPub         // the live plane's cells (metrics.go)
 	flight  *metrics.Flight // only on the machine that won the plane's slot
 	causal  *causal.Recorder
-	ob      observation // observe's one read, refilled in place
+	// journeys is causal's stamp slab, nil with it; the fabric's request
+	// sends and bank deliveries write it.
+	journeys *causal.Journeys
+	ob       observation // observe's one read, refilled in place
 }
 
 // attachObservers wires whatever p asks for onto a built fabric.
@@ -37,6 +40,7 @@ func (m *Machine) attachObservers(p Params) {
 		// Cores classify their own cycles and the LLC banks stamp response
 		// journeys; the rest hangs off the fabric's m.causal gates.
 		m.causal = causal.NewRecorder(m.Cfg.Cores)
+		m.journeys = m.causal.Journeys()
 		for t, c := range m.cores {
 			class := causal.ClassScalar
 			if r := m.roleOf[t]; r == trace.RoleLane || r == trace.RoleExpander {
@@ -45,7 +49,7 @@ func (m *Machine) attachObservers(p Params) {
 			c.SetCausal(m.causal.Tile(t), class)
 		}
 		for _, b := range m.llcs {
-			b.SetCausal(true)
+			b.SetCausal(m.journeys)
 		}
 		// Feeder chain: a lane's instruction stream comes from the group
 		// expander, the expander's from the scalar core. Inet waits on the
@@ -238,15 +242,24 @@ func (m *Machine) CausalProfile() *causal.Profile {
 	return m.causal.Profile()
 }
 
-// causalArrive books a delivered response's journey stamps into the
-// destination tile's recorder; the floor is manhattan distance x hop latency.
-func (m *Machine) causalArrive(node int, f *msg.Message) {
-	w := m.Cfg.MeshWidth
-	dx, dy := f.Src%w-node%w, f.Src/w-node/w
-	hops := max(dx, -dx) + max(dy, -dy)
-	if j, ok := causal.JourneyOf(f, m.now, int64(hops*max(m.Cfg.RouterHopLat, 1))); ok {
-		m.causal.Tile(node).Arrive(m.now, j)
+// causalArrive ends a delivered response's journey: when the flit
+// unblocked the tile (book), it books the journey's stamps into the
+// destination tile's recorder (the floor is manhattan distance x hop
+// latency); either way it frees the journey's slab entry.
+func (m *Machine) causalArrive(node int, f *msg.Message, book bool) {
+	s := m.journeys.At(f.Journey)
+	if s == nil {
+		return
 	}
+	if book {
+		w, src := m.Cfg.MeshWidth, int(f.Src)
+		dx, dy := src%w-node%w, src/w-node/w
+		hops := max(dx, -dx) + max(dy, -dy)
+		if j, ok := causal.JourneyOf(s, m.now, int64(hops*max(m.Cfg.RouterHopLat, 1))); ok {
+			m.causal.Tile(node).Arrive(m.now, j)
+		}
+	}
+	m.journeys.Free(f.Journey)
 }
 
 // gauges reads the point-in-time values for the current window's end.

@@ -147,10 +147,10 @@ func (fs *faultStack) startReplay(now int64, t int) {
 				n = left
 			}
 			chunks = append(chunks, msg.Message{
-				Kind: msg.KindVloadReq, Src: t, Dst: fs.LLCNodeFor(addr),
-				Addr: addr, Words: n, SpadOff: off,
-				Vload: isa.VloadArgs{Dist: isa.VloadSelf, Width: n},
-				Group: -1, ReqCore: t,
+				Kind: msg.KindVloadReq, Src: msg.Node(t), Dst: msg.Node(fs.LLCNodeFor(addr)),
+				Addr: addr, Words: uint16(n), SpadOff: off,
+				Vload: msg.Vload{Dist: isa.VloadSelf, Width: uint16(n)},
+				Group: -1, ReqCore: msg.Node(t),
 			})
 			addr += uint32(4 * n)
 			off += uint32(4 * n)
@@ -178,7 +178,7 @@ func (fs *faultStack) driveReplay(now int64, rs *replayState) {
 	}
 	if rs.next < len(rs.chunks) {
 		for rs.next < len(rs.chunks) {
-			if !fs.meshReq.TrySend(rs.chunks[rs.next]) {
+			if !fs.meshReq.TrySend(&rs.chunks[rs.next]) {
 				return
 			}
 			rs.next++

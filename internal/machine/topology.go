@@ -23,15 +23,17 @@ import (
 // waiting for them), and anything else is a genuine partition. Called from
 // TrySend.
 func (m *Machine) deadDstPolicy(f *msg.Message) noc.DeadDstAction {
-	if bank, ok := m.space.IsLLC(f.Dst); ok {
+	dst := int(f.Dst)
+	if bank, ok := m.space.IsLLC(dst); ok {
 		if nb := m.bankMap[bank]; nb != bank {
-			f.Dst = m.space.LLCNode(nb)
+			f.Dst = msg.Node(m.space.LLCNode(nb))
 			m.bankFailovers++
 			return noc.DeadDstRetarget
 		}
 		return noc.DeadDstFail
 	}
-	if f.Dst >= 0 && f.Dst < len(m.cores) && m.cores[f.Dst].Dead() {
+	if dst >= 0 && dst < len(m.cores) && m.cores[dst].Dead() {
+		m.journeys.Free(f.Journey)
 		return noc.DeadDstDrop
 	}
 	return noc.DeadDstFail
@@ -74,18 +76,19 @@ func (fs *faultStack) drainReinject() {
 // must still land; decided here, so a later router death still reroutes
 // flits queued before it).
 func (fs *faultStack) tryReinject(f msg.Message) bool {
-	if bank, ok := fs.space.IsLLC(f.Dst); ok && fs.bankMap[bank] != bank {
-		f.Dst = fs.space.LLCNode(fs.bankMap[bank])
+	if bank, ok := fs.space.IsLLC(int(f.Dst)); ok && fs.bankMap[bank] != bank {
+		f.Dst = msg.Node(fs.space.LLCNode(fs.bankMap[bank]))
 		fs.bankFailovers++
 	}
-	if f.Dst >= 0 && f.Dst < len(fs.cores) && fs.cores[f.Dst].Dead() {
+	if dst := int(f.Dst); dst >= 0 && dst < len(fs.cores) && fs.cores[dst].Dead() {
+		fs.journeys.Free(f.Journey)
 		return true // owed to a dead core: drop
 	}
 	mesh := fs.plane(f.Kind)
-	if mesh.RouterDead(mesh.AttachRouter(f.Src)) {
-		return fs.deliver(f.Dst, &f)
+	if mesh.RouterDead(mesh.AttachRouter(int(f.Src))) {
+		return fs.deliver(int(f.Dst), &f)
 	}
-	return mesh.TrySend(f)
+	return mesh.TrySend(&f)
 }
 
 // cutLink severs one mesh link (both directions) on the planes the event

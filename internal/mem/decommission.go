@@ -48,25 +48,26 @@ func (b *LLCBank) Decommission(emit func(msg.Message)) {
 	}
 
 	// MSHR events: a waiting load re-emits its original request; an
-	// absorbed store is reconstructed from the coalesced word (its data
-	// exists nowhere else). The in-flight DRAM fill these were waiting on
+	// absorbed store is re-emitted as the bank's own (its data exists
+	// nowhere else). The in-flight DRAM fill these were waiting on
 	// is dropped by the machine; the failover bank re-fetches the line.
 	for i := range b.mshr {
 		h := &b.mshr[i]
 		if !h.busy {
 			continue
 		}
-		for _, ev := range h.events {
-			if ev.isStore {
+		for k := range h.events {
+			ev := &h.events[k]
+			if ev.Kind == msg.KindStoreReq {
 				st := msg.Message{
 					Kind: msg.KindStoreReq, Src: b.node, Dst: b.node,
-					Addr: h.lineAddr + uint32(4*ev.store.off), Words: 1,
+					Addr: ev.Addr &^ 3, Words: 1, // the word the store wrote
 				}
-				st.Vals[0] = ev.store.val
+				st.Vals[0] = ev.Vals[0]
 				emit(st)
 				continue
 			}
-			emit(ev.req)
+			emit(*ev)
 		}
 		h.busy = false
 		h.lineAddr = 0

@@ -36,7 +36,7 @@ func TestDecommissionFinishesPartlyStreamedJob(t *testing.T) {
 	// Six words per lane over lanes 0..2: each lane's run splits into a
 	// 4-word and a 2-word flit, the last lane's 4 words fit one.
 	b.Accept(&msg.Message{Kind: msg.KindVloadReq, Src: 2, Dst: 64, Addr: 0, Words: 16, SpadOff: 0x40,
-		Vload: isa.VloadArgs{Width: 6, Dist: isa.VloadGroup}, Group: 0, ReqCore: 2})
+		Vload: msg.Vload{Width: 6, Dist: isa.VloadGroup}, Group: 0, ReqCore: 2})
 	now := int64(0)
 	for ; len(out.msgs) < 2 && now < 1000; now++ {
 		for _, f := range d.Completed(now, g) {
@@ -58,8 +58,8 @@ func TestDecommissionFinishesPartlyStreamedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	flit := func(dst int, off, addr uint32, first, n int) msg.Message {
-		m := msg.Message{Kind: msg.KindSpadWord, Src: b.node, Dst: dst, SpadOff: off, Addr: addr, Words: n}
+	flit := func(dst msg.Node, off, addr uint32, first, n int) msg.Message {
+		m := msg.Message{Kind: msg.KindSpadWord, Src: b.node, Dst: dst, SpadOff: off, Addr: addr, Words: uint16(n)}
 		for i := 0; i < n; i++ {
 			m.Vals[i] = uint32(1000 + first + i)
 		}

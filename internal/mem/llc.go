@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"rockcress/internal/causal"
 	"rockcress/internal/config"
 	"rockcress/internal/isa"
 	"rockcress/internal/msg"
@@ -17,41 +18,33 @@ type GroupLanes interface {
 	LaneTile(group, lane int) (int, bool)
 }
 
-// Sender injects a message into the NoC at the bank's node. TrySend returns
-// false when the local injection queue is full; the bank retries next cycle.
+// Sender injects a message into the NoC at the bank's node, copying it.
+// TrySend returns false when the local injection queue is full; the bank
+// retries next cycle.
 type Sender interface {
-	TrySend(m msg.Message) bool
+	TrySend(m *msg.Message) bool
 }
 
+// llcLine is one line's tag and state. Its words live in the bank's data
+// slab (LLCBank.lineData).
 type llcLine struct {
 	valid bool
 	dirty bool
 	addr  uint32 // full line address (tag)
-	data  []uint32
-}
-
-type wordWrite struct {
-	off int // word offset within the line
-	val uint32
-}
-
-// mshrEvent is one queued request against a missing line. Events replay in
-// arrival order at fill time so a waiting load never observes a store that
-// reached the bank after it.
-type mshrEvent struct {
-	isStore bool
-	store   wordWrite
-	req     msg.Message
 }
 
 type llcMSHR struct {
 	busy     bool
 	lineAddr uint32
-	events   []mshrEvent
+	// events are the requests queued against the missing line, loads and
+	// stores alike. They replay in arrival order at fill time so a waiting
+	// load never observes a store that reached the bank after it. A store
+	// event's journey has already ended.
+	events []msg.Message
 
 	// Causal stamps of this MSHR's line fill (populated only with causal
 	// recording on): the DRAM schedule decomposition, copied into every
-	// replayed request at Install so responses carry the full journey.
+	// waiting request's journey at Install so responses carry it.
 	cDramQ, cDramLat int32
 }
 
@@ -65,8 +58,8 @@ type respJob struct {
 	sent   int
 	// start is the cycle the job reached the stream head (-1 until then;
 	// 0 with causal recording off). Everything between the request's bank
-	// arrival and start is queue wait, stamped CLlcQ; bank count scales
-	// it, per-access service it does not.
+	// arrival and start is queue wait, stamped LlcQ; bank count scales it,
+	// per-access service it does not.
 	start int64
 }
 
@@ -75,7 +68,7 @@ type respJob struct {
 // replacement.
 type LLCBank struct {
 	ID   int
-	node int
+	node msg.Node
 
 	cfg       config.Manycore
 	lineBytes int
@@ -84,6 +77,7 @@ type LLCBank struct {
 	sets      int
 
 	lines []llcLine // sets*ways
+	data  []uint32  // line i's words at [i*lineWords, (i+1)*lineWords)
 	plru  []uint8   // tree-PLRU state per set
 
 	// reqQ is a fixed-capacity ring (LLCReqQueue entries): the queue bound
@@ -109,19 +103,20 @@ type LLCBank struct {
 	dataPool [][]uint32
 
 	out    Sender
+	flit   msg.Message // the response flit streamResponses forms, then sends
 	dram   *DRAM
 	global *Global
 	groups GroupLanes
 	st     *stats.LLC
 
-	// causal gates journey stamping for the causal profiler: with it off
-	// (the default) responses leave with zero stamps and the bank does no
+	// journeys is the causal profiler's stamp slab, nil with recording off
+	// (the default): responses then carry no journey and the bank does no
 	// extra work, keeping goldens bit-identical.
-	causal bool
+	journeys *causal.Journeys
 	// blocked counts cycles the head response flit failed to inject
 	// (response-plane backpressure; causal-only). Accept snapshots it into
-	// the request's CInject slot, and stampResp emits the delta as the
-	// response's CGated stamp, so every cycle the bank spent gated on the
+	// the request's journey, and stampResp emits the delta as the
+	// response's Gated stamp, so every cycle the bank spent gated on the
 	// mesh — including time a request waited behind other mesh-gated jobs
 	// — books as NoC congestion rather than LLC service.
 	blocked int64
@@ -158,16 +153,14 @@ func NewLLCBanks(cfg config.Manycore, space msg.NodeSpace, out Sender, dram *DRA
 		reqQ     = make([]msg.Message, n*cfg.LLCReqQueue)
 		jobs     = make([]respJob, n*cfg.LLCRespJobs)
 	)
-	for i := range lineSlab {
-		lineSlab[i].data = part(data, i, lineWords)
-	}
 	for id := range banks {
 		b := &slab[id]
 		*b = LLCBank{
-			ID: id, node: space.LLCNode(id), cfg: cfg,
+			ID: id, node: msg.Node(space.LLCNode(id)), cfg: cfg,
 			lineBytes: cfg.CacheLineBytes, lineWords: lineWords,
 			ways: ways, sets: sets,
 			lines: part(lineSlab, id, lines),
+			data:  part(data, id, lines*lineWords),
 			plru:  part(plru, id, sets),
 			mshr:  part(mshr, id, cfg.LLCMSHRs),
 			reqQ:  part(reqQ, id, cfg.LLCReqQueue),
@@ -184,6 +177,11 @@ func NewLLCBanks(cfg config.Manycore, space msg.NodeSpace, out Sender, dram *DRA
 // neighbouring piece.
 func part[T any](slab []T, i, n int) []T {
 	return slab[i*n : (i+1)*n : (i+1)*n]
+}
+
+// lineData returns the words of line i (an index into b.lines).
+func (b *LLCBank) lineData(i int) []uint32 {
+	return b.data[i*b.lineWords : (i+1)*b.lineWords]
 }
 
 // Err returns the first invariant violation the bank observed, if any.
@@ -204,10 +202,9 @@ func (b *LLCBank) Accept(m *msg.Message) {
 		b.fail("accept on full request queue")
 		return
 	}
-	if b.causal {
-		// Park the bank-blocked snapshot in the request's (unused) CInject
-		// slot; stampResp turns the delta into the CGated stamp.
-		m.CInject = b.blocked
+	if s := b.journeys.At(m.Journey); s != nil {
+		// stampResp turns the delta into the response's Gated stamp.
+		s.Blocked = b.blocked
 	}
 	b.reqQ[wrap(b.reqHead+b.reqCount, len(b.reqQ))] = *m
 	b.reqCount++
@@ -228,9 +225,9 @@ func (b *LLCBank) popReq() {
 	b.reqCount--
 }
 
-// pushJob appends a response job, growing the ring if full (Install may
-// burst past the hit-path cap).
-func (b *LLCBank) pushJob(j respJob) {
+// pushJob appends a response job for makeJob to fill, growing the ring if
+// full (Install may burst past the hit-path cap).
+func (b *LLCBank) pushJob() *respJob {
 	if b.jobCount == len(b.jobs) {
 		grown := make([]respJob, 2*len(b.jobs)+1)
 		for i := 0; i < b.jobCount; i++ {
@@ -239,13 +236,16 @@ func (b *LLCBank) pushJob(j respJob) {
 		b.jobs = grown
 		b.jobHead = 0
 	}
-	b.jobs[wrap(b.jobHead+b.jobCount, len(b.jobs))] = j
+	j := &b.jobs[wrap(b.jobHead+b.jobCount, len(b.jobs))]
 	b.jobCount++
+	return j
 }
 
-// popJob retires the head job, returning its word buffer to the pool.
+// popJob retires the head job, returning its word buffer to the pool and
+// ending its request's journey.
 func (b *LLCBank) popJob() {
 	j := &b.jobs[b.jobHead]
+	b.journeys.Free(j.req.Journey)
 	b.dataPool = append(b.dataPool, j.data[:0])
 	j.data = nil
 	b.jobHead = wrap(b.jobHead+1, len(b.jobs))
@@ -349,7 +349,7 @@ func (b *LLCBank) portion(m *msg.Message) (lineAddr uint32, kStart, kEnd int, ok
 	}
 	la := b.lineAddrOf(m.Addr)
 	skew := int(m.Addr-la) / 4
-	total := m.Words
+	total := int(m.Words)
 	switch m.Vload.Part {
 	case isa.VloadSuffix:
 		cut := b.lineWords - skew
@@ -377,12 +377,12 @@ func (b *LLCBank) portion(m *msg.Message) (lineAddr uint32, kStart, kEnd int, ok
 // and scratchpad byte offset: (Addr+Cnt) -> (BC + Cnt/RPC, BO + Cnt%RPC).
 func (b *LLCBank) destOf(m *msg.Message, k int) (tile int, spadOff uint32, ok bool) {
 	if m.Vload.Dist == isa.VloadSelf || m.Group < 0 {
-		return m.ReqCore, m.SpadOff + uint32(4*k), true
+		return int(m.ReqCore), m.SpadOff + uint32(4*k), true
 	}
-	rpc := m.Vload.Width
-	lane := m.Vload.BaseLane + k/rpc
+	rpc := int(m.Vload.Width)
+	lane := int(m.Vload.BaseLane) + k/rpc
 	off := m.SpadOff + uint32(4*(k%rpc))
-	tile, found := b.groups.LaneTile(m.Group, lane)
+	tile, found := b.groups.LaneTile(int(m.Group), lane)
 	if !found {
 		b.fail("vload lane %d not in group %d", lane, m.Group)
 		return 0, 0, false
@@ -404,14 +404,15 @@ func (b *LLCBank) Tick(now int64) {
 // sees fills in bank order.
 func (b *LLCBank) fetch(now int64, mi int) {
 	q, lat := b.dram.Read(now, b.mshr[mi].lineAddr, b.lineBytes, b.ID)
-	if b.causal {
+	if b.journeys != nil {
 		b.mshr[mi].cDramQ, b.mshr[mi].cDramLat = int32(q), int32(lat)
 	}
 }
 
-// SetCausal switches journey stamping for the causal profiler on or off.
-// Recording changes no architectural state and no cycle counts.
-func (b *LLCBank) SetCausal(on bool) { b.causal = on }
+// SetCausal switches journey stamping for the causal profiler on, into the
+// recorder's slab js (nil switches it off). Recording changes no
+// architectural state and no cycle counts.
+func (b *LLCBank) SetCausal(js *causal.Journeys) { b.journeys = js }
 
 // Idle reports whether ticking the bank is a no-op: nothing queued and
 // nothing streaming. A busy MSHR alone does not make the bank active — it
@@ -444,6 +445,7 @@ func (b *LLCBank) processRequest(now int64) {
 		if !b.handleStore(now, m) {
 			return
 		}
+		b.journeys.Free(m.Journey) // a store has no response
 	case msg.KindLoadReq, msg.KindVloadReq:
 		if !b.handleLoad(now, m) {
 			return
@@ -459,9 +461,9 @@ func (b *LLCBank) handleStore(now int64, m *msg.Message) bool {
 	lineAddr := b.lineAddrOf(m.Addr)
 	if w := b.lookup(lineAddr); w >= 0 {
 		set := b.setOf(lineAddr)
-		l := &b.lines[set*b.ways+w]
-		l.data[(m.Addr-lineAddr)/4] = m.Vals[0]
-		l.dirty = true
+		li := set*b.ways + w
+		b.lineData(li)[(m.Addr-lineAddr)/4] = m.Vals[0]
+		b.lines[li].dirty = true
 		b.touch(set, w)
 		b.st.Accesses++
 		b.st.StoreHits++
@@ -478,20 +480,17 @@ func (b *LLCBank) handleStore(now int64, m *msg.Message) bool {
 		b.st.Misses++
 		b.fetch(now, mi)
 	}
-	b.mshr[mi].events = append(b.mshr[mi].events, mshrEvent{
-		isStore: true,
-		store:   wordWrite{off: int((m.Addr - lineAddr) / 4), val: m.Vals[0]},
-	})
+	b.mshr[mi].events = append(b.mshr[mi].events, *m)
 	return true
 }
 
 func (b *LLCBank) handleLoad(now int64, m *msg.Message) bool {
 	lineAddr, kStart, kEnd, ok := b.portion(m)
-	if !ok {
-		return true // error already recorded; drop
-	}
-	if kEnd == kStart {
-		return true // empty prefix portion: nothing to serve
+	if !ok || kEnd == kStart {
+		// An error (already recorded) or an empty prefix portion: nothing
+		// to serve.
+		b.journeys.Free(m.Journey)
+		return true
 	}
 	if w := b.lookup(lineAddr); w >= 0 {
 		if b.jobCount >= b.cfg.LLCRespJobs {
@@ -503,7 +502,7 @@ func (b *LLCBank) handleLoad(now int64, m *msg.Message) bool {
 		if m.Kind == msg.KindVloadReq {
 			b.st.WideReqs++
 		}
-		b.pushJob(b.makeJob(m, &b.lines[set*b.ways+w], lineAddr, kStart, kEnd))
+		b.makeJob(b.pushJob(), m, set*b.ways+w, lineAddr, kStart, kEnd)
 		return true
 	}
 	mi, isNew := b.mshrFor(lineAddr)
@@ -518,7 +517,7 @@ func (b *LLCBank) handleLoad(now int64, m *msg.Message) bool {
 	if isNew {
 		b.fetch(now, mi)
 	}
-	b.mshr[mi].events = append(b.mshr[mi].events, mshrEvent{req: *m})
+	b.mshr[mi].events = append(b.mshr[mi].events, *m)
 	return true
 }
 
@@ -544,7 +543,9 @@ func (b *LLCBank) mshrFor(lineAddr uint32) (int, bool) {
 	return free, true
 }
 
-func (b *LLCBank) makeJob(m *msg.Message, l *llcLine, lineAddr uint32, kStart, kEnd int) respJob {
+// makeJob fills job j with request m and a snapshot of the words of line
+// li that m's portion [kStart, kEnd) reads.
+func (b *LLCBank) makeJob(j *respJob, m *msg.Message, li int, lineAddr uint32, kStart, kEnd int) {
 	skewBase := b.lineAddrOf(m.Addr)
 	var firstWordInLine int
 	if lineAddr == skewBase {
@@ -554,12 +555,11 @@ func (b *LLCBank) makeJob(m *msg.Message, l *llcLine, lineAddr uint32, kStart, k
 	}
 	n := kEnd - kStart
 	data := b.getData(n)
-	copy(data, l.data[firstWordInLine:firstWordInLine+n])
-	j := respJob{req: *m, kStart: kStart, data: data}
-	if b.causal {
+	copy(data, b.lineData(li)[firstWordInLine:firstWordInLine+n])
+	j.req, j.kStart, j.data, j.sent, j.start = *m, kStart, data, 0, 0
+	if b.journeys != nil {
 		j.start = -1 // set when the job reaches the stream head
 	}
-	return j
 }
 
 // Install receives a completed DRAM fill for this bank: evict a victim,
@@ -578,30 +578,32 @@ func (b *LLCBank) Install(now int64, lineAddr uint32) {
 	}
 	set := b.setOf(lineAddr)
 	w := b.victim(set)
-	l := &b.lines[set*b.ways+w]
+	li := set*b.ways + w
+	l, data := &b.lines[li], b.lineData(li)
 	if l.valid && l.dirty {
-		b.dram.Write(now, l.addr, l.data, b.ID)
+		b.dram.Write(now, l.addr, data, b.ID)
 		b.st.Writebacks++
 	}
 	l.valid = true
 	l.dirty = false
 	l.addr = lineAddr
-	b.global.ReadLine(lineAddr, l.data)
+	b.global.ReadLine(lineAddr, data)
 	b.touch(set, w)
 	// Replay coalesced requests in arrival order: loads snapshot the line
 	// as of their position, so they never observe later stores.
-	for _, ev := range b.mshr[mi].events {
-		if ev.isStore {
-			l.data[ev.store.off] = ev.store.val
+	for i := range b.mshr[mi].events {
+		m := &b.mshr[mi].events[i]
+		if m.Kind == msg.KindStoreReq {
+			data[(m.Addr-lineAddr)/4] = m.Vals[0]
 			l.dirty = true
 			continue
 		}
-		m := ev.req
-		if b.causal {
-			m.CDramQ, m.CDramLat = b.mshr[mi].cDramQ, b.mshr[mi].cDramLat
+		if s := b.journeys.At(m.Journey); s != nil {
+			s.DramQ, s.DramLat = b.mshr[mi].cDramQ, b.mshr[mi].cDramLat
 		}
-		la, kStart, kEnd, ok := b.portion(&m)
+		la, kStart, kEnd, ok := b.portion(m)
 		if !ok || kEnd == kStart {
+			b.journeys.Free(m.Journey)
 			continue
 		}
 		if la != lineAddr {
@@ -610,7 +612,7 @@ func (b *LLCBank) Install(now int64, lineAddr uint32) {
 		}
 		// Fills may exceed the hit-path job cap transiently; bounding only
 		// the hit path keeps the bank deadlock-free.
-		b.pushJob(b.makeJob(&m, l, lineAddr, kStart, kEnd))
+		b.makeJob(b.pushJob(), m, li, lineAddr, kStart, kEnd)
 	}
 	b.mshr[mi].busy = false
 	b.mshr[mi].lineAddr = 0
@@ -627,17 +629,17 @@ func (b *LLCBank) streamResponses(now int64) {
 	if j.start < 0 {
 		j.start = now
 	}
-	var resp msg.Message
-	n, ok := b.nextFlit(j, &resp)
+	n, ok := b.nextFlit(j, &b.flit)
 	if !ok {
 		b.popJob()
 		return
 	}
-	if b.causal {
-		b.stampResp(&resp, &j.req, now, j.start)
+	if b.journeys != nil {
+		b.stampResp(&b.flit, j, now)
 	}
-	if !b.out.TrySend(resp) {
-		if b.causal {
+	if !b.out.TrySend(&b.flit) {
+		if b.journeys != nil {
+			b.journeys.Free(b.flit.Journey)
 			b.blocked++
 		}
 		return
@@ -649,7 +651,7 @@ func (b *LLCBank) streamResponses(now int64) {
 	}
 }
 
-// nextFlit forms j's next response flit in resp and returns how many of
+// nextFlit forms j's next response flit in resp, whole, and returns how many of
 // j's words it carries: a scalar load's one-word response, or up to
 // NetWidthWords consecutive words of a wide access bound for one tile at
 // consecutive scratchpad offsets. ok is false when the destination lane
@@ -672,7 +674,7 @@ func (b *LLCBank) nextFlit(j *respJob, resp *msg.Message) (n int, ok bool) {
 	// Addr carries the global address of the first bundled word so the
 	// receiving scratchpad can record the frame's data provenance (replay).
 	*resp = msg.Message{
-		Kind: msg.KindSpadWord, Src: b.node, Dst: tile,
+		Kind: msg.KindSpadWord, Src: b.node, Dst: msg.Node(tile),
 		SpadOff: off, Addr: m.Addr + uint32(4*k),
 	}
 	resp.Vals[0] = j.data[j.sent]
@@ -685,34 +687,38 @@ func (b *LLCBank) nextFlit(j *respJob, resp *msg.Message) (n int, ok bool) {
 		resp.Vals[n] = j.data[j.sent+n]
 		n++
 	}
-	resp.Words = n
+	resp.Words = uint16(n)
 	return n, true
 }
 
-// stampResp copies the request's causal journey onto a response and adds
-// the bank's own decomposition: CInject (egress cycle), CLlcQ (wait from
-// bank arrival to service start, net of DRAM time), and CGated (cycles the
-// bank spent blocked on response-mesh injection during the request's
-// residence — req.CInject parks the Accept-time snapshot of b.blocked).
-// Delivery books CGated as NoC congestion, CLlcQ as bank queueing, and the
-// residue as LLC service proper — the three scale with different hardware
-// knobs (link bandwidth, bank count, neither).
-func (b *LLCBank) stampResp(resp *msg.Message, req *msg.Message, now, start int64) {
-	gated := b.blocked - req.CInject
+// stampResp opens the journey of response flit resp of job j: the
+// request's stamps plus the bank's own decomposition — Inject (egress
+// cycle), LlcQ (wait from bank arrival to service start, net of DRAM time),
+// and Gated (cycles the bank spent blocked on response-mesh injection
+// during the request's residence, from the Accept-time snapshot of
+// b.blocked). Delivery books Gated as NoC congestion, LlcQ as bank
+// queueing, and the residue as LLC service proper — the three scale with
+// different hardware knobs (link bandwidth, bank count, neither). A
+// request sent without a journey (a frame replay's) gets an unstamped
+// response.
+func (b *LLCBank) stampResp(resp *msg.Message, j *respJob, now int64) {
+	if j.req.Journey == 0 {
+		return
+	}
+	resp.Journey = b.journeys.New()
+	req, s := b.journeys.At(j.req.Journey), b.journeys.At(resp.Journey)
+	gated := b.blocked - req.Blocked
 	if gated < 0 || gated > now {
 		gated = 0
 	}
-	q := start - req.CIssue - int64(req.CNocReq) - int64(req.CDramQ) - int64(req.CDramLat)
+	q := j.start - req.Issue - int64(req.NocReq) - int64(req.DramQ) - int64(req.DramLat)
 	if q < 0 {
 		q = 0
 	}
-	resp.CIssue = req.CIssue
-	resp.CNocReq = req.CNocReq
-	resp.CDramQ = req.CDramQ
-	resp.CDramLat = req.CDramLat
-	resp.CLlcQ = int32(q)
-	resp.CGated = int32(gated)
-	resp.CInject = now
+	*s = causal.Stamps{
+		Issue: req.Issue, NocReq: req.NocReq, DramQ: req.DramQ, DramLat: req.DramLat,
+		LlcQ: int32(q), Gated: int32(gated), Inject: now,
+	}
 }
 
 // FlushTo writes every dirty line back to the global store (end of
@@ -721,7 +727,7 @@ func (b *LLCBank) FlushTo(g *Global) {
 	for i := range b.lines {
 		l := &b.lines[i]
 		if l.valid && l.dirty {
-			g.WriteLine(l.addr, l.data)
+			g.WriteLine(l.addr, b.lineData(i))
 			l.dirty = false
 		}
 	}
@@ -737,7 +743,7 @@ func (b *LLCBank) OverlayDirty(im *Image) {
 		if !l.valid || !l.dirty {
 			continue
 		}
-		if !im.overlay(int(l.addr/4), l.data) {
+		if !im.overlay(int(l.addr/4), b.lineData(i)) {
 			b.fail("dirty line %#x outside snapshot of %d bytes", l.addr, im.Size())
 		}
 	}

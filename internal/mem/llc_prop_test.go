@@ -32,8 +32,10 @@ func TestLLCMatchesFlatMemory(t *testing.T) {
 		}
 
 		type expect struct{ addr uint32 }
-		pending := map[int]expect{} // LQSlot -> expected address
-		nextSlot := 0
+		// LQSlot -> expected address. The 8-bit slot wraps; far fewer than
+		// 256 loads are ever pending at once.
+		pending := map[uint8]expect{}
+		nextSlot := uint8(0)
 		var now int64
 		issued, responses := 0, 0
 		for issued < 400 || len(pending) > 0 {
@@ -101,8 +103,8 @@ func TestLLCValueOrdering(t *testing.T) {
 	cfg := config.ManycoreDefault()
 	bank, g, d, out, _ := newBank(t)
 
-	want := map[int]uint32{} // slot -> value the load must see
-	slot := 0
+	want := map[uint8]uint32{} // slot -> value the load must see
+	slot := uint8(0)
 	var now int64
 	rounds := 0
 	for rounds < 150 || len(want) > 0 {

@@ -221,11 +221,11 @@ type sink struct {
 	full bool
 }
 
-func (s *sink) TrySend(m msg.Message) bool {
+func (s *sink) TrySend(m *msg.Message) bool {
 	if s.full {
 		return false
 	}
-	s.msgs = append(s.msgs, m)
+	s.msgs = append(s.msgs, *m)
 	return true
 }
 
@@ -328,7 +328,7 @@ func TestLLCUnalignedPairCoversBlock(t *testing.T) {
 		g.WriteWord(uint32(4*i), uint32(i))
 	}
 	addr := uint32(52) // word 13 of line 0
-	vl := isa.VloadArgs{Width: 16, Dist: isa.VloadSelf}
+	vl := msg.Vload{Width: 16, Dist: isa.VloadSelf}
 	suffix := msg.Message{Kind: msg.KindVloadReq, Src: 2, Dst: 64, Addr: addr, Words: 16,
 		SpadOff: 0, Vload: vl, Group: -1, ReqCore: 2}
 	suffix.Vload.Part = isa.VloadSuffix
@@ -336,7 +336,7 @@ func TestLLCUnalignedPairCoversBlock(t *testing.T) {
 	runBank(b, d, g, 300)
 	words := 0
 	for _, m := range out.msgs {
-		words += m.Words
+		words += int(m.Words)
 	}
 	if words != 3 { // line 0 holds words 13,14,15 of the block
 		t.Fatalf("suffix served %d words, want 3", words)

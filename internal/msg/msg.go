@@ -1,6 +1,8 @@
 // Package msg defines the messages that travel on the data NoC between
-// cores, LLC banks, and scratchpads. It exists below both the noc and mem
-// packages so they can share payload types without an import cycle.
+// cores, LLC banks, and scratchpads: each is one 64-byte flit, with narrow
+// node ids and a journey id in place of the causal profiler's stamps. It
+// exists below both the noc and mem packages so they can share payload
+// types without an import cycle.
 package msg
 
 import (
@@ -54,38 +56,49 @@ func (k Kind) String() string {
 // value, copied with the message as it moves through queues.
 const MaxWords = 8
 
-// Message is one NoC payload. A message occupies one flit; a KindSpadWord
-// or KindLoadResp flit may carry up to the network width in consecutive
-// words for a single destination (Words > 1). Only Vals[:Words] is
-// meaningful.
+// Node is a NoC node id (see NodeSpace). It is 16 bits wide so a flit fits
+// one 64-byte cache line; config.Validate refuses a fabric with more than
+// MaxNodes nodes.
+type Node = int16
+
+// MaxNodes is the largest node count a Node id can address.
+const MaxNodes = 1 << 15
+
+// MaxLQSlots is the largest load queue a LQSlot can index.
+const MaxLQSlots = 1 << 8
+
+// Message is one NoC payload, and the whole of a flit: 64 bytes, one cache
+// line, so the mesh's flit arena, the LLC's queues and every copy of a flit
+// move one line. A message occupies one flit; a KindSpadWord or KindLoadResp
+// flit may carry up to the network width in consecutive words for a single
+// destination (Words > 1). Only Vals[:Words] is meaningful.
+//
+// The causal profiler's journey stamps do not ride the flit: a request
+// sent with -causal carries a Journey id, and the stamps live in the
+// recorder's slab under that id (internal/causal). Without -causal every
+// Journey is 0.
 type Message struct {
+	Vals    [MaxWords]uint32
+	Addr    uint32 // global byte address (requests)
+	SpadOff uint32 // destination scratchpad byte offset of the first word (wide loads, remote stores)
+	Journey uint32 // causal stamps' slab id; 0 = none
+
+	Src, Dst Node
+	Words    uint16 // request: words wanted; response: words carried
+	Group    int16  // vector group id (-1 for self loads)
+	ReqCore  Node   // tile that issued the request (for self/group fan-out)
+	Vload    Vload  // wide loads: how the bank steers the words
 	Kind     Kind
-	Src, Dst int    // NoC node ids
-	Addr     uint32 // global byte address (requests)
-	Vals     [MaxWords]uint32
-	Words    int // request: words wanted; response: words carried
+	LQSlot   uint8 // load responses: destination load-queue slot
+}
 
-	// Load responses.
-	LQSlot int // destination load-queue slot
-
-	// Wide loads.
-	SpadOff uint32 // destination scratchpad byte offset of the first word
-	Vload   isa.VloadArgs
-	Group   int // vector group id (-1 for self loads)
-	ReqCore int // tile that issued the request (for self/group fan-out)
-
-	// Causal journey stamps (-causal only; zero otherwise). Requests carry
-	// CIssue (injection cycle) and accumulate CNocReq (request-plane hops)
-	// and the DRAM decomposition on a miss; responses copy the request's
-	// stamps and add CInject (response injection cycle) so delivery can
-	// attribute the whole chain. See internal/causal.
-	CIssue   int64 // cycle the request entered the request NoC
-	CInject  int64 // cycle the response entered the response NoC
-	CNocReq  int32 // request-plane traversal cycles
-	CDramQ   int32 // DRAM channel queue + transfer wait cycles
-	CDramLat int32 // DRAM access latency cycles
-	CLlcQ    int32 // bank queue wait before service started (responses)
-	CGated   int32 // bank cycles gated on response-mesh injection (responses)
+// Vload is the part of a vload's operands (isa.VloadArgs) the LLC bank
+// reads to steer a wide access's words to lanes.
+type Vload struct {
+	BaseLane uint16 // lane in the group to receive the first word
+	Width    uint16 // words per receiving lane
+	Dist     isa.VloadDist
+	Part     isa.VloadPart
 }
 
 // NodeSpace maps cores and LLC banks onto NoC node ids: tiles occupy

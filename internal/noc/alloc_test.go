@@ -21,7 +21,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	send := func(src, dst int) {
-		m.TrySend(msg.Message{Src: src, Dst: dst, Kind: msg.KindLoadResp})
+		m.TrySend(&msg.Message{Src: msg.Node(src), Dst: msg.Node(dst), Kind: msg.KindLoadResp})
 	}
 	// Cross traffic in several directions sizes the move scratch.
 	for i := 0; i < 200; i++ {

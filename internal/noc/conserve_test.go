@@ -35,7 +35,7 @@ func TestFlitConservation(t *testing.T) {
 			var accepted int64
 			var pending []msg.Message // harvested, waiting to re-enter
 			send := func(f msg.Message) bool {
-				if m.TrySend(f) {
+				if m.TrySend(&f) {
 					accepted++
 					return true
 				}
@@ -66,7 +66,7 @@ func TestFlitConservation(t *testing.T) {
 				for k := 0; k < 6; k++ {
 					src, dst := rng.Intn(nodes), rng.Intn(nodes)
 					if src != dst {
-						send(msg.Message{Src: src, Dst: dst, Kind: msg.KindLoadResp, Addr: uint32(now)})
+						send(msg.Message{Src: msg.Node(src), Dst: msg.Node(dst), Kind: msg.KindLoadResp, Addr: uint32(now)})
 					}
 				}
 				m.Tick(int64(now))

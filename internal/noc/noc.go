@@ -7,9 +7,11 @@
 // routes from cycle 0; the first permanent topology fault rewrites it in
 // place (reroute.go). Tick reads the engine's clock; the mesh keeps none.
 //
-// A flit carries one msg.Message; wide responses bundle up to the network
-// width in words, so the configured width changes flit counts rather than
-// flit size (§5.1's "on-chip net width" knob).
+// A flit carries one msg.Message, one 64-byte cache line; wide responses
+// bundle up to the network width in words, so the configured width changes
+// flit counts rather than flit size (§5.1's "on-chip net width" knob). The
+// message is copied once, by TrySend into the flit arena, and stays in its
+// slot until the flit leaves the mesh; a hop moves a small ring entry.
 package noc
 
 import (
@@ -214,6 +216,9 @@ func New(w, h, banks, queueCap int, deliver Deliver) (*Mesh, error) {
 	if banks > 2*w {
 		return nil, fmt.Errorf("noc: %d banks exceed 2x mesh width %d", banks, w)
 	}
+	if w*h+banks > msg.MaxNodes {
+		return nil, fmt.Errorf("noc: %d nodes exceed a flit's %d node ids", w*h+banks, msg.MaxNodes)
+	}
 	m := &Mesh{
 		w: w, h: h,
 		space:    msg.NodeSpace{Cores: w * h, Banks: banks},
@@ -316,31 +321,47 @@ func (m *Mesh) attachTile(node int) (tile int, p port) {
 	return node, portLocal
 }
 
-// TrySend injects a flit at src's router. Returns false when the local
-// injection queue is full.
-func (m *Mesh) TrySend(f msg.Message) bool {
-	tile, p := m.attachTile(f.Src)
+// TrySend injects a flit at src's router: its one copy, into a free arena
+// slot. Returns false when the local injection queue is full. f is only
+// read; the caller may reuse it.
+func (m *Mesh) TrySend(f *msg.Message) bool {
+	tile, p := m.attachTile(int(f.Src))
 	qi := m.qi(tile, p)
 	if int(m.queues[qi].n) == m.cap {
 		return false
 	}
-	out := m.routeAt(tile, p, f.Dst)
+	out := m.routeAt(tile, p, int(f.Dst))
 	if out == portDead {
-		// Cold path in its own function so taking f's address there
-		// doesn't make every TrySend heap-allocate the message.
-		var accepted bool
-		out, f, accepted = m.resolveDeadDst(f, tile, p)
-		if out == portDead {
-			return accepted
-		}
+		// Cold path in its own function: the dead-destination handler may
+		// rewrite the message, so it works on a copy, and the caller's
+		// message never escapes.
+		return m.sendDeadDst(*f, tile, p, qi)
 	}
+	m.inject(f, tile, p, qi, out)
+	return true
+}
+
+// sendDeadDst is TrySend for a flit whose destination its route table
+// marks unreachable.
+func (m *Mesh) sendDeadDst(f msg.Message, tile int, p port, qi int) bool {
+	out, accepted := m.resolveDeadDst(&f, tile, p)
+	if out == portDead {
+		return accepted
+	}
+	m.inject(&f, tile, p, qi, out)
+	return true
+}
+
+// inject copies f into a free arena slot and queues it on input queue qi
+// of router tile, bound for output out.
+func (m *Mesh) inject(f *msg.Message, tile int, p port, qi int, out port) {
 	if m.detourTab != nil {
-		if d := m.detourTab[tile*m.nodes+f.Dst]; d > 0 {
+		if d := m.detourTab[tile*m.nodes+int(f.Dst)]; d > 0 {
 			m.DetourHops += int64(d)
 		}
 	}
 	idx := m.alloc()
-	m.flits[idx] = f
+	m.flits[idx] = *f
 	m.pushQ(qi, entry{idx: idx, dst: int32(f.Dst), out: out})
 	m.occMask[tile] |= 1 << uint(p)
 	m.busy[tile>>6] |= 1 << uint(tile&63)
@@ -349,7 +370,6 @@ func (m *Mesh) TrySend(f msg.Message) bool {
 	if m.waker != nil {
 		m.waker()
 	}
-	return true
 }
 
 // SetWaker installs the engine wake hook fired on every successful

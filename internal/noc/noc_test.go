@@ -42,7 +42,7 @@ func TestDelivery(t *testing.T) {
 	c := newCollector()
 	m := newMesh(t, 8, 8, 16, 4, c.deliver)
 	f := msg.Message{Kind: msg.KindRemoteStore, Src: 0, Dst: 63, Vals: [msg.MaxWords]uint32{42}, Words: 1}
-	if !m.TrySend(f) {
+	if !m.TrySend(&f) {
 		t.Fatal("inject failed")
 	}
 	drain(m, 100)
@@ -82,7 +82,7 @@ func TestLLCAttachment(t *testing.T) {
 	// Bank 3 hangs above router (0,3); bank 11 below router (7,3).
 	for _, bank := range []int{3, 11} {
 		node := m.Space().LLCNode(bank)
-		if !m.TrySend(msg.Message{Kind: msg.KindLoadReq, Src: 27, Dst: node, Words: 1}) {
+		if !m.TrySend(&msg.Message{Kind: msg.KindLoadReq, Src: 27, Dst: msg.Node(node), Words: 1}) {
 			t.Fatal("inject failed")
 		}
 	}
@@ -103,7 +103,7 @@ func TestBackpressure(t *testing.T) {
 	// Flood toward one refusing node: queues fill, injection eventually fails.
 	sent := 0
 	for i := 0; i < 100; i++ {
-		if m.TrySend(msg.Message{Kind: msg.KindRemoteStore, Src: 4, Dst: 5, Vals: [msg.MaxWords]uint32{1}, Words: 1}) {
+		if m.TrySend(&msg.Message{Kind: msg.KindRemoteStore, Src: 4, Dst: 5, Vals: [msg.MaxWords]uint32{1}, Words: 1}) {
 			sent++
 		}
 		m.Tick(0)
@@ -131,9 +131,9 @@ func TestPairwiseFIFO(t *testing.T) {
 	for tick := 0; tick < 3000; tick++ {
 		if tick < 2000 {
 			p := pairs[r.Intn(len(pairs))]
-			f := msg.Message{Kind: msg.KindRemoteStore, Src: p.src, Dst: p.dst,
+			f := msg.Message{Kind: msg.KindRemoteStore, Src: msg.Node(p.src), Dst: msg.Node(p.dst),
 				Vals: [msg.MaxWords]uint32{next[p]}, Words: 1, SpadOff: uint32(p.src)}
-			if m.TrySend(f) {
+			if m.TrySend(&f) {
 				sent[p] = append(sent[p], next[p])
 				next[p]++
 			}
@@ -173,7 +173,7 @@ func TestAllToAllDelivery(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			if m.TrySend(msg.Message{Kind: msg.KindRemoteStore, Src: src, Dst: dst,
+			if m.TrySend(&msg.Message{Kind: msg.KindRemoteStore, Src: msg.Node(src), Dst: msg.Node(dst),
 				Vals: [msg.MaxWords]uint32{uint32(injected)}, Words: 1}) {
 				injected++
 			}
@@ -210,7 +210,7 @@ func TestLinkRetry(t *testing.T) {
 		}
 		return LinkOK
 	})
-	if !m.TrySend(msg.Message{Kind: msg.KindRemoteStore, Src: 0, Dst: 3, Vals: [msg.MaxWords]uint32{7}, Words: 1}) {
+	if !m.TrySend(&msg.Message{Kind: msg.KindRemoteStore, Src: 0, Dst: 3, Vals: [msg.MaxWords]uint32{7}, Words: 1}) {
 		t.Fatal("inject failed")
 	}
 	drain(m, 500)
@@ -238,7 +238,7 @@ func TestLinkCorruptRetry(t *testing.T) {
 		}
 		return LinkOK
 	})
-	if !m.TrySend(msg.Message{Kind: msg.KindRemoteStore, Src: 0, Dst: 1, Vals: [msg.MaxWords]uint32{9}, Words: 1}) {
+	if !m.TrySend(&msg.Message{Kind: msg.KindRemoteStore, Src: 0, Dst: 1, Vals: [msg.MaxWords]uint32{9}, Words: 1}) {
 		t.Fatal("inject failed")
 	}
 	drain(m, 200)
@@ -261,7 +261,7 @@ func TestLinkDead(t *testing.T) {
 		}
 		return LinkOK
 	})
-	if !m.TrySend(msg.Message{Kind: msg.KindRemoteStore, Src: 0, Dst: 1, Vals: [msg.MaxWords]uint32{1}, Words: 1}) {
+	if !m.TrySend(&msg.Message{Kind: msg.KindRemoteStore, Src: 0, Dst: 1, Vals: [msg.MaxWords]uint32{1}, Words: 1}) {
 		t.Fatal("inject failed")
 	}
 	for i := 0; i < 2000 && m.Err() == nil; i++ {
@@ -281,7 +281,7 @@ func TestNilJudgeZeroCost(t *testing.T) {
 	c := newCollector()
 	m := newMesh(t, 8, 8, 16, 4, c.deliver)
 	m.SetLinkJudge(nil)
-	if !m.TrySend(msg.Message{Kind: msg.KindRemoteStore, Src: 0, Dst: 63, Vals: [msg.MaxWords]uint32{5}, Words: 1}) {
+	if !m.TrySend(&msg.Message{Kind: msg.KindRemoteStore, Src: 0, Dst: 63, Vals: [msg.MaxWords]uint32{5}, Words: 1}) {
 		t.Fatal("inject failed")
 	}
 	drain(m, 100)

@@ -54,24 +54,24 @@ type DeadDstHandler func(f *msg.Message) DeadDstAction
 // handler every unreachable destination latches a partition error.
 func (m *Mesh) SetDeadDstHandler(h DeadDstHandler) { m.deadDst = h }
 
-// resolveDeadDst is TrySend's unreachable-destination slow path. It returns
-// the (possibly retargeted) output port and message; out == portDead means
-// the injection is finished, with accepted reporting whether the flit was
+// resolveDeadDst is TrySend's unreachable-destination slow path: it may
+// retarget f. It returns the output port; out == portDead means the
+// injection is finished, with accepted reporting whether the flit was
 // consumed (dropped on purpose) or refused (partition latched).
-func (m *Mesh) resolveDeadDst(f msg.Message, tile int, p port) (out port, _ msg.Message, accepted bool) {
+func (m *Mesh) resolveDeadDst(f *msg.Message, tile int, p port) (out port, accepted bool) {
 	if m.deadDst != nil {
-		switch m.deadDst(&f) {
+		switch m.deadDst(f) {
 		case DeadDstDrop:
 			m.DroppedDead++
-			return portDead, f, true
+			return portDead, true
 		case DeadDstRetarget:
-			if out = m.routeAt(tile, p, f.Dst); out != portDead {
-				return out, f, true
+			if out = m.routeAt(tile, p, int(f.Dst)); out != portDead {
+				return out, true
 			}
 		}
 	}
 	m.fail("mesh partitioned: node %d cannot reach node %d", f.Src, f.Dst)
-	return portDead, f, false
+	return portDead, false
 }
 
 // RouterDead reports whether router r has been powered off (always false

@@ -205,8 +205,8 @@ func TestReroutePreservesInFlight(t *testing.T) {
 	want := map[uint64]int{}
 	sent := 0
 	for i := 0; i < 20; i++ {
-		f := msg.Message{Src: i % 16, Dst: (i*7 + 3) % 16, Kind: msg.KindRemoteStore, Addr: uint32(i)}
-		if m.TrySend(f) {
+		f := msg.Message{Src: msg.Node(i % 16), Dst: msg.Node((i*7 + 3) % 16), Kind: msg.KindRemoteStore, Addr: uint32(i)}
+		if m.TrySend(&f) {
 			want[uint64(f.Addr)]++
 			sent++
 		}
@@ -233,7 +233,7 @@ func TestReroutePreservesInFlight(t *testing.T) {
 	// Harvested flits re-inject cleanly on the rebuilt table.
 	accept = true
 	for _, f := range got {
-		if !m.TrySend(f) {
+		if !m.TrySend(&f) {
 			t.Fatalf("reinjection refused for %v", f)
 		}
 	}
@@ -260,14 +260,14 @@ func TestReroutePartitionFailsStructured(t *testing.T) {
 	if err := m.CutLink(0, 4); err != nil {
 		t.Fatal(err)
 	}
-	if m.TrySend(msg.Message{Src: 5, Dst: 0, Kind: msg.KindLoadResp}) {
+	if m.TrySend(&msg.Message{Src: 5, Dst: 0, Kind: msg.KindLoadResp}) {
 		t.Fatal("send into a partitioned corner accepted")
 	}
 	if err := m.Err(); err == nil {
 		t.Fatal("no partition error latched")
 	}
 	// Traffic between still-connected nodes keeps flowing.
-	if !m.TrySend(msg.Message{Src: 5, Dst: 10, Kind: msg.KindLoadResp}) {
+	if !m.TrySend(&msg.Message{Src: 5, Dst: 10, Kind: msg.KindLoadResp}) {
 		t.Fatal("live-pair send refused on degraded mesh")
 	}
 	for m.QueuedFlits() > 0 {
@@ -294,13 +294,13 @@ func TestRerouteDeadDstHandler(t *testing.T) {
 			drops++
 			return DeadDstDrop
 		}
-		if _, ok := m.space.IsLLC(f.Dst); ok {
-			f.Dst = m.space.LLCNode(0) // failover bank
+		if _, ok := m.space.IsLLC(int(f.Dst)); ok {
+			f.Dst = msg.Node(m.space.LLCNode(0)) // failover bank
 			return DeadDstRetarget
 		}
 		return DeadDstFail
 	})
-	if !m.TrySend(msg.Message{Src: 5, Dst: 15, Kind: msg.KindLoadResp}) {
+	if !m.TrySend(&msg.Message{Src: 5, Dst: 15, Kind: msg.KindLoadResp}) {
 		t.Fatal("drop policy should report the flit consumed")
 	}
 	if drops != 1 || m.DroppedDead != 1 {
@@ -310,7 +310,7 @@ func TestRerouteDeadDstHandler(t *testing.T) {
 	// bank attached to the dead router's column edge: banks 4..7 attach to
 	// the bottom row (routers 12..15), so bank 7 attaches to router 15.
 	deadBank := m.space.LLCNode(7)
-	if !m.TrySend(msg.Message{Src: 5, Dst: deadBank, Kind: msg.KindLoadReq}) {
+	if !m.TrySend(&msg.Message{Src: 5, Dst: msg.Node(deadBank), Kind: msg.KindLoadReq}) {
 		t.Fatal("retarget policy refused")
 	}
 	for m.QueuedFlits() > 0 {
