@@ -15,6 +15,7 @@ package gpu
 
 import (
 	"fmt"
+	"slices"
 
 	"rockcress/internal/config"
 )
@@ -209,11 +210,15 @@ type Sim struct {
 
 	dramFree int64
 	st       Stats
+
+	// lines is coalesce's reused result: a wavefront touches at most one
+	// line per lane.
+	lines []uint32
 }
 
 // NewSim builds a simulator for the Table 1b configuration.
 func NewSim(cfg config.GPU) *Sim {
-	s := &Sim{cfg: cfg}
+	s := &Sim{cfg: cfg, lines: make([]uint32, 0, WavefrontSize)}
 	s.tcps = make([]*gcache, cfg.CUs)
 	for i := range s.tcps {
 		s.tcps[i] = newGcache(cfg.TCPBytes, cfg.TCPWays, cfg.CacheLineBytes)
@@ -254,18 +259,17 @@ func (s *Sim) lineAccess(cu int, lineAddr uint32, issueAt int64) int64 {
 }
 
 // coalesce reduces per-lane addresses to unique line addresses, in lane
-// order (first occurrence).
+// order (first occurrence). The result is the Sim's, valid until the next
+// call; a scan dedupes, since a wavefront has at most a line per lane.
 func (s *Sim) coalesce(addrs []uint32) []uint32 {
 	lineBytes := uint32(s.cfg.CacheLineBytes)
-	var lines []uint32
-	seen := map[uint32]bool{}
+	lines := s.lines[:0]
 	for _, a := range addrs {
-		la := a &^ (lineBytes - 1)
-		if !seen[la] {
-			seen[la] = true
+		if la := a &^ (lineBytes - 1); !slices.Contains(lines, la) {
 			lines = append(lines, la)
 		}
 	}
+	s.lines = lines
 	return lines
 }
 

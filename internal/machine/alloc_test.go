@@ -3,6 +3,7 @@ package machine_test
 import (
 	"io"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"rockcress/internal/config"
@@ -41,11 +42,17 @@ func buildMachine(t *testing.T, benchName, cfgName string, mp machine.Params) *m
 // input image still to load into the machine comes back beside it.
 func benchParams(t *testing.T, benchName, cfgName string, base config.Manycore, mp machine.Params) (machine.Params, *kernels.Image) {
 	t.Helper()
+	return benchParamsAt(t, benchName, cfgName, kernels.Tiny, base, mp)
+}
+
+// benchParamsAt is benchParams at any input scale.
+func benchParamsAt(t *testing.T, benchName, cfgName string, scale kernels.Scale, base config.Manycore, mp machine.Params) (machine.Params, *kernels.Image) {
+	t.Helper()
 	bench, err := kernels.Get(benchName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := bench.Defaults(kernels.Tiny)
+	p := bench.Defaults(scale)
 	sw, err := config.Preset(cfgName)
 	if err != nil {
 		t.Fatal(err)
@@ -122,6 +129,74 @@ func TestMachineNewAllocs(t *testing.T) {
 	}
 }
 
+// mallocs returns the number of heap allocations the process has made.
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
+}
+
+// runAllocs builds a fresh machine for one kernel and preset at scale and
+// counts the allocations of its whole Run.
+func runAllocs(t *testing.T, benchName, cfgName string, scale kernels.Scale) uint64 {
+	t.Helper()
+	mp, img := benchParamsAt(t, benchName, cfgName, scale, config.ManycoreDefault(), machine.Params{})
+	m, err := machine.New(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Global.Recycle()
+	img.Apply(m.Global)
+	// No collection inside the window: one mid-run adds allocations that
+	// are not the machine's (under the race detector a Small run is long
+	// enough to see one).
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	before := mallocs()
+	if _, err := m.Run(1 << 40); err != nil {
+		t.Fatal(err)
+	}
+	return mallocs() - before
+}
+
+// TestColdRunAllocs holds a fresh machine's first run to the growth of its
+// deepest buffers. The memory system's tick-time buffers (LLC job rings,
+// job word rings and MSHR event slabs, the DRAM queues, the mesh's move
+// list) start as pieces of construction slabs and double only when a
+// structure outgrows every depth it has held, so what a cold run allocates
+// depends on its deepest backlog, not on how many accesses it makes: each
+// Small cell allocates at most twice what the same Tiny cell does, and at
+// most a quarter of what the per-buffer pools it replaced allocated (was).
+// Not parallel: it reads the process's allocation count.
+func TestColdRunAllocs(t *testing.T) {
+	// One unmeasured run first: the process's first run after a
+	// collection pays one-time runtime allocations. Every measured machine
+	// is still a fresh one.
+	runAllocs(t, "mvt", "NV", kernels.Tiny)
+	for _, tc := range []struct {
+		bench, cfg string
+		was        uint64 // per-buffer pools, Small
+	}{
+		{"mvt", "NV", 532},
+		{"gemm", "V4", 539},
+		{"mvt", "V16", 758},
+		{"2dconv", "NV_PF", 851},
+		{"syrk", "V4_LL_PCV", 412},
+	} {
+		tiny := runAllocs(t, tc.bench, tc.cfg, kernels.Tiny)
+		small := runAllocs(t, tc.bench, tc.cfg, kernels.Small)
+		t.Logf("%s/%s cold Run allocations: Tiny %d, Small %d (was %d)", tc.bench, tc.cfg, tiny, small, tc.was)
+		if small > tc.was/4 {
+			t.Errorf("%s/%s: a cold Small run allocates %d times, want <= %d (a quarter of %d)",
+				tc.bench, tc.cfg, small, tc.was/4, tc.was)
+		}
+		if small > 2*tiny {
+			t.Errorf("%s/%s: a cold Small run allocates %d times, %.1fx the Tiny run's %d: allocation grows with the run",
+				tc.bench, tc.cfg, small, float64(small)/float64(tiny), tiny)
+		}
+	}
+}
+
 // TestMachineNewAllocsWithPlane holds binding a machine to the live plane
 // to a cost per series family, not per series: what machine.New allocates
 // with a plane, over what it allocates without one. Re-binding to a warm
@@ -178,8 +253,10 @@ func TestMachineNewAllocsWithPlane(t *testing.T) {
 // TestSteadyStateAllocs single-steps busy machines and asserts the steady
 // state allocates nothing per cycle: pre-lowered dispatch, arena-backed
 // flits, and pooled frames mean a warm machine's tick path never touches
-// the heap. The warm-up grows every lazily sized buffer (LLC job rings,
-// mesh move scratch, expander queues) before the measured window.
+// the heap. Every tick-time buffer starts as a piece of a construction
+// slab; the warm-up takes the hot banks past theirs (an LLC bank's job
+// ring, word ring and MSHR event slab double when a backlog outgrows
+// them, TestColdRunAllocs) before the measured window.
 func TestSteadyStateAllocs(t *testing.T) {
 	cases := []struct{ bench, cfg string }{
 		{"mvt", "NV"},  // scalar MIMD: heavy request/response mesh traffic

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"rockcress/internal/fault"
+	"rockcress/internal/mem"
 	"rockcress/internal/msg"
 	"rockcress/internal/noc"
 	"rockcress/internal/stats"
@@ -63,9 +64,7 @@ func (m *Machine) attachFaults(p Params) {
 	m.meshReq.SetDeadDstHandler(m.deadDstPolicy)
 	m.meshResp.SetDeadDstHandler(m.deadDstPolicy)
 	if !p.NoReplay {
-		for _, s := range m.spads {
-			s.SetIntegrity(true)
-		}
+		mem.EnableIntegrity(m.spads)
 		fs.replays = make([]*replayState, len(m.spads))
 	}
 	m.faults = fs

@@ -128,7 +128,7 @@ func New(p Params) (_ *Machine, err error) {
 			global.Recycle()
 		}
 	}()
-	dram, err := mem.NewDRAM(cfg.DRAMLatency, cfg.DRAMBandwidth)
+	dram, err := mem.NewDRAM(cfg.DRAMLatency, cfg.DRAMBandwidth, cfg.LLCBanks)
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,7 @@ func (b *LLCBank) Decommission(emit func(msg.Message)) {
 	// flits streamResponses would have sent (both form them in nextFlit).
 	for ; b.jobCount > 0; b.popJob() {
 		j := &b.jobs[b.jobHead]
-		for j.sent < len(j.data) {
+		for j.sent < j.n {
 			var resp msg.Message
 			n, ok := b.nextFlit(j, &resp)
 			if !ok {
@@ -56,8 +56,8 @@ func (b *LLCBank) Decommission(emit func(msg.Message)) {
 		if !h.busy {
 			continue
 		}
-		for k := range h.events {
-			ev := &h.events[k]
+		for k := h.first; k >= 0; k = b.events[k].next {
+			ev := &b.events[k].req
 			if ev.Kind == msg.KindStoreReq {
 				st := msg.Message{
 					Kind: msg.KindStoreReq, Src: b.node, Dst: b.node,
@@ -71,6 +71,6 @@ func (b *LLCBank) Decommission(emit func(msg.Message)) {
 		}
 		h.busy = false
 		h.lineAddr = 0
-		h.events = h.events[:0]
 	}
+	b.events, b.freeEvent = b.events[:0], -1
 }

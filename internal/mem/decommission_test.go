@@ -21,7 +21,7 @@ func (laneTiles) LaneTile(g, l int) (int, bool) { return 10 + l, g == 0 && l < 8
 func TestDecommissionFinishesPartlyStreamedJob(t *testing.T) {
 	cfg := config.ManycoreDefault() // 4-word flits, 16-word lines
 	g, _ := NewGlobal(1 << 20)
-	d, _ := NewDRAM(cfg.DRAMLatency, cfg.DRAMBandwidth)
+	d, _ := NewDRAM(cfg.DRAMLatency, cfg.DRAMBandwidth, cfg.LLCBanks)
 	out := &sink{}
 	st := make([]stats.LLC, cfg.LLCBanks)
 	banks, err := NewLLCBanks(cfg, msg.NodeSpace{Cores: cfg.Cores, Banks: cfg.LLCBanks}, out, d, g, laneTiles{}, st)

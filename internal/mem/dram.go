@@ -17,7 +17,8 @@ type DRAM struct {
 
 	// Reusable scratch (steady state allocates nothing): done collects the
 	// ops retired this call, fills backs Completed's return value, dataPool
-	// recycles writeback payload buffers.
+	// recycles writeback payload buffers. NewDRAM sizes inFlight, done and
+	// fills; they grow only past that depth.
 	done     []dramOp
 	fills    []Fill
 	dataPool [][]uint32
@@ -44,14 +45,22 @@ type dramOp struct {
 }
 
 // NewDRAM builds a channel with the given access latency (cycles) and
-// bandwidth (bytes per cycle). Both come from the user's configuration, so
-// bad values are validated errors, not panics.
-func NewDRAM(latency, bytesPerCycle int) (*DRAM, error) {
-	if latency < 0 || bytesPerCycle <= 0 {
-		return nil, fmt.Errorf("mem: invalid DRAM parameters (latency %d, bandwidth %d B/cycle)",
-			latency, bytesPerCycle)
+// bandwidth (bytes per cycle), serving banks LLC banks. Its queues start
+// with room for a line fill and a writeback per bank, carved from one slab
+// per kind. The parameters come from the user's configuration, so bad
+// values are validated errors, not panics.
+func NewDRAM(latency, bytesPerCycle, banks int) (*DRAM, error) {
+	if latency < 0 || bytesPerCycle <= 0 || banks < 0 {
+		return nil, fmt.Errorf("mem: invalid DRAM parameters (latency %d, bandwidth %d B/cycle, %d banks)",
+			latency, bytesPerCycle, banks)
 	}
-	return &DRAM{latency: int64(latency), bytesPerCyc: int64(bytesPerCycle)}, nil
+	ops := make([]dramOp, 4*banks)
+	return &DRAM{
+		latency: int64(latency), bytesPerCyc: int64(bytesPerCycle),
+		inFlight: part(ops, 0, 2*banks)[:0],
+		done:     part(ops, 1, 2*banks)[:0],
+		fills:    make([]Fill, 0, banks),
+	}, nil
 }
 
 // schedule books a transfer and returns its completion time plus the

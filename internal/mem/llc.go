@@ -36,11 +36,9 @@ type llcLine struct {
 type llcMSHR struct {
 	busy     bool
 	lineAddr uint32
-	// events are the requests queued against the missing line, loads and
-	// stores alike. They replay in arrival order at fill time so a waiting
-	// load never observes a store that reached the bank after it. A store
-	// event's journey has already ended.
-	events []msg.Message
+	// first and last index the MSHR's chain of events in LLCBank.events,
+	// oldest first (-1 when it has none).
+	first, last int32
 
 	// Causal stamps of this MSHR's line fill (populated only with causal
 	// recording on): the DRAM schedule decomposition, copied into every
@@ -48,13 +46,22 @@ type llcMSHR struct {
 	cDramQ, cDramLat int32
 }
 
+// mshrEvent is one request queued against a missing line, a load or a
+// store. A store event's journey has already ended.
+type mshrEvent struct {
+	req  msg.Message
+	next int32 // the next event of the same MSHR, or of the free list; -1 ends
+}
+
 // respJob streams one wide access's words out of the bank. The bank owns a
 // single response counter, so jobs serialize (paper: "we add a counter to
 // each cache, which it uses to serially generate responses").
 type respJob struct {
 	req    msg.Message
-	kStart int      // first global word index this bank serves
-	data   []uint32 // snapshot of the served words
+	kStart int // first global word index this bank serves
+	// off and n place the snapshot of the served words in the bank's word
+	// ring: LLCBank.words[off : off+n].
+	off, n int
 	sent   int
 	// start is the cycle the job reached the stream head (-1 until then;
 	// 0 with causal recording off). Everything between the request's bank
@@ -87,20 +94,32 @@ type LLCBank struct {
 	reqCount int
 
 	mshr []llcMSHR
+	// events holds the requests queued against the busy MSHRs: each MSHR
+	// chains its own in arrival order, and they replay in that order at
+	// fill time, so a waiting load never observes a store that reached the
+	// bank after it. A filled MSHR's chain joins the free list (freeEvent,
+	// -1 when empty). events starts as the bank's piece of a construction
+	// slab, two entries per MSHR, and append doubles it when every entry
+	// is in use.
+	events    []mshrEvent
+	freeEvent int32
 
 	// jobs is a growable ring: the hit path is capped at LLCRespJobs, but
 	// Install may queue the waiters of a whole MSHR past the cap (bounding
-	// only the hit path keeps the bank deadlock-free), so the ring grows on
-	// demand and then stays at its high-water capacity.
+	// only the hit path keeps the bank deadlock-free), so the ring doubles
+	// on demand and then stays at its high-water capacity.
 	jobs     []respJob
 	jobHead  int
 	jobCount int
 
-	// dataPool recycles respJob word buffers (lineWords capacity each): a
-	// popped job's buffer is returned here and reused by the next makeJob,
-	// so streaming allocates nothing once warm. Buffers are bank-owned; a
-	// job's data is never referenced after its pop.
-	dataPool [][]uint32
+	// words holds the jobs' word snapshots as a ring in job order: each
+	// job's words follow the previous job's, wrapping to offset 0 when they
+	// do not fit before the end; wordTail is where the next job's go. The
+	// ring starts as the bank's piece of a construction slab, one line's
+	// words, and doubles when a job does not fit, so streaming allocates
+	// only past the deepest backlog the bank has held.
+	words    []uint32
+	wordTail int
 
 	out    Sender
 	flit   msg.Message // the response flit streamResponses forms, then sends
@@ -151,7 +170,9 @@ func NewLLCBanks(cfg config.Manycore, space msg.NodeSpace, out Sender, dram *DRA
 		plru     = make([]uint8, n*sets)
 		mshr     = make([]llcMSHR, n*cfg.LLCMSHRs)
 		reqQ     = make([]msg.Message, n*cfg.LLCReqQueue)
+		events   = make([]mshrEvent, 2*n*cfg.LLCMSHRs)
 		jobs     = make([]respJob, n*cfg.LLCRespJobs)
+		words    = make([]uint32, n*lineWords)
 	)
 	for id := range banks {
 		b := &slab[id]
@@ -159,12 +180,14 @@ func NewLLCBanks(cfg config.Manycore, space msg.NodeSpace, out Sender, dram *DRA
 			ID: id, node: msg.Node(space.LLCNode(id)), cfg: cfg,
 			lineBytes: cfg.CacheLineBytes, lineWords: lineWords,
 			ways: ways, sets: sets,
-			lines: part(lineSlab, id, lines),
-			data:  part(data, id, lines*lineWords),
-			plru:  part(plru, id, sets),
-			mshr:  part(mshr, id, cfg.LLCMSHRs),
-			reqQ:  part(reqQ, id, cfg.LLCReqQueue),
+			lines:  part(lineSlab, id, lines),
+			data:   part(data, id, lines*lineWords),
+			plru:   part(plru, id, sets),
+			mshr:   part(mshr, id, cfg.LLCMSHRs),
+			reqQ:   part(reqQ, id, cfg.LLCReqQueue),
+			events: part(events, id, 2*cfg.LLCMSHRs)[:0], freeEvent: -1,
 			jobs:  part(jobs, id, cfg.LLCRespJobs),
+			words: part(words, id, lineWords),
 			out:   out, dram: dram, global: global, groups: groups, st: &st[id],
 		}
 		banks[id] = b
@@ -225,42 +248,104 @@ func (b *LLCBank) popReq() {
 	b.reqCount--
 }
 
-// pushJob appends a response job for makeJob to fill, growing the ring if
+// pushJob appends a response job for makeJob to fill, doubling the ring if
 // full (Install may burst past the hit-path cap).
 func (b *LLCBank) pushJob() *respJob {
 	if b.jobCount == len(b.jobs) {
-		grown := make([]respJob, 2*len(b.jobs)+1)
-		for i := 0; i < b.jobCount; i++ {
-			grown[i] = b.jobs[wrap(b.jobHead+i, len(b.jobs))]
-		}
-		b.jobs = grown
-		b.jobHead = 0
+		b.growJobs(b.jobCount + 1)
 	}
 	j := &b.jobs[wrap(b.jobHead+b.jobCount, len(b.jobs))]
 	b.jobCount++
 	return j
 }
 
-// popJob retires the head job, returning its word buffer to the pool and
-// ending its request's journey.
+// growJobs moves the job ring into one of at least need slots.
+func (b *LLCBank) growJobs(need int) {
+	grown := make([]respJob, doubled(len(b.jobs), need))
+	for i := 0; i < b.jobCount; i++ {
+		grown[i] = b.jobs[wrap(b.jobHead+i, len(b.jobs))]
+	}
+	b.jobs, b.jobHead = grown, 0
+}
+
+// doubled doubles size (at least to 1) until it reaches need.
+func doubled(size, need int) int {
+	size = max(2*size, 1)
+	for size < need {
+		size *= 2
+	}
+	return size
+}
+
+// popJob retires the head job, freeing its words and ending its request's
+// journey.
 func (b *LLCBank) popJob() {
-	j := &b.jobs[b.jobHead]
-	b.journeys.Free(j.req.Journey)
-	b.dataPool = append(b.dataPool, j.data[:0])
-	j.data = nil
+	b.journeys.Free(b.jobs[b.jobHead].req.Journey)
 	b.jobHead = wrap(b.jobHead+1, len(b.jobs))
 	b.jobCount--
 }
 
-// getData takes an n-word buffer from the pool (n never exceeds lineWords).
-func (b *LLCBank) getData(n int) []uint32 {
-	if last := len(b.dataPool) - 1; last >= 0 {
-		d := b.dataPool[last]
-		b.dataPool = b.dataPool[:last]
-		return d[:n]
+// jobData returns the snapshot of j's served words.
+func (b *LLCBank) jobData(j *respJob) []uint32 {
+	return b.words[j.off : j.off+j.n]
+}
+
+// placeWords returns the word-ring offset for the n words of a job about
+// to be queued behind the live ones.
+func (b *LLCBank) placeWords(n int) int {
+	at := b.wordTail
+	if b.jobCount == 0 {
+		at = 0 // the ring is empty
+	} else if head := b.jobs[b.jobHead].off; head < at {
+		// Live words in [head, at): place after them, or else from 0.
+		if at+n > len(b.words) {
+			at = 0
+			if n > head {
+				at = -1
+			}
+		}
+	} else if at+n > head { // wrapped: live words in [head, end) and [0, at)
+		at = -1
 	}
-	d := make([]uint32, b.lineWords)
-	return d[:n]
+	if at < 0 || at+n > len(b.words) {
+		b.growWords(b.liveWords() + n)
+		at = b.wordTail
+	}
+	b.wordTail = at + n
+	return at
+}
+
+// liveWords counts the words of the queued jobs.
+func (b *LLCBank) liveWords() int {
+	n := 0
+	for i := 0; i < b.jobCount; i++ {
+		n += b.jobs[wrap(b.jobHead+i, len(b.jobs))].n
+	}
+	return n
+}
+
+// growWords moves the queued jobs' words to the front of a word ring of at
+// least need words, and the tail after them.
+func (b *LLCBank) growWords(need int) {
+	grown, at := make([]uint32, doubled(len(b.words), need)), 0
+	for i := 0; i < b.jobCount; i++ {
+		j := &b.jobs[wrap(b.jobHead+i, len(b.jobs))]
+		copy(grown[at:], b.jobData(j))
+		j.off, at = at, at+j.n
+	}
+	b.words, b.wordTail = grown, at
+}
+
+// reserve makes room for jobs more jobs carrying up to words words in all
+// behind the queued ones, growing each ring at most once. Install reserves
+// a line's whole burst of waiters up front.
+func (b *LLCBank) reserve(jobs, words int) {
+	if need := b.jobCount + jobs; need > len(b.jobs) {
+		b.growJobs(need)
+	}
+	if need := b.liveWords() + words; need > len(b.words) {
+		b.growWords(need)
+	}
 }
 
 // Busy reports whether the bank has buffered work (quiescence check).
@@ -480,7 +565,7 @@ func (b *LLCBank) handleStore(now int64, m *msg.Message) bool {
 		b.st.Misses++
 		b.fetch(now, mi)
 	}
-	b.mshr[mi].events = append(b.mshr[mi].events, *m)
+	b.queueEvent(mi, m)
 	return true
 }
 
@@ -502,7 +587,7 @@ func (b *LLCBank) handleLoad(now int64, m *msg.Message) bool {
 		if m.Kind == msg.KindVloadReq {
 			b.st.WideReqs++
 		}
-		b.makeJob(b.pushJob(), m, set*b.ways+w, lineAddr, kStart, kEnd)
+		b.makeJob(m, set*b.ways+w, lineAddr, kStart, kEnd)
 		return true
 	}
 	mi, isNew := b.mshrFor(lineAddr)
@@ -517,7 +602,7 @@ func (b *LLCBank) handleLoad(now int64, m *msg.Message) bool {
 	if isNew {
 		b.fetch(now, mi)
 	}
-	b.mshr[mi].events = append(b.mshr[mi].events, *m)
+	b.queueEvent(mi, m)
 	return true
 }
 
@@ -536,16 +621,36 @@ func (b *LLCBank) mshrFor(lineAddr uint32) (int, bool) {
 	if free < 0 {
 		return -1, false
 	}
-	// Field-wise reset keeps the events slice's capacity across reuses.
 	b.mshr[free].busy = true
 	b.mshr[free].lineAddr = lineAddr
-	b.mshr[free].events = b.mshr[free].events[:0]
+	b.mshr[free].first, b.mshr[free].last = -1, -1
 	return free, true
 }
 
-// makeJob fills job j with request m and a snapshot of the words of line
+// queueEvent chains request m behind MSHR mi's events, in a free entry of
+// the events slab.
+func (b *LLCBank) queueEvent(mi int, m *msg.Message) {
+	ev := mshrEvent{req: *m, next: -1}
+	i := b.freeEvent
+	if i < 0 {
+		i = int32(len(b.events))
+		b.events = append(b.events, ev)
+	} else {
+		b.freeEvent = b.events[i].next
+		b.events[i] = ev
+	}
+	h := &b.mshr[mi]
+	if h.last < 0 {
+		h.first = i
+	} else {
+		b.events[h.last].next = i
+	}
+	h.last = i
+}
+
+// makeJob queues a job for request m with a snapshot of the words of line
 // li that m's portion [kStart, kEnd) reads.
-func (b *LLCBank) makeJob(j *respJob, m *msg.Message, li int, lineAddr uint32, kStart, kEnd int) {
+func (b *LLCBank) makeJob(m *msg.Message, li int, lineAddr uint32, kStart, kEnd int) {
 	skewBase := b.lineAddrOf(m.Addr)
 	var firstWordInLine int
 	if lineAddr == skewBase {
@@ -554,9 +659,10 @@ func (b *LLCBank) makeJob(j *respJob, m *msg.Message, li int, lineAddr uint32, k
 		firstWordInLine = 0 // prefix: starts at the head of the next line
 	}
 	n := kEnd - kStart
-	data := b.getData(n)
-	copy(data, b.lineData(li)[firstWordInLine:firstWordInLine+n])
-	j.req, j.kStart, j.data, j.sent, j.start = *m, kStart, data, 0, 0
+	off := b.placeWords(n)
+	copy(b.words[off:off+n], b.lineData(li)[firstWordInLine:firstWordInLine+n])
+	j := b.pushJob()
+	j.req, j.kStart, j.off, j.n, j.sent, j.start = *m, kStart, off, n, 0, 0
 	if b.journeys != nil {
 		j.start = -1 // set when the job reaches the stream head
 	}
@@ -589,17 +695,28 @@ func (b *LLCBank) Install(now int64, lineAddr uint32) {
 	l.addr = lineAddr
 	b.global.ReadLine(lineAddr, data)
 	b.touch(set, w)
+	h := &b.mshr[mi]
+	// Room for every waiting load's job at once: a burst grows each ring
+	// at most once.
+	jobs, words := 0, 0
+	for i := h.first; i >= 0; i = b.events[i].next {
+		if m := &b.events[i].req; m.Kind != msg.KindStoreReq {
+			jobs++
+			words += min(int(m.Words), b.lineWords)
+		}
+	}
+	b.reserve(jobs, words)
 	// Replay coalesced requests in arrival order: loads snapshot the line
 	// as of their position, so they never observe later stores.
-	for i := range b.mshr[mi].events {
-		m := &b.mshr[mi].events[i]
+	for i := h.first; i >= 0; i = b.events[i].next {
+		m := &b.events[i].req
 		if m.Kind == msg.KindStoreReq {
 			data[(m.Addr-lineAddr)/4] = m.Vals[0]
 			l.dirty = true
 			continue
 		}
 		if s := b.journeys.At(m.Journey); s != nil {
-			s.DramQ, s.DramLat = b.mshr[mi].cDramQ, b.mshr[mi].cDramLat
+			s.DramQ, s.DramLat = h.cDramQ, h.cDramLat
 		}
 		la, kStart, kEnd, ok := b.portion(m)
 		if !ok || kEnd == kStart {
@@ -612,12 +729,14 @@ func (b *LLCBank) Install(now int64, lineAddr uint32) {
 		}
 		// Fills may exceed the hit-path job cap transiently; bounding only
 		// the hit path keeps the bank deadlock-free.
-		b.makeJob(b.pushJob(), m, li, lineAddr, kStart, kEnd)
+		b.makeJob(m, li, lineAddr, kStart, kEnd)
 	}
-	b.mshr[mi].busy = false
-	b.mshr[mi].lineAddr = 0
-	b.mshr[mi].events = b.mshr[mi].events[:0]
-	b.mshr[mi].cDramQ, b.mshr[mi].cDramLat = 0, 0
+	if h.last >= 0 {
+		b.events[h.last].next, b.freeEvent = b.freeEvent, h.first
+	}
+	h.busy = false
+	h.lineAddr = 0
+	h.cDramQ, h.cDramLat = 0, 0
 }
 
 // streamResponses emits at most one flit per cycle from the head job.
@@ -646,7 +765,7 @@ func (b *LLCBank) streamResponses(now int64) {
 	}
 	b.st.RespWords += int64(n)
 	j.sent += n
-	if j.sent == len(j.data) {
+	if j.sent == j.n {
 		b.popJob()
 	}
 }
@@ -657,13 +776,13 @@ func (b *LLCBank) streamResponses(now int64) {
 // consecutive scratchpad offsets. ok is false when the destination lane
 // does not resolve (the error is recorded).
 func (b *LLCBank) nextFlit(j *respJob, resp *msg.Message) (n int, ok bool) {
-	m := &j.req
+	m, data := &j.req, b.jobData(j)
 	if m.Kind == msg.KindLoadReq {
 		*resp = msg.Message{
 			Kind: msg.KindLoadResp, Src: b.node, Dst: m.Src,
 			Words: 1, LQSlot: m.LQSlot, Addr: m.Addr,
 		}
-		resp.Vals[0] = j.data[0]
+		resp.Vals[0] = data[0]
 		return 1, true
 	}
 	k := j.kStart + j.sent
@@ -677,14 +796,14 @@ func (b *LLCBank) nextFlit(j *respJob, resp *msg.Message) (n int, ok bool) {
 		Kind: msg.KindSpadWord, Src: b.node, Dst: msg.Node(tile),
 		SpadOff: off, Addr: m.Addr + uint32(4*k),
 	}
-	resp.Vals[0] = j.data[j.sent]
+	resp.Vals[0] = data[j.sent]
 	n = 1
-	for n < b.cfg.NetWidthWords && j.sent+n < len(j.data) {
+	for n < b.cfg.NetWidthWords && j.sent+n < j.n {
 		nt, noff, ok := b.destOf(m, k+n)
 		if !ok || nt != tile || noff != off+uint32(4*n) {
 			break
 		}
-		resp.Vals[n] = j.data[j.sent+n]
+		resp.Vals[n] = data[j.sent+n]
 		n++
 	}
 	resp.Words = uint16(n)

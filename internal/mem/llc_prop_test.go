@@ -142,3 +142,50 @@ func TestLLCValueOrdering(t *testing.T) {
 		}
 	}
 }
+
+// TestJobWordRingKeepsSnapshots queues and retires response jobs of random
+// sizes through a bank's word ring, with Install-style reservations mixed
+// in, and checks after every step that each queued job's words are the
+// ones written when it was queued: placement after the tail, wrapping to
+// the front, and growth with its move of the live words must never overlap
+// or lose a live job's snapshot.
+func TestJobWordRingKeepsSnapshots(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		b, _, _, _, _ := newBank(t)
+		var live []uint32 // per queued job, oldest first: its first word's value
+		next := uint32(1)
+		for step := 0; step < 2000; step++ {
+			// Queue a job while the live words leave room for it, so the
+			// ring runs nearly full and wraps often; grow it now and then.
+			n := 1 + r.Intn(b.lineWords)
+			switch {
+			case r.Intn(64) == 0:
+				b.reserve(1+r.Intn(8), r.Intn(4*b.lineWords))
+			case b.jobCount == 0 || b.liveWords()+n <= len(b.words) && r.Intn(4) > 0:
+				off := b.placeWords(n)
+				for i := range n {
+					b.words[off+i] = next + uint32(i)
+				}
+				j := b.pushJob()
+				j.off, j.n = off, n
+				live = append(live, next)
+				next += uint32(n)
+			default:
+				b.popJob()
+				live = live[1:]
+			}
+			if b.jobCount != len(live) {
+				t.Fatalf("seed %d step %d: %d jobs queued, want %d", seed, step, b.jobCount, len(live))
+			}
+			for i, first := range live {
+				j := &b.jobs[wrap(b.jobHead+i, len(b.jobs))]
+				for w, v := range b.jobData(j) {
+					if v != first+uint32(w) {
+						t.Fatalf("seed %d step %d: job %d word %d is %d, want %d", seed, step, i, w, v, first+uint32(w))
+					}
+				}
+			}
+		}
+	}
+}

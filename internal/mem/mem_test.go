@@ -2,6 +2,8 @@ package mem
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -49,7 +51,7 @@ func TestGlobalBoundsError(t *testing.T) {
 
 func TestDRAMOrdering(t *testing.T) {
 	g, _ := NewGlobal(4096)
-	d, _ := NewDRAM(60, 16)
+	d, _ := NewDRAM(60, 16, 1)
 	// A write then a read of the same line must observe the write: the
 	// shared channel serializes them.
 	data := make([]uint32, 16)
@@ -75,7 +77,7 @@ func TestDRAMOrdering(t *testing.T) {
 
 func TestDRAMBandwidthSerializes(t *testing.T) {
 	g, _ := NewGlobal(1 << 20)
-	d, _ := NewDRAM(60, 16) // 4 cycles per 64B line
+	d, _ := NewDRAM(60, 16, 1) // 4 cycles per 64B line
 	for i := 0; i < 10; i++ {
 		d.Read(0, uint32(i*64), 64, 0)
 	}
@@ -237,7 +239,7 @@ func newBank(t *testing.T) (*LLCBank, *Global, *DRAM, *sink, *stats.LLC) {
 	t.Helper()
 	cfg := config.ManycoreDefault()
 	g, _ := NewGlobal(1 << 20)
-	d, _ := NewDRAM(cfg.DRAMLatency, cfg.DRAMBandwidth)
+	d, _ := NewDRAM(cfg.DRAMLatency, cfg.DRAMBandwidth, cfg.LLCBanks)
 	out := &sink{}
 	st := make([]stats.LLC, cfg.LLCBanks)
 	banks, err := NewLLCBanks(cfg, msg.NodeSpace{Cores: cfg.Cores, Banks: cfg.LLCBanks}, out, d, g, nolanes{}, st)
@@ -360,5 +362,87 @@ func TestLLCRefusesWhenFull(t *testing.T) {
 	}
 	if b.CanAccept() {
 		t.Fatal("queue should be full")
+	}
+}
+
+// wordSink counts the response words a bank sends, keeping nothing.
+type wordSink struct{ words int }
+
+func (s *wordSink) TrySend(m *msg.Message) bool {
+	s.words += int(m.Words)
+	return true
+}
+
+// TestLLCAllocsIndependentOfLoads serves rounds of whole-line wide loads
+// through one bank: a round fills the request queue with loads of a fresh
+// line (the first misses, the rest queue on its MSHR and become a burst of
+// jobs when the fill installs) and adds one more that hits, and the next
+// round starts once the bank has drained. The bank's buffers grow to the
+// backlog one round builds and then serve any number of rounds: serving
+// eight times the loads allocates no more. Not parallel: it reads the
+// process's allocation count.
+func TestLLCAllocsIndependentOfLoads(t *testing.T) {
+	cfg := config.ManycoreDefault()
+	lineWords := cfg.CacheLineBytes / 4
+	per := cfg.LLCReqQueue + 1 // loads per round
+	serve := func(rounds int) (allocs uint64, words int) {
+		g, _ := NewGlobal(1 << 20)
+		d, _ := NewDRAM(cfg.DRAMLatency, cfg.DRAMBandwidth, cfg.LLCBanks)
+		out := &wordSink{}
+		st := make([]stats.LLC, cfg.LLCBanks)
+		banks, err := NewLLCBanks(cfg, msg.NodeSpace{Cores: cfg.Cores, Banks: cfg.LLCBanks}, out, d, g, nolanes{}, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := banks[0]
+		reqs := make([]msg.Message, per*rounds)
+		for i := range reqs {
+			// Bank 0 owns every LLCBanks-th line.
+			reqs[i] = msg.Message{Kind: msg.KindVloadReq, Src: 2, Dst: 64,
+				Addr:  uint32(i / per * cfg.LLCBanks * cfg.CacheLineBytes),
+				Words: uint16(lineWords), Vload: msg.Vload{Width: uint16(lineWords), Dist: isa.VloadSelf},
+				Group: -1, ReqCore: 2}
+		}
+		var before, after runtime.MemStats
+		// No collection inside the window: one adds allocations that are
+		// not the bank's.
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		runtime.ReadMemStats(&before)
+		now := int64(0)
+		for r := 0; r < rounds; r++ {
+			round := reqs[r*per : (r+1)*per]
+			for k := range round[:per-1] {
+				b.Accept(&round[k])
+			}
+			filled := false
+			for ; !filled || b.Busy() || d.Pending() > 0; now++ {
+				if now > int64(1000*(r+1)) || b.Err() != nil {
+					t.Fatalf("round %d still busy at cycle %d (err %v)", r, now, b.Err())
+				}
+				for _, f := range d.Completed(now, g) {
+					b.Install(now, f.LineAddr)
+					b.Accept(&round[per-1])
+					filled = true
+				}
+				b.Tick(now)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if err := b.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs, out.words
+	}
+	const n = 16
+	few, fewWords := serve(n)
+	many, manyWords := serve(8 * n)
+	t.Logf("one bank, %d loads: %d allocations; %d loads: %d", per*n, few, 8*per*n, many)
+	if want := per * n * lineWords; fewWords != want || manyWords != 8*want {
+		t.Fatalf("served %d and %d words, want %d and %d", fewWords, manyWords, want, 8*want)
+	}
+	if many > few {
+		t.Errorf("serving %d wide loads allocates %d times, more than the %d of serving %d: a buffer is allocated per access",
+			8*per*n, many, few, per*n)
 	}
 }

@@ -113,10 +113,30 @@ func resize[T any](a []T, n int) []T {
 	return a
 }
 
-// SetIntegrity enables per-frame parity accumulation, delivery recording,
-// and lazy verification at frame-open. The machine turns this on only for
-// fault-injection runs with replay enabled.
-func (s *Scratchpad) SetIntegrity(on bool) { s.integrity = on }
+// recordSegs is the number of delivery-record segments each frame slot
+// holds before append first grows its record.
+const recordSegs = 4
+
+// EnableIntegrity turns on per-frame parity accumulation, delivery
+// recording, and lazy verification at frame-open for spads, which
+// NewScratchpads built with one frame-counter count. Every frame slot's
+// delivery record starts as a recordSegs-segment piece of one slab, and
+// grows past it only on a longer record. The machine turns this on only
+// for fault-injection runs with replay enabled.
+func EnableIntegrity(spads []*Scratchpad) {
+	if len(spads) == 0 {
+		return
+	}
+	hw := spads[0].hwFrames
+	recs := make([]FrameSeg, len(spads)*hw*recordSegs)
+	for t, s := range spads {
+		s.integrity = true
+		segs := s.segs[:hw]
+		for i := range segs {
+			segs[i] = part(recs, t*hw+i, recordSegs)[:0]
+		}
+	}
+}
 
 // SetClock wires the machine's cycle counter in so invariant violations are
 // stamped with the cycle they occur at (not the cycle they are discovered).
@@ -210,7 +230,10 @@ func (s *Scratchpad) Configure(frameWords, frames int) {
 	}
 	if s.integrity {
 		s.parity = resize(s.parity, frames)
-		s.segs = resize(s.segs, frames)
+		s.segs = s.segs[:frames]
+		for i := range s.segs {
+			s.segs[i] = s.segs[i][:0] // keep each record's capacity
+		}
 		s.pending = resize(s.pending, frames)
 		s.verifiedSeq = -1
 		s.poisoned = false

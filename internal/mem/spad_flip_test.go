@@ -128,7 +128,7 @@ func TestSpadFlipWouldPoisonMatchesFlipBit(t *testing.T) {
 				case 0:
 					c.s.Decommission()
 				case 1:
-					c.s.SetIntegrity(false)
+					c.s.integrity = false
 				}
 				before := c.clone()
 				want := c.s.FlipWouldPoison(off)

@@ -12,7 +12,7 @@ import (
 // clock for error context.
 func newIntegritySpad(frameWords, frames, hwFrames int) (*Scratchpad, *stats.Core) {
 	s, st := oneSpad(hwFrames)
-	s.SetIntegrity(true)
+	EnableIntegrity([]*Scratchpad{s})
 	s.Configure(frameWords, frames)
 	return s, st
 }

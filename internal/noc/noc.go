@@ -162,8 +162,11 @@ type Mesh struct {
 	deadDst    DeadDstHandler
 
 	incoming []int8 // per (router,port) reservation scratch
-	moves    []move
-	queued   int64 // flits buffered anywhere (O(1) Busy)
+	// moves is Tick's list of winning transfers, sized at New to one per
+	// output port (every port moves at most one flit a tick), so it never
+	// grows.
+	moves  []move
+	queued int64 // flits buffered anywhere (O(1) Busy)
 
 	// waker, when set, is called after every successful injection so the
 	// engine can wake a parked (empty) mesh.
@@ -196,11 +199,12 @@ type Mesh struct {
 	linkHops []int64 // per-link traversals (router*4 + out)
 }
 
+// move is one transfer Tick applies: router tile's input queue in pops its
+// head flit through output out, onto the link to router to, or out of the
+// mesh (to -1).
 type move struct {
-	tile   int
-	in     port
-	out    port
-	toTile int // destination router for link moves; -1 for delivery
+	tile, to int32
+	in, out  uint8
 }
 
 // New builds a w x h mesh with the given per-link queue capacity. banks is
@@ -229,6 +233,7 @@ func New(w, h, banks, queueCap int, deliver Deliver) (*Mesh, error) {
 		cap:      queueCap,
 		deliver:  deliver,
 		incoming: make([]int8, w*h*int(numPorts)),
+		moves:    make([]move, 0, w*h*int(numPorts)),
 		linkHops: make([]int64, w*h*4),
 	}
 	m.bufs = make([]entry, len(m.queues)*queueCap)
@@ -457,7 +462,7 @@ func (m *Mesh) Tick(now int64) {
 				if out == portLocal || out == portLLC {
 					e := m.headEntry(base + int(in))
 					if m.deliver(int(e.dst), &m.flits[e.idx]) {
-						moves = append(moves, move{tile: tile, in: in, out: out, toTile: -1})
+						moves = append(moves, move{tile: int32(tile), to: -1, in: uint8(in), out: uint8(out)})
 						m.rrPtr[base+outOff] = rrNext(in)
 					}
 					continue
@@ -476,7 +481,7 @@ func (m *Mesh) Tick(now int64) {
 					continue
 				}
 				incoming[key]++
-				moves = append(moves, move{tile: tile, in: in, out: out, toTile: nt})
+				moves = append(moves, move{tile: int32(tile), to: int32(nt), in: uint8(in), out: uint8(out)})
 				m.rrPtr[base+outOff] = rrNext(in)
 			}
 		}
@@ -485,29 +490,30 @@ func (m *Mesh) Tick(now int64) {
 	delivered := int64(0)
 	for i := range moves {
 		mv := &moves[i]
-		qi := m.qi(mv.tile, mv.in)
-		if mv.toTile < 0 {
+		tile, nt, in, out := int(mv.tile), int(mv.to), port(mv.in), port(mv.out)
+		qi := m.qi(tile, in)
+		if nt < 0 {
 			m.free(m.headEntry(qi).idx)
 			delivered++ // left the mesh
 		} else {
-			np := oppTab[mv.out]
-			key := mv.toTile*int(numPorts) + int(np)
+			np := oppTab[out]
+			key := nt*int(numPorts) + int(np)
 			e := *m.headEntry(qi)
 			// The input port the flit lands on decides, once the table is
 			// rerouted, whether it may still climb (see reroute.go).
-			e.out = m.routeAt(mv.toTile, np, int(e.dst))
+			e.out = m.routeAt(nt, np, int(e.dst))
 			m.pushQ(key, e)
-			m.occMask[mv.toTile] |= 1 << uint(np)
-			m.busy[mv.toTile>>6] |= 1 << uint(mv.toTile&63)
+			m.occMask[nt] |= 1 << uint(np)
+			m.busy[nt>>6] |= 1 << uint(nt&63)
 			m.Hops++
-			m.linkHops[mv.tile*4+int(mv.out)]++
+			m.linkHops[tile*4+int(out)]++
 			incoming[key] = 0
 		}
 		m.dropQ(qi)
 		if m.queues[qi].n == 0 {
-			m.occMask[mv.tile] &^= 1 << uint(mv.in)
-			if m.occMask[mv.tile] == 0 {
-				m.busy[mv.tile>>6] &^= 1 << uint(mv.tile&63)
+			m.occMask[tile] &^= 1 << uint(in)
+			if m.occMask[tile] == 0 {
+				m.busy[tile>>6] &^= 1 << uint(tile&63)
 			}
 		}
 	}
