@@ -218,16 +218,14 @@ func (ataxBench) buildAxpyVec(ctx *Ctx) {
 			b.Fmv(acc[u], fz)
 		}
 	})
-	mtAcc, mtAccLen := b.Microthread(func() {
-		b.FrameStart(mtFb)
+	mtAcc, mtAccLen := ctx.FrameMicrothread(mtFb, func(fb isa.Reg) {
 		for r := 0; r < rows; r++ {
-			b.FlwSp(ftmp, mtFb, int32(4*(rows*w+r)))
+			b.FlwSp(ftmp, fb, int32(4*(rows*w+r)))
 			for u := 0; u < w; u++ {
-				b.FlwSp(fa, mtFb, int32(4*(r*w+u)))
+				b.FlwSp(fa, fb, int32(4*(r*w+u)))
 				b.Fmadd(acc[u], fa, ftmp, acc[u])
 			}
 		}
-		b.Remem()
 	})
 	advBytes := int32(groups * ataxStripe * 4)
 	mtStore, _ := b.Microthread(func() {

@@ -1,9 +1,6 @@
 package kernels
 
 import (
-	"fmt"
-
-	"rockcress/internal/config"
 	"rockcress/internal/gpu"
 	"rockcress/internal/isa"
 )
@@ -33,13 +30,10 @@ func (conv2dBench) Info() Info {
 
 // conv2dChunk picks the per-microthread output count: 14 outputs from a
 // 16-word slice normally; with long lines the slice grows toward a quarter
-// line (62 outputs), falling back to the largest divisor of the interior
-// width so rows split evenly.
+// line, up to 62 outputs, taking the largest count that divides the interior
+// width so rows split evenly (56 at all three default sizes).
 func conv2dChunk(interior int, longLines bool) int {
-	if !longLines {
-		return 14
-	}
-	for c := 62; c > 14; c-- {
+	for c := 62; longLines && c > 14; c-- {
 		if interior%c == 0 {
 			return c
 		}
@@ -48,11 +42,9 @@ func conv2dChunk(interior int, longLines bool) int {
 }
 
 func (conv2dBench) Defaults(s Scale) Params {
-	// Interior columns NC-2 must divide by both chunk sizes (14 and 62):
-	// chunks are per-row counts, so pick NC-2 = multiple of 14 (and accept
-	// a partial final chunk guard for long lines via exact divisibility
-	// checks in the builder; defaults use 14*k columns and 62 divides only
-	// the Full size).
+	// Interior columns NC-2 are a multiple of 56, so both chunk sizes (14,
+	// and 56 with long lines) divide every row; interior rows NR-2 are a
+	// multiple of 16 so V16 blocks tile them.
 	switch s {
 	case Tiny:
 		return Params{N: 18, M: 58, Seed: 3} // 16 interior rows, 56 cols
@@ -61,16 +53,6 @@ func (conv2dBench) Defaults(s Scale) Params {
 	default:
 		return Params{N: 130, M: 226, Seed: 3} // 128 interior rows, 224 cols
 	}
-}
-
-func conv2dCheck(p Params, chunk int) error {
-	if (p.M-2)%chunk != 0 {
-		return fmt.Errorf("2dconv: interior columns %d must divide by chunk %d", p.M-2, chunk)
-	}
-	if (p.N-2)%16 != 0 {
-		return fmt.Errorf("2dconv: interior rows %d must be a multiple of 16 (V16 blocks)", p.N-2)
-	}
-	return nil
 }
 
 func (conv2dBench) Prepare(p Params) (*Image, error) {
@@ -93,189 +75,80 @@ func (conv2dBench) Prepare(p Params) (*Image, error) {
 	return img, nil
 }
 
+// spec states 2dconv as a stencil: the interior rows, each reading the three
+// input rows around it from row r of in.
+func (conv2dBench) spec(p Params, img *Image, chunk int) stencil {
+	nc := p.M
+	return stencil{
+		in: img.Arr("in"), out: img.Arr("out"),
+		rows: p.N - 2, cols: nc - 2, chunk: chunk,
+		sliceOff: [9]int32{0, int32(nc), int32(2 * nc)},
+		outOff:   int32(4 * (nc + 1)),
+		coef:     conv2dCoef[:],
+		rowWords: nc,
+	}
+}
+
 func (cv conv2dBench) Build(ctx *Ctx) error {
-	chunk := conv2dChunk(ctx.P.M-2, ctx.SW.LongLines && ctx.SW.Style == config.StyleVector)
-	if err := conv2dCheck(ctx.P, chunk); err != nil {
-		return err
-	}
-	ctx.Begin()
-	switch ctx.SW.Style {
-	case config.StyleNV:
-		cv.buildNV(ctx)
-	case config.StyleNVPF:
-		cv.buildPF(ctx, chunk)
-	case config.StyleVector:
-		cv.buildVec(ctx, chunk)
-	default:
-		return fmt.Errorf("2dconv: unsupported style %s", ctx.SW.Style)
-	}
-	ctx.Finish()
-	return nil
+	chunk := conv2dChunk(ctx.P.M-2, ctx.SW.LongLines && ctx.Vector())
+	return cv.spec(ctx.P, ctx.Img, chunk).build(ctx, "2dconv", cv.buildNV, cv.buildVec)
 }
 
-// loadCoef materializes the nine filter coefficients in FP registers.
-func conv2dCoefRegs(ctx *Ctx) [9]isa.FReg {
-	var cf [9]isa.FReg
-	for k := range cf {
-		cf[k] = ctx.B.Fp()
-		ctx.B.FliF(cf[k], conv2dCoef[k])
-	}
-	return cf
-}
-
-// conv2dStencil emits the nine-tap accumulation for one output from three
-// row pointers (spad or global flavour selected by load).
-func conv2dStencil(ctx *Ctx, cf [9]isa.FReg, load func(fd isa.FReg, row int, off int32), acc isa.FReg, tmps [4]isa.FReg) {
+// buildNV walks three row pointers, one per input row, a word at a time.
+func (conv2dBench) buildNV(ctx *Ctx, st stencil) {
 	b := ctx.B
-	first := true
-	for row := 0; row < 3; row++ {
-		for dx := 0; dx < 3; dx++ {
-			f := tmps[(row*3+dx)%4]
-			load(f, row, int32(4*dx))
-			if first {
-				b.Fmul(acc, f, cf[0])
-				first = false
-			} else {
-				b.Fmadd(acc, f, cf[row*3+dx], acc)
-			}
-		}
-	}
-}
-
-func (conv2dBench) buildNV(ctx *Ctx) {
-	b := ctx.B
-	nr, nc := ctx.P.N, ctx.P.M
-	in, out := ctx.Img.Arr("in"), ctx.Img.Arr("out")
 	ctx.MIMDKernel(func() {
-		cf := conv2dCoefRegs(ctx)
-		tmps := ctx.Fp4()
-		acc := b.Fp()
+		r := st.regs(ctx)
 		i, j := b.Int(), b.Int()
-		p0, p1, p2, pOut := b.Int(), b.Int(), b.Int(), b.Int()
-		ctx.StridedLoop(i, ctx.WorkerID(), int32(nr-2), int32(ctx.Workers()), func() {
+		p := [3]isa.Reg{b.Int(), b.Int(), b.Int()}
+		pOut := b.Int()
+		ctx.StridedLoop(i, ctx.WorkerID(), int32(st.rows), int32(ctx.Workers()), func() {
 			// Worker handles interior row i+1; pointers at column 0.
-			ctx.AddrInto(p0, i, in.Addr, nc, 0)
-			b.Addi(p1, p0, int32(4*nc))
-			b.Addi(p2, p1, int32(4*nc))
-			ctx.AddrInto(pOut, i, out.Addr, nc, int32(4*(nc+1)))
-			b.ForI(j, 0, int32(nc-2), 1, func() {
-				conv2dStencil(ctx, cf, func(fd isa.FReg, row int, off int32) {
-					switch row {
-					case 0:
-						b.Flw(fd, p0, off)
-					case 1:
-						b.Flw(fd, p1, off)
-					default:
-						b.Flw(fd, p2, off)
-					}
-				}, acc, tmps)
-				b.Fsw(acc, pOut, 0)
-				b.Addi(p0, p0, 4)
-				b.Addi(p1, p1, 4)
-				b.Addi(p2, p2, 4)
+			st.rowAddr(ctx, p[0], i, st.in.Addr, 0)
+			b.Addi(p[1], p[0], int32(4*st.rowWords))
+			b.Addi(p[2], p[1], int32(4*st.rowWords))
+			st.rowAddr(ctx, pOut, i, st.out.Addr, st.outOff)
+			b.ForI(j, 0, int32(st.cols), 1, func() {
+				r.chain(b, r.tmps, func(f isa.FReg, row, dx int) { b.Flw(f, p[row], int32(4*dx)) })
+				b.Fsw(r.acc, pOut, 0)
+				for _, q := range p {
+					b.Addi(q, q, 4)
+				}
 				b.Addi(pOut, pOut, 4)
 			})
 		})
 	})
 }
 
-// conv2dConsume processes one frame (three chunk+2 row slices) into chunk
-// outputs written through pOut (persistent pointer advanced chunk words).
-func conv2dConsume(ctx *Ctx, cf [9]isa.FReg, tmps [4]isa.FReg, acc isa.FReg,
-	fb, pOut isa.Reg, chunk, sliceWords int) {
+// buildVec: lanes own adjacent interior rows of a vlen-row block; the
+// output pointer advances by a constant from the end of one owned row to
+// the start of the next.
+func (conv2dBench) buildVec(ctx *Ctx, st stencil) {
 	b := ctx.B
-	for o := 0; o < chunk; o++ {
-		conv2dStencil(ctx, cf, func(fd isa.FReg, row int, off int32) {
-			b.FlwSp(fd, fb, int32(4*(row*sliceWords+o))+off)
-		}, acc, tmps)
-		b.Fsw(acc, pOut, int32(4*o))
-	}
-	b.Addi(pOut, pOut, int32(4*chunk))
-}
-
-func (cv conv2dBench) buildPF(ctx *Ctx, chunk int) {
-	b := ctx.B
-	nr, nc := ctx.P.N, ctx.P.M
-	in, out := ctx.Img.Arr("in"), ctx.Img.Arr("out")
-	slice := chunk + 2
-	frameWords := 3 * slice
-	frames := ctx.HW.FrameCounters
-	chunksPerRow := (nc - 2) / chunk
-	ctx.SetupFrames(frameWords, frames)
-	ctx.MIMDKernel(func() {
-		cf := conv2dCoefRegs(ctx)
-		tmps := ctx.Fp4()
-		acc := b.Fp()
-		i := b.Int()
-		p0, pOut, t, toff := b.Int(), b.Int(), b.Int(), b.Int()
-		ctx.StridedLoop(i, ctx.WorkerID(), int32(nr-2), int32(ctx.Workers()), func() {
-			ctx.AddrInto(p0, i, in.Addr, nc, 0)
-			ctx.AddrInto(pOut, i, out.Addr, nc, int32(4*(nc+1)))
-			ctx.SelfDAE(chunksPerRow, frameWords, frames,
-				func(_, off isa.Reg) {
-					for row := 0; row < 3; row++ {
-						b.Addi(t, p0, int32(4*row*nc))
-						b.Addi(toff, off, int32(4*row*slice))
-						b.VLoadUnaligned(isa.VloadSelf, t, toff, 0, slice, true)
-					}
-					b.Addi(p0, p0, int32(4*chunk))
-				},
-				func(fb isa.Reg) {
-					conv2dConsume(ctx, cf, tmps, acc, fb, pOut, chunk, slice)
-				})
-		})
-	})
-}
-
-func (cv conv2dBench) buildVec(ctx *Ctx, chunk int) {
-	b := ctx.B
-	nr, nc := ctx.P.N, ctx.P.M
-	in, out := ctx.Img.Arr("in"), ctx.Img.Arr("out")
-	slice := chunk + 2
-	frameWords := 3 * slice
-	frames := ctx.HW.FrameCounters
-	chunksPerRow := (nc - 2) / chunk
+	nc := st.rowWords
+	frameWords, frames := st.frameWords(), ctx.HW.FrameCounters
 	vlen := ctx.VLen()
 	groups := ctx.Workers()
 
-	cf := conv2dCoefRegs(ctx)
-	tmps := ctx.Fp4()
-	acc := b.Fp()
+	r := st.regs(ctx)
 	pOut, mtFb := b.Int(), b.Int()
-
-	// mtChunk consumes one frame into chunk outputs; mtRow jumps the output
-	// pointer from the end of the lane's row to the start of its next one
-	// (lanes own adjacent interior rows of a vlen-row block).
-	mtChunk, mtChunkLen := b.Microthread(func() {
-		b.FrameStart(mtFb)
-		conv2dConsume(ctx, cf, tmps, acc, mtFb, pOut, chunk, slice)
-		b.Remem()
-	})
-	rowAdv := int32(4 * (groups*vlen*nc - (nc - 2)))
-	mtRow, _ := b.Microthread(func() {
-		b.Addi(pOut, pOut, rowAdv)
-	})
+	mtChunk, mtChunkLen := ctx.FrameMicrothread(mtFb, func(fb isa.Reg) { st.consume(ctx, r, fb, pOut) })
+	rowAdv := int32(4 * (groups*vlen*nc - st.cols))
+	mtRow, _ := b.Microthread(func() { b.Addi(pOut, pOut, rowAdv) })
 
 	ctx.VectorKernel(frameWords, frames,
-		func() { // lane setup: output pointer at first owned interior row
-			ctx.LanePtr(pOut, 0, out.Addr, nc, int32(4*(nc+1)))
-		},
+		func() { ctx.LanePtr(pOut, 0, st.out.Addr, nc, st.outOff) }, // first owned row's output
 		func() {
 			rb, p0, pRow, t, toff := b.Int(), b.Int(), b.Int(), b.Int(), b.Int()
-			blocks := (nr - 2) / vlen // conv2dCheck guarantees divisibility
-			ctx.StridedLoop(rb, ctx.Gid, int32(blocks), int32(groups), func() {
-				ctx.AddrInto(p0, rb, in.Addr, vlen*nc, 0)
+			ctx.StridedLoop(rb, ctx.Gid, int32(st.rows/vlen), int32(groups), func() {
+				ctx.AddrInto(p0, rb, st.in.Addr, vlen*nc, 0)
 				b.Mv(pRow, p0)
-				ctx.VecDAE(chunksPerRow, frameWords, frames, mtChunkLen, mtChunk,
+				ctx.VecDAE(st.cols/st.chunk, frameWords, frames, mtChunkLen, mtChunk,
 					func(_, off isa.Reg) {
 						for l := 0; l < vlen; l++ {
-							for row := 0; row < 3; row++ {
-								b.Addi(t, pRow, int32(4*(l+row)*nc))
-								b.Addi(toff, off, int32(4*row*slice))
-								b.VLoadUnaligned(isa.VloadSingle, t, toff, l, slice, true)
-							}
+							st.fetch(ctx, isa.VloadSingle, l, t, pRow, l*nc, toff, off)
 						}
-						b.Addi(pRow, pRow, int32(4*chunk))
+						b.Addi(pRow, pRow, int32(4*st.chunk))
 					})
 				b.VIssueAt(mtRow)
 			})
@@ -283,21 +156,6 @@ func (cv conv2dBench) buildVec(ctx *Ctx, chunk int) {
 		})
 }
 
-func (conv2dBench) GPU(p Params, img *Image) ([]gpu.Kernel, error) {
-	nr, nc := p.N, p.M
-	in, out := img.Arr("in"), img.Arr("out")
-	// Thread t computes interior point (t/(nc-2)+1, t%(nc-2)+1); at returns
-	// its address in a, displaced by (di, dj).
-	at := func(a *Array, t, di, dj int) uint32 {
-		return a.At((t/(nc-2)+1+di)*nc + t%(nc-2) + 1 + dj)
-	}
-	return []gpu.Kernel{gpu.PerThread("2dconv", (nr-2)*(nc-2), func(w *gpu.Wave) {
-		for row := -1; row <= 1; row++ {
-			for dx := -1; dx <= 1; dx++ {
-				w.Load(func(t int) uint32 { return at(in, t, row, dx) })
-				w.Compute(1)
-			}
-		}
-		w.Store(func(t int) uint32 { return at(out, t, 0, 0) })
-	})}, nil
+func (cv conv2dBench) GPU(p Params, img *Image) ([]gpu.Kernel, error) {
+	return cv.spec(p, img, conv2dChunk(p.M-2, false)).gpu("2dconv"), nil
 }

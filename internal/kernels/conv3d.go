@@ -1,9 +1,6 @@
 package kernels
 
 import (
-	"fmt"
-
-	"rockcress/internal/config"
 	"rockcress/internal/gpu"
 	"rockcress/internal/isa"
 )
@@ -50,17 +47,6 @@ func (conv3dBench) Defaults(s Scale) Params {
 	}
 }
 
-func conv3dCheck(p Params) error {
-	ir := (p.N - 2) * (p.N - 2)
-	if ir%16 != 0 {
-		return fmt.Errorf("3dconv: interior rows %d must be a multiple of 16", ir)
-	}
-	if (p.M-2)%conv3dChunk != 0 {
-		return fmt.Errorf("3dconv: interior cols %d must divide by %d", p.M-2, conv3dChunk)
-	}
-	return nil
-}
-
 func (conv3dBench) Prepare(p Params) (*Image, error) {
 	n, m := p.N, p.M
 	r := rng(p.Seed)
@@ -89,75 +75,38 @@ func (conv3dBench) Prepare(p Params) (*Image, error) {
 	return img, nil
 }
 
-// conv3dStencil emits the 27-tap accumulation for output o of a frame
-// holding nine slices of sliceWords each (plane-major, row-minor).
-func conv3dStencil(ctx *Ctx, cf []isa.FReg, fb isa.Reg, acc isa.FReg, tmps [4]isa.FReg, o, sliceWords int) {
-	b := ctx.B
-	first := true
-	for s := 0; s < 9; s++ {
-		for dk := 0; dk < 3; dk++ {
-			f := tmps[(s*3+dk)%4]
-			b.FlwSp(f, fb, int32(4*(s*sliceWords+o+dk)))
-			if first {
-				b.Fmul(acc, f, cf[0])
-				first = false
-			} else {
-				b.Fmadd(acc, f, cf[s*3+dk], acc)
-			}
-		}
+// spec states 3dconv as a stencil: the interior (i, j) rows, flattened,
+// each reading nine k-slices (three rows from each of three planes). The
+// filter has only five distinct values (its 5-value period), so the family
+// holds its 27 taps in 5 registers.
+func (conv3dBench) spec(p Params, img *Image) stencil {
+	n, m := p.N, p.M
+	st := stencil{
+		in: img.Arr("in"), out: img.Arr("out"),
+		rows: (n - 2) * (n - 2), cols: m - 2, chunk: conv3dChunk,
+		outOff:   int32(4 * ((n+1)*m + 1)), // output (i, j, 1) from the window's base
+		coef:     conv3dCoef[:],
+		rowWords: m, side: n,
 	}
+	for k := range 9 {
+		st.sliceOff[k] = int32((k/3*n + k%3) * m) // plane di = k/3, row dj = k%3
+	}
+	return st
 }
 
 func (cv conv3dBench) Build(ctx *Ctx) error {
-	if err := conv3dCheck(ctx.P); err != nil {
-		return err
-	}
-	ctx.Begin()
-	switch ctx.SW.Style {
-	case config.StyleNV:
-		cv.buildNV(ctx)
-	case config.StyleNVPF:
-		cv.buildPF(ctx)
-	case config.StyleVector:
-		cv.buildVec(ctx)
-	default:
-		return fmt.Errorf("3dconv: unsupported style %s", ctx.SW.Style)
-	}
-	ctx.Finish()
-	return nil
+	return cv.spec(ctx.P, ctx.Img).build(ctx, "3dconv", cv.buildNV, cv.buildVec)
 }
 
-// coefRegs loads the 27 coefficients. 27 FP registers would exhaust the
-// file, so coefficients live in the scratchpad's program region and a small
-// register window is reloaded per tap... instead we exploit the filter's
-// 5-value period: only 5 distinct coefficients exist, so 5 registers cover
-// all taps.
-func conv3dCoefRegs(ctx *Ctx) []isa.FReg {
-	distinct := map[float32]isa.FReg{}
-	out := make([]isa.FReg, 27)
-	for i, v := range conv3dCoef {
-		f, ok := distinct[v]
-		if !ok {
-			f = ctx.B.Fp()
-			ctx.B.FliF(f, v)
-			distinct[v] = f
-		}
-		out[i] = f
-	}
-	return out
-}
-
-// rowCoords converts a flat interior row index (runtime register) into the
-// input base address &in[i-? ...]: base = ((i)*n + j)*m*4 + inAddr with
-// i = r/(n-2)+1, j = r%(n-2)+1, pointing at (i-1, j-1, 0).
+// conv3dRowBase converts a flat interior row index (runtime register) into
+// the base address of its 3x3 slice window in the array at base: with
+// i = flat/(n-2)+1 and j = flat%(n-2)+1, dst = &a[i-1][j-1][0].
 func conv3dRowBase(ctx *Ctx, dst, flat isa.Reg, n, m int, base uint32) {
 	b := ctx.B
 	ii, jj, t := b.Int(), b.Int(), b.Int()
 	b.Li(t, int32(n-2))
 	b.Div(ii, flat, t) // i-1
 	b.Rem(jj, flat, t) // j-1
-	// dst = (( (ii+1-1)*n + (jj+1-1) ) * m) * 4 + base  — the slice window
-	// starts at plane i-1, row j-1, col 0.
 	ctx.MulConst(t, ii, n)
 	b.Add(t, t, jj)
 	ctx.MulConst(dst, t, m*4)
@@ -165,41 +114,24 @@ func conv3dRowBase(ctx *Ctx, dst, flat isa.Reg, n, m int, base uint32) {
 	b.FreeInt(ii, jj, t)
 }
 
-func (conv3dBench) buildNV(ctx *Ctx) {
+// buildNV walks one input pointer a word at a time and loads every tap
+// through one register fv, leaving the family's rotating temporaries
+// unused.
+func (conv3dBench) buildNV(ctx *Ctx, st stencil) {
 	b := ctx.B
-	n, m := ctx.P.N, ctx.P.M
-	in, out := ctx.Img.Arr("in"), ctx.Img.Arr("out")
-	rowsI := (n - 2) * (n - 2)
 	ctx.MIMDKernel(func() {
-		cf := conv3dCoefRegs(ctx)
-		// Four FP registers this build reserves and never reads (it loads
-		// through fv): kept so acc and fv keep their register numbers.
-		ctx.Fp4()
-		acc, fv := b.Fp(), b.Fp()
-		r, k := b.Int(), b.Int()
+		r := st.regs(ctx)
+		fv := b.Fp()
+		row, k := b.Int(), b.Int()
 		pIn, pOut := b.Int(), b.Int()
-		ctx.StridedLoop(r, ctx.WorkerID(), int32(rowsI), int32(ctx.Workers()), func() {
-			conv3dRowBase(ctx, pIn, r, n, m, in.Addr)
-			conv3dRowBase(ctx, pOut, r, n, m, out.Addr)
-			// Output element (i, j, k): offset from base = (n+1)*m + k.
-			b.Addi(pOut, pOut, int32(4*((n+1)*m+1)))
-			b.ForI(k, 0, int32(m-2), 1, func() {
-				first := true
-				for di := 0; di < 3; di++ {
-					for dj := 0; dj < 3; dj++ {
-						for dk := 0; dk < 3; dk++ {
-							off := int32(4 * ((di*n+dj)*m + dk))
-							b.Flw(fv, pIn, off)
-							if first {
-								b.Fmul(acc, fv, cf[0])
-								first = false
-							} else {
-								b.Fmadd(acc, fv, cf[(di*3+dj)*3+dk], acc)
-							}
-						}
-					}
-				}
-				b.Fsw(acc, pOut, 0)
+		ctx.StridedLoop(row, ctx.WorkerID(), int32(st.rows), int32(ctx.Workers()), func() {
+			st.rowAddr(ctx, pIn, row, st.in.Addr, 0)
+			st.rowAddr(ctx, pOut, row, st.out.Addr, st.outOff)
+			b.ForI(k, 0, int32(st.cols), 1, func() {
+				r.chain(b, [4]isa.FReg{fv, fv, fv, fv}, func(f isa.FReg, sl, dk int) {
+					b.Flw(f, pIn, 4*(st.sliceOff[sl]+int32(dk)))
+				})
+				b.Fsw(r.acc, pOut, 0)
 				b.Addi(pIn, pIn, 4)
 				b.Addi(pOut, pOut, 4)
 			})
@@ -207,85 +139,23 @@ func (conv3dBench) buildNV(ctx *Ctx) {
 	})
 }
 
-func (conv3dBench) buildPF(ctx *Ctx) {
+// buildVec: each lane recomputes its output pointer per block from its flat
+// row index (the 3-D address map is not affine in the block number), and
+// the scalar core its input windows per chunk.
+func (conv3dBench) buildVec(ctx *Ctx, st stencil) {
 	b := ctx.B
-	n, m := ctx.P.N, ctx.P.M
-	in, out := ctx.Img.Arr("in"), ctx.Img.Arr("out")
-	rowsI := (n - 2) * (n - 2)
-	chunk := conv3dChunk
-	slice := chunk + 2
-	frameWords := 9 * slice
-	frames := ctx.HW.FrameCounters
-	chunksPerRow := (m - 2) / chunk
-	ctx.SetupFrames(frameWords, frames)
-	ctx.MIMDKernel(func() {
-		cf := conv3dCoefRegs(ctx)
-		tmps := ctx.Fp4()
-		acc := b.Fp()
-		r := b.Int()
-		pIn, pOut, t, toff := b.Int(), b.Int(), b.Int(), b.Int()
-		ctx.StridedLoop(r, ctx.WorkerID(), int32(rowsI), int32(ctx.Workers()), func() {
-			conv3dRowBase(ctx, pIn, r, n, m, in.Addr)
-			conv3dRowBase(ctx, pOut, r, n, m, out.Addr)
-			b.Addi(pOut, pOut, int32(4*((n+1)*m+1)))
-			ctx.SelfDAE(chunksPerRow, frameWords, frames,
-				func(_, off isa.Reg) {
-					for di := 0; di < 3; di++ {
-						for dj := 0; dj < 3; dj++ {
-							b.Addi(t, pIn, int32(4*(di*n+dj)*m))
-							b.Addi(toff, off, int32(4*(di*3+dj)*slice))
-							b.VLoadUnaligned(isa.VloadSelf, t, toff, 0, slice, true)
-						}
-					}
-					b.Addi(pIn, pIn, int32(4*chunk))
-				},
-				func(fb isa.Reg) {
-					for o := 0; o < chunk; o++ {
-						conv3dStencil(ctx, cf, fb, acc, tmps, o, slice)
-						b.Fsw(acc, pOut, int32(4*o))
-					}
-					b.Addi(pOut, pOut, int32(4*chunk))
-				})
-		})
-	})
-}
-
-func (conv3dBench) buildVec(ctx *Ctx) {
-	b := ctx.B
-	n, m := ctx.P.N, ctx.P.M
-	in, out := ctx.Img.Arr("in"), ctx.Img.Arr("out")
-	rowsI := (n - 2) * (n - 2)
-	chunk := conv3dChunk
-	slice := chunk + 2
-	frameWords := 9 * slice
-	frames := ctx.HW.FrameCounters
-	chunksPerRow := (m - 2) / chunk
+	frameWords, frames := st.frameWords(), ctx.HW.FrameCounters
 	vlen := ctx.VLen()
 	groups := ctx.Workers()
-	blocks := rowsI / vlen
 
-	cf := conv3dCoefRegs(ctx)
-	tmps := ctx.Fp4()
-	acc := b.Fp()
+	r := st.regs(ctx)
 	pOut, mtFb, rowReg := b.Int(), b.Int(), b.Int()
-
-	// Each lane recomputes its output pointer per block from its flat row
-	// index (the 3-D address map is not affine in the block number).
 	strideRows := int32(groups * vlen)
 	mtRow, _ := b.Microthread(func() {
-		conv3dRowBase(ctx, pOut, rowReg, n, m, out.Addr)
-		b.Addi(pOut, pOut, int32(4*((n+1)*m+1)))
+		st.rowAddr(ctx, pOut, rowReg, st.out.Addr, st.outOff)
 		b.Addi(rowReg, rowReg, strideRows)
 	})
-	mtChunk, mtChunkLen := b.Microthread(func() {
-		b.FrameStart(mtFb)
-		for o := 0; o < chunk; o++ {
-			conv3dStencil(ctx, cf, mtFb, acc, tmps, o, slice)
-			b.Fsw(acc, pOut, int32(4*o))
-		}
-		b.Addi(pOut, pOut, int32(4*chunk))
-		b.Remem()
-	})
+	mtChunk, mtChunkLen := ctx.FrameMicrothread(mtFb, func(fb isa.Reg) { st.consume(ctx, r, fb, pOut) })
 
 	ctx.VectorKernel(frameWords, frames,
 		func() { // lane setup: first flat row
@@ -294,24 +164,18 @@ func (conv3dBench) buildVec(ctx *Ctx) {
 		},
 		func() {
 			rb, pIn, pRow, t, toff, flat := b.Int(), b.Int(), b.Int(), b.Int(), b.Int(), b.Int()
-			ctx.StridedLoop(rb, ctx.Gid, int32(blocks), int32(groups), func() {
+			ctx.StridedLoop(rb, ctx.Gid, int32(st.rows/vlen), int32(groups), func() {
 				b.VIssueAt(mtRow)
 				ctx.MulConst(flat, rb, vlen)
-				ctx.VecDAE(chunksPerRow, frameWords, frames, mtChunkLen, mtChunk,
+				ctx.VecDAE(st.cols/st.chunk, frameWords, frames, mtChunkLen, mtChunk,
 					func(iter, off isa.Reg) {
 						for l := 0; l < vlen; l++ {
 							// Lane l's row base, advanced by iter chunks.
 							b.Addi(t, flat, int32(l))
-							conv3dRowBase(ctx, pRow, t, n, m, in.Addr)
-							ctx.MulConst(t, iter, 4*chunk)
+							st.rowAddr(ctx, pRow, t, st.in.Addr, 0)
+							ctx.MulConst(t, iter, 4*st.chunk)
 							b.Add(pRow, pRow, t)
-							for di := 0; di < 3; di++ {
-								for dj := 0; dj < 3; dj++ {
-									b.Addi(pIn, pRow, int32(4*(di*n+dj)*m))
-									b.Addi(toff, off, int32(4*(di*3+dj)*slice))
-									b.VLoadUnaligned(isa.VloadSingle, pIn, toff, l, slice, true)
-								}
-							}
+							st.fetch(ctx, isa.VloadSingle, l, pIn, pRow, 0, toff, off)
 						}
 					})
 			})
@@ -320,25 +184,6 @@ func (conv3dBench) buildVec(ctx *Ctx) {
 	b.FreeInt(pOut, mtFb, rowReg)
 }
 
-func (conv3dBench) GPU(p Params, img *Image) ([]gpu.Kernel, error) {
-	n, m := p.N, p.M
-	in, out := img.Arr("in"), img.Arr("out")
-	// Thread t computes interior point (i, j, k) of flat row t/(m-2); at
-	// returns its address in a, displaced by (di, dj, dk).
-	at := func(a *Array, t, di, dj, dk int) uint32 {
-		r := t / (m - 2)
-		i, j, k := r/(n-2)+1, r%(n-2)+1, t%(m-2)+1
-		return a.At(((i+di)*n+j+dj)*m + k + dk)
-	}
-	return []gpu.Kernel{gpu.PerThread("3dconv", (n-2)*(n-2)*(m-2), func(w *gpu.Wave) {
-		for di := -1; di <= 1; di++ {
-			for dj := -1; dj <= 1; dj++ {
-				for dk := -1; dk <= 1; dk++ {
-					w.Load(func(t int) uint32 { return at(in, t, di, dj, dk) })
-					w.Compute(1)
-				}
-			}
-		}
-		w.Store(func(t int) uint32 { return at(out, t, 0, 0, 0) })
-	})}, nil
+func (cv conv3dBench) GPU(p Params, img *Image) ([]gpu.Kernel, error) {
+	return cv.spec(p, img).gpu("3dconv"), nil
 }

@@ -296,27 +296,29 @@ func (c *Ctx) framesReady(who string) bool {
 }
 
 // daeFill emits the opening both pipelines share: the load-iteration counter
-// iL and a prologue issuing the loads of the first `ahead` frames. next emits
-// one more iteration's loads and advances iL and the frame cursor.
-func (c *Ctx) daeFill(ahead int, label string, load func(iter, spadOff isa.Reg)) (iL isa.Reg, next func()) {
+// iL and a prologue issuing the loads of the first `ahead` frames.
+func (c *Ctx) daeFill(ahead int, label string, load func(iter, spadOff isa.Reg)) (iL isa.Reg) {
 	b := c.B
 	iL = b.Int()
 	b.Li(iL, 0)
-	next = func() {
-		load(iL, c.daeOff)
-		c.bumpDAE()
-		b.Addi(iL, iL, 1)
-	}
 	if ahead > 0 {
 		bound := b.Int()
 		b.Li(bound, int32(ahead))
 		top := b.NewLabel(label)
 		b.Label(top)
-		next()
+		c.daeNext(iL, load)
 		b.Blt(iL, bound, top)
 		b.FreeInt(bound)
 	}
-	return iL, next
+	return iL
+}
+
+// daeNext emits one more iteration's loads and advances iL and the frame
+// cursor.
+func (c *Ctx) daeNext(iL isa.Reg, load func(iter, spadOff isa.Reg)) {
+	load(iL, c.daeOff)
+	c.bumpDAE()
+	c.B.Addi(iL, iL, 1)
 }
 
 // repeat emits body n times as a counted loop (nothing when n <= 0).
@@ -347,19 +349,29 @@ func (c *Ctx) SelfDAE(trip, frameWords, frames int, load func(iter, spadOff isa.
 		return
 	}
 	ahead := min(frames-1, trip)
-	iL, next := c.daeFill(ahead, "pf_pro", load)
+	iL := c.daeFill(ahead, "pf_pro", load)
 	fb := b.Int()
-	drain := func() {
-		b.FrameStart(fb)
-		consume(fb)
-		b.Remem()
-	}
 	c.repeat(trip-ahead, "pf_steady", func() {
-		next()
-		drain()
+		c.daeNext(iL, load)
+		c.drainFrame(fb, consume)
 	})
-	c.repeat(ahead, "pf_epi", drain)
+	c.repeat(ahead, "pf_epi", func() { c.drainFrame(fb, consume) })
 	b.FreeInt(fb, iL)
+}
+
+// drainFrame emits one frame's consumption: frame_start into fb, consume,
+// remem.
+func (c *Ctx) drainFrame(fb isa.Reg, consume func(frameBase isa.Reg)) {
+	c.B.FrameStart(fb)
+	consume(fb)
+	c.B.Remem()
+}
+
+// FrameMicrothread emits the vector microthread that drains one frame into
+// fb with consume: a vector lane runs the same body SelfDAE drains an NV_PF
+// core's frame with.
+func (c *Ctx) FrameMicrothread(fb isa.Reg, consume func(frameBase isa.Reg)) (label string, length int) {
+	return c.B.Microthread(func() { c.drainFrame(fb, consume) })
 }
 
 // VecDAE emits the vector-group scalar-side pipeline of §4.2: prologue
@@ -374,10 +386,10 @@ func (c *Ctx) VecDAE(trip, frameWords, frames, mtLen int, mtLabel string, load f
 		return
 	}
 	ahead := min(prog.AheadOffset(c.HW, c.Side(), mtLen), frames-1, trip)
-	iL, next := c.daeFill(ahead, "dae_pro", load)
+	iL := c.daeFill(ahead, "dae_pro", load)
 	c.repeat(trip-ahead, "dae_steady", func() {
 		b.VIssueAt(mtLabel)
-		next()
+		c.daeNext(iL, load)
 	})
 	c.repeat(ahead, "dae_epi", func() { b.VIssueAt(mtLabel) })
 	b.FreeInt(iL)

@@ -248,10 +248,8 @@ func buildRowDotVec(ctx *Ctx, s rowDotSpec) {
 			}
 		}
 	})
-	mtAcc, mtAccLen := b.Microthread(func() {
-		b.FrameStart(mtFb)
-		rowDotConsume(ctx, s, mtFb, acc, acc2, tmps, accV, accV2, va, vb, lw)
-		b.Remem()
+	mtAcc, mtAccLen := ctx.FrameMicrothread(mtFb, func(fb isa.Reg) {
+		rowDotConsume(ctx, s, fb, acc, acc2, tmps, accV, accV2, va, vb, lw)
 	})
 	blockDelta := int32((groups*vlen - 1) * s.NJ * 4)
 	mtStore, _ := b.Microthread(func() {
