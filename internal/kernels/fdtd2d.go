@@ -6,6 +6,7 @@ import (
 	"rockcress/internal/config"
 	"rockcress/internal/gpu"
 	"rockcress/internal/isa"
+	"rockcress/internal/prog"
 )
 
 // fdtd-2d: the finite-difference time-domain kernel (PolyBench/GPU). Each
@@ -135,15 +136,36 @@ func fdtdFictRow(ctx *Ctx, pFict isa.Reg, wid isa.Reg, workers int) {
 	b.FreeFp(fv)
 }
 
-// --- MIMD sweeps (NV word loads; NV_PF streams rows through frames) ---
+// fdtdUpdate emits res = e - half*(h1 - h0), the ey and ex update; h1 is
+// clobbered.
+func fdtdUpdate(b *prog.Builder, res, e, h1, h0, half isa.FReg) {
+	b.Fsub(h1, h1, h0)
+	b.Fmul(h1, h1, half)
+	b.Fsub(res, e, h1)
+}
 
+// fdtdHzUpdate emits res = h - c7*((x1 - x0) + (y1 - y0)); x1 and y1 are
+// clobbered.
+func fdtdHzUpdate(b *prog.Builder, res, h, x1, x0, y1, y0, c7 isa.FReg) {
+	b.Fsub(x1, x1, x0)
+	b.Fsub(y1, y1, y0)
+	b.Fadd(x1, x1, y1)
+	b.Fmul(x1, x1, c7)
+	b.Fsub(res, h, x1)
+}
+
+// --- MIMD sweeps (NV word loads; NV_PF streams ey's rows through frames) ---
+
+// The ey sweep stays hand-written: its NV loop stores through pE while its
+// NV_PF consume stores through a copy pS, which both styles allocate and
+// set.
 func (fdtdBench) buildEyMIMD(ctx *Ctx, pFict isa.Reg) {
 	b := ctx.B
 	n, m := ctx.P.N, ctx.P.M
 	ex := ctx.Img
 	ey, hz := ex.Arr("ey"), ex.Arr("hz")
 	pf := ctx.SW.WideAccess
-	lw := 16
+	lw := fdtdLW
 	frames := ctx.HW.FrameCounters
 	if pf {
 		ctx.SetupFrames(3*lw, frames)
@@ -177,9 +199,7 @@ func (fdtdBench) buildEyMIMD(ctx *Ctx, pFict isa.Reg) {
 							b.FlwSp(fe, fb, int32(4*u))
 							b.FlwSp(fa, fb, int32(4*(lw+u)))
 							b.FlwSp(fb2, fb, int32(4*(2*lw+u)))
-							b.Fsub(fa, fa, fb2)
-							b.Fmul(fa, fa, half)
-							b.Fsub(res, fe, fa)
+							fdtdUpdate(b, res, fe, fa, fb2, half)
 							b.Fsw(res, pS, int32(4*u))
 						}
 						b.Addi(pS, pS, int32(4*lw))
@@ -189,9 +209,7 @@ func (fdtdBench) buildEyMIMD(ctx *Ctx, pFict isa.Reg) {
 					b.Flw(fe, pE, 0)
 					b.Flw(fa, pH, 0)
 					b.Flw(fb2, pHm, 0)
-					b.Fsub(fa, fa, fb2)
-					b.Fmul(fa, fa, half)
-					b.Fsub(res, fe, fa)
+					fdtdUpdate(b, res, fe, fa, fb2, half)
 					b.Fsw(res, pE, 0)
 					b.Addi(pE, pE, 4)
 					b.Addi(pH, pH, 4)
@@ -204,228 +222,253 @@ func (fdtdBench) buildEyMIMD(ctx *Ctx, pFict isa.Reg) {
 	})
 }
 
+// fdtdRows emits the word-load row loop the ex and hz MIMD sweeps share:
+// workers take rows [0, rows) round-robin, pointer k starts at
+// bases[k] + 4*m*row, and columns j0..j1-1 each run body, then advance every
+// pointer a word.
+func fdtdRows(ctx *Ctx, rows, j0, j1 int, bases []uint32, body func(p [4]isa.Reg)) {
+	b := ctx.B
+	m := ctx.P.M
+	i, j := b.Int(), b.Int()
+	var p [4]isa.Reg
+	for k := range bases {
+		p[k] = b.Int()
+	}
+	ctx.StridedLoop(i, ctx.WorkerID(), int32(rows), int32(ctx.Workers()), func() {
+		for k, base := range bases {
+			ctx.AddrInto(p[k], i, base, m, 0)
+		}
+		b.ForI(j, int32(j0), int32(j1), 1, func() {
+			body(p)
+			for k := range bases {
+				b.Addi(p[k], p[k], 4)
+			}
+		})
+	})
+	b.FreeInt(i, j)
+	b.FreeInt(p[:len(bases)]...)
+}
+
 func (fdtdBench) buildExMIMD(ctx *Ctx) {
 	b := ctx.B
-	n, m := ctx.P.N, ctx.P.M
 	ex, hz := ctx.Img.Arr("ex"), ctx.Img.Arr("hz")
 	ctx.MIMDKernel(func() {
-		half := b.Fp()
+		half, fe, fa, fb2, res := b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp()
 		b.FliF(half, 0.5)
-		fe, fa, fb2, res := b.Fp(), b.Fp(), b.Fp(), b.Fp()
-		i, j := b.Int(), b.Int()
-		pE, pH := b.Int(), b.Int()
-		ctx.StridedLoop(i, ctx.WorkerID(), int32(n), int32(ctx.Workers()), func() {
-			ctx.AddrInto(pE, i, ex.Addr, m, 4)
-			ctx.AddrInto(pH, i, hz.Addr, m, 4)
-			b.ForI(j, 1, int32(m), 1, func() {
-				b.Flw(fe, pE, 0)
-				b.Flw(fa, pH, 0)
-				b.Flw(fb2, pH, -4)
-				b.Fsub(fa, fa, fb2)
-				b.Fmul(fa, fa, half)
-				b.Fsub(res, fe, fa)
-				b.Fsw(res, pE, 0)
-				b.Addi(pE, pE, 4)
-				b.Addi(pH, pH, 4)
-			})
+		fdtdRows(ctx, ctx.P.N, 1, ctx.P.M, []uint32{ex.Addr + 4, hz.Addr + 4}, func(p [4]isa.Reg) {
+			pE, pH := p[0], p[1]
+			b.Flw(fe, pE, 0)
+			b.Flw(fa, pH, 0)
+			b.Flw(fb2, pH, -4)
+			fdtdUpdate(b, res, fe, fa, fb2, half)
+			b.Fsw(res, pE, 0)
 		})
-		b.FreeInt(i, j, pE, pH)
 		b.FreeFp(half, fe, fa, fb2, res)
 	})
 }
 
 func (fdtdBench) buildHzMIMD(ctx *Ctx) {
 	b := ctx.B
-	n, m := ctx.P.N, ctx.P.M
+	m := ctx.P.M
 	ex, ey, hz := ctx.Img.Arr("ex"), ctx.Img.Arr("ey"), ctx.Img.Arr("hz")
 	ctx.MIMDKernel(func() {
-		c7 := b.Fp()
+		c7, fh, fx1, fx0, fy1, fy0, res := b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp()
 		b.FliF(c7, 0.7)
-		fh, fx1, fx0, fy1, fy0, res := b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp()
-		i, j := b.Int(), b.Int()
-		pH, pX, pY, pY1 := b.Int(), b.Int(), b.Int(), b.Int()
-		ctx.StridedLoop(i, ctx.WorkerID(), int32(n-1), int32(ctx.Workers()), func() {
-			ctx.AddrInto(pH, i, hz.Addr, m, 0)
-			ctx.AddrInto(pX, i, ex.Addr, m, 0)
-			ctx.AddrInto(pY, i, ey.Addr, m, 0)
-			ctx.AddrInto(pY1, i, ey.Addr, m, int32(4*m))
-			b.ForI(j, 0, int32(m-1), 1, func() {
-				b.Flw(fh, pH, 0)
-				b.Flw(fx1, pX, 4)
-				b.Flw(fx0, pX, 0)
-				b.Flw(fy1, pY1, 0)
-				b.Flw(fy0, pY, 0)
-				b.Fsub(fx1, fx1, fx0)
-				b.Fsub(fy1, fy1, fy0)
-				b.Fadd(fx1, fx1, fy1)
-				b.Fmul(fx1, fx1, c7)
-				b.Fsub(res, fh, fx1)
-				b.Fsw(res, pH, 0)
-				b.Addi(pH, pH, 4)
-				b.Addi(pX, pX, 4)
-				b.Addi(pY, pY, 4)
-				b.Addi(pY1, pY1, 4)
-			})
+		fdtdRows(ctx, ctx.P.N-1, 0, m-1, []uint32{hz.Addr, ex.Addr, ey.Addr, ey.Addr + uint32(4*m)}, func(p [4]isa.Reg) {
+			pH, pX, pY, pY1 := p[0], p[1], p[2], p[3]
+			b.Flw(fh, pH, 0)
+			b.Flw(fx1, pX, 4)
+			b.Flw(fx0, pX, 0)
+			b.Flw(fy1, pY1, 0)
+			b.Flw(fy0, pY, 0)
+			fdtdHzUpdate(b, res, fh, fx1, fx0, fy1, fy0, c7)
+			b.Fsw(res, pH, 0)
 		})
-		b.FreeInt(i, j, pH, pX, pY, pY1)
 		b.FreeFp(c7, fh, fx1, fx0, fy1, fy0, res)
 	})
 }
 
 // --- Vector sweeps ---
 
-// buildEyVec: lanes own rows 1..N-1 in vlen blocks. Frame: ey[i], hz[i],
-// hz[i-1] chunks (aligned). The scalar cores fill the fict boundary row.
-func (fdtdBench) buildEyVec(ctx *Ctx, pFict isa.Reg) {
+// fdtdLW is the words of its row each lane streams per frame.
+const fdtdLW = 16
+
+// fdtdSweep is one vector sweep of fdtd-2d. Lanes own adjacent rows of
+// vlen-row blocks, starting at row first of the array at lane; each frame
+// carries, per lane, the loads' slices of the next fdtdLW columns. The
+// skeleton owns the row-block loop, the per-lane slice loads, the pointer
+// advance, the row-advance microthread and the one chunk per row that
+// leaves an output out (the first chunk's output 0 when edge > 0, the last
+// chunk's output fdtdLW-1 when edge < 0). A sweep states its arrays, its
+// loads and its per-output body.
+type fdtdSweep struct {
+	lane       uint32 // base of the array the lanes write
+	first      int
+	frameWords int
+	konst      isa.FReg // every lane loads kval into konst once
+	kval       float32
+	ptrs       []uint32 // block pointer k starts at ptrs[k] + block*vlen rows
+	loads      []fdtdLoad
+	edge       int
+}
+
+// fdtdLoad is one per-lane slice of a frame: width words from block pointer
+// ptr, rowOff words past the lane's row, land at frame word frame.
+type fdtdLoad struct{ ptr, rowOff, frame, width int }
+
+// fetch emits one frame's slice loads for every lane, then advances every
+// block pointer a chunk.
+func (sp *fdtdSweep) fetch(ctx *Ctx, p [4]isa.Reg, t, toff, off isa.Reg) {
 	b := ctx.B
-	n, m := ctx.P.N, ctx.P.M
-	lw := 16
+	m := ctx.P.M
+	for l := 0; l < ctx.VLen(); l++ {
+		for _, ld := range sp.loads {
+			b.Addi(t, p[ld.ptr], int32(4*(l*m+ld.rowOff)))
+			dst := off
+			if ld.frame != 0 {
+				b.Addi(toff, off, int32(4*ld.frame))
+				dst = toff
+			}
+			b.VLoad(isa.VloadSingle, t, dst, l, ld.width, true)
+		}
+	}
+	for k := range sp.ptrs {
+		b.Addi(p[k], p[k], 4*fdtdLW)
+	}
+}
+
+// build emits the sweep as one vector kernel. out emits output u of the
+// frame at fb, stored through ptr. scalar emits the scalar core's work
+// before the row blocks, issuing mtInit (the lanes' konst load) among it.
+func (sp *fdtdSweep) build(ctx *Ctx, out func(fb, ptr isa.Reg, u int), scalar func(mtInit string)) {
+	b := ctx.B
+	m := ctx.P.M
 	vlen := ctx.VLen()
 	groups := ctx.Workers()
 	frames := ctx.HW.FrameCounters
-	frameWords := 3 * lw
-	blocks := (n - 1) / vlen
-	ey, hz := ctx.Img.Arr("ey"), ctx.Img.Arr("hz")
+	ptr, mtFb := b.Int(), b.Int()
 
-	half, fe, fa, fb2, res := b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp()
-	ePtr, mtFb := b.Int(), b.Int()
-
-	mtInit, _ := b.Microthread(func() { b.FliF(half, 0.5) })
-	mtChunk, mtChunkLen := b.Microthread(func() {
-		b.FrameStart(mtFb)
-		for u := 0; u < lw; u++ {
-			b.FlwSp(fe, mtFb, int32(4*u))
-			b.FlwSp(fa, mtFb, int32(4*(lw+u)))
-			b.FlwSp(fb2, mtFb, int32(4*(2*lw+u)))
-			b.Fsub(fa, fa, fb2)
-			b.Fmul(fa, fa, half)
-			b.Fsub(res, fe, fa)
-			b.Fsw(res, ePtr, int32(4*u))
-		}
-		b.Addi(ePtr, ePtr, int32(4*lw))
-		b.Remem()
-	})
+	mtInit, _ := b.Microthread(func() { b.FliF(sp.konst, sp.kval) })
+	chunkMT := func(skip int) (string, int) {
+		return ctx.FrameMicrothread(mtFb, func(fb isa.Reg) {
+			for u := range fdtdLW {
+				if u != skip {
+					out(fb, ptr, u)
+				}
+			}
+			b.Addi(ptr, ptr, 4*fdtdLW)
+		})
+	}
+	// The chunk microthreads appear in the order a row issues them.
+	var mtEdge string
+	if sp.edge > 0 {
+		mtEdge, _ = chunkMT(0)
+	}
+	mtRest, mtRestLen := chunkMT(-1)
+	if sp.edge < 0 {
+		mtEdge, _ = chunkMT(fdtdLW - 1)
+	}
 	rowAdv := int32(4 * (groups*vlen - 1) * m)
-	mtAdv, _ := b.Microthread(func() { b.Addi(ePtr, ePtr, rowAdv) })
+	mtAdv, _ := b.Microthread(func() { b.Addi(ptr, ptr, rowAdv) })
 
-	ctx.VectorKernel(frameWords, frames,
-		func() { // lane's ey pointer at its first owned row (1-based)
-			ctx.LanePtr(ePtr, 1, ey.Addr, m, 0)
-		},
+	ctx.VectorKernel(sp.frameWords, frames,
+		func() { ctx.LanePtr(ptr, sp.first, sp.lane, m, 0) },
 		func() {
-			fdtdFictRow(ctx, pFict, ctx.Gid, groups)
-			b.VIssueAt(mtInit)
-			rb, pE, pH, t, toff := b.Int(), b.Int(), b.Int(), b.Int(), b.Int()
-			ctx.StridedLoop(rb, ctx.Gid, int32(blocks), int32(groups), func() {
-				// Block rb covers rows rb*vlen+1 .. rb*vlen+vlen.
-				ctx.AddrInto(pE, rb, ey.Addr, vlen*m, int32(4*m))
-				ctx.AddrInto(pH, rb, hz.Addr, vlen*m, int32(4*m))
-				ctx.VecDAE(m/lw, frameWords, frames, mtChunkLen, mtChunk,
-					func(_, off isa.Reg) {
-						for l := 0; l < vlen; l++ {
-							b.Addi(t, pE, int32(4*l*m))
-							b.VLoad(isa.VloadSingle, t, off, l, lw, true)
-							b.Addi(t, pH, int32(4*l*m))
-							b.Addi(toff, off, int32(4*lw))
-							b.VLoad(isa.VloadSingle, t, toff, l, lw, true)
-							b.Addi(t, pH, int32(4*(l-1)*m))
-							b.Addi(toff, off, int32(8*lw))
-							b.VLoad(isa.VloadSingle, t, toff, l, lw, true)
-						}
-						b.Addi(pE, pE, int32(4*lw))
-						b.Addi(pH, pH, int32(4*lw))
-					})
+			scalar(mtInit)
+			rb := b.Int()
+			var p [4]isa.Reg
+			for k := range sp.ptrs {
+				p[k] = b.Int()
+			}
+			t, toff := b.Int(), b.Int()
+			// edgeChunk loads one chunk outside the pipeline and issues the
+			// variant that consumes it.
+			edgeChunk := func() {
+				sp.fetch(ctx, p, t, toff, ctx.daeOff)
+				ctx.bumpDAE()
+				b.VIssueAt(mtEdge)
+			}
+			ctx.StridedLoop(rb, ctx.Gid, int32((ctx.P.N-1)/vlen), int32(groups), func() {
+				for k := range sp.ptrs {
+					ctx.AddrInto(p[k], rb, sp.ptrs[k], vlen*m, 0)
+				}
+				if sp.edge > 0 {
+					edgeChunk()
+				}
+				trip := m / fdtdLW
+				if sp.edge != 0 {
+					trip--
+				}
+				ctx.VecDAE(trip, sp.frameWords, frames, mtRestLen, mtRest,
+					func(_, off isa.Reg) { sp.fetch(ctx, p, t, toff, off) })
+				if sp.edge < 0 {
+					edgeChunk()
+				}
 				b.VIssueAt(mtAdv)
 			})
-			b.FreeInt(rb, pE, pH, t, toff)
+			b.FreeInt(rb)
+			b.FreeInt(p[:len(sp.ptrs)]...)
+			b.FreeInt(t, toff)
 		})
-	b.FreeInt(ePtr, mtFb)
+	b.FreeInt(ptr, mtFb)
+}
+
+// buildEyVec: lanes own rows 1..N-1. Frame: ey[i], hz[i], hz[i-1] chunks
+// (aligned). The scalar cores fill the fict boundary row.
+func (fdtdBench) buildEyVec(ctx *Ctx, pFict isa.Reg) {
+	b := ctx.B
+	m := ctx.P.M
+	lw := fdtdLW
+	ey, hz := ctx.Img.Arr("ey"), ctx.Img.Arr("hz")
+	half, fe, fa, fb2, res := b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp()
+	sp := fdtdSweep{
+		lane: ey.Addr, first: 1, frameWords: 3 * lw, konst: half, kval: 0.5,
+		ptrs:  []uint32{ey.Addr + uint32(4*m), hz.Addr + uint32(4*m)},
+		loads: []fdtdLoad{{0, 0, 0, lw}, {1, 0, lw, lw}, {1, -m, 2 * lw, lw}},
+	}
+	sp.build(ctx, func(fb, ptr isa.Reg, u int) {
+		b.FlwSp(fe, fb, int32(4*u))
+		b.FlwSp(fa, fb, int32(4*(lw+u)))
+		b.FlwSp(fb2, fb, int32(4*(2*lw+u)))
+		fdtdUpdate(b, res, fe, fa, fb2, half)
+		b.Fsw(res, ptr, int32(4*u))
+	}, func(mtInit string) {
+		fdtdFictRow(ctx, pFict, ctx.Gid, ctx.Workers())
+		b.VIssueAt(mtInit)
+	})
 	b.FreeFp(half, fe, fa, fb2, res)
 }
 
 // buildExVec: lanes own rows 1..N-1; the scalar cores sweep row 0. Frame:
 // hz[i] chunk, the single hz[i][j0-1] boundary word, and the ex chunk. The
-// first chunk of each row uses a variant microthread that skips j=0.
+// first chunk of each row skips j=0: its boundary word is the previous
+// row's tail, which no output reads.
 func (fdtdBench) buildExVec(ctx *Ctx) {
 	b := ctx.B
-	n, m := ctx.P.N, ctx.P.M
-	lw := 16
-	vlen := ctx.VLen()
-	groups := ctx.Workers()
-	frames := ctx.HW.FrameCounters
-	frameWords := 2*lw + 1
-	blocks := (n - 1) / vlen
+	m := ctx.P.M
+	lw := fdtdLW
 	ex, hz := ctx.Img.Arr("ex"), ctx.Img.Arr("hz")
-
 	half, fe, fa, fb2, res := b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp()
-	xPtr, mtFb := b.Int(), b.Int()
-
-	mtInit, _ := b.Microthread(func() { b.FliF(half, 0.5) })
-	emitChunk := func(skipFirst bool) {
-		b.FrameStart(mtFb)
-		start := 0
-		if skipFirst {
-			start = 1
-		}
-		for u := start; u < lw; u++ {
-			b.FlwSp(fe, mtFb, int32(4*(lw+1+u)))
-			b.FlwSp(fa, mtFb, int32(4*u))
-			if u == 0 {
-				b.FlwSp(fb2, mtFb, int32(4*lw)) // boundary word hz[j0-1]
-			} else {
-				b.FlwSp(fb2, mtFb, int32(4*(u-1)))
-			}
-			b.Fsub(fa, fa, fb2)
-			b.Fmul(fa, fa, half)
-			b.Fsub(res, fe, fa)
-			b.Fsw(res, xPtr, int32(4*u))
-		}
-		b.Addi(xPtr, xPtr, int32(4*lw))
-		b.Remem()
+	sp := fdtdSweep{
+		lane: ex.Addr, first: 1, frameWords: 2*lw + 1, konst: half, kval: 0.5,
+		ptrs:  []uint32{ex.Addr + uint32(4*m), hz.Addr + uint32(4*m)},
+		loads: []fdtdLoad{{1, 0, 0, lw}, {1, -1, lw, 1}, {0, 0, lw + 1, lw}},
+		edge:  1,
 	}
-	mtFirst, _ := b.Microthread(func() { emitChunk(true) })
-	mtRest, mtRestLen := b.Microthread(func() { emitChunk(false) })
-	rowAdv := int32(4 * (groups*vlen - 1) * m)
-	mtAdv, _ := b.Microthread(func() { b.Addi(xPtr, xPtr, rowAdv) })
-
-	ctx.VectorKernel(frameWords, frames,
-		func() { ctx.LanePtr(xPtr, 1, ex.Addr, m, 0) },
-		func() {
-			// Scalar cores sweep row 0 word-wise while lanes stream.
-			b.VIssueAt(mtInit)
-			fdtdExRow0(ctx)
-			rb, pX, pH, t, toff := b.Int(), b.Int(), b.Int(), b.Int(), b.Int()
-			loadChunk := func(off isa.Reg) {
-				for l := 0; l < vlen; l++ {
-					b.Addi(t, pH, int32(4*l*m))
-					b.VLoad(isa.VloadSingle, t, off, l, lw, true)
-					// Boundary word hz[i][j0-1]; for the first chunk it
-					// fetches the previous row's tail, which mtFirst's
-					// skipped output never reads.
-					b.Addi(t, pH, int32(4*(l*m-1)))
-					b.Addi(toff, off, int32(4*lw))
-					b.VLoad(isa.VloadSingle, t, toff, l, 1, true)
-					b.Addi(t, pX, int32(4*l*m))
-					b.Addi(toff, off, int32(4*(lw+1)))
-					b.VLoad(isa.VloadSingle, t, toff, l, lw, true)
-				}
-				b.Addi(pX, pX, int32(4*lw))
-				b.Addi(pH, pH, int32(4*lw))
-			}
-			ctx.StridedLoop(rb, ctx.Gid, int32(blocks), int32(groups), func() {
-				ctx.AddrInto(pX, rb, ex.Addr, vlen*m, int32(4*m))
-				ctx.AddrInto(pH, rb, hz.Addr, vlen*m, int32(4*m))
-				// Chunk 0 skips the j=0 output (mtFirst); the rest pipeline.
-				loadChunk(ctx.daeOff)
-				ctx.bumpDAE()
-				b.VIssueAt(mtFirst)
-				ctx.VecDAE(m/lw-1, frameWords, frames, mtRestLen, mtRest,
-					func(_, off isa.Reg) { loadChunk(off) })
-				b.VIssueAt(mtAdv)
-			})
-			b.FreeInt(rb, pX, pH, t, toff)
-		})
-	b.FreeInt(xPtr, mtFb)
+	sp.build(ctx, func(fb, ptr isa.Reg, u int) {
+		b.FlwSp(fe, fb, int32(4*(lw+1+u)))
+		b.FlwSp(fa, fb, int32(4*u))
+		if u == 0 {
+			b.FlwSp(fb2, fb, int32(4*lw)) // boundary word hz[j0-1]
+		} else {
+			b.FlwSp(fb2, fb, int32(4*(u-1)))
+		}
+		fdtdUpdate(b, res, fe, fa, fb2, half)
+		b.Fsw(res, ptr, int32(4*u))
+	}, func(mtInit string) {
+		b.VIssueAt(mtInit)
+		fdtdExRow0(ctx) // the scalar cores sweep row 0 while lanes stream
+	})
 	b.FreeFp(half, fe, fa, fb2, res)
 }
 
@@ -446,111 +489,37 @@ func fdtdExRow0(ctx *Ctx) {
 		b.Flw(fe, pE, 0)
 		b.Flw(fa, pH, 0)
 		b.Flw(fb2, pH, -4)
-		b.Fsub(fa, fa, fb2)
-		b.Fmul(fa, fa, half)
-		b.Fsub(fe, fe, fa)
+		fdtdUpdate(b, fe, fe, fa, fb2, half)
 		b.Fsw(fe, pE, 0)
 	})
 	b.FreeInt(j, pE, pH, one)
 	b.FreeFp(half, fe, fa, fb2)
 }
 
-// buildHzVec: lanes own rows 0..N-2. Frame: hz, ex (plus one extra word),
-// ey[i], ey[i+1] chunks; the final chunk of each row uses a variant that
-// skips j = M-1.
+// buildHzVec: lanes own rows 0..N-2. Frame: [hz 16][ex 16][ex extra 1]
+// [ey_i 16][ey_i1 16]; the last chunk of each row skips j = M-1, whose ex
+// extra word lies past the row.
 func (fdtdBench) buildHzVec(ctx *Ctx) {
 	b := ctx.B
-	n, m := ctx.P.N, ctx.P.M
-	lw := 16
-	vlen := ctx.VLen()
-	groups := ctx.Workers()
-	frames := ctx.HW.FrameCounters
-	frameWords := 4*lw + 1
-	blocks := (n - 1) / vlen
+	m := ctx.P.M
+	lw := fdtdLW
 	ex, ey, hz := ctx.Img.Arr("ex"), ctx.Img.Arr("ey"), ctx.Img.Arr("hz")
-
 	c7, fh, fx1, fx0, fy1, fy0 := b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp()
-	hPtr, mtFb := b.Int(), b.Int()
-
-	mtInit, _ := b.Microthread(func() { b.FliF(c7, 0.7) })
-	// Frame layout: [hz 16][ex 16][ex extra 1][ey_i 16][ey_i1 16].
-	emitChunk := func(last bool) {
-		b.FrameStart(mtFb)
-		count := lw
-		if last {
-			count = lw - 1
-		}
-		for u := 0; u < count; u++ {
-			b.FlwSp(fh, mtFb, int32(4*u))
-			b.FlwSp(fx0, mtFb, int32(4*(lw+u)))
-			b.FlwSp(fx1, mtFb, int32(4*(lw+u+1))) // u=15 reads the extra word
-			b.FlwSp(fy0, mtFb, int32(4*(2*lw+1+u)))
-			b.FlwSp(fy1, mtFb, int32(4*(3*lw+1+u)))
-			b.Fsub(fx1, fx1, fx0)
-			b.Fsub(fy1, fy1, fy0)
-			b.Fadd(fx1, fx1, fy1)
-			b.Fmul(fx1, fx1, c7)
-			b.Fsub(fh, fh, fx1)
-			b.Fsw(fh, hPtr, int32(4*u))
-		}
-		b.Addi(hPtr, hPtr, int32(4*lw))
-		b.Remem()
+	sp := fdtdSweep{
+		lane: hz.Addr, frameWords: 4*lw + 1, konst: c7, kval: 0.7,
+		ptrs:  []uint32{hz.Addr, ex.Addr, ey.Addr, ey.Addr + uint32(4*m)},
+		loads: []fdtdLoad{{0, 0, 0, lw}, {1, 0, lw, lw}, {1, lw, 2 * lw, 1}, {2, 0, 2*lw + 1, lw}, {3, 0, 3*lw + 1, lw}},
+		edge:  -1,
 	}
-	mtRest, mtRestLen := b.Microthread(func() { emitChunk(false) })
-	mtLast, _ := b.Microthread(func() { emitChunk(true) })
-	rowAdv := int32(4 * (groups*vlen - 1) * m)
-	mtAdv, _ := b.Microthread(func() { b.Addi(hPtr, hPtr, rowAdv) })
-
-	loadChunk := func(pH, pX, pY, pY1, t, toff isa.Reg, off isa.Reg) {
-		for l := 0; l < vlen; l++ {
-			b.Addi(t, pH, int32(4*l*m))
-			b.VLoad(isa.VloadSingle, t, off, l, lw, true)
-			b.Addi(t, pX, int32(4*l*m))
-			b.Addi(toff, off, int32(4*lw))
-			b.VLoad(isa.VloadSingle, t, toff, l, lw, true)
-			b.Addi(t, pX, int32(4*(l*m+lw)))
-			b.Addi(toff, off, int32(8*lw))
-			b.VLoad(isa.VloadSingle, t, toff, l, 1, true)
-			b.Addi(t, pY, int32(4*l*m))
-			b.Addi(toff, off, int32(4*(2*lw+1)))
-			b.VLoad(isa.VloadSingle, t, toff, l, lw, true)
-			b.Addi(t, pY1, int32(4*l*m))
-			b.Addi(toff, off, int32(4*(3*lw+1)))
-			b.VLoad(isa.VloadSingle, t, toff, l, lw, true)
-		}
-		b.Addi(pH, pH, int32(4*lw))
-		b.Addi(pX, pX, int32(4*lw))
-		b.Addi(pY, pY, int32(4*lw))
-		b.Addi(pY1, pY1, int32(4*lw))
-	}
-
-	ctx.VectorKernel(frameWords, frames,
-		func() { ctx.LanePtr(hPtr, 0, hz.Addr, m, 0) },
-		func() {
-			b.VIssueAt(mtInit)
-			rb, pH, pX, pY, pY1 := b.Int(), b.Int(), b.Int(), b.Int(), b.Int()
-			t, toff := b.Int(), b.Int()
-			chunksPerRow := m / lw
-			ctx.StridedLoop(rb, ctx.Gid, int32(blocks), int32(groups), func() {
-				ctx.AddrInto(pH, rb, hz.Addr, vlen*m, 0)
-				ctx.AddrInto(pX, rb, ex.Addr, vlen*m, 0)
-				ctx.AddrInto(pY, rb, ey.Addr, vlen*m, 0)
-				ctx.AddrInto(pY1, rb, ey.Addr, vlen*m, int32(4*m))
-				// All but the final chunk use mtRest; the final chunk's
-				// microthread skips j = M-1.
-				ctx.VecDAE(chunksPerRow-1, frameWords, frames, mtRestLen, mtRest,
-					func(_, off isa.Reg) {
-						loadChunk(pH, pX, pY, pY1, t, toff, off)
-					})
-				// Final chunk: load then issue the tail microthread.
-				loadChunk(pH, pX, pY, pY1, t, toff, ctx.daeOff)
-				ctx.bumpDAE()
-				b.VIssueAt(mtLast)
-				b.VIssueAt(mtAdv)
-			})
-			b.FreeInt(rb, pH, pX, pY, pY1, t, toff)
-		})
-	b.FreeInt(hPtr, mtFb)
+	sp.build(ctx, func(fb, ptr isa.Reg, u int) {
+		b.FlwSp(fh, fb, int32(4*u))
+		b.FlwSp(fx0, fb, int32(4*(lw+u)))
+		b.FlwSp(fx1, fb, int32(4*(lw+u+1))) // u=15 reads the extra word
+		b.FlwSp(fy0, fb, int32(4*(2*lw+1+u)))
+		b.FlwSp(fy1, fb, int32(4*(3*lw+1+u)))
+		fdtdHzUpdate(b, fh, fh, fx1, fx0, fy1, fy0, c7)
+		b.Fsw(fh, ptr, int32(4*u))
+	}, b.VIssueAt)
 	b.FreeFp(c7, fh, fx1, fx0, fy1, fy0)
 }
 
