@@ -6,6 +6,7 @@ import (
 
 	"rockcress/internal/gpu"
 	"rockcress/internal/isa"
+	"rockcress/internal/prog"
 )
 
 // corr and covar (PolyBench/GPU): per-variable statistics followed by a
@@ -143,20 +144,66 @@ func corrBuild(ctx *Ctx, normalize bool) error {
 func (corrBench) Build(ctx *Ctx) error  { return corrBuild(ctx, true) }
 func (covarBench) Build(ctx *Ctx) error { return corrBuild(ctx, false) }
 
-// emitStats computes mean (and for corr the epsilon-floored reciprocal
-// scale) from the accumulated sum/sq, then the caller normalizes. The
-// conditional std floor uses predication so the same code runs on vector
-// lanes.
-func emitStats(ctx *Ctx, normalize bool, sum, sq, mean, inv isa.FReg, n int) {
+// corrStats are the statistics phase's registers. Every style runs the same
+// per-value accumulate and normalize bodies over them; NV feeds them word
+// loads, NV_PF self-fetched frames and vector lanes group-fetched frames.
+type corrStats struct {
+	normalize                  bool
+	fz, sum, sq, mean, inv, fv isa.FReg
+}
+
+// reset zeroes the row's running sums.
+func (s corrStats) reset(b *prog.Builder) {
+	b.Fmv(s.sum, s.fz)
+	b.Fmv(s.sq, s.fz)
+}
+
+// accumulate adds fv to the running sum and sum of squares.
+func (s corrStats) accumulate(b *prog.Builder) {
+	b.Fadd(s.sum, s.sum, s.fv)
+	b.Fmadd(s.sq, s.fv, s.fv, s.sq)
+}
+
+// center centers fv on the mean and, for corr, scales it by inv.
+func (s corrStats) center(b *prog.Builder) {
+	b.Fsub(s.fv, s.fv, s.mean)
+	if s.normalize {
+		b.Fmul(s.fv, s.fv, s.inv)
+	}
+}
+
+// accumulateFrame accumulates one frame's corrLW words at fb.
+func (s corrStats) accumulateFrame(b *prog.Builder, fb isa.Reg) {
+	for u := range corrLW {
+		b.FlwSp(s.fv, fb, int32(4*u))
+		s.accumulate(b)
+	}
+}
+
+// centerFrame centers one frame's corrLW words at fb and stores them
+// through p, which then advances past them.
+func (s corrStats) centerFrame(b *prog.Builder, fb, p isa.Reg) {
+	for u := range corrLW {
+		b.FlwSp(s.fv, fb, int32(4*u))
+		s.center(b)
+		b.Fsw(s.fv, p, int32(4*u))
+	}
+	b.Addi(p, p, 4*corrLW)
+}
+
+// stats computes mean (and for corr the epsilon-floored reciprocal scale)
+// from the accumulated sum/sq over n values. The conditional std floor uses
+// predication so the same code runs on vector lanes.
+func (s corrStats) stats(ctx *Ctx, n int) {
 	b := ctx.B
 	invN, tmp, eps, one := b.Fp(), b.Fp(), b.Fp(), b.Fp()
 	b.FliF(invN, 1/float32(n))
-	b.Fmul(mean, sum, invN)
-	if normalize {
-		b.Fmul(tmp, sq, invN)
-		b.Fmul(inv, mean, mean)
-		b.Fsub(tmp, tmp, inv) // variance
-		b.Fsqrt(tmp, tmp)     // std
+	b.Fmul(s.mean, s.sum, invN)
+	if s.normalize {
+		b.Fmul(tmp, s.sq, invN)
+		b.Fmul(s.inv, s.mean, s.mean)
+		b.Fsub(tmp, tmp, s.inv) // variance
+		b.Fsqrt(tmp, tmp)       // std
 		b.FliF(eps, corrEps)
 		b.FliF(one, 1)
 		cond := b.Int()
@@ -169,118 +216,97 @@ func emitStats(ctx *Ctx, normalize bool, sum, sq, mean, inv isa.FReg, n int) {
 		// inv = 1 / (std * sqrt(n))
 		b.FliF(eps, float32(math.Sqrt(float64(n))))
 		b.Fmul(tmp, tmp, eps)
-		b.Fdiv(inv, one, tmp)
+		b.Fdiv(s.inv, one, tmp)
 	}
 	b.FreeFp(invN, tmp, eps, one)
 }
+
+// corrLW is the words of a row one frame carries.
+const corrLW = 16
 
 // buildStatsNormalize emits kernel 1: per-row mean/std and the in-place
 // normalization sweep, fused. Rows stream twice through the memory system
 // (once to reduce, once to rewrite).
 func buildStatsNormalize(ctx *Ctx, normalize bool) {
-	if ctx.Vector() {
+	switch {
+	case ctx.Vector():
 		buildStatsVec(ctx, normalize)
-		return
-	}
-	if ctx.SW.WideAccess {
+	case ctx.SW.WideAccess:
 		buildStatsPF(ctx, normalize)
-		return
+	default:
+		buildStatsNV(ctx, normalize)
 	}
-	buildStatsNV(ctx, normalize)
 }
 
+// buildStatsNV and buildStatsPF stay two builders: their row pointers take
+// different register numbers (NV allocates its word counter where NV_PF
+// allocates the read pointer), which the programs pin.
 func buildStatsNV(ctx *Ctx, normalize bool) {
 	b := ctx.B
 	n, m := ctx.P.N, ctx.P.M
 	data := ctx.Img.Arr("data")
 	ctx.MIMDKernel(func() {
-		fz := ctx.Fzero()
-		sum, sq, mean, inv, fv := b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp()
+		s := corrStats{normalize, b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp()}
+		b.FliF(s.fz, 0)
 		i, k, pD, pW := b.Int(), b.Int(), b.Int(), b.Int()
 		ctx.StridedLoop(i, ctx.WorkerID(), int32(m), int32(ctx.Workers()), func() {
 			ctx.AddrInto(pD, i, data.Addr, n, 0)
 			b.Mv(pW, pD)
-			b.Fmv(sum, fz)
-			b.Fmv(sq, fz)
+			s.reset(b)
 			b.ForI(k, 0, int32(n), 1, func() {
-				b.Flw(fv, pD, 0)
-				b.Fadd(sum, sum, fv)
-				b.Fmadd(sq, fv, fv, sq)
+				b.Flw(s.fv, pD, 0)
+				s.accumulate(b)
 				b.Addi(pD, pD, 4)
 			})
-			emitStats(ctx, normalize, sum, sq, mean, inv, n)
+			s.stats(ctx, n)
 			b.ForI(k, 0, int32(n), 1, func() {
-				b.Flw(fv, pW, 0)
-				b.Fsub(fv, fv, mean)
-				if normalize {
-					b.Fmul(fv, fv, inv)
-				}
-				b.Fsw(fv, pW, 0)
+				b.Flw(s.fv, pW, 0)
+				s.center(b)
+				b.Fsw(s.fv, pW, 0)
 				b.Addi(pW, pW, 4)
 			})
 		})
 		b.FreeInt(i, k, pD, pW)
-		b.FreeFp(fz, sum, sq, mean, inv, fv)
+		b.FreeFp(s.fz, s.sum, s.sq, s.mean, s.inv, s.fv)
 	})
 }
 
 func buildStatsPF(ctx *Ctx, normalize bool) {
 	b := ctx.B
 	n, m := ctx.P.N, ctx.P.M
-	lw := 16
 	data := ctx.Img.Arr("data")
 	frames := ctx.HW.FrameCounters
-	ctx.SetupFrames(lw, frames)
+	ctx.SetupFrames(corrLW, frames)
 	ctx.MIMDKernel(func() {
-		fz := ctx.Fzero()
-		sum, sq, mean, inv, fv := b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp()
+		s := corrStats{normalize, b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp()}
+		b.FliF(s.fz, 0)
 		i, pD, pW, pS := b.Int(), b.Int(), b.Int(), b.Int()
+		// sweep streams the row at p through frames into consume.
+		sweep := func(p isa.Reg, consume func(fb isa.Reg)) {
+			ctx.SelfDAE(n/corrLW, corrLW, frames,
+				func(_, off isa.Reg) {
+					b.VLoad(isa.VloadSelf, p, off, 0, corrLW, true)
+					b.Addi(p, p, 4*corrLW)
+				}, consume)
+		}
 		ctx.StridedLoop(i, ctx.WorkerID(), int32(m), int32(ctx.Workers()), func() {
 			ctx.AddrInto(pD, i, data.Addr, n, 0)
 			b.Mv(pW, pD)
 			b.Mv(pS, pD)
-			b.Fmv(sum, fz)
-			b.Fmv(sq, fz)
-			ctx.SelfDAE(n/lw, lw, frames,
-				func(_, off isa.Reg) {
-					b.VLoad(isa.VloadSelf, pD, off, 0, lw, true)
-					b.Addi(pD, pD, int32(4*lw))
-				},
-				func(fb isa.Reg) {
-					for u := 0; u < lw; u++ {
-						b.FlwSp(fv, fb, int32(4*u))
-						b.Fadd(sum, sum, fv)
-						b.Fmadd(sq, fv, fv, sq)
-					}
-				})
-			emitStats(ctx, normalize, sum, sq, mean, inv, n)
+			s.reset(b)
+			sweep(pD, func(fb isa.Reg) { s.accumulateFrame(b, fb) })
+			s.stats(ctx, n)
 			// Second sweep: reload through frames and store normalized.
-			ctx.SelfDAE(n/lw, lw, frames,
-				func(_, off isa.Reg) {
-					b.VLoad(isa.VloadSelf, pW, off, 0, lw, true)
-					b.Addi(pW, pW, int32(4*lw))
-				},
-				func(fb isa.Reg) {
-					for u := 0; u < lw; u++ {
-						b.FlwSp(fv, fb, int32(4*u))
-						b.Fsub(fv, fv, mean)
-						if normalize {
-							b.Fmul(fv, fv, inv)
-						}
-						b.Fsw(fv, pS, int32(4*u))
-					}
-					b.Addi(pS, pS, int32(4*lw))
-				})
+			sweep(pW, func(fb isa.Reg) { s.centerFrame(b, fb, pS) })
 		})
 		b.FreeInt(i, pD, pW, pS)
-		b.FreeFp(fz, sum, sq, mean, inv, fv)
+		b.FreeFp(s.fz, s.sum, s.sq, s.mean, s.inv, s.fv)
 	})
 }
 
 func buildStatsVec(ctx *Ctx, normalize bool) {
 	b := ctx.B
 	n, m := ctx.P.N, ctx.P.M
-	lw := 16
 	vlen := ctx.VLen()
 	groups := ctx.Workers()
 	rowBytes := 4 * n
@@ -288,71 +314,43 @@ func buildStatsVec(ctx *Ctx, normalize bool) {
 	blocks := m / vlen
 	data := ctx.Img.Arr("data")
 
-	fz, sum, sq, mean, inv, fv := b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp()
+	s := corrStats{normalize, b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp(), b.Fp()}
 	wPtr, mtFb := b.Int(), b.Int()
 
-	mtInit, _ := b.Microthread(func() { b.FliF(fz, 0) })
-	mtBegin, _ := b.Microthread(func() {
-		b.Fmv(sum, fz)
-		b.Fmv(sq, fz)
-	})
-	mtAcc, mtAccLen := b.Microthread(func() {
-		b.FrameStart(mtFb)
-		for u := 0; u < lw; u++ {
-			b.FlwSp(fv, mtFb, int32(4*u))
-			b.Fadd(sum, sum, fv)
-			b.Fmadd(sq, fv, fv, sq)
-		}
-		b.Remem()
-	})
-	mtStats, _ := b.Microthread(func() {
-		emitStats(ctx, normalize, sum, sq, mean, inv, n)
-	})
+	mtInit, _ := b.Microthread(func() { b.FliF(s.fz, 0) })
+	mtBegin, _ := b.Microthread(func() { s.reset(b) })
+	mtAcc, mtAccLen := ctx.FrameMicrothread(mtFb, func(fb isa.Reg) { s.accumulateFrame(b, fb) })
+	mtStats, _ := b.Microthread(func() { s.stats(ctx, n) })
 	// Normalize pass: consume a frame, write the lane's row back.
-	mtNorm, mtNormLen := b.Microthread(func() {
-		b.FrameStart(mtFb)
-		for u := 0; u < lw; u++ {
-			b.FlwSp(fv, mtFb, int32(4*u))
-			b.Fsub(fv, fv, mean)
-			if normalize {
-				b.Fmul(fv, fv, inv)
-			}
-			b.Fsw(fv, wPtr, int32(4*u))
-		}
-		b.Addi(wPtr, wPtr, int32(4*lw))
-		b.Remem()
-	})
+	mtNorm, mtNormLen := ctx.FrameMicrothread(mtFb, func(fb isa.Reg) { s.centerFrame(b, fb, wPtr) })
 	advBytes := int32((groups*vlen - 1) * rowBytes)
-	mtAdv, _ := b.Microthread(func() {
-		b.Addi(wPtr, wPtr, advBytes)
-	})
+	mtAdv, _ := b.Microthread(func() { b.Addi(wPtr, wPtr, advBytes) })
 
-	ctx.VectorKernel(lw, frames,
+	ctx.VectorKernel(corrLW, frames,
 		func() { ctx.LanePtr(wPtr, 0, data.Addr, n, 0) },
 		func() {
 			b.VIssueAt(mtInit)
 			rb, pD, pW, t := b.Int(), b.Int(), b.Int(), b.Int()
+			// sweep streams the lanes' rows at p through frames into mt.
+			sweep := func(p isa.Reg, mt string, mtLen int) {
+				ctx.VecDAE(n/corrLW, corrLW, frames, mtLen, mt, func(_, off isa.Reg) {
+					ctx.VLoadLanes(t, p, rowBytes, off, corrLW)
+					b.Addi(p, p, 4*corrLW)
+				})
+			}
 			ctx.StridedLoop(rb, ctx.Gid, int32(blocks), int32(groups), func() {
 				ctx.AddrInto(pD, rb, data.Addr, vlen*n, 0)
 				b.Mv(pW, pD)
 				b.VIssueAt(mtBegin)
-				ctx.VecDAE(n/lw, lw, frames, mtAccLen, mtAcc,
-					func(_, off isa.Reg) {
-						ctx.VLoadLanes(t, pD, rowBytes, off, lw)
-						b.Addi(pD, pD, int32(4*lw))
-					})
+				sweep(pD, mtAcc, mtAccLen)
 				b.VIssueAt(mtStats)
-				ctx.VecDAE(n/lw, lw, frames, mtNormLen, mtNorm,
-					func(_, off isa.Reg) {
-						ctx.VLoadLanes(t, pW, rowBytes, off, lw)
-						b.Addi(pW, pW, int32(4*lw))
-					})
+				sweep(pW, mtNorm, mtNormLen)
 				b.VIssueAt(mtAdv)
 			})
 			b.FreeInt(rb, pD, pW, t)
 		})
 	b.FreeInt(wPtr, mtFb)
-	b.FreeFp(fz, sum, sq, mean, inv, fv)
+	b.FreeFp(s.fz, s.sum, s.sq, s.mean, s.inv, s.fv)
 }
 
 func (corrBench) GPU(p Params, img *Image) ([]gpu.Kernel, error)  { return corrGPU(p, img) }

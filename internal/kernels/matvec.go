@@ -119,7 +119,7 @@ func buildMVColNV(ctx *Ctx, s mvSpec) {
 // buildMVRowPF: self-prefetch frames (A chunk + x chunk), SIMD optional.
 func buildMVRowPF(ctx *Ctx, s mvSpec) {
 	b := ctx.B
-	lw := 16
+	lw := mvChunk
 	frames := ctx.HW.FrameCounters
 	frameWords := 2 * lw
 	ctx.SetupFrames(frameWords, frames)
@@ -152,13 +152,7 @@ func buildMVRowPF(ctx *Ctx, s mvSpec) {
 					b.Addi(pA, pA, int32(4*lw))
 					b.Addi(pX, pX, int32(4*lw))
 				},
-				func(fb isa.Reg) {
-					if ctx.SW.SIMD {
-						ctx.FrameDotSIMD(accV, fb, va, vb, 0, int32(4*lw), lw)
-					} else {
-						ctx.FrameDot(acc, fb, tmps, 0, int32(4*lw), lw)
-					}
-				})
+				func(fb isa.Reg) { mvConsume(ctx, fb, acc, tmps, accV, va, vb) })
 			if ctx.SW.SIMD {
 				b.Vfredsum(acc, accV)
 			}
@@ -175,9 +169,18 @@ func buildMVRowPF(ctx *Ctx, s mvSpec) {
 	})
 }
 
-// mvChunk is the A (and x) words one lane consumes per frame in the vector
-// forms.
+// mvChunk is the A words a frame carries, then as many x words.
 const mvChunk = 16
+
+// mvConsume accumulates one frame's dot product of its A and x chunks into
+// acc (accV with SIMD): the NV_PF consume and the vector microthread.
+func mvConsume(ctx *Ctx, fb isa.Reg, acc isa.FReg, tmps [4]isa.FReg, accV, va, vb uint8) {
+	if ctx.SW.SIMD {
+		ctx.FrameDotSIMD(accV, fb, va, vb, 0, 4*mvChunk, mvChunk)
+		return
+	}
+	ctx.FrameDot(acc, fb, tmps, 0, 4*mvChunk, mvChunk)
+}
 
 // buildMVVec is the vector mat-vec both forms share: each lane accumulates
 // one output of a vlen-output block over trip frames, each holding mvChunk
@@ -210,15 +213,7 @@ func buildMVVec(ctx *Ctx, s mvSpec, blocks, blockWords, trip int, load func(pA, 
 			b.VbcastF(accV, fz)
 		}
 	})
-	mtAcc, mtAccLen := b.Microthread(func() {
-		b.FrameStart(mtFb)
-		if ctx.SW.SIMD {
-			ctx.FrameDotSIMD(accV, mtFb, va, vb, 0, 4*mvChunk, mvChunk)
-		} else {
-			ctx.FrameDot(acc, mtFb, tmps, 0, 4*mvChunk, mvChunk)
-		}
-		b.Remem()
-	})
+	mtAcc, mtAccLen := ctx.FrameMicrothread(mtFb, func(fb isa.Reg) { mvConsume(ctx, fb, acc, tmps, accV, va, vb) })
 	advBytes := int32(groups * vlen * 4)
 	mtStore, _ := b.Microthread(func() {
 		if ctx.SW.SIMD {
