@@ -1,6 +1,9 @@
 package config
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Group describes one software-defined vector group: a scalar core plus an
 // m x m square of vector lanes. One corner of the square, adjacent to the
@@ -16,10 +19,11 @@ type Group struct {
 	Lanes    []int // tile ids in row-major order within the square
 	Side     int   // m (the square is Side x Side)
 
-	// Children lists each tile's downstream inet targets; Hop is the inet
-	// distance from the scalar core (scalar=0, expander=1, then BFS depth).
-	Children map[int][]int
-	Hop      map[int]int
+	// Children[k] lists the downstream inet targets (tile ids) of the
+	// group's k-th tile in Tile order, and Hop[k] is that tile's inet
+	// distance from the scalar core (scalar 0, expander 1, then BFS depth).
+	Children [][]int
+	Hop      []int
 }
 
 // VLen returns the group's vector length (number of lanes).
@@ -57,13 +61,7 @@ func (g *Group) LaneIndex(tile int) int {
 
 // TreeDepth returns the deepest lane's hop count.
 func (g *Group) TreeDepth() int {
-	d := 0
-	for _, h := range g.Hop {
-		if h > d {
-			d = h
-		}
-	}
-	return d
+	return slices.Max(g.Hop)
 }
 
 // sideOf returns m for vlen = m*m, or an error for non-square lengths.
@@ -90,24 +88,22 @@ func MakeGroups(mc Manycore, vlen int) ([]*Group, error) {
 	if mc.MeshWidth == 8 && mc.MeshHeight == 8 {
 		// Canonical packings for the paper's 64-core fabric: 12 V4 groups
 		// (60/64 tiles, 94%) and 3 V16 groups (51/64, 80%), matching §6.2.
+		t := func(r, c int) int { return r*8 + c }
 		switch m {
 		case 2:
-			var groups []*Group
+			s := newGroupSlabs(12, m)
 			for r0 := 0; r0 < 8; r0 += 2 {
-				t := func(r, c int) int { return r*8 + c }
-				groups = append(groups,
-					buildGroup(len(groups)+0, 8, r0, 0, 2, t(r0, 1), t(r0, 2)),
-					buildGroup(len(groups)+1, 8, r0, 3, 2, t(r0, 4), t(r0, 5)),
-					buildGroup(len(groups)+2, 8, r0, 6, 2, t(r0+1, 6), t(r0+1, 5)))
+				s.add(8, r0, 0, t(r0, 1), t(r0, 2))
+				s.add(8, r0, 3, t(r0, 4), t(r0, 5))
+				s.add(8, r0, 6, t(r0+1, 6), t(r0+1, 5))
 			}
-			return groups, nil
+			return s.out, nil
 		case 4:
-			t := func(r, c int) int { return r*8 + c }
-			return []*Group{
-				buildGroup(0, 8, 0, 0, 4, t(3, 0), t(4, 0)),
-				buildGroup(1, 8, 0, 4, 4, t(3, 7), t(4, 7)),
-				buildGroup(2, 8, 4, 1, 4, t(7, 1), t(7, 0)),
-			}, nil
+			s := newGroupSlabs(3, m)
+			s.add(8, 0, 0, t(3, 0), t(4, 0))
+			s.add(8, 0, 4, t(3, 7), t(4, 7))
+			s.add(8, 4, 1, t(7, 1), t(7, 0))
+			return s.out, nil
 		}
 	}
 	return greedyGroups(mc, m, make([]bool, mc.MeshWidth*mc.MeshHeight)), nil
@@ -139,7 +135,7 @@ func Reform(mc Manycore, vlen int, avoid []int) ([]*Group, error) {
 // adjacent to one of its corners. Tiles pre-marked in used are never touched.
 func greedyGroups(mc Manycore, m int, used []bool) []*Group {
 	w, h := mc.MeshWidth, mc.MeshHeight
-	var groups []*Group
+	s := newGroupSlabs(len(used)/(m*m+1), m)
 	tile := func(r, c int) int { return r*w + c }
 	inBounds := func(r, c int) bool { return r >= 0 && r < h && c >= 0 && c < w }
 	squareFree := func(r0, c0 int) bool {
@@ -187,51 +183,81 @@ func greedyGroups(mc Manycore, m int, used []bool) []*Group {
 			if !found {
 				continue
 			}
-			g := buildGroup(len(groups), w, r0, c0, m, tile(expR, expC), tile(scR, scC))
-			for _, t := range g.Tiles() {
-				used[t] = true
+			g := s.add(w, r0, c0, tile(expR, expC), tile(scR, scC))
+			for k := range g.Size() {
+				used[g.Tile(k)] = true
 			}
-			groups = append(groups, g)
 		}
 	}
-	return groups
+	return s.out
 }
 
-// buildGroup assembles a group's lane list, BFS forwarding tree, and hops.
-func buildGroup(id, meshW, r0, c0, m, expander, scalar int) *Group {
-	g := &Group{
-		ID: id, Scalar: scalar, Expander: expander, Side: m,
-		Children: map[int][]int{},
-		Hop:      map[int]int{scalar: 0, expander: 1},
+// groupSlabs carves one call's groups from one slab per kind, for at most
+// n groups of side m: each group's lanes, hops and forwarding-tree targets
+// share one run of ints, and its child lists one run of slices.
+type groupSlabs struct {
+	m        int
+	groups   []Group
+	ints     []int
+	children [][]int
+	out      []*Group
+}
+
+func newGroupSlabs(n, m int) groupSlabs {
+	size := m*m + 1
+	return groupSlabs{
+		m:        m,
+		groups:   make([]Group, n),
+		ints:     make([]int, n*(3*size-2)),
+		children: make([][]int, n*size),
+		out:      make([]*Group, 0, n),
 	}
-	inSquare := func(t int) bool {
-		r, c := t/meshW, t%meshW
-		return r >= r0 && r < r0+m && c >= c0 && c < c0+m
+}
+
+// add assembles the next group: the m x m square at (r0, c0) of a mesh
+// meshW tiles wide, fed by scalar through the corner lane expander, with
+// its breadth-first forwarding tree and hops.
+func (s *groupSlabs) add(meshW, r0, c0, expander, scalar int) *Group {
+	m, i := s.m, len(s.out)
+	n := m * m
+	ints := s.ints[i*(3*n+1) : (i+1)*(3*n+1)]
+	g := &s.groups[i]
+	*g = Group{
+		ID: i, Scalar: scalar, Expander: expander, Side: m,
+		Lanes:    ints[:n:n],
+		Hop:      ints[n : 2*n+1 : 2*n+1],
+		Children: s.children[i*(n+1) : (i+1)*(n+1) : (i+1)*(n+1)],
 	}
+	s.out = append(s.out, g)
+	// at is a square tile's place in Tile order.
+	at := func(t int) int { return 1 + (t/meshW-r0)*m + t%meshW - c0 }
 	for r := r0; r < r0+m; r++ {
 		for c := c0; c < c0+m; c++ {
-			g.Lanes = append(g.Lanes, r*meshW+c)
+			g.Lanes[at(r*meshW+c)-1] = r*meshW + c
 		}
 	}
+	for k := range g.Hop {
+		g.Hop[k] = -1 // not reached yet
+	}
+	g.Hop[0], g.Hop[at(expander)] = 0, 1
 	// Scalar feeds the expander; instructions then fan out BFS through the
-	// square. Neighbour order N, E, S, W for determinism.
-	g.Children[scalar] = []int{expander}
-	visited := map[int]bool{expander: true}
-	queue := []int{expander}
-	for len(queue) > 0 {
-		t := queue[0]
-		queue = queue[1:]
+	// square. Neighbour order N, E, S, W for determinism. The tree's targets
+	// in BFS order are the queue, and each tile's children one run of it.
+	tree := append(ints[2*n+1:2*n+1:3*n+1], expander)
+	g.Children[0] = tree[:1:1]
+	for head := 0; head < len(tree); head++ {
+		t, from := tree[head], len(tree)
 		r, c := t/meshW, t%meshW
 		for _, d := range [4][2]int{{-1, 0}, {0, 1}, {1, 0}, {0, -1}} {
 			nr, nc := r+d[0], c+d[1]
-			nt := nr*meshW + nc
-			if nr < r0 || nr >= r0+m || nc < c0 || nc >= c0+m || !inSquare(nt) || visited[nt] {
+			if nr < r0 || nr >= r0+m || nc < c0 || nc >= c0+m || g.Hop[at(nr*meshW+nc)] >= 0 {
 				continue
 			}
-			visited[nt] = true
-			g.Children[t] = append(g.Children[t], nt)
-			g.Hop[nt] = g.Hop[t] + 1
-			queue = append(queue, nt)
+			g.Hop[at(nr*meshW+nc)] = g.Hop[at(t)] + 1
+			tree = append(tree, nr*meshW+nc)
+		}
+		if len(tree) > from {
+			g.Children[at(t)] = tree[from:len(tree):len(tree)]
 		}
 	}
 	return g
@@ -240,16 +266,28 @@ func buildGroup(id, meshW, r0, c0, m, expander, scalar int) *Group {
 // Validate checks group structure: lanes form the tree, hops are
 // consistent, and no tile appears twice.
 func (g *Group) Validate(mc Manycore) error {
-	seen := map[int]bool{}
-	for k := 0; k < g.Size(); k++ {
+	scratch := make([]int, 2*mc.Cores)
+	return g.validate(mc, scratch[:mc.Cores], scratch[mc.Cores:])
+}
+
+// validate is Validate over two scratch arrays of mc.Cores words: place[t]
+// is 1 + tile t's place in Tile order, and parents[k] counts the lane links
+// into place k. Every link joins mesh neighbours. Below the expander each
+// lane has exactly one parent lane, one hop nearer the scalar core, so a
+// lane's parents lead back to the expander: the expander reaches every lane
+// exactly once.
+func (g *Group) validate(mc Manycore, place, parents []int) error {
+	clear(place)
+	clear(parents)
+	for k := range g.Size() {
 		t := g.Tile(k)
 		if t < 0 || t >= mc.Cores {
 			return fmt.Errorf("group %d: tile %d out of range", g.ID, t)
 		}
-		if seen[t] {
+		if place[t] != 0 {
 			return fmt.Errorf("group %d: tile %d appears twice", g.ID, t)
 		}
-		seen[t] = true
+		place[t] = k + 1
 	}
 	if len(g.Lanes) != g.Side*g.Side {
 		return fmt.Errorf("group %d: %d lanes for side %d", g.ID, len(g.Lanes), g.Side)
@@ -257,21 +295,8 @@ func (g *Group) Validate(mc Manycore) error {
 	if g.LaneIndex(g.Expander) < 0 {
 		return fmt.Errorf("group %d: expander %d is not a lane", g.ID, g.Expander)
 	}
-	reached := map[int]bool{}
-	stack := []int{g.Expander}
-	for len(stack) > 0 {
-		t := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if reached[t] {
-			return fmt.Errorf("group %d: tile %d reached twice in tree", g.ID, t)
-		}
-		reached[t] = true
-		stack = append(stack, g.Children[t]...)
-	}
-	for _, l := range g.Lanes {
-		if !reached[l] {
-			return fmt.Errorf("group %d: lane %d unreachable from expander", g.ID, l)
-		}
+	if len(g.Children) != g.Size() || len(g.Hop) != g.Size() {
+		return fmt.Errorf("group %d: %d child lists and %d hops for %d tiles", g.ID, len(g.Children), len(g.Hop), g.Size())
 	}
 	adj := func(a, b int) bool {
 		ar, ac := a/mc.MeshWidth, a%mc.MeshWidth
@@ -285,11 +310,31 @@ func (g *Group) Validate(mc Manycore) error {
 		}
 		return dr+dc == 1
 	}
-	for from, kids := range g.Children {
+	for k, kids := range g.Children {
+		from := g.Tile(k)
 		for _, to := range kids {
 			if !adj(from, to) {
 				return fmt.Errorf("group %d: inet link %d->%d not mesh-adjacent", g.ID, from, to)
 			}
+			if k == 0 {
+				continue // the scalar core feeds the expander
+			}
+			j := -1
+			if to >= 0 && to < mc.Cores {
+				j = place[to] - 1
+			}
+			if j < 1 || to == g.Expander || parents[j] > 0 {
+				return fmt.Errorf("group %d: tile %d reached twice in tree", g.ID, to)
+			}
+			parents[j]++
+			if g.Hop[j] != g.Hop[k]+1 {
+				return fmt.Errorf("group %d: inet link %d->%d goes from hop %d to hop %d", g.ID, from, to, g.Hop[k], g.Hop[j])
+			}
+		}
+	}
+	for k, l := range g.Lanes {
+		if parents[k+1] == 0 && l != g.Expander {
+			return fmt.Errorf("group %d: lane %d unreachable from expander", g.ID, l)
 		}
 	}
 	return nil
@@ -297,17 +342,21 @@ func (g *Group) Validate(mc Manycore) error {
 
 // ValidateGroups checks every group and that groups do not overlap.
 func ValidateGroups(mc Manycore, groups []*Group) error {
-	used := map[int]int{}
+	if len(groups) == 0 {
+		return nil
+	}
+	scratch := make([]int, 3*mc.Cores)
+	place, parents, owner := scratch[:mc.Cores], scratch[mc.Cores:2*mc.Cores], scratch[2*mc.Cores:]
 	for _, g := range groups {
-		if err := g.Validate(mc); err != nil {
+		if err := g.validate(mc, place, parents); err != nil {
 			return err
 		}
-		for k := 0; k < g.Size(); k++ {
+		for k := range g.Size() {
 			t := g.Tile(k)
-			if owner, ok := used[t]; ok {
-				return fmt.Errorf("tile %d in both group %d and group %d", t, owner, g.ID)
+			if owner[t] != 0 {
+				return fmt.Errorf("tile %d in both group %d and group %d", t, owner[t]-1, g.ID)
 			}
-			used[t] = g.ID
+			owner[t] = g.ID + 1
 		}
 	}
 	return nil

@@ -1,6 +1,10 @@
 package config
 
-import "testing"
+import (
+	"slices"
+	"strings"
+	"testing"
+)
 
 // TestCanonicalPackings pins the paper's §6.2 utilization numbers: V4 forms
 // 12 groups (60/64 tiles, 94%), V16 forms 3 (51/64, 80%).
@@ -121,5 +125,86 @@ func TestReform(t *testing.T) {
 func TestNonSquareVlen(t *testing.T) {
 	if _, err := MakeGroups(ManycoreDefault(), 6); err == nil {
 		t.Fatal("vlen 6 should be rejected")
+	}
+}
+
+// TestMakeGroupsAllocs holds group construction to its slabs: a MakeGroups
+// or Reform call allocates at most 8 times and a ValidateGroups call at most
+// twice, for V4 and V16 on the 8x8 fabric (a map per group made it 140-180
+// and 21-40).
+func TestMakeGroupsAllocs(t *testing.T) {
+	mc := ManycoreDefault()
+	for _, vlen := range []int{4, 16} {
+		var gs []*Group
+		var err error
+		mk := testing.AllocsPerRun(20, func() { gs, err = MakeGroups(mc, vlen) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		re := testing.AllocsPerRun(20, func() { _, err = Reform(mc, vlen, []int{12}) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		va := testing.AllocsPerRun(20, func() { err = ValidateGroups(mc, gs) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("V%d: MakeGroups %.0f, Reform %.0f, ValidateGroups %.0f allocations", vlen, mk, re, va)
+		if mk > 8 || re > 8 {
+			t.Errorf("V%d: MakeGroups allocates %.0f times and Reform %.0f, want <= 8 each", vlen, mk, re)
+		}
+		if va > 2 {
+			t.Errorf("V%d: ValidateGroups allocates %.0f times, want <= 2", vlen, va)
+		}
+	}
+}
+
+// TestValidateCatchesBrokenTrees: Validate refuses a forwarding tree that
+// misses a lane, reaches one twice, links non-neighbours or skips a hop.
+func TestValidateCatchesBrokenTrees(t *testing.T) {
+	mc := ManycoreDefault()
+	gs, err := MakeGroups(mc, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// broken validates a copy of group 0 after edit.
+	broken := func(edit func(g *Group)) error {
+		g := *gs[0]
+		g.Hop = slices.Clone(g.Hop)
+		g.Children = make([][]int, len(gs[0].Children))
+		for k, kids := range gs[0].Children {
+			g.Children[k] = slices.Clone(kids)
+		}
+		edit(&g)
+		return g.Validate(mc)
+	}
+	if err := broken(func(*Group) {}); err != nil {
+		t.Fatalf("unedited copy: %v", err)
+	}
+	exp := 1 + gs[0].LaneIndex(gs[0].Expander)
+	for _, c := range []struct {
+		name, want string
+		edit       func(g *Group)
+	}{
+		{"dropped link", "unreachable", func(g *Group) { g.Children[exp] = g.Children[exp][1:] }},
+		{"second parent", "reached twice", func(g *Group) {
+			// Link some lane q to a mesh neighbour one hop further that
+			// already has another parent.
+			for q := 1; q < g.Size(); q++ {
+				for c := 1; c < g.Size(); c++ {
+					d := g.Tile(q) - g.Tile(c)
+					if (d == 1 || d == -1 || d == 8 || d == -8) && g.Hop[c] == g.Hop[q]+1 && !slices.Contains(g.Children[q], g.Tile(c)) {
+						g.Children[q] = append(g.Children[q], g.Tile(c))
+						return
+					}
+				}
+			}
+		}},
+		{"far link", "not mesh-adjacent", func(g *Group) { g.Children[exp] = append(g.Children[exp], g.Scalar+20) }},
+		{"skipped hop", "hop", func(g *Group) { g.Hop[1+g.LaneIndex(g.Children[exp][0])]++ }},
+	} {
+		if err := broken(c.edit); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate says %v, want %q", c.name, err, c.want)
+		}
 	}
 }

@@ -219,7 +219,7 @@ func NewCores(cfg config.Manycore, low *Lowered, env Env, st []stats.Core, spads
 			c := cores[t]
 			c.group, c.laneIdx = g, k-1
 			c.inQ, c.outQs = net.In[t], net.Out[t]
-			st[t].Hop = g.Hop[t]
+			st[t].Hop = g.Hop[k]
 		}
 	}
 	return cores, nil

@@ -109,7 +109,7 @@ func NewNet(n int, groups []*config.Group, capacity int) (Net, error) {
 	for _, g := range groups {
 		for k := 0; k < g.Size(); k++ {
 			t, from := g.Tile(k), len(out)
-			for _, c := range g.Children[t] {
+			for _, c := range g.Children[k] {
 				out = append(out, net.In[c])
 			}
 			if len(out) > from {
