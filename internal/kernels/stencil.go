@@ -13,9 +13,9 @@ import (
 // flat output rows holds cols outputs, and output j sums three adjacent taps
 // (columns j..j+2) of every input slice, each tap times its own coefficient.
 // A kernel states only its data; the family owns the coefficient registers,
-// the tap chain, frame consumption, the unaligned slice-window fetch and the
-// whole NV_PF lowering. Kernels keep their NV pointer layout and their
-// vector output-pointer schedule.
+// the tap chain, frame consumption, the unaligned slice-window fetch, the
+// size check, the whole NV_PF lowering and the GPU trace. Kernels keep their
+// NV pointer layout and their vector output-pointer schedule.
 type stencil struct {
 	in, out    *Array
 	rows, cols int
@@ -29,15 +29,15 @@ type stencil struct {
 	rowWords, side int
 }
 
-// slices is the number of input slices an output row reads, three taps each.
-func (s stencil) slices() int { return len(s.coef) / 3 }
+// sliceCount is the number of input slices an output row reads, three taps each.
+func (s stencil) sliceCount() int { return len(s.coef) / 3 }
 
 // window is the words one slice window holds: a chunk plus its two halo
 // columns.
 func (s stencil) window() int { return s.chunk + 2 }
 
 // frameWords is one frame: every slice's window, back to back.
-func (s stencil) frameWords() int { return s.slices() * s.window() }
+func (s stencil) frameWords() int { return s.sliceCount() * s.window() }
 
 // check refuses a size whose rows the V16 blocks or whose columns the chunk
 // do not tile.
@@ -137,7 +137,7 @@ func (s stencil) consume(ctx *Ctx, r stencilRegs, fb, pOut isa.Reg) {
 func (s stencil) fetch(ctx *Ctx, dist isa.VloadDist, lane int, t, src isa.Reg, rowWords int, toff, off isa.Reg) {
 	b := ctx.B
 	w := s.window()
-	for k := 0; k < s.slices(); k++ {
+	for k := 0; k < s.sliceCount(); k++ {
 		b.Addi(t, src, 4*(int32(rowWords)+s.sliceOff[k]))
 		b.Addi(toff, off, int32(4*k*w))
 		b.VLoadUnaligned(dist, t, toff, lane, w, true)
