@@ -1,9 +1,10 @@
 package cpu
 
-// Execution helpers shared by the pre-lowered closures in lower.go: register
-// writeback, global memory and remote-scratchpad traffic, vloads, CSRs, and
-// control-flow target application. The per-op semantics themselves are
-// generated once per program by LowerProgram.
+// Execution helpers shared by the per-op semantics functions in lower.go:
+// register writeback, global memory and remote-scratchpad traffic, vloads,
+// CSRs, and control-flow target application. LowerProgram picks each
+// instruction's semantics function once per program; the functions read
+// their operands from the instruction's lowEntry.
 
 import (
 	"math"

@@ -4,9 +4,11 @@ package cpu
 // operand field extraction, source/WAW readiness set computation, latency
 // lookups, class/predicability/control-flow tests — is done once per
 // (program, configuration) at machine build time. Each instruction becomes a
-// lowEntry holding its readiness metadata and a closure that performs its
-// semantics with the operands and latencies already resolved (for an
-// arithmetic op, its operand shape's closure calling its arith entry). The
+// lowEntry holding its readiness metadata, the operands its semantics read,
+// its resolved latency, and the static function that performs those
+// semantics (for an arithmetic op, its operand shape's function, calling the
+// op's arith entry). The functions capture nothing, so lowering allocates
+// the Lowered header and its entry slice whatever the program's length. The
 // Lowered table is immutable and shared by every core of a machine, and it
 // is the whole decode: a core keeps no decode state of its own.
 
@@ -20,17 +22,34 @@ import (
 	"rockcress/internal/stats"
 )
 
-// execFn performs one non-control instruction's semantics at cycle now. It
-// may refuse (resource hazards discovered at execution).
-type execFn func(c *Core, now int64) (bool, stats.StallKind)
+// execFn performs one non-control instruction's semantics at cycle now,
+// reading its operands from e. It may refuse (resource hazards discovered
+// at execution).
+type execFn func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind)
 
 // ctlFn resolves one control-flow instruction (sources already checked).
-type ctlFn func(c *Core, now int64, micro bool) (bool, stats.StallKind)
+type ctlFn func(c *Core, e *lowEntry, now int64, micro bool) (bool, stats.StallKind)
 
 // lowEntry is one pre-lowered instruction.
 type lowEntry struct {
 	exec execFn
 	ctl  ctlFn // non-nil exactly when the op is control flow
+
+	// What the semantics read: in is the instruction itself (vload's and
+	// the CSR ops' wider fields); lat is the cycles until the result is
+	// ready; div marks an op that waits for and holds the core's one
+	// shared divider for lat cycles (Core.exec).
+	in  *isa.Instr
+	lat int64
+	div bool
+
+	// Fields copied from in, read on every execution: op indexes an
+	// arithmetic row's arith entry or a branch's branchTaken compare.
+	op            isa.Op
+	rs1, rs2, rs3 isa.Reg
+	fs1, fs2, fs3 isa.FReg
+	vs1, vs2      uint8
+	imm           int32
 
 	// Source readiness (scoreboard check), in the old checkSources order:
 	// int sources, fp sources, vec sources, then WAW int/fp/vec.
@@ -63,7 +82,8 @@ type Lowered struct {
 
 // LowerProgram lowers prog, which must pass isa.Program.Validate, once for
 // cfg. The result is immutable and safe to share across every core of a
-// machine.
+// machine. It allocates two objects, the Lowered and its entries, for a
+// program of any length (TestLowerProgramAllocs).
 func LowerProgram(prog *isa.Program, cfg config.Manycore) *Lowered {
 	l := &Lowered{Prog: prog, ents: make([]lowEntry, len(prog.Code))}
 	for i := range prog.Code {
@@ -73,6 +93,11 @@ func LowerProgram(prog *isa.Program, cfg config.Manycore) *Lowered {
 }
 
 func lowerInstr(e *lowEntry, in *isa.Instr, cfg config.Manycore) {
+	e.in, e.op = in, in.Op
+	e.rs1, e.rs2, e.rs3 = in.Rs1, in.Rs2, in.Rs3
+	e.fs1, e.fs2, e.fs3 = in.Fs1, in.Fs2, in.Fs3
+	e.vs1, e.vs2 = in.Vs1, in.Vs2
+	e.imm = in.Imm
 	e.nInt = uint8(in.IntSrcs(&e.srcInt))
 	e.nFp = uint8(in.FpSrcs(&e.srcFp))
 	e.nVec = uint8(in.VecSrcs(&e.srcVec))
@@ -86,10 +111,10 @@ func lowerInstr(e *lowEntry, in *isa.Instr, cfg config.Manycore) {
 	e.allowMT = isa.AllowedInMicrothread(in.Op)
 	e.class = uint8(isa.Classify(in.Op))
 	if isa.IsControlFlow(in.Op) {
-		e.ctl = lowerControl(in)
+		e.ctl = lowerControl(e, in)
 		return
 	}
-	e.exec = lowerExec(in, cfg)
+	e.exec = lowerExec(e, in, cfg)
 }
 
 // branchTaken is each conditional branch's compare of rs1 against rs2,
@@ -103,18 +128,14 @@ var branchTaken = [len(isa.Ops)]func(a, b uint32) bool{
 	isa.OpBgeu: func(a, b uint32) bool { return a >= b },
 }
 
-// lowerControl builds the resolver for one branch or jump. Field reads and
-// the class constant are hoisted; a conditional branch's compare comes
-// from branchTaken.
-func lowerControl(in *isa.Instr) ctlFn {
-	rs1, rs2, rd := in.Rs1, in.Rs2, in.Rd
-	imm := int(in.Imm)
-	class := uint8(isa.Classify(in.Op))
-	if taken := branchTaken[in.Op]; taken != nil {
-		return func(c *Core, now int64, micro bool) (bool, stats.StallKind) {
-			c.st.CountClass(class)
-			if taken(c.intRegs[rs1], c.intRegs[rs2]) {
-				c.jumpTo(now, micro, imm, true) // taken: pays the branch penalty
+// lowerControl picks the resolver for one branch or jump: every
+// conditional branch shares one, calling its op's branchTaken compare.
+func lowerControl(e *lowEntry, in *isa.Instr) ctlFn {
+	if branchTaken[in.Op] != nil {
+		return func(c *Core, e *lowEntry, now int64, micro bool) (bool, stats.StallKind) {
+			c.st.CountClass(e.class)
+			if branchTaken[e.op](c.intRegs[e.rs1], c.intRegs[e.rs2]) {
+				c.jumpTo(now, micro, int(e.imm), true) // taken: pays the branch penalty
 			} else {
 				c.jumpTo(now, micro, c.curPC(micro)+1, false)
 			}
@@ -123,28 +144,27 @@ func lowerControl(in *isa.Instr) ctlFn {
 	}
 	switch in.Op {
 	case isa.OpJal:
-		return func(c *Core, now int64, micro bool) (bool, stats.StallKind) {
+		return func(c *Core, e *lowEntry, now int64, micro bool) (bool, stats.StallKind) {
 			next := c.curPC(micro) + 1
-			c.writeInt(rd, uint32(next), now+1)
-			c.st.CountClass(class)
-			c.jumpTo(now, micro, imm, true)
+			c.writeInt(e.rd, uint32(next), now+1)
+			c.st.CountClass(e.class)
+			c.jumpTo(now, micro, int(e.imm), true)
 			return true, stats.StallNone
 		}
 	case isa.OpJalr:
-		return func(c *Core, now int64, micro bool) (bool, stats.StallKind) {
+		return func(c *Core, e *lowEntry, now int64, micro bool) (bool, stats.StallKind) {
 			next := c.curPC(micro) + 1
 			// Write order matters when rd == rs1: the link register is
 			// written first, so the target reads the link value.
-			c.writeInt(rd, uint32(next), now+1)
-			tgt := int(c.intRegs[rs1]) + imm
-			c.st.CountClass(class)
+			c.writeInt(e.rd, uint32(next), now+1)
+			tgt := int(c.intRegs[e.rs1]) + int(e.imm)
+			c.st.CountClass(e.class)
 			c.jumpTo(now, micro, tgt, true)
 			return true, stats.StallNone
 		}
 	}
-	op := in.Op
-	return func(c *Core, now int64, micro bool) (bool, stats.StallKind) {
-		c.fail("unimplemented control op %s", op)
+	return func(c *Core, e *lowEntry, now int64, micro bool) (bool, stats.StallKind) {
+		c.fail("unimplemented control op %s", e.op)
 		return true, stats.StallNone
 	}
 }
@@ -236,17 +256,16 @@ func latency(class isa.Class, cfg config.Manycore) int64 {
 	panic(fmt.Sprintf("cpu: class %d has no functional unit", class))
 }
 
-// lowerArith builds an arithmetic row's closure. Its operand shape, spelled
+// lowerArith picks an arithmetic row's function. Its operand shape, spelled
 // from the row's syntax one letter per slot (x an integer register, f an fp
 // register, i the immediate; destination first), picks the registers the
-// closure reads and writes; sem computes the value; the class sets the
-// latency and whether the op holds the core's one shared divider.
-func lowerArith(in *isa.Instr, sem any, cfg config.Manycore) execFn {
+// function reads and writes; the row's arith entry, which has the shape's
+// type (TestArithmeticRows runs every row), computes the value; the class
+// sets e's latency and whether the op holds the core's one shared divider.
+func lowerArith(e *lowEntry, in *isa.Instr, cfg config.Manycore) execFn {
 	class := isa.Classify(in.Op)
-	lat := latency(class, cfg)
-	rd, rs1, rs2 := in.Rd, in.Rs1, in.Rs2
-	fd, fs1, fs2, fs3 := in.Fd, in.Fs1, in.Fs2, in.Fs3
-	imm := uint32(in.Imm)
+	e.lat = latency(class, cfg)
+	e.div = class == isa.ClassIntDiv || class == isa.ClassFpDiv
 	var shape [4]byte
 	syn := isa.Ops[in.Op].Syntax
 	for i, o := range syn {
@@ -255,137 +274,117 @@ func lowerArith(in *isa.Instr, sem any, cfg config.Manycore) execFn {
 			shape[i], _ = o.File()
 		}
 	}
-	var exec execFn
 	switch string(shape[:len(syn)]) {
 	case "xxx":
-		f := sem.(func(a, b uint32) uint32)
-		exec = func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, f(c.intRegs[rs1], c.intRegs[rs2]), now+lat)
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			f := arith[e.op].(func(a, b uint32) uint32)
+			c.writeInt(e.rd, f(c.intRegs[e.rs1], c.intRegs[e.rs2]), now+e.lat)
 			return true, stats.StallNone
 		}
 	case "xxi", "xi": // li is addi's shape; its value ignores the register
-		f := sem.(func(a, imm uint32) uint32)
-		exec = func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, f(c.intRegs[rs1], imm), now+lat)
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			f := arith[e.op].(func(a, imm uint32) uint32)
+			c.writeInt(e.rd, f(c.intRegs[e.rs1], uint32(e.imm)), now+e.lat)
 			return true, stats.StallNone
 		}
 	case "fff":
-		f := sem.(func(a, b float32) float32)
-		exec = func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeFp(fd, f(c.fpRegs[fs1], c.fpRegs[fs2]), now+lat)
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			f := arith[e.op].(func(a, b float32) float32)
+			c.writeFp(e.fd, f(c.fpRegs[e.fs1], c.fpRegs[e.fs2]), now+e.lat)
 			return true, stats.StallNone
 		}
 	case "ff":
-		f := sem.(func(a float32) float32)
-		exec = func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeFp(fd, f(c.fpRegs[fs1]), now+lat)
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			f := arith[e.op].(func(a float32) float32)
+			c.writeFp(e.fd, f(c.fpRegs[e.fs1]), now+e.lat)
 			return true, stats.StallNone
 		}
 	case "ffff":
-		f := sem.(func(a, b, c float32) float32)
-		exec = func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeFp(fd, f(c.fpRegs[fs1], c.fpRegs[fs2], c.fpRegs[fs3]), now+lat)
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			f := arith[e.op].(func(a, b, c float32) float32)
+			c.writeFp(e.fd, f(c.fpRegs[e.fs1], c.fpRegs[e.fs2], c.fpRegs[e.fs3]), now+e.lat)
 			return true, stats.StallNone
 		}
 	case "xff":
-		f := sem.(func(a, b float32) uint32)
-		exec = func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, f(c.fpRegs[fs1], c.fpRegs[fs2]), now+lat)
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			f := arith[e.op].(func(a, b float32) uint32)
+			c.writeInt(e.rd, f(c.fpRegs[e.fs1], c.fpRegs[e.fs2]), now+e.lat)
 			return true, stats.StallNone
 		}
 	case "xf":
-		f := sem.(func(a float32) uint32)
-		exec = func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, f(c.fpRegs[fs1]), now+lat)
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			f := arith[e.op].(func(a float32) uint32)
+			c.writeInt(e.rd, f(c.fpRegs[e.fs1]), now+e.lat)
 			return true, stats.StallNone
 		}
 	case "fx":
-		f := sem.(func(a uint32) float32)
-		exec = func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeFp(fd, f(c.intRegs[rs1]), now+lat)
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			f := arith[e.op].(func(a uint32) float32)
+			c.writeFp(e.fd, f(c.intRegs[e.rs1]), now+e.lat)
 			return true, stats.StallNone
 		}
-	default:
-		panic(fmt.Sprintf("cpu: %s has no operand shape", in.Op))
 	}
-	if class != isa.ClassIntDiv && class != isa.ClassFpDiv {
-		return exec
-	}
-	return func(c *Core, now int64) (bool, stats.StallKind) {
-		if now < c.divBusyUntil {
-			return false, stats.StallOther
-		}
-		c.divBusyUntil = now + lat
-		return exec(c, now)
-	}
+	panic(fmt.Sprintf("cpu: %s has no operand shape", in.Op))
 }
 
-// lowerExec builds the semantics closure for one non-control instruction:
-// an arithmetic row through lowerArith, any other op by its own case.
-// Latencies come from cfg once; operand fields are captured as locals.
-func lowerExec(in *isa.Instr, cfg config.Manycore) execFn {
-	if sem := arith[in.Op]; sem != nil {
-		return lowerArith(in, sem, cfg)
+// lowerExec picks the semantics function for one non-control instruction:
+// an arithmetic row through lowerArith, any other op by its own case. A
+// case sets the latency its function reads in e from cfg once.
+func lowerExec(e *lowEntry, in *isa.Instr, cfg config.Manycore) execFn {
+	if arith[in.Op] != nil {
+		return lowerArith(e, in, cfg)
 	}
-	rd, rs1, rs2, rs3 := in.Rd, in.Rs1, in.Rs2, in.Rs3
-	fd, fs2, fs3 := in.Fd, in.Fs2, in.Fs3
-	vd, vs1, vs2 := in.Vd, in.Vs1, in.Vs2
-	imm := in.Imm
-	uimm := uint32(in.Imm)
-
 	switch in.Op {
 	case isa.OpNop:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
 			return true, stats.StallNone
 		}
 	case isa.OpLw:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			return c.globalLoad(now, rs1, uimm, false, uint8(rd), 0)
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			return c.globalLoad(now, e.rs1, uint32(e.imm), false, uint8(e.rd), 0)
 		}
 	case isa.OpFlw:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			return c.globalLoad(now, rs1, uimm, true, 0, uint8(fd))
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			return c.globalLoad(now, e.rs1, uint32(e.imm), true, 0, uint8(e.fd))
 		}
 	case isa.OpSw:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			return c.globalStore(now, rs1, uimm, c.intRegs[rs2])
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			return c.globalStore(now, e.rs1, uint32(e.imm), c.intRegs[e.rs2])
 		}
 	case isa.OpFsw:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			return c.globalStore(now, rs1, uimm, f32bits(c.fpRegs[fs2]))
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			return c.globalStore(now, e.rs1, uint32(e.imm), f32bits(c.fpRegs[e.fs2]))
 		}
 
 	case isa.OpLwSp:
-		spadHitLat := int64(cfg.SpadHitLat)
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, c.spad.ReadWord(c.intRegs[rs1]+uimm), now+spadHitLat)
+		e.lat = int64(cfg.SpadHitLat)
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			c.writeInt(e.rd, c.spad.ReadWord(c.intRegs[e.rs1]+uint32(e.imm)), now+e.lat)
 			return true, stats.StallNone
 		}
 	case isa.OpFlwSp:
-		spadHitLat := int64(cfg.SpadHitLat)
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeFp(fd, f32frombits(c.spad.ReadWord(c.intRegs[rs1]+uimm)), now+spadHitLat)
+		e.lat = int64(cfg.SpadHitLat)
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			c.writeFp(e.fd, f32frombits(c.spad.ReadWord(c.intRegs[e.rs1]+uint32(e.imm))), now+e.lat)
 			return true, stats.StallNone
 		}
 	case isa.OpSwRemote:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			return c.remoteStore(now, rs3, rs1, uimm, c.intRegs[rs2])
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			return c.remoteStore(now, e.rs3, e.rs1, uint32(e.imm), c.intRegs[e.rs2])
 		}
 	case isa.OpCsrw:
-		inp := in
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			return c.execCsrw(now, inp)
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			return c.execCsrw(now, e.in)
 		}
 	case isa.OpCsrr:
-		csr := in.Csr
-		lat := latency(isa.ClassCsr, cfg)
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.writeInt(rd, c.readCSR(csr), now+lat)
+		e.lat = latency(isa.ClassCsr, cfg)
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			c.writeInt(e.rd, c.readCSR(e.in.Csr), now+e.lat)
 			return true, stats.StallNone
 		}
 
 	case isa.OpVissue:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
 			if len(c.outQs) != 1 {
 				c.fail("vissue outside a scalar role")
 				return true, stats.StallNone
@@ -393,12 +392,12 @@ func lowerExec(in *isa.Instr, cfg config.Manycore) execFn {
 			if !c.outQs[0].CanSend() {
 				return false, stats.StallBackpressure
 			}
-			c.outQs[0].Send(now, inet.Item{Kind: inet.ItemMTStart, PC: imm})
+			c.outQs[0].Send(now, inet.Item{Kind: inet.ItemMTStart, PC: e.imm})
 			c.st.Microthreads++
 			return true, stats.StallNone
 		}
 	case isa.OpDevec:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
 			if len(c.outQs) != 1 {
 				c.fail("devec outside a scalar role")
 				return true, stats.StallNone
@@ -406,104 +405,101 @@ func lowerExec(in *isa.Instr, cfg config.Manycore) execFn {
 			if !c.outQs[0].CanSend() {
 				return false, stats.StallBackpressure
 			}
-			c.outQs[0].Send(now, inet.Item{Kind: inet.ItemDevec, PC: imm})
+			c.outQs[0].Send(now, inet.Item{Kind: inet.ItemDevec, PC: e.imm})
 			c.mode = ModeIndependent
 			return true, stats.StallNone
 		}
 	case isa.OpVend:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
 			// Handled by the expander's fetch loop; lanes never receive it.
 			c.fail("vend executed outside expander fetch")
 			return true, stats.StallNone
 		}
 	case isa.OpFrameStart:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
 			if !c.spad.FrameReady() {
 				return false, stats.StallFrame
 			}
-			c.writeInt(rd, c.spad.FrameBase(), now+1)
+			c.writeInt(e.rd, c.spad.FrameBase(), now+1)
 			return true, stats.StallNone
 		}
 	case isa.OpRemem:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
 			c.spad.FreeFrame()
 			return true, stats.StallNone
 		}
 	case isa.OpVload:
-		inp := in
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			return c.execVload(now, inp)
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			return c.execVload(now, e.in)
 		}
 	case isa.OpPredEq:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.predOn = c.intRegs[rs1] == c.intRegs[rs2]
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			c.predOn = c.intRegs[e.rs1] == c.intRegs[e.rs2]
 			return true, stats.StallNone
 		}
 	case isa.OpPredNeq:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			c.predOn = c.intRegs[rs1] != c.intRegs[rs2]
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			c.predOn = c.intRegs[e.rs1] != c.intRegs[e.rs2]
 			return true, stats.StallNone
 		}
 
 	case isa.OpVlwSp:
-		w := cfg.SIMDWidth
-		spadHitLat := int64(cfg.SpadHitLat)
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			off := c.intRegs[rs1] + uimm
-			dst := c.vecRegs[vd]
-			for i := 0; i < w; i++ {
+		e.lat = int64(cfg.SpadHitLat)
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			off := c.intRegs[e.rs1] + uint32(e.imm)
+			dst := c.vecRegs[e.vd]
+			for i := range dst {
 				dst[i] = f32frombits(c.spad.ReadWord(off + uint32(4*i)))
 			}
-			c.vecReady[vd] = now + spadHitLat
+			c.vecReady[e.vd] = now + e.lat
 			return true, stats.StallNone
 		}
 	case isa.OpVfma:
-		simdLat := int64(cfg.SIMDLat)
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			a, b, d := c.vecRegs[vs1], c.vecRegs[vs2], c.vecRegs[vd]
+		e.lat = int64(cfg.SIMDLat)
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			a, b, d := c.vecRegs[e.vs1], c.vecRegs[e.vs2], c.vecRegs[e.vd]
 			for i := range d {
 				d[i] += a[i] * b[i]
 			}
-			c.vecReady[vd] = now + simdLat
+			c.vecReady[e.vd] = now + e.lat
 			return true, stats.StallNone
 		}
 	case isa.OpVbcastF:
-		simdLat := int64(cfg.SIMDLat)
-		return func(c *Core, now int64) (bool, stats.StallKind) {
-			d, s := c.vecRegs[vd], c.fpRegs[fs3]
+		e.lat = int64(cfg.SIMDLat)
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+			d, s := c.vecRegs[e.vd], c.fpRegs[e.fs3]
 			for i := range d {
 				d[i] = s
 			}
-			c.vecReady[vd] = now + simdLat
+			c.vecReady[e.vd] = now + e.lat
 			return true, stats.StallNone
 		}
 	case isa.OpVfredsum:
-		simdLat := int64(cfg.SIMDLat)
-		return func(c *Core, now int64) (bool, stats.StallKind) {
+		e.lat = int64(cfg.SIMDLat) + 2
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
 			var sum float32
-			for _, v := range c.vecRegs[vs1] {
+			for _, v := range c.vecRegs[e.vs1] {
 				sum += v
 			}
-			c.writeFp(fd, sum, now+simdLat+2)
+			c.writeFp(e.fd, sum, now+e.lat)
 			return true, stats.StallNone
 		}
 
 	case isa.OpBarrier:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
 			c.state = stBarrier
 			c.ticket = c.env.BarrierArrive(c.ID)
 			return true, stats.StallNone
 		}
 	case isa.OpHalt:
-		return func(c *Core, now int64) (bool, stats.StallKind) {
+		return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
 			c.halted = true
 			c.env.NotifyHalt(c.ID)
 			return true, stats.StallNone
 		}
 	}
-	op := in.Op
-	return func(c *Core, now int64) (bool, stats.StallKind) {
-		c.fail("unimplemented op %s", op)
+	return func(c *Core, e *lowEntry, now int64) (bool, stats.StallKind) {
+		c.fail("unimplemented op %s", e.op)
 		return true, stats.StallNone
 	}
 }
@@ -587,7 +583,7 @@ func (c *Core) issueAt(now int64, pc int) (bool, stats.StallKind) {
 			c.noteStall(now, stall, wake, checkNone)
 			return false, stall
 		}
-		return e.ctl(c, now, c.mode == ModeVector)
+		return e.ctl(c, e, now, c.mode == ModeVector)
 	}
 	// Predicated-off instructions execute as nops but still flow through
 	// the pipeline (and the inet), costing a cycle (§2.4).
@@ -624,15 +620,22 @@ func (c *Core) noteStall(now int64, kind stats.StallKind, wake int64, check uint
 	c.stallCheck = check
 }
 
-// exec runs e's exec closure and, when it refuses, classifies the
+// exec runs e's semantics and, when they refuse, classifies the
 // structural stall for the park probe: a frame-class stall (DAE frame not
 // filled, load queue full) is pure and resolved only by a mesh delivery to
 // this tile, which wakes the shard; a blocked vissue/devec drains when the
 // same-shard expander pops its queue (re-verified live by Park). Anything
 // else (mesh injection backpressure) resolves in the mesh stage without a
-// wake, so no stash: the core keeps ticking.
+// wake, so no stash: the core keeps ticking. A divider op first waits for
+// the core's one shared divider and then holds it for its latency.
 func (c *Core) exec(now int64, e *lowEntry) (bool, stats.StallKind) {
-	ok, stall := e.exec(c, now)
+	if e.div {
+		if now < c.divBusyUntil {
+			return false, stats.StallOther
+		}
+		c.divBusyUntil = now + e.lat
+	}
+	ok, stall := e.exec(c, e, now)
 	if !ok {
 		switch {
 		case stall == stats.StallFrame:

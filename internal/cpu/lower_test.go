@@ -128,7 +128,7 @@ func TestArithmeticRows(t *testing.T) {
 		// The shared divider is busy one more cycle: divider rows refuse
 		// without writing, every other row issues regardless.
 		c.divBusyUntil = now + 1
-		ok, stall := e.exec(c, now)
+		ok, stall := c.exec(now, &e)
 		if divider {
 			if ok || stall != stats.StallOther {
 				t.Errorf("%s with the divider busy: got (%v, %v), want (false, %v)", row.Name, ok, stall, stats.StallOther)
@@ -137,7 +137,7 @@ func TestArithmeticRows(t *testing.T) {
 				t.Errorf("%s wrote a register while the divider was busy", row.Name)
 			}
 			c.divBusyUntil = now
-			ok, stall = e.exec(c, now)
+			ok, stall = c.exec(now, &e)
 		}
 		if !ok || stall != stats.StallNone {
 			t.Errorf("%s: got (%v, %v), want (true, %v)", row.Name, ok, stall, stats.StallNone)
@@ -181,5 +181,55 @@ func TestArithmeticRows(t *testing.T) {
 		if _, arith := lat[row.Class]; arith && !covered[isa.Op(op)] {
 			t.Errorf("arithmetic row %s has no case", row.Name)
 		}
+	}
+}
+
+// allRows returns a valid program holding every isa.Ops row once, each
+// with in-range registers, a branch target of 0 and a one-word vload.
+func allRows(t *testing.T) []isa.Instr {
+	t.Helper()
+	var code []isa.Instr
+	for op := range isa.Ops {
+		if isa.Op(op) == isa.OpInvalid {
+			continue
+		}
+		code = append(code, isa.Instr{
+			Op: isa.Op(op), Rd: 1, Rs1: 2, Rs2: 3, Rs3: 4, Fd: 1, Fs1: 2, Fs2: 3, Fs3: 4,
+			Vd: 1, Vs1: 2, Vs2: 3, Vl: isa.VloadArgs{Width: 1},
+		})
+	}
+	p := &isa.Program{Name: "all rows", Code: code}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return code
+}
+
+var lowSink *Lowered
+
+// TestLowerProgramAllocs holds lowering to a constant number of
+// allocations, whatever the program's length: the per-op semantics are
+// functions that capture nothing and read their operands from the entry,
+// so a program at least ten times longer, covering every isa.Ops row,
+// costs what a four-instruction one does. Not parallel: AllocsPerRun
+// reads the process's allocation count.
+func TestLowerProgramAllocs(t *testing.T) {
+	const maxAllocs = 2
+	cfg := config.ManycoreDefault()
+	lower := func(code []isa.Instr) float64 {
+		p := &isa.Program{Name: "rows", Code: code}
+		n := testing.AllocsPerRun(20, func() { lowSink = LowerProgram(p, cfg) })
+		t.Logf("%d instructions: %.0f allocations per LowerProgram", len(code), n)
+		return n
+	}
+	rows := allRows(t)
+	var long []isa.Instr
+	for len(long) < 40 {
+		long = append(long, rows...)
+	}
+	short, nLong := lower(rows[:4]), lower(long)
+	if short > maxAllocs || nLong != short {
+		t.Errorf("lowering allocates %.0f times for 4 instructions and %.0f for %d, want the same count, at most %d",
+			short, nLong, len(long), maxAllocs)
 	}
 }

@@ -100,10 +100,11 @@ func newAllocs(t *testing.T, mp machine.Params) float64 {
 // component kind: LLC lines, banks, scratchpads, cores, I-caches, vector
 // registers, inet queues, engine wakers and shard lists each come from a
 // slab sized once, so what a machine costs to build does not grow with its
-// tile or bank count. What remains scales with the program (the lowered
-// dispatch table) and with fixed per-machine plumbing.
+// tile or bank count, nor with the program's length (lowering costs two
+// allocations, cpu.TestLowerProgramAllocs). What remains is fixed
+// per-machine plumbing.
 func TestMachineNewAllocs(t *testing.T) {
-	const maxAllocs = 600
+	const maxAllocs = 200
 	var nv machine.Params
 	var nvAllocs float64
 	for _, cfg := range []string{"NV", "V4", "V16"} {
@@ -137,7 +138,10 @@ func mallocs() uint64 {
 }
 
 // runAllocs builds a fresh machine for one kernel and preset at scale and
-// counts the allocations of its whole Run.
+// counts the allocations of its whole Run. The count is the process's, so
+// a runtime allocation inside the window (the scheduler starting an OS
+// thread, runtime.newm, adds about six) can raise it; minRunAllocs
+// discards those.
 func runAllocs(t *testing.T, benchName, cfgName string, scale kernels.Scale) uint64 {
 	t.Helper()
 	mp, img := benchParamsAt(t, benchName, cfgName, scale, config.ManycoreDefault(), machine.Params{})
@@ -159,6 +163,18 @@ func runAllocs(t *testing.T, benchName, cfgName string, scale kernels.Scale) uin
 	return mallocs() - before
 }
 
+// minRunAllocs is the fewest allocations of runAllocs over three fresh
+// machines: every run allocates what the machine needs, and only some
+// also pay for the runtime's own work.
+func minRunAllocs(t *testing.T, benchName, cfgName string, scale kernels.Scale) uint64 {
+	t.Helper()
+	n := runAllocs(t, benchName, cfgName, scale)
+	for range 2 {
+		n = min(n, runAllocs(t, benchName, cfgName, scale))
+	}
+	return n
+}
+
 // TestColdRunAllocs holds a fresh machine's first run to the growth of its
 // deepest buffers. The memory system's tick-time buffers (LLC job rings,
 // job word rings and MSHR event slabs, the DRAM queues, the mesh's move
@@ -167,6 +183,7 @@ func runAllocs(t *testing.T, benchName, cfgName string, scale kernels.Scale) uin
 // depends on its deepest backlog, not on how many accesses it makes: each
 // Small cell allocates at most twice what the same Tiny cell does, and at
 // most a quarter of what the per-buffer pools it replaced allocated (was).
+// Each count is the minimum over three fresh machines (minRunAllocs).
 // Not parallel: it reads the process's allocation count.
 func TestColdRunAllocs(t *testing.T) {
 	// One unmeasured run first: the process's first run after a
@@ -183,8 +200,8 @@ func TestColdRunAllocs(t *testing.T) {
 		{"2dconv", "NV_PF", 851},
 		{"syrk", "V4_LL_PCV", 412},
 	} {
-		tiny := runAllocs(t, tc.bench, tc.cfg, kernels.Tiny)
-		small := runAllocs(t, tc.bench, tc.cfg, kernels.Small)
+		tiny := minRunAllocs(t, tc.bench, tc.cfg, kernels.Tiny)
+		small := minRunAllocs(t, tc.bench, tc.cfg, kernels.Small)
 		t.Logf("%s/%s cold Run allocations: Tiny %d, Small %d (was %d)", tc.bench, tc.cfg, tiny, small, tc.was)
 		if small > tc.was/4 {
 			t.Errorf("%s/%s: a cold Small run allocates %d times, want <= %d (a quarter of %d)",

@@ -14,6 +14,10 @@ type DRAM struct {
 	bytesPerCyc int64
 	channelFree int64
 	inFlight    []dramOp
+	// nextDone is the earliest doneAt in inFlight (math.MaxInt64 when it
+	// is empty): Completed returns at once before it, and NextDoneAt
+	// reads it.
+	nextDone int64
 
 	// Reusable scratch (steady state allocates nothing): done collects the
 	// ops retired this call, fills backs Completed's return value, dataPool
@@ -57,6 +61,7 @@ func NewDRAM(latency, bytesPerCycle, banks int) (*DRAM, error) {
 	ops := make([]dramOp, 4*banks)
 	return &DRAM{
 		latency: int64(latency), bytesPerCyc: int64(bytesPerCycle),
+		nextDone: math.MaxInt64,
 		inFlight: part(ops, 0, 2*banks)[:0],
 		done:     part(ops, 1, 2*banks)[:0],
 		fills:    make([]Fill, 0, banks),
@@ -100,6 +105,7 @@ func (d *DRAM) Read(now int64, lineAddr uint32, lineBytes, bank int) (queue, lat
 	done, queue, lat := d.schedule(now, lineBytes)
 	d.Reads++
 	d.inFlight = append(d.inFlight, dramOp{doneAt: done, lineAddr: lineAddr, bank: bank})
+	d.nextDone = min(d.nextDone, done)
 	return queue, lat
 }
 
@@ -116,6 +122,7 @@ func (d *DRAM) Write(now int64, lineAddr uint32, data []uint32, bank int) {
 	}
 	cp = append(cp, data...)
 	d.inFlight = append(d.inFlight, dramOp{doneAt: done, lineAddr: lineAddr, bank: bank, write: true, data: cp})
+	d.nextDone = min(d.nextDone, done)
 }
 
 // Fill is a completed line read.
@@ -130,13 +137,18 @@ type Fill struct {
 // address for determinism. The returned slice is owned by the DRAM and
 // valid only until the next call.
 func (d *DRAM) Completed(now int64, g *Global) []Fill {
+	if now < d.nextDone {
+		return d.fills[:0]
+	}
 	done := d.done[:0]
 	rest := d.inFlight[:0]
+	d.nextDone = math.MaxInt64
 	for _, op := range d.inFlight {
 		if op.doneAt <= now {
 			done = append(done, op)
 		} else {
 			rest = append(rest, op)
+			d.nextDone = min(d.nextDone, op.doneAt)
 		}
 	}
 	// Scrub the tail so retired writeback payloads don't linger in the
@@ -180,12 +192,4 @@ func (d *DRAM) Pending() int { return len(d.inFlight) }
 // NextDoneAt returns the earliest completion time of any in-flight
 // operation, or math.MaxInt64 when the channel is empty. It feeds the
 // machine's idle fast-forward event horizon.
-func (d *DRAM) NextDoneAt() int64 {
-	next := int64(math.MaxInt64)
-	for i := range d.inFlight {
-		if d.inFlight[i].doneAt < next {
-			next = d.inFlight[i].doneAt
-		}
-	}
-	return next
-}
+func (d *DRAM) NextDoneAt() int64 { return d.nextDone }

@@ -161,7 +161,6 @@ type Mesh struct {
 	routerDead []bool  // router powered off
 	deadDst    DeadDstHandler
 
-	incoming []int8 // per (router,port) reservation scratch
 	// moves is Tick's list of winning transfers, sized at New to one per
 	// output port (every port moves at most one flit a tick), so it never
 	// grows.
@@ -232,7 +231,6 @@ func New(w, h, banks, queueCap int, deliver Deliver) (*Mesh, error) {
 		busy:     make([]uint64, (w*h+63)/64),
 		cap:      queueCap,
 		deliver:  deliver,
-		incoming: make([]int8, w*h*int(numPorts)),
 		moves:    make([]move, 0, w*h*int(numPorts)),
 		linkHops: make([]int64, w*h*4),
 	}
@@ -428,7 +426,6 @@ func (m *Mesh) Tick(now int64) {
 		return
 	}
 	moves := m.moves[:0]
-	incoming := m.incoming
 	for bi, bw := range m.busy {
 		for tw := bw; tw != 0; tw &= tw - 1 {
 			tile := bi<<6 + bits.TrailingZeros64(tw)
@@ -470,7 +467,9 @@ func (m *Mesh) Tick(now int64) {
 				nt := int(m.nbrTab[tile*4+outOff])
 				np := oppTab[outOff]
 				key := nt*int(numPorts) + int(np)
-				if int(m.queues[key].n)+int(incoming[key]) >= m.cap {
+				// This output is the downstream queue's only feeder and moves
+				// at most one flit a tick, so its pre-tick occupancy decides.
+				if int(m.queues[key].n) >= m.cap {
 					continue // downstream full; nothing crosses this output
 				}
 				if m.judge != nil && !m.linkClear(now, tile, outOff, nt) {
@@ -480,7 +479,6 @@ func (m *Mesh) Tick(now int64) {
 					// retries first. Nothing crosses this output this cycle.
 					continue
 				}
-				incoming[key]++
 				moves = append(moves, move{tile: int32(tile), to: int32(nt), in: uint8(in), out: uint8(out)})
 				m.rrPtr[base+outOff] = rrNext(in)
 			}
@@ -507,7 +505,6 @@ func (m *Mesh) Tick(now int64) {
 			m.busy[nt>>6] |= 1 << uint(nt&63)
 			m.Hops++
 			m.linkHops[tile*4+int(out)]++
-			incoming[key] = 0
 		}
 		m.dropQ(qi)
 		if m.queues[qi].n == 0 {
