@@ -17,6 +17,7 @@ import (
 	"rockcress/internal/isa"
 	"rockcress/internal/mem"
 	"rockcress/internal/msg"
+	"rockcress/internal/pool"
 	"rockcress/internal/stats"
 )
 
@@ -160,6 +161,8 @@ type Core struct {
 	stallKind  stats.StallKind
 	stallWake  int64
 	stallCheck uint8
+
+	slabs *coreSlabs // what RecycleCores parks
 }
 
 // stallCheck values: the same-shard condition Park re-verifies before
@@ -189,28 +192,26 @@ func NewCores(cfg config.Manycore, low *Lowered, env Env, st []stats.Core, spads
 	if err != nil {
 		return nil, err
 	}
-	var (
-		slab  = make([]Core, n)
-		cores = make([]*Core, n)
-		lq    = make([]lqEntry, n*cfg.LoadQueueEntries)
-		vec   = make([]float32, n*isa.NumVecRegs*cfg.SIMDWidth)
-	)
-	for t := range cores {
-		c := &slab[t]
+	s := takeCoreSlabs(coreShape{tiles: n, lq: cfg.LoadQueueEntries, simd: cfg.SIMDWidth})
+	s.icaches = ics
+	for t := range s.ptrs {
+		c := &s.cores[t]
 		*c = Core{
 			ID: t, cfg: cfg, prog: low.Prog, low: low, env: env, st: &st[t], spad: spads[t],
 			laneIdx: -1,
 			predOn:  true,
 			icache:  &ics[t],
-			lq:      part(lq, t, cfg.LoadQueueEntries),
+			lq:      part(s.lq, t, cfg.LoadQueueEntries),
 			stallAt: -1,
+			slabs:   s,
 		}
 		for r := range c.vecRegs {
-			c.vecRegs[r] = part(vec, t*isa.NumVecRegs+r, cfg.SIMDWidth)
+			c.vecRegs[r] = part(s.vec, t*isa.NumVecRegs+r, cfg.SIMDWidth)
 		}
 		st[t].Hop = -1
-		cores[t] = c
+		s.ptrs[t] = c
 	}
+	cores := s.ptrs
 	// Each group member's static place: lane k-1 for the group's k-th tile
 	// (the scalar core, tile 0, is no lane) and its inet links.
 	for _, g := range groups {
@@ -223,6 +224,54 @@ func NewCores(cfg config.Manycore, low *Lowered, env Env, st []stats.Core, spads
 		}
 	}
 	return cores, nil
+}
+
+// coreShape is what sizes NewCores' slabs.
+type coreShape struct{ tiles, lq, simd int }
+
+// coreSlabs is one NewCores call's construction memory: the cores, their
+// load queues and vector registers are pieces of these slabs.
+type coreSlabs struct {
+	shape   coreShape
+	cores   []Core
+	ptrs    []*Core
+	lq      []lqEntry
+	vec     []float32
+	icaches []ICache // NewICaches' caches, recycled with the cores
+}
+
+var corePool pool.Pool[coreShape, *coreSlabs]
+
+// takeCoreSlabs takes a recycled slab set of shape k, or allocates one.
+// Either way every slab is all zero.
+func takeCoreSlabs(k coreShape) *coreSlabs {
+	if s, ok := corePool.Get(k); ok {
+		return s
+	}
+	return &coreSlabs{
+		shape: k,
+		cores: make([]Core, k.tiles),
+		ptrs:  make([]*Core, k.tiles),
+		lq:    make([]lqEntry, k.tiles*k.lq),
+		vec:   make([]float32, k.tiles*isa.NumVecRegs*k.simd),
+	}
+}
+
+// RecycleCores clears the slabs NewCores carved cores and their I-caches
+// from and parks them for the next build of the same shape. Nothing may use
+// cores afterwards, and only their owner may call it, once.
+func RecycleCores(cores []*Core) {
+	if len(cores) == 0 {
+		return
+	}
+	s := cores[0].slabs
+	RecycleICaches(s.icaches)
+	clear(s.cores)
+	clear(s.ptrs)
+	clear(s.lq)
+	clear(s.vec)
+	s.icaches = nil
+	corePool.Put(s.shape, s)
 }
 
 // Halted reports whether the core has executed halt.

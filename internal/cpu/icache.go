@@ -1,6 +1,10 @@
 package cpu
 
-import "fmt"
+import (
+	"fmt"
+
+	"rockcress/internal/pool"
+)
 
 // ICache models a tile's private instruction cache as a set-associative tag
 // array. Misses pay a fixed refill penalty (the paper's gem5 model fetches
@@ -12,7 +16,8 @@ type ICache struct {
 	lineBytes int
 	tags      []uint32
 	valid     []bool
-	mru       []uint8 // last-used way per set (LRU for 2-way; approx beyond)
+	mru       []uint8      // last-used way per set (LRU for 2-way; approx beyond)
+	slabs     *icacheSlabs // what RecycleICaches parks
 }
 
 // NewICaches builds n caches of the given geometry, their tag, valid and
@@ -28,21 +33,62 @@ func NewICaches(n, bytes, ways, lineBytes int) ([]ICache, error) {
 		return nil, fmt.Errorf("cpu: icache sets %d must be a power of two (%d B, %d-way, %d B lines)",
 			sets, bytes, ways, lineBytes)
 	}
-	var (
-		cs    = make([]ICache, n)
-		tags  = make([]uint32, n*sets*ways)
-		valid = make([]bool, n*sets*ways)
-		mru   = make([]uint8, n*sets)
-	)
-	for i := range cs {
-		cs[i] = ICache{
+	s := takeICacheSlabs(icacheShape{caches: n, sets: sets, ways: ways})
+	for i := range s.caches {
+		s.caches[i] = ICache{
 			sets: sets, ways: ways, lineBytes: lineBytes,
-			tags:  part(tags, i, sets*ways),
-			valid: part(valid, i, sets*ways),
-			mru:   part(mru, i, sets),
+			tags:  part(s.tags, i, sets*ways),
+			valid: part(s.valid, i, sets*ways),
+			mru:   part(s.mru, i, sets),
+			slabs: s,
 		}
 	}
-	return cs, nil
+	return s.caches, nil
+}
+
+// icacheShape is what sizes NewICaches' slabs.
+type icacheShape struct{ caches, sets, ways int }
+
+// icacheSlabs is one NewICaches call's construction memory: the caches and
+// their arrays are pieces of these slabs.
+type icacheSlabs struct {
+	shape  icacheShape
+	caches []ICache
+	tags   []uint32
+	valid  []bool
+	mru    []uint8
+}
+
+var icachePool pool.Pool[icacheShape, *icacheSlabs]
+
+// takeICacheSlabs takes a recycled slab set of shape k, or allocates one.
+// Either way every slab is all zero.
+func takeICacheSlabs(k icacheShape) *icacheSlabs {
+	if s, ok := icachePool.Get(k); ok {
+		return s
+	}
+	return &icacheSlabs{
+		shape:  k,
+		caches: make([]ICache, k.caches),
+		tags:   make([]uint32, k.caches*k.sets*k.ways),
+		valid:  make([]bool, k.caches*k.sets*k.ways),
+		mru:    make([]uint8, k.caches*k.sets),
+	}
+}
+
+// RecycleICaches clears the slabs NewICaches carved cs from and parks them
+// for the next build of the same shape. Nothing may use cs afterwards, and
+// only their owner may call it, once.
+func RecycleICaches(cs []ICache) {
+	if len(cs) == 0 {
+		return
+	}
+	s := cs[0].slabs
+	clear(s.caches)
+	clear(s.tags)
+	clear(s.valid)
+	clear(s.mru)
+	icachePool.Put(s.shape, s)
 }
 
 // part returns the i-th n-element piece of a slab, capped so an append

@@ -135,12 +135,15 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 		if checkErr == nil {
 			checkErr = a.img.Check(m.Global)
 		}
-		// Every reader of the store is done, and a published checkpoint is a
-		// copy, not a view: park the store for the next attempt or cell.
-		m.Global.Recycle()
+		var res *Result
 		if checkErr == nil {
-			fr.Result = a.result(name, p, sw, hw, groups)
-			fr.MIMDFallback = mimd
+			res = a.result(name, p, sw, hw, groups)
+		}
+		// Every reader of the machine is done, and a published checkpoint is
+		// a copy, not a view: park its slabs for the next attempt or cell.
+		m.Recycle()
+		if res != nil {
+			fr.Result, fr.MIMDFallback = res, mimd
 			return nil
 		}
 		if cur == nil {

@@ -125,7 +125,7 @@ func flipVerdicts(b Benchmark, p Params, sw config.Software, hw config.Manycore,
 	if err := a.build(b, p, sw, sw, hw, groups, opts); err != nil {
 		return bites, nil // so does every trial's build
 	}
-	defer a.m.Global.Recycle()
+	defer a.m.Recycle()
 	order := make([]int, len(cands))
 	for i := range order {
 		order[i] = i

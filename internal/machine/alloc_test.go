@@ -1,9 +1,12 @@
 package machine_test
 
 import (
+	"errors"
 	"io"
+	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"rockcress/internal/config"
@@ -11,6 +14,7 @@ import (
 	"rockcress/internal/kernels"
 	"rockcress/internal/machine"
 	"rockcress/internal/metrics"
+	"rockcress/internal/pool"
 	"rockcress/internal/trace"
 )
 
@@ -83,8 +87,8 @@ func benchParamsAt(t *testing.T, benchName, cfgName string, scale kernels.Scale,
 }
 
 // newAllocs counts the allocations of one machine.New over mp. Each built
-// machine hands its store back, so every call after the first finds one in
-// the pool, as a sweep's next cell does.
+// machine hands its slabs back, so every call after the first builds on
+// them, as a sweep's next cell does.
 func newAllocs(t *testing.T, mp machine.Params) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(20, func() {
@@ -92,7 +96,7 @@ func newAllocs(t *testing.T, mp machine.Params) float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Global.Recycle()
+		m.Recycle()
 	})
 }
 
@@ -149,7 +153,7 @@ func runAllocs(t *testing.T, benchName, cfgName string, scale kernels.Scale) uin
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Global.Recycle()
+	defer m.Recycle()
 	img.Apply(m.Global)
 	// No collection inside the window: one mid-run adds allocations that
 	// are not the machine's (under the race detector a Small run is long
@@ -240,7 +244,7 @@ func TestMachineNewAllocsWithPlane(t *testing.T) {
 				t.Fatal("machine did not bind to the plane")
 			}
 			m.ReleaseObs()
-			m.Global.Recycle()
+			m.Recycle()
 		}) - bare
 	}
 	fresh := func() func() *metrics.Plane {
@@ -417,7 +421,7 @@ func TestSteadyStateAllocsWithCausal(t *testing.T) {
 // vconfig, and costs no allocation.
 func TestGroupArriveAllocs(t *testing.T) {
 	m := buildForAllocTest(t, "mvt", "V4", nil, nil)
-	defer m.Global.Recycle()
+	defer m.Recycle()
 	tile := m.Groups[0].Scalar
 	if avg := testing.AllocsPerRun(100, func() { m.GroupArrive(tile) }); avg != 0 {
 		t.Errorf("GroupArrive allocates: %.2f allocs per arrival", avg)
@@ -433,7 +437,7 @@ func totalAlloc() uint64 {
 
 // TestRejectedFaultPlanAllocates: a fault plan that does not fit the fabric
 // (routers 0 and 9 of an 8x8 mesh are not neighbours) is refused before New
-// builds anything, and the pooled store stays in the pool for the next
+// builds anything, and the pooled slabs stay in the pool for the next
 // machine instead of being dropped. Not parallel: it reads the process's
 // allocation total.
 func TestRejectedFaultPlanAllocates(t *testing.T) {
@@ -442,7 +446,7 @@ func TestRejectedFaultPlanAllocates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Global.Recycle() // a store in the pool
+	m.Recycle() // a slab set in the pool
 	bad := mp
 	if bad.Faults, err = fault.Parse("cutlink@5:0>9"); err != nil {
 		t.Fatal(err)
@@ -459,8 +463,127 @@ func TestRejectedFaultPlanAllocates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Global.Recycle()
+	defer m.Recycle()
 	if n := totalAlloc() - before; n >= 8<<20 {
-		t.Errorf("machine.New after a rejected one allocated %d bytes, want < 8 MiB: the pooled store was lost", n)
+		t.Errorf("machine.New after a rejected one allocated %d bytes, want < 8 MiB: the pooled slabs were lost", n)
+	}
+}
+
+// newBytes returns the fewest bytes one machine.New over mp allocated in
+// three builds, each after prep; every build is recycled. The total is the
+// process's, so the fewest discards a runtime allocation that lands inside
+// one window.
+func newBytes(t *testing.T, mp machine.Params, prep func()) uint64 {
+	t.Helper()
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		prep()
+		before := totalAlloc()
+		m, err := machine.New(mp)
+		n := totalAlloc() - before
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Recycle()
+		best = min(best, n)
+	}
+	return best
+}
+
+// TestRecycledNewBytes: machine.New of a shape that was just recycled
+// builds on the recycled slabs, so it allocates at most an eighth of the
+// bytes a cold build does. Not parallel: it reads the process's allocation
+// total and drains the pools.
+func TestRecycledNewBytes(t *testing.T) {
+	big, _ := benchParams(t, "mvt", "NV", config.ManycoreDefault(), machine.Params{})
+	big.Cfg.MeshWidth, big.Cfg.MeshHeight, big.Cfg.Cores = 16, 16, 256
+	big.Cfg.LLCBanks, big.Cfg.LLCBytes = 32, 2*big.Cfg.LLCBytes
+	for _, tc := range []struct {
+		name string
+		mp   machine.Params
+	}{
+		{"mvt Tiny NV, 8x8", mustParams(t, "mvt", "NV")},
+		{"mvt Tiny V16, 8x8", mustParams(t, "mvt", "V16")},
+		{"mvt Tiny NV, 16x16", big},
+	} {
+		cold := newBytes(t, tc.mp, pool.Drain)
+		recycled := newBytes(t, tc.mp, func() {})
+		t.Logf("%s: machine.New allocates %d KiB cold, %d KiB on recycled slabs", tc.name, cold>>10, recycled>>10)
+		if recycled*8 > cold {
+			t.Errorf("%s: machine.New on recycled slabs allocates %d bytes, more than 1/8 of a cold build's %d",
+				tc.name, recycled, cold)
+		}
+	}
+}
+
+// mustParams is benchParams on the default fabric, without the image.
+func mustParams(t *testing.T, benchName, cfgName string) machine.Params {
+	t.Helper()
+	mp, _ := benchParams(t, benchName, cfgName, config.ManycoreDefault(), machine.Params{})
+	return mp
+}
+
+// TestRecycleTwiceSharesNoSlab: recycling a machine, or its store, a second
+// time parks nothing, so two machines built after it share no slab set. Not
+// parallel: it reads what the pools hand out.
+func TestRecycleTwiceSharesNoSlab(t *testing.T) {
+	mp := mustParams(t, "mvt", "V4")
+	m, err := machine.New(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := m.Global
+	g.Recycle()
+	m.Recycle()
+	m.Recycle()
+	g.Recycle()
+	a, err := machine.New(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Recycle()
+	b, err := machine.New(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Recycle()
+	names := []string{"store", "request mesh", "response mesh", "LLC", "scratchpad", "core", "I-cache"}
+	for i, sa := range a.SlabSets() {
+		if sb := b.SlabSets()[i]; sa == sb {
+			t.Errorf("two live machines share a %s slab set", names[i])
+		}
+	}
+}
+
+// TestFailedNewHandsBackSlabs: a machine.New that fails once its meshes and
+// banks are built hands back every slab set it took, so the next build
+// reuses exactly the sets the last machine recycled. Not parallel: it sets
+// New's failure seam.
+func TestFailedNewHandsBackSlabs(t *testing.T) {
+	mp := mustParams(t, "mvt", "NV")
+	m, err := machine.New(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := m.SlabSets()
+	m.Recycle()
+	injected := errors.New("injected failure")
+	restore := machine.FailAfterBanks(injected)
+	_, err = machine.New(mp)
+	restore()
+	if !errors.Is(err, injected) {
+		t.Fatalf("machine.New returned %v, want the injected failure", err)
+	}
+	m, err = machine.New(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := m.SlabSets()
+	m.Recycle()
+	// The two mesh planes share a shape, so they may trade sets.
+	slices.Sort(want)
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("the build after a failed one holds slab sets %x, want the recycled %x: the failure dropped some", got, want)
 	}
 }

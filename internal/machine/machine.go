@@ -118,17 +118,11 @@ func New(p Params) (_ *Machine, err error) {
 		return nil, fmt.Errorf("machine: memory size %d must be a positive word multiple", memBytes)
 	}
 	cfg := p.Cfg
-	global, err := mem.NewGlobal(memBytes)
+	dram, err := mem.NewDRAM(cfg.DRAMLatency, cfg.DRAMBandwidth, cfg.LLCBanks)
 	if err != nil {
 		return nil, err
 	}
-	// The store may be a pooled one: a failure below hands it back.
-	defer func() {
-		if err != nil {
-			global.Recycle()
-		}
-	}()
-	dram, err := mem.NewDRAM(cfg.DRAMLatency, cfg.DRAMBandwidth, cfg.LLCBanks)
+	global, err := mem.NewGlobal(memBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -146,6 +140,12 @@ func New(p Params) (_ *Machine, err error) {
 		ctx:          p.Ctx,
 		wallDeadline: p.WallDeadline,
 	}
+	// The slabs below may be pooled ones: a failure hands back those taken.
+	defer func() {
+		if err != nil {
+			m.Recycle()
+		}
+	}()
 	for b := range m.bankMap {
 		m.bankMap[b] = b
 	}
@@ -178,6 +178,9 @@ func New(p Params) (_ *Machine, err error) {
 	}
 	m.llcs, err = mem.NewLLCBanks(cfg, m.space, m.meshResp, m.dram, m.Global, m, m.Stats.LLCs)
 	if err != nil {
+		return nil, err
+	}
+	if err = failAfterBanks; err != nil {
 		return nil, err
 	}
 	m.spads, err = mem.NewScratchpads(cfg.SpadBytes, cfg.FrameCounters, m.Stats.Cores)
@@ -226,6 +229,33 @@ func New(p Params) (_ *Machine, err error) {
 	}
 	m.attachObservers(p)
 	return m, nil
+}
+
+// failAfterBanks, when set, fails New once its meshes and banks are built.
+// Nothing after them fails on a validated configuration, so this is the
+// one way for tests to reach the hand-back of a part-built machine.
+var failAfterBanks error
+
+// Recycle hands the machine's construction slabs back to their pools,
+// cleared, for the next New of the same shape: the global store, both mesh
+// planes, the LLC banks, the scratchpads, and the cores with their
+// I-caches. Call it once every reader of the machine is done — its results,
+// reports and checkpoint read — because nothing may read the machine, its
+// store or any component afterwards. It drops the machine's hold on each
+// slab set, so a second call does nothing.
+func (m *Machine) Recycle() {
+	if m.Global != nil {
+		m.Global.Recycle()
+	}
+	for _, mesh := range []*noc.Mesh{m.meshReq, m.meshResp} {
+		if mesh != nil {
+			mesh.Recycle()
+		}
+	}
+	mem.RecycleLLCBanks(m.llcs)
+	mem.RecycleScratchpads(m.spads)
+	cpu.RecycleCores(m.cores)
+	m.Global, m.meshReq, m.meshResp, m.llcs, m.spads, m.cores = nil, nil, nil, nil, nil, nil
 }
 
 // The engine's stages, in cycle order (buildStages).

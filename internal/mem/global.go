@@ -8,7 +8,8 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
+
+	"rockcress/internal/pool"
 )
 
 // Global is the word-addressed backing store behind the LLCs. The harness
@@ -25,23 +26,22 @@ import (
 // page-granular dirty bit; Recycle scrubs only dirty pages and parks the
 // store for the next NewGlobal of the same size.
 type Global struct {
+	store
+	err error
+}
+
+// store is a Global's construction memory, what Recycle parks.
+type store struct {
 	words []uint32
 	dirty []uint64 // one bit per pageWords-word page, set on any write
-	err   error
 }
 
 // pageWords is the dirty-tracking granule (4 KiB pages).
 const pageWords = 1024
 
-// poolPerSize bounds how many recycled stores are kept per distinct size.
-const poolPerSize = 8
-
-// globalPool is shared by every machine in the process; a sweep's jobs
-// build and recycle stores on concurrent goroutines.
-var globalPool struct {
-	sync.Mutex
-	bySize map[int][]*Global
-}
+// stores parks recycled stores by word count; a sweep's jobs build and
+// recycle them on concurrent goroutines.
+var stores pool.Pool[int, store]
 
 // NewGlobal allocates a backing store of the given byte size, reusing a
 // recycled store of the same size when one is available. The size is user
@@ -52,35 +52,25 @@ func NewGlobal(bytes int) (*Global, error) {
 		return nil, fmt.Errorf("mem: global size %d must be a positive word multiple", bytes)
 	}
 	nw := bytes / 4
-	globalPool.Lock()
-	if list := globalPool.bySize[nw]; len(list) > 0 {
-		g := list[len(list)-1]
-		globalPool.bySize[nw] = list[:len(list)-1]
-		globalPool.Unlock()
-		return g, nil
+	st, ok := stores.Get(nw)
+	if !ok {
+		pages := (nw + pageWords - 1) / pageWords
+		st = store{words: make([]uint32, nw), dirty: make([]uint64, (pages+63)/64)}
 	}
-	globalPool.Unlock()
-	pages := (nw + pageWords - 1) / pageWords
-	return &Global{
-		words: make([]uint32, nw),
-		dirty: make([]uint64, (pages+63)/64),
-	}, nil
+	return &Global{store: st}, nil
 }
 
-// Recycle zeroes the store's dirty pages and returns it to the pool. The
-// caller must be completely done with the store: the next NewGlobal of the
-// same size may hand it to an unrelated machine.
+// Recycle zeroes the store's dirty pages and parks the store for the next
+// NewGlobal of the same size. The caller must be completely done with g:
+// Recycle drops g's hold on the store, so a second call does nothing and a
+// later access fails as one beyond a zero-byte store.
 func (g *Global) Recycle() {
+	if g.words == nil {
+		return
+	}
 	g.scrub()
-	g.err = nil
-	globalPool.Lock()
-	if globalPool.bySize == nil {
-		globalPool.bySize = make(map[int][]*Global)
-	}
-	if list := globalPool.bySize[len(g.words)]; len(list) < poolPerSize {
-		globalPool.bySize[len(g.words)] = append(list, g)
-	}
-	globalPool.Unlock()
+	stores.Put(len(g.words), g.store)
+	g.store, g.err = store{}, nil
 }
 
 // scrub zeroes every dirty page and clears the dirty bitmap, leaving the

@@ -8,6 +8,7 @@ import (
 	"rockcress/internal/config"
 	"rockcress/internal/isa"
 	"rockcress/internal/msg"
+	"rockcress/internal/pool"
 	"rockcress/internal/stats"
 )
 
@@ -140,7 +141,8 @@ type LLCBank struct {
 	// — books as NoC congestion rather than LLC service.
 	blocked int64
 
-	err error
+	slabs *llcSlabs // what RecycleLLCBanks parks
+	err   error
 }
 
 // NewLLCBanks builds the configured cache's cfg.LLCBanks banks: bank b sits
@@ -162,37 +164,93 @@ func NewLLCBanks(cfg config.Manycore, space msg.NodeSpace, out Sender, dram *DRA
 			sets, cfg.LLCBytes, n, ways, cfg.CacheLineBytes)
 	}
 	lineWords, lines := cfg.CacheLineBytes/4, sets*ways
-	var (
-		slab     = make([]LLCBank, n)
-		banks    = make([]*LLCBank, n)
-		lineSlab = make([]llcLine, n*lines)
-		data     = make([]uint32, n*lines*lineWords)
-		plru     = make([]uint8, n*sets)
-		mshr     = make([]llcMSHR, n*cfg.LLCMSHRs)
-		reqQ     = make([]msg.Message, n*cfg.LLCReqQueue)
-		events   = make([]mshrEvent, 2*n*cfg.LLCMSHRs)
-		jobs     = make([]respJob, n*cfg.LLCRespJobs)
-		words    = make([]uint32, n*lineWords)
-	)
-	for id := range banks {
-		b := &slab[id]
+	s := takeLLCSlabs(llcShape{banks: n, sets: sets, ways: ways, lineWords: lineWords,
+		mshrs: cfg.LLCMSHRs, reqQ: cfg.LLCReqQueue, jobs: cfg.LLCRespJobs})
+	for id := range s.ptrs {
+		b := &s.banks[id]
 		*b = LLCBank{
 			ID: id, node: msg.Node(space.LLCNode(id)), cfg: cfg,
 			lineBytes: cfg.CacheLineBytes, lineWords: lineWords,
 			ways: ways, sets: sets,
-			lines:  part(lineSlab, id, lines),
-			data:   part(data, id, lines*lineWords),
-			plru:   part(plru, id, sets),
-			mshr:   part(mshr, id, cfg.LLCMSHRs),
-			reqQ:   part(reqQ, id, cfg.LLCReqQueue),
-			events: part(events, id, 2*cfg.LLCMSHRs)[:0], freeEvent: -1,
-			jobs:  part(jobs, id, cfg.LLCRespJobs),
-			words: part(words, id, lineWords),
+			lines:  part(s.lines, id, lines),
+			data:   part(s.data, id, lines*lineWords),
+			plru:   part(s.plru, id, sets),
+			mshr:   part(s.mshr, id, cfg.LLCMSHRs),
+			reqQ:   part(s.reqQ, id, cfg.LLCReqQueue),
+			events: part(s.events, id, 2*cfg.LLCMSHRs)[:0], freeEvent: -1,
+			jobs:  part(s.jobs, id, cfg.LLCRespJobs),
+			words: part(s.words, id, lineWords),
 			out:   out, dram: dram, global: global, groups: groups, st: &st[id],
+			slabs: s,
 		}
-		banks[id] = b
+		s.ptrs[id] = b
 	}
-	return banks, nil
+	return s.ptrs, nil
+}
+
+// llcShape is what sizes NewLLCBanks' slabs.
+type llcShape struct{ banks, sets, ways, lineWords, mshrs, reqQ, jobs int }
+
+// llcSlabs is one NewLLCBanks call's construction memory: the banks and
+// every per-bank array are pieces of these slabs.
+type llcSlabs struct {
+	shape  llcShape
+	banks  []LLCBank
+	ptrs   []*LLCBank
+	lines  []llcLine
+	data   []uint32
+	plru   []uint8
+	mshr   []llcMSHR
+	reqQ   []msg.Message
+	events []mshrEvent
+	jobs   []respJob
+	words  []uint32
+}
+
+var llcPool pool.Pool[llcShape, *llcSlabs]
+
+// takeLLCSlabs takes a recycled slab set of shape k, or allocates one.
+// Either way every slab is all zero.
+func takeLLCSlabs(k llcShape) *llcSlabs {
+	if s, ok := llcPool.Get(k); ok {
+		return s
+	}
+	n, lines := k.banks, k.sets*k.ways
+	return &llcSlabs{
+		shape:  k,
+		banks:  make([]LLCBank, n),
+		ptrs:   make([]*LLCBank, n),
+		lines:  make([]llcLine, n*lines),
+		data:   make([]uint32, n*lines*k.lineWords),
+		plru:   make([]uint8, n*k.sets),
+		mshr:   make([]llcMSHR, n*k.mshrs),
+		reqQ:   make([]msg.Message, n*k.reqQ),
+		events: make([]mshrEvent, 2*n*k.mshrs),
+		jobs:   make([]respJob, n*k.jobs),
+		words:  make([]uint32, n*k.lineWords),
+	}
+}
+
+// RecycleLLCBanks clears the slabs NewLLCBanks carved banks from and parks
+// them for the next build of the same shape. Rings a bank grew past its
+// piece are left to the collector. Nothing may use banks afterwards, and
+// only their owner may call it, once.
+func RecycleLLCBanks(banks []*LLCBank) {
+	if len(banks) == 0 {
+		return
+	}
+	s := banks[0].slabs
+	clear(s.banks)
+	clear(s.ptrs)
+	clear(s.lines)
+	clear(s.data)
+	clear(s.plru)
+	clear(s.mshr)
+	clear(s.reqQ)
+	clear(s.events)
+	clear(s.jobs)
+	clear(s.words)
+	llcPool.Put(s.shape, s)
 }
 
 // part returns the i-th n-element piece of a slab. Its capacity ends where

@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 
+	"rockcress/internal/pool"
 	"rockcress/internal/stats"
 	"rockcress/internal/trace"
 )
@@ -65,6 +66,8 @@ type Scratchpad struct {
 	rec       *trace.Recorder
 	fillStart []int64 // per-slot cycle the first word of the current fill arrived
 	openAt    []int64 // per-slot cycle the frame first opened; -1 when unopened
+
+	slabs *spadSlabs // what RecycleScratchpads parks
 }
 
 // NewScratchpads builds one scratchpad per entry of st — tile t's counts
@@ -77,33 +80,88 @@ func NewScratchpads(bytes, hwFrames int, st []stats.Core) ([]*Scratchpad, error)
 	if bytes%4 != 0 || bytes <= 0 {
 		return nil, fmt.Errorf("mem: scratchpad size %d must be a positive word multiple", bytes)
 	}
-	n, nw := len(st), bytes/4
-	var (
-		slab      = make([]Scratchpad, n)
-		spads     = make([]*Scratchpad, n)
-		words     = make([]uint32, n*nw)
-		counters  = make([]int, n*hwFrames)
-		parity    = make([]uint32, n*hwFrames)
-		segs      = make([][]FrameSeg, n*hwFrames)
-		pending   = make([]int, n*hwFrames)
-		fillStart = make([]int64, n*hwFrames)
-		openAt    = make([]int64, n*hwFrames)
-	)
-	for t := range spads {
+	s := takeSpadSlabs(spadShape{tiles: len(st), words: bytes / 4, frames: hwFrames})
+	for t := range s.ptrs {
 		// The per-frame arrays start empty; Configure extends them within
 		// the hardware counters' capacity.
-		s := &slab[t]
-		*s = Scratchpad{tile: t, words: part(words, t, nw), hwFrames: hwFrames, st: &st[t],
-			counters:    part(counters, t, hwFrames)[:0],
-			parity:      part(parity, t, hwFrames)[:0],
-			segs:        part(segs, t, hwFrames)[:0],
-			pending:     part(pending, t, hwFrames)[:0],
-			fillStart:   part(fillStart, t, hwFrames)[:0],
-			openAt:      part(openAt, t, hwFrames)[:0],
-			verifiedSeq: -1, errCycle: -1}
-		spads[t] = s
+		sp := &s.spads[t]
+		*sp = Scratchpad{tile: t, words: part(s.words, t, bytes/4), hwFrames: hwFrames, st: &st[t],
+			counters:    part(s.counters, t, hwFrames)[:0],
+			parity:      part(s.parity, t, hwFrames)[:0],
+			segs:        part(s.segs, t, hwFrames)[:0],
+			pending:     part(s.pending, t, hwFrames)[:0],
+			fillStart:   part(s.fillStart, t, hwFrames)[:0],
+			openAt:      part(s.openAt, t, hwFrames)[:0],
+			verifiedSeq: -1, errCycle: -1, slabs: s}
+		s.ptrs[t] = sp
 	}
-	return spads, nil
+	return s.ptrs, nil
+}
+
+// spadShape is what sizes NewScratchpads' slabs.
+type spadShape struct{ tiles, words, frames int }
+
+// spadSlabs is one NewScratchpads call's construction memory: the
+// scratchpads and every per-tile array are pieces of these slabs.
+type spadSlabs struct {
+	shape     spadShape
+	spads     []Scratchpad
+	ptrs      []*Scratchpad
+	words     []uint32
+	counters  []int
+	parity    []uint32
+	segs      [][]FrameSeg
+	pending   []int
+	fillStart []int64
+	openAt    []int64
+	// recs is EnableIntegrity's delivery-record slab, nil until a build
+	// of this shape enables integrity.
+	recs []FrameSeg
+}
+
+var spadPool pool.Pool[spadShape, *spadSlabs]
+
+// takeSpadSlabs takes a recycled slab set of shape k, or allocates one.
+// Either way every slab is all zero.
+func takeSpadSlabs(k spadShape) *spadSlabs {
+	if s, ok := spadPool.Get(k); ok {
+		return s
+	}
+	n, nf := k.tiles, k.tiles*k.frames
+	return &spadSlabs{
+		shape:     k,
+		spads:     make([]Scratchpad, n),
+		ptrs:      make([]*Scratchpad, n),
+		words:     make([]uint32, n*k.words),
+		counters:  make([]int, nf),
+		parity:    make([]uint32, nf),
+		segs:      make([][]FrameSeg, nf),
+		pending:   make([]int, nf),
+		fillStart: make([]int64, nf),
+		openAt:    make([]int64, nf),
+	}
+}
+
+// RecycleScratchpads clears the slabs NewScratchpads and EnableIntegrity
+// carved spads from and parks them for the next build of the same shape.
+// Delivery records that grew past their piece are left to the collector.
+// Nothing may use spads afterwards, and only their owner may call it, once.
+func RecycleScratchpads(spads []*Scratchpad) {
+	if len(spads) == 0 {
+		return
+	}
+	s := spads[0].slabs
+	clear(s.spads)
+	clear(s.ptrs)
+	clear(s.words)
+	clear(s.counters)
+	clear(s.parity)
+	clear(s.segs)
+	clear(s.pending)
+	clear(s.fillStart)
+	clear(s.openAt)
+	clear(s.recs)
+	spadPool.Put(s.shape, s)
 }
 
 // resize sets a per-frame array to n zero slots within its capacity.
@@ -127,8 +185,11 @@ func EnableIntegrity(spads []*Scratchpad) {
 	if len(spads) == 0 {
 		return
 	}
-	hw := spads[0].hwFrames
-	recs := make([]FrameSeg, len(spads)*hw*recordSegs)
+	hw, s := spads[0].hwFrames, spads[0].slabs
+	if s.recs == nil {
+		s.recs = make([]FrameSeg, s.shape.tiles*hw*recordSegs)
+	}
+	recs := s.recs
 	for t, s := range spads {
 		s.integrity = true
 		segs := s.segs[:hw]

@@ -21,6 +21,7 @@ import (
 	"strconv"
 
 	"rockcress/internal/msg"
+	"rockcress/internal/pool"
 )
 
 // port indexes a router's five or six ports.
@@ -132,28 +133,13 @@ func (m *Mesh) dropQ(qi int) {
 
 // Mesh is the data network.
 type Mesh struct {
-	w, h    int
-	space   msg.NodeSpace
-	queues  []ring  // router*numPorts + port
-	bufs    []entry // ring entries, queue qi at [qi*cap, (qi+1)*cap)
-	rrPtr   []uint8
-	occMask []uint8 // per router: bit per port with a non-empty input queue
-	// busy mirrors occMask one level up: bit tile&63 of busy[tile>>6] is
-	// set iff occMask[tile] != 0, so Tick walks only occupied routers.
-	busy    []uint64
-	cap     int
-	deliver Deliver
-
-	// Flit arena: one Message slot per ring entry mesh-wide, so the free
-	// list can never run dry. Slots are allocated by TrySend and freed when
-	// their flit leaves the mesh (delivery or harvest).
-	flits    []msg.Message
-	next     []int32 // free-list links: slot -> next free slot, -1 ends
-	freeHead int32   // first free slot, -1 when the arena is full
-
-	routes []int8  // (tile*numPorts+inPort)*nodes + dst -> output port
-	nbrTab []int32 // tile*4 + linkPort -> neighbor router (-1 off-mesh)
-	nodes  int     // space.Nodes(), routes row stride
+	meshSlabs
+	w, h     int
+	space    msg.NodeSpace
+	cap      int
+	deliver  Deliver
+	freeHead int32 // first free flit arena slot, -1 when the arena is full
+	nodes    int   // space.Nodes(), routes row stride
 
 	// Permanent-fault topology state (nil until the first topology fault).
 	detourTab  []int32 // tile*nodes + dst -> extra hops vs the XY path
@@ -161,10 +147,6 @@ type Mesh struct {
 	routerDead []bool  // router powered off
 	deadDst    DeadDstHandler
 
-	// moves is Tick's list of winning transfers, sized at New to one per
-	// output port (every port moves at most one flit a tick), so it never
-	// grows.
-	moves  []move
 	queued int64 // flits buffered anywhere (O(1) Busy)
 
 	// waker, when set, is called after every successful injection so the
@@ -194,8 +176,84 @@ type Mesh struct {
 	RouteRebuilds int64 // fault-aware route-table recomputations
 	DetourHops    int64 // extra hops vs the XY path, summed over injections
 	DroppedDead   int64 // flits dropped at injection: destination node dead
+}
 
+// meshSlabs is a mesh's construction memory, what Recycle parks.
+type meshSlabs struct {
+	queues  []ring  // router*numPorts + port
+	bufs    []entry // ring entries, queue qi at [qi*cap, (qi+1)*cap)
+	rrPtr   []uint8
+	occMask []uint8 // per router: bit per port with a non-empty input queue
+	// busy mirrors occMask one level up: bit tile&63 of busy[tile>>6] is
+	// set iff occMask[tile] != 0, so Tick walks only occupied routers.
+	busy []uint64
+
+	// Flit arena: one Message slot per ring entry mesh-wide, so the free
+	// list can never run dry. Slots are allocated by TrySend and freed when
+	// their flit leaves the mesh (delivery or harvest).
+	flits []msg.Message
+	next  []int32 // free-list links: slot -> next free slot, -1 ends
+
+	routes []int8  // (tile*numPorts+inPort)*nodes + dst -> output port
+	nbrTab []int32 // tile*4 + linkPort -> neighbor router (-1 off-mesh)
+
+	// moves is Tick's list of winning transfers, sized at New to one per
+	// output port (every port moves at most one flit a tick), so it never
+	// grows.
+	moves    []move
 	linkHops []int64 // per-link traversals (router*4 + out)
+}
+
+// meshShape is what sizes a mesh's slabs.
+type meshShape struct{ w, h, banks, cap int }
+
+var meshPool pool.Pool[meshShape, meshSlabs]
+
+// takeMeshSlabs takes a recycled slab set of shape k, or allocates one.
+// Either way every slab is all zero.
+func takeMeshSlabs(k meshShape) meshSlabs {
+	if s, ok := meshPool.Get(k); ok {
+		return s
+	}
+	routers, ports := k.w*k.h, k.w*k.h*int(numPorts)
+	nodes := msg.NodeSpace{Cores: routers, Banks: k.banks}.Nodes()
+	return meshSlabs{
+		queues:   make([]ring, ports),
+		bufs:     make([]entry, ports*k.cap),
+		rrPtr:    make([]uint8, ports),
+		occMask:  make([]uint8, routers),
+		busy:     make([]uint64, (routers+63)/64),
+		flits:    make([]msg.Message, ports*k.cap),
+		next:     make([]int32, ports*k.cap),
+		routes:   make([]int8, ports*nodes),
+		nbrTab:   make([]int32, routers*4),
+		moves:    make([]move, 0, ports),
+		linkHops: make([]int64, routers*4),
+	}
+}
+
+// Recycle clears the mesh's construction slabs and parks them for the next
+// New of the same shape. Nothing may use the mesh afterwards; a second call
+// does nothing.
+func (m *Mesh) Recycle() {
+	s := m.meshSlabs
+	if s.queues == nil {
+		return
+	}
+	clear(s.queues)
+	clear(s.bufs)
+	clear(s.rrPtr)
+	clear(s.occMask)
+	clear(s.busy)
+	clear(s.flits)
+	clear(s.next)
+	clear(s.routes)
+	clear(s.nbrTab)
+	clear(s.moves[:cap(s.moves)])
+	clear(s.linkHops)
+	s.moves = s.moves[:0]
+	meshPool.Put(meshShape{m.w, m.h, m.space.Banks, m.cap}, s)
+	m.meshSlabs = meshSlabs{}
 }
 
 // move is one transfer Tick applies: router tile's input queue in pops its
@@ -223,23 +281,17 @@ func New(w, h, banks, queueCap int, deliver Deliver) (*Mesh, error) {
 		return nil, fmt.Errorf("noc: %d nodes exceed a flit's %d node ids", w*h+banks, msg.MaxNodes)
 	}
 	m := &Mesh{
-		w: w, h: h,
-		space:    msg.NodeSpace{Cores: w * h, Banks: banks},
-		queues:   make([]ring, w*h*int(numPorts)),
-		rrPtr:    make([]uint8, w*h*int(numPorts)),
-		occMask:  make([]uint8, w*h),
-		busy:     make([]uint64, (w*h+63)/64),
-		cap:      queueCap,
-		deliver:  deliver,
-		moves:    make([]move, 0, w*h*int(numPorts)),
-		linkHops: make([]int64, w*h*4),
+		meshSlabs: takeMeshSlabs(meshShape{w, h, banks, queueCap}),
+		w:         w,
+		h:         h,
+		space:     msg.NodeSpace{Cores: w * h, Banks: banks},
+		cap:       queueCap,
+		deliver:   deliver,
 	}
-	m.bufs = make([]entry, len(m.queues)*queueCap)
 	for qi := range m.queues {
 		m.queues[qi].head = int32(qi * queueCap)
 	}
 	m.nodes = m.space.Nodes()
-	m.routes = make([]int8, w*h*int(numPorts)*m.nodes)
 	for tile := 0; tile < w*h; tile++ {
 		rows := m.routes[tile*int(numPorts)*m.nodes : (tile+1)*int(numPorts)*m.nodes]
 		for dst := 0; dst < m.nodes; dst++ {
@@ -249,7 +301,6 @@ func New(w, h, banks, queueCap int, deliver Deliver) (*Mesh, error) {
 			copy(rows[in*m.nodes:], rows[:m.nodes])
 		}
 	}
-	m.nbrTab = make([]int32, w*h*4)
 	for tile := 0; tile < w*h; tile++ {
 		for out := portN; out <= portW; out++ {
 			m.nbrTab[tile*4+int(out)] = -1
@@ -261,9 +312,7 @@ func New(w, h, banks, queueCap int, deliver Deliver) (*Mesh, error) {
 			m.nbrTab[tile*4+int(out)] = int32(nt)
 		}
 	}
-	total := len(m.queues) * queueCap
-	m.flits = make([]msg.Message, total)
-	m.next = make([]int32, total)
+	total := len(m.next)
 	for i := range m.next {
 		m.next[i] = int32(i) + 1
 	}
