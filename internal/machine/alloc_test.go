@@ -86,12 +86,31 @@ func benchParamsAt(t *testing.T, benchName, cfgName string, scale kernels.Scale,
 	return mp, img
 }
 
-// newAllocs counts the allocations of one machine.New over mp. Each built
-// machine hands its slabs back, so every call after the first builds on
-// them, as a sweep's next cell does.
-func newAllocs(t *testing.T, mp machine.Params) float64 {
+// allocsPerBuild is testing.AllocsPerRun for a build that needs set-up:
+// the average allocations of 20 calls of build, after one unmeasured call,
+// with prep run before each call outside the count.
+func allocsPerBuild(prep, build func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	prep()
+	build()
+	var total uint64
+	for range 20 {
+		prep()
+		before := mallocs()
+		build()
+		total += mallocs() - before
+	}
+	return float64(total) / 20
+}
+
+// newAllocs counts the allocations of one machine.New over mp and the
+// Recycle that hands its slabs back. prep runs before each build, outside
+// the count: pool.Drain makes every build a cold one, as a shape's first
+// build in a process is; a no-op leaves the last build's slabs in the pool,
+// as for a sweep's next cell.
+func newAllocs(t *testing.T, mp machine.Params, prep func()) float64 {
 	t.Helper()
-	return testing.AllocsPerRun(20, func() {
+	return allocsPerBuild(prep, func() {
 		m, err := machine.New(mp)
 		if err != nil {
 			t.Fatal(err)
@@ -106,31 +125,41 @@ func newAllocs(t *testing.T, mp machine.Params) float64 {
 // slab sized once, so what a machine costs to build does not grow with its
 // tile or bank count, nor with the program's length (lowering costs two
 // allocations, cpu.TestLowerProgramAllocs). What remains is fixed
-// per-machine plumbing.
+// per-machine plumbing. The gate holds for a cold build, which allocates
+// every slab, and again for a build on the last one's recycled slabs,
+// which allocates only that plumbing. Not parallel: it drains the pools.
 func TestMachineNewAllocs(t *testing.T) {
-	const maxAllocs = 200
-	var nv machine.Params
-	var nvAllocs float64
-	for _, cfg := range []string{"NV", "V4", "V16"} {
-		mp, _ := benchParams(t, "mvt", cfg, config.ManycoreDefault(), machine.Params{})
-		n := newAllocs(t, mp)
-		t.Logf("mvt Tiny %s, 8x8 / 16 banks: %.0f allocs per machine.New", cfg, n)
-		if n > maxAllocs {
-			t.Errorf("mvt %s: machine.New allocates %.0f times, want <= %d", cfg, n, maxAllocs)
+	for _, tc := range []struct {
+		name      string
+		prep      func()
+		maxAllocs float64
+	}{
+		{"cold", pool.Drain, 200},
+		{"recycled", func() {}, 64},
+	} {
+		var nv machine.Params
+		var nvAllocs float64
+		for _, cfg := range []string{"NV", "V4", "V16"} {
+			mp, _ := benchParams(t, "mvt", cfg, config.ManycoreDefault(), machine.Params{})
+			n := newAllocs(t, mp, tc.prep)
+			t.Logf("%s: mvt Tiny %s, 8x8 / 16 banks: %.0f allocs per machine.New", tc.name, cfg, n)
+			if n > tc.maxAllocs {
+				t.Errorf("%s: mvt %s: machine.New allocates %.0f times, want <= %.0f", tc.name, cfg, n, tc.maxAllocs)
+			}
+			if cfg == "NV" {
+				nv, nvAllocs = mp, n
+			}
 		}
-		if cfg == "NV" {
-			nv, nvAllocs = mp, n
+		// The same NV program on four times the tiles and twice the banks.
+		big := &nv.Cfg
+		big.MeshWidth, big.MeshHeight, big.Cores = 16, 16, 256
+		big.LLCBanks, big.LLCBytes = 32, 2*big.LLCBytes
+		n := newAllocs(t, nv, tc.prep)
+		t.Logf("%s: mvt Tiny NV, 16x16 / 32 banks: %.0f allocs per machine.New", tc.name, n)
+		if n > 1.1*nvAllocs {
+			t.Errorf("%s: 16x16 machine.New allocates %.0f times, %.2fx the 8x8 count %.0f: construction grows with the fabric",
+				tc.name, n, n/nvAllocs, nvAllocs)
 		}
-	}
-	// The same NV program on four times the tiles and twice the banks.
-	big := &nv.Cfg
-	big.MeshWidth, big.MeshHeight, big.Cores = 16, 16, 256
-	big.LLCBanks, big.LLCBytes = 32, 2*big.LLCBytes
-	n := newAllocs(t, nv)
-	t.Logf("mvt Tiny NV, 16x16 / 32 banks: %.0f allocs per machine.New", n)
-	if n > 1.1*nvAllocs {
-		t.Errorf("16x16 machine.New allocates %.0f times, %.2fx the 8x8 count %.0f: construction grows with the fabric",
-			n, n/nvAllocs, nvAllocs)
 	}
 }
 
@@ -225,6 +254,8 @@ func TestColdRunAllocs(t *testing.T) {
 // fault ladder's next attempt — finds each series by value and allocates
 // next to nothing; a fresh 16x16 plane, with four times the tile and link
 // series and twice the bank series of an 8x8, costs at most twice as much.
+// Every build is cold (pool.Drain), so both counts take in every slab's
+// allocation. Not parallel: it drains the pools.
 func TestMachineNewAllocsWithPlane(t *testing.T) {
 	small, _ := benchParams(t, "mvt", "NV", config.ManycoreDefault(), machine.Params{})
 	big := small
@@ -233,8 +264,8 @@ func TestMachineNewAllocsWithPlane(t *testing.T) {
 	// bind counts what a plane adds to machine.New; plane hands each build
 	// its plane.
 	bind := func(mp machine.Params, plane func() *metrics.Plane) float64 {
-		bare := newAllocs(t, mp)
-		return testing.AllocsPerRun(20, func() {
+		bare := newAllocs(t, mp, pool.Drain)
+		return allocsPerBuild(pool.Drain, func() {
 			mp.Obs = plane()
 			m, err := machine.New(mp)
 			if err != nil {
@@ -248,7 +279,7 @@ func TestMachineNewAllocsWithPlane(t *testing.T) {
 		}) - bare
 	}
 	fresh := func() func() *metrics.Plane {
-		planes := make([]*metrics.Plane, 21) // AllocsPerRun's warm-up run plus 20
+		planes := make([]*metrics.Plane, 21) // allocsPerBuild's warm-up call plus 20
 		for i := range planes {
 			planes[i] = metrics.NewPlane("")
 		}
