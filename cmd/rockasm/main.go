@@ -48,7 +48,7 @@ func run(s *cli.Session) error {
 		deadline = time.Now().Add(o.Timeout)
 	}
 	m, err := machine.New(machine.Params{Cfg: config.ManycoreDefault(), Prog: prog,
-		Ctx: s.Ctx, WallDeadline: deadline, Obs: s.Plane})
+		Ctx: s.Ctx, WallDeadline: deadline})
 	if err != nil {
 		return err
 	}

@@ -24,7 +24,7 @@
 //
 // The flags are rows of internal/cli's option table (README's flag table
 // lists them all); the observability ones — -telemetry and -report
-// directories, -causal, -listen, -flight, -pprof — change no cycle count.
+// directories, -causal, -flight, -pprof — change no cycle count.
 // SIGINT/SIGTERM cancel the sweep cleanly (in-flight simulations abort at
 // their next watchdog checkpoint, completed cells are kept, exit status
 // 130), and -journal FILE with -resume reruns only the missing cells,

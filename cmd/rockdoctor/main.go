@@ -11,7 +11,7 @@
 //	rockdoctor whatif -scale noc=0.5,dram=0.5 report.json  # project a speedup
 //	rockdoctor trace trace.json           # vload-pipeline latencies, frame occupancy
 //	rockdoctor timeline telem.jsonl       # per-window bottleneck phases
-//	rockdoctor watch http://HOST:PORT     # live sweep progress (rockbench -listen)
+//	rockdoctor watch journal.jsonl [1s]   # sweep progress from a rockbench -journal file
 //	rockdoctor flight flight-*.json       # render a flight-recorder bundle
 //
 // explain prints the run's bottleneck classification (frame-limited,
@@ -28,11 +28,11 @@
 // -trace event file for issue→fanout→frame-open→consume latency
 // percentiles. timeline classifies every telemetry window and merges
 // consecutive labels into phases, showing where the bottleneck moved.
-// watch polls a live rocksim/rockbench -listen process's /debug/run view
-// and renders sweep progress, the simulated-MIPS meter, and the ETA as a
-// refreshing status line. flight renders the forensic bundle the flight
-// recorder dumps when a run trips the watchdog, exhausts its wall budget,
-// crashes, or receives SIGQUIT.
+// watch reads a rockbench -journal file and prints the sweep's cells done,
+// cells failed and last finished key, once or at an interval. flight renders
+// the forensic bundle the flight recorder dumps when a run trips the
+// watchdog, exhausts its wall budget, crashes, or receives SIGQUIT or
+// SIGINT.
 package main
 
 import (
@@ -70,7 +70,7 @@ var commands = []command{
 		strings.Join(causal.ScaleKeys(), ", ") + ")", 0, whatif},
 	{"trace", "trace.json", "vload-pipeline latencies and frame occupancy", 1, traceCmd},
 	{"timeline", "telemetry.jsonl", "time-resolved bottleneck phases", 1, timeline},
-	{"watch", "http://HOST:PORT [interval]", "live sweep progress from a -listen process", 0, watch},
+	{"watch", "journal.jsonl [interval]", "sweep progress from a rockbench -journal file", 0, watch},
 	{"flight", "flight-*.json", "render a flight-recorder forensic bundle", 1, flightCmd},
 }
 
@@ -123,8 +123,8 @@ func usage() {
 	fmt.Fprint(w, `
 Produce the inputs with rocksim -report/-trace/-telemetry or
 rockbench -report/-telemetry; critpath and whatif need a report from a
--causal run; watch and flight read the live observability plane
-(rocksim/rockbench -listen ADDR -flight DIR).
+-causal run; watch reads rockbench -journal FILE, and flight a bundle
+from rocksim/rockbench -flight DIR (kill -QUIT writes one on demand).
 `)
 }
 

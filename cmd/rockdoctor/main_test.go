@@ -144,3 +144,23 @@ func TestWrongSchema(t *testing.T) {
 		}
 	}
 }
+
+// TestWatchJournal: watch reads a sweep's journal as -resume does. The
+// fixture holds two finished cells, one failed cell and the torn last line
+// of an append a kill cut short, which is not a cell yet.
+func TestWatchJournal(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "sweep.journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(artifacts, "sweep.jsonl"), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, exit := doctor(t, "watch", "sweep.jsonl")
+	if exit != 0 {
+		t.Fatalf("exit status %d\nstderr:\n%s", exit, stderr)
+	}
+	if want := "2 cells done, 1 failed, last gemm|NV||0\n"; stdout != want {
+		t.Errorf("stdout %q, want %q", stdout, want)
+	}
+}

@@ -2,130 +2,76 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"strings"
 	"time"
 
+	"rockcress/internal/lifecycle"
 	"rockcress/internal/metrics"
 )
 
-// watch polls a live rocksim/rockbench -listen endpoint's /debug/run view
-// and renders sweep progress as a refreshing status line: cells done/planned,
-// the in-flight cells with their ladder attempt, the simulated-MIPS meter,
-// and the ETA. It runs until interrupted or until the sweep goes idle after
-// having been seen running.
+// watch shows a sweep's progress from its rockbench -journal file: cells
+// done, cells failed, and the key of the last cell to finish. With no
+// interval it prints that once; with one it prints it again whenever it
+// changes, until interrupted. It reads the journal as -resume does
+// (lifecycle.LoadJournal), so the torn last line of an append in progress
+// is not a cell yet.
 func watch(ctx context.Context, args []string) error {
-	interval := time.Second
-	if len(args) == 2 {
+	var interval time.Duration
+	switch len(args) {
+	case 1:
+	case 2:
 		d, err := time.ParseDuration(args[1])
 		if err != nil || d <= 0 {
 			return errUsage
 		}
 		interval = d
-	} else if len(args) != 1 {
+	default:
 		return errUsage
 	}
-	base := strings.TrimSuffix(args[0], "/")
-	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
-		base = "http://" + base
-	}
-	url := base + "/debug/run"
-	client := &http.Client{Timeout: 5 * time.Second}
-
-	sawRunning := false
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
+	last := ""
 	for {
-		snap, err := fetchRun(ctx, client, url)
+		line, err := journalStatus(args[0])
 		if err != nil {
-			if ctx.Err() != nil {
-				fmt.Println()
-				return ctx.Err()
-			}
 			return err
 		}
-		line := renderRun(snap)
-		// Overwrite the previous status line in place; terminals without
-		// ANSI handling still get one readable line per poll.
-		fmt.Printf("\r\033[2K%s", line)
-		if snap.State == "running" {
-			sawRunning = true
-		} else if sawRunning {
-			fmt.Println()
-			fmt.Printf("sweep finished: %d done, %d failed\n",
-				snap.Sweep.Done, snap.Sweep.Failed)
+		if line != last {
+			fmt.Println(line)
+			last = line
+		}
+		if interval == 0 {
 			return nil
 		}
 		select {
 		case <-ctx.Done():
-			fmt.Println()
 			return ctx.Err()
-		case <-ticker.C:
+		case <-time.After(interval):
 		}
 	}
 }
 
-func fetchRun(ctx context.Context, client *http.Client, url string) (*metrics.RunSnap, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+// journalStatus is one status line for the journal at path.
+func journalStatus(path string) (string, error) {
+	_, entries, err := lifecycle.LoadJournal(path)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: HTTP %s", url, resp.Status)
-	}
-	var snap metrics.RunSnap
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("%s: %w", url, err)
-	}
-	return &snap, nil
-}
-
-// renderRun formats one /debug/run snapshot as a single status line.
-func renderRun(s *metrics.RunSnap) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "[%s] %d/%d cells", s.State, s.Sweep.Done+s.Sweep.Failed, s.Sweep.Planned)
-	if s.Sweep.Failed > 0 {
-		fmt.Fprintf(&b, " (%d failed)", s.Sweep.Failed)
-	}
-	if s.Sim.Mips > 0 {
-		fmt.Fprintf(&b, "  %.1f Msim-cycles/s", s.Sim.Mips)
-	}
-	if s.Sweep.EtaS > 0 {
-		fmt.Fprintf(&b, "  eta %s", (time.Duration(s.Sweep.EtaS * float64(time.Second))).Round(time.Second))
-	}
-	if s.Flight.Dumps > 0 {
-		fmt.Fprintf(&b, "  flight-dumps %d", s.Flight.Dumps)
-	}
-	if n := len(s.Active); n > 0 {
-		b.WriteString("  | ")
-		const maxShown = 4
-		for i, a := range s.Active {
-			if i == maxShown {
-				fmt.Fprintf(&b, " +%d more", n-maxShown)
-				break
-			}
-			if i > 0 {
-				b.WriteString(" ")
-			}
-			fmt.Fprintf(&b, "%s/%s", a.Kernel, a.Config)
-			if a.Attempt > 1 {
-				fmt.Fprintf(&b, "#%d", a.Attempt)
-			}
+	failed := 0
+	for _, e := range entries {
+		if e.Err != "" {
+			failed++
 		}
 	}
-	return b.String()
+	line := fmt.Sprintf("%d cells done, %d failed", len(entries)-failed, failed)
+	if n := len(entries); n > 0 {
+		line += ", last " + entries[n-1].Key
+	}
+	return line, nil
 }
 
 // flight reads a dumped flight-recorder bundle and renders its forensics:
-// why it was written, which run and ladder attempt it covers, the machine's
-// final heatmap headline, and the tail of the rare-event note ring.
+// why it was written, which run and ladder attempt it covers, the sweep's
+// progress when the bundle has a sweep section, the machine's heatmap
+// headline, and the tail of the rare-event note ring.
 func flightCmd(_ context.Context, args []string) error {
 	b, err := metrics.ReadBundle(args[0])
 	if err != nil {
@@ -138,6 +84,13 @@ func flightCmd(_ context.Context, args []string) error {
 	}
 	if b.Error != "" {
 		fmt.Printf("error:   %s\n", b.Error)
+	}
+	if sw := b.Sweep; sw != nil {
+		fmt.Printf("sweep:   %d/%d cells done, %d failed, %d active; %d simulated cycles in %.1fs\n",
+			sw.Done, sw.Planned, sw.Failed, len(sw.Active), sw.SimCycles, sw.SimWallS)
+		for _, a := range sw.Active {
+			fmt.Printf("  active %s/%s attempt %d for %.1fs\n", a.Kernel, a.Config, a.Attempt, a.ForS)
+		}
 	}
 	if m := b.Machine; m != nil {
 		fmt.Printf("machine: cycle %d, %dx%d mesh, %d tiles, frames occupied %d, inet high-water %d\n",

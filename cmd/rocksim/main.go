@@ -11,7 +11,7 @@
 //
 // The flags are rows of internal/cli's option table (README's flag table
 // lists them all). The observability ones (-trace, -telemetry, -report,
-// -causal, -prof, -pprof, -listen, -flight) change no simulated cycle
+// -causal, -prof, -pprof, -flight) change no simulated cycle
 // count, and a failed artifact write exits nonzero.
 //
 // Configurations are the Table 3 names (NV, NV_PF, PCV_PF, V4, V16,
@@ -124,7 +124,7 @@ func run(s *cli.Session) error {
 }
 
 // execOpts is the options of the process's one simulation: cancellation,
-// the wall budget, the causal profiler, the live plane, the -prof engine
+// the wall budget, the causal profiler, the flight recorder, the -prof engine
 // profile, and a sink writing -trace and -telemetry. The caller calls
 // completed once the run has returned. The exit path closes the sink and
 // its files: a run that fails has truncation-marked them itself, a command

@@ -4,8 +4,8 @@
 // the commands that declare it, the Options field it sets, its default and
 // its help. A command selects its rows by its Prog bit and gets one filled
 // Options back. Main is the one session around it: it parses the rows,
-// brings up what they ask for (signal handling, the live plane, the CPU
-// profile), runs the command, and ends it through one exit path that
+// brings up what they ask for (signal handling, the flight recorder, the
+// CPU profile), runs the command, and ends it through one exit path that
 // flushes every artifact, failed runs included.
 package cli
 
@@ -54,9 +54,9 @@ type Options struct {
 	TraceBuf                        int
 	Sample                          int64
 
-	// The live plane and resumability.
-	Listen, Flight, Journal string
-	Resume                  bool
+	// The flight recorder and resumability.
+	Flight, Journal string
+	Resume          bool
 }
 
 // Flag is one row of the option table. Default has the field's type; nil
@@ -107,8 +107,7 @@ var Flags = []Flag{
 	{"sample", Rocksim | Rockbench, "Sample", int64(trace.DefaultSampleEvery), "size in cycles of the -telemetry JSONL windows"},
 	{"pprof", Rocksim | Rockbench, "Pprof", nil, "write a CPU profile of the whole process to this file"},
 
-	// The live plane and resumability.
-	{"listen", Rocksim | Rockbench | Rockasm, "Listen", nil, "serve live introspection on this address (/metrics, /debug/run, /debug/machine, /debug/flight, /debug/build, /debug/pprof/); cycle counts are unchanged"},
+	// The flight recorder and resumability.
 	{"flight", Rocksim | Rockbench, "Flight", nil, "write flight-recorder bundles into this directory when a run dies badly (watchdog, wall budget, crash), on SIGQUIT, or on the first SIGINT"},
 	{"journal", Rockbench, "Journal", nil, "record completed sweep cells crash-safely into this file"},
 	{"resume", Rockbench, "Resume", nil, "reload -journal and skip its completed cells (final tables are byte-identical to an uninterrupted run)"},

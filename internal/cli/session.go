@@ -22,7 +22,7 @@ type Session struct {
 	Opts  Options
 	Args  []string        // what follows the flags
 	Ctx   context.Context // canceled by the first SIGINT/SIGTERM
-	Plane *metrics.Plane  // the live plane; nil without -listen and -flight
+	Plane *metrics.Plane  // the flight recorder's plane; nil without -flight
 
 	stderr  io.Writer
 	closers []func(exitErr error) error // run last-first on exit
@@ -51,30 +51,21 @@ func Main(prog Prog, run func(*Session) error) {
 }
 
 // start installs the signal context and brings up what the flags ask for:
-// the plane only under -listen or -flight (otherwise runs carry no registry
-// or flight recorder), its flight dumps on SIGQUIT and the
-// first SIGINT, the HTTP listener, and the -pprof CPU profile — kept beside
-// /debug/pprof/profile because sub-second runs cannot be profiled over HTTP.
+// the plane only under -flight (otherwise runs carry no flight recorder),
+// with its flight dumps on SIGQUIT and the first SIGINT, and the -pprof CPU
+// profile, the one host profile.
 func (s *Session) start() error {
 	ctx, stop := lifecycle.WithSignals(context.Background())
 	s.Ctx = ctx
 	s.OnExit(func(error) error { stop(); return nil })
 	o := &s.Opts
-	if o.Listen != "" || o.Flight != "" {
+	if o.Flight != "" {
 		s.Plane = metrics.NewPlane(o.Flight)
 		s.Plane.OnDump(func(path string) {
 			fmt.Fprintf(s.stderr, "%s: flight bundle written: %s\n", s.prog, path)
 		})
 		stop := dumpOnSignals(s.Plane)
 		s.OnExit(func(error) error { stop(); return nil })
-	}
-	if o.Listen != "" {
-		srv, err := metrics.Serve(o.Listen, s.Plane)
-		if err != nil {
-			return err
-		}
-		s.OnExit(func(error) error { srv.Close(); return nil })
-		fmt.Fprintf(s.stderr, "# observability: http://%s (/metrics /debug/run /debug/machine /debug/flight /debug/build /debug/pprof/)\n", srv.Addr())
 	}
 	if o.Pprof != "" {
 		f, err := s.Create(o.Pprof)
@@ -90,7 +81,7 @@ func (s *Session) start() error {
 }
 
 // dumpOnSignals makes SIGQUIT write a flight bundle and keep the process
-// running — a live forensic snapshot of a sweep that looks wedged — and the
+// running — the on-demand view of a sweep that looks wedged — and the
 // first SIGINT write one on the way out, the record of a run the user gave
 // up on. Both only observe: lifecycle.WithSignals still sees the SIGINT and
 // cancels the run. After the first SIGINT the observer lets go, so a second
@@ -128,10 +119,10 @@ func (s *Session) OnExit(fn func(exitErr error) error) { s.closers = append(s.cl
 
 // exit is the one exit path. It reports err, then runs every closer, last
 // registered first: what the command registered (rocksim's artifact sink,
-// rockbench's journal), the CPU profile, the listener, the signal handlers. A closer that fails fails the command — a
-// silently truncated artifact would poison whatever reads it later. It
-// returns the exit status: 2 for a UsageError, 130 for an interrupted run,
-// 1 for any other failure.
+// rockbench's journal), the CPU profile, the signal handlers. A closer that
+// fails fails the command — a silently truncated artifact would poison
+// whatever reads it later. It returns the exit status: 2 for a
+// UsageError, 130 for an interrupted run, 1 for any other failure.
 func (s *Session) exit(err error) int {
 	status := 0
 	report := func(err error) {

@@ -4,6 +4,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"rockcress/internal/alloctest"
 )
 
 // TestCanonicalPackings pins the paper's §6.2 utilization numbers: V4 forms
@@ -137,24 +139,24 @@ func TestMakeGroupsAllocs(t *testing.T) {
 	for _, vlen := range []int{4, 16} {
 		var gs []*Group
 		var err error
-		mk := testing.AllocsPerRun(20, func() { gs, err = MakeGroups(mc, vlen) })
+		mk := alloctest.Count(func() { gs, err = MakeGroups(mc, vlen) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		re := testing.AllocsPerRun(20, func() { _, err = Reform(mc, vlen, []int{12}) })
+		re := alloctest.Count(func() { _, err = Reform(mc, vlen, []int{12}) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		va := testing.AllocsPerRun(20, func() { err = ValidateGroups(mc, gs) })
+		va := alloctest.Count(func() { err = ValidateGroups(mc, gs) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("V%d: MakeGroups %.0f, Reform %.0f, ValidateGroups %.0f allocations", vlen, mk, re, va)
+		t.Logf("V%d: MakeGroups %d, Reform %d, ValidateGroups %d allocations", vlen, mk, re, va)
 		if mk > 8 || re > 8 {
-			t.Errorf("V%d: MakeGroups allocates %.0f times and Reform %.0f, want <= 8 each", vlen, mk, re)
+			t.Errorf("V%d: MakeGroups allocates %d times and Reform %d, want <= 8 each", vlen, mk, re)
 		}
 		if va > 2 {
-			t.Errorf("V%d: ValidateGroups allocates %.0f times, want <= 2", vlen, va)
+			t.Errorf("V%d: ValidateGroups allocates %d times, want <= 2", vlen, va)
 		}
 	}
 }

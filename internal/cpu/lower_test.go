@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"rockcress/internal/alloctest"
 	"rockcress/internal/config"
 	"rockcress/internal/isa"
 	"rockcress/internal/stats"
@@ -211,15 +212,14 @@ var lowSink *Lowered
 // allocations, whatever the program's length: the per-op semantics are
 // functions that capture nothing and read their operands from the entry,
 // so a program at least ten times longer, covering every isa.Ops row,
-// costs what a four-instruction one does. Not parallel: AllocsPerRun
-// reads the process's allocation count.
+// costs what a four-instruction one does.
 func TestLowerProgramAllocs(t *testing.T) {
 	const maxAllocs = 2
 	cfg := config.ManycoreDefault()
-	lower := func(code []isa.Instr) float64 {
+	lower := func(code []isa.Instr) int64 {
 		p := &isa.Program{Name: "rows", Code: code}
-		n := testing.AllocsPerRun(20, func() { lowSink = LowerProgram(p, cfg) })
-		t.Logf("%d instructions: %.0f allocations per LowerProgram", len(code), n)
+		n := alloctest.Count(func() { lowSink = LowerProgram(p, cfg) })
+		t.Logf("%d instructions: %d allocations per LowerProgram", len(code), n)
 		return n
 	}
 	rows := allRows(t)
@@ -229,7 +229,7 @@ func TestLowerProgramAllocs(t *testing.T) {
 	}
 	short, nLong := lower(rows[:4]), lower(long)
 	if short > maxAllocs || nLong != short {
-		t.Errorf("lowering allocates %.0f times for 4 instructions and %.0f for %d, want the same count, at most %d",
+		t.Errorf("lowering allocates %d times for 4 instructions and %d for %d, want the same count, at most %d",
 			short, nLong, len(long), maxAllocs)
 	}
 }

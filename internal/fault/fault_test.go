@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"rockcress/internal/alloctest"
 )
 
 func TestParseRoundTrip(t *testing.T) {
@@ -412,7 +414,7 @@ func TestValidateGeometry(t *testing.T) {
 	}
 	// Checking a plan on the success path allocates nothing: the machine
 	// validates every attempt of a recovery ladder.
-	if n := testing.AllocsPerRun(100, func() { _ = ok.ValidateGeometry(g) }); n != 0 {
+	if n := alloctest.Count(func() { _ = ok.ValidateGeometry(g) }); n != 0 {
 		t.Errorf("ValidateGeometry allocates %v times on a good plan", n)
 	}
 	// KillRouter outside a smaller mesh than the core count implies.

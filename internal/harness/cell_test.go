@@ -138,7 +138,7 @@ func TestEachSimulationRunsOnce(t *testing.T) {
 		r := New(Options{Scale: kernels.Tiny, Out: io.Discard, Benches: benches, Jobs: jobs,
 			Obs: p})
 		out := renderFigs(t, r, paperSweep()...)
-		if ran := p.Run().Snapshot().Sweep.Done; ran != int64(len(want)) {
+		if ran := p.Run().Snapshot().Done; ran != int64(len(want)) {
 			t.Errorf("Jobs=%d: %d simulations for %d distinct (bench, config, machine)", jobs, ran, len(want))
 		}
 		cycles, _ := r.Throughput()
@@ -260,7 +260,7 @@ func TestResumeAcrossAliases(t *testing.T) {
 		if !bytes.Equal(got, ref) {
 			t.Errorf("resumed sweep differs from an uninterrupted one:\n%s\nvs\n%s", got, ref)
 		}
-		if ran := p.Run().Snapshot().Sweep.Done; ran != int64(cells-seeded) {
+		if ran := p.Run().Snapshot().Done; ran != int64(cells-seeded) {
 			t.Errorf("resume seeded %d cells and simulated %d, want %d", seeded, ran, cells-seeded)
 		}
 		_, all, err := lifecycle.LoadJournal(path)

@@ -28,7 +28,8 @@ var faultConfigs = []string{"NV", "V4", "V16"}
 // points per cell. The base runs are independent and share the pool; the
 // ladder cells that follow stay serial — each is a restart chain whose plan
 // depends on its base cycle count — but their number is known here, so they
-// are planned now and /debug/run's ETA covers them. Each cell's request
+// are planned now and a flight bundle's sweep section counts them. Each
+// cell's request
 // comes back beside its result: the ladder re-executes its software.
 func (r *Runner) faultBases(benches []kernels.Benchmark, cfgs []string, faulted int) ([]runReq, []*kernels.Result, error) {
 	reqs, err := requests(benches, plain(cfgs...))

@@ -33,8 +33,8 @@ import (
 type Options struct {
 	// What every simulation the runner starts shares: the cycle budget
 	// (DefaultMaxCycles when 0), cancellation, the wall budget per
-	// simulation, the live plane (sweep progress, the per-machine series and
-	// the flight recorder, fed by the slot-holding machine's windows) and the
+	// simulation, the plane (sweep progress, and the flight recorder fed by
+	// the slot-holding machine's windows, notes and heatmap) and the
 	// causal profiler (a critical_path section in each report). None of them
 	// changes a printed table or a cycle count.
 	MaxCycles  int64
@@ -421,8 +421,9 @@ func (r *Runner) fetch(reqs []runReq) ([]*kernels.Result, error) {
 		seen[c.key] = true
 		jobs = append(jobs, c)
 	}
-	// Live progress: the planned-cell gauge grows as sweeps enqueue work, so
-	// /debug/run's ETA covers the whole figure, not just the active cells.
+	// The planned-cell count grows as sweeps enqueue work, so a flight
+	// bundle's sweep section covers the whole figure, not just the active
+	// cells.
 	r.opts.Obs.Run().AddPlanned(len(jobs))
 	type outcome struct {
 		res  *kernels.Result

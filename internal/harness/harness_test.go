@@ -277,14 +277,8 @@ func TestFigNetFaultTinySubset(t *testing.T) {
 	if again := run(p); again != out {
 		t.Fatalf("netfault sweep not deterministic:\n%s\n---\n%s", out, again)
 	}
-	var prom bytes.Buffer
-	if err := p.Registry().WriteProm(&prom); err != nil {
-		t.Fatal(err)
-	}
-	for _, series := range []string{"rockcress_sweep_cells_planned", "rockcress_sweep_cells_done"} {
-		if v, err := promValue(prom.String(), series); err != nil || v != 18 {
-			t.Errorf("%s = %d (%v), want 18 (6 base runs + 12 ladder cells)", series, v, err)
-		}
+	if snap := p.Run().Snapshot(); snap.Planned != 18 || snap.Done != 18 {
+		t.Errorf("planned %d, done %d, want 18 and 18 (6 base runs + 12 ladder cells)", snap.Planned, snap.Done)
 	}
 }
 

@@ -182,8 +182,8 @@ func TestVectorRowNeedsAGroup(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "no complete V4 group fits a 2x2 fabric") {
 		t.Fatalf("V4 on 2x2: err %v, want the no-group refusal", err)
 	}
-	if sim := plane.Run().Snapshot().Sim; sim.Cycles != 0 {
-		t.Errorf("the refused run simulated %d cycles, want none", sim.Cycles)
+	if sim := plane.Run().Snapshot(); sim.SimCycles != 0 {
+		t.Errorf("the refused run simulated %d cycles, want none", sim.SimCycles)
 	}
 }
 

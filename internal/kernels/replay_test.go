@@ -2,9 +2,9 @@ package kernels
 
 import (
 	"io"
-	"runtime"
 	"testing"
 
+	"rockcress/internal/alloctest"
 	"rockcress/internal/config"
 	"rockcress/internal/fault"
 	"rockcress/internal/machine"
@@ -194,15 +194,6 @@ func lateKillPlan() *fault.Plan {
 	return &fault.Plan{Events: []fault.Event{{Kind: fault.KillTile, Cycle: 1970, Tile: 9}}}
 }
 
-// allocatedBy returns the bytes the heap handed out while f ran.
-func allocatedBy(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
-
 // TestCheckpointCostScalesWithDirtyPages gates the host cost of the
 // checkpoint rung on a deterministic proxy: a warm mvt/V4 Tiny cell whose
 // kill forces one checkpoint restart publishes two checkpoints and builds
@@ -221,8 +212,8 @@ func TestCheckpointCostScalesWithDirtyPages(t *testing.T) {
 	}
 	run() // warm: the store pool and every lazily built table
 	var res *FaultResult
-	got := allocatedBy(func() { res = run() })
-	if limit := uint64(16 << 20); got >= limit {
+	got := alloctest.Bytes(func() { res = run() })
+	if limit := int64(16 << 20); got >= limit {
 		t.Errorf("ladder cell allocated %d bytes, want < %d: checkpoints must cost the pages the kernel touched",
 			got, limit)
 	}
@@ -288,7 +279,7 @@ func TestFailedRunRecyclesStore(t *testing.T) {
 	}
 	fail() // may allocate the one store the rest reuse
 	for i := 0; i < 10; i++ {
-		if got := allocatedBy(fail); got >= machine.DefaultMemBytes {
+		if got := alloctest.Bytes(fail); got >= machine.DefaultMemBytes {
 			t.Fatalf("failing run %d allocated %d bytes: the previous run's store was dropped, not recycled", i+2, got)
 		}
 	}

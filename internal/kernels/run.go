@@ -61,9 +61,10 @@ type ExecOpts struct {
 	Trace *trace.Sink
 	// Prof attaches an engine self-profile (cumulative across attempts).
 	Prof *sim.Prof
-	// Obs attaches the live observability plane: sweep progress and ladder
-	// state for /debug/run, the machine's metric series, and automatic
-	// flight-recorder dumps when a run dies badly. nil costs nothing.
+	// Obs attaches the observability plane: sweep progress and ladder state
+	// for a flight bundle's sweep section, the bound machine's windows,
+	// notes and heatmap, and automatic flight-recorder dumps when a run dies
+	// badly. nil costs nothing.
 	Obs *metrics.Plane
 
 	// Causal enables the causal profiler: critical-path extraction, per-

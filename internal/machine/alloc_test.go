@@ -3,12 +3,10 @@ package machine_test
 import (
 	"errors"
 	"io"
-	"math"
-	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 
+	"rockcress/internal/alloctest"
 	"rockcress/internal/config"
 	"rockcress/internal/fault"
 	"rockcress/internal/kernels"
@@ -20,7 +18,7 @@ import (
 
 // buildForAllocTest assembles a ready-to-run machine for one kernel and
 // software preset, mirroring kernels.ExecuteOpts up to (but excluding) Run.
-// obs, when non-nil, binds the machine to a live observability plane; sink,
+// obs, when non-nil, binds the machine to an observability plane; sink,
 // when non-nil, attaches a trace sink.
 func buildForAllocTest(t *testing.T, benchName, cfgName string, obs *metrics.Plane, sink *trace.Sink) *machine.Machine {
 	t.Helper()
@@ -86,21 +84,13 @@ func benchParamsAt(t *testing.T, benchName, cfgName string, scale kernels.Scale,
 	return mp, img
 }
 
-// allocsPerBuild is testing.AllocsPerRun for a build that needs set-up:
-// the average allocations of 20 calls of build, after one unmeasured call,
-// with prep run before each call outside the count.
+// allocsPerBuild counts the allocations of one call of build, after one
+// unmeasured call, with prep run before each call outside the count.
 func allocsPerBuild(prep, build func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	prep()
 	build()
-	var total uint64
-	for range 20 {
-		prep()
-		before := mallocs()
-		build()
-		total += mallocs() - before
-	}
-	return float64(total) / 20
+	prep()
+	return float64(alloctest.Count(build))
 }
 
 // newAllocs counts the allocations of one machine.New over mp and the
@@ -163,19 +153,9 @@ func TestMachineNewAllocs(t *testing.T) {
 	}
 }
 
-// mallocs returns the number of heap allocations the process has made.
-func mallocs() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
-}
-
 // runAllocs builds a fresh machine for one kernel and preset at scale and
-// counts the allocations of its whole Run. The count is the process's, so
-// a runtime allocation inside the window (the scheduler starting an OS
-// thread, runtime.newm, adds about six) can raise it; minRunAllocs
-// discards those.
-func runAllocs(t *testing.T, benchName, cfgName string, scale kernels.Scale) uint64 {
+// counts the allocations of its whole Run.
+func runAllocs(t *testing.T, benchName, cfgName string, scale kernels.Scale) int64 {
 	t.Helper()
 	mp, img := benchParamsAt(t, benchName, cfgName, scale, config.ManycoreDefault(), machine.Params{})
 	m, err := machine.New(mp)
@@ -184,28 +164,11 @@ func runAllocs(t *testing.T, benchName, cfgName string, scale kernels.Scale) uin
 	}
 	defer m.Recycle()
 	img.Apply(m.Global)
-	// No collection inside the window: one mid-run adds allocations that
-	// are not the machine's (under the race detector a Small run is long
-	// enough to see one).
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	before := mallocs()
-	if _, err := m.Run(1 << 40); err != nil {
-		t.Fatal(err)
-	}
-	return mallocs() - before
-}
-
-// minRunAllocs is the fewest allocations of runAllocs over three fresh
-// machines: every run allocates what the machine needs, and only some
-// also pay for the runtime's own work.
-func minRunAllocs(t *testing.T, benchName, cfgName string, scale kernels.Scale) uint64 {
-	t.Helper()
-	n := runAllocs(t, benchName, cfgName, scale)
-	for range 2 {
-		n = min(n, runAllocs(t, benchName, cfgName, scale))
-	}
-	return n
+	return alloctest.Count(func() {
+		if _, err := m.Run(1 << 40); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestColdRunAllocs holds a fresh machine's first run to the growth of its
@@ -216,16 +179,14 @@ func minRunAllocs(t *testing.T, benchName, cfgName string, scale kernels.Scale) 
 // depends on its deepest backlog, not on how many accesses it makes: each
 // Small cell allocates at most twice what the same Tiny cell does, and at
 // most a quarter of what the per-buffer pools it replaced allocated (was).
-// Each count is the minimum over three fresh machines (minRunAllocs).
-// Not parallel: it reads the process's allocation count.
+// Each count is one fresh machine's.
 func TestColdRunAllocs(t *testing.T) {
-	// One unmeasured run first: the process's first run after a
-	// collection pays one-time runtime allocations. Every measured machine
-	// is still a fresh one.
+	// One unmeasured run first: a process's first run builds what is built
+	// once per process. Every measured machine is still a fresh one.
 	runAllocs(t, "mvt", "NV", kernels.Tiny)
 	for _, tc := range []struct {
 		bench, cfg string
-		was        uint64 // per-buffer pools, Small
+		was        int64 // per-buffer pools, Small
 	}{
 		{"mvt", "NV", 532},
 		{"gemm", "V4", 539},
@@ -233,8 +194,8 @@ func TestColdRunAllocs(t *testing.T) {
 		{"2dconv", "NV_PF", 851},
 		{"syrk", "V4_LL_PCV", 412},
 	} {
-		tiny := minRunAllocs(t, tc.bench, tc.cfg, kernels.Tiny)
-		small := minRunAllocs(t, tc.bench, tc.cfg, kernels.Small)
+		tiny := runAllocs(t, tc.bench, tc.cfg, kernels.Tiny)
+		small := runAllocs(t, tc.bench, tc.cfg, kernels.Small)
 		t.Logf("%s/%s cold Run allocations: Tiny %d, Small %d (was %d)", tc.bench, tc.cfg, tiny, small, tc.was)
 		if small > tc.was/4 {
 			t.Errorf("%s/%s: a cold Small run allocates %d times, want <= %d (a quarter of %d)",
@@ -247,14 +208,14 @@ func TestColdRunAllocs(t *testing.T) {
 	}
 }
 
-// TestMachineNewAllocsWithPlane holds binding a machine to the live plane
-// to a cost per series family, not per series: what machine.New allocates
-// with a plane, over what it allocates without one. Re-binding to a warm
-// plane — every series already registered, as for a sweep's next cell or a
-// fault ladder's next attempt — finds each series by value and allocates
-// next to nothing; a fresh 16x16 plane, with four times the tile and link
-// series and twice the bank series of an 8x8, costs at most twice as much.
-// Every build is cold (pool.Drain), so both counts take in every slab's
+// TestMachineNewAllocsWithPlane holds binding a machine to the plane to a
+// cost per kind, not per tile or link: what machine.New allocates with a
+// plane, over what it allocates without one. Binding sizes the heatmap
+// once and copies it into the flight recorder; re-binding to a warm plane,
+// as for a sweep's next cell or a fault ladder's next attempt, copies into
+// buffers that already have the size, and a fresh 16x16 plane, with four
+// times the tiles and links of an 8x8, costs at most twice as much. Every
+// build is cold (pool.Drain), so both counts take in every slab's
 // allocation. Not parallel: it drains the pools.
 func TestMachineNewAllocsWithPlane(t *testing.T) {
 	small, _ := benchParams(t, "mvt", "NV", config.ManycoreDefault(), machine.Params{})
@@ -279,7 +240,7 @@ func TestMachineNewAllocsWithPlane(t *testing.T) {
 		}) - bare
 	}
 	fresh := func() func() *metrics.Plane {
-		planes := make([]*metrics.Plane, 21) // allocsPerBuild's warm-up call plus 20
+		planes := make([]*metrics.Plane, 2) // allocsPerBuild's warm-up call and the counted one
 		for i := range planes {
 			planes[i] = metrics.NewPlane("")
 		}
@@ -302,80 +263,132 @@ func TestMachineNewAllocsWithPlane(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocs single-steps busy machines and asserts the steady
-// state allocates nothing per cycle: pre-lowered dispatch, arena-backed
-// flits, and pooled frames mean a warm machine's tick path never touches
-// the heap. Every tick-time buffer starts as a piece of a construction
-// slab; the warm-up takes the hot banks past theirs (an LLC bank's job
-// ring, word ring and MSHR event slab double when a backlog outgrows
-// them, TestColdRunAllocs) before the measured window.
-func TestSteadyStateAllocs(t *testing.T) {
-	cases := []struct{ bench, cfg string }{
-		{"mvt", "NV"},  // scalar MIMD: heavy request/response mesh traffic
-		{"gemm", "V4"}, // vector groups: expanders, frames, wide responses
+// A steadyCell is a Tiny cell a steady-state gate ticks. Every tick-time
+// buffer starts as a piece of a construction slab and doubles when a
+// backlog outgrows it (an LLC bank's job ring, word ring and MSHR event
+// slab, TestColdRunAllocs); warm steps from a fresh machine take the cell
+// past the last doubling its run reaches, and the span cycles after it,
+// still inside the kernel, are the measured window. mvt/V4 Tiny grows its
+// rings until cycle 2725 and ends at 3152; gemm/V4 Tiny until 1100 and
+// ends at 1421.
+type steadyCell struct {
+	bench, cfg string
+	warm, span int
+}
+
+func (c steadyCell) String() string { return c.bench + "/" + c.cfg }
+
+// steadyWindow steps m c.warm cycles, counts the allocations of the next
+// c.span, each tick followed by after (nil for none, and run once before
+// the window), and finishes the run: a window that reaches the end of the
+// kernel measures a halted machine, and fails the gate.
+func steadyWindow(t *testing.T, m *machine.Machine, c steadyCell, after func()) int64 {
+	t.Helper()
+	steps(m, c.warm)
+	if after == nil {
+		after = func() {}
 	}
-	for _, tc := range cases {
-		t.Run(tc.bench+"/"+tc.cfg, func(t *testing.T) {
-			m := buildForAllocTest(t, tc.bench, tc.cfg, nil, nil)
-			for i := 0; i < 3000; i++ {
-				m.Step()
-			}
-			avg := testing.AllocsPerRun(1000, func() { m.Step() })
-			if avg != 0 {
-				t.Errorf("steady-state tick allocates: %.3f allocs/cycle", avg)
+	after()
+	n := alloctest.Count(func() {
+		for range c.span {
+			m.Step()
+			after()
+		}
+	})
+	end := m.Now()
+	st, err := m.Run(1 << 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cycles <= end {
+		t.Fatalf("%s ends at cycle %d, inside the window ending at %d", c, st.Cycles, end)
+	}
+	return n
+}
+
+// steps ticks m n times.
+func steps(m *machine.Machine, n int) {
+	for range n {
+		m.Step()
+	}
+}
+
+// steadyCells are the two busy machines the plain and plane gates tick.
+var steadyCells = []steadyCell{
+	{"mvt", "NV", 3000, 1000}, // scalar MIMD: heavy request/response mesh traffic
+	{"gemm", "V4", 1100, 300}, // vector groups: expanders, frames, wide responses
+}
+
+// TestSteadyStateAllocs single-steps busy machines and asserts the steady
+// state allocates nothing: pre-lowered dispatch, arena-backed flits, and
+// pooled frames mean a warm machine's tick path never touches the heap.
+func TestSteadyStateAllocs(t *testing.T) {
+	for _, c := range steadyCells {
+		t.Run(c.String(), func(t *testing.T) {
+			m := buildForAllocTest(t, c.bench, c.cfg, nil, nil)
+			if n := steadyWindow(t, m, c, nil); n != 0 {
+				t.Errorf("steady-state ticks allocate: %d allocs in %d cycles", n, c.span)
 			}
 		})
 	}
 }
 
-// TestSteadyStateAllocsWithPlane re-runs the allocation gate with the full
-// observability plane attached — registry cells registered, machine bound,
-// and a live introspection listener up. Publishing the registry must be
-// plain atomic stores into pre-registered cells: the plane may not cost the
-// steady state a single allocation. (AllocsPerRun measures process-global
-// allocations, so the listener is up but idle during the measured window;
-// concurrent scrape safety is the conservation test's job.)
+// TestSteadyStateAllocsWithPlane re-runs the allocation gate with the
+// machine bound to a plane: each tick is followed by the heatmap copy the
+// run loop makes at every watchdog checkpoint. Refilling the heatmap and
+// copying it into the flight recorder's buffers, which already have the
+// machine's size, may not cost the steady state a single allocation.
 func TestSteadyStateAllocsWithPlane(t *testing.T) {
 	plane := metrics.NewPlane("")
-	srv, err := metrics.Serve("127.0.0.1:0", plane)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cases := []struct{ bench, cfg string }{
-		{"mvt", "NV"},
-		{"gemm", "V4"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.bench+"/"+tc.cfg, func(t *testing.T) {
-			m := buildForAllocTest(t, tc.bench, tc.cfg, plane, nil)
-			defer m.ReleaseObs()
+	for _, c := range steadyCells {
+		t.Run(c.String(), func(t *testing.T) {
+			m := buildForAllocTest(t, c.bench, c.cfg, plane, nil)
 			if !m.ObsBound() {
 				t.Fatal("machine did not bind to the plane")
 			}
-			for i := 0; i < 3000; i++ {
-				m.Step()
-			}
-			m.PublishMetrics()
-			avg := testing.AllocsPerRun(1000, func() {
-				m.Step()
-				m.PublishMetrics()
+			var at int64
+			n := steadyWindow(t, m, c, func() {
+				m.PublishHeatmap()
+				at = m.Now()
 			})
-			if avg != 0 {
-				t.Errorf("steady-state tick+publish allocates: %.3f allocs/cycle", avg)
+			if n != 0 {
+				t.Errorf("steady-state tick+heatmap copy allocates: %d allocs in %d cycles", n, c.span)
+			}
+			// Run's exit copied the last heatmap in.
+			if s := dumpMachine(t, plane); s.Cycle <= at {
+				t.Errorf("flight recorder's heatmap is at cycle %d, the window ended at %d", s.Cycle, at)
 			}
 		})
 	}
+}
+
+// dumpMachine is the machine half of a bundle the plane writes now.
+func dumpMachine(t *testing.T, plane *metrics.Plane) *metrics.MachineSnap {
+	t.Helper()
+	path, err := plane.Flight().Dump(t.TempDir(), "test", nil, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := metrics.ReadBundle(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Machine == nil {
+		t.Fatal("bundle carries no machine heatmap")
+	}
+	return b.Machine
 }
 
 // TestSteadyStateAllocsWithSampler repeats the gate through the run loop
 // with every window consumer attached: a JSONL sampler and a bound plane,
 // whose flight ring keeps the slot holder's windows. Step-driven gates never
 // reach observe, so this one drives RunUntil across window boundaries. Once
-// every ring slot holds a line, a window is one encode into the sampler's
-// reused line, one write and one copy into a slot: it costs nothing.
+// every ring slot holds a line as long as the run's, a window is one encode
+// into the sampler's reused line, one write and one copy into a slot: it
+// costs nothing. mvt/V4's rings and slots stop growing at cycle 2825 with
+// 8-cycle windows; the window is the 32 after it.
 func TestSteadyStateAllocsWithSampler(t *testing.T) {
-	const every, perRun = 16, 4
+	const every, perRun = 8, 4
 	sink := trace.NewSink(trace.Config{SampleTo: io.Discard, SampleEvery: every})
 	plane := metrics.NewPlane("")
 	m := buildForAllocTest(t, "mvt", "V4", plane, sink)
@@ -383,51 +396,54 @@ func TestSteadyStateAllocsWithSampler(t *testing.T) {
 	if !m.ObsBound() {
 		t.Fatal("machine did not bind to the plane")
 	}
-	if err := m.RunUntil(2000); err != nil { // 125 windows: past the ring's 64 slots
+	if err := m.RunUntil(2848); err != nil { // 356 windows: past the ring's 64 slots
 		t.Fatal(err)
 	}
-	if held, _, _ := plane.Flight().Counts(); held != 64 {
+	if held, _ := plane.Flight().Counts(); held != 64 {
 		t.Fatalf("flight ring holds %d windows after the warm-up, want a full 64", held)
 	}
 	start := m.Now()
 	stop := start
-	avg := testing.AllocsPerRun(8, func() {
-		stop += perRun * every
-		if err := m.RunUntil(stop); err != nil {
-			t.Fatal(err)
+	n := alloctest.Count(func() {
+		for range 8 {
+			stop += perRun * every
+			if err := m.RunUntil(stop); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 	// mvt/V4 at Tiny runs 3152 cycles: the machine is still busy here.
 	if windows := (m.Now() - start) / every; windows < 32 {
 		t.Fatalf("measured %d windows, want >= 32", windows)
 	}
-	if avg != 0 {
-		t.Errorf("windows allocate: %.2f allocs per %d windows", avg, perRun)
+	if n != 0 {
+		t.Errorf("windows allocate: %d allocs in %d windows", n, 8*perRun)
 	}
 }
 
 // TestSteadyStateAllocsWithRecorder repeats the gate with an event recorder
 // attached: an emit is a few words stored in the ring, so once the ring has
 // its memory (a small one, wrapped during the warm-up) a V4 machine emitting
-// vload, fan-out and frame events still never touches the heap. mvt/V4 at
-// Tiny runs 3152 cycles, so the measured window is inside the kernel.
+// vload, fan-out and frame events still never touches the heap.
 func TestSteadyStateAllocsWithRecorder(t *testing.T) {
 	sink := trace.NewSink(trace.Config{EventsTo: io.Discard, EventCap: 256})
 	m := buildForAllocTest(t, "mvt", "V4", nil, sink)
-	for i := 0; i < 1500; i++ {
-		m.Step()
-	}
 	rec := sink.Recorder()
-	before := int64(rec.Len()) + rec.Dropped()
-	if rec.Dropped() == 0 {
-		t.Fatalf("warm-up emitted %d events, too few to wrap the ring", before)
+	var first, last int64 // events emitted by the window's first and last tick
+	n := steadyWindow(t, m, steadyCell{"mvt", "V4", 2750, 400}, func() {
+		last = int64(rec.Len()) + rec.Dropped()
+		if first == 0 {
+			if rec.Dropped() == 0 {
+				t.Fatalf("warm-up emitted %d events, too few to wrap the ring", last)
+			}
+			first = last
+		}
+	})
+	if n != 0 {
+		t.Errorf("steady-state ticks with a recorder allocate: %d allocs in 400 cycles", n)
 	}
-	avg := testing.AllocsPerRun(1000, func() { m.Step() })
-	if avg != 0 {
-		t.Errorf("steady-state tick with a recorder allocates: %.3f allocs/cycle", avg)
-	}
-	if emitted := int64(rec.Len()) + rec.Dropped() - before; emitted < 1000 {
-		t.Errorf("measured window emitted %d events, want a busy recorder (>= 1000)", emitted)
+	if last-first < 400 {
+		t.Errorf("measured window emitted %d events, want a busy recorder (>= 400)", last-first)
 	}
 }
 
@@ -435,14 +451,11 @@ func TestSteadyStateAllocsWithRecorder(t *testing.T) {
 // attached: every request and response flit opens a journey in the
 // recorder's slab, and a warm slab recycles its entries instead of growing.
 func TestSteadyStateAllocsWithCausal(t *testing.T) {
-	for _, tc := range []struct{ bench, cfg string }{{"mvt", "NV"}, {"mvt", "V4"}} {
-		t.Run(tc.bench+"/"+tc.cfg, func(t *testing.T) {
-			m := buildMachine(t, tc.bench, tc.cfg, machine.Params{Causal: true})
-			for i := 0; i < 1500; i++ {
-				m.Step()
-			}
-			if avg := testing.AllocsPerRun(1000, func() { m.Step() }); avg != 0 {
-				t.Errorf("steady-state tick with causal recording allocates: %.3f allocs/cycle", avg)
+	for _, c := range []steadyCell{{"mvt", "NV", 1500, 1000}, {"mvt", "V4", 2750, 400}} {
+		t.Run(c.String(), func(t *testing.T) {
+			m := buildMachine(t, c.bench, c.cfg, machine.Params{Causal: true})
+			if n := steadyWindow(t, m, c, nil); n != 0 {
+				t.Errorf("steady-state ticks with causal recording allocate: %d allocs in %d cycles", n, c.span)
 			}
 		})
 	}
@@ -454,23 +467,20 @@ func TestGroupArriveAllocs(t *testing.T) {
 	m := buildForAllocTest(t, "mvt", "V4", nil, nil)
 	defer m.Recycle()
 	tile := m.Groups[0].Scalar
-	if avg := testing.AllocsPerRun(100, func() { m.GroupArrive(tile) }); avg != 0 {
-		t.Errorf("GroupArrive allocates: %.2f allocs per arrival", avg)
+	m.GroupArrive(tile)
+	if n := alloctest.Count(func() {
+		for range 100 {
+			m.GroupArrive(tile)
+		}
+	}); n != 0 {
+		t.Errorf("GroupArrive allocates: %d allocs in 100 arrivals", n)
 	}
-}
-
-// totalAlloc returns the bytes the process has allocated so far.
-func totalAlloc() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.TotalAlloc
 }
 
 // TestRejectedFaultPlanAllocates: a fault plan that does not fit the fabric
 // (routers 0 and 9 of an 8x8 mesh are not neighbours) is refused before New
 // builds anything, and the pooled slabs stay in the pool for the next
-// machine instead of being dropped. Not parallel: it reads the process's
-// allocation total.
+// machine instead of being dropped. Not parallel: it reads the pools.
 func TestRejectedFaultPlanAllocates(t *testing.T) {
 	mp, _ := benchParams(t, "mvt", "NV", config.ManycoreDefault(), machine.Params{})
 	m, err := machine.New(mp)
@@ -482,49 +492,40 @@ func TestRejectedFaultPlanAllocates(t *testing.T) {
 	if bad.Faults, err = fault.Parse("cutlink@5:0>9"); err != nil {
 		t.Fatal(err)
 	}
-	before := totalAlloc()
-	if _, err := machine.New(bad); err == nil {
-		t.Fatal("machine.New accepted a cut link between routers that are not neighbours")
-	}
-	if n := totalAlloc() - before; n >= 64<<10 {
+	if n := alloctest.Bytes(func() { _, err = machine.New(bad) }); n >= 64<<10 {
 		t.Errorf("rejected machine.New allocated %d bytes, want < 64 KiB", n)
 	}
-	before = totalAlloc()
-	m, err = machine.New(mp)
+	if err == nil {
+		t.Fatal("machine.New accepted a cut link between routers that are not neighbours")
+	}
+	n := alloctest.Bytes(func() { m, err = machine.New(mp) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Recycle()
-	if n := totalAlloc() - before; n >= 8<<20 {
+	if n >= 8<<20 {
 		t.Errorf("machine.New after a rejected one allocated %d bytes, want < 8 MiB: the pooled slabs were lost", n)
 	}
 }
 
-// newBytes returns the fewest bytes one machine.New over mp allocated in
-// three builds, each after prep; every build is recycled. The total is the
-// process's, so the fewest discards a runtime allocation that lands inside
-// one window.
-func newBytes(t *testing.T, mp machine.Params, prep func()) uint64 {
+// newBytes returns the bytes one machine.New over mp allocates after prep;
+// the build is recycled.
+func newBytes(t *testing.T, mp machine.Params, prep func()) int64 {
 	t.Helper()
-	best := uint64(math.MaxUint64)
-	for i := 0; i < 3; i++ {
-		prep()
-		before := totalAlloc()
-		m, err := machine.New(mp)
-		n := totalAlloc() - before
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Recycle()
-		best = min(best, n)
+	prep()
+	var m *machine.Machine
+	var err error
+	n := alloctest.Bytes(func() { m, err = machine.New(mp) })
+	if err != nil {
+		t.Fatal(err)
 	}
-	return best
+	m.Recycle()
+	return n
 }
 
 // TestRecycledNewBytes: machine.New of a shape that was just recycled
 // builds on the recycled slabs, so it allocates at most an eighth of the
-// bytes a cold build does. Not parallel: it reads the process's allocation
-// total and drains the pools.
+// bytes a cold build does. Not parallel: it drains the pools.
 func TestRecycledNewBytes(t *testing.T) {
 	big, _ := benchParams(t, "mvt", "NV", config.ManycoreDefault(), machine.Params{})
 	big.Cfg.MeshWidth, big.Cfg.MeshHeight, big.Cfg.Cores = 16, 16, 256

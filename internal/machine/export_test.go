@@ -51,3 +51,13 @@ func (m *Machine) SlabSets() []uintptr {
 		field(m.cores[0], "icache"),
 	}
 }
+
+// PublishHeatmap copies the heatmap into the flight recorder now, as the
+// run loop does at a watchdog checkpoint, for tests that Step rather than
+// Run. A no-op on a machine that does not hold the plane's slot.
+func (m *Machine) PublishHeatmap() {
+	if m.obs != nil {
+		m.collect()
+		m.publish(m.read())
+	}
+}

@@ -6,7 +6,7 @@
 // This file is the fabric alone. Everything optional is one of two
 // attachments called from the stage hooks and run-loop sites below — the
 // fault stack (faults.go, topology.go, replay.go) and the observers
-// (observers.go, metrics.go); see DESIGN.md "The machine: a fabric and two
+// (observers.go); see DESIGN.md "The machine: a fabric and two
 // attachments".
 package machine
 
@@ -733,8 +733,8 @@ func (m *Machine) llcsBusy() bool {
 // reader never changes what the engine ticks or skips), then copies
 // the counters components own (mesh planes, DRAM, topology-fault tallies)
 // into it. It is the only reader of those component fields; the sampler,
-// the plane publisher and report.json all read m.Stats (through trace.Fold)
-// after it. Idempotent, between ticks only, allocation-free.
+// the flight recorder's heatmap and report.json all read m.Stats (through
+// trace.Fold) after it. Idempotent, between ticks only, allocation-free.
 func (m *Machine) collect() {
 	m.engine.Sync(m.now)
 	st := m.Stats

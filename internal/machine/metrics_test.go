@@ -1,25 +1,23 @@
 package machine_test
 
-// Observability-plane contract tests: (1) conservation — a /metrics scrape
-// after a run must equal the end-of-run stats.Machine aggregates exactly,
-// because both read the same live counters; (2) the plane is architecturally
-// invisible — cycle counts with a listener attached and scraped mid-run are
-// bit-identical; (3) a fault run through the
-// recovery ladder conserves too; (4) a watchdog-tripped attempt dumps a
-// flight bundle the ladder then recovers from.
+// Flight-recorder contract tests: (1) conservation — the heatmap a bundle
+// carries after a run equals the end-of-run stats.Machine aggregates
+// exactly, because both read the same collected counters; (2) the plane is
+// architecturally invisible — cycle counts with bundles dumped mid-run from
+// another goroutine are bit-identical; (3) a fault run through the recovery
+// ladder conserves too; (4) a watchdog-tripped attempt dumps a flight
+// bundle the ladder then recovers from.
 
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"rockcress/internal/config"
 	"rockcress/internal/fault"
@@ -29,132 +27,97 @@ import (
 	"rockcress/internal/trace"
 )
 
-// scrape fetches one HTTP page from the introspection server.
-func scrape(t *testing.T, url string) string {
+// dumpBundle writes one bundle from the plane, as a SIGQUIT does, and reads
+// it back.
+func dumpBundle(t *testing.T, plane *metrics.Plane) *metrics.Bundle {
 	t.Helper()
-	resp, err := http.Get(url)
+	path, err := plane.DumpFlight("test", nil, "")
 	if err != nil {
-		t.Fatalf("scrape %s: %v", url, err)
+		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	b, err := metrics.ReadBundle(path)
 	if err != nil {
-		t.Fatalf("scrape %s: %v", url, err)
+		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("scrape %s: HTTP %s: %s", url, resp.Status, body)
-	}
-	return string(body)
+	return b
 }
 
-// promSeries parses a Prometheus text page into series -> value and
-// family -> summed value (integer-valued series only; histogram _sum lines
-// are skipped).
-func promSeries(t *testing.T, text string) (series map[string]int64, fams map[string]int64) {
-	t.Helper()
-	series = map[string]int64{}
-	fams = map[string]int64{}
-	for _, line := range strings.Split(text, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+// dumpWhile dumps bundles from another goroutine, as the SIGQUIT handler
+// does, until the returned stop is called; stop returns how many it wrote
+// and the first error.
+func dumpWhile(plane *metrics.Plane) (stop func() (int, error)) {
+	done := make(chan struct{})
+	var n int
+	var first error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			path, err := plane.DumpFlight("sigquit", nil, "")
+			if err == nil {
+				_, err = metrics.ReadBundle(path)
+			}
+			if err != nil && first == nil {
+				first = err
+			}
+			n++
 		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			t.Fatalf("unparseable exposition line %q", line)
-		}
-		key := line[:sp]
-		v, err := strconv.ParseInt(line[sp+1:], 10, 64)
-		if err != nil {
-			continue // histogram _sum (float) — not under test here
-		}
-		series[key] = v
-		fam := key
-		if i := strings.IndexByte(fam, '{'); i >= 0 {
-			fam = fam[:i]
-		}
-		fams[fam] += v
+	}()
+	return func() (int, error) {
+		close(done)
+		wg.Wait()
+		return n, first
 	}
-	return series, fams
 }
 
-// checkScrapeConservation compares a final /metrics scrape against the
-// end-of-run aggregates. Equality must be exact: the publish sweep stores the
-// counters collect() brings up to date in stats.Machine.
-func checkScrapeConservation(t *testing.T, text string, st *stats.Machine) {
+// checkHeatmapConservation compares a bundle's machine half against the
+// end-of-run aggregates. Equality must be exact: the last heatmap copy is
+// of the counters Run's final collect brought up to date in stats.Machine.
+func checkHeatmapConservation(t *testing.T, b *metrics.Bundle, st *stats.Machine) {
 	t.Helper()
-	series, fams := promSeries(t, text)
-
-	var issued, stalls, instrs int64
-	var consumed, poisons, replays, retries, stale int64
-	for i := range st.Cores {
+	m := b.Machine
+	if m == nil {
+		t.Fatal("bundle carries no machine heatmap")
+	}
+	if m.Cycle != st.Cycles || len(m.Tiles) != len(st.Cores) {
+		t.Fatalf("heatmap at cycle %d with %d tiles, run ended at %d with %d", m.Cycle, len(m.Tiles), st.Cycles, len(st.Cores))
+	}
+	for i, tile := range m.Tiles {
 		c := &st.Cores[i]
-		issued += c.Issued()
-		stalls += c.Stall(stats.StallFrame) + c.Stall(stats.StallInet) +
-			c.Stall(stats.StallBackpressure) + c.Stall(stats.StallOther)
-		instrs += c.Instrs
-		consumed += c.FramesConsumed
-		poisons += c.FramePoisons
-		replays += c.FrameReplays
-		retries += c.ReplayRetries
-		stale += c.ReplayStaleDrops
-	}
-	var acc, miss, wide, resp, wb int64
-	for i := range st.LLCs {
-		l := &st.LLCs[i]
-		acc += l.Accesses
-		miss += l.Misses
-		wide += l.WideReqs
-		resp += l.RespWords
-		wb += l.Writebacks
-	}
-	want := map[string]int64{
-		"rockcress_tile_issued_cycles": issued,
-		"rockcress_tile_stall_cycles":  stalls,
-		"rockcress_tile_instrs":        instrs,
-		"rockcress_llc_accesses":       acc,
-		"rockcress_llc_misses":         miss,
-		"rockcress_llc_wide_reqs":      wide,
-		"rockcress_llc_resp_words":     resp,
-		"rockcress_llc_writebacks":     wb,
-		"rockcress_dram_reads":         st.DramReads,
-		"rockcress_dram_writes":        st.DramWrites,
-		"rockcress_dram_busy_cycles":   st.DramBusy,
-		"rockcress_noc_flits":          st.NocFlits,
-		"rockcress_noc_hops":           st.NocHops,
-		// Per-link hop series must themselves conserve to the plane totals.
-		"rockcress_noc_link_hops":         st.NocHops,
-		"rockcress_noc_retransmits":       st.NocRetrans,
-		"rockcress_noc_dropped_flits":     st.NocDropped,
-		"rockcress_noc_corrupt_flits":     st.NocCorrupt,
-		"rockcress_remote_stores":         st.RemoteStores,
-		"rockcress_engine_fast_forwards":  st.FastForwards,
-		"rockcress_engine_skipped_cycles": st.SkippedCycles,
-		"rockcress_checkpoints":           st.Checkpoints,
-		"rockcress_machine_cycle":         st.Cycles,
-	}
-	for fam, w := range want {
-		if got, ok := fams[fam]; !ok && w != 0 {
-			t.Errorf("scrape has no %s series (want sum %d)", fam, w)
-		} else if got != w {
-			t.Errorf("%s scrape sum = %d, stats aggregate %d", fam, got, w)
+		want := metrics.TileSnap{Tile: i, Role: tile.Role, Issued: c.Issued(), Instrs: c.Instrs,
+			Frame: c.Stall(stats.StallFrame), Inet: c.Stall(stats.StallInet),
+			Backpressure: c.Stall(stats.StallBackpressure), Other: c.Stall(stats.StallOther)}
+		if tile != want {
+			t.Errorf("tile %d heatmap row %+v, stats %+v", i, tile, want)
 		}
 	}
-	frameEvents := map[string]int64{
-		"consumed": consumed, "poisons": poisons, "replays": replays,
-		"retries": retries, "stale_drops": stale,
+	// Per-link hops conserve to the planes' total.
+	var hops int64
+	for _, l := range m.Links {
+		hops += l.Hops
 	}
-	for ev, w := range frameEvents {
-		key := fmt.Sprintf("rockcress_frame_events{event=%q}", ev)
-		if got := series[key]; got != w {
-			t.Errorf("%s = %d, stats %d", key, got, w)
-		}
+	if hops != st.NocHops {
+		t.Errorf("heatmap links sum to %d hops, stats %d", hops, st.NocHops)
+	}
+	// The gauges are the final window's.
+	if last := b.Windows[len(b.Windows)-1].Window; !last.Final ||
+		m.FramesOccupied != last.FramesOccupied || m.InetHighWater != last.InetHighWater {
+		t.Errorf("heatmap gauges %d/%d, final window (final %v) %d/%d", m.FramesOccupied, m.InetHighWater,
+			last.Final, last.FramesOccupied, last.InetHighWater)
 	}
 }
 
 // TestMetricsConservation runs one kernel once per inertWorkers value with
-// the full plane attached — registry bound, HTTP listener live, scrapes
-// hammering /metrics mid-run — and asserts the cycle count matches the
-// plane-free run and the final scrape equals the stats aggregates exactly.
+// the plane attached and bundles dumped from another goroutine throughout,
+// and asserts the cycle count matches the plane-free run, the final
+// bundle's heatmap equals the stats aggregates exactly, and its sweep
+// section counts the one cell and its cycles.
 func TestMetricsConservation(t *testing.T) {
 	bench, err := kernels.Get("mvt")
 	if err != nil {
@@ -170,39 +133,14 @@ func TestMetricsConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range inertWorkers {
-		workers := workers
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			plane := metrics.NewPlane("")
-			srv, err := metrics.Serve("127.0.0.1:0", plane)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			url := "http://" + srv.Addr()
-
-			// Mid-run scrapes from another goroutine: they only read atomic
-			// cells, so they must not move a cycle.
-			stopScraping := make(chan struct{})
-			scraped := make(chan struct{})
-			go func() {
-				defer close(scraped)
-				for {
-					select {
-					case <-stopScraping:
-						return
-					default:
-						resp, err := http.Get(url + "/metrics")
-						if err == nil {
-							_, _ = io.Copy(io.Discard, resp.Body)
-							resp.Body.Close()
-						}
-					}
-				}
-			}()
+			plane := metrics.NewPlane(t.TempDir())
+			stop := dumpWhile(plane)
 			res, err := kernels.ExecuteOpts(bench, bench.Defaults(kernels.Tiny), sw,
 				config.ManycoreDefault(), kernels.ExecOpts{Workers: workers, Obs: plane})
-			close(stopScraping)
-			<-scraped
+			if _, derr := stop(); derr != nil {
+				t.Errorf("mid-run dump: %v", derr)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,17 +148,10 @@ func TestMetricsConservation(t *testing.T) {
 				t.Errorf("cycles with plane attached = %d, plane-free %d",
 					res.Stats.Cycles, base.Stats.Cycles)
 			}
-			checkScrapeConservation(t, scrape(t, url+"/metrics"), res.Stats)
-
-			run := scrape(t, url+"/debug/run")
-			for _, wantSub := range []string{`"state": "idle"`, `"done": 1`} {
-				if !strings.Contains(run, wantSub) {
-					t.Errorf("/debug/run missing %s:\n%s", wantSub, run)
-				}
-			}
-			machinePage := scrape(t, url+"/debug/machine")
-			if !strings.Contains(machinePage, fmt.Sprintf(`"cycle": %d`, res.Stats.Cycles)) {
-				t.Errorf("/debug/machine cycle != %d", res.Stats.Cycles)
+			b := dumpBundle(t, plane)
+			checkHeatmapConservation(t, b, res.Stats)
+			if sw := b.Sweep; sw == nil || sw.Done != 1 || sw.Failed != 0 || len(sw.Active) != 0 || sw.SimCycles != res.Stats.Cycles {
+				t.Errorf("sweep section %+v, want one cell done in %d cycles", sw, res.Stats.Cycles)
 			}
 		})
 	}
@@ -228,7 +159,8 @@ func TestMetricsConservation(t *testing.T) {
 
 // TestMetricsFaultConservation attaches the plane to a fault run that
 // triggers an in-run frame replay (mirroring the telemetry fault test) and
-// asserts the scrape still conserves and the ladder state reached /metrics.
+// asserts the final bundle still conserves, its windows count the ladder's
+// replays, and its notes tell the recovery.
 func TestMetricsFaultConservation(t *testing.T) {
 	bench, err := kernels.Get("mvt")
 	if err != nil {
@@ -247,12 +179,7 @@ func TestMetricsFaultConservation(t *testing.T) {
 	plan := &fault.Plan{Events: []fault.Event{
 		{Kind: fault.FlipSpadWord, Cycle: 2758, Tile: victim, Offset: 0, Bit: 30},
 	}}
-	plane := metrics.NewPlane("")
-	srv, err := metrics.Serve("127.0.0.1:0", plane)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	plane := metrics.NewPlane(t.TempDir())
 	res, err := kernels.ExecuteWithFaultsOpts(bench, bench.Defaults(kernels.Tiny), sw, hw, plan,
 		kernels.ExecOpts{Obs: plane})
 	if err != nil {
@@ -264,19 +191,81 @@ func TestMetricsFaultConservation(t *testing.T) {
 	if res.FrameReplays < 1 {
 		t.Fatalf("schedule did not trigger a replay")
 	}
-	text := scrape(t, "http://"+srv.Addr()+"/metrics")
-	checkScrapeConservation(t, text, res.Stats)
-	series, _ := promSeries(t, text)
-	if got := series[`rockcress_frame_events{event="replays"}`]; got != res.FrameReplays {
-		t.Errorf("scraped replays = %d, ladder counted %d", got, res.FrameReplays)
+	b := dumpBundle(t, plane)
+	checkHeatmapConservation(t, b, res.Stats)
+	var replays int64
+	for _, w := range b.Windows {
+		replays += w.Window.Frames.Replays
 	}
-
-	// The recovery appears in the flight recorder's note ring.
-	flight := scrape(t, "http://"+srv.Addr()+"/debug/flight")
+	if replays != res.FrameReplays {
+		t.Errorf("bundle windows count %d replays, ladder counted %d", replays, res.FrameReplays)
+	}
+	kinds := map[string]bool{}
+	for _, n := range b.Notes {
+		kinds[n.Kind] = true
+	}
 	for _, want := range []string{"fault.flip", "replay.start", "replay.ok"} {
-		if !strings.Contains(flight, want) {
-			t.Errorf("/debug/flight missing %q note", want)
+		if !kinds[want] {
+			t.Errorf("bundle notes missing %q", want)
 		}
+	}
+}
+
+// TestFlightDumpDuringRun writes bundles from a second goroutine, as the
+// SIGQUIT handler does, while a bound machine runs on this one: the
+// recorder's mutex is all that stands between them (go test -race holds
+// it). Every bundle reads back, and their heatmaps never go back in time.
+func TestFlightDumpDuringRun(t *testing.T) {
+	plane := metrics.NewPlane(t.TempDir())
+	m := buildForAllocTest(t, "gemm", "V4", plane, nil)
+	defer m.Recycle()
+	defer m.ReleaseObs()
+	if !m.ObsBound() {
+		t.Fatal("machine did not bind to the plane")
+	}
+	stop := make(chan struct{})
+	dumped := make(chan int64) // each bundle's heatmap cycle
+	go func() {
+		defer close(dumped)
+		for {
+			path, err := plane.DumpFlight("sigquit", nil, "")
+			var b *metrics.Bundle
+			if err == nil {
+				b, err = metrics.ReadBundle(path)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			select {
+			case dumped <- b.Machine.Cycle:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	// Each RunUntil copies a heatmap in at its checkpoints while the next
+	// bundle is being written; the bundle after it is taken before the
+	// next step.
+	last := int64(-1)
+	for at := int64(256); at <= 1280; at += 256 {
+		if err := m.RunUntil(at); err != nil {
+			t.Fatal(err)
+		}
+		cycle, ok := <-dumped
+		if !ok {
+			t.Fatal("the dumping goroutine stopped")
+		}
+		if cycle < last {
+			t.Errorf("a bundle's heatmap is at cycle %d, after one at %d", cycle, last)
+		}
+		last = cycle
+	}
+	close(stop)
+	for range dumped { // let the dumper finish its bundle and exit
+	}
+	if last <= 0 {
+		t.Errorf("no bundle saw the run advance (last heatmap at cycle %d)", last)
 	}
 }
 
@@ -484,52 +473,5 @@ func TestFlightWindowsAreJSONLLines(t *testing.T) {
 		if fw.Run != "mvt/V4" || fw.Attempt != attempts[tail+i] {
 			t.Errorf("bundle window %d tagged %s attempt %d, want mvt/V4 attempt %d", i, fw.Run, fw.Attempt, attempts[tail+i])
 		}
-	}
-}
-
-var update = flag.Bool("update", false, "rewrite golden files")
-
-// TestMetricsExpositionGolden pins the shape of the Prometheus exposition —
-// every family's HELP and TYPE line and every series' name and label set,
-// in registration order — for a fixed gemm/V4 tiny run. Values are stripped:
-// the conservation tests own those. A refactor of the publish path must
-// leave this byte-identical.
-func TestMetricsExpositionGolden(t *testing.T) {
-	bench, err := kernels.Get("gemm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := config.Preset("V4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plane := metrics.NewPlane("")
-	if _, err := kernels.ExecuteOpts(bench, bench.Defaults(kernels.Tiny), sw,
-		config.ManycoreDefault(), kernels.ExecOpts{Obs: plane}); err != nil {
-		t.Fatal(err)
-	}
-	var page strings.Builder
-	if err := plane.Registry().WriteProm(&page); err != nil {
-		t.Fatal(err)
-	}
-	var got strings.Builder
-	for _, line := range strings.Split(strings.TrimSuffix(page.String(), "\n"), "\n") {
-		if !strings.HasPrefix(line, "#") {
-			line = line[:strings.LastIndexByte(line, ' ')]
-		}
-		got.WriteString(line + "\n")
-	}
-	const path = "testdata/metrics_exposition.golden"
-	if *update {
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (regenerate with: go test ./internal/machine -run TestMetricsExpositionGolden -update)", err)
-	}
-	if got.String() != string(want) {
-		t.Errorf("exposition shape drifted from %s (rerun with -update if intentional); got:\n%s", path, got.String())
 	}
 }

@@ -24,8 +24,9 @@ type observers struct {
 	sampler *trace.Sampler
 	prof    *sim.Prof
 	roleOf  []trace.Role    // tile -> CPI-stack role; always built
-	pub     *obsPub         // the live plane's cells (metrics.go)
+	obs     *metrics.Plane  // the plane whose slot this machine holds
 	flight  *metrics.Flight // only on the machine that won the plane's slot
+	heat    heatmap         // what publish copies into flight
 	causal  *causal.Recorder
 	// journeys is causal's stamp slab, nil with it; the fabric's request
 	// sends and bank deliveries write it.
@@ -81,8 +82,8 @@ func (m *Machine) attachObservers(p Params) {
 		m.prof = p.Prof
 		m.engine.SetProfile(p.Prof)
 	}
-	// False on a nil plane, and when another machine of the same sweep is
-	// already publishing: this one then has no cells to publish.
+	// False on a nil plane, and when another machine of the same sweep
+	// already feeds its flight recorder.
 	bound := p.Obs.TryBindMachine()
 	if bound && m.sampler == nil {
 		// The flight ring keeps the slot holder's windows; when the sink
@@ -100,10 +101,10 @@ func (m *Machine) attachObservers(p Params) {
 	// series restarts from cycle 0 with each new machine.
 	m.sampler.Reset()
 	if bound {
-		m.pub = newObsPub(p.Obs, m, links)
-		p.Obs.SetMachineProvider(m.pub.snapshot)
-		m.flight = p.Obs.Flight()
-		m.PublishMetrics()
+		m.obs, m.flight = p.Obs, p.Obs.Flight()
+		m.heat.bind(m, links)
+		m.collect()
+		m.publish(m.read())
 	}
 }
 
@@ -172,14 +173,14 @@ type observation struct {
 }
 
 // observe is the observers' one read of the counters. In the run loop a
-// window is due at its boundary and a publish at watchdog checkpoints; on
-// Run's exit (final) both are — the window being the run's last — and
-// collect runs even with no consumer, so every exit path leaves fresh totals
-// in m.Stats. Either way, consumers due at the same cycle share one collect,
+// window is due at its boundary and a heatmap publish at watchdog
+// checkpoints; on Run's exit (final) both are — the window being the run's
+// last — and collect runs even with no consumer, so every exit path leaves
+// fresh totals in m.Stats. Either way, consumers due at the same cycle share one collect,
 // one Fold and one gauges read.
 func (m *Machine) observe(final bool) {
 	window := m.sampler != nil && (final || m.sampler.Due(m.now))
-	publish := m.pub != nil && (final || m.now%m.checkEvery == 0)
+	publish := m.obs != nil && (final || m.now%m.checkEvery == 0)
 	if !final && !window && !publish {
 		return
 	}
@@ -197,7 +198,7 @@ func (m *Machine) observe(final bool) {
 		}
 	}
 	if publish {
-		m.pub.publish(ob)
+		m.publish(ob)
 	}
 }
 
@@ -213,7 +214,7 @@ func (m *Machine) read() *observation {
 
 // observeEnd runs on every exit path of Run: a failed run's outputs are
 // truncation-marked, the final observation feeds the last window (so a
-// failed run's windows still sum to its aggregates) and the final publish,
+// failed run's windows still sum to its aggregates) and the last heatmap,
 // the plane's slot is freed, and a completed run's causal profile is
 // finished — after collect's Sync, which puts parked cores' back-filled
 // cycles in it.
@@ -295,26 +296,60 @@ func (m *Machine) stepOrSkip(limit int64) {
 	}
 }
 
-// PublishMetrics stores the counters into the plane's cells now, cutting no
-// window (a no-op when unbound, zero allocations when warm). For drivers
-// that Step rather than Run.
-func (m *Machine) PublishMetrics() {
-	if m.pub != nil {
-		m.collect()
-		m.pub.publish(m.read())
+// heatmap is the bound machine's copy of its flight-recorder heatmap. Its
+// tile rows are sized at bind and its link rows never outnumber the mesh's
+// links, so refilling it allocates nothing.
+type heatmap struct {
+	metrics.MachineSnap
+	links []string // a link's label by its index in the hop vectors
+}
+
+// bind sizes the heatmap for m, whose links carry the given labels.
+func (h *heatmap) bind(m *Machine, links []string) {
+	h.MeshW, h.MeshH, h.links = m.Cfg.MeshWidth, m.Cfg.MeshHeight, links
+	h.Tiles = make([]metrics.TileSnap, m.Cfg.Cores)
+	for t := range h.Tiles {
+		h.Tiles[t] = metrics.TileSnap{Tile: t, Role: trace.RoleNames[m.roleOf[t]]}
 	}
+	h.Links = make([]metrics.LinkSnap, 0, 2*len(links))
+}
+
+// publish refills the heatmap from one observation — per-tile issue and
+// stall counts off stats.Core, the hops of every link that carried one,
+// the gauges — and copies it into the flight recorder. Runs on the run
+// loop and allocates nothing.
+func (m *Machine) publish(ob *observation) {
+	h := &m.heat
+	h.Cycle, h.FramesOccupied, h.InetHighWater = ob.now, ob.FramesOccupied, ob.InetHighWater
+	for t := range h.Tiles {
+		c, r := &ob.st.Cores[t], &h.Tiles[t]
+		r.Issued, r.Instrs = c.Issued(), c.Instrs
+		r.Frame, r.Inet = c.Stall(stats.StallFrame), c.Stall(stats.StallInet)
+		r.Backpressure, r.Other = c.Stall(stats.StallBackpressure), c.Stall(stats.StallOther)
+	}
+	h.Links = h.Links[:0]
+	for _, pl := range [...]struct {
+		name string
+		hops []int64
+	}{{"req", ob.LinksReq}, {"resp", ob.LinksResp}} {
+		for i, n := range pl.hops {
+			if n > 0 && h.links[i] != "" { // an edge direction never moves
+				h.Links = append(h.Links, metrics.LinkSnap{Plane: pl.name, Link: h.links[i], Hops: n})
+			}
+		}
+	}
+	m.flight.SetMachine(&h.MachineSnap)
 }
 
 // ReleaseObs frees the plane's machine slot, as Run's exit path does. The
-// snapshot provider stays installed, so /debug/machine serves the final
-// state until the next machine binds.
+// flight recorder keeps the last heatmap until the next machine binds.
 func (m *Machine) ReleaseObs() {
-	if m.pub == nil {
+	if m.obs == nil {
 		return
 	}
-	m.pub.plane.ReleaseMachine()
-	m.pub = nil
+	m.obs.ReleaseMachine()
+	m.obs = nil
 }
 
-// ObsBound reports whether this machine won the plane's machine slot (tests).
-func (m *Machine) ObsBound() bool { return m.pub != nil }
+// ObsBound reports whether this machine holds the plane's machine slot (tests).
+func (m *Machine) ObsBound() bool { return m.obs != nil }

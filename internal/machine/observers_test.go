@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"rockcress/internal/alloctest"
 	"rockcress/internal/metrics"
 	"rockcress/internal/trace"
 )
@@ -86,11 +87,11 @@ func TestAnnounceFeedsBothSinks(t *testing.T) {
 	}
 
 	bare := &observers{}
-	if allocs := testing.AllocsPerRun(100, func() {
+	if allocs := alloctest.Count(func() {
 		bare.announce(trace.EvFaultFlip, 5, 3, 7, 64)
 		bare.announce(trace.EvCheckpoint, 5, 80, 12, 8192)
 		bare.announce(trace.EvFaultStick, 5, 9, 500)
 	}); allocs != 0 {
-		t.Errorf("announce with no sink attached allocates %.0f times per run, want 0", allocs)
+		t.Errorf("announce with no sink attached allocates %d times, want 0", allocs)
 	}
 }

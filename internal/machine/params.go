@@ -55,14 +55,13 @@ type Params struct {
 	// cumulative numbers.
 	Prof *sim.Prof
 
-	// Obs attaches the live observability plane. The machine registers its
-	// per-tile/per-bank/per-link series once here and publishes absolute
-	// counter values into the pre-registered atomic cells at
-	// watchdog-checkpoint granularity — nil costs nothing, and cycle counts
-	// are bit-identical with the plane on or off. When several machines run
-	// concurrently (harness sweeps), the first to bind publishes the
-	// per-machine series; the rest still feed the shared flight recorder's
-	// run status through the kernels layer.
+	// Obs attaches the observability plane. A machine that wins the
+	// plane's slot feeds its flight recorder: telemetry windows, rare-event
+	// notes, and a heatmap copied in at watchdog-checkpoint granularity —
+	// nil costs nothing, and cycle counts are bit-identical with the plane
+	// on or off. When several machines run concurrently (harness sweeps),
+	// the first to bind feeds the recorder; the rest still report through
+	// the plane's run status from the kernels layer.
 	Obs *metrics.Plane
 
 	// Causal attaches the causal profiler (internal/causal): per-tile

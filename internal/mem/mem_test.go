@@ -2,11 +2,10 @@ package mem
 
 import (
 	"math/rand"
-	"runtime"
-	"runtime/debug"
 	"testing"
 	"testing/quick"
 
+	"rockcress/internal/alloctest"
 	"rockcress/internal/config"
 	"rockcress/internal/isa"
 	"rockcress/internal/msg"
@@ -379,13 +378,12 @@ func (s *wordSink) TrySend(m *msg.Message) bool {
 // jobs when the fill installs) and adds one more that hits, and the next
 // round starts once the bank has drained. The bank's buffers grow to the
 // backlog one round builds and then serve any number of rounds: serving
-// eight times the loads allocates no more. Not parallel: it reads the
-// process's allocation count.
+// eight times the loads allocates no more.
 func TestLLCAllocsIndependentOfLoads(t *testing.T) {
 	cfg := config.ManycoreDefault()
 	lineWords := cfg.CacheLineBytes / 4
 	per := cfg.LLCReqQueue + 1 // loads per round
-	serve := func(rounds int) (allocs uint64, words int) {
+	serve := func(rounds int) (allocs int64, words int) {
 		g, _ := NewGlobal(1 << 20)
 		d, _ := NewDRAM(cfg.DRAMLatency, cfg.DRAMBandwidth, cfg.LLCBanks)
 		out := &wordSink{}
@@ -403,36 +401,31 @@ func TestLLCAllocsIndependentOfLoads(t *testing.T) {
 				Words: uint16(lineWords), Vload: msg.Vload{Width: uint16(lineWords), Dist: isa.VloadSelf},
 				Group: -1, ReqCore: 2}
 		}
-		var before, after runtime.MemStats
-		// No collection inside the window: one adds allocations that are
-		// not the bank's.
-		runtime.GC()
-		defer debug.SetGCPercent(debug.SetGCPercent(-1))
-		runtime.ReadMemStats(&before)
 		now := int64(0)
-		for r := 0; r < rounds; r++ {
-			round := reqs[r*per : (r+1)*per]
-			for k := range round[:per-1] {
-				b.Accept(&round[k])
-			}
-			filled := false
-			for ; !filled || b.Busy() || d.Pending() > 0; now++ {
-				if now > int64(1000*(r+1)) || b.Err() != nil {
-					t.Fatalf("round %d still busy at cycle %d (err %v)", r, now, b.Err())
+		allocs = alloctest.Count(func() {
+			for r := 0; r < rounds; r++ {
+				round := reqs[r*per : (r+1)*per]
+				for k := range round[:per-1] {
+					b.Accept(&round[k])
 				}
-				for _, f := range d.Completed(now, g) {
-					b.Install(now, f.LineAddr)
-					b.Accept(&round[per-1])
-					filled = true
+				filled := false
+				for ; !filled || b.Busy() || d.Pending() > 0; now++ {
+					if now > int64(1000*(r+1)) || b.Err() != nil {
+						t.Fatalf("round %d still busy at cycle %d (err %v)", r, now, b.Err())
+					}
+					for _, f := range d.Completed(now, g) {
+						b.Install(now, f.LineAddr)
+						b.Accept(&round[per-1])
+						filled = true
+					}
+					b.Tick(now)
 				}
-				b.Tick(now)
 			}
-		}
-		runtime.ReadMemStats(&after)
+		})
 		if err := b.Err(); err != nil {
 			t.Fatal(err)
 		}
-		return after.Mallocs - before.Mallocs, out.words
+		return allocs, out.words
 	}
 	const n = 16
 	few, fewWords := serve(n)

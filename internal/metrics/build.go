@@ -6,10 +6,10 @@ import (
 )
 
 // BuildInfo identifies the running binary as the Go runtime recorded it at
-// link time: /debug/build serves it, and report.json carries it. Reports
-// stamped with different revisions are still comparable, but rockdoctor diff
-// flags the comparison: a cycle delta across binaries may be a simulator
-// change, not a configuration effect.
+// link time; report.json carries it. Reports stamped with different
+// revisions are still comparable, but rockdoctor diff flags the comparison:
+// a cycle delta across binaries may be a simulator change, not a
+// configuration effect.
 type BuildInfo struct {
 	GoVersion string `json:"go_version,omitempty"`
 	Path      string `json:"path,omitempty"`

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -12,17 +13,17 @@ import (
 )
 
 // Flight is the flight recorder: a bounded ring of the most recent telemetry
-// windows (fed by the machine holding the plane's slot) plus a bounded ring of
-// rare-event notes (fault injections, replay rungs, checkpoint publishes,
-// reroutes, watchdog trips). When a run dies badly — watchdog trip, wall
-// budget, contained crash, SIGQUIT — Dump writes the rings plus a machine
-// snapshot as one forensic JSON bundle.
+// windows and a bounded ring of rare-event notes (fault injections, replay
+// rungs, checkpoint publishes, reroutes, watchdog trips), plus the latest
+// heatmap, all fed by the machine holding the plane's slot. When a run dies
+// badly — watchdog trip, wall budget, contained crash — or the process gets
+// SIGQUIT or SIGINT, Dump writes them as one forensic JSON bundle.
 //
 // Notes come only from serial, rare machine paths (the same sites that emit
 // trace.Recorder events), never from the per-instruction hot path, so the
 // recorder costs nothing in steady state. All methods are nil-safe and
-// mutex-protected: the sampler feeds windows from the run goroutine while a
-// SIGQUIT handler may dump from another.
+// mutex-protected: the sampler feeds windows and the machine its heatmap
+// from the run goroutine while a SIGQUIT handler may dump from another.
 type Flight struct {
 	mu      sync.Mutex
 	windows []flightLine
@@ -33,8 +34,10 @@ type Flight struct {
 	nLen    int
 	run     string
 	attempt int
-	dumps   int
 	seq     int
+
+	machine    MachineSnap // SetMachine's copy; its slices are reused
+	hasMachine bool
 }
 
 // flightLine is one ring slot: a window's JSONL line, copied into a buffer
@@ -63,7 +66,40 @@ type FlightNote struct {
 	Attempt int    `json:"attempt,omitempty"`
 }
 
-// Bundle is the on-disk forensic dump format (see ReadBundle).
+// MachineSnap is the machine half of a flight bundle: a per-tile
+// stall/issue heatmap, per-link NoC hop counts, and the occupancy gauges,
+// as of the bound machine's last watchdog checkpoint.
+type MachineSnap struct {
+	Cycle          int64      `json:"cycle"`
+	MeshW          int        `json:"mesh_w"`
+	MeshH          int        `json:"mesh_h"`
+	Tiles          []TileSnap `json:"tiles"`
+	Links          []LinkSnap `json:"links,omitempty"`
+	FramesOccupied int64      `json:"frames_occupied"`
+	InetHighWater  int64      `json:"inet_high_water"`
+}
+
+// TileSnap is one tile's row in the heatmap.
+type TileSnap struct {
+	Tile         int    `json:"tile"`
+	Role         string `json:"role"`
+	Issued       int64  `json:"issued"`
+	Frame        int64  `json:"stall_frame"`
+	Inet         int64  `json:"stall_inet"`
+	Backpressure int64  `json:"stall_backpressure"`
+	Other        int64  `json:"stall_other"`
+	Instrs       int64  `json:"instrs"`
+}
+
+// LinkSnap is one directed NoC link's cumulative hop count.
+type LinkSnap struct {
+	Plane string `json:"plane"`
+	Link  string `json:"link"`
+	Hops  int64  `json:"hops"`
+}
+
+// Bundle is the on-disk forensic dump format (see ReadBundle). Sweep is
+// the plane's run status; bundles written before it existed read without.
 type Bundle struct {
 	Schema    int            `json:"schema"`
 	Reason    string         `json:"reason"`
@@ -72,6 +108,7 @@ type Bundle struct {
 	Attempt   int            `json:"attempt,omitempty"`
 	Error     string         `json:"error,omitempty"`
 	TileState string         `json:"tile_state,omitempty"`
+	Sweep     *SweepSnap     `json:"sweep,omitempty"`
 	Machine   *MachineSnap   `json:"machine,omitempty"`
 	Windows   []FlightWindow `json:"windows"`
 	Notes     []FlightNote   `json:"notes"`
@@ -145,58 +182,76 @@ func (f *Flight) Note(cycle int64, kind, detail string) {
 	f.mu.Unlock()
 }
 
-// Counts reports how many windows and notes are currently retained and how
-// many bundles have been dumped.
-func (f *Flight) Counts() (windows, notes, dumps int) {
+// SetMachine copies s, the bound machine's heatmap, into the buffer a
+// bundle's machine half is read from. The copy reuses the buffer's slices,
+// so once they have the machine's size it allocates nothing.
+func (f *Flight) SetMachine(s *MachineSnap) {
 	if f == nil {
-		return 0, 0, 0
+		return
 	}
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.wLen, f.nLen, f.dumps
+	tiles, links := f.machine.Tiles, f.machine.Links
+	f.machine = *s
+	f.machine.Tiles = append(tiles[:0], s.Tiles...)
+	f.machine.Links = append(links[:0], s.Links...)
+	f.hasMachine = true
+	f.mu.Unlock()
 }
 
-// snapshot copies the rings oldest-first, decoding each retained line.
-func (f *Flight) snapshot() (ws []FlightWindow, ns []FlightNote, run string, attempt int, err error) {
+// Counts reports how many windows and notes are currently retained.
+func (f *Flight) Counts() (windows, notes int) {
+	if f == nil {
+		return 0, 0
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ws = make([]FlightWindow, f.wLen)
-	for i := range ws {
+	return f.wLen, f.nLen
+}
+
+// snapshot copies the recorder into b: the rings oldest-first, decoding
+// each retained line, the run tags, and the heatmap if a machine ever set
+// one.
+func (f *Flight) snapshot(b *Bundle) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	b.Windows = make([]FlightWindow, f.wLen)
+	for i := range b.Windows {
 		w := &f.windows[(f.wHead+i)%len(f.windows)]
-		ws[i].Run, ws[i].Attempt = w.run, w.attempt
-		if err := json.Unmarshal(w.line, &ws[i].Window); err != nil {
-			return nil, nil, "", 0, fmt.Errorf("flight: window %d: %w", i, err)
+		b.Windows[i].Run, b.Windows[i].Attempt = w.run, w.attempt
+		if err := json.Unmarshal(w.line, &b.Windows[i].Window); err != nil {
+			return fmt.Errorf("flight: window %d: %w", i, err)
 		}
 	}
-	ns = make([]FlightNote, 0, f.nLen)
+	b.Notes = make([]FlightNote, 0, f.nLen)
 	for i := 0; i < f.nLen; i++ {
-		ns = append(ns, f.notes[(f.nHead+i)%len(f.notes)])
+		b.Notes = append(b.Notes, f.notes[(f.nHead+i)%len(f.notes)])
 	}
-	return ws, ns, f.run, f.attempt, nil
+	b.Run, b.Attempt = f.run, f.attempt
+	if f.hasMachine {
+		m := f.machine
+		m.Tiles, m.Links = slices.Clone(m.Tiles), slices.Clone(m.Links)
+		b.Machine = &m
+	}
+	return nil
 }
 
 // Dump writes a bundle into dir and returns its path. reason is a short
 // slug ("watchdog", "wall_budget", "crash", "sigquit"); runErr and tileState
-// give the error and diagnostic dump if the run died with one; snap is the
-// live machine heatmap if a machine is bound.
-func (f *Flight) Dump(dir, reason string, runErr error, tileState string, snap *MachineSnap) (string, error) {
+// give the error and diagnostic dump if the run died with one; sweep is the
+// plane's run status, nil for none.
+func (f *Flight) Dump(dir, reason string, runErr error, tileState string, sweep *SweepSnap) (string, error) {
 	if f == nil || dir == "" {
 		return "", nil
-	}
-	ws, ns, run, attempt, err := f.snapshot()
-	if err != nil {
-		return "", err
 	}
 	b := Bundle{
 		Schema:    1,
 		Reason:    reason,
 		WrittenAt: time.Now().UTC(),
-		Run:       run,
-		Attempt:   attempt,
 		TileState: tileState,
-		Machine:   snap,
-		Windows:   ws,
-		Notes:     ns,
+		Sweep:     sweep,
+	}
+	if err := f.snapshot(&b); err != nil {
+		return "", err
 	}
 	if runErr != nil {
 		b.Error = runErr.Error()
@@ -217,9 +272,6 @@ func (f *Flight) Dump(dir, reason string, runErr error, tileState string, snap *
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return "", err
 	}
-	f.mu.Lock()
-	f.dumps++
-	f.mu.Unlock()
 	return path, nil
 }
 

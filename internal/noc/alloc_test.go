@@ -1,9 +1,9 @@
 package noc
 
 import (
-	"runtime"
 	"testing"
 
+	"rockcress/internal/alloctest"
 	"rockcress/internal/msg"
 )
 
@@ -25,18 +25,17 @@ func TestSteadyStateAllocs(t *testing.T) {
 		m.TrySend(&msg.Message{Src: msg.Node(src), Dst: msg.Node(dst), Kind: msg.KindLoadResp})
 	}
 	const ticks = 500
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	// Cross traffic in four directions, from the first tick.
-	for i := 0; i < ticks; i++ {
-		send(0, 63)
-		send(63, 0)
-		send(9, 54)
-		send(54, 9)
-		m.Tick(0)
-	}
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n != 0 {
+	n := alloctest.Count(func() {
+		for i := 0; i < ticks; i++ {
+			send(0, 63)
+			send(63, 0)
+			send(9, 54)
+			send(54, 9)
+			m.Tick(0)
+		}
+	})
+	if n != 0 {
 		t.Fatalf("mesh ticks allocate: %d allocs over a fresh mesh's first %d ticks", n, ticks)
 	}
 	if err := m.Err(); err != nil {

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"unsafe"
+
+	"rockcress/internal/alloctest"
 )
 
 func TestRecorderRingOverwrite(t *testing.T) {
@@ -374,7 +376,7 @@ func TestRecorderEmitZeroAllocs(t *testing.T) {
 		r.Instant(EvFaultKill, int64(i), 0)
 	}
 	ts := int64(64)
-	avg := testing.AllocsPerRun(1000, func() {
+	n := alloctest.Count(func() {
 		ts++
 		r.Instant(EvFaultKill, ts, 1)
 		r.Instant(EvBarrierRelease, ts, 80, 7)
@@ -384,8 +386,8 @@ func TestRecorderEmitZeroAllocs(t *testing.T) {
 		r.Span(EvFrameFill, ts, 10, 3, 1)
 		r.Span(EvFrameConsume, ts, 10, 3, 9, 1)
 	})
-	if avg != 0 {
-		t.Fatalf("emit allocates: %.2f allocs per 7 events", avg)
+	if n != 0 {
+		t.Fatalf("emit allocates: %d allocs per 7 events", n)
 	}
 }
 
