@@ -7,6 +7,8 @@ package config
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 
 	"rockcress/internal/msg"
 )
@@ -196,4 +198,23 @@ func GPUDefault() GPU {
 		DRAMLatency: 60, DRAMBandwidth: 16,
 		LaunchOverhead: 600,
 	}
+}
+
+// MachineKey spells a machine: "" for the Table 1a default, otherwise every
+// field that differs from it as Name=value, in declaration order. The
+// harness keys its cell cache on it, and a sweep's run status tells two
+// cells of one kernel and configuration apart by it.
+func MachineKey(hw Manycore) string {
+	def := ManycoreDefault()
+	if hw == def {
+		return ""
+	}
+	v, d := reflect.ValueOf(hw), reflect.ValueOf(def)
+	var diff []string
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); !f.Equal(d.Field(i)) {
+			diff = append(diff, fmt.Sprintf("%s=%v", v.Type().Field(i).Name, f))
+		}
+	}
+	return strings.Join(diff, ",")
 }

@@ -330,6 +330,7 @@ type Injector struct {
 	cur   int   // cursor into disc
 	links []int // indices of link events
 	fired []bool
+	taken []Event // backs TakeDiscrete's return value, one slot per discrete event
 }
 
 // NewInjector prepares a plan for one run.
@@ -345,6 +346,7 @@ func NewInjector(p *Plan) *Injector {
 	sort.SliceStable(inj.disc, func(a, b int) bool {
 		return p.Events[inj.disc[a]].Cycle < p.Events[inj.disc[b]].Cycle
 	})
+	inj.taken = make([]Event, 0, len(inj.disc))
 	return inj
 }
 
@@ -359,9 +361,10 @@ func (inj *Injector) NextDiscrete() int64 {
 }
 
 // TakeDiscrete pops every discrete event scheduled at or before now,
-// marking each fired.
+// marking each fired. The returned slice is the injector's, valid until the
+// next call; popping allocates nothing.
 func (inj *Injector) TakeDiscrete(now int64) []Event {
-	var out []Event
+	out := inj.taken[:0]
 	for inj.cur < len(inj.disc) && inj.plan.Events[inj.disc[inj.cur]].Cycle <= now {
 		idx := inj.disc[inj.cur]
 		inj.fired[idx] = true

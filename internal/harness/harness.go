@@ -14,7 +14,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -188,26 +187,8 @@ func (r *Runner) resolve(q runReq) cell {
 		c.modName = q.mod.Name
 		q.mod.Fn(&c.hw)
 	}
-	c.key = fmt.Sprintf("%s|%s|%s|%d", name, c.sw.Name, machineKey(c.hw), r.opts.Scale)
+	c.key = fmt.Sprintf("%s|%s|%s|%d", name, c.sw.Name, config.MachineKey(c.hw), r.opts.Scale)
 	return c
-}
-
-// machineKey spells a machine for the cache key: "" for the Table 1a
-// default, otherwise every field that differs from it as Name=value, in
-// declaration order.
-func machineKey(hw config.Manycore) string {
-	def := config.ManycoreDefault()
-	if hw == def {
-		return ""
-	}
-	v, d := reflect.ValueOf(hw), reflect.ValueOf(def)
-	var diff []string
-	for i := 0; i < v.NumField(); i++ {
-		if f := v.Field(i); !f.Equal(d.Field(i)) {
-			diff = append(diff, fmt.Sprintf("%s=%v", v.Type().Field(i).Name, f))
-		}
-	}
-	return strings.Join(diff, ",")
 }
 
 func (r *Runner) lookup(key string) (*kernels.Result, bool) {
@@ -289,7 +270,7 @@ func (r *Runner) execute(c cell) (*kernels.Result, error) {
 		if err := os.MkdirAll(r.opts.ReportDir, 0o755); err != nil {
 			return nil, fmt.Errorf("harness: report dir: %w", err)
 		}
-		rep := r.report(res, machineKey(c.hw))
+		rep := r.report(res, config.MachineKey(c.hw))
 		if err := rep.WriteFile(filepath.Join(r.opts.ReportDir, sanitizeKey(c.key)+".report.json")); err != nil {
 			return nil, err
 		}

@@ -77,9 +77,12 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 	// One wall budget covers the whole recovery ladder, not each attempt:
 	// a pathological restart loop is exactly what the budget must bound.
 	wallDeadline := opts.wallDeadline()
-	// Latest published checkpoint, carried across attempts.
+	// Latest published checkpoint, carried across attempts. The ladder owns
+	// its image: it recycles one once a newer checkpoint replaces it or the
+	// ladder ends.
 	var snap *machine.Checkpoint
 	var snapSites int
+	defer func() { recycleSnap(snap) }()
 	// One attempt per core is a generous upper bound: every restart either
 	// succeeds or buries at least one more tile.
 	for attempt := 1; attempt <= hw.Cores; attempt++ {
@@ -129,6 +132,7 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 			fr.FrameReplays += info.FrameReplays
 		}
 		if ck := m.Checkpoint(); ck != nil {
+			recycleSnap(snap)
 			snap, snapSites = ck, a.sites
 		}
 		checkErr := runErr
@@ -178,6 +182,7 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 				// memory image cannot capture, or corruption published
 				// before the integrity layer saw it): discard it and take
 				// one restart from the initial image before giving up.
+				recycleSnap(snap)
 				snap = nil
 				continue
 			}
@@ -191,6 +196,13 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 		avoid = append([]int(nil), fr.Report.DeadTiles...)
 	}
 	return fmt.Errorf("%s/%s: no fault-free attempt within %d restarts", name, sw.Name, fr.Attempts)
+}
+
+// recycleSnap parks a checkpoint's image once the ladder is done with it.
+func recycleSnap(ck *machine.Checkpoint) {
+	if ck != nil {
+		ck.Image.Recycle()
+	}
 }
 
 // degradedLayout picks the group layout for an attempt: full-health layouts

@@ -164,7 +164,7 @@ func probeReplayWin(b Benchmark, p Params, sw config.Software, hw config.Manycor
 	victim := groups[0].Lanes[len(groups[0].Lanes)-1]
 	// One cell for the whole search: the base run, every trial and every
 	// restart baseline report under this token, rungs through SetAttempt.
-	tok := opts.Obs.Run().Begin(b.Info().Name, sw.Name)
+	tok := opts.Obs.Run().Begin(b.Info().Name, cellConfig(opts, sw, hw))
 	defer func() { opts.Obs.Run().End(tok, err) }()
 	// ladder is one run of the search; restart selects the baseline.
 	ladder := func(plan *fault.Plan, restart bool) (*FaultResult, error) {

@@ -125,7 +125,7 @@ func execute(b Benchmark, p Params, sw config.Software, hw config.Manycore,
 	plan *fault.Plan, opts ExecOpts, fr *FaultResult) error {
 	// The whole recovery ladder is one sweep cell: one Begin/End pair, with
 	// the rung number surfaced live through SetAttempt.
-	tok := opts.Obs.Run().Begin(b.Info().Name, sw.Name)
+	tok := opts.Obs.Run().Begin(b.Info().Name, cellConfig(opts, sw, hw))
 	if opts.MaxCycles == 0 {
 		opts.MaxCycles = DefaultMaxCycles
 	}
@@ -139,6 +139,20 @@ func execute(b Benchmark, p Params, sw config.Software, hw config.Manycore,
 	}
 	opts.Obs.Run().End(tok, err)
 	return err
+}
+
+// cellConfig is the configuration a cell reports to the plane's run
+// status: the Table 3 row, and the machine's spelling when it is not the
+// default, so two cells of a figure that varies the machine stay apart.
+// Without a plane nothing is spelled.
+func cellConfig(opts ExecOpts, sw config.Software, hw config.Manycore) string {
+	if opts.Obs == nil {
+		return sw.Name
+	}
+	if k := config.MachineKey(hw); k != "" {
+		return sw.Name + " [" + k + "]"
+	}
+	return sw.Name
 }
 
 // trial is one machine run of a benchmark: one rung of the recovery ladder.
@@ -163,6 +177,10 @@ type trial struct {
 	restored bool // resumed from snap, not the initial image
 }
 
+// runMachine runs an attempt's machine. Tests wrap it to count what a run
+// allocates.
+var runMachine = (*machine.Machine).Run
+
 // run is the one attempt path: build the machine, run it, and tell the plane.
 // Errors before the run are returned; the run's own is a.runErr.
 func (a *trial) run(b Benchmark, p Params, sw, buildSW config.Software, hw config.Manycore,
@@ -170,7 +188,7 @@ func (a *trial) run(b Benchmark, p Params, sw, buildSW config.Software, hw confi
 	if err := a.build(b, p, sw, buildSW, hw, groups, opts); err != nil {
 		return err
 	}
-	a.st, a.runErr = a.m.Run(opts.MaxCycles)
+	a.st, a.runErr = runMachine(a.m, opts.MaxCycles)
 	opts.Obs.Run().AddSim(a.m.Now(), a.st.WallNs)
 	// Dump per attempt, not only on the final error: a watchdog trip the
 	// ladder then recovers from would otherwise leave no forensic record.

@@ -153,11 +153,14 @@ func TestMachineNewAllocs(t *testing.T) {
 	}
 }
 
-// runAllocs builds a fresh machine for one kernel and preset at scale and
-// counts the allocations of its whole Run.
+// runAllocs builds a cold machine for one kernel and preset at scale and
+// counts the allocations of its whole Run. pool.Drain, outside the count,
+// makes every slab set the build takes a fresh one: a recycled set would
+// bring the rings the last machine of the shape grew.
 func runAllocs(t *testing.T, benchName, cfgName string, scale kernels.Scale) int64 {
 	t.Helper()
 	mp, img := benchParamsAt(t, benchName, cfgName, scale, config.ManycoreDefault(), machine.Params{})
+	pool.Drain()
 	m, err := machine.New(mp)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +174,7 @@ func runAllocs(t *testing.T, benchName, cfgName string, scale kernels.Scale) int
 	})
 }
 
-// TestColdRunAllocs holds a fresh machine's first run to the growth of its
+// TestColdRunAllocs holds a cold machine's first run to the growth of its
 // deepest buffers. The memory system's tick-time buffers (LLC job rings,
 // job word rings and MSHR event slabs, the DRAM queues, the mesh's move
 // list) start as pieces of construction slabs and double only when a
@@ -179,7 +182,8 @@ func runAllocs(t *testing.T, benchName, cfgName string, scale kernels.Scale) int
 // depends on its deepest backlog, not on how many accesses it makes: each
 // Small cell allocates at most twice what the same Tiny cell does, and at
 // most a quarter of what the per-buffer pools it replaced allocated (was).
-// Each count is one fresh machine's.
+// Each count is one cold machine's: the pools are drained before each
+// build (TestWarmRunAllocatesNothing holds the warm one).
 func TestColdRunAllocs(t *testing.T) {
 	// One unmeasured run first: a process's first run builds what is built
 	// once per process. Every measured machine is still a fresh one.
@@ -383,12 +387,20 @@ func dumpMachine(t *testing.T, plane *metrics.Plane) *metrics.MachineSnap {
 // with every window consumer attached: a JSONL sampler and a bound plane,
 // whose flight ring keeps the slot holder's windows. Step-driven gates never
 // reach observe, so this one drives RunUntil across window boundaries. Once
-// every ring slot holds a line as long as the run's, a window is one encode
-// into the sampler's reused line, one write and one copy into a slot: it
-// costs nothing. mvt/V4's rings and slots stop growing at cycle 2825 with
-// 8-cycle windows; the window is the 32 after it.
+// every ring slot holds a line, a window is one encode into the sampler's
+// reused line, one write and one copy into a slot: it costs nothing. The
+// machine is built on the slabs a finished mvt/V4 machine recycled, so its
+// memory system's rings start at their high-water depth, and a slot that
+// regrows is sized to the ring's longest line so far, so no later, longer
+// line regrows it again: the window is the 32 windows just after the ring
+// first fills, from cycle 544.
 func TestSteadyStateAllocsWithSampler(t *testing.T) {
 	const every, perRun = 8, 4
+	warm := buildForAllocTest(t, "mvt", "V4", nil, nil)
+	if _, err := warm.Run(1 << 40); err != nil {
+		t.Fatal(err)
+	}
+	warm.Recycle()
 	sink := trace.NewSink(trace.Config{SampleTo: io.Discard, SampleEvery: every})
 	plane := metrics.NewPlane("")
 	m := buildForAllocTest(t, "mvt", "V4", plane, sink)
@@ -396,7 +408,7 @@ func TestSteadyStateAllocsWithSampler(t *testing.T) {
 	if !m.ObsBound() {
 		t.Fatal("machine did not bind to the plane")
 	}
-	if err := m.RunUntil(2848); err != nil { // 356 windows: past the ring's 64 slots
+	if err := m.RunUntil(544); err != nil { // the ring's 64 slots full: jumps merge a few of the 68 windows
 		t.Fatal(err)
 	}
 	if held, _ := plane.Flight().Counts(); held != 64 {

@@ -7,6 +7,7 @@ import (
 	"rockcress/internal/mem"
 	"rockcress/internal/msg"
 	"rockcress/internal/noc"
+	"rockcress/internal/pool"
 	"rockcress/internal/stats"
 	"rockcress/internal/trace"
 )
@@ -22,17 +23,55 @@ type faultStack struct {
 	report       *fault.Report
 	brokenGroups []bool
 
-	// Flits harvested across a topology transition, until the network
-	// re-accepts them on their kind's plane.
-	reinjectQ     []msg.Message
+	// The stack's run-grown memory: flits harvested across a topology
+	// transition wait in reinjectQ until the network re-accepts them on
+	// their kind's plane.
+	faultSlabs
+	recycled      bool // the slabs are parked
 	reroutedFlits int64
 
-	replays []*replayState // per tile; the slice is nil under Params.NoReplay
+	replays []*replayState // per tile, into replaySlots; nil under Params.NoReplay
+
+	// cutLabels[i] is the report's spelling of plan event i when it cuts a
+	// link, formatted once at attach so a cut allocates nothing.
+	plan      *fault.Plan
+	cutLabels []string
 
 	// Checkpointing: armed by csrw ckpt in the core stage, consumed at the
-	// barrier release.
+	// barrier release. ckpt is nil until the first publish, then &ckptBuf.
 	ckptArmed bool
 	ckpt      *Checkpoint
+	ckptBuf   Checkpoint
+}
+
+// faultSlabs is what a faulted run grows, parked by tile count when the
+// machine is recycled so the next faulted machine of the shape starts with
+// it: the re-injection queue and, under replay, each tile's replay state
+// with its chunk buffer.
+type faultSlabs struct {
+	reinjectQ   []msg.Message
+	replaySlots []replayState
+}
+
+var faultPool pool.Pool[int, faultSlabs]
+
+// recycle clears the stack's slabs and parks them; a second call does
+// nothing.
+func (fs *faultStack) recycle() {
+	if fs.recycled {
+		return
+	}
+	fs.recycled = true
+	s := fs.faultSlabs
+	clear(s.reinjectQ[:cap(s.reinjectQ)])
+	s.reinjectQ = s.reinjectQ[:0]
+	for i := range s.replaySlots {
+		c := s.replaySlots[i].chunks
+		clear(c[:cap(c)])
+		s.replaySlots[i] = replayState{chunks: c[:0]}
+	}
+	faultPool.Put(len(fs.cores), s)
+	fs.faultSlabs = faultSlabs{}
 }
 
 // checkFaults rejects a fault plan that does not fit the fabric p.Cfg
@@ -53,8 +92,31 @@ func (m *Machine) attachFaults(p Params) {
 	fs := &faultStack{
 		Machine:      m,
 		inj:          fault.NewInjector(p.Faults),
-		report:       &fault.Report{},
 		brokenGroups: make([]bool, len(m.Groups)),
+		plan:         p.Faults,
+	}
+	fs.faultSlabs, _ = faultPool.Get(len(m.cores))
+	// The report's lists are sized for the most the plan can add to them,
+	// so recording a loss allocates nothing.
+	var cuts, routers int
+	for i, e := range p.Faults.Events {
+		switch e.Kind {
+		case fault.CutLink:
+			if fs.cutLabels == nil {
+				fs.cutLabels = make([]string, len(p.Faults.Events))
+			}
+			fs.cutLabels[i] = formatCut(e)
+			cuts++
+		case fault.KillRouter:
+			routers++
+		}
+	}
+	fs.report = &fault.Report{
+		DeadTiles:    make([]int, 0, len(m.cores)),
+		BrokenGroups: make([]int, 0, len(m.Groups)),
+		CutLinks:     make([]string, 0, cuts),
+		DeadRouters:  make([]int, 0, routers),
+		DeadBanks:    make([]int, 0, len(m.llcs)),
 	}
 	if fs.inj.HasLinkFaults() {
 		m.meshReq.SetLinkJudge(fs.linkJudge(fault.PlaneReq))
@@ -66,6 +128,9 @@ func (m *Machine) attachFaults(p Params) {
 	if !p.NoReplay {
 		mem.EnableIntegrity(m.spads)
 		fs.replays = make([]*replayState, len(m.spads))
+		if fs.replaySlots == nil {
+			fs.replaySlots = make([]replayState, len(m.spads))
+		}
 	}
 	m.faults = fs
 }
@@ -238,8 +303,9 @@ func (fs *faultStack) breakGroup(now int64, gid int) {
 	fs.report.BrokenGroups = append(fs.report.BrokenGroups, gid)
 	fs.announce(trace.EvRecoverGroupBreak, now, int64(fs.Groups[gid].Scalar), int64(gid))
 	rpc := fs.Prog.RecoverPC
-	for _, t := range fs.Groups[gid].Tiles() {
-		c := fs.cores[t]
+	g := fs.Groups[gid]
+	for k := 0; k < g.Size(); k++ {
+		c := fs.cores[g.Tile(k)]
 		if c.Halted() {
 			continue
 		}

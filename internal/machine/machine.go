@@ -238,8 +238,9 @@ var failAfterBanks error
 
 // Recycle hands the machine's construction slabs back to their pools,
 // cleared, for the next New of the same shape: the global store, both mesh
-// planes, the LLC banks, the scratchpads, and the cores with their
-// I-caches. Call it once every reader of the machine is done — its results,
+// planes, the DRAM queues, the LLC banks, the scratchpads, the cores with
+// their I-caches, and the fault stack's queues. Each set parks what its
+// run grew, so a warm machine's run allocates nothing. Call it once every reader of the machine is done — its results,
 // reports and checkpoint read — because nothing may read the machine, its
 // store or any component afterwards. It drops the machine's hold on each
 // slab set, so a second call does nothing.
@@ -252,9 +253,13 @@ func (m *Machine) Recycle() {
 			mesh.Recycle()
 		}
 	}
+	m.dram.Recycle()
 	mem.RecycleLLCBanks(m.llcs)
 	mem.RecycleScratchpads(m.spads)
 	cpu.RecycleCores(m.cores)
+	if m.faults != nil {
+		m.faults.recycle()
+	}
 	m.Global, m.meshReq, m.meshResp, m.llcs, m.spads, m.cores = nil, nil, nil, nil, nil, nil
 }
 

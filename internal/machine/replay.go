@@ -59,7 +59,10 @@ func (m *Machine) ArmCheckpoint() {
 }
 
 // Checkpoint returns the latest published checkpoint, if any. It stays
-// valid after Run returns, including on failed runs — that is the point.
+// valid after Run returns, including on failed runs — that is the point —
+// and after Recycle; the caller owns its image from then on. A run that
+// publishes a newer checkpoint recycles the older one's image, so read it
+// only once the machine has stopped.
 func (m *Machine) Checkpoint() *Checkpoint {
 	if m.faults == nil {
 		return nil
@@ -105,7 +108,11 @@ func (fs *faultStack) barrierReleased(now int64) {
 	for _, b := range fs.llcs {
 		b.OverlayDirty(im)
 	}
-	fs.ckpt = &Checkpoint{Cycle: now, Image: im}
+	if fs.ckpt != nil {
+		fs.ckpt.Image.Recycle() // replaced: nothing outside the run has read it
+	}
+	fs.ckptBuf = Checkpoint{Cycle: now, Image: im}
+	fs.ckpt = &fs.ckptBuf
 	fs.announce(trace.EvCheckpoint, now, fs.tidMachine(), int64(im.Pages()), int64(im.Size()/4))
 	fs.Stats.Checkpoints++
 }
@@ -137,7 +144,8 @@ func (fs *faultStack) startReplay(now int64, t int) {
 		return
 	}
 	lineBytes := uint32(fs.Cfg.CacheLineBytes)
-	var chunks []msg.Message
+	rs := &fs.replaySlots[t]
+	chunks := rs.chunks[:0]
 	for _, g := range segs {
 		addr, off, left := g.Addr, g.Off, g.Words
 		for left > 0 {
@@ -159,7 +167,7 @@ func (fs *faultStack) startReplay(now int64, t int) {
 	}
 	s.BeginReplay()
 	fs.announce(trace.EvReplayStart, now, int64(t), int64(len(chunks)), s.HeadSeq())
-	rs := &replayState{tile: t, chunks: chunks, tries: 1, deadline: now + replayTimeout}
+	*rs = replayState{tile: t, chunks: chunks, tries: 1, deadline: now + replayTimeout}
 	fs.replays[t] = rs
 	fs.driveReplay(now, rs)
 }

@@ -109,13 +109,30 @@ func (fs *faultStack) cutLink(now int64, e fault.Event) {
 			return
 		}
 	}
+	fs.report.CutLinks = append(fs.report.CutLinks, fs.cutLabel(e))
+	fs.announce(trace.EvFaultCutLink, now, int64(e.From), int64(e.Plane), int64(e.To))
+	fs.meshWaker.Wake()
+}
+
+// formatCut spells a cut link for the report: "a>b", with the plane when
+// the cut is on one plane only.
+func formatCut(e fault.Event) string {
 	label := fmt.Sprintf("%d>%d", e.From, e.To)
 	if e.Plane != fault.PlaneBoth {
 		label += ":" + e.Plane.String()
 	}
-	fs.report.CutLinks = append(fs.report.CutLinks, label)
-	fs.announce(trace.EvFaultCutLink, now, int64(e.From), int64(e.Plane), int64(e.To))
-	fs.meshWaker.Wake()
+	return label
+}
+
+// cutLabel returns the label attach formatted for the plan's cut of e's
+// link.
+func (fs *faultStack) cutLabel(e fault.Event) string {
+	for i, pe := range fs.plan.Events {
+		if pe.Kind == fault.CutLink && pe.From == e.From && pe.To == e.To && pe.Plane == e.Plane {
+			return fs.cutLabels[i]
+		}
+	}
+	return formatCut(e)
 }
 
 // killRouter powers router r off: both planes route around the hole, the

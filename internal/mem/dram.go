@@ -3,6 +3,8 @@ package mem
 import (
 	"fmt"
 	"math"
+
+	"rockcress/internal/pool"
 )
 
 // DRAM models the paper's fixed-latency, fixed-bandwidth main memory: one
@@ -12,20 +14,13 @@ import (
 type DRAM struct {
 	latency     int64
 	bytesPerCyc int64
+	banks       int // what sizes the queues
 	channelFree int64
-	inFlight    []dramOp
 	// nextDone is the earliest doneAt in inFlight (math.MaxInt64 when it
 	// is empty): Completed returns at once before it, and NextDoneAt
 	// reads it.
 	nextDone int64
-
-	// Reusable scratch (steady state allocates nothing): done collects the
-	// ops retired this call, fills backs Completed's return value, dataPool
-	// recycles writeback payload buffers. NewDRAM sizes inFlight, done and
-	// fills; they grow only past that depth.
-	done     []dramOp
-	fills    []Fill
-	dataPool [][]uint32
+	dramSlabs
 
 	// Degradation window (a dramdegrade fault): accesses scheduled in
 	// [degradeFrom, degradeUntil) pay latency scaled by degradeFactor.
@@ -48,24 +43,70 @@ type dramOp struct {
 	data     []uint32 // writeback payload
 }
 
+// dramSlabs is a channel's queues, what Recycle parks. inFlight holds the
+// scheduled ops; done collects the ops one Completed call retires, fills
+// backs its return value, and dataPool keeps writeback payload buffers for
+// reuse. Each starts with room for a line fill and a writeback per bank and
+// grows only past that depth; a parked set keeps what it grew, so the next
+// channel of the shape starts at the last one's high-water depth.
+type dramSlabs struct {
+	inFlight []dramOp
+	done     []dramOp
+	fills    []Fill
+	dataPool [][]uint32
+}
+
+// dramPool parks recycled queue sets by bank count.
+var dramPool pool.Pool[int, dramSlabs]
+
 // NewDRAM builds a channel with the given access latency (cycles) and
-// bandwidth (bytes per cycle), serving banks LLC banks. Its queues start
-// with room for a line fill and a writeback per bank, carved from one slab
-// per kind. The parameters come from the user's configuration, so bad
-// values are validated errors, not panics.
+// bandwidth (bytes per cycle), serving banks LLC banks. Its queues come
+// from a recycled channel of the same bank count, or start with room for a
+// line fill and a writeback per bank, carved from one slab per kind. The
+// parameters come from the user's configuration, so bad values are
+// validated errors, not panics.
 func NewDRAM(latency, bytesPerCycle, banks int) (*DRAM, error) {
 	if latency < 0 || bytesPerCycle <= 0 || banks < 0 {
 		return nil, fmt.Errorf("mem: invalid DRAM parameters (latency %d, bandwidth %d B/cycle, %d banks)",
 			latency, bytesPerCycle, banks)
 	}
-	ops := make([]dramOp, 4*banks)
+	s, ok := dramPool.Get(banks)
+	if !ok {
+		ops := make([]dramOp, 4*banks)
+		s = dramSlabs{
+			inFlight: part(ops, 0, 2*banks)[:0],
+			done:     part(ops, 1, 2*banks)[:0],
+			fills:    make([]Fill, 0, banks),
+		}
+	}
 	return &DRAM{
 		latency: int64(latency), bytesPerCyc: int64(bytesPerCycle),
-		nextDone: math.MaxInt64,
-		inFlight: part(ops, 0, 2*banks)[:0],
-		done:     part(ops, 1, 2*banks)[:0],
-		fills:    make([]Fill, 0, banks),
+		nextDone: math.MaxInt64, banks: banks, dramSlabs: s,
 	}, nil
+}
+
+// Recycle clears the channel's queues and parks them, with every writeback
+// buffer, for the next NewDRAM of the same bank count. Nothing may use the
+// channel afterwards; a second call does nothing.
+func (d *DRAM) Recycle() {
+	s := d.dramSlabs
+	if s.fills == nil {
+		return
+	}
+	for i := range s.inFlight {
+		if buf := s.inFlight[i].data; buf != nil {
+			s.dataPool = append(s.dataPool, buf)
+		}
+	}
+	for _, buf := range s.dataPool {
+		clear(buf[:cap(buf)])
+	}
+	clear(s.inFlight[:cap(s.inFlight)])
+	clear(s.done[:cap(s.done)])
+	clear(s.fills[:cap(s.fills)])
+	s.inFlight, s.done, s.fills = s.inFlight[:0], s.done[:0], s.fills[:0]
+	dramPool.Put(d.banks, s)
+	d.dramSlabs = dramSlabs{}
 }
 
 // schedule books a transfer and returns its completion time plus the

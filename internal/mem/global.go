@@ -151,6 +151,7 @@ type Image struct {
 	nwords int         // size of the store the image was taken from
 	pages  []imagePage // ascending by page number
 	data   []uint32    // slot s lives at data[s*pageWords : (s+1)*pageWords]
+	parked bool        // recycled: a second Recycle does nothing
 }
 
 // imagePage places one page's data in the image's slab.
@@ -195,27 +196,45 @@ func (im *Image) overlay(lo int, src []uint32) bool {
 	return true
 }
 
+// images parks recycled images by the word count of their store.
+var images pool.Pool[int, *Image]
+
 // Snapshot returns a copy of the store's dirty pages. The machine overlays
 // dirty LLC lines on top of it to publish a consistent checkpoint image.
+// The image is a recycled one of the same store size when one is parked,
+// grown only past the pages it held before.
 func (g *Global) Snapshot() *Image {
 	n := 0
 	for _, bm := range g.dirty {
 		n += bits.OnesCount64(bm)
 	}
-	im := &Image{
-		nwords: len(g.words),
-		pages:  make([]imagePage, 0, n),
-		data:   make([]uint32, n*pageWords),
+	im, ok := images.Get(len(g.words))
+	if !ok {
+		im = &Image{nwords: len(g.words)}
 	}
+	im.parked = false
+	im.pages = slices.Grow(im.pages[:0], n)
+	im.data = slices.Grow(im.data[:0], n*pageWords)[:n*pageWords]
 	for wi, bm := range g.dirty {
 		for ; bm != 0; bm &= bm - 1 {
 			page, slot := wi*64+bits.TrailingZeros64(bm), int32(len(im.pages))
 			lo, hi := g.pageSpan(page)
-			copy(im.slot(slot), g.words[lo:hi])
+			dst := im.slot(slot)
+			clear(dst[copy(dst, g.words[lo:hi]):]) // past a short last page
 			im.pages = append(im.pages, imagePage{page: int32(page), slot: slot})
 		}
 	}
 	return im
+}
+
+// Recycle empties the image and parks it for the next Snapshot of a store
+// of its size. Nothing may read the image afterwards.
+func (im *Image) Recycle() {
+	if im.parked {
+		return
+	}
+	im.pages, im.data, im.parked = im.pages[:0], im.data[:0], true
+	images.Put(im.nwords, im)
 }
 
 // Restore replaces the store's contents with an image taken from an

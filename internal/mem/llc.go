@@ -177,9 +177,9 @@ func NewLLCBanks(cfg config.Manycore, space msg.NodeSpace, out Sender, dram *DRA
 			plru:   part(s.plru, id, sets),
 			mshr:   part(s.mshr, id, cfg.LLCMSHRs),
 			reqQ:   part(s.reqQ, id, cfg.LLCReqQueue),
-			events: part(s.events, id, 2*cfg.LLCMSHRs)[:0], freeEvent: -1,
-			jobs:  part(s.jobs, id, cfg.LLCRespJobs),
-			words: part(s.words, id, lineWords),
+			events: grownOr(&s.grown[id].events, part(s.events, id, 2*cfg.LLCMSHRs))[:0], freeEvent: -1,
+			jobs:  grownOr(&s.grown[id].jobs, part(s.jobs, id, cfg.LLCRespJobs)),
+			words: grownOr(&s.grown[id].words, part(s.words, id, lineWords)),
 			out:   out, dram: dram, global: global, groups: groups, st: &st[id],
 			slabs: s,
 		}
@@ -192,7 +192,9 @@ func NewLLCBanks(cfg config.Manycore, space msg.NodeSpace, out Sender, dram *DRA
 type llcShape struct{ banks, sets, ways, lineWords, mshrs, reqQ, jobs int }
 
 // llcSlabs is one NewLLCBanks call's construction memory: the banks and
-// every per-bank array are pieces of these slabs.
+// every per-bank array are pieces of these slabs. grown[b] holds the
+// rings bank b grew past its pieces on an earlier machine of the shape,
+// so a warm bank starts at its high-water capacity.
 type llcSlabs struct {
 	shape  llcShape
 	banks  []LLCBank
@@ -205,6 +207,25 @@ type llcSlabs struct {
 	events []mshrEvent
 	jobs   []respJob
 	words  []uint32
+	grown  []bankRings
+}
+
+// bankRings is one bank's grown MSHR events, job ring and word ring (nil
+// where the bank never grew past its piece).
+type bankRings struct {
+	events []mshrEvent
+	jobs   []respJob
+	words  []uint32
+}
+
+// grownOr takes the grown ring at *g, leaving nil behind, or returns the
+// construction piece when there is none.
+func grownOr[T any](g *[]T, piece []T) []T {
+	if r := *g; r != nil {
+		*g = nil
+		return r
+	}
+	return piece
 }
 
 var llcPool pool.Pool[llcShape, *llcSlabs]
@@ -228,18 +249,34 @@ func takeLLCSlabs(k llcShape) *llcSlabs {
 		events: make([]mshrEvent, 2*n*k.mshrs),
 		jobs:   make([]respJob, n*k.jobs),
 		words:  make([]uint32, n*k.lineWords),
+		grown:  make([]bankRings, n),
 	}
 }
 
 // RecycleLLCBanks clears the slabs NewLLCBanks carved banks from and parks
-// them for the next build of the same shape. Rings a bank grew past its
-// piece are left to the collector. Nothing may use banks afterwards, and
-// only their owner may call it, once.
+// them for the next build of the same shape, with every ring a bank grew
+// past its piece, cleared, for the same bank of that build. Nothing may use
+// banks afterwards, and only their owner may call it, once.
 func RecycleLLCBanks(banks []*LLCBank) {
 	if len(banks) == 0 {
 		return
 	}
 	s := banks[0].slabs
+	for id, b := range banks {
+		g := &s.grown[id]
+		if ev := b.events[:cap(b.events)]; cap(ev) > 2*s.shape.mshrs {
+			clear(ev)
+			g.events = ev[:0]
+		}
+		if len(b.jobs) > s.shape.jobs {
+			clear(b.jobs)
+			g.jobs = b.jobs
+		}
+		if len(b.words) > s.shape.lineWords {
+			clear(b.words)
+			g.words = b.words
+		}
+	}
 	clear(s.banks)
 	clear(s.ptrs)
 	clear(s.lines)

@@ -49,6 +49,7 @@ type Scratchpad struct {
 
 	// Integrity extension (zero-cost when off).
 	integrity   bool
+	recsUsed    int          // how far into its piece of the record slab the tile has carved
 	parity      []uint32     // per-slot XOR accumulator
 	segs        [][]FrameSeg // per-slot delivery record for replay
 	pending     []int        // per-slot injected flips not yet verified away
@@ -114,8 +115,8 @@ type spadSlabs struct {
 	pending   []int
 	fillStart []int64
 	openAt    []int64
-	// recs is EnableIntegrity's delivery-record slab, nil until a build
-	// of this shape enables integrity.
+	// recs is EnableIntegrity's delivery-record slab, one segment per
+	// scratchpad word, nil until a build of this shape enables integrity.
 	recs []FrameSeg
 }
 
@@ -144,13 +145,17 @@ func takeSpadSlabs(k spadShape) *spadSlabs {
 
 // RecycleScratchpads clears the slabs NewScratchpads and EnableIntegrity
 // carved spads from and parks them for the next build of the same shape.
-// Delivery records that grew past their piece are left to the collector.
 // Nothing may use spads afterwards, and only their owner may call it, once.
 func RecycleScratchpads(spads []*Scratchpad) {
 	if len(spads) == 0 {
 		return
 	}
 	s := spads[0].slabs
+	for t, sp := range spads {
+		if sp.recsUsed > 0 { // only carved records were written
+			clear(part(s.recs, t, s.shape.words)[:sp.recsUsed])
+		}
+	}
 	clear(s.spads)
 	clear(s.ptrs)
 	clear(s.words)
@@ -160,7 +165,6 @@ func RecycleScratchpads(spads []*Scratchpad) {
 	clear(s.pending)
 	clear(s.fillStart)
 	clear(s.openAt)
-	clear(s.recs)
 	spadPool.Put(s.shape, s)
 }
 
@@ -171,31 +175,38 @@ func resize[T any](a []T, n int) []T {
 	return a
 }
 
-// recordSegs is the number of delivery-record segments each frame slot
-// holds before append first grows its record.
-const recordSegs = 4
-
 // EnableIntegrity turns on per-frame parity accumulation, delivery
 // recording, and lazy verification at frame-open for spads, which
-// NewScratchpads built with one frame-counter count. Every frame slot's
-// delivery record starts as a recordSegs-segment piece of one slab, and
-// grows past it only on a longer record. The machine turns this on only
-// for fault-injection runs with replay enabled.
+// NewScratchpads built with one frame-counter count. A frame's delivery
+// record never holds more segments than the frame has words, and the
+// frames fit in the scratchpad, so one segment per scratchpad word bounds
+// every record: Configure carves each frame slot's record from the tile's
+// piece of one such slab, and recording never allocates. The machine turns
+// this on only for fault-injection runs with replay enabled.
 func EnableIntegrity(spads []*Scratchpad) {
 	if len(spads) == 0 {
 		return
 	}
-	hw, s := spads[0].hwFrames, spads[0].slabs
-	if s.recs == nil {
-		s.recs = make([]FrameSeg, s.shape.tiles*hw*recordSegs)
+	ss := spads[0].slabs
+	if ss.recs == nil {
+		ss.recs = make([]FrameSeg, ss.shape.tiles*ss.shape.words)
 	}
-	recs := s.recs
-	for t, s := range spads {
+	for _, s := range spads {
 		s.integrity = true
-		segs := s.segs[:hw]
-		for i := range segs {
-			segs[i] = part(recs, t*hw+i, recordSegs)[:0]
+		if s.numFrames > 0 {
+			s.carveRecords()
 		}
+	}
+}
+
+// carveRecords gives each configured frame slot an empty delivery record of
+// one segment per frame word, from the tile's piece of the record slab.
+func (s *Scratchpad) carveRecords() {
+	recs := part(s.slabs.recs, s.tile, len(s.words))
+	s.recsUsed = max(s.recsUsed, s.numFrames*s.frameWords)
+	s.segs = s.segs[:s.numFrames]
+	for i := range s.segs {
+		s.segs[i] = part(recs, i, s.frameWords)[:0]
 	}
 }
 
@@ -291,10 +302,7 @@ func (s *Scratchpad) Configure(frameWords, frames int) {
 	}
 	if s.integrity {
 		s.parity = resize(s.parity, frames)
-		s.segs = s.segs[:frames]
-		for i := range s.segs {
-			s.segs[i] = s.segs[i][:0] // keep each record's capacity
-		}
+		s.carveRecords()
 		s.pending = resize(s.pending, frames)
 		s.verifiedSeq = -1
 		s.poisoned = false
@@ -465,19 +473,27 @@ func (s *Scratchpad) ArriveWord(off, gaddr uint32, v uint32) bool {
 	return s.counters[slot] == s.frameWords
 }
 
-// recordSeg appends one delivered word to the slot's delivery record,
-// merging contiguous runs (responses stream consecutively, so a frame's
-// record stays a handful of segments).
+// recordSeg adds one delivered word to the slot's delivery record, merging
+// contiguous runs (responses stream consecutively, so a frame's record
+// stays a handful of segments). Each word counts into the frame once, so
+// the record never outgrows the frame-word capacity Configure carved.
 func (s *Scratchpad) recordSeg(slot int, off, gaddr uint32) {
 	segs := s.segs[slot]
-	if n := len(segs); n > 0 {
+	n := len(segs)
+	if n > 0 {
 		last := &segs[n-1]
 		if off == last.Off+uint32(4*last.Words) && gaddr == last.Addr+uint32(4*last.Words) {
 			last.Words++
 			return
 		}
 	}
-	s.segs[slot] = append(segs, FrameSeg{Off: off, Addr: gaddr, Words: 1})
+	if n == cap(segs) {
+		s.fail("frame slot %d delivery record overflows its %d segments", slot, n)
+		return
+	}
+	segs = segs[:n+1]
+	segs[n] = FrameSeg{Off: off, Addr: gaddr, Words: 1}
+	s.segs[slot] = segs
 }
 
 // FrameReady reports whether the head frame is completely filled. With
@@ -552,9 +568,10 @@ func (s *Scratchpad) Suspect() bool {
 	return false
 }
 
-// HeadSegments returns a copy of the head frame's delivery record and
-// whether it covers the whole frame (only vload-delivered frames can be
-// replayed; frames part-written by program stores cannot).
+// HeadSegments returns the head frame's delivery record and whether it
+// covers the whole frame (only vload-delivered frames can be replayed;
+// frames part-written by program stores cannot). The record is the
+// scratchpad's own, valid until the next arrival, BeginReplay or FreeFrame.
 func (s *Scratchpad) HeadSegments() (segs []FrameSeg, complete bool) {
 	if s.numFrames == 0 {
 		return nil, false
@@ -564,7 +581,7 @@ func (s *Scratchpad) HeadSegments() (segs []FrameSeg, complete bool) {
 	for _, g := range s.segs[slot] {
 		total += g.Words
 	}
-	return append([]FrameSeg(nil), s.segs[slot]...), total == s.frameWords
+	return s.segs[slot], total == s.frameWords
 }
 
 // BeginReplay resets the head frame for a replayed refill: the counter,

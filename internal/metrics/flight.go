@@ -29,6 +29,7 @@ type Flight struct {
 	windows []flightLine
 	wHead   int
 	wLen    int
+	longest int // the longest line retained so far
 	notes   []FlightNote
 	nHead   int
 	nLen    int
@@ -151,10 +152,13 @@ func (f *Flight) Retain(line []byte) {
 	f.mu.Lock()
 	i := (f.wHead + f.wLen) % len(f.windows)
 	w := &f.windows[i]
+	f.longest = max(f.longest, len(line))
 	if cap(w.line) < len(line) {
-		// Twice the line: lines vary with link activity, and the slack
-		// lets a slot stop growing once they settle.
-		w.line = make([]byte, 0, 2*len(line))
+		// Twice the ring's longest line so far: lines vary with link
+		// activity, and sizing to the longest rather than to this one
+		// keeps a slot first filled by a short line (an idle start) from
+		// regrowing as each later, longer line passes it.
+		w.line = make([]byte, 0, 2*f.longest)
 	}
 	w.run, w.attempt, w.line = f.run, f.attempt, append(w.line[:0], line...)
 	if f.wLen < len(f.windows) {

@@ -202,6 +202,61 @@ type meshSlabs struct {
 	// grows.
 	moves    []move
 	linkHops []int64 // per-link traversals (router*4 + out)
+
+	// harvest backs HarvestAll's return value, nil until a mesh of the
+	// shape first harvests, then one slot per arena flit.
+	harvest []msg.Message
+	topo    topoSlabs
+}
+
+// topoSlabs is the permanent-fault state and rebuildRoutes' scratch, all
+// nil until a mesh of the shape takes its first topology fault. A parked
+// set keeps them, cleared, so the next mesh's first fault allocates
+// nothing; the Mesh fields that gate the fault-aware paths stay nil until
+// that mesh's own first fault.
+type topoSlabs struct {
+	detour     []int32 // Mesh.detourTab
+	linkDead   []bool  // Mesh.linkDead
+	routerDead []bool  // Mesh.routerDead
+	// rebuildRoutes' BFS state: per router level, component and queue;
+	// per node attach router and port; per (router, phase) distance and
+	// queue.
+	level, comp, bfs []int32
+	attachR          []int32
+	attachP          []port
+	dist, sq         []int32
+}
+
+// newTopoSlabs sizes the topology state of a mesh of the given router and
+// node counts.
+func newTopoSlabs(routers, nodes int) topoSlabs {
+	return topoSlabs{
+		detour:     make([]int32, routers*nodes),
+		linkDead:   make([]bool, routers*4),
+		routerDead: make([]bool, routers),
+		level:      make([]int32, routers),
+		comp:       make([]int32, routers),
+		bfs:        make([]int32, 0, routers),
+		attachR:    make([]int32, nodes),
+		attachP:    make([]port, nodes),
+		dist:       make([]int32, 2*routers),
+		sq:         make([]int32, 0, 2*routers),
+	}
+}
+
+// clear zeroes every slab of t.
+func (t *topoSlabs) clear() {
+	clear(t.detour)
+	clear(t.linkDead)
+	clear(t.routerDead)
+	clear(t.level)
+	clear(t.comp)
+	clear(t.bfs[:cap(t.bfs)])
+	clear(t.attachR)
+	clear(t.attachP)
+	clear(t.dist)
+	clear(t.sq[:cap(t.sq)])
+	t.bfs, t.sq = t.bfs[:0], t.sq[:0]
 }
 
 // meshShape is what sizes a mesh's slabs.
@@ -251,7 +306,13 @@ func (m *Mesh) Recycle() {
 	clear(s.nbrTab)
 	clear(s.moves[:cap(s.moves)])
 	clear(s.linkHops)
-	s.moves = s.moves[:0]
+	if m.linkDead != nil {
+		// Only a mesh that took a topology fault harvests or reroutes:
+		// anyone else's parked reroute state is still clear.
+		clear(s.harvest[:cap(s.harvest)])
+		s.topo.clear()
+	}
+	s.moves, s.harvest = s.moves[:0], s.harvest[:0]
 	meshPool.Put(meshShape{m.w, m.h, m.space.Banks, m.cap}, s)
 	m.meshSlabs = meshSlabs{}
 }

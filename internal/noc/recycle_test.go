@@ -22,13 +22,31 @@ func zeroed[T any](s []T) bool { return reflect.DeepEqual(s, make([]T, len(s))) 
 // a cold one does, and a second Recycle parks nothing. Every slab is
 // scribbled first, so a Recycle that skips any one slab's clear fails here,
 // including the route and neighbour tables and the free list New rewrites
-// whole.
+// whole. A mesh that took a topology fault and harvested parks its reroute
+// state and harvest list too, cleared: the next mesh of the shape keeps
+// them for its own first fault, but reads as healthy until then.
 func TestRecycleParksClearedSlabs(t *testing.T) {
 	m, err := New(4, 4, 8, 2, func(int, *msg.Message) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.HarvestAll()
+	if err := m.CutLink(5, 6); err != nil {
+		t.Fatal(err)
+	}
 	s := m.meshSlabs
+	tp := &s.topo
+	fill(s.harvest[:cap(s.harvest)], msg.Message{Addr: 8})
+	fill(tp.detour, 1)
+	fill(tp.linkDead, true)
+	fill(tp.routerDead, true)
+	fill(tp.level, 2)
+	fill(tp.comp, 3)
+	fill(tp.bfs[:cap(tp.bfs)], 4)
+	fill(tp.attachR, 5)
+	fill(tp.attachP, portE)
+	fill(tp.dist, 6)
+	fill(tp.sq[:cap(tp.sq)], 7)
 	fill(s.queues, ring{head: 1, n: 1})
 	fill(s.bufs, entry{idx: 1, dst: 2, out: portE})
 	fill(s.rrPtr, 1)
@@ -55,9 +73,26 @@ func TestRecycleParksClearedSlabs(t *testing.T) {
 		"occupancy": zeroed(got.occMask), "busy": zeroed(got.busy), "flit": zeroed(got.flits),
 		"free-list": zeroed(got.next), "route": zeroed(got.routes), "neighbour": zeroed(got.nbrTab),
 		"move": len(got.moves) == 0 && zeroed(got.moves[:cap(got.moves)]), "link-hop": zeroed(got.linkHops),
+		"harvest": len(got.harvest) == 0 && cap(got.harvest) > 0 && zeroed(got.harvest[:cap(got.harvest)]),
+		"detour":  zeroed(got.topo.detour), "dead-link": zeroed(got.topo.linkDead),
+		"dead-router": zeroed(got.topo.routerDead), "BFS level": zeroed(got.topo.level),
+		"component": zeroed(got.topo.comp), "BFS queue": len(got.topo.bfs) == 0 && zeroed(got.topo.bfs[:cap(got.topo.bfs)]),
+		"attach router": zeroed(got.topo.attachR), "attach port": zeroed(got.topo.attachP),
+		"distance": zeroed(got.topo.dist), "state queue": len(got.topo.sq) == 0 && zeroed(got.topo.sq[:cap(got.topo.sq)]),
 	} {
 		if !ok {
 			t.Errorf("Recycle parked the %s slab uncleared", name)
 		}
+	}
+	if got.topo.linkDead == nil {
+		t.Fatal("Recycle dropped the reroute state")
+	}
+	meshPool.Put(k, got)
+	healthy, err := New(4, 4, 8, 2, func(int, *msg.Message) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &healthy.topo.linkDead[0] != &got.topo.linkDead[0] || healthy.detourTab != nil || healthy.RouterDead(0) {
+		t.Error("a mesh on parked reroute state does not read as healthy until its own first fault")
 	}
 }

@@ -78,12 +78,15 @@ func (m *Mesh) resolveDeadDst(f *msg.Message, tile int, p port) (out port, accep
 // on a healthy mesh).
 func (m *Mesh) RouterDead(r int) bool { return m.routerDead != nil && m.routerDead[r] }
 
-// ensureTopo allocates the permanent-fault state on the first topology
-// event; until then the route table holds XY routes.
+// ensureTopo switches the permanent-fault state on at the first topology
+// event, from the mesh slabs (allocating it there the first time a mesh of
+// the shape needs it); until then the route table holds XY routes.
 func (m *Mesh) ensureTopo() {
 	if m.linkDead == nil {
-		m.linkDead = make([]bool, m.w*m.h*4)
-		m.routerDead = make([]bool, m.w*m.h)
+		if m.topo.linkDead == nil {
+			m.topo = newTopoSlabs(m.w*m.h, m.nodes)
+		}
+		m.linkDead, m.routerDead, m.detourTab = m.topo.linkDead, m.topo.routerDead, m.topo.detour
 	}
 }
 
@@ -131,9 +134,13 @@ func (m *Mesh) KillRouter(r int) error {
 // HarvestAll removes every queued flit from the mesh and returns the
 // messages in deterministic order (ascending router, ascending port, FIFO
 // within a queue). The machine calls it before a topology mutation and
-// re-injects the survivors afterward; the arena slots are freed here.
+// re-injects the survivors afterward; the arena slots are freed here. The
+// returned slice is the mesh's, valid until the next call.
 func (m *Mesh) HarvestAll() []msg.Message {
-	var out []msg.Message
+	if m.harvest == nil {
+		m.harvest = make([]msg.Message, 0, len(m.flits)) // room for every flit the mesh can hold
+	}
+	out := m.harvest[:0]
 	for qi := range m.queues {
 		for m.queues[qi].n > 0 {
 			e := m.headEntry(qi)
@@ -142,6 +149,7 @@ func (m *Mesh) HarvestAll() []msg.Message {
 			m.dropQ(qi)
 		}
 	}
+	m.harvest = out
 	if len(out) == 0 {
 		return nil
 	}
@@ -160,20 +168,16 @@ func (m *Mesh) HarvestAll() []msg.Message {
 // empty), so clarity beats constant factors here.
 func (m *Mesh) rebuildRoutes() {
 	n := m.w * m.h
-	if m.detourTab == nil {
-		m.detourTab = make([]int32, n*m.nodes)
-	}
 	m.RouteRebuilds++
 	set := func(r, in, dn int, p port) { m.routes[(r*int(numPorts)+in)*m.nodes+dn] = int8(p) }
 
 	// Connected components of the live topology, each rooted at its
 	// lowest-id live router; level = BFS distance from the root.
-	level := make([]int32, n)
-	comp := make([]int32, n)
+	t := &m.topo
+	level, comp, bfs := t.level, t.comp, t.bfs
 	for i := range comp {
 		comp[i], level[i] = -1, -1
 	}
-	bfs := make([]int32, 0, n)
 	for root := 0; root < n; root++ {
 		if m.routerDead[root] || comp[root] >= 0 {
 			continue
@@ -202,16 +206,14 @@ func (m *Mesh) rebuildRoutes() {
 	// Destination attach points, grouped so the per-router BFS below runs
 	// once per destination router even when several nodes share it (an
 	// edge router hosts its core and possibly an LLC bank).
-	attachR := make([]int32, m.nodes)
-	attachP := make([]port, m.nodes)
+	attachR, attachP := t.attachR, t.attachP
 	for dn := 0; dn < m.nodes; dn++ {
 		t, p := m.attachTile(dn)
 		attachR[dn], attachP[dn] = int32(t), p
 	}
 
 	const inf = int32(math.MaxInt32)
-	dist := make([]int32, 2*n) // (router, phase) -> hops to the current dst
-	sq := make([]int32, 0, 2*n)
+	dist, sq := t.dist, t.sq // dist: (router, phase) -> hops to the current dst
 	for dstR := 0; dstR < n; dstR++ {
 		first := true
 		for dn := 0; dn < m.nodes; dn++ {

@@ -5,7 +5,8 @@
 // shape.
 //
 // One lock serves every pool. It is taken only while a machine is built or
-// recycled, never while one ticks. Parked values survive garbage collection
+// recycled, or publishes a checkpoint image (once per armed barrier), never
+// on the per-cycle path. Parked values survive garbage collection
 // (a sync.Pool's do not), so a benchmark that collects before every pass
 // still finds them.
 package pool

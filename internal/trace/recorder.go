@@ -3,6 +3,8 @@ package trace
 import (
 	"io"
 	"sync"
+
+	"rockcress/internal/pool"
 )
 
 // Event is one structured trace event: a vocabulary Kind plus numbers, 48
@@ -40,6 +42,13 @@ const (
 	chunkMask  = chunkLen - 1
 )
 
+// chunkPool parks the event chunks of closed sinks' recorders, cleared,
+// keyed by chunk length (min(chunkLen, capacity)): one parked value is one
+// recorder's chunks, so a recorder built while one is parked fills those
+// before it allocates. Every chunk is allocated full-size, so it can be
+// parked; a ring whose capacity ends inside a chunk uses its last one short.
+var chunkPool pool.Pool[int, [][]Event]
+
 // Recorder is a bounded ring buffer of events plus the thread labels. A
 // machine emits from the goroutine running it; the mutex (one per emit —
 // tracing runs only) lets a caller share a recorder between goroutines, or
@@ -47,8 +56,11 @@ const (
 // overwritten and counted so the tail of a long run is always retained.
 // Labels live outside the ring: they are never overwritten.
 type Recorder struct {
-	mu        sync.Mutex
-	chunks    [][]Event // chunk i holds ring positions [i*chunkLen, (i+1)*chunkLen)
+	mu     sync.Mutex
+	chunks [][]Event // chunk i holds ring positions [i*chunkLen, (i+1)*chunkLen)
+	// parked is the chunk list NewRecorder took from chunkPool: chunks is
+	// a prefix of it until the ring needs more chunks than it holds.
+	parked    [][]Event
 	capacity  int
 	start     int // ring position of the oldest event; moves only once full
 	n         int
@@ -62,7 +74,45 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Recorder{capacity: capacity}
+	r := &Recorder{capacity: capacity}
+	r.parked, _ = chunkPool.Get(r.chunkSize())
+	r.chunks = r.parked[:0]
+	return r
+}
+
+// chunkSize is the length of the recorder's full chunks, its pool key.
+func (r *Recorder) chunkSize() int { return min(chunkLen, r.capacity) }
+
+// addChunk extends the ring by a chunk of n events: the next parked one,
+// or a new one. The caller holds r.mu.
+func (r *Recorder) addChunk(n int) {
+	if i := len(r.chunks); i < len(r.parked) {
+		r.chunks = r.parked[:i+1] // the same backing array: parked sees the length too
+		r.chunks[i] = r.chunks[i][:n]
+		return
+	}
+	r.chunks = append(r.chunks, make([]Event, n, r.chunkSize()))
+}
+
+// release empties the ring and parks its chunks, cleared, for the next
+// recorder; labels and counts stay. A later emit allocates afresh.
+func (r *Recorder) release() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	list := r.chunks
+	if len(r.parked) > len(list) {
+		list = r.parked // chunks is a prefix of it: the rest are still clear
+	}
+	for i := range list {
+		list[i] = list[i][:cap(list[i])]
+		if i < len(r.chunks) {
+			clear(list[i]) // the rest were never used
+		}
+	}
+	if len(list) > 0 {
+		chunkPool.Put(r.chunkSize(), list)
+	}
+	r.chunks, r.parked, r.start, r.n = nil, nil, 0, 0
 }
 
 // emit appends one event, overwriting the oldest when full. args must match
@@ -81,7 +131,7 @@ func (r *Recorder) emit(k Kind, ph byte, ts, dur, tid int64, args []int64) {
 		r.dropped++
 	} else {
 		if pos>>chunkShift == len(r.chunks) {
-			r.chunks = append(r.chunks, make([]Event, min(chunkLen, r.capacity-pos)))
+			r.addChunk(min(chunkLen, r.capacity-pos))
 		}
 		r.n++
 	}

@@ -249,7 +249,9 @@ func (s *Sampler) SetLinkLabels(labels []string) {
 
 // Reset rewinds the sampler for a fresh machine run starting at cycle 0.
 func (s *Sampler) Reset() {
-	s.prev = Cum{}
+	// Keep the link copies' memory: a ladder's next attempt has the links
+	// its last one had.
+	s.prev = Cum{LinksReq: s.prev.LinksReq[:0], LinksResp: s.prev.LinksResp[:0]}
 	s.prevAt = 0
 	s.next = s.every
 	s.finished = false

@@ -82,8 +82,10 @@ func (s *Sink) Recorder() *Recorder {
 	return s.rec
 }
 
-// Close flushes the event trace to its writer. Idempotent; returns the
-// first error from either output.
+// Close flushes the event trace to its writer and parks the recorder's
+// event chunks for the next sink's recorder, so the recorder holds no
+// events afterwards. Idempotent; returns the first error from either
+// output.
 func (s *Sink) Close() error {
 	if s == nil || s.closed {
 		return nil
@@ -93,10 +95,13 @@ func (s *Sink) Close() error {
 	if s.sampler != nil {
 		first = s.sampler.Err()
 	}
-	if s.rec != nil && s.eventsTo != nil {
-		if err := s.rec.WriteJSON(s.eventsTo); err != nil && first == nil {
-			first = err
+	if s.rec != nil {
+		if s.eventsTo != nil {
+			if err := s.rec.WriteJSON(s.eventsTo); err != nil && first == nil {
+				first = err
+			}
 		}
+		s.rec.release()
 	}
 	if first != nil {
 		return fmt.Errorf("trace: %w", first)

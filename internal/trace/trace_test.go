@@ -730,3 +730,47 @@ func TestSinkCloseFlushesEvents(t *testing.T) {
 		t.Fatal("second Close re-flushed")
 	}
 }
+
+// TestClosedSinkParksChunks: a closed sink hands its recorder's event
+// chunks, cleared, to the next sink's recorder, so a second run recording
+// as many events as the first allocates no chunk — including the short
+// last chunk of a capacity that ends inside one.
+func TestClosedSinkParksChunks(t *testing.T) {
+	const capacity = 2*chunkLen + 100
+	record := func(s *Sink) {
+		for i := 0; i < capacity+50; i++ {
+			s.Recorder().Instant(EvFaultKill, int64(i), 3)
+		}
+	}
+	first := NewSink(Config{EventsTo: io.Discard, EventCap: capacity})
+	record(first)
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	parked, ok := chunkPool.Get(chunkLen)
+	if !ok || len(parked) != 3 {
+		t.Fatalf("the first sink's Close parked %d chunks, want 3", len(parked))
+	}
+	for i, c := range parked {
+		if len(c) != chunkLen || c[len(c)-1] != (Event{}) || c[0] != (Event{}) {
+			t.Fatalf("parked chunk %d holds %d events, not cleared or not full-size", i, len(c))
+		}
+	}
+	chunkPool.Put(chunkLen, parked)
+	second := NewSink(Config{EventsTo: io.Discard, EventCap: capacity})
+	if n := alloctest.Count(func() { record(second) }); n != 0 {
+		t.Errorf("the second sink's run allocated %d times, want 0 (the first sink's chunks)", n)
+	}
+	rec := second.Recorder()
+	if got := len(rec.chunks[0]) + len(rec.chunks[1]) + len(rec.chunks[2]); len(rec.chunks) != 3 || got != capacity {
+		t.Fatalf("second ring holds %d chunks of %d events, want 3 of %d", len(rec.chunks), got, capacity)
+	}
+	for i, e := range rec.Events() {
+		if want := int64(50 + i); e.Ts != want || e.Tid != 3 {
+			t.Fatalf("event %d = %+v, want ts %d on tid 3: a parked chunk was not cleared or was misplaced", i, e, want)
+		}
+	}
+	if err := second.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
