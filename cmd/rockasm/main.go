@@ -11,12 +11,12 @@ package main
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"rockcress/internal/asm"
 	"rockcress/internal/cli"
 	"rockcress/internal/config"
 	"rockcress/internal/kernels"
+	"rockcress/internal/lifecycle"
 	"rockcress/internal/machine"
 )
 
@@ -42,13 +42,11 @@ func run(s *cli.Session) error {
 	if !o.Run {
 		return nil
 	}
-	// SIGINT/SIGTERM abort the run at its next watchdog checkpoint.
-	var deadline time.Time
-	if o.Timeout > 0 {
-		deadline = time.Now().Add(o.Timeout)
-	}
-	m, err := machine.New(machine.Params{Cfg: config.ManycoreDefault(), Prog: prog,
-		Ctx: s.Ctx, WallDeadline: deadline})
+	// SIGINT/SIGTERM and an expired -timeout abort the run at its next
+	// watchdog checkpoint.
+	ctx, cancel := lifecycle.WithWallBudget(s.Ctx, o.Timeout)
+	defer cancel()
+	m, err := machine.New(machine.Params{Cfg: config.ManycoreDefault(), Prog: prog, Ctx: ctx})
 	if err != nil {
 		return err
 	}

@@ -93,3 +93,24 @@ func TestRejectsWideImmediate(t *testing.T) {
 		t.Errorf("diagnostic does not name the token and line:\n%s", out)
 	}
 }
+
+// TestTimeoutStopsTheRun: -run -timeout 1ns on a program that loops past the
+// first watchdog checkpoint (cycle 1 024) fails through the machine's own
+// check: exit status 1, not an interrupt's 130, naming the wall-clock budget
+// at the checkpoint's cycle with the state dump.
+func TestTimeoutStopsTheRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "loop.s")
+	src := "\tli x1, 5000\nloop:\n\taddi x1, x1, -1\n\tbne x1, x0, loop\n\thalt\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(rockasmBin, "-in", path, "-run", "-timeout", "1ns").CombinedOutput()
+	ee, ok := err.(*exec.ExitError)
+	if !ok || ee.ExitCode() != 1 {
+		t.Fatalf("exit %v, want status 1\n%s", err, out)
+	}
+	const want = "rockasm: machine: wall-clock budget exceeded (cycle 1024)\n  core 0 "
+	if !strings.Contains(string(out), want) {
+		t.Errorf("output lacks %q:\n%s", want, out)
+	}
+}

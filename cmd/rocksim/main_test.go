@@ -215,6 +215,45 @@ func TestFaultCountsPrintedOnce(t *testing.T) {
 	}
 }
 
+// TestTimeoutFailsTheRun: an expired -timeout fails the run with exit
+// status 1, not an interrupt's 130, and names the wall-clock budget. A
+// budget spent before the first attempt stops the ladder there; one that
+// expires mid-run stops the machine at a watchdog checkpoint, with the
+// cycle (named once), the state dump and a wall_budget flight bundle.
+func TestTimeoutFailsTheRun(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		args   []string
+		want   []string
+		bundle bool
+	}{
+		{"before the first attempt", []string{"-scale", "tiny", "-timeout", "1ns"},
+			[]string{"rocksim: mvt/V4 attempt 1: wall-clock budget exceeded\n"}, false},
+		{"at a checkpoint", []string{"-scale", "small", "-timeout", "100ms"},
+			[]string{"mvt/V4 attempt 1: machine: wall-clock budget exceeded (cycle ", "\n  core 0 "}, true},
+	} {
+		dir := t.TempDir()
+		args := append([]string{"-bench", "mvt", "-config", "V4", "-flight", dir}, c.args...)
+		out, err := exec.Command(rocksimBin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s: err %v, want exit status 1\n%s", c.name, err, out)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(string(out), w) {
+				t.Errorf("%s: output lacks %q:\n%s", c.name, w, out)
+			}
+		}
+		if n := strings.Count(string(out), "(cycle "); n > 1 {
+			t.Errorf("%s: the message names the cycle %d times, want at most once:\n%s", c.name, n, out)
+		}
+		bundles, _ := filepath.Glob(filepath.Join(dir, "flight-wall_budget-*.json"))
+		if got := len(bundles) == 1; got != c.bundle {
+			t.Errorf("%s: wall_budget bundles %v, want one: %v", c.name, bundles, c.bundle)
+		}
+	}
+}
+
 // partitioned is a fault plan whose run fails mid-flight: the two cuts
 // isolate router 0, and the run stops with "mesh partitioned".
 const partitioned = "cutlink@100:0>1;cutlink@100:0>8"

@@ -6,6 +6,7 @@ import (
 
 	"rockcress/internal/config"
 	"rockcress/internal/fault"
+	"rockcress/internal/lifecycle"
 	"rockcress/internal/machine"
 )
 
@@ -76,7 +77,9 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 	mimd := false
 	// One wall budget covers the whole recovery ladder, not each attempt:
 	// a pathological restart loop is exactly what the budget must bound.
-	wallDeadline := opts.wallDeadline()
+	ctx, cancel := lifecycle.WithWallBudget(opts.Ctx, opts.WallBudget)
+	defer cancel()
+	opts.Ctx = ctx
 	// Latest published checkpoint, carried across attempts. The ladder owns
 	// its image: it recycles one once a newer checkpoint replaces it or the
 	// ladder ends.
@@ -90,7 +93,7 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 		opts.Obs.Run().SetAttempt(tok, attempt)
 		// Cancellation and the wall budget also gate restarts, so an
 		// interrupted ladder stops between attempts, not just mid-run.
-		if err := opts.stopBefore(wallDeadline, name, sw.Name, attempt); err != nil {
+		if err := opts.stopBefore(name, sw.Name, attempt); err != nil {
 			return err
 		}
 		groups, ctxAvoid, err := degradedLayout(sw, hw, avoid, mimd)
@@ -109,7 +112,7 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 		// Restart from the last checkpoint when one is compatible with this
 		// attempt's build; otherwise from the initial image.
 		a := trial{n: attempt, plan: cur, restart: restart, avoid: ctxAvoid,
-			wallDeadline: wallDeadline, snap: snap, snapSites: snapSites}
+			snap: snap, snapSites: snapSites}
 		if err := a.run(b, p, sw, buildSW, hw, groups, opts); err != nil {
 			return err
 		}
@@ -153,7 +156,7 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 		if cur == nil {
 			// Fault-free: no fault to blame, nothing a restart could repair.
 			if runErr != nil {
-				return wrapRun(name, sw.Name, attempt, runErr)
+				return lifecycle.WrapRun(name, sw.Name, attempt, -1, "", runErr)
 			}
 			return fmt.Errorf("%s/%s: wrong result: %w", name, sw.Name, checkErr)
 		}
@@ -188,7 +191,7 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 			}
 			if runErr != nil {
 				// Failed without consuming any fault: restarting cannot help.
-				return wrapRun(name, sw.Name, attempt, runErr)
+				return lifecycle.WrapRun(name, sw.Name, attempt, -1, "", runErr)
 			}
 			return fmt.Errorf("%s/%s: wrong result with no fault consumed (not repairable by restart)",
 				name, sw.Name)

@@ -121,11 +121,18 @@ func flipVerdicts(b Benchmark, p Params, sw config.Software, hw config.Manycore,
 		return nil, err
 	}
 	opts.Trace, opts.Obs, opts.Causal = nil, nil, false
-	a := trial{n: 1, plan: flipPlan(opts.MaxCycles, victim, 0), wallDeadline: opts.wallDeadline()}
+	ctx, cancel := lifecycle.WithWallBudget(opts.Ctx, opts.WallBudget)
+	defer cancel()
+	opts.Ctx = ctx
+	a := trial{n: 1, plan: flipPlan(opts.MaxCycles, victim, 0)}
 	if err := a.build(b, p, sw, sw, hw, groups, opts); err != nil {
 		return bites, nil // so does every trial's build
 	}
-	defer a.m.Recycle()
+	defer func() {
+		// Nothing restores the dry run's last checkpoint: park its image too.
+		recycleSnap(a.m.Checkpoint())
+		a.m.Recycle()
+	}()
 	order := make([]int, len(cands))
 	for i := range order {
 		order[i] = i
@@ -135,7 +142,7 @@ func flipVerdicts(b Benchmark, p Params, sw config.Software, hw config.Manycore,
 	for _, i := range order {
 		if err := a.m.RunUntil(cands[i].cycle); err != nil {
 			if stopsSearch(err) {
-				return nil, wrapRun(b.Info().Name, sw.Name, 1, err)
+				return nil, lifecycle.WrapRun(b.Info().Name, sw.Name, 1, -1, "", err)
 			}
 			break
 		}

@@ -10,7 +10,6 @@ import (
 
 	"rockcress/internal/config"
 	"rockcress/internal/lifecycle"
-	"rockcress/internal/machine"
 	"rockcress/internal/sim"
 )
 
@@ -141,9 +140,9 @@ func TestReplayProbeCost(t *testing.T) {
 // is skipped.
 func TestProbeStopsOnHostLimits(t *testing.T) {
 	// As a run that dies at a watchdog checkpoint reaches the search: the
-	// machine's FaultError inside the ladder's RunError.
+	// machine's RunError with the ladder's cell identity added.
 	wrap := func(err error) error {
-		return wrapRun("mvt", "V4", 2, &machine.FaultError{Cycle: 2048, Tile: -1, Err: fmt.Errorf("machine: %w", err)})
+		return lifecycle.WrapRun("mvt", "V4", 2, -1, "", &lifecycle.RunError{Cycle: 2048, Tile: -1, Err: fmt.Errorf("machine: %w", err)})
 	}
 	for _, c := range []struct {
 		name string

@@ -79,32 +79,16 @@ type ExecOpts struct {
 	Ctx context.Context
 	// WallBudget, when positive, bounds the execution's host time: a run
 	// still going past it fails with lifecycle.ErrWallBudget and a
-	// diagnostic state dump. Multi-attempt fault executions share one
-	// budget across attempts.
+	// diagnostic state dump. An execution folds it into Ctx once
+	// (lifecycle.WithWallBudget), so multi-attempt fault executions share
+	// one budget across attempts.
 	WallBudget time.Duration
 }
 
-// wallDeadline converts the budget to an absolute machine deadline.
-func (o *ExecOpts) wallDeadline() time.Time {
-	if o.WallBudget <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(o.WallBudget)
-}
-
-// stopBefore is the between-runs budget check: before attempt starts it
-// fails the run if o.Ctx is canceled or the wall budget ending at deadline
-// (zero: none) is spent.
-func (o *ExecOpts) stopBefore(deadline time.Time, bench, cfg string, attempt int) error {
-	if o.Ctx != nil {
-		if cerr := o.Ctx.Err(); cerr != nil {
-			return wrapRun(bench, cfg, attempt, fmt.Errorf("run canceled: %w", cerr))
-		}
-	}
-	if !deadline.IsZero() && time.Now().After(deadline) {
-		return wrapRun(bench, cfg, attempt, lifecycle.ErrWallBudget)
-	}
-	return nil
+// stopBefore is the between-runs check of o.Ctx: before attempt starts it
+// fails the run once the context is canceled or its wall budget is spent.
+func (o *ExecOpts) stopBefore(bench, cfg string, attempt int) error {
+	return lifecycle.WrapRun(bench, cfg, attempt, -1, "", lifecycle.Stopped(o.Ctx))
 }
 
 // ExecuteOpts runs benchmark b with parameters p under the given software
@@ -162,11 +146,10 @@ type trial struct {
 	// restart is the whole-run-restart baseline the ladder is measured
 	// against: the build has no checkpoint sites and the machine no
 	// frame-integrity layer.
-	restart      bool
-	avoid        []int               // dead tiles the build works around
-	wallDeadline time.Time           // the ladder's shared budget, not a fresh one per attempt
-	snap         *machine.Checkpoint // latest snapshot, and the site count of
-	snapSites    int                 // the build that published it
+	restart   bool
+	avoid     []int               // dead tiles the build works around
+	snap      *machine.Checkpoint // latest snapshot, and the site count of
+	snapSites int                 // the build that published it
 
 	// Set by build and run.
 	m        *machine.Machine
@@ -223,7 +206,7 @@ func (a *trial) build(b Benchmark, p Params, sw, buildSW config.Software, hw con
 	mp := machine.Params{Cfg: hw, Prog: prog, Groups: groups,
 		MemBytes: max(a.img.SizeBytes(), machine.DefaultMemBytes),
 		Trace:    opts.Trace, Prof: opts.Prof, Obs: opts.Obs,
-		Causal: opts.Causal, Ctx: opts.Ctx, WallDeadline: a.wallDeadline,
+		Causal: opts.Causal, Ctx: opts.Ctx,
 		Faults: a.plan, NoReplay: a.restart}
 	if a.m, err = machine.New(mp); err != nil {
 		return fmt.Errorf("%s/%s: machine: %w", name, sw.Name, err)
@@ -276,11 +259,13 @@ func executeGPU(b Benchmark, p Params, opts ExecOpts) (*Result, error) {
 	// Kernels launch back to back on one device: caches stay warm, cycles
 	// accumulate. The GPU model has no watchdog checkpoints, so cancellation
 	// and the wall budget are checked between launches.
-	deadline := opts.wallDeadline()
+	ctx, cancel := lifecycle.WithWallBudget(opts.Ctx, opts.WallBudget)
+	defer cancel()
+	opts.Ctx = ctx
 	sim := gpu.NewSim(config.GPUDefault())
 	var total gpu.Stats
 	for _, k := range launches {
-		if err := opts.stopBefore(deadline, name, "GPU", 1); err != nil {
+		if err := opts.stopBefore(name, "GPU", 1); err != nil {
 			return nil, err
 		}
 		st, err := sim.Run(k, opts.MaxCycles)
@@ -297,49 +282,26 @@ func executeGPU(b Benchmark, p Params, opts ExecOpts) (*Result, error) {
 // contained simulator crash. Expected ladder failures (a fault killed the
 // attempt and the restart will recover) and user cancellation dump nothing —
 // the recorder is for runs that die badly, not runs that die on schedule.
-// Dump errors are swallowed: forensics must never mask the run error.
+// Dump errors are swallowed: forensics must never mask the run error. Every
+// failure of a machine run is a *lifecycle.RunError, which carries the state
+// dump the bundle records.
 func maybeFlightDump(p *metrics.Plane, err error) {
-	if p == nil || err == nil || p.FlightDir() == "" {
-		return
-	}
-	if lifecycle.Interrupted(err) {
+	var re *lifecycle.RunError
+	if p == nil || p.FlightDir() == "" || lifecycle.Interrupted(err) || !errors.As(err, &re) {
 		return
 	}
 	var reason string
-	var fe *machine.FaultError
-	hasFE := errors.As(err, &fe)
 	switch {
 	case lifecycle.WallBudget(err):
 		reason = "wall_budget"
 	case errors.Is(err, machine.ErrDeadlock):
 		reason = "watchdog"
-	case hasFE && fe.Stack != "":
+	case re.Stack != "":
 		reason = "crash"
 	default:
 		return
 	}
-	state := ""
-	if hasFE {
-		state = fe.State
-	}
-	_, _ = p.DumpFlight(reason, err, state)
-}
-
-// wrapRun attaches cell identity (kernel, configuration, attempt) to a run
-// failure, pulling the surfacing cycle and any recovered panic stack out of
-// the machine's FaultError so nothing diagnostic is lost in the wrapping.
-func wrapRun(bench, cfg string, attempt int, err error) error {
-	if err == nil {
-		return nil
-	}
-	cycle := int64(-1)
-	stack := ""
-	var fe *machine.FaultError
-	if errors.As(err, &fe) {
-		cycle = fe.Cycle
-		stack = fe.Stack
-	}
-	return lifecycle.WrapRun(bench, cfg, attempt, cycle, stack, err)
+	_, _ = p.DumpFlight(reason, err, re.State)
 }
 
 // GPUSoftware is the Table 3 GPU row.

@@ -8,6 +8,7 @@ import (
 	"rockcress/internal/alloctest"
 	"rockcress/internal/config"
 	"rockcress/internal/fault"
+	"rockcress/internal/lifecycle"
 	"rockcress/internal/machine"
 	"rockcress/internal/metrics"
 	"rockcress/internal/stats"
@@ -23,7 +24,7 @@ import (
 // run of a cell finds each at the depth the first one reached. Each family
 // runs once to warm its pools, then again with every attempt's
 // Machine.Run counted by alloctest.Count; only a run that fails with a
-// *machine.FaultError may allocate, for the error's own report. Not
+// *lifecycle.RunError may allocate, for the error's own report. Not
 // parallel: the count is process-wide.
 func TestWarmRunAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct {
@@ -87,7 +88,7 @@ func TestWarmRunAllocatesNothing(t *testing.T) {
 			defer func(run func(*machine.Machine, int64) (*stats.Machine, error)) { runMachine = run }(runMachine)
 			runMachine = func(m *machine.Machine, maxCycles int64) (st *stats.Machine, err error) {
 				n := alloctest.Count(func() { st, err = m.Run(maxCycles) })
-				if fe := (*machine.FaultError)(nil); !errors.As(err, &fe) {
+				if fe := (*lifecycle.RunError)(nil); !errors.As(err, &fe) {
 					counted = append(counted, n)
 				}
 				return st, err
@@ -97,7 +98,7 @@ func TestWarmRunAllocatesNothing(t *testing.T) {
 				t.Errorf("no attempt restored a checkpoint")
 			}
 			if len(counted) == 0 {
-				t.Fatal("no run completed without a *FaultError")
+				t.Fatal("no run completed without a *RunError")
 			}
 			for i, n := range counted {
 				if n != 0 {

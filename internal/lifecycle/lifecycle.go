@@ -2,17 +2,21 @@
 // simulation cancellable, deadline-bounded, crash-contained, and resumable
 // without touching simulated cycle counts.
 //
-//   - RunError is the structured failure of one sweep cell: which kernel and
-//     configuration died, on which attempt, at which simulated cycle, and —
-//     for contained panics — the original goroutine stack. A panic anywhere
-//     in a cell fails that cell, never the process.
-//   - WithSignals installs SIGINT/SIGTERM handling as context cancellation:
-//     the first signal cancels the context (runs abort at the next watchdog
-//     checkpoint and the harness flushes partial artifacts); a second signal
-//     kills the process the OS way.
-//   - ErrWallBudget is the wall-clock watchdog's verdict, distinct from the
-//     simulated-cycle watchdog: a run that burns host time without finishing
-//     is killed with a diagnostic snapshot instead of hanging a sweep.
+//   - RunError is the one record of a failed run: which kernel and
+//     configuration died, on which attempt, at which simulated cycle and
+//     tile, with the machine's state dump and — for contained panics — the
+//     original goroutine stack. The machine fills where the run died; the
+//     layers above add the cell's identity with WrapRun. A panic anywhere in
+//     a cell fails that cell, never the process.
+//   - A run has one stop signal, its context. WithSignals cancels it on
+//     SIGINT/SIGTERM: the first signal cancels the context (runs abort at
+//     the next watchdog checkpoint and the harness flushes partial
+//     artifacts); a second signal kills the process the OS way.
+//     WithWallBudget gives it a deadline whose cause is ErrWallBudget, the
+//     wall-clock watchdog's verdict, distinct from the simulated-cycle
+//     watchdog: a run that burns host time without finishing is killed with
+//     a diagnostic snapshot instead of hanging a sweep. Stopped tells the
+//     two apart at each check.
 //   - Journal (journal.go) is the crash-safe sweep journal behind rockbench
 //     -journal/-resume.
 //
@@ -28,35 +32,53 @@ import (
 	"os/signal"
 	"runtime/debug"
 	"syscall"
+	"time"
 )
 
-// ErrWallBudget is wrapped by errors returned when a run exceeded its
-// wall-clock budget. Detect with errors.Is.
+// ErrWallBudget is the cause of an expired WithWallBudget context, and is
+// wrapped by the error of a run that exceeded it. Detect with errors.Is.
 var ErrWallBudget = errors.New("wall-clock budget exceeded")
 
-// RunError is the structured failure of one simulation cell. Every field is
-// diagnostic context the bare error string used to lose: the cell identity
-// (kernel, configuration), the restart attempt that died, the simulated
-// cycle the failure surfaced at (-1 when unknown), and the original panic
-// stack when the failure was a contained panic.
+// RunError is the structured failure of one run. Every field is diagnostic
+// context the bare error string used to lose: the cell identity (kernel,
+// configuration), the restart attempt that died, the simulated cycle the
+// failure surfaced at and the tile it surfaced on (-1 when unknown or not
+// tile-specific), the cause, the machine's per-core state dump, and the
+// original panic stack when the failure was a contained panic.
 type RunError struct {
 	Kernel  string
 	Config  string
 	Attempt int
 	Cycle   int64 // simulated cycle the failure surfaced at; -1 unknown
-	Stack   string
+	Tile    int   // tile the failure surfaced on; -1 unknown or none
 	Err     error
+	State   string // per-core state dump; "" when none was taken
+	Stack   string
 }
 
+// Error names each of the record's known fields once:
+// "kernel/config attempt N: cause (cycle C, tile T)", then the state dump
+// and the panic stack on the lines below. A tile is named with its cycle:
+// the machine, the one layer that knows a tile, always knows the cycle.
 func (e *RunError) Error() string {
-	s := fmt.Sprintf("%s/%s", e.Kernel, e.Config)
-	if e.Attempt > 0 {
-		s += fmt.Sprintf(" attempt %d", e.Attempt)
+	s := e.Err.Error()
+	if e.Kernel != "" || e.Config != "" {
+		id := e.Kernel + "/" + e.Config
+		if e.Attempt > 0 {
+			id += fmt.Sprintf(" attempt %d", e.Attempt)
+		}
+		s = id + ": " + s
 	}
 	if e.Cycle >= 0 {
-		s += fmt.Sprintf(" (cycle %d)", e.Cycle)
+		s += fmt.Sprintf(" (cycle %d", e.Cycle)
+		if e.Tile >= 0 {
+			s += fmt.Sprintf(", tile %d", e.Tile)
+		}
+		s += ")"
 	}
-	s += ": " + e.Err.Error()
+	if e.State != "" {
+		s += "\n" + e.State
+	}
 	if e.Stack != "" {
 		s += "\npanic stack:\n" + e.Stack
 	}
@@ -87,7 +109,7 @@ func WrapRun(kernel, config string, attempt int, cycle int64, stack string, err 
 		return err
 	}
 	return &RunError{Kernel: kernel, Config: config, Attempt: attempt,
-		Cycle: cycle, Stack: stack, Err: err}
+		Cycle: cycle, Tile: -1, Stack: stack, Err: err}
 }
 
 // Contain runs fn, converting a panic into a *RunError carrying the original
@@ -97,7 +119,7 @@ func Contain(kernel, config string, attempt int, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &RunError{
-				Kernel: kernel, Config: config, Attempt: attempt, Cycle: -1,
+				Kernel: kernel, Config: config, Attempt: attempt, Cycle: -1, Tile: -1,
 				Stack: string(debug.Stack()),
 				Err:   fmt.Errorf("panic: %v", r),
 			}
@@ -115,6 +137,34 @@ func Interrupted(err error) bool {
 
 // WallBudget reports whether err traces back to the wall-clock watchdog.
 func WallBudget(err error) bool { return errors.Is(err, ErrWallBudget) }
+
+// WithWallBudget returns a child of parent that expires d from now with
+// ErrWallBudget as its cause: the wall-clock budget of everything run under
+// it. A budget of 0 or less adds nothing and returns parent, nil included,
+// with a cancel that does nothing.
+func WithWallBudget(parent context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	if d <= 0 {
+		return parent, func() {}
+	}
+	if parent == nil {
+		parent = context.Background()
+	}
+	return context.WithTimeoutCause(parent, d, ErrWallBudget)
+}
+
+// Stopped is the check a run makes of its context: nil while ctx (nil
+// included) runs, ErrWallBudget once its wall budget expired, and a
+// cancellation wrapping ctx.Err() for any other end. The budget's error does
+// not wrap context.DeadlineExceeded, so Interrupted stays false for it.
+func Stopped(ctx context.Context) error {
+	if ctx == nil || ctx.Err() == nil {
+		return nil
+	}
+	if errors.Is(context.Cause(ctx), ErrWallBudget) {
+		return ErrWallBudget
+	}
+	return fmt.Errorf("run canceled: %w", ctx.Err())
+}
 
 // WithSignals returns a child context canceled on the first SIGINT or
 // SIGTERM. After the first signal the handler is removed, so a second signal

@@ -10,6 +10,7 @@ import (
 	"rockcress/internal/config"
 	"rockcress/internal/fault"
 	"rockcress/internal/isa"
+	"rockcress/internal/lifecycle"
 	"rockcress/internal/machine"
 	"rockcress/internal/prog"
 )
@@ -187,7 +188,7 @@ func TestFaultDeterminism(t *testing.T) {
 
 // TestFrameOverflowStructured reproduces the paper's Fig. 9 hazard — vload
 // data arriving for a frame further ahead than the hardware counters can
-// track — and asserts it surfaces as a structured FaultError naming the
+// track — and asserts it surfaces as a structured RunError naming the
 // offending tile, not a panic.
 func TestFrameOverflowStructured(t *testing.T) {
 	cfg := config.ManycoreDefault()
@@ -221,12 +222,12 @@ func TestFrameOverflowStructured(t *testing.T) {
 	if runErr == nil {
 		t.Fatal("expected a frame-overflow error")
 	}
-	var fe *machine.FaultError
+	var fe *lifecycle.RunError
 	if !errors.As(runErr, &fe) {
-		t.Fatalf("error is not a *FaultError: %v", runErr)
+		t.Fatalf("error is not a *RunError: %v", runErr)
 	}
 	if fe.Tile != 5 {
-		t.Errorf("FaultError.Tile = %d, want 5", fe.Tile)
+		t.Errorf("RunError.Tile = %d, want 5", fe.Tile)
 	}
 	if !strings.Contains(runErr.Error(), "overflow") {
 		t.Errorf("error does not mention overflow: %v", runErr)
@@ -261,9 +262,9 @@ func TestWatchdogParams(t *testing.T) {
 	if runErr == nil {
 		t.Fatal("expected a deadlock error")
 	}
-	var fe *machine.FaultError
+	var fe *lifecycle.RunError
 	if !errors.As(runErr, &fe) {
-		t.Fatalf("error is not a *FaultError: %v", runErr)
+		t.Fatalf("error is not a *RunError: %v", runErr)
 	}
 	if !strings.Contains(runErr.Error(), "deadlock") {
 		t.Errorf("error does not mention deadlock: %v", runErr)

@@ -1,7 +1,7 @@
 package machine_test
 
 // Lifecycle coverage at the machine layer: injected panics are contained
-// into FaultError with the original goroutine stack, cancellation aborts a
+// into RunError with the original goroutine stack, cancellation aborts a
 // run at the next watchdog checkpoint, and the wall-clock watchdog kills an
 // over-budget run with a diagnostic state dump.
 
@@ -44,7 +44,7 @@ func runLifecycle(t *testing.T, mutate func(*machine.Params)) (*machine.Machine,
 
 // TestInjectedPanicContained arms a PanicTile fault and checks the engine
 // converts the resulting core panic — fired inside the tick path, where a
-// real defect would land — into a FaultError that keeps the panic message
+// real defect would land — into a RunError that keeps the panic message
 // and the stack of the core that died: the run loop recovers on the
 // goroutine that panicked.
 func TestInjectedPanicContained(t *testing.T) {
@@ -56,9 +56,9 @@ func TestInjectedPanicContained(t *testing.T) {
 		if err == nil {
 			t.Fatal("injected panic completed without error")
 		}
-		var fe *machine.FaultError
+		var fe *lifecycle.RunError
 		if !errors.As(err, &fe) {
-			t.Fatalf("want *machine.FaultError, got %T: %v", err, err)
+			t.Fatalf("want *lifecycle.RunError, got %T: %v", err, err)
 		}
 		if !strings.Contains(fe.Err.Error(), "internal panic") ||
 			!strings.Contains(fe.Err.Error(), "injected panic on tile 3") {
@@ -88,8 +88,10 @@ func TestRunCanceled(t *testing.T) {
 // TestWallBudgetExceeded puts the wall deadline in the past: the run must
 // die with ErrWallBudget and carry the diagnostic state snapshot.
 func TestWallBudgetExceeded(t *testing.T) {
+	ctx, cancel := context.WithDeadlineCause(context.Background(), time.Now().Add(-time.Second), lifecycle.ErrWallBudget)
+	defer cancel()
 	_, err := runLifecycle(t, func(p *machine.Params) {
-		p.WallDeadline = time.Now().Add(-time.Second)
+		p.Ctx = ctx
 	})
 	if err == nil {
 		t.Fatal("over-budget run completed without error")
@@ -97,9 +99,9 @@ func TestWallBudgetExceeded(t *testing.T) {
 	if !lifecycle.WallBudget(err) {
 		t.Fatalf("wall-budget abort not recognizable via WallBudget: %v", err)
 	}
-	var fe *machine.FaultError
+	var fe *lifecycle.RunError
 	if !errors.As(err, &fe) {
-		t.Fatalf("want *machine.FaultError, got %T", err)
+		t.Fatalf("want *lifecycle.RunError, got %T", err)
 	}
 	if fe.State == "" {
 		t.Error("wall-budget abort carries no diagnostic state snapshot")
@@ -114,9 +116,10 @@ func TestLifecycleChecksPreserveDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bare run: %v", err)
 	}
+	ctx, cancel := lifecycle.WithWallBudget(context.Background(), time.Hour)
+	defer cancel()
 	guarded, err := runLifecycle(t, func(p *machine.Params) {
-		p.Ctx = context.Background()
-		p.WallDeadline = time.Now().Add(time.Hour)
+		p.Ctx = ctx
 	})
 	if err != nil {
 		t.Fatalf("guarded run: %v", err)

@@ -20,6 +20,7 @@ import (
 	"rockcress/internal/cpu"
 	"rockcress/internal/inet"
 	"rockcress/internal/isa"
+	"rockcress/internal/lifecycle"
 	"rockcress/internal/mem"
 	"rockcress/internal/msg"
 	"rockcress/internal/noc"
@@ -78,11 +79,10 @@ type Machine struct {
 	bankFailovers int64
 
 	// Read only at watchdog checkpoints (watchdog.go).
-	wd           watchdog
-	checkEvery   int64
-	stallLimit   int64
-	ctx          context.Context
-	wallDeadline time.Time
+	wd         watchdog
+	checkEvery int64
+	stallLimit int64
+	ctx        context.Context
 
 	// The two attachments. A new optional subsystem is a method of one of
 	// them, called from one of those sites — never a new field here.
@@ -128,17 +128,16 @@ func New(p Params) (_ *Machine, err error) {
 	}
 	m := &Machine{
 		Cfg: cfg, Prog: p.Prog, Groups: p.Groups,
-		Global:       global,
-		Stats:        stats.New(cfg.Cores, cfg.LLCBanks),
-		dram:         dram,
-		space:        msg.NodeSpace{Cores: cfg.Cores, Banks: cfg.LLCBanks},
-		formation:    make([]genBarrier, len(p.Groups)),
-		tileGroup:    make([]int, cfg.Cores),
-		active:       cfg.Cores,
-		bankMap:      make([]int, cfg.LLCBanks),
-		wd:           watchdog{lastIssued: -1},
-		ctx:          p.Ctx,
-		wallDeadline: p.WallDeadline,
+		Global:    global,
+		Stats:     stats.New(cfg.Cores, cfg.LLCBanks),
+		dram:      dram,
+		space:     msg.NodeSpace{Cores: cfg.Cores, Banks: cfg.LLCBanks},
+		formation: make([]genBarrier, len(p.Groups)),
+		tileGroup: make([]int, cfg.Cores),
+		active:    cfg.Cores,
+		bankMap:   make([]int, cfg.LLCBanks),
+		wd:        watchdog{lastIssued: -1},
+		ctx:       p.Ctx,
 	}
 	// The slabs below may be pooled ones: a failure hands back those taken.
 	defer func() {
@@ -647,22 +646,22 @@ func (m *Machine) advance(stop int64) (atStop bool, err error) {
 }
 
 // recoverRun, deferred around the run loop, turns a panic anywhere in it (a
-// simulator bug) into a *FaultError rather than taking down the caller. The
-// recover runs on the goroutine that panicked, so the stack still names the
-// component that died.
+// simulator bug) into a *lifecycle.RunError rather than taking down the
+// caller. The recover runs on the goroutine that panicked, so the stack
+// still names the component that died.
 func (m *Machine) recoverRun(err *error) {
 	r := recover()
 	if r == nil {
 		return
 	}
-	*err = &FaultError{Cycle: m.now, Tile: -1, State: m.debugState(),
+	*err = &lifecycle.RunError{Cycle: m.now, Tile: -1, State: m.debugState(),
 		Err: fmt.Errorf("machine: internal panic: %v", r), Stack: string(debug.Stack())}
 }
 
 // RunUntil advances the machine to cycle stop and leaves it there, resumable:
 // Run's loop with the same watchdog checkpoints, but no cycle budget, drain,
 // flush or end-of-run collection. It returns early, still without error, once
-// every core has halted (Now() < stop tells), and with Run's *FaultError when
+// every core has halted (Now() < stop tells), and with Run's *RunError when
 // a checkpoint fails. A caller that reads state between calls sees exactly
 // what a fault scheduled at cycle Now() would find.
 func (m *Machine) RunUntil(stop int64) (err error) {
@@ -678,7 +677,8 @@ func (m *Machine) RunUntil(stop int64) (err error) {
 // elapse, or a simulation error surfaces. It returns the collected stats.
 // A progress watchdog aborts early (with a per-core state dump) when no
 // core issues an instruction for a long stretch: a deadlocked program.
-// Every failure path returns a *FaultError, recovered panics included.
+// Every failure path returns a *lifecycle.RunError, recovered panics
+// included.
 func (m *Machine) Run(maxCycles int64) (st *stats.Machine, err error) {
 	st = m.Stats
 	// The simulated-throughput meter times the run loop alone; the deferred

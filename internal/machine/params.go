@@ -2,7 +2,6 @@ package machine
 
 import (
 	"context"
-	"time"
 
 	"rockcress/internal/config"
 	"rockcress/internal/fault"
@@ -73,13 +72,11 @@ type Params struct {
 
 	// Ctx, when non-nil, makes the run cancellable: cancellation is checked
 	// at watchdog-checkpoint granularity (never mid-cycle), so cycle counts
-	// of runs that complete are bit-identical with or without a context.
+	// of runs that complete are bit-identical with or without a context. A
+	// context from lifecycle.WithWallBudget is also the wall-clock watchdog:
+	// a run still going when it expires aborts with a diagnostic state dump.
+	// Distinct from the simulated-cycle watchdog (CheckEvery/StallLimit) —
+	// this one catches host-time hangs (livelock, pathological slowdown),
+	// not simulated deadlock.
 	Ctx context.Context
-
-	// WallDeadline, when non-zero, is the wall-clock watchdog: a run still
-	// going past it aborts with a diagnostic state dump. Distinct from the
-	// simulated-cycle watchdog (CheckEvery/StallLimit) — this one catches
-	// host-time hangs (livelock, pathological slowdown), not simulated
-	// deadlock. Checked at the same checkpoint granularity as Ctx.
-	WallDeadline time.Time
 }

@@ -9,6 +9,7 @@ import (
 	"rockcress/internal/config"
 	"rockcress/internal/fault"
 	"rockcress/internal/isa"
+	"rockcress/internal/lifecycle"
 	"rockcress/internal/machine"
 	"rockcress/internal/prog"
 )
@@ -53,12 +54,12 @@ func TestSpadErrCycleContext(t *testing.T) {
 	if runErr == nil {
 		t.Fatal("expected a frame-overflow error")
 	}
-	var fe *machine.FaultError
+	var fe *lifecycle.RunError
 	if !errors.As(runErr, &fe) {
-		t.Fatalf("error is not a *FaultError: %v", runErr)
+		t.Fatalf("error is not a *RunError: %v", runErr)
 	}
 	if fe.Tile != 5 {
-		t.Errorf("FaultError.Tile = %d, want 5", fe.Tile)
+		t.Errorf("RunError.Tile = %d, want 5", fe.Tile)
 	}
 	if !strings.Contains(runErr.Error(), "overflow") {
 		t.Errorf("error does not mention overflow: %v", runErr)
@@ -66,10 +67,10 @@ func TestSpadErrCycleContext(t *testing.T) {
 	// The overflow happens within the first few dozen cycles; detection waits
 	// for the first DefaultCheckEvery sweep. The error must report the former.
 	if fe.Cycle < 0 || fe.Cycle >= machine.DefaultCheckEvery {
-		t.Errorf("FaultError.Cycle = %d, want the occurrence cycle (< %d)", fe.Cycle, machine.DefaultCheckEvery)
+		t.Errorf("RunError.Cycle = %d, want the occurrence cycle (< %d)", fe.Cycle, machine.DefaultCheckEvery)
 	}
 	if fe.Cycle >= m.Now() {
-		t.Errorf("FaultError.Cycle = %d not before detection at cycle %d", fe.Cycle, m.Now())
+		t.Errorf("RunError.Cycle = %d not before detection at cycle %d", fe.Cycle, m.Now())
 	}
 }
 
@@ -280,9 +281,9 @@ func TestReplayEscalation(t *testing.T) {
 		}
 		const victim = 9
 		err = escalate(t, m, victim)
-		var fe *machine.FaultError
+		var fe *lifecycle.RunError
 		if !errors.As(err, &fe) || fe.Tile != victim || !strings.Contains(err.Error(), "frame replay exhausted retries") {
-			t.Fatalf("got %v; want a *FaultError for tile %d naming the exhausted replay", err, victim)
+			t.Fatalf("got %v; want a *RunError for tile %d naming the exhausted replay", err, victim)
 		}
 		if rep := m.FaultReport(); rep.ReplayEscalations != 1 || len(rep.BrokenGroups) != 0 {
 			t.Errorf("broken groups %v, escalations %d; want none, 1", rep.BrokenGroups, rep.ReplayEscalations)

@@ -16,7 +16,7 @@ import (
 	"rockcress/internal/config"
 	"rockcress/internal/fault"
 	"rockcress/internal/kernels"
-	"rockcress/internal/machine"
+	"rockcress/internal/lifecycle"
 )
 
 // topologyPlans is one schedule per new fault kind plus a combined
@@ -170,7 +170,7 @@ func TestTopologyFaultAccounting(t *testing.T) {
 
 // TestCutLinkPartitionStructured cuts every link around the mesh corner:
 // tile 0 is unreachable, and the machine must surface a structured
-// *FaultError naming the partition rather than hang or panic.
+// *RunError naming the partition rather than hang or panic.
 func TestCutLinkPartitionStructured(t *testing.T) {
 	plan, err := fault.Parse("cutlink@100:0>1;cutlink@100:0>8")
 	if err != nil {
@@ -180,9 +180,9 @@ func TestCutLinkPartitionStructured(t *testing.T) {
 	if runErr == nil {
 		t.Fatal("partitioned mesh completed without error")
 	}
-	var fe *machine.FaultError
+	var fe *lifecycle.RunError
 	if !errors.As(runErr, &fe) {
-		t.Fatalf("error is not a *FaultError: %v", runErr)
+		t.Fatalf("error is not a *RunError: %v", runErr)
 	}
 	if !strings.Contains(runErr.Error(), "partition") {
 		t.Errorf("error does not name the partition: %v", runErr)
@@ -208,9 +208,9 @@ func TestKillLastBankStructured(t *testing.T) {
 	if runErr == nil {
 		t.Fatal("killing every bank completed without error")
 	}
-	var fe *machine.FaultError
+	var fe *lifecycle.RunError
 	if !errors.As(runErr, &fe) {
-		t.Fatalf("error is not a *FaultError: %v", runErr)
+		t.Fatalf("error is not a *RunError: %v", runErr)
 	}
 	if !strings.Contains(runErr.Error(), "last live LLC bank") {
 		t.Errorf("error does not name the last-bank condition: %v", runErr)

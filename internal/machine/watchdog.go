@@ -3,52 +3,24 @@ package machine
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"rockcress/internal/lifecycle"
 )
-
-// FaultError is a structured simulation failure: the cycle it surfaced, the
-// offending tile (-1 when not tile-specific), the underlying cause, and a
-// per-core state dump for diagnostics. All Machine.Run failure paths return
-// one (wrapped component errors, watchdog aborts, recovered panics).
-type FaultError struct {
-	Cycle int64
-	Tile  int
-	Err   error
-	State string
-	// Stack is the goroutine stack of a recovered panic, taken where the
-	// component died (empty otherwise).
-	Stack string
-}
-
-func (e *FaultError) Error() string {
-	at := fmt.Sprintf("cycle %d", e.Cycle)
-	if e.Tile >= 0 {
-		at += fmt.Sprintf(", tile %d", e.Tile)
-	}
-	s := fmt.Sprintf("%v (%s)", e.Err, at)
-	if e.State != "" {
-		s += "\n" + e.State
-	}
-	return s
-}
-
-func (e *FaultError) Unwrap() error { return e.Err }
 
 // ErrDeadlock marks the cycle watchdog's verdict: no core issued an
 // instruction for StallLimit consecutive checkpoints. Callers classify with
 // errors.Is (the flight recorder dumps a forensic bundle on it).
 var ErrDeadlock = errors.New("machine: deadlock")
 
-// faultErr wraps a component error into a FaultError with the current cycle
-// and state dump (idempotent: an already-structured error passes through).
+// faultErr wraps a component error into the run's failure record with the
+// current cycle and state dump (idempotent: an already-structured error
+// passes through).
 func (m *Machine) faultErr(tile int, err error) error {
-	var fe *FaultError
-	if errors.As(err, &fe) {
+	var re *lifecycle.RunError
+	if errors.As(err, &re) {
 		return err
 	}
-	return &FaultError{Cycle: m.now, Tile: tile, Err: err, State: m.debugState()}
+	return &lifecycle.RunError{Cycle: m.now, Tile: tile, Err: err, State: m.debugState()}
 }
 
 // watchdog is the run loop's progress monitor.
@@ -84,25 +56,23 @@ func (m *Machine) checkpoint(wd *watchdog) error {
 	return m.faultErr(-1, derr)
 }
 
-// checkLifecycle enforces cancellation and the wall-clock budget. Called
-// only at watchdog checkpoints, so a run that completes is cycle-identical
-// whether or not a context/deadline was attached, and the per-checkpoint
-// cost (one atomic load, one clock read) is amortized over CheckEvery
-// cycles.
+// checkLifecycle ends the run once its context does: canceled, or past the
+// wall-clock budget lifecycle.WithWallBudget gave it, which also takes a
+// state dump and a flight note. Called only at watchdog checkpoints, so a
+// run that completes is cycle-identical whether or not a context was
+// attached, and the per-checkpoint cost (one context read) is amortized
+// over CheckEvery cycles.
 func (m *Machine) checkLifecycle() error {
-	if m.ctx != nil {
-		if cerr := m.ctx.Err(); cerr != nil {
-			return &FaultError{Cycle: m.now, Tile: -1,
-				Err: fmt.Errorf("machine: run canceled: %w", cerr)}
-		}
+	stop := lifecycle.Stopped(m.ctx)
+	if stop == nil {
+		return nil
 	}
-	if !m.wallDeadline.IsZero() && time.Now().After(m.wallDeadline) {
+	re := &lifecycle.RunError{Cycle: m.now, Tile: -1, Err: fmt.Errorf("machine: %w", stop)}
+	if lifecycle.WallBudget(stop) {
 		m.flight.Note(m.now, "wall_budget", "wall-clock watchdog expired")
-		return &FaultError{Cycle: m.now, Tile: -1,
-			Err:   fmt.Errorf("machine: %w", lifecycle.ErrWallBudget),
-			State: m.debugState()}
+		re.State = m.debugState()
 	}
-	return nil
+	return re
 }
 
 func (m *Machine) checkComponents() error {
@@ -119,11 +89,11 @@ func (m *Machine) checkComponents() error {
 			// Scratchpads stamp the cycle a violation latched at, so the
 			// error carries the occurrence cycle rather than the (up to
 			// CheckEvery later) cycle the sweep noticed it.
-			fe := &FaultError{Cycle: m.now, Tile: t, Err: err, State: m.debugState()}
+			re := &lifecycle.RunError{Cycle: m.now, Tile: t, Err: err, State: m.debugState()}
 			if c := s.ErrCycle(); c >= 0 {
-				fe.Cycle = c
+				re.Cycle = c
 			}
-			return fe
+			return re
 		}
 	}
 	if err := m.meshReq.Err(); err != nil {

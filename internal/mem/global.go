@@ -148,11 +148,18 @@ func (g *Global) WriteWord(addr uint32, v uint32) {
 // handed out, which is every page that can differ from zero. Taking,
 // restoring and later recycling one cost O(dirty pages), not O(store size).
 type Image struct {
-	nwords int         // size of the store the image was taken from
-	pages  []imagePage // ascending by page number
-	data   []uint32    // slot s lives at data[s*pageWords : (s+1)*pageWords]
-	parked bool        // recycled: a second Recycle does nothing
+	imageShape             // the pool shape it was taken as and parks as
+	pages      []imagePage // ascending by page number
+	data       []uint32    // slot s lives at data[s*pageWords : (s+1)*pageWords]
+	parked     bool        // recycled: a second Recycle does nothing
 }
+
+// imageShape is an image's pool key: the word count of its store, and its
+// page capacity, the power of two above the dirty pages of the snapshot
+// that first took it. A snapshot takes an image of its own capacity class,
+// so a small snapshot never takes the image a large one grew and leaves the
+// large one a small image to grow again.
+type imageShape struct{ nwords, class int }
 
 // imagePage places one page's data in the image's slab.
 type imagePage struct{ page, slot int32 }
@@ -196,25 +203,26 @@ func (im *Image) overlay(lo int, src []uint32) bool {
 	return true
 }
 
-// images parks recycled images by the word count of their store.
-var images pool.Pool[int, *Image]
+// images parks recycled images by shape.
+var images pool.Pool[imageShape, *Image]
 
 // Snapshot returns a copy of the store's dirty pages. The machine overlays
 // dirty LLC lines on top of it to publish a consistent checkpoint image.
-// The image is a recycled one of the same store size when one is parked,
-// grown only past the pages it held before.
+// The image is a recycled one of the same shape when one is parked; its
+// capacity already holds the dirty pages, with room for overlaid ones.
 func (g *Global) Snapshot() *Image {
 	n := 0
 	for _, bm := range g.dirty {
 		n += bits.OnesCount64(bm)
 	}
-	im, ok := images.Get(len(g.words))
+	shape := imageShape{nwords: len(g.words), class: 1 << bits.Len(uint(n))}
+	im, ok := images.Get(shape)
 	if !ok {
-		im = &Image{nwords: len(g.words)}
+		im = &Image{imageShape: shape}
 	}
 	im.parked = false
-	im.pages = slices.Grow(im.pages[:0], n)
-	im.data = slices.Grow(im.data[:0], n*pageWords)[:n*pageWords]
+	im.pages = slices.Grow(im.pages[:0], shape.class)
+	im.data = slices.Grow(im.data[:0], shape.class*pageWords)[:n*pageWords]
 	for wi, bm := range g.dirty {
 		for ; bm != 0; bm &= bm - 1 {
 			page, slot := wi*64+bits.TrailingZeros64(bm), int32(len(im.pages))
@@ -227,14 +235,14 @@ func (g *Global) Snapshot() *Image {
 	return im
 }
 
-// Recycle empties the image and parks it for the next Snapshot of a store
-// of its size. Nothing may read the image afterwards.
+// Recycle empties the image and parks it for the next Snapshot of its
+// shape. Nothing may read the image afterwards.
 func (im *Image) Recycle() {
 	if im.parked {
 		return
 	}
 	im.pages, im.data, im.parked = im.pages[:0], im.data[:0], true
-	images.Put(im.nwords, im)
+	images.Put(im.imageShape, im)
 }
 
 // Restore replaces the store's contents with an image taken from an

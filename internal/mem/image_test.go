@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"rockcress/internal/alloctest"
 	"rockcress/internal/msg"
 )
 
@@ -208,5 +209,34 @@ func TestImageOverlayOutOfRangeLatches(t *testing.T) {
 	}
 	if im.Pages() != 0 {
 		t.Fatalf("refused overlay grew the image to %d pages", im.Pages())
+	}
+}
+
+// TestSnapshotsReuseImagesWithoutGrowing: a recovery ladder publishes a
+// small checkpoint, then a larger one, and recycles both. Run twice, the
+// second pass must find an image that already fits each snapshot: a small
+// snapshot that took the large one's parked image would leave the large
+// snapshot the small image to grow.
+func TestSnapshotsReuseImagesWithoutGrowing(t *testing.T) {
+	const nw = 40 * pageWords // a store size no other test parks images of
+	small, _ := NewGlobal(4 * nw)
+	large, _ := NewGlobal(4 * nw)
+	defer small.Recycle()
+	defer large.Recycle()
+	for p := 0; p < 20; p++ {
+		if p < 2 {
+			small.WriteWord(uint32(4*p*pageWords), 1)
+		}
+		large.WriteWord(uint32(4*p*pageWords), 1)
+	}
+	pass := func() {
+		s := small.Snapshot()
+		l := large.Snapshot()
+		s.Recycle()
+		l.Recycle()
+	}
+	pass()
+	if n := alloctest.Count(pass); n != 0 {
+		t.Errorf("the second small-then-large pass allocated %d times, want 0", n)
 	}
 }
