@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"errors"
-	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -13,16 +12,14 @@ import (
 	"testing"
 	"time"
 
+	"rockcress/internal/golden"
 	"rockcress/internal/harness"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files")
 
 // rockbenchBin is the binary under test, built once by TestMain.
 var rockbenchBin string
 
 func TestMain(m *testing.M) {
-	flag.Parse()
 	dir, err := os.MkdirTemp("", "rockbench-test")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -53,30 +50,9 @@ func stdout(t *testing.T, args ...string) []byte {
 	return out
 }
 
-// checkGolden holds got against testdata/name (-update rewrites it).
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	golden := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with: go test ./cmd/rockbench -update)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("stdout drifted from %s (rerun with -update if intentional); got:\n%s", golden, got)
-	}
-}
-
 // TestTable3Golden pins a table that runs no simulation.
 func TestTable3Golden(t *testing.T) {
-	checkGolden(t, "table3.golden.txt", stdout(t, "-table", "3"))
+	golden.Check(t, "testdata/table3.golden.txt", stdout(t, "-table", "3"))
 }
 
 // TestFig10Golden pins one figure end to end — the mvt rows of Figure 10 at
@@ -85,7 +61,7 @@ func TestTable3Golden(t *testing.T) {
 func TestFig10Golden(t *testing.T) {
 	args := []string{"-q", "-fig", "10", "-bench", "mvt", "-scale", "tiny"}
 	serial := stdout(t, append(args, "-j", "1")...)
-	checkGolden(t, "fig10_mvt_tiny.golden.txt", serial)
+	golden.Check(t, "testdata/fig10_mvt_tiny.golden.txt", serial)
 	if wide := stdout(t, append(args, "-j", "4")...); !bytes.Equal(serial, wide) {
 		t.Errorf("-j 4 stdout differs from -j 1:\n%s\nvs\n%s", wide, serial)
 	}

@@ -3,16 +3,15 @@ package main
 import (
 	"bytes"
 	"errors"
-	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite golden files")
+	"rockcress/internal/golden"
+)
 
 // rockdoctorBin is the binary under test; artifacts holds what it reads, all
 // left by rocksim on mvt tiny: v4.json / v4.jsonl / v4.trace.json from one
@@ -21,7 +20,6 @@ var update = flag.Bool("update", false, "rewrite golden files")
 var rockdoctorBin, artifacts string
 
 func TestMain(m *testing.M) {
-	flag.Parse()
 	os.Exit(run(m))
 }
 
@@ -99,19 +97,7 @@ func TestGoldens(t *testing.T) {
 					got.WriteString(line)
 				}
 			}
-			golden := filepath.Join("testdata", tc.golden+".golden.txt")
-			if *update {
-				if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("%v (regenerate with: go test ./cmd/rockdoctor -update)", err)
-			}
-			if got.String() != string(want) {
-				t.Errorf("stdout drifted from %s (rerun with -update if intentional); got:\n%s", golden, got.String())
-			}
+			golden.Check(t, filepath.Join("testdata", tc.golden+".golden.txt"), []byte(got.String()))
 		})
 	}
 }

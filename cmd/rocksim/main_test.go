@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -14,15 +13,14 @@ import (
 	"slices"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite golden files")
+	"rockcress/internal/golden"
+)
 
 // rocksimBin is the binary under test, built once by TestMain.
 var rocksimBin string
 
 func TestMain(m *testing.M) {
-	flag.Parse()
 	dir, err := os.MkdirTemp("", "rocksim-test")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -115,20 +113,7 @@ func TestRunReportAndTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = append(got, '\n')
-	const golden = "testdata/mvt_v4_tiny_report.golden.json"
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with: go test ./cmd/rocksim -update)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("report.json drifted from %s (rerun with -update if intentional); got:\n%s", golden, got)
-	}
+	golden.Check(t, "testdata/mvt_v4_tiny_report.golden.json", append(got, '\n'))
 
 	f, err := os.Open(telemPath)
 	if err != nil {
@@ -389,18 +374,7 @@ func TestDumpAsmGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rocksim -dump-asm %s/%s: %v\n%s", c.bench, c.cfg, err, stderr.String())
 		}
-		if *update {
-			if err := os.WriteFile(c.golden, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := os.ReadFile(c.golden)
-		if err != nil {
-			t.Fatalf("%v (regenerate with: go test ./cmd/rocksim -update)", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s/%s disassembly drifted from %s (rerun with -update if intentional)", c.bench, c.cfg, c.golden)
-		}
+		golden.Check(t, c.golden, got)
 	}
 	// The GPU row has no program to dump: it must say so, not print NV's.
 	out, err := exec.Command(rocksimBin, "-bench", "mvt", "-config", "GPU", "-scale", "tiny", "-dump-asm").CombinedOutput()

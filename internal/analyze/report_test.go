@@ -2,17 +2,15 @@ package analyze
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"rockcress/internal/config"
+	"rockcress/internal/golden"
 	"rockcress/internal/stats"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files")
 
 // sampleStats builds a small deterministic stats.Machine: one vector group
 // (scalar 0, expander 1, lanes 2-3) plus MIMD cores 4-5, two LLC banks.
@@ -69,27 +67,14 @@ func sampleReport() *Report {
 
 // TestReportGolden pins the serialized report.json byte-for-byte. A
 // mismatch means a field was renamed, retyped, reordered, or added — bump
-// SchemaVersion and regenerate with -update if the change is intentional.
+// SchemaVersion and re-record (golden.Env) if the change is intentional.
 func TestReportGolden(t *testing.T) {
 	r := sampleReport()
 	var buf bytes.Buffer
 	if err := r.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "golden_report.json")
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with: go test ./internal/analyze -run TestReportGolden -update)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("report.json serialization drifted from %s.\nIf intentional, bump SchemaVersion and rerun with -update.\ngot:\n%s\nwant:\n%s",
-			golden, buf.Bytes(), want)
-	}
+	golden.Check(t, filepath.Join("testdata", "golden_report.json"), buf.Bytes())
 }
 
 // TestReportRoundTrip writes a report to disk and reads it back through

@@ -12,9 +12,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite testdata/help.golden.txt")
+	"rockcress/internal/golden"
+)
 
 // TestEveryFieldHasARow: every command's rows bind (a misspelt field or a
 // mistyped default panics, and so does a name declared twice for one
@@ -49,19 +49,7 @@ func TestHelpGolden(t *testing.T) {
 	}
 	got := regexp.MustCompile(`(?m)^(\s+parallel simulations.*) \(default \d+\)$`).
 		ReplaceAll(b.Bytes(), []byte("$1 (default GOMAXPROCS)"))
-	const golden = "testdata/help.golden.txt"
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with: go test ./internal/cli -update)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("help text drifted from %s (rerun with -update if intentional); got:\n%s", golden, got)
-	}
+	golden.Check(t, "testdata/help.golden.txt", got)
 }
 
 // TestReadmeFlagTable: README's flag table is the option table — the same

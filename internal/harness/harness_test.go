@@ -2,19 +2,16 @@ package harness
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"testing"
 
 	"rockcress/internal/config"
+	"rockcress/internal/golden"
 	"rockcress/internal/kernels"
 	"rockcress/internal/metrics"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/figures_tiny.golden.txt")
 
 func TestTablesRender(t *testing.T) {
 	var b bytes.Buffer
@@ -206,26 +203,13 @@ func renderFigures(t *testing.T, jobs int) []byte {
 }
 
 // TestFigureGoldens holds every figure's bytes, for two sweep widths,
-// against testdata/figures_tiny.golden.txt (go test -run TestFigureGoldens
-// -update rewrites it).
+// against testdata/figures_tiny.golden.txt.
 func TestFigureGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	const golden = "testdata/figures_tiny.golden.txt"
 	got := renderFigures(t, 1)
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("figures drifted from %s (rerun with -update if intentional); got:\n%s", golden, got)
-	}
+	golden.Check(t, "testdata/figures_tiny.golden.txt", got)
 	if wide := renderFigures(t, 4); !bytes.Equal(wide, got) {
 		t.Errorf("Jobs=4 renders differently from Jobs=1:\n%s", wide)
 	}

@@ -1,15 +1,14 @@
 package kernels
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
-	"os"
 	"testing"
 
 	"rockcress/internal/causal"
 	"rockcress/internal/config"
 	"rockcress/internal/fault"
+	"rockcress/internal/golden"
 )
 
 // causalDirection is one validated what-if axis: a hardware baseline, the
@@ -208,10 +207,8 @@ func TestCausalBucketsSumToCycles(t *testing.T) {
 // where responses wait on the response plane (the gated stamp), and two
 // fault plans whose flits carry stamps across a topology change: a cut
 // link harvests and re-injects in-flight flits, and a dead bank re-emits
-// the requests it had absorbed. -update rewrites
-// testdata/causal.golden.json.
+// the requests it had absorbed. Pinned in testdata/causal.golden.json.
 func TestCausalReportGolden(t *testing.T) {
-	const golden = "testdata/causal.golden.json"
 	type cell struct {
 		Cell         string         `json:"cell"`
 		CriticalPath *causal.Report `json:"critical_path"`
@@ -256,18 +253,5 @@ func TestCausalReportGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out = append(out, '\n')
-	if *update {
-		if err := os.WriteFile(golden, out, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if !bytes.Equal(out, want) {
-		t.Errorf("causal reports differ from %s (-update rewrites it):\n%s", golden, out)
-	}
+	golden.Check(t, "testdata/causal.golden.json", append(out, '\n'))
 }

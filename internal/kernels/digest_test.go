@@ -3,17 +3,14 @@ package kernels
 import (
 	"bytes"
 	"crypto/sha256"
-	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
 	"rockcress/internal/asm"
 	"rockcress/internal/config"
+	"rockcress/internal/golden"
 )
-
-var update = flag.Bool("update", false, "rewrite the testdata golden files")
 
 // programDigest builds one program at p the way trial.build does and
 // returns its instruction count and the first 16 hex digits of the SHA-256
@@ -73,10 +70,9 @@ var knownRefusals = map[string]struct{ err, reason string }{
 // around dead tile 12) at Tiny, plus every Table 3 row at the kernel's
 // offsizes entry (mode offsize, the size in the scale column). One line per program in
 // testdata/programs.golden.txt; a kernel refactor must leave that file's
-// diff empty (go test -run TestProgramDigests -update rewrites it). A
-// build that fails must be one of knownRefusals, failing as that row says.
+// diff empty. A build that fails must be one of knownRefusals, failing as
+// that row says.
 func TestProgramDigests(t *testing.T) {
-	const golden = "testdata/programs.golden.txt"
 	var out bytes.Buffer
 	refused := map[string]bool{}
 	line := func(b Benchmark, sw config.Software, size string, p Params, mode string, avoid []int, ckpt bool) {
@@ -117,30 +113,7 @@ func TestProgramDigests(t *testing.T) {
 			t.Errorf("%s builds now, though listed as refused (%s): drop its row", key, known.reason)
 		}
 	}
-	got := out.Bytes()
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if bytes.Equal(got, want) {
-		return
-	}
-	wantLines := map[string]bool{}
-	for _, l := range strings.Split(string(want), "\n") {
-		wantLines[l] = true
-	}
-	for _, l := range strings.Split(string(got), "\n") {
-		if !wantLines[l] {
-			t.Errorf("program drifted from %s: %s", golden, l)
-		}
-	}
-	t.Errorf("%d programs built, golden holds %d (rerun with -update if intentional)",
-		bytes.Count(got, []byte("\n")), bytes.Count(want, []byte("\n")))
+	golden.Check(t, "testdata/programs.golden.txt", out.Bytes())
 }
 
 // TestOffsizesMatchReference runs each offsizes entry on the manycore under

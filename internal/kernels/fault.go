@@ -156,7 +156,7 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 		if cur == nil {
 			// Fault-free: no fault to blame, nothing a restart could repair.
 			if runErr != nil {
-				return lifecycle.WrapRun(name, sw.Name, attempt, -1, "", runErr)
+				return lifecycle.WrapRun(name, sw.Name, attempt, runErr)
 			}
 			return fmt.Errorf("%s/%s: wrong result: %w", name, sw.Name, checkErr)
 		}
@@ -191,7 +191,7 @@ func executeFaultLadder(b Benchmark, p Params, sw config.Software, hw config.Man
 			}
 			if runErr != nil {
 				// Failed without consuming any fault: restarting cannot help.
-				return lifecycle.WrapRun(name, sw.Name, attempt, -1, "", runErr)
+				return lifecycle.WrapRun(name, sw.Name, attempt, runErr)
 			}
 			return fmt.Errorf("%s/%s: wrong result with no fault consumed (not repairable by restart)",
 				name, sw.Name)

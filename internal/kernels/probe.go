@@ -142,7 +142,7 @@ func flipVerdicts(b Benchmark, p Params, sw config.Software, hw config.Manycore,
 	for _, i := range order {
 		if err := a.m.RunUntil(cands[i].cycle); err != nil {
 			if stopsSearch(err) {
-				return nil, lifecycle.WrapRun(b.Info().Name, sw.Name, 1, -1, "", err)
+				return nil, lifecycle.WrapRun(b.Info().Name, sw.Name, 1, err)
 			}
 			break
 		}

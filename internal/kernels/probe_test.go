@@ -142,7 +142,7 @@ func TestProbeStopsOnHostLimits(t *testing.T) {
 	// As a run that dies at a watchdog checkpoint reaches the search: the
 	// machine's RunError with the ladder's cell identity added.
 	wrap := func(err error) error {
-		return lifecycle.WrapRun("mvt", "V4", 2, -1, "", &lifecycle.RunError{Cycle: 2048, Tile: -1, Err: fmt.Errorf("machine: %w", err)})
+		return lifecycle.WrapRun("mvt", "V4", 2, &lifecycle.RunError{Cycle: 2048, Tile: -1, Err: fmt.Errorf("machine: %w", err)})
 	}
 	for _, c := range []struct {
 		name string

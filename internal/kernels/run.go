@@ -88,7 +88,7 @@ type ExecOpts struct {
 // stopBefore is the between-runs check of o.Ctx: before attempt starts it
 // fails the run once the context is canceled or its wall budget is spent.
 func (o *ExecOpts) stopBefore(bench, cfg string, attempt int) error {
-	return lifecycle.WrapRun(bench, cfg, attempt, -1, "", lifecycle.Stopped(o.Ctx))
+	return lifecycle.WrapRun(bench, cfg, attempt, lifecycle.Stopped(o.Ctx))
 }
 
 // ExecuteOpts runs benchmark b with parameters p under the given software

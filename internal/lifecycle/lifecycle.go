@@ -90,8 +90,8 @@ func (e *RunError) Unwrap() error { return e.Err }
 // WrapRun attaches cell context to a run failure. Idempotent: an error that
 // already is a *RunError keeps its fields (missing ones are filled in), so
 // layered wrapping never loses the innermost attempt's context. A nil err
-// returns nil. cycle < 0 means unknown; stack "" means not a panic.
-func WrapRun(kernel, config string, attempt int, cycle int64, stack string, err error) error {
+// returns nil; a new record's Cycle is -1 (unknown) and its Stack empty.
+func WrapRun(kernel, config string, attempt int, err error) error {
 	if err == nil {
 		return nil
 	}
@@ -109,7 +109,7 @@ func WrapRun(kernel, config string, attempt int, cycle int64, stack string, err 
 		return err
 	}
 	return &RunError{Kernel: kernel, Config: config, Attempt: attempt,
-		Cycle: cycle, Tile: -1, Stack: stack, Err: err}
+		Cycle: -1, Tile: -1, Err: err}
 }
 
 // Contain runs fn, converting a panic into a *RunError carrying the original

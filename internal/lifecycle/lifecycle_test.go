@@ -12,8 +12,8 @@ import (
 // does (kernels wraps, then the harness wraps again) and requires the
 // innermost attempt's kernel, config, attempt, cycle, and stack to survive.
 func TestWrapRunPreservesInnermost(t *testing.T) {
-	inner := WrapRun("gemm", "V4", 3, 12345, "goroutine 7 [running]:\nworker()", errors.New("boom"))
-	outer := WrapRun("harness", "sweep", 1, -1, "", fmt.Errorf("cell failed: %w", inner))
+	inner := WrapRun("gemm", "V4", 3, &RunError{Cycle: 12345, Tile: -1, Stack: "goroutine 7 [running]:\nworker()", Err: errors.New("boom")})
+	outer := WrapRun("harness", "sweep", 1, fmt.Errorf("cell failed: %w", inner))
 
 	var re *RunError
 	if !errors.As(outer, &re) {
@@ -37,7 +37,7 @@ func TestWrapRunPreservesInnermost(t *testing.T) {
 // fills fields the inner error never knew, without overwriting known ones.
 func TestWrapRunFillsMissing(t *testing.T) {
 	partial := &RunError{Attempt: 2, Cycle: -1, Err: errors.New("x")}
-	out := WrapRun("mvt", "NV", 9, -1, "", fmt.Errorf("w: %w", partial))
+	out := WrapRun("mvt", "NV", 9, fmt.Errorf("w: %w", partial))
 	var re *RunError
 	if !errors.As(out, &re) {
 		t.Fatalf("want *RunError, got %T", out)
@@ -51,7 +51,7 @@ func TestWrapRunFillsMissing(t *testing.T) {
 }
 
 func TestWrapRunNil(t *testing.T) {
-	if err := WrapRun("k", "c", 1, -1, "", nil); err != nil {
+	if err := WrapRun("k", "c", 1, nil); err != nil {
 		t.Fatalf("nil in, %v out", err)
 	}
 }
@@ -92,14 +92,14 @@ func panicHelperForTest() { panic("kaboom") }
 func TestInterruptedAndWallBudget(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	canceled := WrapRun("k", "c", 1, 10, "", fmt.Errorf("run canceled: %w", ctx.Err()))
+	canceled := WrapRun("k", "c", 1, &RunError{Cycle: 10, Tile: -1, Err: fmt.Errorf("run canceled: %w", ctx.Err())})
 	if !Interrupted(canceled) {
 		t.Errorf("wrapped cancel not recognized: %v", canceled)
 	}
 	if WallBudget(canceled) {
 		t.Errorf("cancel misclassified as wall budget")
 	}
-	budget := WrapRun("k", "c", 2, 10, "", fmt.Errorf("machine: %w", ErrWallBudget))
+	budget := WrapRun("k", "c", 2, &RunError{Cycle: 10, Tile: -1, Err: fmt.Errorf("machine: %w", ErrWallBudget)})
 	if !WallBudget(budget) {
 		t.Errorf("wrapped wall budget not recognized: %v", budget)
 	}

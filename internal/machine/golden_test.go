@@ -1,22 +1,20 @@
 package machine_test
 
-// Determinism regression: every kernel at tiny scale must produce cycle
-// counts bit-identical to the pre-engine serial simulator (the golden
-// file). The golden values in testdata/golden_tiny.txt were recorded from
-// the seed tree before the staged engine landed; any drift here means the
-// engine changed the architecture, not just the wall clock.
+// Determinism regression: every PolyBench kernel at tiny scale under NV, V4
+// and V16 takes exactly the cycles bench/baseline.json pins, and the fault
+// schedule the total testdata/fault_schedule.golden.txt pins. Any drift is
+// a change to the simulated architecture, not to the wall clock.
 
 import (
-	"bufio"
 	"fmt"
-	"os"
 	"reflect"
-	"strconv"
-	"strings"
 	"testing"
 
+	"rockcress/internal/analyze"
 	"rockcress/internal/config"
 	"rockcress/internal/fault"
+	"rockcress/internal/golden"
+	"rockcress/internal/harness"
 	"rockcress/internal/kernels"
 	"rockcress/internal/stats"
 )
@@ -29,46 +27,30 @@ import (
 // between the concurrent runs leak nothing into the next one.
 var inertWorkers = []int{0, 1, 2, 8}
 
-type goldenEntry struct {
-	bench  string
-	config string
-	cycles int64
-}
-
-func readGolden(t *testing.T) (entries []goldenEntry, faultCycles int64) {
+// baselineEntries returns the pinned report of every PolyBench kernel under
+// every harness.BaselineConfigs entry, read from bench/baseline.json. A
+// cell the file lacks fails the test.
+func baselineEntries(t *testing.T) []*analyze.Report {
 	t.Helper()
-	f, err := os.Open("testdata/golden_tiny.txt")
+	b, err := harness.ReadBaseline("../../bench/baseline.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 {
-			t.Fatalf("golden line %q: want 3 fields", line)
-		}
-		n, err := strconv.ParseInt(fields[2], 10, 64)
-		if err != nil {
-			t.Fatalf("golden line %q: %v", line, err)
-		}
-		if fields[1] == "V4+faults" {
-			faultCycles = n
-			continue
-		}
-		entries = append(entries, goldenEntry{bench: fields[0], config: fields[1], cycles: n})
+	if b.Scale != "tiny" {
+		t.Fatalf("bench/baseline.json is recorded at %s scale, want tiny", b.Scale)
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+	var entries []*analyze.Report
+	for _, bench := range kernels.PolyBench() {
+		for _, cfg := range harness.BaselineConfigs {
+			key := bench.Info().Name + "/" + cfg
+			if r, ok := b.Runs[key]; ok {
+				entries = append(entries, r)
+			} else {
+				t.Errorf("bench/baseline.json lacks %s", key)
+			}
+		}
 	}
-	if len(entries) == 0 || faultCycles == 0 {
-		t.Fatalf("golden file incomplete: %d entries, fault cycles %d", len(entries), faultCycles)
-	}
-	return entries, faultCycles
+	return entries
 }
 
 // TestGoldenCycleCounts runs all 15 kernels x NV/V4/V16 at tiny scale once
@@ -77,15 +59,14 @@ func readGolden(t *testing.T) (entries []goldenEntry, faultCycles int64) {
 // included. Entries run in parallel, so `go test -race` also sweeps
 // concurrent machine instances across goroutines.
 func TestGoldenCycleCounts(t *testing.T) {
-	entries, _ := readGolden(t)
-	for _, e := range entries {
-		t.Run(e.bench+"/"+e.config, func(t *testing.T) {
+	for _, e := range baselineEntries(t) {
+		t.Run(e.Bench+"/"+e.Config, func(t *testing.T) {
 			t.Parallel()
-			bench, err := kernels.Get(e.bench)
+			bench, err := kernels.Get(e.Bench)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sw, err := config.Preset(e.config)
+			sw, err := config.Preset(e.Config)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,8 +78,8 @@ func TestGoldenCycleCounts(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := res.Cycles(); got != e.cycles {
-						t.Errorf("cycles = %d, want golden %d", got, e.cycles)
+					if got := res.Cycles(); got != e.Cycles {
+						t.Errorf("cycles = %d, want %d (bench/baseline.json)", got, e.Cycles)
 					}
 					st := *res.Stats
 					st.WallNs = 0 // host time
@@ -115,12 +96,11 @@ func TestGoldenCycleCounts(t *testing.T) {
 }
 
 // TestGoldenFaultSchedule checks the fault-injection path through the
-// engine: a two-kill schedule on mvt/V4 must burn the golden total cycle
-// count (across all degraded attempts), once per inertWorkers value.
+// engine: a two-kill schedule on mvt/V4 must burn the total cycle count
+// (across all degraded attempts) testdata/fault_schedule.golden.txt pins,
+// once per inertWorkers value.
 func TestGoldenFaultSchedule(t *testing.T) {
-	_, faultCycles := readGolden(t)
 	for _, workers := range inertWorkers {
-		workers := workers
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			t.Parallel()
 			bench, err := kernels.Get("mvt")
@@ -138,10 +118,8 @@ func TestGoldenFaultSchedule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fr.TotalCycles != faultCycles {
-				t.Errorf("total cycles = %d (attempts %d), want golden %d",
-					fr.TotalCycles, fr.Attempts, faultCycles)
-			}
+			golden.Check(t, "testdata/fault_schedule.golden.txt",
+				fmt.Appendf(nil, "mvt V4+faults %d\n", fr.TotalCycles))
 		})
 	}
 }

@@ -13,14 +13,12 @@ package machine
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 	"time"
 
 	"rockcress/internal/config"
 	"rockcress/internal/cpu"
 	"rockcress/internal/inet"
 	"rockcress/internal/isa"
-	"rockcress/internal/lifecycle"
 	"rockcress/internal/mem"
 	"rockcress/internal/msg"
 	"rockcress/internal/noc"
@@ -643,19 +641,6 @@ func (m *Machine) advance(stop int64) (atStop bool, err error) {
 		}
 	}
 	return false, nil
-}
-
-// recoverRun, deferred around the run loop, turns a panic anywhere in it (a
-// simulator bug) into a *lifecycle.RunError rather than taking down the
-// caller. The recover runs on the goroutine that panicked, so the stack
-// still names the component that died.
-func (m *Machine) recoverRun(err *error) {
-	r := recover()
-	if r == nil {
-		return
-	}
-	*err = &lifecycle.RunError{Cycle: m.now, Tile: -1, State: m.debugState(),
-		Err: fmt.Errorf("machine: internal panic: %v", r), Stack: string(debug.Stack())}
 }
 
 // RunUntil advances the machine to cycle stop and leaves it there, resumable:

@@ -15,7 +15,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -46,13 +45,11 @@ func dumpBundle(t *testing.T, plane *metrics.Plane) *metrics.Bundle {
 // does, until the returned stop is called; stop returns how many it wrote
 // and the first error.
 func dumpWhile(plane *metrics.Plane) (stop func() (int, error)) {
-	done := make(chan struct{})
+	done, finished := make(chan struct{}), make(chan struct{})
 	var n int
 	var first error
-	var wg sync.WaitGroup
-	wg.Add(1)
 	go func() {
-		defer wg.Done()
+		defer close(finished)
 		for {
 			select {
 			case <-done:
@@ -71,7 +68,7 @@ func dumpWhile(plane *metrics.Plane) (stop func() (int, error)) {
 	}()
 	return func() (int, error) {
 		close(done)
-		wg.Wait()
+		<-finished
 		return n, first
 	}
 }

@@ -221,17 +221,15 @@ func checkEventJSON(t *testing.T, raw []byte) map[string]int {
 // windowed sampler, engine profile — and asserts the golden cycle count is
 // untouched and the windows conserve, once per inertWorkers value.
 func TestTelemetryGoldenAndConservation(t *testing.T) {
-	entries, _ := readGolden(t)
-	for _, e := range entries {
+	for _, e := range baselineEntries(t) {
 		for _, workers := range inertWorkers {
-			e, workers := e, workers
-			t.Run(fmt.Sprintf("%s/%s/w%d", e.bench, e.config, workers), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s/w%d", e.Bench, e.Config, workers), func(t *testing.T) {
 				t.Parallel()
-				bench, err := kernels.Get(e.bench)
+				bench, err := kernels.Get(e.Bench)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sw, err := config.Preset(e.config)
+				sw, err := config.Preset(e.Config)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -246,8 +244,8 @@ func TestTelemetryGoldenAndConservation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := res.Cycles(); got != e.cycles {
-					t.Errorf("cycles with sink attached = %d, want golden %d", got, e.cycles)
+				if got := res.Cycles(); got != e.Cycles {
+					t.Errorf("cycles with sink attached = %d, want %d (bench/baseline.json)", got, e.Cycles)
 				}
 				if err := sink.Close(); err != nil {
 					t.Fatal(err)

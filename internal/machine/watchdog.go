@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 
 	"rockcress/internal/lifecycle"
 )
@@ -21,6 +22,19 @@ func (m *Machine) faultErr(tile int, err error) error {
 		return err
 	}
 	return &lifecycle.RunError{Cycle: m.now, Tile: tile, Err: err, State: m.debugState()}
+}
+
+// recoverRun, deferred around the run loop, turns a panic anywhere in it (a
+// simulator bug) into a *lifecycle.RunError rather than taking down the
+// caller. The recover runs on the goroutine that panicked, so the stack
+// still names the component that died.
+func (m *Machine) recoverRun(err *error) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	*err = &lifecycle.RunError{Cycle: m.now, Tile: -1, State: m.debugState(),
+		Err: fmt.Errorf("machine: internal panic: %v", r), Stack: string(debug.Stack())}
 }
 
 // watchdog is the run loop's progress monitor.
